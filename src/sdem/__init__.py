@@ -21,7 +21,7 @@ from .flow import (BLOCK, TimeGrid, BrownianBatch, FlowPath, EnsembleResult,
 from .kernel import (DensityQuery, gaussian_kernel, silverman_bandwidth,
                      density_estimate, kernel_bound_fit)
 from .malliavin import (MCConfig, CameronMartinPath, right_inverse,
-                        RightInverseMap, RightInverseError, bismut_gradient,
+                        RightInverseError, bismut_gradient,
                         intertwine_gradient, fd_gradient, divergence, ibp_check)
 from .serialize import save_ensemble, load_ensemble, ensemble_csv_summary
 from .report import EstimatorReport

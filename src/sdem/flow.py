@@ -15,6 +15,7 @@ the smoothing error rather than of the noise.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -45,6 +46,7 @@ __all__ = [
     "JacSupNorm",
     "IntegratedG",
     "PathRecorder",
+    "Tracker",
 ]
 
 # Fixed path-block size; a constant of the noise layout, not a tuning knob.
@@ -98,25 +100,23 @@ class BrownianBatch:
         lo = b * BLOCK
         return slice(lo, min(lo + BLOCK, self.paths))
 
+    def _draw(self, b: int, rows: int) -> np.ndarray:
+        """The first `rows` paths of block b's stream, shape (rows, steps, m)."""
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(b,))
+        z = np.random.default_rng(ss).standard_normal((rows, self.grid.steps, self.m))
+        return z * math.sqrt(self.grid.dt)
+
     def block_increments(self, b: int) -> np.ndarray:
         """Increments dW for block b, shape (block_paths, steps, m)."""
         sl = self.block_slice(b)
-        count = sl.stop - sl.start
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(b,))
-        rng = np.random.default_rng(ss)
-        z = rng.standard_normal((count, self.grid.steps, self.m))
-        return z * math.sqrt(self.grid.dt)
+        return self._draw(b, sl.stop - sl.start)
 
     def increments(self, path_index: int) -> np.ndarray:
         """Increments of one path, shape (steps, m)."""
         if not (0 <= path_index < self.paths):
             raise IndexError(f"path index {path_index} out of range")
         b, r = divmod(path_index, BLOCK)
-        sl = self.block_slice(b)
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(b,))
-        rng = np.random.default_rng(ss)
-        z = rng.standard_normal((r + 1, self.grid.steps, self.m))
-        return z[r] * math.sqrt(self.grid.dt)
+        return self._draw(b, r + 1)[r]
 
 
 @dataclass
@@ -153,127 +153,96 @@ def _euler_step(fields, xi, V, dWk, dt):
 # ---------------------------------------------------------------------------
 # per-block trackers
 #
-# A tracker observes every step of a block before the state update (so Ito
-# sums are left-point by construction) and once more after the final step.
-# `make(B)` returns a fresh accumulator so blocks can run concurrently.
+# The protocol: `make(B)` returns a shallow copy whose `start(B)` has set the
+# accumulators of one block of B paths, so blocks can run concurrently.
+# `step(k, xis, Vs, dWk, dt)` sees every step before the state update, so Ito
+# sums are left-point by construction, and once more after the final step as
+# `step(steps, xis, Vs, None, dt)`; Ito sums return at once when dWk is None.
+# `finish()` returns the block's extras: arrays with one row per path.
 
 
-class JacSupNorm:
+class Tracker:
+    """Base of the per-block trackers; see the protocol above."""
+
+    def make(self, B):
+        acc = copy.copy(self)
+        acc.start(B)
+        return acc
+
+
+class JacSupNorm(Tracker):
     """Running sup over time of the Frobenius norm of the derivative matrix."""
 
     def __init__(self, run: int = 0, name: str = "sup_jac"):
         self.run, self.name = run, name
 
-    def make(self, B):
-        tracker = self
+    def start(self, B):
+        self.best = np.zeros(B)
 
-        class Acc:
-            def __init__(self):
-                self.best = np.zeros(B)
+    def step(self, k, xis, Vs, dWk, dt):
+        v = Vs[self.run]
+        self.best = np.maximum(self.best, np.sqrt(np.sum(v * v, axis=(1, 2))))
 
-            def step(self, k, xis, Vs, dWk, dt):
-                v = Vs[tracker.run]
-                self.best = np.maximum(self.best, np.sqrt(np.sum(v * v, axis=(1, 2))))
-
-            def final(self, xis, Vs):
-                v = Vs[tracker.run]
-                self.best = np.maximum(self.best, np.sqrt(np.sum(v * v, axis=(1, 2))))
-
-            def finish(self):
-                return {tracker.name: self.best}
-
-        return Acc()
+    def finish(self):
+        return {self.name: self.best}
 
 
-class IntegratedG:
+class IntegratedG(Tracker):
     """Left-point Riemann sum of the derivative-energy function along a run."""
 
     def __init__(self, fields, run: int = 0, name: str = "int_g"):
         self.fields, self.run, self.name = fields, run, name
 
-    def make(self, B):
-        tracker = self
+    def start(self, B):
+        self.total = np.zeros(B)
 
-        class Acc:
-            def __init__(self):
-                self.total = np.zeros(B)
+    def step(self, k, xis, Vs, dWk, dt):
+        if dWk is not None:
+            self.total += np.asarray(g_function(self.fields, xis[self.run])) * dt
 
-            def step(self, k, xis, Vs, dWk, dt):
-                self.total += np.asarray(g_function(tracker.fields, xis[tracker.run])) * dt
-
-            def final(self, xis, Vs):
-                return None
-
-            def finish(self):
-                return {tracker.name: self.total}
-
-        return Acc()
+    def finish(self):
+        return {self.name: self.total}
 
 
-class PathRecorder:
+class PathRecorder(Tracker):
     """Record full trajectories of a run (memory: paths x steps x (n + n^2))."""
 
     def __init__(self, run: int = 0, name: str = "paths", with_jac: bool = True):
         self.run, self.name, self.with_jac = run, name, with_jac
 
-    def make(self, B):
-        tracker = self
+    def start(self, B):
+        self.states, self.jacs = [], []
 
-        class Acc:
-            def __init__(self):
-                self.states = []
-                self.jacs = []
+    def step(self, k, xis, Vs, dWk, dt):
+        self.states.append(xis[self.run].copy())
+        if self.with_jac:
+            self.jacs.append(Vs[self.run].copy())
 
-            def step(self, k, xis, Vs, dWk, dt):
-                self.states.append(xis[tracker.run].copy())
-                if tracker.with_jac:
-                    self.jacs.append(Vs[tracker.run].copy())
-
-            def final(self, xis, Vs):
-                self.states.append(xis[tracker.run].copy())
-                if tracker.with_jac:
-                    self.jacs.append(Vs[tracker.run].copy())
-
-            def finish(self):
-                out = {tracker.name + "_states": np.stack(self.states, axis=1)}
-                if tracker.with_jac:
-                    out[tracker.name + "_jacs"] = np.stack(self.jacs, axis=1)
-                return out
-
-        return Acc()
+    def finish(self):
+        out = {self.name + "_states": np.stack(self.states, axis=1)}
+        if self.with_jac:
+            out[self.name + "_jacs"] = np.stack(self.jacs, axis=1)
+        return out
 
 
-class _PairSup:
+class _PairSup(Tracker):
     """Running sup of pathwise state and derivative gaps between two runs."""
 
     def __init__(self, i: int, j: int, name: str):
         self.i, self.j, self.name = i, j, name
 
-    def make(self, B):
-        tracker = self
+    def start(self, B):
+        self.state, self.jac = np.zeros(B), np.zeros(B)
 
-        class Acc:
-            def __init__(self):
-                self.state = np.zeros(B)
-                self.jac = np.zeros(B)
+    def step(self, k, xis, Vs, dWk, dt):
+        dx = xis[self.i] - xis[self.j]
+        self.state = np.maximum(self.state, np.linalg.norm(dx, axis=1))
+        if Vs[self.i] is not None:
+            dv = Vs[self.i] - Vs[self.j]
+            self.jac = np.maximum(self.jac, np.sqrt(np.sum(dv * dv, axis=(1, 2))))
 
-            def _update(self, xis, Vs):
-                dx = xis[tracker.i] - xis[tracker.j]
-                self.state = np.maximum(self.state, np.linalg.norm(dx, axis=1))
-                if Vs[tracker.i] is not None:
-                    dv = Vs[tracker.i] - Vs[tracker.j]
-                    self.jac = np.maximum(self.jac, np.sqrt(np.sum(dv * dv, axis=(1, 2))))
-
-            def step(self, k, xis, Vs, dWk, dt):
-                self._update(xis, Vs)
-
-            def final(self, xis, Vs):
-                self._update(xis, Vs)
-
-            def finish(self):
-                return {f"{tracker.name}_state": self.state, f"{tracker.name}_jac": self.jac}
-
-        return Acc()
+    def finish(self):
+        return {f"{self.name}_state": self.state, f"{self.name}_jac": self.jac}
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +283,7 @@ def _simulate_block(runs, grid, dW, trackers, with_jac=True):
                 bad |= ~np.isfinite(Vs[r].reshape(B, -1)).all(axis=1)
             flagged |= bad
     for acc in accs:
-        acc.final(xis, Vs)
+        acc.step(grid.steps, xis, Vs, None, dt)
     extras = {}
     for acc in accs:
         extras.update(acc.finish())
@@ -351,27 +320,39 @@ class EnsembleResult:
         return ~self.flag
 
 
+def _run(runs, grid: TimeGrid, noise: BrownianBatch, trackers, with_jac, workers):
+    """Simulate every block of lockstep runs and join the blocks in order.
+
+    Returns (list of EnsembleResult in run order, joint extras dict).
+    """
+    runs = list(runs)
+    for fields, _ in runs:
+        _check_noise(fields, grid, noise)
+    trackers = tuple(trackers)
+
+    def one(b):
+        return _simulate_block(runs, grid, noise.block_increments(b), trackers, with_jac)
+
+    parts = _map_blocks(noise, one, workers)
+    flag = np.concatenate([p[2] for p in parts], axis=0)
+    extras = {key: np.concatenate([p[3][key] for p in parts], axis=0)
+              for key in parts[0][3]}
+    results = []
+    for r, (fields, _) in enumerate(runs):
+        state_T = np.concatenate([p[0][r] for p in parts], axis=0)
+        jac_T = np.concatenate([p[1][r] for p in parts], axis=0) if with_jac else None
+        results.append(EnsembleResult(grid, fields, noise.paths, state_T, jac_T,
+                                      flag, {}))
+    return results, extras
+
+
 def run_ensemble(fields, x0, grid: TimeGrid, noise: BrownianBatch, *,
                  trackers: Iterable = (), with_jac: bool = True,
                  workers: Optional[int] = None) -> EnsembleResult:
     """Integrate an ensemble of independent paths for one field set."""
-    _check_noise(fields, grid, noise)
-    trackers = tuple(trackers)
-
-    def one(b):
-        dW = noise.block_increments(b)
-        xis, Vs, flagged, extras = _simulate_block([(fields, x0)], grid, dW,
-                                                   trackers, with_jac)
-        return xis[0], Vs[0], flagged, extras
-
-    parts = _map_blocks(noise, one, workers)
-    state_T = np.concatenate([p[0] for p in parts], axis=0)
-    jac_T = np.concatenate([p[1] for p in parts], axis=0) if with_jac else None
-    flag = np.concatenate([p[2] for p in parts], axis=0)
-    extras = {}
-    for key in parts[0][3]:
-        extras[key] = np.concatenate([p[3][key] for p in parts], axis=0)
-    return EnsembleResult(grid, fields, noise.paths, state_T, jac_T, flag, extras)
+    (res,), extras = _run([(fields, x0)], grid, noise, trackers, with_jac, workers)
+    res.extras.update(extras)
+    return res
 
 
 def run_multi(runs, grid: TimeGrid, noise: BrownianBatch, *,
@@ -382,27 +363,7 @@ def run_multi(runs, grid: TimeGrid, noise: BrownianBatch, *,
     Returns (list of EnsembleResult in run order, joint extras dict).
     Flag masks are pooled: a path flagged in any run is flagged in all.
     """
-    runs = list(runs)
-    for fields, _ in runs:
-        _check_noise(fields, grid, noise)
-    trackers = tuple(trackers)
-
-    def one(b):
-        dW = noise.block_increments(b)
-        return _simulate_block(runs, grid, dW, trackers, with_jac)
-
-    parts = _map_blocks(noise, one, workers)
-    flag = np.concatenate([p[2] for p in parts], axis=0)
-    extras = {}
-    for key in parts[0][3]:
-        extras[key] = np.concatenate([p[3][key] for p in parts], axis=0)
-    results = []
-    for r, (fields, _) in enumerate(runs):
-        state_T = np.concatenate([p[0][r] for p in parts], axis=0)
-        jac_T = np.concatenate([p[1][r] for p in parts], axis=0) if with_jac else None
-        results.append(EnsembleResult(grid, fields, noise.paths, state_T, jac_T,
-                                      flag, {}))
-    return results, extras
+    return _run(runs, grid, noise, trackers, with_jac, workers)
 
 
 def _check_noise(fields, grid: TimeGrid, noise: BrownianBatch):
@@ -418,32 +379,25 @@ def _check_noise(fields, grid: TimeGrid, noise: BrownianBatch):
 
 def integrate(fields, x0, grid: TimeGrid, noise: BrownianBatch,
               path_index: int) -> FlowPath:
-    """Integrate a single path of the coupled state/derivative system."""
+    """Integrate a single path of the coupled state/derivative system.
+
+    The path is a one-path block of the ensemble engine.  A flagged path
+    reads NaN from its first non-finite frame on.
+    """
     fields.require_dfield()
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if not np.all(np.isfinite(x0)):
         raise FieldError("integrate: starting point must be finite")
     _check_noise(fields, grid, noise)
-    dW = noise.increments(path_index)
-    n = len(x0)
-    states = np.empty((grid.steps + 1, n))
-    jacs = np.empty((grid.steps + 1, n, n))
-    states[0] = x0
-    jacs[0] = np.eye(n)
-    xi = x0[None, :].copy()
-    V = np.eye(n)[None, :, :].copy()
-    flagged = False
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(grid.steps):
-            xi, V = _euler_step(fields, xi, V, dW[k][None, :], grid.dt)
-            if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(V))):
-                flagged = True
-                states[k + 1:] = np.nan
-                jacs[k + 1:] = np.nan
-                break
-            states[k + 1] = xi[0]
-            jacs[k + 1] = V[0]
-    return FlowPath(path_index, grid, states, jacs, noise, fields, flagged)
+    dW = noise.increments(path_index)[None]
+    _, _, flagged, rec = _simulate_block([(fields, x0)], grid, dW, (PathRecorder(),))
+    states, jacs = rec["paths_states"][0], rec["paths_jacs"][0]
+    if flagged[0]:
+        bad = ~(np.isfinite(states).all(axis=1) & np.isfinite(jacs).all(axis=(1, 2)))
+        first = int(np.argmax(bad))
+        states[first:] = np.nan
+        jacs[first:] = np.nan
+    return FlowPath(path_index, grid, states, jacs, noise, fields, bool(flagged[0]))
 
 
 @dataclass
@@ -531,49 +485,28 @@ def sup_distance(a: FlowPath, b: FlowPath, p: float) -> tuple[float, float]:
     return ds ** p, dj ** p
 
 
-def _sup_jac_values(ensemble) -> tuple[np.ndarray, int]:
-    if isinstance(ensemble, EnsembleResult):
-        if "sup_jac" not in ensemble.extras:
-            raise FieldError("ensemble was run without a JacSupNorm tracker")
-        return ensemble.extras["sup_jac"][ensemble.ok], ensemble.n_flagged
-    ensemble = list(ensemble)
-    paths = [p for p in ensemble if not p.flagged]
-    excluded = len(ensemble) - len(paths)
-    vals = np.array([np.max(np.sqrt(np.sum(p.jacs * p.jacs, axis=(1, 2))))
-                     for p in paths])
-    return vals, excluded
-
-
-def moment_sup(ensemble, p: float, config_hash: str = "") -> EstimatorReport:
+def moment_sup(ensemble: EnsembleResult, p: float,
+               config_hash: str = "") -> EstimatorReport:
     """Monte Carlo estimate of E sup_{s<=T} |V_s|^p (Frobenius norm)."""
-    vals, excluded = _sup_jac_values(ensemble)
+    if "sup_jac" not in ensemble.extras:
+        raise FieldError("ensemble was run without a JacSupNorm tracker")
+    vals = ensemble.extras["sup_jac"][ensemble.ok]
     if vals.size == 0:
         raise FieldError("moment_sup: no unflagged paths")
     from .report import from_samples
-    return from_samples(vals ** p, config_hash=config_hash, excluded=excluded)
+    return from_samples(vals ** p, config_hash=config_hash, excluded=ensemble.n_flagged)
 
 
-def exp_g_functional(ensemble, q: float, config_hash: str = "") -> EstimatorReport:
+def exp_g_functional(ensemble: EnsembleResult, q: float,
+                     config_hash: str = "") -> EstimatorReport:
     """Estimate of E exp(6 q^2 int_0^T G(xi_s) ds), left-point time sums.
 
     Overflowing paths make the estimate +inf; their count is available on
     the returned report as ``overflowed``.
     """
-    if isinstance(ensemble, EnsembleResult):
-        if "int_g" not in ensemble.extras:
-            raise FieldError("ensemble was run without an IntegratedG tracker")
-        ints = ensemble.extras["int_g"][ensemble.ok]
-        excluded = ensemble.n_flagged
-    else:
-        ensemble = list(ensemble)
-        paths = [p for p in ensemble if not p.flagged]
-        excluded = len(ensemble) - len(paths)
-        ints = []
-        for path in paths:
-            path.fields.require_dfield()
-            g = np.asarray(g_function(path.fields, path.states[:-1]))
-            ints.append(float(np.sum(g) * path.grid.dt))
-        ints = np.array(ints)
+    if "int_g" not in ensemble.extras:
+        raise FieldError("ensemble was run without an IntegratedG tracker")
+    ints = ensemble.extras["int_g"][ensemble.ok]
     with np.errstate(over="ignore"):
         vals = np.exp(6.0 * q * q * ints)
     overflow = int(np.isinf(vals).sum())
@@ -581,7 +514,7 @@ def exp_g_functional(ensemble, q: float, config_hash: str = "") -> EstimatorRepo
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n)) if (n > 1 and math.isfinite(est)) else math.inf
     return EstimatorReport(est, se if math.isfinite(se) else math.inf, n,
-                           excluded=excluded, config_hash=config_hash,
+                           excluded=ensemble.n_flagged, config_hash=config_hash,
                            overflowed=overflow)
 
 

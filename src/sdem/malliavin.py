@@ -24,13 +24,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fields import FieldError
-from .flow import BrownianBatch, FlowPath, TimeGrid, run_ensemble, run_multi
+from .flow import (BrownianBatch, FlowPath, PathRecorder, TimeGrid, Tracker,
+                   run_ensemble, run_multi)
 from .report import EstimatorReport, from_samples
 
 __all__ = [
     "RightInverseError",
     "right_inverse",
-    "RightInverseMap",
     "MCConfig",
     "CameronMartinPath",
     "bismut_gradient",
@@ -99,16 +99,6 @@ def right_inverse(fs, x) -> np.ndarray:
     return y[0] if single else y.reshape(x.shape[:-1] + y.shape[-2:])
 
 
-class RightInverseMap:
-    """Callable x -> Y(x) with the residual contract enforced per evaluation."""
-
-    def __init__(self, fs):
-        self.fs = fs
-
-    def __call__(self, x) -> np.ndarray:
-        return right_inverse(self.fs, x)
-
-
 @dataclass(frozen=True)
 class MCConfig:
     """Ensemble configuration shared by the gradient and IBP estimators."""
@@ -155,37 +145,30 @@ class CameronMartinPath:
 # trackers (plug into the flow engine)
 
 
-class GradientWeight:
+class GradientWeight(Tracker):
     """Ito sum over steps of <Y(xi_k) V_k v0, dW_k> for a constant direction."""
 
     def __init__(self, fields, v0, run: int = 0, name: str = "weight"):
         self.fields, self.run, self.name = fields, run, name
         self.v0 = np.atleast_1d(np.asarray(v0, dtype=float))
 
-    def make(self, B):
-        tracker = self
+    def start(self, B):
+        self.w = np.zeros(B)
 
-        class Acc:
-            def __init__(self):
-                self.w = np.zeros(B)
+    def step(self, k, xis, Vs, dWk, dt):
+        if dWk is None:
+            return
+        xi, V = xis[self.run], Vs[self.run]
+        y = right_inverse(self.fields, xi)                # (B, m, n)
+        vd = V @ self.v0                                  # (B, n)
+        proj = (y @ vd[:, :, None])[:, :, 0]              # (B, m)
+        self.w += np.sum(proj * dWk, axis=1)
 
-            def step(self, k, xis, Vs, dWk, dt):
-                xi, V = xis[tracker.run], Vs[tracker.run]
-                y = right_inverse(tracker.fields, xi)             # (B, m, n)
-                vd = V @ tracker.v0                               # (B, n)
-                proj = (y @ vd[:, :, None])[:, :, 0]              # (B, m)
-                self.w += np.sum(proj * dWk, axis=1)
-
-            def final(self, xis, Vs):
-                return None
-
-            def finish(self):
-                return {tracker.name: self.w}
-
-        return Acc()
+    def finish(self):
+        return {self.name: self.w}
 
 
-class DivergenceWeight:
+class DivergenceWeight(Tracker):
     """Divergence of a Cameron-Martin direction along the flow.
 
     Accumulates the Ito sum <Y(xi_k) V_k hdot_k, dW_k>, the direction
@@ -195,74 +178,50 @@ class DivergenceWeight:
     def __init__(self, fields, h: CameronMartinPath, run: int = 0, name: str = "div"):
         self.fields, self.h, self.run, self.name = fields, h, run, name
 
-    def make(self, B):
-        tracker = self
+    def start(self, B):
+        self.w, self.hval, self.energy = np.zeros(B), None, np.zeros(B)
 
-        class Acc:
-            def __init__(self):
-                self.w = None
-                self.hval = None
-                self.energy = None
+    def step(self, k, xis, Vs, dWk, dt):
+        if dWk is None:
+            return
+        xi, V = xis[self.run], Vs[self.run]
+        if self.hval is None:
+            self.hval = np.zeros_like(xi)
+        hdot = np.asarray(self.h.rate(k, xi), dtype=float)
+        y = right_inverse(self.fields, xi)
+        vd = (V @ hdot[:, :, None])[:, :, 0]
+        proj = (y @ vd[:, :, None])[:, :, 0]
+        self.w += np.sum(proj * dWk, axis=1)
+        self.hval = self.hval + hdot * dt
+        self.energy += np.sum(hdot * hdot, axis=1) * dt
 
-            def _init(self, n):
-                self.w = np.zeros(B)
-                self.hval = np.zeros((B, n))
-                self.energy = np.zeros(B)
-
-            def step(self, k, xis, Vs, dWk, dt):
-                xi, V = xis[tracker.run], Vs[tracker.run]
-                if self.w is None:
-                    self._init(xi.shape[1])
-                hdot = np.asarray(tracker.h.rate(k, xi), dtype=float)
-                y = right_inverse(tracker.fields, xi)
-                vd = (V @ hdot[:, :, None])[:, :, 0]
-                proj = (y @ vd[:, :, None])[:, :, 0]
-                self.w += np.sum(proj * dWk, axis=1)
-                self.hval = self.hval + hdot * dt
-                self.energy += np.sum(hdot * hdot, axis=1) * dt
-
-            def final(self, xis, Vs):
-                return None
-
-            def finish(self):
-                return {
-                    f"{tracker.name}_weight": self.w,
-                    f"{tracker.name}_h_T": self.hval,
-                    f"{tracker.name}_energy": self.energy,
-                }
-
-        return Acc()
+    def finish(self):
+        return {
+            f"{self.name}_weight": self.w,
+            f"{self.name}_h_T": self.hval,
+            f"{self.name}_energy": self.energy,
+        }
 
 
-class _DirectionRecorder:
+class _DirectionRecorder(Tracker):
     """Record the direction path s -> V_s h_s for full-path functionals."""
 
     def __init__(self, fields, h: CameronMartinPath, run: int = 0, name: str = "dir"):
         self.fields, self.h, self.run, self.name = fields, h, run, name
 
-    def make(self, B):
-        tracker = self
+    def start(self, B):
+        self.hval, self.frames = None, []
 
-        class Acc:
-            def __init__(self):
-                self.hval = None
-                self.frames = []
+    def step(self, k, xis, Vs, dWk, dt):
+        xi, V = xis[self.run], Vs[self.run]
+        if self.hval is None:
+            self.hval = np.zeros_like(xi)
+        self.frames.append((V @ self.hval[:, :, None])[:, :, 0])
+        if dWk is not None:
+            self.hval = self.hval + np.asarray(self.h.rate(k, xi), dtype=float) * dt
 
-            def step(self, k, xis, Vs, dWk, dt):
-                xi, V = xis[tracker.run], Vs[tracker.run]
-                if self.hval is None:
-                    self.hval = np.zeros_like(xi)
-                self.frames.append((V @ self.hval[:, :, None])[:, :, 0])
-                self.hval = self.hval + np.asarray(tracker.h.rate(k, xi), dtype=float) * dt
-
-            def final(self, xis, Vs):
-                V = Vs[tracker.run]
-                self.frames.append((V @ self.hval[:, :, None])[:, :, 0])
-
-            def finish(self):
-                return {tracker.name: np.stack(self.frames, axis=1)}  # (B, K+1, n)
-
-        return Acc()
+    def finish(self):
+        return {self.name: np.stack(self.frames, axis=1)}  # (B, K+1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +303,9 @@ class IbpResult:
 
     @property
     def ok(self) -> bool:
-        return self.gap <= 3.0 * self.se_pooled
+        # lhs and rhs come from the same paths, so the paired SE is the
+        # standard error of their difference
+        return self.gap <= 3.0 * self.se_paired + 1e-12
 
 
 def ibp_check(F: Callable, dF: Callable, h: CameronMartinPath, cfg: MCConfig,
@@ -360,7 +321,6 @@ def ibp_check(F: Callable, dF: Callable, h: CameronMartinPath, cfg: MCConfig,
     noise = cfg.noise_for(grid)
     trackers = [DivergenceWeight(cfg.fields, h)]
     if full_path:
-        from .flow import PathRecorder
         trackers.append(_DirectionRecorder(cfg.fields, h))
         trackers.append(PathRecorder(with_jac=False))
     res = run_ensemble(cfg.fields, np.atleast_1d(np.asarray(x, dtype=float)),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sdem.fields import FieldError, builtin_field
+from sdem.mollify import mollify_field
 from sdem.flow import (BLOCK, BrownianBatch, IntegratedG, JacSupNorm, TimeGrid,
                        coupled_family, exp_g_functional, integrate, moment_sup,
                        run_ensemble, spatial_derivative_check, sup_distance)
@@ -100,6 +101,19 @@ def test_ou_derivative_flow_matches_product_and_exponential():
     assert errs[1] <= 1.0 * gg.dt
 
 
+def test_integrate_is_the_ensemble_path():
+    # one integrator: a single path is bit for bit the ensemble's path,
+    # in the first block and past it
+    fs = mollify_field(builtin_field("log_example", beta=1.0), 0.1)
+    g = TimeGrid(0.25, 20)
+    noise = BrownianBatch(seed=3, paths=BLOCK + 10, grid=g, m=1)
+    res = run_ensemble(fs, [0.2], g, noise)
+    for i in (0, 5, BLOCK + 3):
+        path = integrate(fs, [0.2], g, noise, i)
+        assert np.array_equal(path.states[-1], res.state_T[i])
+        assert np.array_equal(path.jacs[-1], res.jac_T[i])
+
+
 def test_integrate_validates_inputs():
     g = TimeGrid(1.0, 10)
     noise = BrownianBatch(seed=1, paths=2, grid=g, m=1)
@@ -162,11 +176,6 @@ def test_moment_sup_bm_and_ou():
                           trackers=(JacSupNorm(),))
     rep2 = moment_sup(ou_res, 2.0)
     assert rep2.estimate == pytest.approx(1.0, abs=1e-12)   # sup at t = 0
-    # FlowPath-list route agrees
-    paths = [integrate(builtin_field("ou", lam=1.0), [0.0], g, noise, i)
-             for i in range(8)]
-    rep3 = moment_sup(paths, 2.0)
-    assert rep3.estimate == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exp_g_functional_values():
@@ -180,9 +189,6 @@ def test_exp_g_functional_values():
     rep = exp_g_functional(ou_res, 1.0)
     assert rep.estimate == pytest.approx(math.exp(6.0), rel=1e-12)
     assert rep.overflowed == 0
-    # FlowPath-list route
-    paths = [integrate(ou, [0.0], g, noise, i) for i in range(4)]
-    assert exp_g_functional(paths, 1.0).estimate == pytest.approx(math.exp(6.0), rel=1e-12)
 
 
 def test_exp_g_overflow_reported_as_inf():

@@ -98,6 +98,18 @@ def test_kernel_bound_bm(tmp_path):
     assert len(rows) == 23       # comment + header + 21 query points
 
 
+def test_kernel_bound_rejects_2d_field_before_simulating(monkeypatch):
+    from sdem import harness
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("kernel-bound simulated a field it must reject")
+
+    monkeypatch.setattr(harness, "run_ensemble", no_run)
+    with pytest.raises(FieldError, match="1-d only"):
+        run_command("kernel-bound", _cfg(field_spec={"name": "bm", "params": {"n": 2}},
+                                         x0=(0.0, 0.0)))
+
+
 def test_condition_g_log_example_both_regimes():
     good = _cfg(field_spec={"name": "log_example", "params": {"beta": 1.0}},
                 paths=20_000,

@@ -6,10 +6,11 @@ import pytest
 from sdem.fields import builtin_field
 from sdem.flow import BrownianBatch, TimeGrid, integrate, run_ensemble
 from sdem.malliavin import (CameronMartinPath, DivergenceWeight, MCConfig,
-                            RightInverseError, RightInverseMap, bismut_gradient,
+                            IbpResult, RightInverseError, bismut_gradient,
                             divergence, fd_gradient, ibp_check,
                             intertwine_gradient, right_inverse)
 from sdem.mollify import mollify_field
+from sdem.report import EstimatorReport
 from conftest import scalar_drift_field
 
 
@@ -60,7 +61,7 @@ def test_right_inverse_singular_point_reports_location():
     degen = VectorFieldSet(1, 1, A, None, FieldMeta(), name="degenerate")
     with pytest.raises(RightInverseError, match="singular"):
         right_inverse(degen, np.zeros(1))
-    y = RightInverseMap(degen)(np.array([2.0]))
+    y = right_inverse(degen, np.array([2.0]))
     assert y[0, 0] == pytest.approx(0.5)
 
 
@@ -274,6 +275,14 @@ def test_ibp_full_path_functional():
     res = ibp_check(F, dF, CameronMartinPath.constant([1.0]), cfg, t=T, x=[0.0],
                     full_path=True)
     assert res.gap <= 3.0 * res.se_pooled
+
+
+def test_ibp_verdict_uses_paired_se():
+    # lhs and rhs share their paths, so the SE of their difference is the
+    # paired one; a gap within 3 paired SE passes even above 3 pooled SE
+    rep = EstimatorReport(0.0, 1.0, 100)
+    assert IbpResult(rep, rep, gap=3.2, se_pooled=1.0, se_paired=1.1).ok
+    assert not IbpResult(rep, rep, gap=3.4, se_pooled=1.2, se_paired=1.1).ok
 
 
 def test_mc_config_grid():
