@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
-from .harness import COMMANDS, ExperimentConfig, run_command
+from .harness import COMMANDS, OPTION_KEYS, ExperimentConfig, run_command
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -23,8 +24,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory for reports")
         p.add_argument("--workers", type=int,
                        help="worker threads (default: SDEM_WORKERS or 1)")
-        p.add_argument("--plot-data", action="store_true",
-                       help="also emit two-column gnuplot data files")
+        if "plot_data" in OPTION_KEYS[name]:
+            p.add_argument("--plot-data", action="store_true",
+                           help="also emit two-column gnuplot data files")
     return parser
 
 
@@ -36,10 +38,8 @@ def main(argv=None) -> int:
         cfg = ExperimentConfig.from_file(args.config, **overrides)
     else:
         cfg = ExperimentConfig.from_dict({}, **overrides)
-    if args.plot_data:
-        cfg = ExperimentConfig.from_dict({**cfg.to_dict(),
-                                          "options": {**cfg.options, "plot_data": True}},
-                                         **overrides)
+    if getattr(args, "plot_data", False):
+        cfg = replace(cfg, options={**cfg.options, "plot_data": True})
     result = run_command(args.command, cfg)
     print(f"{result.name}: {'PASS' if result.ok else 'FAIL'} "
           f"(config {cfg.fingerprint})")

@@ -8,8 +8,8 @@ Hoelder constant/exponent, sup bound, growth class).
 Evaluators are vectorized: points may be a single array of shape (n,) or a
 batch of shape (..., n); field values have the same leading shape, and
 derivative values carry a trailing (n, n) matrix axis.  All evaluators are
-pure and safe for concurrent use; interpolation tables are immutable after
-construction.
+pure and safe for concurrent use.  The ``log_example`` diffusion is
+evaluated through the closed form of its antiderivative, with no table.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import CubicSpline
+from scipy.special import erfc
 
 __all__ = [
     "FieldError",
@@ -213,38 +212,45 @@ def _const_shift(matrix, shift) -> VectorFieldSet:
                           params={"matrix": mat.tolist(), "shift": b.tolist()})
 
 
-def _log_antiderivative_table(beta: float) -> CubicSpline:
-    # I(t) = int_0^t sqrt(beta |log y|) dy on [0, 1]; the integrand has an
-    # integrable singularity at 0, so the grid is graded toward the origin.
-    grid = np.concatenate([
-        [0.0],
-        np.geomspace(1e-8, 1e-2, 60),
-        np.linspace(1.2e-2, 1.0, 300),
-    ])
-    f = lambda y: math.sqrt(beta * abs(math.log(y)))
-    pieces = np.empty(grid.size)
-    pieces[0] = 0.0
-    for i in range(1, grid.size):
-        val, _ = integrate.quad(f, grid[i - 1], grid[i], epsabs=1e-10, limit=200)
-        pieces[i] = val
-    return CubicSpline(grid, np.cumsum(pieces))
+_SMALLEST_SUBNORMAL = 5e-324
+_HALF_SQRT_PI = math.sqrt(math.pi) / 2.0
+
+
+def _log_antiderivative(t: np.ndarray, beta: float) -> np.ndarray:
+    """I(t) = int_0^min(t, 1) sqrt(beta |log y|) dy for t >= 0, in closed form.
+
+    The substitution y = exp(-u^2) gives
+    int_0^t sqrt(-log y) dy = t sqrt(-log t) + (sqrt(pi)/2) erfc(sqrt(-log t)).
+    At t = 0 the logarithm is taken at the smallest subnormal instead, where
+    erfc underflows to exactly 0, so I(0) = 0 with no warning; NaN stays NaN.
+    """
+    t = np.minimum(t, 1.0)
+    u = np.maximum(t, _SMALLEST_SUBNORMAL)
+    # in place from here on: the stacks are (nodes x points) long
+    np.log(u, out=u)
+    np.negative(u, out=u)
+    np.sqrt(u, out=u)
+    out = erfc(u)
+    out *= _HALF_SQRT_PI
+    u *= t
+    out += u
+    out *= math.sqrt(beta)
+    return out
 
 
 def _log_example(beta: float) -> VectorFieldSet:
     if beta <= 0:
         raise FieldError("log_example: beta must be positive")
-    table = _log_antiderivative_table(beta)
-    cap = float(table(1.0))  # integral over [0, 1]
 
     def A(l, x):
         pts, single = _as_batch(x, 1)
         if l == 0:
             out = np.zeros_like(pts)
         else:
-            t = np.abs(pts[:, 0])
-            inner = table(np.clip(t, 0.0, 1.0))
-            inner = np.where(t > 1.0, cap, inner)
-            out = (1.0 + np.sign(pts[:, 0]) * inner)[:, None]
+            out = _log_antiderivative(np.abs(pts[:, 0]), beta)
+            np.copysign(out, pts[:, 0], out=out)
+            out += 1.0
+            out = out[:, None]
         return out[0] if single else out.reshape(np.asarray(x).shape)
 
     def DA(l, x):
@@ -252,12 +258,14 @@ def _log_example(beta: float) -> VectorFieldSet:
         if l == 0:
             v = np.zeros(pts.shape[0])
         else:
-            t = np.abs(pts[:, 0])
-            with np.errstate(divide="ignore"):
-                v = np.sqrt(beta * np.abs(np.log(np.where(t > 0, t, 1.0))))
             # chosen version of the weak derivative: 0 at the origin and
             # outside the unit interval
-            v = np.where((t > 0) & (t <= 1.0), v, 0.0)
+            t = np.abs(pts[:, 0])
+            v = np.zeros_like(t)
+            np.log(t, out=v, where=(t > 0) & (t <= 1.0))
+            np.abs(v, out=v)
+            v *= beta
+            np.sqrt(v, out=v)
         out = v.reshape(-1, 1, 1)
         return out[0] if single else out.reshape(np.asarray(x).shape[:-1] + (1, 1))
 

@@ -30,6 +30,7 @@ __all__ = [
     "ExperimentConfig",
     "CommandResult",
     "COMMANDS",
+    "OPTION_KEYS",
     "run_command",
     "load_report",
     "cmd_converge_flow",
@@ -40,6 +41,17 @@ __all__ = [
     "cmd_ibp",
     "cmd_moment",
 ]
+
+
+_CONFIG_KEYS = frozenset({"field", "eps", "grid", "paths", "seed", "x0",
+                          "workers", "out", "options"})
+_GRID_KEYS = frozenset({"T", "steps"})
+
+
+def _reject_unknown(where: str, doc: dict, known) -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise FieldError(f"unknown {where} key(s) {unknown}; accepted: {sorted(known)}")
 
 
 @dataclass(frozen=True)
@@ -90,7 +102,9 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(doc: dict, **overrides) -> "ExperimentConfig":
+        _reject_unknown("config", doc, _CONFIG_KEYS)
         grid = doc.get("grid", {})
+        _reject_unknown("grid", grid, _GRID_KEYS)
         cfg = ExperimentConfig(
             field_spec=doc.get("field", {"name": "bm", "params": {"n": 1}}),
             eps=tuple(doc.get("eps", ())),
@@ -296,6 +310,9 @@ def cmd_kernel_bound(cfg: ExperimentConfig) -> CommandResult:
     fields = _level_fields(cfg)
     if fields.n != 1:
         raise FieldError("cmd_kernel_bound: query grid construction is 1-d only")
+    if cfg.paths < kern.MIN_SAMPLES:
+        raise FieldError(f"cmd_kernel_bound: paths={cfg.paths} is below the "
+                         f"{kern.MIN_SAMPLES} samples the density estimate needs")
     t = float(cfg.opt("t", cfg.T))
     steps = max(1, round(t / cfg.grid.dt))
     grid = TimeGrid(t, steps)
@@ -443,11 +460,25 @@ COMMANDS: dict[str, Callable[[ExperimentConfig], CommandResult]] = {
 }
 
 
+# the option keys each command reads; any other key is rejected before a run
+OPTION_KEYS: dict[str, frozenset] = {
+    "converge-flow": frozenset({"p", "plot_data"}),
+    "converge-derivative": frozenset({"p", "plot_data"}),
+    "gradient": frozenset({"mollify_eps", "t", "v0", "f", "bump", "target", "abs_tol"}),
+    "kernel-bound": frozenset({"mollify_eps", "t", "query", "bandwidth", "c1", "c1_max",
+                               "plot_data"}),
+    "condition-g": frozenset({"sigma", "T0", "growth_ratio", "expect_diverging"}),
+    "ibp": frozenset({"mollify_eps", "t", "F", "hdot", "target"}),
+    "moment": frozenset({"mollify_eps", "p"}),
+}
+
+
 def run_command(name: str, cfg: ExperimentConfig) -> CommandResult:
     try:
         fn = COMMANDS[name]
     except KeyError:
         raise FieldError(f"unknown subcommand {name!r}; have {sorted(COMMANDS)}") from None
+    _reject_unknown(f"{name} option", cfg.options, OPTION_KEYS[name])
     result = fn(cfg)
     if cfg.out:
         result.write(cfg.out)

@@ -23,7 +23,10 @@ __all__ = [
     "density_estimate",
     "kernel_bound_fit",
     "KernelBoundFit",
+    "MIN_SAMPLES",
 ]
+
+MIN_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,7 @@ def density_estimate(samples, query: DensityQuery,
     if pts.ndim == 1:
         pts = pts[:, None]
     N, n = pts.shape
-    if N < 10_000:
+    if N < MIN_SAMPLES:
         raise FieldError("density_estimate: need at least 1e4 samples")
     if n != query.n:
         raise FieldError("sample dimension does not match query points")

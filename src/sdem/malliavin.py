@@ -52,7 +52,20 @@ _RESIDUAL_TOL = 1e-10
 
 
 def _batched_right_inverse(amat: np.ndarray) -> np.ndarray:
-    """Minimum-norm right inverse A^T (A A^T)^{-1} for stacked (B, n, m)."""
+    """Minimum-norm right inverse A^T (A A^T)^{-1} for stacked (B, n, m).
+
+    A 1x1 diffusion is inverted as 1/a.  Either way a row with a residual
+    above 1e-10 raises, and a NaN row (a flagged path) stays NaN.
+    """
+    if amat.shape[-2:] == (1, 1):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            y = 1.0 / amat
+            # a == 0, or a subnormal a, overflows 1/a to inf
+            bad = np.isinf(y) | (np.abs(amat * y - 1.0) > _RESIDUAL_TOL)
+        if np.any(bad):
+            raise RightInverseError("diffusion is zero or numerically degenerate "
+                                    "at some evaluation point")
+        return y
     at = np.swapaxes(amat, -1, -2)
     gram = amat @ at
     try:

@@ -1,27 +1,7 @@
-import math
-
 import numpy as np
 import pytest
-from scipy.special import erfc
 
 from sdem.fields import FieldMeta, VectorFieldSet, _as_batch
-
-
-def log_field_closed_form(x, beta=1.0):
-    """Independent oracle for the log-modulus diffusion coefficient.
-
-    Derived by the substitution y = exp(-u^2):
-    int_0^t sqrt(-log y) dy = t sqrt(-log t) + (sqrt(pi)/2) erfc(sqrt(-log t)).
-    """
-    t = abs(x)
-    if t == 0.0:
-        inner = 0.0
-    elif t >= 1.0:
-        inner = math.sqrt(math.pi) / 2.0
-    else:
-        a = math.sqrt(-math.log(t))
-        inner = t * a + math.sqrt(math.pi) / 2.0 * erfc(a)
-    return 1.0 + math.copysign(math.sqrt(beta) * inner, x) if x != 0 else 1.0
 
 
 def scalar_drift_field(f, df=None, name="scalar"):

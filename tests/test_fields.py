@@ -11,7 +11,7 @@ from sdem.fields import (DerivativeUnavailableError, FieldError, builtin_field,
                          field_from_json, field_to_json,
                          finite_difference_dfield, g_function,
                          hoelder_estimate, radial_cutoff)
-from conftest import log_field_closed_form, scalar_drift_field
+from conftest import scalar_drift_field
 
 
 # ---------------------------------------------------------------------------
@@ -45,20 +45,29 @@ def test_log_example_weak_derivative_value():
     assert fs.DA(1, np.array([1.5]))[0, 0] == 0.0
 
 
+def log_field_by_quadrature(x, beta=1.0):
+    """Independent oracle for the log-modulus diffusion coefficient:
+    1 + sign(x) int_0^min(|x|, 1) sqrt(beta |log y|) dy by adaptive quadrature
+    (the field is constant beyond |x| = 1, where its weak derivative is 0)."""
+    inner, _ = integrate.quad(lambda y: math.sqrt(beta * abs(math.log(y))),
+                              0.0, min(abs(x), 1.0), epsabs=1e-13, epsrel=1e-13, limit=200)
+    return 1.0 + math.copysign(inner, x)
+
+
 def test_log_example_matches_closed_form():
     fs = builtin_field("log_example", beta=1.0)
     xs = np.concatenate([np.linspace(-2.0, 2.0, 801), np.geomspace(1e-6, 1.0, 80)])
     vals = fs.A(1, xs.reshape(-1, 1))[:, 0]
-    expect = np.array([log_field_closed_form(x) for x in xs])
-    assert np.max(np.abs(vals - expect)) < 1e-5
-    assert fs.A(1, np.array([0.5]))[0] == pytest.approx(log_field_closed_form(0.5),
-                                                        abs=1e-8)
+    expect = np.array([log_field_by_quadrature(x) for x in xs])
+    assert np.max(np.abs(vals - expect)) < 1e-9
+    assert fs.A(1, np.array([0.5]))[0] == pytest.approx(log_field_by_quadrature(0.5),
+                                                        abs=1e-9)
 
 
 def test_log_example_beta_scaling():
     fs = builtin_field("log_example", beta=0.5)
-    assert fs.A(1, np.array([0.7]))[0] == pytest.approx(log_field_closed_form(0.7, 0.5),
-                                                        abs=1e-8)
+    assert fs.A(1, np.array([0.7]))[0] == pytest.approx(log_field_by_quadrature(0.7, 0.5),
+                                                        abs=1e-9)
 
 
 def test_log_example_dfield_consistent_with_fd_at_smooth_points():

@@ -6,6 +6,11 @@ why, and record the new value here.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,21 +45,21 @@ GOLDEN = {
     },
     "converge-derivative": {
         "converge_derivative.csv":
-            "2118cc1be1c785f523b7520c69d42f9fc2130bcfe277ef5bbfc2ef5c56e51ecb",
+            "5607206fb95ea2ccc6498ad45c92151f4f9feb4df01adbe50150de178e15286f",
         "converge_derivative.json":
-            "af3c23abfc2d430f8af149f39edd5464e0162e13cc8f7c1a8c0333ea3adcef7a",
+            "f0b81f9c8a156fb8b87b73df7d7970e0edb9187eb0fb4aadf377d64f925fc046",
     },
     "converge-flow": {
         "converge_flow.csv":
-            "77fb4e4fbfe7768b76b516f744a19461279dd6b6fa55c72cfcbbd40aa5dbda33",
+            "c14792c5652b9129b3d4aeba610a98b7da551b3e11d5f1150ce84f6b274cc052",
         "converge_flow.dat":
-            "340428f051400886809df6942f752aa04dce35b5f9cfa74ee05f9f6098acc1ba",
+            "7895ec7d6fda4cc81366f17a5fd2cf622f744d4309bb167a764823f6899d6483",
         "converge_flow.json":
-            "1b2eeeed80170e36fd1239f789de0b781055682ee41ce017849dca4ddc2da111",
+            "d9ae14bf26928a8e7445aaf0df2ce55c045a8bbcd875f468e59d244ab0611bee",
     },
     "gradient": {
         "gradient.json":
-            "5ce172dcc50938a5ce721df324d7f6b35f2dc459b87274b9680e1afd67b63d9c",
+            "10d03de66d41490515d6656331bbaacf1639e7e273a97c6e4f499ca6cc705a6c",
     },
     "ibp": {
         "ibp.json":
@@ -70,7 +75,7 @@ GOLDEN = {
     },
     "moment": {
         "moment.json":
-            "d3946f4f39ccfc25b2f60f012cd076cddb4aa63292011da5a36b2cc97c09be18",
+            "fd3d8e0e8aa298a4773c0b07cc24ef7df892b4f126c0e678cadb26e67df554ec",
     },
 }
 
@@ -84,3 +89,18 @@ def digests(command):
 @pytest.mark.parametrize("command", sorted(CASES))
 def test_study_outputs_match_golden_digests(command):
     assert digests(command) == GOLDEN[command]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_golden_digests_do_not_depend_on_blas_threads(threads):
+    # the engine's matmul/tensordot reductions must not change a byte when
+    # OpenBLAS splits them across threads; a fresh process picks up the pin
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    commands = ["converge-flow", "gradient", "ibp"]
+    script = ("import json, sys, test_golden as g; "
+              "print(json.dumps({c: g.digests(c) for c in sys.argv[1:]}))")
+    out = subprocess.run([sys.executable, "-c", script, *commands], env=env, cwd=here,
+                         capture_output=True, text=True, timeout=120, check=True).stdout
+    assert json.loads(out) == {c: GOLDEN[c] for c in commands}

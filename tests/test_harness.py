@@ -110,6 +110,17 @@ def test_kernel_bound_rejects_2d_field_before_simulating(monkeypatch):
                                          x0=(0.0, 0.0)))
 
 
+def test_kernel_bound_rejects_small_sample_before_simulating(monkeypatch):
+    from sdem import harness
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("kernel-bound simulated a sample it must reject")
+
+    monkeypatch.setattr(harness, "run_ensemble", no_run)
+    with pytest.raises(FieldError, match="paths=9999"):
+        run_command("kernel-bound", _cfg(paths=9999, options={"t": 1.0}))
+
+
 def test_condition_g_log_example_both_regimes():
     good = _cfg(field_spec={"name": "log_example", "params": {"beta": 1.0}},
                 paths=20_000,
@@ -191,6 +202,86 @@ def test_cli_plot_data(tmp_path):
     dat = (out / "converge_flow.dat").read_text()
     assert dat.startswith("# config_fingerprint=")
     assert len(dat.splitlines()) == 3
+
+
+def test_cli_plot_data_keeps_config_out_and_workers(tmp_path, monkeypatch):
+    from sdem import cli
+
+    seen = []
+
+    def recording_run(name, cfg):
+        seen.append(cfg)
+        return run_command(name, cfg)
+
+    monkeypatch.setattr(cli, "run_command", recording_run)
+    out = tmp_path / "out"
+    doc = {**_cfg(paths=10_000, steps=8, T=1.0, options={"t": 1.0}).to_dict(),
+           "out": str(out), "workers": 2}
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(doc))
+    rc = main(["kernel-bound", "--config", str(cfg_path), "--plot-data"])
+    assert rc == 0
+    assert seen[0].workers == 2 and seen[0].options["plot_data"] is True
+    assert sorted(os.listdir(out)) == ["kernel_bound.csv", "kernel_bound.dat",
+                                       "kernel_bound.json"]
+    # studies that write no plot data do not offer the flag
+    with pytest.raises(SystemExit):
+        main(["gradient", "--config", str(cfg_path), "--plot-data"])
+
+
+def test_config_rejects_unknown_keys():
+    doc = _cfg().to_dict()
+    with pytest.raises(FieldError, match="'feild'"):
+        ExperimentConfig.from_dict({**doc, "feild": doc["field"]})
+    with pytest.raises(FieldError, match="'step'"):
+        ExperimentConfig.from_dict({**doc, "grid": {"T": 0.25, "step": 50}})
+
+
+def test_cli_rejects_misspelled_top_level_key(tmp_path):
+    doc = _cfg().to_dict()
+    doc["feild"] = doc.pop("field")
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(doc))
+    with pytest.raises(FieldError, match="'feild'"):
+        main(["converge-flow", "--config", str(cfg_path)])
+
+
+def test_unknown_option_rejected_before_simulating(monkeypatch):
+    from sdem import harness, malliavin
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a study ran with an option it must reject")
+
+    monkeypatch.setattr(malliavin, "run_ensemble", no_run)
+    monkeypatch.setattr(malliavin, "run_multi", no_run)
+    monkeypatch.setattr(harness, "run_ensemble", no_run)
+    monkeypatch.setattr(harness, "coupled_family", no_run)
+    cfg = _cfg(field_spec={"name": "log_example", "params": {"beta": 1.0}},
+               options={"mollify_esp": 0.1, "t": 0.25})
+    with pytest.raises(FieldError, match="'mollify_esp'"):
+        run_command("gradient", cfg)
+    # an option that exists, but not for this command, is rejected too
+    with pytest.raises(FieldError, match="'mollify_eps'"):
+        run_command("converge-flow", _cfg(options={"mollify_eps": 0.1}))
+
+
+def test_documented_and_benchmarked_configs_are_accepted(monkeypatch):
+    import re
+    import runpy
+    from pathlib import Path
+
+    from sdem import harness
+
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    docs = [json.loads(m) for m in re.findall(r"```json\n(.*?)```", readme, re.S)]
+    workloads = runpy.run_path(str(root / "bench" / "workloads.py"))["WORKLOADS"]
+    runs = [(name, doc) for doc in docs for name in ("converge-flow", "converge-derivative")]
+    runs += [(name, w.config) for w in workloads.values() for name in w.commands]
+    assert len(runs) == 6
+    for name, doc in runs:
+        monkeypatch.setitem(harness.COMMANDS, name, lambda cfg: "validated")
+        assert run_command(name, ExperimentConfig.from_dict(doc)) == "validated"
 
 
 def test_report_fingerprint_mismatch_aborts(tmp_path):

@@ -65,6 +65,33 @@ def test_right_inverse_singular_point_reports_location():
     assert y[0, 0] == pytest.approx(0.5)
 
 
+def test_right_inverse_scalar_is_reciprocal(rng):
+    fs = mollify_field(builtin_field("log_example", beta=1.0), 0.1)
+    pts = rng.uniform(-2, 2, (1000, 1))
+    y = right_inverse(fs, pts)
+    assert np.array_equal(y, 1.0 / fs.diffusion_matrix(pts))
+
+
+def test_right_inverse_subnormal_diffusion_raises():
+    from sdem.fields import VectorFieldSet, FieldMeta, _as_batch
+
+    def A(l, x):
+        pts, single = _as_batch(np.asarray(x, dtype=float), 1)
+        out = np.zeros_like(pts) if l == 0 else np.full_like(pts, 1e-320)
+        return out[0] if single else out
+
+    tiny = VectorFieldSet(1, 1, A, None, FieldMeta(), name="subnormal")
+    with pytest.raises(RightInverseError, match="singular at"):
+        right_inverse(tiny, np.array([[0.5], [1.0]]))
+
+
+def test_right_inverse_nan_row_passes_through():
+    fs = builtin_field("log_example", beta=1.0)
+    y = right_inverse(fs, np.array([[0.3], [np.nan], [-0.5]]))
+    assert np.isnan(y[1, 0, 0])
+    assert np.all(np.isfinite(y[[0, 2]]))
+
+
 def test_mollified_right_inverse_converges(rng):
     # sup_x |Y_eps - Y| shrinks along the smoothing ladder
     fs = builtin_field("log_example", beta=1.0)
