@@ -368,13 +368,18 @@ def g_function(fs: VectorFieldSet, x) -> np.ndarray | float:
     """Sum over l of the squared Frobenius norm of the weak derivative at x."""
     fs.require_dfield()
     pts, single = _as_batch(np.asarray(x, dtype=float), fs.n)
-    total = np.zeros(pts.shape[0])
-    for l in range(fs.m + 1):
-        d = fs.DA(l, pts)
-        total += np.sum(d * d, axis=(-2, -1))
+    total = _g_sum([fs.DA(l, pts) for l in range(fs.m + 1)])
     if single:
         return float(total[0])
     return total.reshape(np.asarray(x).shape[:-1])
+
+
+def _g_sum(das) -> np.ndarray:
+    """G from the derivatives DA(0..m), each (N, n, n), summed in that order."""
+    total = np.zeros(len(das[0]))
+    for d in das:
+        total += np.sum(d * d, axis=(-2, -1))
+    return total
 
 
 @dataclass(frozen=True)
@@ -384,10 +389,6 @@ class ConditionGResult:
     growth_ratio: float
     se: float
     samples: int
-
-    def __iter__(self):
-        # allows tuple-style unpacking: estimate, diverging = result
-        return iter((self.estimate, self.diverging))
 
 
 def condition_g_estimate(fs: VectorFieldSet, sigma: float, T0: float, x,

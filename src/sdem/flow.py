@@ -16,6 +16,7 @@ the smoothing error rather than of the noise.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -24,9 +25,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .fields import FieldError, VectorFieldSet, g_function
+from .fields import FieldError, VectorFieldSet, _g_sum
 from .mollify import QuadSpec, mollify_field
-from .report import EstimatorReport
+from .report import EstimatorReport, from_samples
 
 __all__ = [
     "BLOCK",
@@ -132,21 +133,26 @@ class FlowPath:
     flagged: bool = False
 
 
-def _euler_step(fields, xi, V, dWk, dt):
-    """One left-point Euler step for a block: xi (B, n), V (B, n, n) or None."""
+def _coefficients(fields, xi, with_jac):
+    """A(0..m) at xi as (B, n) arrays, and DA(0..m) as (B, n, n) or None."""
     B, n = xi.shape
-    drift = np.asarray(fields.A(0, xi)).reshape(B, n)
-    xi_new = xi + drift * dt
+    A = [np.asarray(fields.A(l, xi)).reshape(B, n) for l in range(fields.m + 1)]
+    if not with_jac:
+        return A, None
+    return A, [np.asarray(fields.DA(l, xi)).reshape(B, n, n) for l in range(fields.m + 1)]
+
+
+def _euler_step(xi, V, coef, dWk, dt):
+    """One left-point Euler step for a block: xi (B, n), V (B, n, n) or None."""
+    A, DA = coef
+    xi_new = xi + A[0] * dt
     V_new = None
     if V is not None:
-        d0 = np.asarray(fields.DA(0, xi)).reshape(B, n, n)
-        V_new = V + (d0 @ V) * dt
-    for l in range(1, fields.m + 1):
-        al = np.asarray(fields.A(l, xi)).reshape(B, n)
-        xi_new = xi_new + al * dWk[:, l - 1: l]
+        V_new = V + (DA[0] @ V) * dt
+    for l in range(1, len(A)):
+        xi_new = xi_new + A[l] * dWk[:, l - 1: l]
         if V is not None:
-            dl = np.asarray(fields.DA(l, xi)).reshape(B, n, n)
-            V_new = V_new + (dl @ V) * dWk[:, l - 1, None, None]
+            V_new = V_new + (DA[l] @ V) * dWk[:, l - 1, None, None]
     return xi_new, V_new
 
 
@@ -155,10 +161,12 @@ def _euler_step(fields, xi, V, dWk, dt):
 #
 # The protocol: `make(B)` returns a shallow copy whose `start(B)` has set the
 # accumulators of one block of B paths, so blocks can run concurrently.
-# `step(k, xis, Vs, dWk, dt)` sees every step before the state update, so Ito
-# sums are left-point by construction, and once more after the final step as
-# `step(steps, xis, Vs, None, dt)`; Ito sums return at once when dWk is None.
-# `finish()` returns the block's extras: arrays with one row per path.
+# `step(k, xis, Vs, dWk, dt, coefs)` sees every step before the state update,
+# so Ito sums are left-point by construction; coefs[r] is run r's (A, DA) at
+# xis[r] from _coefficients, which the Euler update then uses too, so no
+# tracker evaluates a field.  After the final step comes one more call,
+# `step(steps, xis, Vs, None, dt, None)`; Ito sums return at once when dWk is
+# None.  `finish()` returns the block's extras: arrays with one row per path.
 
 
 class Tracker:
@@ -179,7 +187,7 @@ class JacSupNorm(Tracker):
     def start(self, B):
         self.best = np.zeros(B)
 
-    def step(self, k, xis, Vs, dWk, dt):
+    def step(self, k, xis, Vs, dWk, dt, coefs):
         v = Vs[self.run]
         self.best = np.maximum(self.best, np.sqrt(np.sum(v * v, axis=(1, 2))))
 
@@ -190,15 +198,19 @@ class JacSupNorm(Tracker):
 class IntegratedG(Tracker):
     """Left-point Riemann sum of the derivative-energy function along a run."""
 
-    def __init__(self, fields, run: int = 0, name: str = "int_g"):
-        self.fields, self.run, self.name = fields, run, name
+    def __init__(self, run: int = 0, name: str = "int_g"):
+        self.run, self.name = run, name
 
     def start(self, B):
         self.total = np.zeros(B)
 
-    def step(self, k, xis, Vs, dWk, dt):
-        if dWk is not None:
-            self.total += np.asarray(g_function(self.fields, xis[self.run])) * dt
+    def step(self, k, xis, Vs, dWk, dt, coefs):
+        if dWk is None:
+            return
+        DA = coefs[self.run][1]
+        if DA is None:
+            raise FieldError("IntegratedG needs a run with the derivative flow")
+        self.total += _g_sum(DA) * dt
 
     def finish(self):
         return {self.name: self.total}
@@ -213,7 +225,7 @@ class PathRecorder(Tracker):
     def start(self, B):
         self.states, self.jacs = [], []
 
-    def step(self, k, xis, Vs, dWk, dt):
+    def step(self, k, xis, Vs, dWk, dt, coefs):
         self.states.append(xis[self.run].copy())
         if self.with_jac:
             self.jacs.append(Vs[self.run].copy())
@@ -234,7 +246,7 @@ class _PairSup(Tracker):
     def start(self, B):
         self.state, self.jac = np.zeros(B), np.zeros(B)
 
-    def step(self, k, xis, Vs, dWk, dt):
+    def step(self, k, xis, Vs, dWk, dt, coefs):
         dx = xis[self.i] - xis[self.j]
         self.state = np.maximum(self.state, np.linalg.norm(dx, axis=1))
         if Vs[self.i] is not None:
@@ -257,36 +269,30 @@ def _resolve_workers(workers: Optional[int]) -> int:
 
 
 def _simulate_block(runs, grid, dW, trackers, with_jac=True):
+    """Integrate one block of lockstep runs; each x0 is a checked start point."""
     B = dW.shape[0]
     dt = grid.dt
-    xis, Vs = [], []
-    for fields, x0 in runs:
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        if len(x0) != fields.n:
-            raise FieldError(
-                f"start point has dimension {len(x0)}, field set has n={fields.n}"
-            )
-        xis.append(np.tile(x0, (B, 1)))
-        Vs.append(np.tile(np.eye(len(x0)), (B, 1, 1)) if with_jac else None)
+    xis = [np.tile(x0, (B, 1)) for _, x0 in runs]
+    Vs = [np.tile(np.eye(len(x0)), (B, 1, 1)) if with_jac else None for _, x0 in runs]
     accs = [t.make(B) for t in trackers]
     flagged = np.zeros(B, dtype=bool)
     for k in range(grid.steps):
         dWk = dW[:, k, :]
-        for acc in accs:
-            acc.step(k, xis, Vs, dWk, dt)
         with np.errstate(over="ignore", invalid="ignore"):
-            for r, (fields, _) in enumerate(runs):
-                xis[r], Vs[r] = _euler_step(fields, xis[r], Vs[r], dWk, dt)
+            coefs = [_coefficients(fields, xis[r], with_jac)
+                     for r, (fields, _) in enumerate(runs)]
+            for acc in accs:
+                acc.step(k, xis, Vs, dWk, dt, coefs)
+            for r in range(len(runs)):
+                xis[r], Vs[r] = _euler_step(xis[r], Vs[r], coefs[r], dWk, dt)
         for r in range(len(runs)):
             bad = ~np.isfinite(xis[r]).all(axis=1)
             if Vs[r] is not None:
                 bad |= ~np.isfinite(Vs[r].reshape(B, -1)).all(axis=1)
             flagged |= bad
     for acc in accs:
-        acc.step(grid.steps, xis, Vs, None, dt)
-    extras = {}
-    for acc in accs:
-        extras.update(acc.finish())
+        acc.step(grid.steps, xis, Vs, None, dt, None)
+    extras = {key: val for acc in accs for key, val in acc.finish().items()}
     return xis, Vs, flagged, extras
 
 
@@ -325,9 +331,7 @@ def _run(runs, grid: TimeGrid, noise: BrownianBatch, trackers, with_jac, workers
 
     Returns (list of EnsembleResult in run order, joint extras dict).
     """
-    runs = list(runs)
-    for fields, _ in runs:
-        _check_noise(fields, grid, noise)
+    runs = [(fields, _start_point(fields, x0, grid, noise)) for fields, x0 in runs]
     trackers = tuple(trackers)
 
     def one(b):
@@ -366,11 +370,16 @@ def run_multi(runs, grid: TimeGrid, noise: BrownianBatch, *,
     return _run(runs, grid, noise, trackers, with_jac, workers)
 
 
-def _check_noise(fields, grid: TimeGrid, noise: BrownianBatch):
+def _start_point(fields, x0, grid: TimeGrid, noise: BrownianBatch) -> np.ndarray:
+    """x0 as a vector of n entries, checked with the noise before any draw."""
     if noise.grid != grid:
         raise FieldError("noise was generated for a different time grid")
     if noise.m != fields.m:
         raise FieldError(f"noise dimension {noise.m} != field noise dimension {fields.m}")
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if len(x0) != fields.n:
+        raise FieldError(f"start point x0 has dimension {len(x0)}, field set has n={fields.n}")
+    return x0
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +394,9 @@ def integrate(fields, x0, grid: TimeGrid, noise: BrownianBatch,
     reads NaN from its first non-finite frame on.
     """
     fields.require_dfield()
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    x0 = _start_point(fields, x0, grid, noise)
     if not np.all(np.isfinite(x0)):
         raise FieldError("integrate: starting point must be finite")
-    _check_noise(fields, grid, noise)
     dW = noise.increments(path_index)[None]
     _, _, flagged, rec = _simulate_block([(fields, x0)], grid, dW, (PathRecorder(),))
     states, jacs = rec["paths_states"][0], rec["paths_jacs"][0]
@@ -425,7 +433,6 @@ class CoupledFamilyResult:
         table = self.pair_state_sup if which == "state" else self.pair_jac_sup
         key = (eps_a, eps_b) if (eps_a, eps_b) in table else (eps_b, eps_a)
         vals = table[key][~self.flag] ** p
-        from .report import from_samples
         return from_samples(vals, config_hash=config_hash, excluded=self.n_flagged)
 
 
@@ -449,30 +456,22 @@ def coupled_family(fs: VectorFieldSet, eps_list: Sequence[float], x0,
         levels.append((0.0, fs))
 
     runs = [(f, x0) for _, f in levels]
-    trackers = []
     keys = [e for e, _ in levels]
-    for i in range(len(levels)):
-        for j in range(i + 1, len(levels)):
-            trackers.append(_PairSup(i, j, name=f"pair_{i}_{j}"))
+    pairs = list(itertools.combinations(range(len(levels)), 2))
+    trackers = [_PairSup(i, j, name=f"pair_{i}_{j}") for i, j in pairs]
     if keep_paths:
-        for i in range(len(levels)):
-            trackers.append(PathRecorder(run=i, name=f"run{i}"))
+        trackers += [PathRecorder(run=i, name=f"run{i}") for i in range(len(levels))]
 
     results, extras = run_multi(runs, grid, noise, trackers=trackers,
                                 workers=workers)
-    pair_state, pair_jac = {}, {}
-    for i in range(len(levels)):
-        for j in range(i + 1, len(levels)):
-            pair_state[(keys[i], keys[j])] = extras[f"pair_{i}_{j}_state"]
-            pair_jac[(keys[i], keys[j])] = extras[f"pair_{i}_{j}_jac"]
-    level_map = {}
-    for idx, (e, f) in enumerate(levels):
-        res = results[idx]
-        if keep_paths:
-            res.extras["states"] = extras[f"run{idx}_states"]
-            res.extras["jacs"] = extras[f"run{idx}_jacs"]
-        level_map[e] = res
-    return CoupledFamilyResult(level_map, pair_state, pair_jac, results[0].flag)
+    pair_state = {(keys[i], keys[j]): extras[f"pair_{i}_{j}_state"] for i, j in pairs}
+    pair_jac = {(keys[i], keys[j]): extras[f"pair_{i}_{j}_jac"] for i, j in pairs}
+    if keep_paths:
+        for i, res in enumerate(results):
+            res.extras["states"] = extras[f"run{i}_states"]
+            res.extras["jacs"] = extras[f"run{i}_jacs"]
+    return CoupledFamilyResult(dict(zip(keys, results)), pair_state, pair_jac,
+                               results[0].flag)
 
 
 def sup_distance(a: FlowPath, b: FlowPath, p: float) -> tuple[float, float]:
@@ -493,7 +492,6 @@ def moment_sup(ensemble: EnsembleResult, p: float,
     vals = ensemble.extras["sup_jac"][ensemble.ok]
     if vals.size == 0:
         raise FieldError("moment_sup: no unflagged paths")
-    from .report import from_samples
     return from_samples(vals ** p, config_hash=config_hash, excluded=ensemble.n_flagged)
 
 

@@ -193,6 +193,14 @@ def _named_test_function(name: str):
     raise FieldError(f"unknown test function {name!r}")
 
 
+def _direction(cfg: ExperimentConfig, key: str, n: int) -> np.ndarray:
+    """Option `key` as a vector of n entries, the first basis vector by default."""
+    vec = np.atleast_1d(np.asarray(cfg.opt(key, [1.0] + [0.0] * (n - 1)), dtype=float))
+    if vec.shape != (n,):
+        raise FieldError(f"option {key!r} has shape {vec.shape}, field set has n={n}")
+    return vec
+
+
 def _level_fields(cfg: ExperimentConfig):
     fs = cfg.make_field()
     eps = cfg.opt("mollify_eps")
@@ -255,7 +263,7 @@ def cmd_converge_derivative(cfg: ExperimentConfig) -> CommandResult:
 def cmd_gradient(cfg: ExperimentConfig) -> CommandResult:
     fields = _level_fields(cfg)
     t = float(cfg.opt("t", 0.5))
-    v0 = np.asarray(cfg.opt("v0", [1.0] + [0.0] * (fields.n - 1)), dtype=float)
+    v0 = _direction(cfg, "v0", fields.n)
     f, df, label = _named_test_function(cfg.opt("f", "identity"))
     bump = float(cfg.opt("bump", 1e-3))
     mc = MCConfig(fields, cfg.paths, dt=cfg.grid.dt, seed=cfg.seed,
@@ -387,8 +395,7 @@ def cmd_ibp(cfg: ExperimentConfig) -> CommandResult:
     f, df, label = _named_test_function(cfg.opt("F", "sin"))
     if df is None:
         raise FieldError("cmd_ibp: the path functional must be C^1 (no indicator)")
-    hvec = np.asarray(cfg.opt("hdot", [1.0] + [0.0] * (fields.n - 1)), dtype=float)
-    h = CameronMartinPath.constant(hvec)
+    h = CameronMartinPath.constant(_direction(cfg, "hdot", fields.n))
     mc = MCConfig(fields, cfg.paths, dt=cfg.grid.dt, seed=cfg.seed,
                   workers=cfg.workers, config_hash=cfg.fingerprint)
 
@@ -421,7 +428,7 @@ def cmd_moment(cfg: ExperimentConfig) -> CommandResult:
     p = float(cfg.opt("p", 2.0))
     noise = BrownianBatch(cfg.seed, cfg.paths, cfg.grid, fields.m)
     res = run_ensemble(fields, np.asarray(cfg.x0), cfg.grid, noise,
-                       trackers=(JacSupNorm(), IntegratedG(fields)),
+                       trackers=(JacSupNorm(), IntegratedG()),
                        workers=cfg.workers)
     sup = moment_sup(res, p, config_hash=cfg.fingerprint)
     bound = exp_g_functional(res, p, config_hash=cfg.fingerprint)

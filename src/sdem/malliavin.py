@@ -25,7 +25,7 @@ import numpy as np
 
 from .fields import FieldError
 from .flow import (BrownianBatch, FlowPath, PathRecorder, TimeGrid, Tracker,
-                   run_ensemble, run_multi)
+                   _simulate_block, run_ensemble, run_multi)
 from .report import EstimatorReport, from_samples
 
 __all__ = [
@@ -89,6 +89,20 @@ def _batched_right_inverse(amat: np.ndarray) -> np.ndarray:
     return y
 
 
+def _located_right_inverse(amat: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Right inverse of amat (B, n, m), the diffusion matrices at pts (B, n);
+    a singular point raises with the point and smallest eigenvalue named."""
+    try:
+        return _batched_right_inverse(amat)
+    except RightInverseError:
+        gram = amat @ np.swapaxes(amat, -1, -2)
+        eigs = np.linalg.eigvalsh(gram)
+        i = int(np.argmin(eigs[:, 0]))
+        raise RightInverseError(
+            f"diffusion matrix singular at {pts[i]}: min eigenvalue {eigs[i, 0]:.3e}"
+        ) from None
+
+
 def right_inverse(fs, x) -> np.ndarray:
     """Right inverse Y(x) of the diffusion map, shape (..., m, n).
 
@@ -98,17 +112,7 @@ def right_inverse(fs, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     single = x.ndim <= 1
     pts = np.atleast_2d(x)
-    amat = np.asarray(fs.diffusion_matrix(pts))          # (B, n, m)
-    try:
-        y = _batched_right_inverse(amat)
-    except RightInverseError:
-        # identify the offending point for the error message
-        gram = amat @ np.swapaxes(amat, -1, -2)
-        eigs = np.linalg.eigvalsh(gram)
-        i = int(np.argmin(eigs[:, 0]))
-        raise RightInverseError(
-            f"diffusion matrix singular at {pts[i]}: min eigenvalue {eigs[i, 0]:.3e}"
-        ) from None
+    y = _located_right_inverse(np.asarray(fs.diffusion_matrix(pts)), pts)
     return y[0] if single else y.reshape(x.shape[:-1] + y.shape[-2:])
 
 
@@ -161,18 +165,18 @@ class CameronMartinPath:
 class GradientWeight(Tracker):
     """Ito sum over steps of <Y(xi_k) V_k v0, dW_k> for a constant direction."""
 
-    def __init__(self, fields, v0, run: int = 0, name: str = "weight"):
-        self.fields, self.run, self.name = fields, run, name
+    def __init__(self, v0, run: int = 0, name: str = "weight"):
+        self.run, self.name = run, name
         self.v0 = np.atleast_1d(np.asarray(v0, dtype=float))
 
     def start(self, B):
         self.w = np.zeros(B)
 
-    def step(self, k, xis, Vs, dWk, dt):
+    def step(self, k, xis, Vs, dWk, dt, coefs):
         if dWk is None:
             return
         xi, V = xis[self.run], Vs[self.run]
-        y = right_inverse(self.fields, xi)                # (B, m, n)
+        y = _located_right_inverse(np.stack(coefs[self.run][0][1:], axis=-1), xi)
         vd = V @ self.v0                                  # (B, n)
         proj = (y @ vd[:, :, None])[:, :, 0]              # (B, m)
         self.w += np.sum(proj * dWk, axis=1)
@@ -188,20 +192,20 @@ class DivergenceWeight(Tracker):
     h_k = sum_{j<k} hdot_j dt, and the energy int |hdot|^2 dt.
     """
 
-    def __init__(self, fields, h: CameronMartinPath, run: int = 0, name: str = "div"):
-        self.fields, self.h, self.run, self.name = fields, h, run, name
+    def __init__(self, h: CameronMartinPath, run: int = 0, name: str = "div"):
+        self.h, self.run, self.name = h, run, name
 
     def start(self, B):
         self.w, self.hval, self.energy = np.zeros(B), None, np.zeros(B)
 
-    def step(self, k, xis, Vs, dWk, dt):
+    def step(self, k, xis, Vs, dWk, dt, coefs):
         if dWk is None:
             return
         xi, V = xis[self.run], Vs[self.run]
         if self.hval is None:
             self.hval = np.zeros_like(xi)
         hdot = np.asarray(self.h.rate(k, xi), dtype=float)
-        y = right_inverse(self.fields, xi)
+        y = _located_right_inverse(np.stack(coefs[self.run][0][1:], axis=-1), xi)
         vd = (V @ hdot[:, :, None])[:, :, 0]
         proj = (y @ vd[:, :, None])[:, :, 0]
         self.w += np.sum(proj * dWk, axis=1)
@@ -219,13 +223,13 @@ class DivergenceWeight(Tracker):
 class _DirectionRecorder(Tracker):
     """Record the direction path s -> V_s h_s for full-path functionals."""
 
-    def __init__(self, fields, h: CameronMartinPath, run: int = 0, name: str = "dir"):
-        self.fields, self.h, self.run, self.name = fields, h, run, name
+    def __init__(self, h: CameronMartinPath, run: int = 0, name: str = "dir"):
+        self.h, self.run, self.name = h, run, name
 
     def start(self, B):
         self.hval, self.frames = None, []
 
-    def step(self, k, xis, Vs, dWk, dt):
+    def step(self, k, xis, Vs, dWk, dt, coefs):
         xi, V = xis[self.run], Vs[self.run]
         if self.hval is None:
             self.hval = np.zeros_like(xi)
@@ -249,7 +253,7 @@ def bismut_gradient(f: Callable, x, v0, t: float, cfg: MCConfig) -> EstimatorRep
     grid = cfg.grid_for(t)
     noise = cfg.noise_for(grid)
     res = run_ensemble(cfg.fields, x, grid, noise,
-                       trackers=(GradientWeight(cfg.fields, v0),),
+                       trackers=(GradientWeight(v0),),
                        workers=cfg.workers)
     ok = res.ok
     fx = np.asarray(f(res.state_T[ok]), dtype=float).reshape(-1)
@@ -293,17 +297,12 @@ def fd_gradient(f: Callable, x, v0, t: float, h: float, cfg: MCConfig) -> Estima
 
 
 def divergence(h: CameronMartinPath, path: FlowPath, fs) -> float:
-    """Left-point Ito sum of <Y(xi_k) V_k hdot_k, dW_k> along one path."""
-    dW = path.noise.increments(path.path_index)
-    dt = path.grid.dt
-    total = 0.0
-    for k in range(path.grid.steps):
-        xi = path.states[k][None, :]
-        hdot = np.asarray(h.rate(k, xi), dtype=float).reshape(-1)
-        y = right_inverse(fs, path.states[k])             # (m, n)
-        vd = path.jacs[k] @ hdot
-        total += float((y @ vd) @ dW[k])
-    return total
+    """Left-point Ito sum of <Y(xi_k) V_k hdot_k, dW_k> along one path,
+    rerun under fs on its own increments as a one-path DivergenceWeight run."""
+    dW = path.noise.increments(path.path_index)[None]
+    _, _, _, extras = _simulate_block([(fs, path.states[0])], path.grid, dW,
+                                      (DivergenceWeight(h),))
+    return float(extras["div_weight"][0])
 
 
 @dataclass(frozen=True)
@@ -332,9 +331,9 @@ def ibp_check(F: Callable, dF: Callable, h: CameronMartinPath, cfg: MCConfig,
     """
     grid = cfg.grid_for(t)
     noise = cfg.noise_for(grid)
-    trackers = [DivergenceWeight(cfg.fields, h)]
+    trackers = [DivergenceWeight(h)]
     if full_path:
-        trackers.append(_DirectionRecorder(cfg.fields, h))
+        trackers.append(_DirectionRecorder(h))
         trackers.append(PathRecorder(with_jac=False))
     res = run_ensemble(cfg.fields, np.atleast_1d(np.asarray(x, dtype=float)),
                        grid, noise, trackers=trackers, workers=cfg.workers)

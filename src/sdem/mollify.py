@@ -186,9 +186,6 @@ class MollifiedFieldSet:
         ref = int(np.argmin(np.sum(offsets * offsets, axis=-1)))
         return offsets, raw[keep, None] * gvals[keep], ref
 
-    def _tables(self):
-        return _tensor_nodes(self.n, self.eps, self.quad)
-
     def _shifted(self, pts, offsets):
         # (Q*N, n) stack of pts - offset_q, one base-field call for all nodes
         return (pts[None, :, :] - offsets[:, None, :]).reshape(-1, self.n)
@@ -220,9 +217,7 @@ class MollifiedFieldSet:
             acc = np.tensordot(vals - vals[r], gw, axes=([0], [0]))
         return acc[0] if single else acc.reshape(np.asarray(x).shape[:-1] + (n, n))
 
-    def diffusion_matrix(self, x) -> np.ndarray:
-        cols = [self.A(l, x) for l in range(1, self.m + 1)]
-        return np.stack(cols, axis=-1)
+    diffusion_matrix = VectorFieldSet.diffusion_matrix
 
     def cross_check(self, x, l: int = 1) -> float:
         """Disagreement between this rule and one with doubled resolution."""
@@ -246,7 +241,7 @@ def mollify_field(fs: VectorFieldSet, eps: float, quad: Optional[QuadSpec] = Non
     if quad.nodes_per_axis < 8:
         raise FieldError("mollify_field: need at least 8 quadrature nodes per axis")
     mf = MollifiedFieldSet(fs, eps, quad)
-    mf._tables()     # force the mass sanity check at construction
+    _tensor_nodes(fs.n, eps, quad)     # the mass sanity check, at construction
     if validate_at is not None:
         for l in range(fs.m + 1):
             gap = mf.cross_check(validate_at, l)

@@ -112,7 +112,7 @@ def test_moment_bound_inequality_unmollified_log_example():
     grid = TimeGrid(0.25, 250)
     noise = BrownianBatch(seed=65, paths=8_000, grid=grid, m=1)
     res = run_ensemble(log, [0.0], grid, noise,
-                       trackers=(JacSupNorm(), IntegratedG(log)), workers=2)
+                       trackers=(JacSupNorm(), IntegratedG()), workers=2)
     p = 2.0
     sup = moment_sup(res, p)
     bound = exp_g_functional(res, p)
@@ -121,7 +121,7 @@ def test_moment_bound_inequality_unmollified_log_example():
     # same shape for the ou field, where both sides are deterministic
     ou = builtin_field("ou", lam=1.0)
     res2 = run_ensemble(ou, [0.0], grid, noise,
-                        trackers=(JacSupNorm(), IntegratedG(ou)))
+                        trackers=(JacSupNorm(), IntegratedG()))
     assert moment_sup(res2, p).estimate <= exp_g_functional(res2, p).estimate
 
 
@@ -133,7 +133,7 @@ def test_exp_g_functional_log_example_small_horizon_stable():
     vals = []
     for paths in (4_000, 8_000):
         noise = BrownianBatch(seed=66, paths=paths, grid=grid, m=1)
-        res = run_ensemble(log, [0.0], grid, noise, trackers=(IntegratedG(log),))
+        res = run_ensemble(log, [0.0], grid, noise, trackers=(IntegratedG(),))
         rep = exp_g_functional(res, 1.0)
         assert math.isfinite(rep.estimate) and rep.overflowed == 0
         vals.append(rep.estimate)

@@ -1,9 +1,12 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from sdem.fields import FieldError, builtin_field
+from sdem.malliavin import CameronMartinPath, DivergenceWeight
 from sdem.mollify import mollify_field
 from sdem.flow import (BLOCK, BrownianBatch, IntegratedG, JacSupNorm, TimeGrid,
                        coupled_family, exp_g_functional, integrate, moment_sup,
@@ -114,6 +117,28 @@ def test_integrate_is_the_ensemble_path():
         assert np.array_equal(path.jacs[-1], res.jac_T[i])
 
 
+def test_each_field_is_evaluated_once_per_step():
+    # the Euler update and every tracker share one evaluation of each field
+    base = builtin_field("const_shift", matrix=[[1.0, 0.5], [0.0, 2.0]], shift=[0.1, 0.0])
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(l, x):
+            calls[name, l] += 1
+            return fn(l, x)
+        return wrapped
+
+    fs = dataclasses.replace(base, A=counted("A", base.A), DA=counted("DA", base.DA))
+    g = TimeGrid(0.25, 4)
+    noise = BrownianBatch(seed=5, paths=BLOCK + 10, grid=g, m=2)
+    expected = {(name, l): g.steps * noise.n_blocks for name in ("A", "DA") for l in range(3)}
+    for trackers in ((DivergenceWeight(CameronMartinPath.constant([1.0, -1.0])),),
+                     (JacSupNorm(), IntegratedG())):
+        calls.clear()
+        run_ensemble(fs, [0.0, 0.0], g, noise, trackers=trackers, workers=1)
+        assert dict(calls) == expected
+
+
 def test_integrate_validates_inputs():
     g = TimeGrid(1.0, 10)
     noise = BrownianBatch(seed=1, paths=2, grid=g, m=1)
@@ -182,10 +207,10 @@ def test_exp_g_functional_values():
     g = TimeGrid(1.0, 100)
     noise = BrownianBatch(seed=7, paths=128, grid=g, m=1)
     bm_res = run_ensemble(builtin_field("bm", n=1), [0.0], g, noise,
-                          trackers=(IntegratedG(builtin_field("bm", n=1)),))
+                          trackers=(IntegratedG(),))
     assert exp_g_functional(bm_res, 2.0).estimate == 1.0
     ou = builtin_field("ou", lam=1.0)
-    ou_res = run_ensemble(ou, [0.0], g, noise, trackers=(IntegratedG(ou),))
+    ou_res = run_ensemble(ou, [0.0], g, noise, trackers=(IntegratedG(),))
     rep = exp_g_functional(ou_res, 1.0)
     assert rep.estimate == pytest.approx(math.exp(6.0), rel=1e-12)
     assert rep.overflowed == 0
@@ -195,7 +220,7 @@ def test_exp_g_overflow_reported_as_inf():
     fs = scalar_drift_field(lambda x: -x, df=lambda x: np.full_like(x, -30.0))
     g = TimeGrid(1.0, 50)
     noise = BrownianBatch(seed=2, paths=16, grid=g, m=1)
-    res = run_ensemble(fs, [0.0], g, noise, trackers=(IntegratedG(fs),))
+    res = run_ensemble(fs, [0.0], g, noise, trackers=(IntegratedG(),))
     rep = exp_g_functional(res, 5.0)     # exp(6 * 25 * 900) overflows
     assert math.isinf(rep.estimate)
     assert rep.overflowed == 16

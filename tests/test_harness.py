@@ -265,6 +265,23 @@ def test_unknown_option_rejected_before_simulating(monkeypatch):
         run_command("converge-flow", _cfg(options={"mollify_eps": 0.1}))
 
 
+def test_study_dimensions_rejected_before_any_noise(monkeypatch):
+    from sdem.flow import BrownianBatch
+
+    def no_noise(*args, **kwargs):
+        raise AssertionError("a study drew noise for dimensions it must reject")
+
+    monkeypatch.setattr(BrownianBatch, "block_increments", no_noise)
+    ou = {"name": "ou", "params": {"lam": 1.0}}
+    bad = [("gradient", {"options": {"v0": [1.0, 0.0]}}, "'v0'"),
+           ("ibp", {"options": {"hdot": [1.0, 0.0]}}, "'hdot'"),
+           ("moment", {"x0": (0.0, 0.0)}, "x0"),
+           ("converge-flow", {"x0": (0.0, 0.0)}, "x0")]
+    for name, kw, key in bad:
+        with pytest.raises(FieldError, match=key):
+            run_command(name, _cfg(field_spec=ou, **kw))
+
+
 def test_documented_and_benchmarked_configs_are_accepted(monkeypatch):
     import re
     import runpy

@@ -220,7 +220,7 @@ def test_divergence_ou_ito_isometry():
     noise = BrownianBatch(seed=42, paths=paths, grid=g, m=1)
     ou = builtin_field("ou", lam=1.0)
     res = run_ensemble(ou, [0.0], g, noise,
-                       trackers=(DivergenceWeight(ou, CameronMartinPath.constant([1.0])),))
+                       trackers=(DivergenceWeight(CameronMartinPath.constant([1.0])),))
     delta = res.extras["div_weight"]
     target_var = (1.0 - math.exp(-2.0 * T)) / 2.0
     se_var = delta.var(ddof=1) * math.sqrt(2.0 / (paths - 1))
