@@ -23,7 +23,6 @@ from .kernel import (DensityQuery, gaussian_kernel, silverman_bandwidth,
 from .malliavin import (MCConfig, CameronMartinPath, right_inverse,
                         RightInverseError, bismut_gradient,
                         intertwine_gradient, fd_gradient, divergence, ibp_check)
-from .serialize import save_ensemble, load_ensemble, ensemble_csv_summary
 from .report import EstimatorReport
 from .harness import ExperimentConfig, run_command, COMMANDS
 

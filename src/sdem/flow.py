@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .fields import FieldError, VectorFieldSet, _g_sum
-from .mollify import QuadSpec, mollify_field
+from .mollify import mollify_field
 from .report import EstimatorReport, from_samples
 
 __all__ = [
@@ -129,7 +129,6 @@ class FlowPath:
     states: np.ndarray          # (steps + 1, n)
     jacs: np.ndarray            # (steps + 1, n, n)
     noise: BrownianBatch
-    fields: object
     flagged: bool = False
 
 
@@ -310,7 +309,6 @@ class EnsembleResult:
     """Endpoint and tracker statistics for one run across all paths."""
 
     grid: TimeGrid
-    fields: object
     paths: int
     state_T: np.ndarray                 # (paths, n)
     jac_T: Optional[np.ndarray]         # (paths, n, n)
@@ -342,11 +340,10 @@ def _run(runs, grid: TimeGrid, noise: BrownianBatch, trackers, with_jac, workers
     extras = {key: np.concatenate([p[3][key] for p in parts], axis=0)
               for key in parts[0][3]}
     results = []
-    for r, (fields, _) in enumerate(runs):
+    for r in range(len(runs)):
         state_T = np.concatenate([p[0][r] for p in parts], axis=0)
         jac_T = np.concatenate([p[1][r] for p in parts], axis=0) if with_jac else None
-        results.append(EnsembleResult(grid, fields, noise.paths, state_T, jac_T,
-                                      flag, {}))
+        results.append(EnsembleResult(grid, noise.paths, state_T, jac_T, flag, {}))
     return results, extras
 
 
@@ -405,7 +402,7 @@ def integrate(fields, x0, grid: TimeGrid, noise: BrownianBatch,
         first = int(np.argmax(bad))
         states[first:] = np.nan
         jacs[first:] = np.nan
-    return FlowPath(path_index, grid, states, jacs, noise, fields, bool(flagged[0]))
+    return FlowPath(path_index, grid, states, jacs, noise, bool(flagged[0]))
 
 
 @dataclass
@@ -438,7 +435,6 @@ class CoupledFamilyResult:
 
 def coupled_family(fs: VectorFieldSet, eps_list: Sequence[float], x0,
                    grid: TimeGrid, noise: BrownianBatch, *,
-                   quad: Optional[QuadSpec] = None,
                    include_base: Optional[bool] = None,
                    keep_paths: bool = False,
                    workers: Optional[int] = None) -> CoupledFamilyResult:
@@ -450,7 +446,7 @@ def coupled_family(fs: VectorFieldSet, eps_list: Sequence[float], x0,
         raise FieldError("coupled_family: eps ladder must be strictly decreasing")
     if include_base is None:
         include_base = fs.has_weak_derivative
-    levels = [(e, mollify_field(fs, e, quad)) for e in eps_list]
+    levels = [(e, mollify_field(fs, e)) for e in eps_list]
     if include_base:
         fs.require_dfield()
         levels.append((0.0, fs))

@@ -266,6 +266,8 @@ def cmd_gradient(cfg: ExperimentConfig) -> CommandResult:
     v0 = _direction(cfg, "v0", fields.n)
     f, df, label = _named_test_function(cfg.opt("f", "identity"))
     bump = float(cfg.opt("bump", 1e-3))
+    if bump <= 0:
+        raise FieldError(f"option 'bump' must be positive, got {bump}")
     mc = MCConfig(fields, cfg.paths, dt=cfg.grid.dt, seed=cfg.seed,
                   workers=cfg.workers, config_hash=cfg.fingerprint)
     x0 = np.asarray(cfg.x0, dtype=float)
@@ -321,6 +323,14 @@ def cmd_kernel_bound(cfg: ExperimentConfig) -> CommandResult:
     if cfg.paths < kern.MIN_SAMPLES:
         raise FieldError(f"cmd_kernel_bound: paths={cfg.paths} is below the "
                          f"{kern.MIN_SAMPLES} samples the density estimate needs")
+    spec = cfg.opt("query", [-4.0, 4.0, 21])
+    if np.shape(spec) != (3,) or int(spec[2]) < 1:
+        raise FieldError(f"option 'query' must be [lo, hi, count] with count >= 1, got {spec}")
+    lo, hi, count = spec
+    qpts = np.linspace(float(lo), float(hi), int(count))[:, None]
+    bandwidth = cfg.opt("bandwidth")
+    if bandwidth is not None and float(bandwidth) <= 0:
+        raise FieldError(f"option 'bandwidth' must be positive, got {bandwidth}")
     t = float(cfg.opt("t", cfg.T))
     steps = max(1, round(t / cfg.grid.dt))
     grid = TimeGrid(t, steps)
@@ -328,9 +338,6 @@ def cmd_kernel_bound(cfg: ExperimentConfig) -> CommandResult:
     res = run_ensemble(fields, np.asarray(cfg.x0), grid, noise,
                        with_jac=False, workers=cfg.workers)
     samples = res.state_T[res.ok]
-    lo, hi, count = cfg.opt("query", [-4.0, 4.0, 21])
-    qpts = np.linspace(float(lo), float(hi), int(count))[:, None]
-    bandwidth = cfg.opt("bandwidth")
     bandwidth = float(bandwidth) if bandwidth else kern.silverman_bandwidth(samples)
     query = kern.DensityQuery(t, np.asarray(cfg.x0, dtype=float), qpts, bandwidth)
     dens, se = kern.density_estimate(samples, query)

@@ -9,7 +9,7 @@ for Brownian motion sits at the bottom of the search grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,6 +27,10 @@ __all__ = [
 ]
 
 MIN_SAMPLES = 10_000
+# sample rows per KDE pass; bounds the (rows, Q) kernel matrix in memory
+_CHUNK = 262144
+# C1 values the bound fit scans, smallest first
+_C1_GRID = np.geomspace(1.0, 20.0, 200)
 
 
 @dataclass(frozen=True)
@@ -81,8 +85,7 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
     return float(1.06 * sig * samples.shape[0] ** (-0.2))
 
 
-def density_estimate(samples, query: DensityQuery,
-                     chunk: int = 262144) -> tuple[np.ndarray, np.ndarray]:
+def density_estimate(samples, query: DensityQuery) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian-kernel KDE at the query points with jackknife standard errors.
 
     The KDE is a sample mean of kernel evaluations, for which the delete-one
@@ -102,8 +105,8 @@ def density_estimate(samples, query: DensityQuery,
     q = query.query_points
     total = np.zeros(len(q))
     total_sq = np.zeros(len(q))
-    for lo in range(0, N, chunk):
-        block = pts[lo:lo + chunk]
+    for lo in range(0, N, _CHUNK):
+        block = pts[lo:lo + _CHUNK]
         d2 = np.sum((block[:, None, :] - q[None, :, :]) ** 2, axis=-1)
         k = norm * np.exp(-d2 / (2.0 * h * h))
         total += k.sum(axis=0)
@@ -119,18 +122,16 @@ class KernelBoundFit:
     c1_min: float
     satisfied: bool
     max_violation: float
-    grid: np.ndarray = field(repr=False)
 
 
 def kernel_bound_fit(densities, query: DensityQuery, *,
                      se: Optional[Sequence[float]] = None,
-                     c1_grid: Optional[np.ndarray] = None,
                      se_margin: float = 3.0) -> KernelBoundFit:
     """Fit the smallest C1 with p(y) <= C1 t^{-n/2} exp(-|x-y|^2/(2 C1 t)).
 
     Each density is first reduced by ``se_margin`` standard errors when
     ``se`` is given, so noise above the true density does not inflate the
-    constant.  The scan runs over a logarithmic grid (default 1 to 20, 200
+    constant.  The scan runs over a logarithmic grid (1 to 20, 200
     points); if no grid value satisfies the bound at every query point the
     flag is false and the worst log-violation at the top of the grid is
     reported.
@@ -139,16 +140,14 @@ def kernel_bound_fit(densities, query: DensityQuery, *,
     if se is not None:
         p = p - se_margin * np.asarray(se, dtype=float)
     p = np.maximum(p, 0.0)
-    if c1_grid is None:
-        c1_grid = np.geomspace(1.0, 20.0, 200)
     t, n = query.t, query.n
     r2 = np.sum((query.query_points - query.x) ** 2, axis=-1)
-    for c1 in c1_grid:
+    for c1 in _C1_GRID:
         bound = c1 * t ** (-n / 2.0) * np.exp(-r2 / (2.0 * c1 * t))
         if np.all(p <= bound):
-            return KernelBoundFit(float(c1), True, 0.0, c1_grid)
-    c1 = c1_grid[-1]
+            return KernelBoundFit(float(c1), True, 0.0)
+    c1 = _C1_GRID[-1]
     bound = c1 * t ** (-n / 2.0) * np.exp(-r2 / (2.0 * c1 * t))
     with np.errstate(divide="ignore"):
         violation = float(np.max(np.log(np.where(p > 0, p, 1e-300)) - np.log(bound)))
-    return KernelBoundFit(float(c1), False, violation, c1_grid)
+    return KernelBoundFit(float(c1), False, violation)

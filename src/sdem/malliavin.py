@@ -12,7 +12,9 @@ integration grid; no Stratonovich correction appears anywhere.
 Reading note: the directional derivative process pairs the derivative
 matrix with the direction as a matrix-vector product V_s h_s (for h with
 values in state space), and the divergence is the Ito integral of the
-right inverse applied to V_s hdot_s.
+right inverse applied to V_s hdot_s.  The weighted gradient's Bismut
+weight int <Y V v0, dW> is the divergence weight of the direction with
+constant rate hdot = v0, so one tracker, DivergenceWeight, serves both.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ __all__ = [
     "divergence",
     "ibp_check",
     "IbpResult",
-    "GradientWeight",
     "DivergenceWeight",
 ]
 
@@ -162,29 +163,6 @@ class CameronMartinPath:
 # trackers (plug into the flow engine)
 
 
-class GradientWeight(Tracker):
-    """Ito sum over steps of <Y(xi_k) V_k v0, dW_k> for a constant direction."""
-
-    def __init__(self, v0, run: int = 0, name: str = "weight"):
-        self.run, self.name = run, name
-        self.v0 = np.atleast_1d(np.asarray(v0, dtype=float))
-
-    def start(self, B):
-        self.w = np.zeros(B)
-
-    def step(self, k, xis, Vs, dWk, dt, coefs):
-        if dWk is None:
-            return
-        xi, V = xis[self.run], Vs[self.run]
-        y = _located_right_inverse(np.stack(coefs[self.run][0][1:], axis=-1), xi)
-        vd = V @ self.v0                                  # (B, n)
-        proj = (y @ vd[:, :, None])[:, :, 0]              # (B, m)
-        self.w += np.sum(proj * dWk, axis=1)
-
-    def finish(self):
-        return {self.name: self.w}
-
-
 class DivergenceWeight(Tracker):
     """Divergence of a Cameron-Martin direction along the flow.
 
@@ -248,16 +226,18 @@ class _DirectionRecorder(Tracker):
 def bismut_gradient(f: Callable, x, v0, t: float, cfg: MCConfig) -> EstimatorReport:
     """Weighted gradient estimate (1/t) E[f(xi_t) int <Y V v0, dW>].
 
-    Valid for bounded measurable f; no derivative of f is used.
+    The Bismut weight int <Y V v0, dW> is the divergence weight of the
+    direction with constant rate hdot = v0.  Valid for bounded measurable
+    f; no derivative of f is used.
     """
     grid = cfg.grid_for(t)
     noise = cfg.noise_for(grid)
     res = run_ensemble(cfg.fields, x, grid, noise,
-                       trackers=(GradientWeight(v0),),
+                       trackers=(DivergenceWeight(CameronMartinPath.constant(v0)),),
                        workers=cfg.workers)
     ok = res.ok
     fx = np.asarray(f(res.state_T[ok]), dtype=float).reshape(-1)
-    vals = fx * res.extras["weight"][ok] / t
+    vals = fx * res.extras["div_weight"][ok] / t
     return from_samples(vals, config_hash=cfg.config_hash, excluded=res.n_flagged)
 
 

@@ -276,7 +276,11 @@ def test_study_dimensions_rejected_before_any_noise(monkeypatch):
     bad = [("gradient", {"options": {"v0": [1.0, 0.0]}}, "'v0'"),
            ("ibp", {"options": {"hdot": [1.0, 0.0]}}, "'hdot'"),
            ("moment", {"x0": (0.0, 0.0)}, "x0"),
-           ("converge-flow", {"x0": (0.0, 0.0)}, "x0")]
+           ("converge-flow", {"x0": (0.0, 0.0)}, "x0"),
+           ("gradient", {"options": {"bump": 0.0}}, "'bump'"),
+           ("kernel-bound", {"paths": 10_000, "options": {"query": [-4, 4]}}, "'query'"),
+           ("kernel-bound", {"paths": 10_000, "options": {"query": [-4, 4, 0]}}, "'query'"),
+           ("kernel-bound", {"paths": 10_000, "options": {"bandwidth": -0.1}}, "'bandwidth'")]
     for name, kw, key in bad:
         with pytest.raises(FieldError, match=key):
             run_command(name, _cfg(field_spec=ou, **kw))
@@ -299,6 +303,35 @@ def test_documented_and_benchmarked_configs_are_accepted(monkeypatch):
     for name, doc in runs:
         monkeypatch.setitem(harness.COMMANDS, name, lambda cfg: "validated")
         assert run_command(name, ExperimentConfig.from_dict(doc)) == "validated"
+
+
+def test_benchmark_tracer_hooks_install_and_restore():
+    # bench/tracer.py wraps public entry points by name and fails on a missing
+    # one; installing it here makes a renamed or deleted entry point fail
+    # this suite, and uninstalling it must leave every attribute as it was
+    import runpy
+    import sys
+    from pathlib import Path
+
+    from sdem import flow, harness, mollify
+
+    root = Path(__file__).resolve().parents[1]
+    tracer = runpy.run_path(str(root / "bench" / "tracer.py"))["Tracer"]()
+    owners = [m for name, m in sorted(sys.modules.items())
+              if m is not None and (name == "sdem" or name.startswith("sdem."))]
+    owners += [mollify.MollifiedFieldSet, flow.BrownianBatch]
+    before = [dict(vars(o)) for o in owners]
+    orig_run, orig_A = harness.run_command, mollify.MollifiedFieldSet.A
+    try:
+        tracer.install()
+        assert harness.run_command is not orig_run
+        assert mollify.MollifiedFieldSet.A is not orig_A
+    finally:
+        tracer.uninstall()
+    for owner, snap in zip(owners, before):
+        now = vars(owner)
+        moved = [k for k in set(snap) | set(now) if now.get(k) is not snap.get(k)]
+        assert not moved, (owner, moved)
 
 
 def test_report_fingerprint_mismatch_aborts(tmp_path):

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from sdem.fields import (FieldError, FieldMeta, VectorFieldSet, _as_batch, builtin_field,
                          ellipticity_margin, hoelder_estimate)
-from sdem.mollify import (MollifiedFieldSet, QuadSpec, QuadratureError, eta,
-                          eta_grad, mollifier_constant, mollify_field,
+from sdem.mollify import (MollifiedFieldSet, QuadSpec, QuadratureError, _kernel_nodes,
+                          eta, eta_grad, mollifier_constant, mollify_field,
                           mollify_scalar, sup_error)
 from conftest import scalar_drift_field
 
@@ -99,6 +101,36 @@ def test_linear_field_is_fixed_point():
     mf = mollify_field(fs, 0.2)
     xs = np.linspace(-2, 2, 41).reshape(-1, 1)
     assert np.allclose(mf.A(0, xs), fs.A(0, xs), atol=1e-14)
+
+
+def _affine(mat, shift):
+    # drift x -> mat x + shift, unit noise columns
+    mat, shift = np.asarray(mat, dtype=float), np.asarray(shift, dtype=float)
+    n = len(shift)
+
+    def A(l, x):
+        pts, single = _as_batch(np.asarray(x, dtype=float), n)
+        out = pts @ mat.T + shift if l == 0 else np.ones_like(pts) * np.eye(n)[l - 1]
+        return out[0] if single else out.reshape(np.asarray(x).shape)
+
+    return VectorFieldSet(n, n, A, None, FieldMeta(theta=1.0), name="affine")
+
+
+@settings(max_examples=30, deadline=None)
+@given(eps=st.floats(0.005, 0.5), n=st.sampled_from([1, 2]))
+def test_unit_mass_and_fixed_points_at_any_eps(eps, n):
+    _, kw, _ = _kernel_nodes(n, eps, QuadSpec())
+    assert abs(math.fsum(kw) - 1.0) <= 4 * 2.0 ** -52
+    mat = [[2.0, 0.5], [-0.3, 1.5]] if n == 2 else [[2.0]]
+    shift = [0.7, -0.4][:n]
+    xs = np.random.default_rng(7).uniform(-2, 2, (16, n))
+    const = builtin_field("const_shift", matrix=mat, shift=shift)
+    mf = mollify_field(const, eps)
+    for l in range(n + 1):
+        assert np.array_equal(mf.A(l, xs), const.A(l, xs))
+        assert np.all(mf.DA(l, xs) == 0.0)
+    affine = _affine(mat, shift)
+    assert np.allclose(mollify_field(affine, eps).A(0, xs), affine.A(0, xs), atol=1e-14)
 
 
 def test_abs_value_at_origin_scales_like_eps():
