@@ -212,9 +212,11 @@ def _level_fields(cfg: ExperimentConfig):
 
 
 def _converge(cfg: ExperimentConfig, which: str, name: str) -> CommandResult:
+    eps = list(cfg.eps) or [0.2, 0.1, 0.05, 0.025]
+    if len(eps) < 2:
+        raise FieldError(f"config key 'eps' needs at least two levels, got {eps}")
     fs = cfg.make_field()
     p = float(cfg.opt("p", 2.0))
-    eps = list(cfg.eps) or [0.2, 0.1, 0.05, 0.025]
     noise = BrownianBatch(cfg.seed, cfg.paths, cfg.grid, fs.m)
     fam = coupled_family(fs, eps, np.asarray(cfg.x0), cfg.grid, noise,
                          include_base=False, workers=cfg.workers)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .fields import FieldError
 from .flow import (BrownianBatch, FlowPath, PathRecorder, TimeGrid, Tracker,
-                   _simulate_block, run_ensemble, run_multi)
+                   _mm, _simulate_block, run_ensemble, run_multi)
 from .report import EstimatorReport, from_samples
 
 __all__ = [
@@ -184,8 +184,8 @@ class DivergenceWeight(Tracker):
             self.hval = np.zeros_like(xi)
         hdot = np.asarray(self.h.rate(k, xi), dtype=float)
         y = _located_right_inverse(np.stack(coefs[self.run][0][1:], axis=-1), xi)
-        vd = (V @ hdot[:, :, None])[:, :, 0]
-        proj = (y @ vd[:, :, None])[:, :, 0]
+        vd = _mm(V, hdot[:, :, None])[:, :, 0]
+        proj = _mm(y, vd[:, :, None])[:, :, 0]
         self.w += np.sum(proj * dWk, axis=1)
         self.hval = self.hval + hdot * dt
         self.energy += np.sum(hdot * hdot, axis=1) * dt
@@ -211,7 +211,7 @@ class _DirectionRecorder(Tracker):
         xi, V = xis[self.run], Vs[self.run]
         if self.hval is None:
             self.hval = np.zeros_like(xi)
-        self.frames.append((V @ self.hval[:, :, None])[:, :, 0])
+        self.frames.append(_mm(V, self.hval[:, :, None])[:, :, 0])
         if dWk is not None:
             self.hval = self.hval + np.asarray(self.h.rate(k, xi), dtype=float) * dt
 

@@ -4,11 +4,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdem.fields import FieldError, builtin_field
 from sdem.malliavin import CameronMartinPath, DivergenceWeight
 from sdem.mollify import mollify_field
-from sdem.flow import (BLOCK, BrownianBatch, IntegratedG, JacSupNorm, TimeGrid,
+from sdem.flow import (BLOCK, BrownianBatch, IntegratedG, JacSupNorm, TimeGrid, _mm,
                        coupled_family, exp_g_functional, integrate, moment_sup,
                        run_ensemble, spatial_derivative_check, sup_distance)
 from conftest import scalar_drift_field
@@ -59,6 +61,67 @@ def test_different_seeds_differ():
     a = BrownianBatch(seed=1, paths=3, grid=g, m=1)
     b = BrownianBatch(seed=2, paths=3, grid=g, m=1)
     assert not np.array_equal(a.increments(0), b.increments(0))
+
+
+def test_block_increments_are_the_stream_stored_step_major():
+    # the engine reads dW[:, k, :] once per step, so a block is stored
+    # step-major; its values are still the path-major draw times sqrt(dt)
+    g = TimeGrid(0.5, 6)
+    noise = BrownianBatch(seed=31, paths=BLOCK + 37, grid=g, m=2)
+    for b in range(noise.n_blocks):
+        sl = noise.block_slice(b)
+        ss = np.random.SeedSequence(31, spawn_key=(b,))
+        ref = (np.random.default_rng(ss).standard_normal((sl.stop - sl.start, 6, 2))
+               * math.sqrt(g.dt))
+        dW = noise.block_increments(b)
+        assert dW.shape == ref.shape
+        assert np.array_equal(dW.view(np.int64), ref.view(np.int64))
+        assert all(dW[:, k, :].flags.c_contiguous for k in range(g.steps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(i=st.integers(0, 3 * BLOCK - 1),
+       extra=st.tuples(st.integers(0, 2 * BLOCK), st.integers(0, 2 * BLOCK)),
+       m=st.sampled_from([1, 2]))
+def test_increments_do_not_depend_on_path_or_block_count(i, extra, m):
+    g = TimeGrid(1.0, 4)
+    a, c = (BrownianBatch(seed=5, paths=i + 1 + e, grid=g, m=m) for e in extra)
+    inc = a.increments(i)
+    assert inc.shape == (4, m) and inc.flags.c_contiguous
+    assert np.array_equal(inc, c.increments(i))
+    b, r = divmod(i, BLOCK)
+    assert np.array_equal(inc, c.block_increments(b)[r])
+
+
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                     math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), B=st.integers(1, 40), q=st.integers(1, 4))
+def test_scalar_product_is_the_1x1_matmul_bit_for_bit(data, B, q):
+    a = np.array(data.draw(st.lists(_ENTRIES, min_size=B, max_size=B))).reshape(B, 1, 1)
+    b = np.array(data.draw(st.lists(_ENTRIES, min_size=B * q, max_size=B * q)))
+    b = b.reshape(B, 1, q)
+    for x, y in ((a, b), (b.transpose(0, 2, 1), a)):
+        with np.errstate(all="ignore"):
+            got, want = _mm(x, y), x @ y
+        assert got.shape == want.shape
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        # -0 included; only the sign of NaN * NaN, which IEEE 754 leaves
+        # open, may follow the operand order
+        assert np.array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan])
+
+
+def test_matrix_product_keeps_the_matmul_for_n_2(rng):
+    a, b = rng.standard_normal((5, 2, 2)), rng.standard_normal((5, 2, 2))
+    assert np.array_equal(_mm(a, b), a @ b)
+    row, col = rng.standard_normal((5, 1, 2)), rng.standard_normal((5, 2, 1))
+    assert _mm(row, col).shape == (5, 1, 1)
+    assert np.array_equal(_mm(row, col), row @ col)
 
 
 # ---------------------------------------------------------------------------

@@ -280,7 +280,9 @@ def test_study_dimensions_rejected_before_any_noise(monkeypatch):
            ("gradient", {"options": {"bump": 0.0}}, "'bump'"),
            ("kernel-bound", {"paths": 10_000, "options": {"query": [-4, 4]}}, "'query'"),
            ("kernel-bound", {"paths": 10_000, "options": {"query": [-4, 4, 0]}}, "'query'"),
-           ("kernel-bound", {"paths": 10_000, "options": {"bandwidth": -0.1}}, "'bandwidth'")]
+           ("kernel-bound", {"paths": 10_000, "options": {"bandwidth": -0.1}}, "'bandwidth'"),
+           ("converge-flow", {"eps": (0.1,)}, "'eps'"),
+           ("converge-derivative", {"eps": (0.1,)}, "'eps'")]
     for name, kw, key in bad:
         with pytest.raises(FieldError, match=key):
             run_command(name, _cfg(field_spec=ou, **kw))
