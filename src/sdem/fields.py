@@ -112,6 +112,11 @@ class VectorFieldSet:
     n-by-n matrix.  Which version of the weak derivative enters is a
     modelling choice supplied by the caller; any two a.e.-equal versions
     produce indistinguishable flows.
+
+    ``zero_drift`` declares that the drift is identically zero: ``A(0, x)``
+    and ``DA(0, x)`` are 0 at every x.  The engine then evaluates neither,
+    and the Euler step and the derivative energy skip their zero terms.  A
+    declaration that is false changes the simulated flow.
     """
 
     n: int
@@ -121,6 +126,7 @@ class VectorFieldSet:
     meta: FieldMeta = field(default_factory=FieldMeta)
     name: str = "custom"
     params: dict = field(default_factory=dict)
+    zero_drift: bool = False
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
@@ -160,7 +166,7 @@ def _bm(n: int) -> VectorFieldSet:
         return out[0] if single else out.reshape(np.asarray(x).shape[:-1] + (n, n))
 
     meta = FieldMeta(theta=1.0, hoelder_K=0.0, hoelder_alpha=0.5, bound_M=1.0)
-    return VectorFieldSet(n, n, A, DA, meta, name="bm", params={"n": n})
+    return VectorFieldSet(n, n, A, DA, meta, name="bm", params={"n": n}, zero_drift=True)
 
 
 def _ou(lam: float) -> VectorFieldSet:
@@ -274,7 +280,8 @@ def _log_example(beta: float) -> VectorFieldSet:
         raise FieldError(f"log_example: beta={beta} destroys ellipticity (needs beta < 4/pi)")
     meta = FieldMeta(theta=theta, hoelder_K=2.0 * math.sqrt(beta),
                      hoelder_alpha=0.5, bound_M=1.0 + math.sqrt(beta * math.pi) / 2.0)
-    return VectorFieldSet(1, 1, A, DA, meta, name="log_example", params={"beta": beta})
+    return VectorFieldSet(1, 1, A, DA, meta, name="log_example", params={"beta": beta},
+                          zero_drift=True)
 
 
 _BUILTINS = {
@@ -375,10 +382,14 @@ def g_function(fs: VectorFieldSet, x) -> np.ndarray | float:
 
 
 def _g_sum(das) -> np.ndarray:
-    """G from the derivatives DA(0..m), each (N, n, n), summed in that order."""
-    total = np.zeros(len(das[0]))
+    """G from the derivatives DA(0..m), each (N, n, n), summed in that order.
+
+    DA(0) is None for a declared zero drift; its square adds +0, which
+    changes no sum of squares, so it is skipped."""
+    total = np.zeros(len(das[-1]))
     for d in das:
-        total += np.sum(d * d, axis=(-2, -1))
+        if d is not None:
+            total += np.sum(d * d, axis=(-2, -1))
     return total
 
 
@@ -492,8 +503,8 @@ def radial_cutoff(fs: VectorFieldSet, N: float) -> VectorFieldSet:
             return out[0] if single else out.reshape(np.asarray(x).shape[:-1] + (n, n))
 
     meta = replace(fs.meta, growth="bounded")
-    return VectorFieldSet(n, fs.m, A, DA, meta,
-                          name=f"{fs.name}|cutoff", params={**fs.params, "cutoff_N": N})
+    return VectorFieldSet(n, fs.m, A, DA, meta, name=f"{fs.name}|cutoff",
+                          params={**fs.params, "cutoff_N": N}, zero_drift=fs.zero_drift)
 
 
 def finite_difference_dfield(fs: VectorFieldSet, l: int, x, step: float = 1e-5) -> np.ndarray:

@@ -149,12 +149,17 @@ class FlowPath:
 
 
 def _coefficients(fields, xi, with_jac):
-    """A(0..m) at xi as (B, n) arrays, and DA(0..m) as (B, n, n) or None."""
+    """A(0..m) at xi as (B, n) arrays, and DA(0..m) as (B, n, n) or None.
+
+    A declared zero drift is not evaluated: its A(0) and DA(0) are None."""
     B, n = xi.shape
-    A = [np.asarray(fields.A(l, xi)).reshape(B, n) for l in range(fields.m + 1)]
+    first = 1 if fields.zero_drift else 0
+    A = [None] * first + [np.asarray(fields.A(l, xi)).reshape(B, n)
+                          for l in range(first, fields.m + 1)]
     if not with_jac:
         return A, None
-    return A, [np.asarray(fields.DA(l, xi)).reshape(B, n, n) for l in range(fields.m + 1)]
+    return A, [None] * first + [np.asarray(fields.DA(l, xi)).reshape(B, n, n)
+                                for l in range(first, fields.m + 1)]
 
 
 def _mm(a, b):
@@ -168,12 +173,16 @@ def _mm(a, b):
 
 
 def _euler_step(xi, V, coef, dWk, dt):
-    """One left-point Euler step for a block: xi (B, n), V (B, n, n) or None."""
+    """One left-point Euler step for a block: xi (B, n), V (B, n, n) or None.
+
+    A skipped zero drift (A[0] is None) has no dt terms.  Adding its zeros
+    could only turn a -0 entry into +0, or an infinite V entry into NaN,
+    so no value a study reads and no flag depends on the skip."""
     A, DA = coef
-    xi_new = xi + A[0] * dt
+    xi_new = xi if A[0] is None else xi + A[0] * dt
     V_new = None
     if V is not None:
-        V_new = V + _mm(DA[0], V) * dt
+        V_new = V if DA[0] is None else V + _mm(DA[0], V) * dt
     for l in range(1, len(A)):
         xi_new = xi_new + A[l] * dWk[:, l - 1: l]
         if V is not None:
@@ -192,10 +201,14 @@ def _euler_step(xi, V, coef, dWk, dt):
 # tracker evaluates a field.  After the final step comes one more call,
 # `step(steps, xis, Vs, None, dt, None)`; Ito sums return at once when dWk is
 # None.  `finish()` returns the block's extras: arrays with one row per path.
+# A tracker that reads V or DA sets `reads_jac`; a state-only run rejects it
+# before any noise is drawn.
 
 
 class Tracker:
     """Base of the per-block trackers; see the protocol above."""
+
+    reads_jac = False
 
     def make(self, B):
         acc = copy.copy(self)
@@ -205,6 +218,8 @@ class Tracker:
 
 class JacSupNorm(Tracker):
     """Running sup over time of the Frobenius norm of the derivative matrix."""
+
+    reads_jac = True
 
     def __init__(self, run: int = 0, name: str = "sup_jac"):
         self.run, self.name = run, name
@@ -223,6 +238,8 @@ class JacSupNorm(Tracker):
 class IntegratedG(Tracker):
     """Left-point Riemann sum of the derivative-energy function along a run."""
 
+    reads_jac = True
+
     def __init__(self, run: int = 0, name: str = "int_g"):
         self.run, self.name = run, name
 
@@ -232,10 +249,7 @@ class IntegratedG(Tracker):
     def step(self, k, xis, Vs, dWk, dt, coefs):
         if dWk is None:
             return
-        DA = coefs[self.run][1]
-        if DA is None:
-            raise FieldError("IntegratedG needs a run with the derivative flow")
-        self.total += _g_sum(DA) * dt
+        self.total += _g_sum(coefs[self.run][1]) * dt
 
     def finish(self):
         return {self.name: self.total}
@@ -245,28 +259,29 @@ class PathRecorder(Tracker):
     """Record full trajectories of a run (memory: paths x steps x (n + n^2))."""
 
     def __init__(self, run: int = 0, name: str = "paths", with_jac: bool = True):
-        self.run, self.name, self.with_jac = run, name, with_jac
+        self.run, self.name, self.reads_jac = run, name, with_jac
 
     def start(self, B):
         self.states, self.jacs = [], []
 
     def step(self, k, xis, Vs, dWk, dt, coefs):
         self.states.append(xis[self.run].copy())
-        if self.with_jac:
+        if self.reads_jac:
             self.jacs.append(Vs[self.run].copy())
 
     def finish(self):
         out = {self.name + "_states": np.stack(self.states, axis=1)}
-        if self.with_jac:
+        if self.reads_jac:
             out[self.name + "_jacs"] = np.stack(self.jacs, axis=1)
         return out
 
 
 class _PairSup(Tracker):
-    """Running sup of pathwise state and derivative gaps between two runs."""
+    """Running sup of pathwise state gaps between two runs, and of their
+    derivative gaps when ``with_jac``."""
 
-    def __init__(self, i: int, j: int, name: str):
-        self.i, self.j, self.name = i, j, name
+    def __init__(self, i: int, j: int, name: str, with_jac: bool):
+        self.i, self.j, self.name, self.reads_jac = i, j, name, with_jac
 
     def start(self, B):
         self.state, self.jac = np.zeros(B), np.zeros(B)
@@ -274,12 +289,15 @@ class _PairSup(Tracker):
     def step(self, k, xis, Vs, dWk, dt, coefs):
         dx = xis[self.i] - xis[self.j]
         self.state = np.maximum(self.state, np.linalg.norm(dx, axis=1))
-        if Vs[self.i] is not None:
+        if self.reads_jac:
             dv = Vs[self.i] - Vs[self.j]
             self.jac = np.maximum(self.jac, np.sqrt(np.sum(dv * dv, axis=(1, 2))))
 
     def finish(self):
-        return {f"{self.name}_state": self.state, f"{self.name}_jac": self.jac}
+        out = {f"{self.name}_state": self.state}
+        if self.reads_jac:
+            out[f"{self.name}_jac"] = self.jac
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +375,11 @@ def _run(runs, grid: TimeGrid, noise: BrownianBatch, trackers, with_jac, workers
     """
     runs = [(fields, _start_point(fields, x0, grid, noise)) for fields, x0 in runs]
     trackers = tuple(trackers)
+    if not with_jac:
+        for t in trackers:
+            if t.reads_jac:
+                raise FieldError(f"tracker {type(t).__name__} reads the derivative flow, "
+                                 "which a state-only run (with_jac=False) does not integrate")
 
     def one(b):
         return _simulate_block(runs, grid, noise.block_increments(b), trackers, with_jac)
@@ -438,12 +461,13 @@ class CoupledFamilyResult:
     ``levels`` maps eps to its EnsembleResult; the unsmoothed reference run,
     when present, is keyed by 0.0.  ``pair_state_sup``/``pair_jac_sup`` hold
     per-path running sups of |state gap| and Frobenius derivative gap for
-    every level pair (keys are (eps_a, eps_b) with eps_a > eps_b).
+    every level pair (keys are (eps_a, eps_b) with eps_a > eps_b).  A
+    state-only family has no derivative gaps: ``pair_jac_sup`` is None.
     """
 
     levels: dict
     pair_state_sup: dict
-    pair_jac_sup: dict
+    pair_jac_sup: Optional[dict]
     flag: np.ndarray
 
     @property
@@ -454,6 +478,9 @@ class CoupledFamilyResult:
                    which: str = "state", config_hash: str = "") -> EstimatorReport:
         """Report of E sup_t |gap|^p between two levels."""
         table = self.pair_state_sup if which == "state" else self.pair_jac_sup
+        if table is None:
+            raise FieldError("the family was run state-only (with_jac=False); "
+                             "it has no derivative gaps")
         key = (eps_a, eps_b) if (eps_a, eps_b) in table else (eps_b, eps_a)
         vals = table[key][~self.flag] ** p
         return from_samples(vals, config_hash=config_hash, excluded=self.n_flagged)
@@ -463,8 +490,16 @@ def coupled_family(fs: VectorFieldSet, eps_list: Sequence[float], x0,
                    grid: TimeGrid, noise: BrownianBatch, *,
                    include_base: Optional[bool] = None,
                    keep_paths: bool = False,
+                   with_jac: bool = True,
                    workers: Optional[int] = None) -> CoupledFamilyResult:
-    """Integrate every smoothing level on identical Brownian increments."""
+    """Integrate every smoothing level on identical Brownian increments.
+
+    With ``with_jac`` (the default) each level carries its derivative flow
+    and the result holds derivative gaps beside the state gaps.  With
+    ``with_jac=False`` the levels are state-only: no DA is evaluated,
+    ``pair_jac_sup`` is None, ``sup_moment(..., which="jac")`` raises, and
+    a path is flagged only when its state is non-finite.
+    """
     eps_list = list(eps_list)
     if any(e <= 0 for e in eps_list):
         raise FieldError("coupled_family: eps values must be positive")
@@ -480,18 +515,20 @@ def coupled_family(fs: VectorFieldSet, eps_list: Sequence[float], x0,
     runs = [(f, x0) for _, f in levels]
     keys = [e for e, _ in levels]
     pairs = list(itertools.combinations(range(len(levels)), 2))
-    trackers = [_PairSup(i, j, name=f"pair_{i}_{j}") for i, j in pairs]
+    trackers = [_PairSup(i, j, f"pair_{i}_{j}", with_jac) for i, j in pairs]
     if keep_paths:
-        trackers += [PathRecorder(run=i, name=f"run{i}") for i in range(len(levels))]
+        trackers += [PathRecorder(i, f"run{i}", with_jac) for i in range(len(levels))]
 
     results, extras = run_multi(runs, grid, noise, trackers=trackers,
-                                workers=workers)
+                                with_jac=with_jac, workers=workers)
     pair_state = {(keys[i], keys[j]): extras[f"pair_{i}_{j}_state"] for i, j in pairs}
-    pair_jac = {(keys[i], keys[j]): extras[f"pair_{i}_{j}_jac"] for i, j in pairs}
+    pair_jac = ({(keys[i], keys[j]): extras[f"pair_{i}_{j}_jac"] for i, j in pairs}
+                if with_jac else None)
     if keep_paths:
         for i, res in enumerate(results):
             res.extras["states"] = extras[f"run{i}_states"]
-            res.extras["jacs"] = extras[f"run{i}_jacs"]
+            if with_jac:
+                res.extras["jacs"] = extras[f"run{i}_jacs"]
     return CoupledFamilyResult(dict(zip(keys, results)), pair_state, pair_jac,
                                results[0].flag)
 

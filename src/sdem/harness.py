@@ -218,8 +218,10 @@ def _converge(cfg: ExperimentConfig, which: str, name: str) -> CommandResult:
     fs = cfg.make_field()
     p = float(cfg.opt("p", 2.0))
     noise = BrownianBatch(cfg.seed, cfg.paths, cfg.grid, fs.m)
+    # the state gaps need no derivative flow; only the jac study integrates it
     fam = coupled_family(fs, eps, np.asarray(cfg.x0), cfg.grid, noise,
-                         include_base=False, workers=cfg.workers)
+                         include_base=False, with_jac=which == "jac",
+                         workers=cfg.workers)
     ref = eps[-1]
     rows, ests, ses = [], [], []
     for e in eps[:-1]:

@@ -170,6 +170,8 @@ class DivergenceWeight(Tracker):
     h_k = sum_{j<k} hdot_j dt, and the energy int |hdot|^2 dt.
     """
 
+    reads_jac = True
+
     def __init__(self, h: CameronMartinPath, run: int = 0, name: str = "div"):
         self.h, self.run, self.name = h, run, name
 
@@ -200,6 +202,8 @@ class DivergenceWeight(Tracker):
 
 class _DirectionRecorder(Tracker):
     """Record the direction path s -> V_s h_s for full-path functionals."""
+
+    reads_jac = True
 
     def __init__(self, h: CameronMartinPath, run: int = 0, name: str = "dir"):
         self.h, self.run, self.name = h, run, name

@@ -169,6 +169,11 @@ class MollifiedFieldSet:
         return f"{self.base.name}|eps={self.eps}"
 
     @property
+    def zero_drift(self) -> bool:
+        """The base's declaration; the reference-node rule mollifies 0 to 0."""
+        return self.base.zero_drift
+
+    @property
     def has_weak_derivative(self) -> bool:
         return True
 

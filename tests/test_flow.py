@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdem.fields import FieldError, builtin_field
-from sdem.malliavin import CameronMartinPath, DivergenceWeight
+from sdem.malliavin import CameronMartinPath, DivergenceWeight, _DirectionRecorder
 from sdem.mollify import mollify_field
-from sdem.flow import (BLOCK, BrownianBatch, IntegratedG, JacSupNorm, TimeGrid, _mm,
-                       coupled_family, exp_g_functional, integrate, moment_sup,
-                       run_ensemble, spatial_derivative_check, sup_distance)
+from sdem.flow import (BLOCK, BrownianBatch, IntegratedG, JacSupNorm, PathRecorder, TimeGrid,
+                       _mm, coupled_family, exp_g_functional, integrate, moment_sup,
+                       run_ensemble, run_multi, spatial_derivative_check, sup_distance)
 from conftest import scalar_drift_field
 
 
@@ -181,8 +181,8 @@ def test_integrate_is_the_ensemble_path():
 
 
 def test_each_field_is_evaluated_once_per_step():
-    # the Euler update and every tracker share one evaluation of each field
-    base = builtin_field("const_shift", matrix=[[1.0, 0.5], [0.0, 2.0]], shift=[0.1, 0.0])
+    # the Euler update and every tracker share one evaluation of each field,
+    # and a drift declared identically zero (bm's) is never evaluated
     calls = Counter()
 
     def counted(name, fn):
@@ -191,15 +191,60 @@ def test_each_field_is_evaluated_once_per_step():
             return fn(l, x)
         return wrapped
 
-    fs = dataclasses.replace(base, A=counted("A", base.A), DA=counted("DA", base.DA))
     g = TimeGrid(0.25, 4)
     noise = BrownianBatch(seed=5, paths=BLOCK + 10, grid=g, m=2)
-    expected = {(name, l): g.steps * noise.n_blocks for name in ("A", "DA") for l in range(3)}
-    for trackers in ((DivergenceWeight(CameronMartinPath.constant([1.0, -1.0])),),
-                     (JacSupNorm(), IntegratedG())):
-        calls.clear()
-        run_ensemble(fs, [0.0, 0.0], g, noise, trackers=trackers, workers=1)
-        assert dict(calls) == expected
+    shifted = builtin_field("const_shift", matrix=[[1.0, 0.5], [0.0, 2.0]], shift=[0.1, 0.0])
+    for base, first in ((shifted, 0), (builtin_field("bm", n=2), 1)):
+        fs = dataclasses.replace(base, A=counted("A", base.A), DA=counted("DA", base.DA))
+        expected = {(name, l): g.steps * noise.n_blocks
+                    for name in ("A", "DA") for l in range(first, 3)}
+        for trackers in ((DivergenceWeight(CameronMartinPath.constant([1.0, -1.0])),),
+                         (JacSupNorm(), IntegratedG())):
+            calls.clear()
+            run_ensemble(fs, [0.0, 0.0], g, noise, trackers=trackers, workers=1)
+            assert dict(calls) == expected
+
+
+def test_zero_drift_skip_and_state_only_runs_are_bit_exact():
+    # skipping a declared zero drift moves no bit of the states, derivative
+    # flows, flags or derivative energy; a state-only run has the same states
+    log = builtin_field("log_example", beta=1.0)
+    plain = dataclasses.replace(log, zero_drift=False)
+    g = TimeGrid(0.25, 50)
+    noise = BrownianBatch(seed=21, paths=400, grid=g, m=1)
+    for wrap in (lambda fs: fs, lambda fs: mollify_field(fs, 0.1)):
+        assert wrap(log).zero_drift and not wrap(plain).zero_drift
+        out = []
+        for fs in (wrap(log), wrap(plain)):
+            (res,), extras = run_multi([(fs, [0.3])], g, noise, trackers=(IntegratedG(),))
+            (state,), _ = run_multi([(fs, [0.3])], g, noise, with_jac=False)
+            out.append([a.tobytes() for a in (res.state_T, res.jac_T, res.flag,
+                                               extras["int_g"], state.state_T, state.flag)])
+        assert out[0] == out[1]
+        assert out[0][0] == out[0][4] and out[0][2] == out[0][5]
+
+
+def test_state_only_run_rejects_trackers_that_read_v_before_any_noise(monkeypatch):
+    def no_noise(*args, **kwargs):
+        raise AssertionError("a state-only run drew noise")
+
+    monkeypatch.setattr(BrownianBatch, "block_increments", no_noise)
+    fs = builtin_field("ou", lam=1.0)
+    g = TimeGrid(0.25, 10)
+    noise = BrownianBatch(seed=1, paths=8, grid=g, m=1)
+    h = CameronMartinPath.constant([1.0])
+    for tracker in (JacSupNorm(), IntegratedG(), DivergenceWeight(h), _DirectionRecorder(h),
+                    PathRecorder(with_jac=True)):
+        name = type(tracker).__name__
+        with pytest.raises(FieldError, match=name):
+            run_ensemble(fs, [0.0], g, noise, trackers=(tracker,), with_jac=False)
+        with pytest.raises(FieldError, match=name):
+            run_multi([(fs, [0.0]), (fs, [1.0])], g, noise, trackers=(tracker,),
+                      with_jac=False)
+    # a recorder of states alone is accepted and goes on to draw the noise
+    with pytest.raises(AssertionError, match="drew noise"):
+        run_ensemble(fs, [0.0], g, noise, trackers=(PathRecorder(with_jac=False),),
+                     with_jac=False)
 
 
 def test_integrate_validates_inputs():
@@ -336,6 +381,24 @@ def test_coupled_family_triangle_inequality_pathwise():
     d12 = fam.pair_state_sup[(0.2, 0.1)]
     d23 = fam.pair_state_sup[(0.1, 0.05)]
     assert np.all(d13 <= d12 + d23 + 1e-15)
+
+
+def test_state_only_family_refuses_derivative_gaps():
+    g = TimeGrid(0.25, 25)
+    noise = BrownianBatch(seed=13, paths=300, grid=g, m=1)
+    log = builtin_field("log_example", beta=1.0)
+    eps = [0.2, 0.1, 0.05]
+    full = coupled_family(log, eps, [0.0], g, noise, include_base=False)
+    fam = coupled_family(log, eps, [0.0], g, noise, include_base=False, with_jac=False,
+                         keep_paths=True)
+    assert fam.pair_jac_sup is None
+    with pytest.raises(FieldError, match="state-only"):
+        fam.sup_moment(0.2, 0.05, 2.0, which="jac")
+    assert fam.pair_state_sup.keys() == full.pair_state_sup.keys()
+    for key, vals in full.pair_state_sup.items():
+        assert vals.tobytes() == fam.pair_state_sup[key].tobytes()
+    assert "states" in fam.levels[0.1].extras and "jacs" not in fam.levels[0.1].extras
+    assert all(res.jac_T is None for res in fam.levels.values())
 
 
 def test_coupled_family_validates_ladder():

@@ -288,6 +288,37 @@ def test_study_dimensions_rejected_before_any_noise(monkeypatch):
             run_command(name, _cfg(field_spec=ou, **kw))
 
 
+def test_converge_studies_evaluate_only_what_they_report(monkeypatch):
+    # converge-flow reports state gaps, so it evaluates no DA; neither study
+    # evaluates log_example's drift, which is declared identically zero
+    import dataclasses
+    from collections import Counter
+
+    from sdem import harness
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(l, x):
+            calls[name, l] += 1
+            return fn(l, x)
+        return wrapped
+
+    def counted_field(doc, build=harness.field_from_json):
+        fs = build(doc)
+        return dataclasses.replace(fs, A=counted("A", fs.A), DA=counted("DA", fs.DA))
+
+    monkeypatch.setattr(harness, "field_from_json", counted_field)
+    cfg = _cfg(field_spec={"name": "log_example", "params": {"beta": 1.0}}, steps=5, paths=64)
+    # one base-field call per step and level: the mollified field stacks its nodes
+    evals = cfg.steps * len(cfg.eps)
+    for name, expected in (("converge-flow", {("A", 1): evals}),
+                           ("converge-derivative", {("A", 1): evals, ("DA", 1): evals})):
+        calls.clear()
+        run_command(name, cfg)
+        assert dict(calls) == expected, name
+
+
 def test_documented_and_benchmarked_configs_are_accepted(monkeypatch):
     import re
     import runpy

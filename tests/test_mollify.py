@@ -264,3 +264,35 @@ def test_mollified_set_delegates_metadata():
     assert mf.has_weak_derivative
     assert isinstance(mf, MollifiedFieldSet)
     assert mf.diffusion_matrix(np.array([0.2])).shape == (1, 1)
+
+
+# one example of every built-in; a new built-in must join this list
+BUILTIN_EXAMPLES = [("bm", {"n": 1}), ("bm", {"n": 2}), ("ou", {"lam": 1.0}),
+                    ("const_shift", {"matrix": [[1.0, 0.5], [0.0, 2.0]], "shift": [0.1, 0.0]}),
+                    ("log_example", {"beta": 1.0})]
+
+
+@settings(max_examples=40, deadline=None)
+@given(xs=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=12),
+       eps=st.floats(0.005, 0.5))
+def test_declared_zero_drift_is_exactly_zero(xs, eps):
+    # the engine skips A(0) and DA(0) of a field that declares a zero drift,
+    # so a wrong declaration must fail here: raw, mollified and cut off
+    from sdem import fields as fields_mod
+
+    assert {name for name, _ in BUILTIN_EXAMPLES} == set(fields_mod._BUILTINS)
+    fixed = [0.0, -0.0, 5e-324, 0.5, -1.0, 1.0, 1.5, -3.0, 1e6, -1e300, 1e300]
+    declared = set()
+    for name, params in BUILTIN_EXAMPLES:
+        fs = builtin_field(name, **params)
+        if not fs.zero_drift:
+            continue
+        declared.add(name)
+        vals = np.array(fixed + xs)
+        pts = np.resize(vals, (len(vals), fs.n))
+        for view in (fs, mollify_field(fs, eps), fields_mod.radial_cutoff(fs, 1.0)):
+            assert view.zero_drift
+            with np.errstate(over="ignore"):    # the cutoff's norm overflows at 1e300
+                assert np.all(view.A(0, pts) == 0.0), view.name
+                assert np.all(view.DA(0, pts) == 0.0), view.name
+    assert declared == {"bm", "log_example"}
