@@ -15,9 +15,8 @@ from .fields import (FieldError, DerivativeUnavailableError, FieldMeta,
                      field_to_json, field_from_json)
 from .mollify import (QuadSpec, QuadratureError, MollifiedFieldSet, eta,
                       eta_grad, mollify_field, mollify_scalar, sup_error)
-from .flow import (BLOCK, TimeGrid, BrownianBatch, FlowPath, EnsembleResult,
-                   integrate, run_ensemble, coupled_family, sup_distance,
-                   moment_sup, exp_g_functional, spatial_derivative_check)
+from .flow import (BLOCK, TimeGrid, BrownianBatch, EnsembleResult, run_ensemble,
+                   coupled_family, moment_sup, exp_g_functional, spatial_derivative_check)
 from .kernel import (DensityQuery, gaussian_kernel, silverman_bandwidth,
                      density_estimate, kernel_bound_fit)
 from .malliavin import (MCConfig, CameronMartinPath, right_inverse,

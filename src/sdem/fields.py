@@ -372,10 +372,13 @@ def hoelder_estimate(fs: VectorFieldSet, alpha: float, pairs) -> float:
 
 
 def g_function(fs: VectorFieldSet, x) -> np.ndarray | float:
-    """Sum over l of the squared Frobenius norm of the weak derivative at x."""
+    """Sum over l of the squared Frobenius norm of the weak derivative at x.
+
+    A declared zero drift is not evaluated; its DA(0) adds nothing."""
     fs.require_dfield()
     pts, single = _as_batch(np.asarray(x, dtype=float), fs.n)
-    total = _g_sum([fs.DA(l, pts) for l in range(fs.m + 1)])
+    first = 1 if fs.zero_drift else 0
+    total = _g_sum([None] * first + [fs.DA(l, pts) for l in range(first, fs.m + 1)])
     if single:
         return float(total[0])
     return total.reshape(np.asarray(x).shape[:-1])
@@ -455,6 +458,19 @@ def condition_g_estimate(fs: VectorFieldSet, sigma: float, T0: float, x,
 # radial cutoff
 
 
+def _radius(pts):
+    """|x| over the last axis, shape (..., 1).  Where squaring the entries
+    overflows, the point is first scaled by max_i |x_i|, so the radius of a
+    finite point is finite whenever it is below the largest double."""
+    with np.errstate(over="ignore"):
+        r = np.linalg.norm(pts, axis=-1, keepdims=True)
+    big = np.isinf(r[..., 0]) & np.all(np.isfinite(pts), axis=-1)
+    if np.any(big):
+        s = np.max(np.abs(pts[big]), axis=-1, keepdims=True)
+        r[big] = s * np.linalg.norm(pts[big] / s, axis=-1, keepdims=True)
+    return r
+
+
 def radial_cutoff(fs: VectorFieldSet, N: float) -> VectorFieldSet:
     """Clamp every field at radius N along rays through the origin.
 
@@ -469,7 +485,7 @@ def radial_cutoff(fs: VectorFieldSet, N: float) -> VectorFieldSet:
     n = fs.n
 
     def project(pts):
-        r = np.linalg.norm(pts, axis=-1, keepdims=True)
+        r = _radius(pts)
         outside = r[..., 0] > N
         safe_r = np.where(r > 0, r, 1.0)
         proj = np.where(outside[..., None], N * pts / safe_r, pts)

@@ -38,13 +38,10 @@ __all__ = [
     "BLOCK",
     "TimeGrid",
     "BrownianBatch",
-    "FlowPath",
     "EnsembleResult",
     "CoupledFamilyResult",
-    "integrate",
     "run_ensemble",
     "coupled_family",
-    "sup_distance",
     "moment_sup",
     "exp_g_functional",
     "spatial_derivative_check",
@@ -127,25 +124,6 @@ class BrownianBatch:
         dW = np.empty((self.grid.steps, z.shape[0], self.m))
         np.multiply(z.transpose(1, 0, 2), math.sqrt(self.grid.dt), out=dW)
         return dW.transpose(1, 0, 2)
-
-    def increments(self, path_index: int) -> np.ndarray:
-        """Increments of one path, a contiguous array of shape (steps, m)."""
-        if not (0 <= path_index < self.paths):
-            raise IndexError(f"path index {path_index} out of range")
-        b, r = divmod(path_index, BLOCK)
-        return self._draw(b, r + 1)[r] * math.sqrt(self.grid.dt)
-
-
-@dataclass
-class FlowPath:
-    """One simulated trajectory of the state and its derivative matrix."""
-
-    path_index: int
-    grid: TimeGrid
-    states: np.ndarray          # (steps + 1, n)
-    jacs: np.ndarray            # (steps + 1, n, n)
-    noise: BrownianBatch
-    flagged: bool = False
 
 
 def _coefficients(fields, xi, with_jac):
@@ -311,7 +289,7 @@ def _resolve_workers(workers: Optional[int]) -> int:
     return max(1, int(env)) if env else 1
 
 
-def _simulate_block(runs, grid, dW, trackers, with_jac=True):
+def _simulate_block(runs, grid, dW, trackers, with_jac):
     """Integrate one block of lockstep runs; each x0 is a checked start point."""
     B = dW.shape[0]
     dt = grid.dt
@@ -373,7 +351,7 @@ def _run(runs, grid: TimeGrid, noise: BrownianBatch, trackers, with_jac, workers
 
     Returns (list of EnsembleResult in run order, joint extras dict).
     """
-    runs = [(fields, _start_point(fields, x0, grid, noise)) for fields, x0 in runs]
+    runs = [(fields, _start_point(fields, x0, grid, noise, with_jac)) for fields, x0 in runs]
     trackers = tuple(trackers)
     if not with_jac:
         for t in trackers:
@@ -416,8 +394,9 @@ def run_multi(runs, grid: TimeGrid, noise: BrownianBatch, *,
     return _run(runs, grid, noise, trackers, with_jac, workers)
 
 
-def _start_point(fields, x0, grid: TimeGrid, noise: BrownianBatch) -> np.ndarray:
-    """x0 as a vector of n entries, checked with the noise before any draw."""
+def _start_point(fields, x0, grid: TimeGrid, noise: BrownianBatch, with_jac) -> np.ndarray:
+    """x0 as a finite vector of n entries, checked with the noise, and the
+    field set's DA checked when the run carries V, before any draw."""
     if noise.grid != grid:
         raise FieldError("noise was generated for a different time grid")
     if noise.m != fields.m:
@@ -425,33 +404,15 @@ def _start_point(fields, x0, grid: TimeGrid, noise: BrownianBatch) -> np.ndarray
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if len(x0) != fields.n:
         raise FieldError(f"start point x0 has dimension {len(x0)}, field set has n={fields.n}")
+    if not np.all(np.isfinite(x0)):
+        raise FieldError(f"start point x0 = {x0} is not finite")
+    if with_jac:
+        fields.require_dfield()
     return x0
 
 
 # ---------------------------------------------------------------------------
 # public operations
-
-
-def integrate(fields, x0, grid: TimeGrid, noise: BrownianBatch,
-              path_index: int) -> FlowPath:
-    """Integrate a single path of the coupled state/derivative system.
-
-    The path is a one-path block of the ensemble engine.  A flagged path
-    reads NaN from its first non-finite frame on.
-    """
-    fields.require_dfield()
-    x0 = _start_point(fields, x0, grid, noise)
-    if not np.all(np.isfinite(x0)):
-        raise FieldError("integrate: starting point must be finite")
-    dW = noise.increments(path_index)[None]
-    _, _, flagged, rec = _simulate_block([(fields, x0)], grid, dW, (PathRecorder(),))
-    states, jacs = rec["paths_states"][0], rec["paths_jacs"][0]
-    if flagged[0]:
-        bad = ~(np.isfinite(states).all(axis=1) & np.isfinite(jacs).all(axis=(1, 2)))
-        first = int(np.argmax(bad))
-        states[first:] = np.nan
-        jacs[first:] = np.nan
-    return FlowPath(path_index, grid, states, jacs, noise, bool(flagged[0]))
 
 
 @dataclass
@@ -489,7 +450,6 @@ class CoupledFamilyResult:
 def coupled_family(fs: VectorFieldSet, eps_list: Sequence[float], x0,
                    grid: TimeGrid, noise: BrownianBatch, *,
                    include_base: Optional[bool] = None,
-                   keep_paths: bool = False,
                    with_jac: bool = True,
                    workers: Optional[int] = None) -> CoupledFamilyResult:
     """Integrate every smoothing level on identical Brownian increments.
@@ -509,38 +469,19 @@ def coupled_family(fs: VectorFieldSet, eps_list: Sequence[float], x0,
         include_base = fs.has_weak_derivative
     levels = [(e, mollify_field(fs, e)) for e in eps_list]
     if include_base:
-        fs.require_dfield()
         levels.append((0.0, fs))
 
     runs = [(f, x0) for _, f in levels]
     keys = [e for e, _ in levels]
     pairs = list(itertools.combinations(range(len(levels)), 2))
     trackers = [_PairSup(i, j, f"pair_{i}_{j}", with_jac) for i, j in pairs]
-    if keep_paths:
-        trackers += [PathRecorder(i, f"run{i}", with_jac) for i in range(len(levels))]
-
     results, extras = run_multi(runs, grid, noise, trackers=trackers,
                                 with_jac=with_jac, workers=workers)
     pair_state = {(keys[i], keys[j]): extras[f"pair_{i}_{j}_state"] for i, j in pairs}
     pair_jac = ({(keys[i], keys[j]): extras[f"pair_{i}_{j}_jac"] for i, j in pairs}
                 if with_jac else None)
-    if keep_paths:
-        for i, res in enumerate(results):
-            res.extras["states"] = extras[f"run{i}_states"]
-            if with_jac:
-                res.extras["jacs"] = extras[f"run{i}_jacs"]
     return CoupledFamilyResult(dict(zip(keys, results)), pair_state, pair_jac,
                                results[0].flag)
-
-
-def sup_distance(a: FlowPath, b: FlowPath, p: float) -> tuple[float, float]:
-    """Pathwise sup distance to the power p, for states and derivatives."""
-    if a.grid != b.grid:
-        raise FieldError("sup_distance: paths live on different grids")
-    ds = float(np.max(np.linalg.norm(a.states - b.states, axis=1)))
-    dv = a.jacs - b.jacs
-    dj = float(np.max(np.sqrt(np.sum(dv * dv, axis=(1, 2)))))
-    return ds ** p, dj ** p
 
 
 def moment_sup(ensemble: EnsembleResult, p: float,

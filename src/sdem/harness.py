@@ -341,6 +341,14 @@ def cmd_kernel_bound(cfg: ExperimentConfig) -> CommandResult:
     noise = BrownianBatch(cfg.seed, cfg.paths, grid, fields.m)
     res = run_ensemble(fields, np.asarray(cfg.x0), grid, noise,
                        with_jac=False, workers=cfg.workers)
+    frac = res.n_flagged / cfg.paths
+    if frac >= 1e-4:
+        # flagged paths are missing from the KDE's sample, which can then be
+        # too small to estimate from at all; the study fails before the fit
+        payload = {"config_fingerprint": cfg.fingerprint, "t": t, "flagged": res.n_flagged}
+        return CommandResult("kernel_bound", False,
+                             [f"kernel_bound: flagged fraction {frac:.2e} >= 1e-4"],
+                             payload, {"kernel_bound.json": _json_text(payload)})
     samples = res.state_T[res.ok]
     bandwidth = float(bandwidth) if bandwidth else kern.silverman_bandwidth(samples)
     query = kern.DensityQuery(t, np.asarray(cfg.x0, dtype=float), qpts, bandwidth)

@@ -26,8 +26,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fields import FieldError
-from .flow import (BrownianBatch, FlowPath, PathRecorder, TimeGrid, Tracker,
-                   _mm, _simulate_block, run_ensemble, run_multi)
+from .flow import (BrownianBatch, PathRecorder, TimeGrid, Tracker, _mm,
+                   run_ensemble, run_multi)
 from .report import EstimatorReport, from_samples
 
 __all__ = [
@@ -280,13 +280,13 @@ def fd_gradient(f: Callable, x, v0, t: float, h: float, cfg: MCConfig) -> Estima
 # divergence and integration by parts
 
 
-def divergence(h: CameronMartinPath, path: FlowPath, fs) -> float:
-    """Left-point Ito sum of <Y(xi_k) V_k hdot_k, dW_k> along one path,
-    rerun under fs on its own increments as a one-path DivergenceWeight run."""
-    dW = path.noise.increments(path.path_index)[None]
-    _, _, _, extras = _simulate_block([(fs, path.states[0])], path.grid, dW,
-                                      (DivergenceWeight(h),))
-    return float(extras["div_weight"][0])
+def divergence(h: CameronMartinPath, fs, x0, grid: TimeGrid, noise: BrownianBatch, *,
+               workers: Optional[int] = None) -> np.ndarray:
+    """Per-path left-point Ito sums of <Y(xi_k) V_k hdot_k, dW_k>: the
+    DivergenceWeight of an ensemble of fs started at x0 on the given noise."""
+    res = run_ensemble(fs, x0, grid, noise, trackers=(DivergenceWeight(h),),
+                       workers=workers)
+    return res.extras["div_weight"]
 
 
 @dataclass(frozen=True)

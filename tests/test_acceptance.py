@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from sdem.fields import builtin_field, condition_g_estimate
-from sdem.flow import BrownianBatch, TimeGrid
+from sdem.flow import BrownianBatch, PathRecorder, TimeGrid, run_ensemble
 from sdem.harness import ExperimentConfig, run_command
 from sdem.malliavin import (CameronMartinPath, MCConfig, bismut_gradient,
                             fd_gradient, ibp_check, intertwine_gradient,
@@ -53,24 +53,24 @@ def test_ac2_constant_coefficient_exactness():
     noise = BrownianBatch(seed=202, paths=1000, grid=grid, m=1)
     worst = 0.0
     times = grid.times()
+    exact = []
     for b in range(noise.n_blocks):
         dW = noise.block_increments(b)
         w = np.concatenate([np.zeros((dW.shape[0], 1)),
                             np.cumsum(dW[:, :, 0], axis=1)], axis=1)
-        exact = 0.5 + 2.0 * w + times[None, :]
+        exact.append(0.5 + 2.0 * w + times[None, :])
         xi = np.full(dW.shape[0], 0.5)
         dev = 0.0
         for k in range(grid.steps):
             xi = xi + 2.0 * dW[:, k, 0] + 1.0 * grid.dt
-            dev = max(dev, float(np.max(np.abs(xi - exact[:, k + 1]))))
+            dev = max(dev, float(np.max(np.abs(xi - exact[-1][:, k + 1]))))
         worst = max(worst, dev)
-    # same check through the public integrator on a subsample
-    from sdem.flow import integrate
-    for i in range(0, 1000, 97):
-        path = integrate(fs, [0.5], grid, noise, i)
-        w = np.concatenate([[0.0], np.cumsum(noise.increments(i)[:, 0])])
-        worst = max(worst, float(np.max(np.abs(path.states[:, 0]
-                                               - (0.5 + 2.0 * w + times)))))
+    # same check on the engine's recorded states, every path and every step
+    res = run_ensemble(fs, [0.5], grid, noise, trackers=(PathRecorder(with_jac=False),),
+                       with_jac=False)
+    states = res.extras["paths_states"][:, :, 0]
+    assert states.shape == (1000, grid.steps + 1)
+    worst = max(worst, float(np.max(np.abs(states - np.concatenate(exact)))))
     elapsed = time.time() - t0
     assert worst <= 1e-12
     assert elapsed < 5.0

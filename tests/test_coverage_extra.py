@@ -8,8 +8,8 @@ import pytest
 
 from sdem.fields import (FieldError, FieldMeta, GrowthProfile, VectorFieldSet,
                          builtin_field, check_growth_profile, _as_batch)
-from sdem.flow import (BrownianBatch, IntegratedG, JacSupNorm, TimeGrid,
-                       exp_g_functional, integrate, moment_sup, run_ensemble)
+from sdem.flow import (BrownianBatch, IntegratedG, JacSupNorm, PathRecorder, TimeGrid,
+                       exp_g_functional, moment_sup, run_ensemble)
 from sdem.harness import ExperimentConfig, run_command
 from sdem.malliavin import MCConfig, bismut_gradient
 
@@ -74,10 +74,11 @@ def test_2d_linear_derivative_flow_is_matrix_power():
     fs = _linear_2d(mat)
     grid = TimeGrid(1.0, 400)
     noise = BrownianBatch(seed=61, paths=4, grid=grid, m=2)
-    path = integrate(fs, [0.3, -0.2], grid, noise, 1)
+    res = run_ensemble(fs, [0.3, -0.2], grid, noise, trackers=(PathRecorder(),))
+    jacs = res.extras["paths_jacs"]
     expect = np.linalg.matrix_power(np.eye(2) + mat * grid.dt, grid.steps)
-    assert np.max(np.abs(path.jacs[-1] - expect)) < 1e-12
-    assert np.allclose(path.jacs[0], np.eye(2))
+    assert np.max(np.abs(jacs[:, -1] - expect)) < 1e-12
+    assert np.allclose(jacs[:, 0], np.eye(2))
 
 
 def test_2d_bm_bismut_gradient_picks_the_direction():
@@ -93,10 +94,11 @@ def test_redundant_noise_channels_m_greater_than_n():
     fs = builtin_field("const_shift", matrix=[[1.0, 1.0]], shift=[0.0])
     grid = TimeGrid(0.5, 200)
     noise = BrownianBatch(seed=63, paths=8, grid=grid, m=2)
-    path = integrate(fs, [0.2], grid, noise, 3)
-    dW = noise.increments(3)
-    expect = 0.2 + np.concatenate([[0.0], np.cumsum(dW[:, 0] + dW[:, 1])])
-    assert np.max(np.abs(path.states[:, 0] - expect)) < 1e-13
+    res = run_ensemble(fs, [0.2], grid, noise, trackers=(PathRecorder(),))
+    dW = noise.block_increments(0)
+    w = np.cumsum(dW[:, :, 0] + dW[:, :, 1], axis=1)
+    expect = 0.2 + np.concatenate([np.zeros((8, 1)), w], axis=1)
+    assert np.max(np.abs(res.extras["paths_states"][:, :, 0] - expect)) < 1e-13
     # the semigroup of x + W^1 + W^2 still has unit gradient for f(x) = x
     cfg = MCConfig(fs, paths=20_000, dt=2e-3, seed=64)
     rep = bismut_gradient(lambda s: s[:, 0], [0.0], [1.0], 0.5, cfg)

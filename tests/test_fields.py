@@ -310,6 +310,26 @@ def test_radial_cutoff_derivative_chain_rule():
         assert np.allclose(cut.DA(0, np.array(pt)), fd, atol=5e-5)
 
 
+def test_radial_cutoff_sends_huge_points_to_the_sphere(rng, recwarn):
+    # squaring |x| > ~1.3e154 overflows the plain norm; such a point must
+    # still land on the sphere, not at the origin, and raise no warning
+    from sdem.fields import VectorFieldSet, FieldMeta, _radius
+    lin2 = VectorFieldSet(2, 2, lambda l, x: -np.asarray(x, dtype=float) if l == 0
+                          else np.broadcast_to(np.eye(2)[l - 1], np.shape(x)).copy(),
+                          None, FieldMeta(), name="lin2")
+    for fs in (builtin_field("ou", lam=1.0), lin2):
+        cut = radial_cutoff(fs, 1.0)
+        for v in (1e160, -1e160, 1e200, -1e200):
+            for x in ([[v]] if fs.n == 1 else [[v, 0.0], [0.0, v], [v, -v], [v, 0.5 * v]]):
+                u = np.array(x) / abs(v)
+                assert np.allclose(cut.A(0, np.array(x)), -u / np.linalg.norm(u),
+                                   rtol=1e-15, atol=0)
+    assert len(recwarn) == 0
+    # a point whose plain norm is finite keeps the plain norm's bits
+    pts = rng.standard_normal((200, 2)) * 10.0 ** rng.integers(-300, 150, (200, 1))
+    assert np.array_equal(_radius(pts), np.linalg.norm(pts, axis=-1, keepdims=True))
+
+
 def test_radial_cutoff_rejects_bad_radius():
     with pytest.raises(FieldError):
         radial_cutoff(builtin_field("bm", n=1), 0.0)

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdem.fields import FieldError, builtin_field
+from sdem.fields import DerivativeUnavailableError, FieldError, builtin_field
 from sdem.malliavin import CameronMartinPath, DivergenceWeight, _DirectionRecorder
 from sdem.mollify import mollify_field
 from sdem.flow import (BLOCK, BrownianBatch, IntegratedG, JacSupNorm, PathRecorder, TimeGrid,
-                       _mm, coupled_family, exp_g_functional, integrate, moment_sup,
-                       run_ensemble, run_multi, spatial_derivative_check, sup_distance)
+                       _mm, coupled_family, exp_g_functional, moment_sup,
+                       run_ensemble, run_multi, spatial_derivative_check)
 from conftest import scalar_drift_field
 
 
@@ -36,14 +36,10 @@ def test_increments_pure_in_seed_path_step():
     full = BrownianBatch(seed=42, paths=BLOCK + 7, grid=g, m=2)
     small = BrownianBatch(seed=42, paths=6, grid=g, m=2)
     # same path, different ensemble sizes
-    assert np.array_equal(full.increments(5), small.increments(5))
-    # across a block boundary
-    assert full.increments(BLOCK + 3).shape == (8, 2)
-    # block view agrees with per-path view
-    blk = full.block_increments(0)
-    assert np.array_equal(blk[5], full.increments(5))
-    blk1 = full.block_increments(1)
-    assert np.array_equal(blk1[3], full.increments(BLOCK + 3))
+    assert np.array_equal(full.block_increments(0)[5], small.block_increments(0)[5])
+    # across a block boundary: the partial second block holds the last 7 paths
+    assert full.block_increments(1).shape == (7, 8, 2)
+    assert not np.array_equal(full.block_increments(1)[3], full.block_increments(0)[3])
 
 
 def test_increment_moments():
@@ -60,7 +56,7 @@ def test_different_seeds_differ():
     g = TimeGrid(1.0, 4)
     a = BrownianBatch(seed=1, paths=3, grid=g, m=1)
     b = BrownianBatch(seed=2, paths=3, grid=g, m=1)
-    assert not np.array_equal(a.increments(0), b.increments(0))
+    assert not np.array_equal(a.block_increments(0)[0], b.block_increments(0)[0])
 
 
 def test_block_increments_are_the_stream_stored_step_major():
@@ -86,10 +82,9 @@ def test_block_increments_are_the_stream_stored_step_major():
 def test_increments_do_not_depend_on_path_or_block_count(i, extra, m):
     g = TimeGrid(1.0, 4)
     a, c = (BrownianBatch(seed=5, paths=i + 1 + e, grid=g, m=m) for e in extra)
-    inc = a.increments(i)
-    assert inc.shape == (4, m) and inc.flags.c_contiguous
-    assert np.array_equal(inc, c.increments(i))
     b, r = divmod(i, BLOCK)
+    inc = a.block_increments(b)[r]
+    assert inc.shape == (4, m)
     assert np.array_equal(inc, c.block_increments(b)[r])
 
 
@@ -125,59 +120,51 @@ def test_matrix_product_keeps_the_matmul_for_n_2(rng):
 
 
 # ---------------------------------------------------------------------------
-# single-path integration
+# recorded trajectories
+
+
+def _cumulative_noise(noise):
+    """W at every grid time for every path, (paths, steps + 1) for m = 1."""
+    dW = np.concatenate([noise.block_increments(b)[:, :, 0]
+                         for b in range(noise.n_blocks)], axis=0)
+    return np.concatenate([np.zeros((noise.paths, 1)), np.cumsum(dW, axis=1)], axis=1)
 
 
 def test_bm_path_is_cumulative_sum():
     g = TimeGrid(1.0, 200)
     noise = BrownianBatch(seed=3, paths=4, grid=g, m=1)
-    path = integrate(builtin_field("bm", n=1), [0.0], g, noise, 1)
-    dW = noise.increments(1)
-    expect = np.concatenate([[0.0], np.cumsum(dW[:, 0])])
-    assert np.max(np.abs(path.states[:, 0] - expect)) < 1e-13
-    assert np.all(path.jacs == 1.0)
-    assert not path.flagged
+    res = run_ensemble(builtin_field("bm", n=1), [0.0], g, noise, trackers=(PathRecorder(),))
+    assert res.extras["paths_states"].shape == (4, 201, 1)
+    assert np.max(np.abs(res.extras["paths_states"][:, :, 0] - _cumulative_noise(noise))) < 1e-13
+    assert np.all(res.extras["paths_jacs"] == 1.0)
+    assert res.n_flagged == 0
 
 
 def test_const_shift_euler_is_exact():
     g = TimeGrid(1.0, 500)
     noise = BrownianBatch(seed=4, paths=3, grid=g, m=1)
     fs = builtin_field("const_shift", matrix=[[2.0]], shift=[1.0])
-    path = integrate(fs, [0.3], g, noise, 2)
-    w = np.concatenate([[0.0], np.cumsum(noise.increments(2)[:, 0])])
-    t = g.times()
-    assert np.max(np.abs(path.states[:, 0] - (0.3 + 2.0 * w + t))) < 1e-12
+    res = run_ensemble(fs, [0.3], g, noise, trackers=(PathRecorder(),))
+    exact = 0.3 + 2.0 * _cumulative_noise(noise) + g.times()
+    assert np.max(np.abs(res.extras["paths_states"][:, :, 0] - exact)) < 1e-12
 
 
 def test_ou_derivative_flow_matches_product_and_exponential():
     g = TimeGrid(1.0, 1000)
     noise = BrownianBatch(seed=5, paths=2, grid=g, m=1)
-    path = integrate(builtin_field("ou", lam=1.0), [1.0], g, noise, 0)
+    res = run_ensemble(builtin_field("ou", lam=1.0), [1.0], g, noise, trackers=(PathRecorder(),))
     # 1-d commutative system: Euler V_k is the running product
     prod = np.cumprod(np.concatenate([[1.0], np.full(1000, 1.0 - g.dt)]))
-    assert np.max(np.abs(path.jacs[:, 0, 0] - prod)) < 1e-12
+    assert np.max(np.abs(res.extras["paths_jacs"][:, :, 0, 0] - prod)) < 1e-12
     # Richardson halving estimates the O(dt) constant
     errs = []
     for steps in (500, 1000):
         gg = TimeGrid(1.0, steps)
         nn = BrownianBatch(seed=5, paths=2, grid=gg, m=1)
-        p = integrate(builtin_field("ou", lam=1.0), [1.0], gg, nn, 0)
-        errs.append(abs(p.jacs[-1, 0, 0] - math.exp(-1.0)))
+        r = run_ensemble(builtin_field("ou", lam=1.0), [1.0], gg, nn)
+        errs.append(abs(r.jac_T[0, 0, 0] - math.exp(-1.0)))
     assert errs[1] == pytest.approx(errs[0] / 2.0, rel=0.05)
     assert errs[1] <= 1.0 * gg.dt
-
-
-def test_integrate_is_the_ensemble_path():
-    # one integrator: a single path is bit for bit the ensemble's path,
-    # in the first block and past it
-    fs = mollify_field(builtin_field("log_example", beta=1.0), 0.1)
-    g = TimeGrid(0.25, 20)
-    noise = BrownianBatch(seed=3, paths=BLOCK + 10, grid=g, m=1)
-    res = run_ensemble(fs, [0.2], g, noise)
-    for i in (0, 5, BLOCK + 3):
-        path = integrate(fs, [0.2], g, noise, i)
-        assert np.array_equal(path.states[-1], res.state_T[i])
-        assert np.array_equal(path.jacs[-1], res.jac_T[i])
 
 
 def test_each_field_is_evaluated_once_per_step():
@@ -247,17 +234,35 @@ def test_state_only_run_rejects_trackers_that_read_v_before_any_noise(monkeypatc
                      with_jac=False)
 
 
-def test_integrate_validates_inputs():
+def test_bad_start_or_missing_derivative_fails_before_any_noise(monkeypatch):
+    # every run checks its start point, its grid and, when it carries V, the
+    # field set's DA before it draws a block
+    def no_noise(*args, **kwargs):
+        raise AssertionError("a rejected run drew noise")
+
+    monkeypatch.setattr(BrownianBatch, "block_increments", no_noise)
     g = TimeGrid(1.0, 10)
     noise = BrownianBatch(seed=1, paths=2, grid=g, m=1)
-    fs = builtin_field("ou", lam=1.0)
-    with pytest.raises(FieldError):
-        integrate(fs, [math.nan], g, noise, 0)
-    with pytest.raises(FieldError):
-        integrate(fs, [0.0], TimeGrid(1.0, 20), noise, 0)
-    bare = scalar_drift_field(lambda x: x)
-    with pytest.raises(FieldError):
-        integrate(bare, [0.0], g, noise, 0)
+    ou = builtin_field("ou", lam=1.0)
+    bare = scalar_drift_field(lambda x: x, name="bare")
+    rows = [
+        (lambda: run_ensemble(ou, [math.nan], g, noise), FieldError, "x0"),
+        (lambda: run_ensemble(ou, [-math.inf], g, noise, with_jac=False), FieldError, "x0"),
+        (lambda: run_multi([(ou, [0.0]), (ou, [math.nan])], g, noise), FieldError, "x0"),
+        (lambda: coupled_family(ou, [0.2, 0.1], [math.inf], g, noise), FieldError, "x0"),
+        (lambda: run_ensemble(ou, [0.0], TimeGrid(1.0, 20), noise), FieldError, "grid"),
+        (lambda: run_ensemble(bare, [0.0], g, noise), DerivativeUnavailableError, "'bare'"),
+        (lambda: run_multi([(ou, [0.0]), (bare, [0.0])], g, noise),
+         DerivativeUnavailableError, "'bare'"),
+        (lambda: coupled_family(bare, [0.2, 0.1], [0.0], g, noise, include_base=True),
+         DerivativeUnavailableError, "'bare'"),
+    ]
+    for call, error, name in rows:
+        with pytest.raises(error, match=name):
+            call()
+    # a state-only run needs no DA and goes on to draw the noise
+    with pytest.raises(AssertionError, match="drew noise"):
+        run_ensemble(bare, [0.0], g, noise, with_jac=False)
 
 
 def test_flagged_explosive_path():
@@ -265,37 +270,15 @@ def test_flagged_explosive_path():
     fs = scalar_drift_field(lambda x: x ** 9, df=lambda x: 9.0 * x ** 8)
     g = TimeGrid(5.0, 40)
     noise = BrownianBatch(seed=8, paths=64, grid=g, m=1)
-    res = run_ensemble(fs, [2.0], g, noise, trackers=(JacSupNorm(),))
+    res = run_ensemble(fs, [2.0], g, noise, trackers=(JacSupNorm(), PathRecorder()))
     assert res.n_flagged == 64
-    path = integrate(fs, [2.0], g, noise, 0)
-    assert path.flagged and np.isnan(path.states[-1, 0])
+    assert not np.isfinite(res.extras["paths_states"][:, -1, 0]).any()
     with pytest.raises(FieldError):
         moment_sup(res, 2.0)     # nothing left after exclusion
 
 
 # ---------------------------------------------------------------------------
-# distances and moments
-
-
-def test_sup_distance_cases():
-    g = TimeGrid(1.0, 100)
-    noise = BrownianBatch(seed=6, paths=4, grid=g, m=1)
-    bm = builtin_field("bm", n=1)
-    a = integrate(bm, [0.0], g, noise, 0)
-    assert sup_distance(a, a, 2.0) == (0.0, 0.0)
-    b = integrate(bm, [1.0], g, noise, 0)        # same increments, shifted start
-    ds, dj = sup_distance(a, b, 1.0)
-    assert ds == pytest.approx(1.0, abs=1e-14)
-    assert dj == 0.0
-    ou = builtin_field("ou", lam=1.0)
-    oa = integrate(ou, [0.0], g, noise, 1)
-    ob = integrate(ou, [1.0], g, noise, 1)
-    ds, _ = sup_distance(oa, ob, 1.0)
-    assert ds == pytest.approx(1.0, abs=1e-12)   # gap decays from 1 at t=0
-    with pytest.raises(FieldError):
-        sup_distance(a, integrate(bm, [0.0], TimeGrid(1.0, 50),
-                                  BrownianBatch(seed=6, paths=4,
-                                                grid=TimeGrid(1.0, 50), m=1), 0), 1.0)
+# moments
 
 
 def test_moment_sup_bm_and_ou():
@@ -389,15 +372,13 @@ def test_state_only_family_refuses_derivative_gaps():
     log = builtin_field("log_example", beta=1.0)
     eps = [0.2, 0.1, 0.05]
     full = coupled_family(log, eps, [0.0], g, noise, include_base=False)
-    fam = coupled_family(log, eps, [0.0], g, noise, include_base=False, with_jac=False,
-                         keep_paths=True)
+    fam = coupled_family(log, eps, [0.0], g, noise, include_base=False, with_jac=False)
     assert fam.pair_jac_sup is None
     with pytest.raises(FieldError, match="state-only"):
         fam.sup_moment(0.2, 0.05, 2.0, which="jac")
     assert fam.pair_state_sup.keys() == full.pair_state_sup.keys()
     for key, vals in full.pair_state_sup.items():
         assert vals.tobytes() == fam.pair_state_sup[key].tobytes()
-    assert "states" in fam.levels[0.1].extras and "jacs" not in fam.levels[0.1].extras
     assert all(res.jac_T is None for res in fam.levels.values())
 
 
@@ -408,16 +389,6 @@ def test_coupled_family_validates_ladder():
         coupled_family(builtin_field("bm", n=1), [0.1, 0.2], [0.0], g, noise)
     with pytest.raises(FieldError):
         coupled_family(builtin_field("bm", n=1), [0.1, -0.2], [0.0], g, noise)
-
-
-def test_coupled_family_keep_paths():
-    g = TimeGrid(0.5, 20)
-    noise = BrownianBatch(seed=14, paths=32, grid=g, m=1)
-    fam = coupled_family(builtin_field("ou", lam=1.0), [0.1], [1.0], g, noise,
-                         keep_paths=True)
-    states = fam.levels[0.1].extras["states"]
-    assert states.shape == (32, 21, 1)
-    assert np.allclose(states[:, 0, 0], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +403,34 @@ def test_worker_count_does_not_change_results():
             for w in (1, 4)]
     assert np.array_equal(runs[0].state_T, runs[1].state_T)
     assert np.array_equal(runs[0].extras["sup_jac"], runs[1].extras["sup_jac"])
+
+
+_WORKER_FIELDS = {
+    "ou": (builtin_field("ou", lam=1.0), [0.5], [-0.25]),
+    "log_example|eps=0.1": (mollify_field(builtin_field("log_example", beta=1.0), 0.1),
+                            [0.2], [-0.1]),
+    "bm2": (builtin_field("bm", n=2), [0.0, 0.3], [1.0, -1.0]),
+}
+
+
+@settings(max_examples=15, deadline=None)
+@given(name=st.sampled_from(sorted(_WORKER_FIELDS)),
+       paths=st.integers(BLOCK + 1, 3 * BLOCK), steps=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_outputs_do_not_depend_on_the_worker_count(name, paths, steps, seed):
+    # 2-3 blocks, so workers > 1 runs them on the pool
+    fs, xa, xb = _WORKER_FIELDS[name]
+    g = TimeGrid(0.25, steps)
+    noise = BrownianBatch(seed=seed, paths=paths, grid=g, m=fs.m)
+    out = []
+    for w in (1, 2, 3):
+        results, extras = run_multi([(fs, xa), (fs, xb)], g, noise,
+                                    trackers=(JacSupNorm(0), JacSupNorm(1, "sup_jac_1"),
+                                              PathRecorder(1)), workers=w)
+        out.append([a.tobytes() for res in results for a in (res.state_T, res.jac_T, res.flag)]
+                   + [extras[key].tobytes() for key in sorted(extras)])
+    assert len(out[0]) == 6 + 4
+    assert out[0] == out[1] == out[2]
 
 
 def test_env_variable_sets_default_workers(monkeypatch):

@@ -290,7 +290,8 @@ def test_study_dimensions_rejected_before_any_noise(monkeypatch):
 
 def test_converge_studies_evaluate_only_what_they_report(monkeypatch):
     # converge-flow reports state gaps, so it evaluates no DA; neither study
-    # evaluates log_example's drift, which is declared identically zero
+    # evaluates log_example's drift, which is declared identically zero, and
+    # neither does condition-g's g_function, for log_example or for bm
     import dataclasses
     from collections import Counter
 
@@ -317,6 +318,31 @@ def test_converge_studies_evaluate_only_what_they_report(monkeypatch):
         calls.clear()
         run_command(name, cfg)
         assert dict(calls) == expected, name
+    # eight replicates of a small and a doubled batch: 16 g_function calls
+    for spec in (cfg.field_spec, {"name": "bm", "params": {"n": 1}}):
+        calls.clear()
+        run_command("condition-g", _cfg(field_spec=spec, paths=10_000))
+        assert dict(calls) == {("DA", 1): 16}, spec["name"]
+
+
+def test_kernel_bound_fails_on_the_flagged_fraction(monkeypatch):
+    # flagged paths leave the KDE's sample, so the study fails, before the
+    # fit, once they reach the documented 1e-4 limit: 5 of 10,000 is 5e-4
+    from sdem import harness
+
+    real = harness.run_ensemble
+
+    def flag_five(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.flag[:5] = True
+        return res
+
+    monkeypatch.setattr(harness, "run_ensemble", flag_five)
+    res = run_command("kernel-bound", _cfg(T=1.0, steps=8, paths=10_000,
+                                           options={"t": 1.0}))
+    assert not res.ok
+    assert res.payload["flagged"] == 5
+    assert any("flagged fraction 5.00e-04" in f for f in res.failures), res.failures
 
 
 def test_documented_and_benchmarked_configs_are_accepted(monkeypatch):

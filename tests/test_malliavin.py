@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sdem.fields import builtin_field
-from sdem.flow import BrownianBatch, TimeGrid, integrate, run_ensemble
+from sdem.flow import BrownianBatch, TimeGrid, run_ensemble
 from sdem.malliavin import (CameronMartinPath, DivergenceWeight, MCConfig,
                             IbpResult, RightInverseError, bismut_gradient,
                             divergence, fd_gradient, ibp_check,
@@ -195,22 +195,20 @@ def test_triple_agreement_matrix():
 def test_divergence_bm_is_brownian_endpoint():
     g = TimeGrid(0.5, 100)
     noise = BrownianBatch(seed=40, paths=4, grid=g, m=1)
-    bm = builtin_field("bm", n=1)
-    path = integrate(bm, [0.0], g, noise, 1)
     h = CameronMartinPath.constant([1.0])
-    val = divergence(h, path, bm)
-    w_T = noise.increments(1)[:, 0].sum()
-    assert val == pytest.approx(w_T, abs=1e-12)
+    vals = divergence(h, builtin_field("bm", n=1), [0.0], g, noise)
+    w_T = noise.block_increments(0)[:, :, 0].sum(axis=1)
+    assert vals.shape == (4,)
+    assert vals == pytest.approx(w_T, abs=1e-12)
 
 
 def test_divergence_scaled_diffusion():
     g = TimeGrid(0.5, 100)
     noise = BrownianBatch(seed=41, paths=4, grid=g, m=1)
     fs = builtin_field("const_shift", matrix=[[2.0]], shift=[0.0])
-    path = integrate(fs, [0.0], g, noise, 0)
     h = CameronMartinPath.constant([1.0])
-    w_T = noise.increments(0)[:, 0].sum()
-    assert divergence(h, path, fs) == pytest.approx(w_T / 2.0, abs=1e-12)
+    w_T = noise.block_increments(0)[:, :, 0].sum(axis=1)
+    assert divergence(h, fs, [0.0], g, noise) == pytest.approx(w_T / 2.0, abs=1e-12)
 
 
 def test_divergence_ou_ito_isometry():
