@@ -20,6 +20,7 @@ from sdem.harness import ExperimentConfig, run_command
 LOG = {"name": "log_example", "params": {"beta": 1.0}}
 OU = {"name": "ou", "params": {"lam": 1.0}}
 BM = {"name": "bm", "params": {"n": 1}}
+BM2 = {"name": "bm", "params": {"n": 2}}
 
 CASES = {
     "converge-flow": dict(field_spec=LOG, eps=(0.2, 0.1, 0.05), T=0.25, steps=25,
@@ -36,7 +37,15 @@ CASES = {
                 workers=2, options={"t": 0.2, "F": "sin"}),
     "moment": dict(field_spec=LOG, T=0.25, steps=50, paths=2000, seed=16,
                    options={"mollify_eps": 0.1, "p": 2.0}),
+    # n = 2 with a direction off both axes: the 2x2 right inverse (the `inv`
+    # branch) and the stacked 2x2 products of the derivative flow
+    "gradient-bm2": dict(field_spec=BM2, T=0.25, steps=50, paths=2000, seed=17,
+                         x0=(0.3, -0.2), options={"t": 0.25, "f": "sin",
+                                                  "v0": [0.6, -0.8]}),
 }
+
+# a case named COMMAND-SUFFIX runs COMMAND at another config
+COMMAND_OF = {"gradient-bm2": "gradient"}
 
 GOLDEN = {
     "condition-g": {
@@ -61,6 +70,10 @@ GOLDEN = {
         "gradient.json":
             "10d03de66d41490515d6656331bbaacf1639e7e273a97c6e4f499ca6cc705a6c",
     },
+    "gradient-bm2": {
+        "gradient.json":
+            "e8a0ae846a39628a1c94ed2dfc19f5562603a447d5a597301840be5635afa694",
+    },
     "ibp": {
         "ibp.json":
             "b46e1b28a2a0d1974f2a7ddac9919c2d89fc6dfa15e2474df3575bf4fdfe3c3c",
@@ -80,15 +93,15 @@ GOLDEN = {
 }
 
 
-def digests(command):
-    res = run_command(command, ExperimentConfig(**CASES[command]))
+def digests(case):
+    res = run_command(COMMAND_OF.get(case, case), ExperimentConfig(**CASES[case]))
     return {name: hashlib.sha256(text.encode("utf-8")).hexdigest()
             for name, text in sorted(res.files.items())}
 
 
-@pytest.mark.parametrize("command", sorted(CASES))
-def test_study_outputs_match_golden_digests(command):
-    assert digests(command) == GOLDEN[command]
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_study_outputs_match_golden_digests(case):
+    assert digests(case) == GOLDEN[case]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -98,7 +111,7 @@ def test_golden_digests_do_not_depend_on_blas_threads(threads):
     here = Path(__file__).resolve().parent
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
            "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
-    commands = ["converge-flow", "converge-derivative", "gradient", "ibp"]
+    commands = ["converge-flow", "converge-derivative", "gradient", "gradient-bm2", "ibp"]
     script = ("import json, sys, test_golden as g; "
               "print(json.dumps({c: g.digests(c) for c in sys.argv[1:]}))")
     out = subprocess.run([sys.executable, "-c", script, *commands], env=env, cwd=here,
