@@ -115,8 +115,15 @@ class VectorFieldSet:
 
     ``zero_drift`` declares that the drift is identically zero: ``A(0, x)``
     and ``DA(0, x)`` are 0 at every x.  The engine then evaluates neither,
-    and the Euler step and the derivative energy skip their zero terms.  A
-    declaration that is false changes the simulated flow.
+    and the Euler step and the derivative energy skip their zero terms.
+
+    ``constant_diffusion`` declares that every diffusion field is constant:
+    ``A(l, x)`` equals ``A(l, 0)`` and ``DA(l, x)`` is 0 at every x, for
+    l >= 1.  The engine then evaluates each ``A(l)`` at the origin alone and
+    broadcasts that row over the paths, evaluates no ``DA(l)``, skips the
+    zero ``DA(l) V dW`` terms, and inverts the diffusion matrix once per
+    block.  A declaration, of either kind, that is false changes the
+    simulated flow.
     """
 
     n: int
@@ -127,6 +134,7 @@ class VectorFieldSet:
     name: str = "custom"
     params: dict = field(default_factory=dict)
     zero_drift: bool = False
+    constant_diffusion: bool = False
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
@@ -166,7 +174,8 @@ def _bm(n: int) -> VectorFieldSet:
         return out[0] if single else out.reshape(np.asarray(x).shape[:-1] + (n, n))
 
     meta = FieldMeta(theta=1.0, hoelder_K=0.0, hoelder_alpha=0.5, bound_M=1.0)
-    return VectorFieldSet(n, n, A, DA, meta, name="bm", params={"n": n}, zero_drift=True)
+    return VectorFieldSet(n, n, A, DA, meta, name="bm", params={"n": n}, zero_drift=True,
+                          constant_diffusion=True)
 
 
 def _ou(lam: float) -> VectorFieldSet:
@@ -185,7 +194,8 @@ def _ou(lam: float) -> VectorFieldSet:
         return out[0] if single else out.reshape(np.asarray(x).shape[:-1] + (1, 1))
 
     meta = FieldMeta(theta=1.0, hoelder_K=lam, hoelder_alpha=1.0, growth="linear")
-    return VectorFieldSet(1, 1, A, DA, meta, name="ou", params={"lam": lam})
+    return VectorFieldSet(1, 1, A, DA, meta, name="ou", params={"lam": lam},
+                          constant_diffusion=True)
 
 
 def _const_shift(matrix, shift) -> VectorFieldSet:
@@ -215,7 +225,8 @@ def _const_shift(matrix, shift) -> VectorFieldSet:
     meta = FieldMeta(theta=theta, hoelder_K=0.0, hoelder_alpha=0.5,
                      bound_M=float(np.abs(mat).sum(axis=0).max() + np.abs(b).max()))
     return VectorFieldSet(n, m, A, DA, meta, name="const_shift",
-                          params={"matrix": mat.tolist(), "shift": b.tolist()})
+                          params={"matrix": mat.tolist(), "shift": b.tolist()},
+                          constant_diffusion=True)
 
 
 _SMALLEST_SUBNORMAL = 5e-324
@@ -384,15 +395,16 @@ def g_function(fs: VectorFieldSet, x) -> np.ndarray | float:
     return total.reshape(np.asarray(x).shape[:-1])
 
 
-def _g_sum(das) -> np.ndarray:
+def _g_sum(das) -> np.ndarray | float:
     """G from the derivatives DA(0..m), each (N, n, n), summed in that order.
 
-    DA(0) is None for a declared zero drift; its square adds +0, which
-    changes no sum of squares, so it is skipped."""
-    total = np.zeros(len(das[-1]))
+    A derivative declared identically zero is None: DA(0) of a zero drift,
+    DA(l >= 1) of a constant diffusion.  Its square adds +0, which changes
+    no sum of squares, so it is skipped; when every entry is None, G is 0.0."""
+    total = 0.0
     for d in das:
         if d is not None:
-            total += np.sum(d * d, axis=(-2, -1))
+            total = total + np.sum(d * d, axis=(-2, -1))
     return total
 
 
@@ -461,14 +473,26 @@ def condition_g_estimate(fs: VectorFieldSet, sigma: float, T0: float, x,
 def _radius(pts):
     """|x| over the last axis, shape (..., 1).  Where squaring the entries
     overflows, the point is first scaled by max_i |x_i|, so the radius of a
-    finite point is finite whenever it is below the largest double."""
+    finite point is finite whenever it is below the largest double; above
+    it, the radius is inf, with no warning."""
     with np.errstate(over="ignore"):
         r = np.linalg.norm(pts, axis=-1, keepdims=True)
-    big = np.isinf(r[..., 0]) & np.all(np.isfinite(pts), axis=-1)
-    if np.any(big):
-        s = np.max(np.abs(pts[big]), axis=-1, keepdims=True)
-        r[big] = s * np.linalg.norm(pts[big] / s, axis=-1, keepdims=True)
+        big = np.isinf(r[..., 0]) & np.all(np.isfinite(pts), axis=-1)
+        if np.any(big):
+            s = np.max(np.abs(pts[big]), axis=-1, keepdims=True)
+            r[big] = s * np.linalg.norm(pts[big] / s, axis=-1, keepdims=True)
     return r
+
+
+def _unit(pts):
+    """x / |x| over the last axis, taken through the scaled point
+    u = x / max_i |x_i|, whose norm lies in [1, sqrt(n)]: the direction of
+    every finite point is finite, even where |x| exceeds the largest double.
+    The origin maps to itself."""
+    s = np.max(np.abs(pts), axis=-1, keepdims=True)
+    u = pts / np.where(s > 0, s, 1.0)
+    ru = np.linalg.norm(u, axis=-1, keepdims=True)
+    return u / np.where(ru > 0, ru, 1.0)
 
 
 def radial_cutoff(fs: VectorFieldSet, N: float) -> VectorFieldSet:
@@ -478,7 +502,10 @@ def radial_cutoff(fs: VectorFieldSet, N: float) -> VectorFieldSet:
     fields take their value at the radial projection N x / |x| and the
     derivative follows by the chain rule through that projection.  On the
     sphere |x| = N itself the inside limit is used; the mismatch lives on a
-    measure-zero set and does not affect the simulated flows.
+    measure-zero set and does not affect the simulated flows.  The
+    projection goes through the unit direction of x, never through |x|, so
+    a finite point whose norm exceeds the largest double still lands on the
+    sphere.  A constant field stays constant, so the declarations carry over.
     """
     if N <= 0:
         raise FieldError("radial_cutoff: N must be positive")
@@ -488,7 +515,7 @@ def radial_cutoff(fs: VectorFieldSet, N: float) -> VectorFieldSet:
         r = _radius(pts)
         outside = r[..., 0] > N
         safe_r = np.where(r > 0, r, 1.0)
-        proj = np.where(outside[..., None], N * pts / safe_r, pts)
+        proj = np.where(outside[..., None], N * _unit(pts), pts)
         # force projected radii to land at <= N so the cutoff is exactly
         # idempotent despite rounding in the rescale
         for _ in range(3):
@@ -512,7 +539,7 @@ def radial_cutoff(fs: VectorFieldSet, N: float) -> VectorFieldSet:
             proj, outside, safe_r = project(pts)
             base = fs.DA(l, proj)                      # (N, n, n) at projected points
             # d/dx of x -> N x / |x| is (N/|x|) (I - xhat xhat^T)
-            xhat = pts / safe_r
+            xhat = _unit(pts)
             tang = np.eye(n) - xhat[:, :, None] * xhat[:, None, :]
             jac = (N / safe_r)[:, :, None] * tang
             out = np.where(outside[:, None, None], base @ jac, base)
@@ -520,7 +547,8 @@ def radial_cutoff(fs: VectorFieldSet, N: float) -> VectorFieldSet:
 
     meta = replace(fs.meta, growth="bounded")
     return VectorFieldSet(n, fs.m, A, DA, meta, name=f"{fs.name}|cutoff",
-                          params={**fs.params, "cutoff_N": N}, zero_drift=fs.zero_drift)
+                          params={**fs.params, "cutoff_N": N}, zero_drift=fs.zero_drift,
+                          constant_diffusion=fs.constant_diffusion)
 
 
 def finite_difference_dfield(fs: VectorFieldSet, l: int, x, step: float = 1e-5) -> np.ndarray:

@@ -129,15 +129,21 @@ class BrownianBatch:
 def _coefficients(fields, xi, with_jac):
     """A(0..m) at xi as (B, n) arrays, and DA(0..m) as (B, n, n) or None.
 
-    A declared zero drift is not evaluated: its A(0) and DA(0) are None."""
+    A declared zero drift is not evaluated: its A(0) and DA(0) are None.
+    A declared constant diffusion is evaluated at the origin alone: each
+    A(l >= 1) is one (1, n) row that broadcasts over the block, and each
+    DA(l >= 1) is None.  A one-path block also has (1, n) rows, so a None
+    DA(l), never a row count, is what marks a constant diffusion."""
     B, n = xi.shape
-    first = 1 if fields.zero_drift else 0
-    A = [None] * first + [np.asarray(fields.A(l, xi)).reshape(B, n)
-                          for l in range(first, fields.m + 1)]
+    pts = np.zeros((1, n)) if fields.constant_diffusion else xi
+    A = [None if fields.zero_drift else np.asarray(fields.A(0, xi)).reshape(B, n)]
+    A += [np.asarray(fields.A(l, pts)).reshape(len(pts), n) for l in range(1, fields.m + 1)]
     if not with_jac:
         return A, None
-    return A, [None] * first + [np.asarray(fields.DA(l, xi)).reshape(B, n, n)
-                                for l in range(first, fields.m + 1)]
+    DA = [None if fields.zero_drift else np.asarray(fields.DA(0, xi)).reshape(B, n, n)]
+    DA += [None if fields.constant_diffusion else np.asarray(fields.DA(l, xi)).reshape(B, n, n)
+           for l in range(1, fields.m + 1)]
+    return A, DA
 
 
 def _mm(a, b):
@@ -153,9 +159,11 @@ def _mm(a, b):
 def _euler_step(xi, V, coef, dWk, dt):
     """One left-point Euler step for a block: xi (B, n), V (B, n, n) or None.
 
-    A skipped zero drift (A[0] is None) has no dt terms.  Adding its zeros
-    could only turn a -0 entry into +0, or an infinite V entry into NaN,
-    so no value a study reads and no flag depends on the skip."""
+    A skipped zero drift (A[0] is None) has no dt terms, and a skipped
+    constant diffusion (DA[l] is None) no DA(l) V dW terms.  Adding their
+    zeros could only turn a -0 entry into +0, or an infinite V entry into
+    NaN, so no value a study reads and no flag depends on the skip.  A (1, n)
+    row A[l] broadcasts over the block: each entry is the same product."""
     A, DA = coef
     xi_new = xi if A[0] is None else xi + A[0] * dt
     V_new = None
@@ -163,7 +171,7 @@ def _euler_step(xi, V, coef, dWk, dt):
         V_new = V if DA[0] is None else V + _mm(DA[0], V) * dt
     for l in range(1, len(A)):
         xi_new = xi_new + A[l] * dWk[:, l - 1: l]
-        if V is not None:
+        if V is not None and DA[l] is not None:
             V_new = V_new + _mm(DA[l], V) * dWk[:, l - 1, None, None]
     return xi_new, V_new
 
@@ -176,7 +184,9 @@ def _euler_step(xi, V, coef, dWk, dt):
 # `step(k, xis, Vs, dWk, dt, coefs)` sees every step before the state update,
 # so Ito sums are left-point by construction; coefs[r] is run r's (A, DA) at
 # xis[r] from _coefficients, which the Euler update then uses too, so no
-# tracker evaluates a field.  After the final step comes one more call,
+# tracker evaluates a field.  A declared constant diffusion arrives as (1, n)
+# rows A(l >= 1) with None DA(l >= 1); a declared zero drift as None A(0) and
+# DA(0).  After the final step comes one more call,
 # `step(steps, xis, Vs, None, dt, None)`; Ito sums return at once when dWk is
 # None.  `finish()` returns the block's extras: arrays with one row per path.
 # A tracker that reads V or DA sets `reads_jac`; a state-only run rejects it

@@ -20,7 +20,7 @@ constant rate hdot = v0, so one tracker, DivergenceWeight, serves both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -145,9 +145,11 @@ class CameronMartinPath:
     ``rate(k, state)`` returns hdot at step k given the state at the left
     endpoint of the step, so the evaluator can only ever see the past;
     adaptedness holds by construction rather than by a runtime check.
+    A direction with a constant rate also carries that rate as ``vec``.
     """
 
     rate: Callable[[int, np.ndarray], np.ndarray]
+    vec: Optional[np.ndarray] = field(default=None, compare=False)
 
     @staticmethod
     def constant(vec) -> "CameronMartinPath":
@@ -156,7 +158,21 @@ class CameronMartinPath:
         def rate(k, state):
             return np.broadcast_to(vec, state.shape)
 
-        return CameronMartinPath(rate)
+        return CameronMartinPath(rate, vec)
+
+
+def _checked_vector(vec, key: str, n: int) -> np.ndarray:
+    """A direction as a vector of n entries; any other length raises,
+    naming the key, before a run draws noise."""
+    vec = np.atleast_1d(np.asarray(vec, dtype=float))
+    if vec.shape != (n,):
+        raise FieldError(f"direction {key} has shape {vec.shape}, field set has n={n}")
+    return vec
+
+
+def _check_direction(h: "CameronMartinPath", n: int) -> None:
+    if h.vec is not None:
+        _checked_vector(h.vec, "h", n)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +184,11 @@ class DivergenceWeight(Tracker):
 
     Accumulates the Ito sum <Y(xi_k) V_k hdot_k, dW_k>, the direction
     h_k = sum_{j<k} hdot_j dt, and the energy int |hdot|^2 dt.
+
+    Under a declared constant diffusion (DA(l >= 1) is None) the (1, m, n)
+    right inverse is computed once per block and broadcast.  A constant
+    direction keeps hdot, h and the energy as one row, broadcast to every
+    path in ``finish``.  Each entry is the same product either way.
     """
 
     reads_jac = True
@@ -176,7 +197,21 @@ class DivergenceWeight(Tracker):
         self.h, self.run, self.name = h, run, name
 
     def start(self, B):
-        self.w, self.hval, self.energy = np.zeros(B), None, np.zeros(B)
+        self.B, self.w, self.y = B, np.zeros(B), None
+        if self.h.vec is None:
+            self.hval, self.energy = None, np.zeros(B)
+        else:
+            self.hval, self.energy = np.zeros((1, len(self.h.vec))), np.zeros(1)
+
+    def _right_inverse(self, A, DA, xi):
+        """Y at xi; a declared constant diffusion (DA(1) is None) is inverted
+        once per block, at the origin, where it was evaluated."""
+        if DA[1] is not None:
+            return _located_right_inverse(np.stack(A[1:], axis=-1), xi)
+        if self.y is None:
+            origin = np.zeros((1, xi.shape[1]))
+            self.y = _located_right_inverse(np.stack(A[1:], axis=-1), origin)
+        return self.y
 
     def step(self, k, xis, Vs, dWk, dt, coefs):
         if dWk is None:
@@ -184,8 +219,9 @@ class DivergenceWeight(Tracker):
         xi, V = xis[self.run], Vs[self.run]
         if self.hval is None:
             self.hval = np.zeros_like(xi)
-        hdot = np.asarray(self.h.rate(k, xi), dtype=float)
-        y = _located_right_inverse(np.stack(coefs[self.run][0][1:], axis=-1), xi)
+        hdot = (self.h.vec[None, :] if self.h.vec is not None
+                else np.asarray(self.h.rate(k, xi), dtype=float))
+        y = self._right_inverse(*coefs[self.run], xi)
         vd = _mm(V, hdot[:, :, None])[:, :, 0]
         proj = _mm(y, vd[:, :, None])[:, :, 0]
         self.w += np.sum(proj * dWk, axis=1)
@@ -193,10 +229,11 @@ class DivergenceWeight(Tracker):
         self.energy += np.sum(hdot * hdot, axis=1) * dt
 
     def finish(self):
+        n = self.hval.shape[1]
         return {
             f"{self.name}_weight": self.w,
-            f"{self.name}_h_T": self.hval,
-            f"{self.name}_energy": self.energy,
+            f"{self.name}_h_T": np.broadcast_to(self.hval, (self.B, n)),
+            f"{self.name}_energy": np.broadcast_to(self.energy, (self.B,)),
         }
 
 
@@ -234,6 +271,7 @@ def bismut_gradient(f: Callable, x, v0, t: float, cfg: MCConfig) -> EstimatorRep
     direction with constant rate hdot = v0.  Valid for bounded measurable
     f; no derivative of f is used.
     """
+    v0 = _checked_vector(v0, "v0", cfg.fields.n)
     grid = cfg.grid_for(t)
     noise = cfg.noise_for(grid)
     res = run_ensemble(cfg.fields, x, grid, noise,
@@ -247,11 +285,11 @@ def bismut_gradient(f: Callable, x, v0, t: float, cfg: MCConfig) -> EstimatorRep
 
 def intertwine_gradient(df: Callable, x, v0, t: float, cfg: MCConfig) -> EstimatorReport:
     """Intertwining estimate E[df(xi_t) . (V_t v0)] for C^1 test functions."""
+    v0 = _checked_vector(v0, "v0", cfg.fields.n)
     grid = cfg.grid_for(t)
     noise = cfg.noise_for(grid)
     res = run_ensemble(cfg.fields, x, grid, noise, workers=cfg.workers)
     ok = res.ok
-    v0 = np.atleast_1d(np.asarray(v0, dtype=float))
     direction = np.einsum("bij,j->bi", res.jac_T[ok], v0)
     grads = np.asarray(df(res.state_T[ok]), dtype=float).reshape(direction.shape)
     vals = np.sum(grads * direction, axis=1)
@@ -262,10 +300,10 @@ def fd_gradient(f: Callable, x, v0, t: float, h: float, cfg: MCConfig) -> Estima
     """Central finite difference of P_t f with common random numbers."""
     if h <= 0:
         raise FieldError("fd_gradient: bump size must be positive")
+    v0 = _checked_vector(v0, "v0", cfg.fields.n)
     grid = cfg.grid_for(t)
     noise = cfg.noise_for(grid)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    v0 = np.atleast_1d(np.asarray(v0, dtype=float))
     runs = [(cfg.fields, x + h * v0), (cfg.fields, x - h * v0)]
     results, _ = run_multi(runs, grid, noise, with_jac=False, workers=cfg.workers)
     ok = results[0].ok
@@ -284,6 +322,7 @@ def divergence(h: CameronMartinPath, fs, x0, grid: TimeGrid, noise: BrownianBatc
                workers: Optional[int] = None) -> np.ndarray:
     """Per-path left-point Ito sums of <Y(xi_k) V_k hdot_k, dW_k>: the
     DivergenceWeight of an ensemble of fs started at x0 on the given noise."""
+    _check_direction(h, fs.n)
     res = run_ensemble(fs, x0, grid, noise, trackers=(DivergenceWeight(h),),
                        workers=workers)
     return res.extras["div_weight"]
@@ -313,6 +352,7 @@ def ibp_check(F: Callable, dF: Callable, h: CameronMartinPath, cfg: MCConfig,
     ``full_path=True`` the functionals receive (times, states (B, K+1, n))
     and (times, states, direction path) instead.
     """
+    _check_direction(h, cfg.fields.n)
     grid = cfg.grid_for(t)
     noise = cfg.noise_for(grid)
     trackers = [DivergenceWeight(h)]

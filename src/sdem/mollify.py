@@ -174,6 +174,12 @@ class MollifiedFieldSet:
         return self.base.zero_drift
 
     @property
+    def constant_diffusion(self) -> bool:
+        """The base's declaration; constants mollify exactly to themselves,
+        and their derivatives to exactly 0, by the same rule."""
+        return self.base.constant_diffusion
+
+    @property
     def has_weak_derivative(self) -> bool:
         return True
 

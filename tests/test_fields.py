@@ -330,6 +330,22 @@ def test_radial_cutoff_sends_huge_points_to_the_sphere(rng, recwarn):
     assert np.array_equal(_radius(pts), np.linalg.norm(pts, axis=-1, keepdims=True))
 
 
+def test_radial_cutoff_projects_points_beyond_the_largest_double():
+    # |x| itself overflows here; the projection goes through the direction
+    # of x, so the point lands on the sphere, with no floating-point event
+    from sdem.fields import VectorFieldSet, FieldMeta
+    lin2 = VectorFieldSet(2, 2, lambda l, x: -np.asarray(x, dtype=float) if l == 0
+                          else np.broadcast_to(np.eye(2)[l - 1], np.shape(x)).copy(),
+                          None, FieldMeta(), name="lin2")
+    cut = radial_cutoff(lin2, 1.0)
+    pts = np.array([[1.5e308, 1.5e308], [1.5e308, -1.7e308], [-1.7e308, 0.0]])
+    with np.errstate(all="raise"):
+        out = cut.A(0, pts)
+    u = pts / np.max(np.abs(pts), axis=1, keepdims=True)
+    assert np.allclose(out, -u / np.linalg.norm(u, axis=1, keepdims=True), rtol=1e-15, atol=0)
+    assert np.allclose(out[0], [-math.sqrt(0.5)] * 2, rtol=1e-15, atol=0)
+
+
 def test_radial_cutoff_rejects_bad_radius():
     with pytest.raises(FieldError):
         radial_cutoff(builtin_field("bm", n=1), 0.0)

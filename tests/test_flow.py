@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdem.fields import DerivativeUnavailableError, FieldError, builtin_field
+from sdem.fields import DerivativeUnavailableError, FieldError, builtin_field, radial_cutoff
 from sdem.malliavin import CameronMartinPath, DivergenceWeight, _DirectionRecorder
 from sdem.mollify import mollify_field
 from sdem.flow import (BLOCK, BrownianBatch, IntegratedG, JacSupNorm, PathRecorder, TimeGrid,
@@ -168,28 +168,43 @@ def test_ou_derivative_flow_matches_product_and_exponential():
 
 
 def test_each_field_is_evaluated_once_per_step():
-    # the Euler update and every tracker share one evaluation of each field,
-    # and a drift declared identically zero (bm's) is never evaluated
-    calls = Counter()
+    # the Euler update and every tracker share one evaluation of each field;
+    # a drift declared identically zero (bm's) is never evaluated, and a
+    # declared constant diffusion (all three here) is evaluated on one row
+    # per step, with its zero derivative never evaluated
+    calls, rows = Counter(), Counter()
 
     def counted(name, fn):
         def wrapped(l, x):
             calls[name, l] += 1
+            rows[name, l] += len(x)
             return fn(l, x)
         return wrapped
 
     g = TimeGrid(0.25, 4)
-    noise = BrownianBatch(seed=5, paths=BLOCK + 10, grid=g, m=2)
     shifted = builtin_field("const_shift", matrix=[[1.0, 0.5], [0.0, 2.0]], shift=[0.1, 0.0])
-    for base, first in ((shifted, 0), (builtin_field("bm", n=2), 1)):
+    cases = ((shifted, [0.0, 0.0], [1.0, -1.0]),
+             (builtin_field("bm", n=2), [0.0, 0.0], [1.0, -1.0]),
+             (builtin_field("ou", lam=1.0), [0.0], [1.0]))
+    for base, x0, hdot in cases:
+        assert base.constant_diffusion
+        noise = BrownianBatch(seed=5, paths=BLOCK + 10, grid=g, m=base.m)
         fs = dataclasses.replace(base, A=counted("A", base.A), DA=counted("DA", base.DA))
-        expected = {(name, l): g.steps * noise.n_blocks
-                    for name in ("A", "DA") for l in range(first, 3)}
-        for trackers in ((DivergenceWeight(CameronMartinPath.constant([1.0, -1.0])),),
+        per_step = g.steps * noise.n_blocks
+        first = 1 if base.zero_drift else 0
+        expect_calls = {("A", l): per_step for l in range(first, base.m + 1)}
+        expect_rows = {("A", l): per_step if l else g.steps * noise.paths
+                       for l in range(first, base.m + 1)}
+        if first == 0:
+            expect_calls["DA", 0] = per_step
+            expect_rows["DA", 0] = g.steps * noise.paths
+        for trackers in ((DivergenceWeight(CameronMartinPath.constant(hdot)),),
                          (JacSupNorm(), IntegratedG())):
             calls.clear()
-            run_ensemble(fs, [0.0, 0.0], g, noise, trackers=trackers, workers=1)
-            assert dict(calls) == expected
+            rows.clear()
+            run_ensemble(fs, x0, g, noise, trackers=trackers, workers=1)
+            assert dict(calls) == expect_calls, base.name
+            assert dict(rows) == expect_rows, base.name
 
 
 def test_zero_drift_skip_and_state_only_runs_are_bit_exact():
@@ -209,6 +224,46 @@ def test_zero_drift_skip_and_state_only_runs_are_bit_exact():
                                                extras["int_g"], state.state_T, state.flag)])
         assert out[0] == out[1]
         assert out[0][0] == out[0][4] and out[0][2] == out[0][5]
+
+
+def test_constant_diffusion_declaration_is_bit_exact():
+    # evaluating a declared constant diffusion on one row, skipping its zero
+    # derivative and inverting it once per block moves no bit of what a
+    # study reads, on the raw, mollified and cut-off views
+    def both(fs):
+        return fs, dataclasses.replace(fs, constant_diffusion=False)
+
+    ou = builtin_field("ou", lam=1.0)
+    bm2 = builtin_field("bm", n=2)
+    wide = builtin_field("const_shift", matrix=[[1.0, 0.5, -0.3], [0.2, 2.0, 0.7]],
+                         shift=[0.1, -0.2])
+    cases = [(both(ou), [0.3], [1.0]),
+             (both(bm2), [0.3, -0.2], [0.6, -0.8]),
+             (both(wide), [0.3, -0.2], [0.6, -0.8]),
+             ([mollify_field(fs, 0.1) for fs in both(ou)], [0.3], [1.0]),
+             ([radial_cutoff(fs, 0.5) for fs in both(bm2)], [0.3, -0.2], [0.6, -0.8])]
+    g = TimeGrid(0.25, 30)
+    for (declared, plain), x0, hdot in cases:
+        assert declared.constant_diffusion and not plain.constant_diffusion
+        noise = BrownianBatch(seed=23, paths=300, grid=g, m=declared.m)
+        out = []
+        for fs in (declared, plain):
+            trackers = (DivergenceWeight(CameronMartinPath.constant(hdot)), IntegratedG())
+            res = run_ensemble(fs, x0, g, noise, trackers=trackers)
+            out.append([a.tobytes() for a in (res.state_T, res.jac_T, res.flag)]
+                       + [res.extras[key].tobytes() for key in
+                          ("div_weight", "div_h_T", "div_energy", "int_g")])
+        assert out[0] == out[1], declared.name
+    # a one-path block has one row too; its (varying) diffusion must still be
+    # inverted at every step, so its path reads as it does in a larger block
+    log = builtin_field("log_example", beta=1.0)
+    weights = []
+    for paths in (1, 3):
+        noise = BrownianBatch(seed=24, paths=paths, grid=g, m=1)
+        res = run_ensemble(log, [0.3], g, noise,
+                           trackers=(DivergenceWeight(CameronMartinPath.constant([1.0])),))
+        weights.append(res.extras["div_weight"][0])
+    assert weights[0] == weights[1]
 
 
 def test_state_only_run_rejects_trackers_that_read_v_before_any_noise(monkeypatch):

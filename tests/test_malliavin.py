@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sdem.fields import builtin_field
+from sdem.fields import FieldError, builtin_field
 from sdem.flow import BrownianBatch, TimeGrid, run_ensemble
 from sdem.malliavin import (CameronMartinPath, DivergenceWeight, MCConfig,
                             IbpResult, RightInverseError, bismut_gradient,
@@ -316,3 +316,34 @@ def test_mc_config_grid():
     assert grid.steps == 500 and grid.T == 0.5
     with pytest.raises(Exception):
         cfg.grid_for(-1.0)
+
+
+def test_direction_of_the_wrong_length_fails_before_any_noise(monkeypatch):
+    # a v0 or a constant direction that does not match the field set's n is
+    # rejected, naming the key, before a block of noise is drawn
+    def no_noise(*args, **kwargs):
+        raise AssertionError("a rejected run drew noise")
+
+    monkeypatch.setattr(BrownianBatch, "block_increments", no_noise)
+    fs = builtin_field("bm", n=2)
+    cfg = MCConfig(fs, paths=8, dt=0.1, seed=0)
+    f = lambda s: s[:, 0]
+    df = lambda s: np.ones_like(s)
+    grid = cfg.grid_for(0.5)
+    noise = cfg.noise_for(grid)
+    F, dF = (lambda xT: xT[:, 0]), (lambda xT, vT: vT[:, 0])
+    for bad in ([1.0, 0.0, 0.0], [1.0]):
+        h = CameronMartinPath.constant(bad)
+        rows = [
+            (lambda: bismut_gradient(f, [0.0, 0.0], bad, 0.5, cfg), "v0"),
+            (lambda: intertwine_gradient(df, [0.0, 0.0], bad, 0.5, cfg), "v0"),
+            (lambda: fd_gradient(f, [0.0, 0.0], bad, 0.5, 1e-3, cfg), "v0"),
+            (lambda: ibp_check(F, dF, h, cfg, t=0.5, x=[0.0, 0.0]), "direction h"),
+            (lambda: divergence(h, fs, [0.0, 0.0], grid, noise), "direction h"),
+        ]
+        for call, key in rows:
+            with pytest.raises(FieldError, match=key):
+                call()
+    # the right length goes on to draw the noise
+    with pytest.raises(AssertionError, match="drew noise"):
+        bismut_gradient(f, [0.0, 0.0], [0.6, -0.8], 0.5, cfg)

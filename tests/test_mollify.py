@@ -292,7 +292,45 @@ def test_declared_zero_drift_is_exactly_zero(xs, eps):
         pts = np.resize(vals, (len(vals), fs.n))
         for view in (fs, mollify_field(fs, eps), fields_mod.radial_cutoff(fs, 1.0)):
             assert view.zero_drift
-            with np.errstate(over="ignore"):    # the cutoff's norm overflows at 1e300
-                assert np.all(view.A(0, pts) == 0.0), view.name
-                assert np.all(view.DA(0, pts) == 0.0), view.name
+            assert np.all(view.A(0, pts) == 0.0), view.name
+            assert np.all(view.DA(0, pts) == 0.0), view.name
     assert declared == {"bm", "log_example"}
+
+
+def _assert_constant_diffusion(view, pts):
+    """A(l >= 1) equals its value at the origin and DA(l >= 1) is exactly 0."""
+    origin = np.zeros((1, view.n))
+    for l in range(1, view.m + 1):
+        assert np.all(view.A(l, pts) == view.A(l, origin)), (view.name, l)
+        assert np.all(view.DA(l, pts) == 0.0), (view.name, l)
+
+
+@settings(max_examples=40, deadline=None)
+@given(xs=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=12),
+       eps=st.floats(0.005, 0.5))
+def test_declared_constant_diffusion_is_exact(xs, eps):
+    # the engine evaluates each A(l >= 1) of a declared constant diffusion at
+    # the origin alone and never its DA(l >= 1), so a wrong declaration must
+    # fail here: raw, mollified and cut off
+    from dataclasses import replace
+
+    from sdem import fields as fields_mod
+
+    assert {name for name, _ in BUILTIN_EXAMPLES} == set(fields_mod._BUILTINS)
+    fixed = [0.0, -0.0, 5e-324, 0.5, -1.0, 1.0, 1.5, -3.0, 1e6, -1e300, 1e300]
+    vals = np.array(fixed + xs)
+    declared = set()
+    for name, params in BUILTIN_EXAMPLES:
+        fs = builtin_field(name, **params)
+        if not fs.constant_diffusion:
+            continue
+        declared.add(name)
+        pts = np.resize(vals, (len(vals), fs.n))
+        for view in (fs, mollify_field(fs, eps), fields_mod.radial_cutoff(fs, 1.0)):
+            assert view.constant_diffusion
+            _assert_constant_diffusion(view, pts)
+    assert declared == {"bm", "ou", "const_shift"}
+    # a false declaration fails the check
+    false = replace(builtin_field("log_example", beta=1.0), constant_diffusion=True)
+    with pytest.raises(AssertionError):
+        _assert_constant_diffusion(false, vals[:, None])
