@@ -28,7 +28,6 @@ __all__ = [
     "GrowthProfile",
     "VectorFieldSet",
     "builtin_field",
-    "field_to_json",
     "field_from_json",
     "ellipticity_margin",
     "hoelder_estimate",
@@ -37,7 +36,6 @@ __all__ = [
     "ConditionGResult",
     "check_growth_profile",
     "radial_cutoff",
-    "finite_difference_dfield",
 ]
 
 
@@ -139,10 +137,6 @@ class VectorFieldSet:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise FieldError("state and noise dimensions must be positive")
-
-    @property
-    def has_weak_derivative(self) -> bool:
-        return self.DA is not None
 
     def require_dfield(self):
         if self.DA is None:
@@ -314,18 +308,6 @@ def builtin_field(name: str, **params) -> VectorFieldSet:
     except KeyError:
         raise FieldError(f"unknown built-in field {name!r}; have {sorted(_BUILTINS)}") from None
     return factory(**params)
-
-
-def field_to_json(fs: VectorFieldSet) -> dict:
-    """Serializable description: {name, params, n, m, meta}."""
-    meta = {
-        "theta": fs.meta.theta,
-        "hoelder_K": fs.meta.hoelder_K,
-        "hoelder_alpha": fs.meta.hoelder_alpha,
-        "bound_M": fs.meta.bound_M if math.isfinite(fs.meta.bound_M) else None,
-        "growth": fs.meta.growth,
-    }
-    return {"name": fs.name, "params": fs.params, "n": fs.n, "m": fs.m, "meta": meta}
 
 
 def field_from_json(doc: dict) -> VectorFieldSet:
@@ -506,11 +488,15 @@ def radial_cutoff(fs: VectorFieldSet, N: float) -> VectorFieldSet:
     projection goes through the unit direction of x, never through |x|, so
     a finite point whose norm exceeds the largest double still lands on the
     sphere.  A constant field stays constant, so the declarations carry over.
+    Underflow in the projection and its derivative, such as squaring the
+    entries of a tiny point, only rounds a value toward 0, so it raises
+    nothing whatever the caller's ``np.errstate``.
     """
     if N <= 0:
         raise FieldError("radial_cutoff: N must be positive")
     n = fs.n
 
+    @np.errstate(under="ignore")
     def project(pts):
         r = _radius(pts)
         outside = r[..., 0] > N
@@ -539,10 +525,11 @@ def radial_cutoff(fs: VectorFieldSet, N: float) -> VectorFieldSet:
             proj, outside, safe_r = project(pts)
             base = fs.DA(l, proj)                      # (N, n, n) at projected points
             # d/dx of x -> N x / |x| is (N/|x|) (I - xhat xhat^T)
-            xhat = _unit(pts)
-            tang = np.eye(n) - xhat[:, :, None] * xhat[:, None, :]
-            jac = (N / safe_r)[:, :, None] * tang
-            out = np.where(outside[:, None, None], base @ jac, base)
+            with np.errstate(under="ignore"):
+                xhat = _unit(pts)
+                tang = np.eye(n) - xhat[:, :, None] * xhat[:, None, :]
+                jac = (N / safe_r)[:, :, None] * tang
+                out = np.where(outside[:, None, None], base @ jac, base)
             return out[0] if single else out.reshape(np.asarray(x).shape[:-1] + (n, n))
 
     meta = replace(fs.meta, growth="bounded")
@@ -550,14 +537,3 @@ def radial_cutoff(fs: VectorFieldSet, N: float) -> VectorFieldSet:
                           params={**fs.params, "cutoff_N": N}, zero_drift=fs.zero_drift,
                           constant_diffusion=fs.constant_diffusion)
 
-
-def finite_difference_dfield(fs: VectorFieldSet, l: int, x, step: float = 1e-5) -> np.ndarray:
-    """Central finite-difference Jacobian of field l at x (test oracle)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = fs.n
-    out = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = step
-        out[:, j] = (fs.A(l, x + e) - fs.A(l, x - e)) / (2.0 * step)
-    return out

@@ -429,11 +429,11 @@ def _start_point(fields, x0, grid: TimeGrid, noise: BrownianBatch, with_jac) -> 
 class CoupledFamilyResult:
     """Ensembles at each smoothing level on common random numbers.
 
-    ``levels`` maps eps to its EnsembleResult; the unsmoothed reference run,
-    when present, is keyed by 0.0.  ``pair_state_sup``/``pair_jac_sup`` hold
-    per-path running sups of |state gap| and Frobenius derivative gap for
-    every level pair (keys are (eps_a, eps_b) with eps_a > eps_b).  A
-    state-only family has no derivative gaps: ``pair_jac_sup`` is None.
+    ``levels`` maps eps to its EnsembleResult, mollified levels only.
+    ``pair_state_sup``/``pair_jac_sup`` hold per-path running sups of
+    |state gap| and Frobenius derivative gap for every level pair (keys are
+    (eps_a, eps_b) with eps_a > eps_b).  A state-only family has no
+    derivative gaps: ``pair_jac_sup`` is None.
     """
 
     levels: dict
@@ -453,16 +453,18 @@ class CoupledFamilyResult:
             raise FieldError("the family was run state-only (with_jac=False); "
                              "it has no derivative gaps")
         key = (eps_a, eps_b) if (eps_a, eps_b) in table else (eps_b, eps_a)
+        if key not in table:
+            raise FieldError(f"the family did not run the level pair ({eps_a}, {eps_b}); "
+                             f"its levels are {list(self.levels)}")
         vals = table[key][~self.flag] ** p
         return from_samples(vals, config_hash=config_hash, excluded=self.n_flagged)
 
 
 def coupled_family(fs: VectorFieldSet, eps_list: Sequence[float], x0,
                    grid: TimeGrid, noise: BrownianBatch, *,
-                   include_base: Optional[bool] = None,
                    with_jac: bool = True,
                    workers: Optional[int] = None) -> CoupledFamilyResult:
-    """Integrate every smoothing level on identical Brownian increments.
+    """Integrate every mollified level on identical Brownian increments.
 
     With ``with_jac`` (the default) each level carries its derivative flow
     and the result holds derivative gaps beside the state gaps.  With
@@ -475,15 +477,9 @@ def coupled_family(fs: VectorFieldSet, eps_list: Sequence[float], x0,
         raise FieldError("coupled_family: eps values must be positive")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise FieldError("coupled_family: eps ladder must be strictly decreasing")
-    if include_base is None:
-        include_base = fs.has_weak_derivative
-    levels = [(e, mollify_field(fs, e)) for e in eps_list]
-    if include_base:
-        levels.append((0.0, fs))
-
-    runs = [(f, x0) for _, f in levels]
-    keys = [e for e, _ in levels]
-    pairs = list(itertools.combinations(range(len(levels)), 2))
+    runs = [(mollify_field(fs, e), x0) for e in eps_list]
+    keys = eps_list
+    pairs = list(itertools.combinations(range(len(runs)), 2))
     trackers = [_PairSup(i, j, f"pair_{i}_{j}", with_jac) for i, j in pairs]
     results, extras = run_multi(runs, grid, noise, trackers=trackers,
                                 with_jac=with_jac, workers=workers)

@@ -32,7 +32,6 @@ __all__ = [
     "COMMANDS",
     "OPTION_KEYS",
     "run_command",
-    "load_report",
     "cmd_converge_flow",
     "cmd_converge_derivative",
     "cmd_gradient",
@@ -160,18 +159,6 @@ def _plot_text(fingerprint: str, pairs) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_report(path: str, expect_fingerprint: Optional[str] = None) -> dict:
-    """Load a JSON report; abort when fingerprints do not match."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    fp = doc.get("config_fingerprint")
-    if expect_fingerprint is not None and fp != expect_fingerprint:
-        raise FieldError(
-            f"fingerprint mismatch: report {path} has {fp}, expected {expect_fingerprint}"
-        )
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # test functions available to gradient/ibp studies by name
 
@@ -220,8 +207,7 @@ def _converge(cfg: ExperimentConfig, which: str, name: str) -> CommandResult:
     noise = BrownianBatch(cfg.seed, cfg.paths, cfg.grid, fs.m)
     # the state gaps need no derivative flow; only the jac study integrates it
     fam = coupled_family(fs, eps, np.asarray(cfg.x0), cfg.grid, noise,
-                         include_base=False, with_jac=which == "jac",
-                         workers=cfg.workers)
+                         with_jac=which == "jac", workers=cfg.workers)
     ref = eps[-1]
     rows, ests, ses = [], [], []
     for e in eps[:-1]:

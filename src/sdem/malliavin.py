@@ -90,31 +90,23 @@ def _batched_right_inverse(amat: np.ndarray) -> np.ndarray:
     return y
 
 
-def _located_right_inverse(amat: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Right inverse of amat (B, n, m), the diffusion matrices at pts (B, n);
-    a singular point raises with the point and smallest eigenvalue named."""
+def right_inverse(amat: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Right inverse Y, shape (B, m, n), of the diffusion matrices amat
+    (B, n, m) taken at the points pts (B, n).
+
+    Requires ellipticity at every point; a singular point raises with the
+    point and the smallest eigenvalue named.
+    """
     try:
         return _batched_right_inverse(amat)
     except RightInverseError:
         gram = amat @ np.swapaxes(amat, -1, -2)
         eigs = np.linalg.eigvalsh(gram)
-        i = int(np.argmin(eigs[:, 0]))
+        # a NaN row is a flagged path, which passes through; name a singular one
+        i = int(np.argmin(np.where(np.isnan(eigs[:, 0]), np.inf, eigs[:, 0])))
         raise RightInverseError(
             f"diffusion matrix singular at {pts[i]}: min eigenvalue {eigs[i, 0]:.3e}"
         ) from None
-
-
-def right_inverse(fs, x) -> np.ndarray:
-    """Right inverse Y(x) of the diffusion map, shape (..., m, n).
-
-    Requires ellipticity at x; a singular point raises with the point and
-    the smallest eigenvalue named.
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim <= 1
-    pts = np.atleast_2d(x)
-    y = _located_right_inverse(np.asarray(fs.diffusion_matrix(pts)), pts)
-    return y[0] if single else y.reshape(x.shape[:-1] + y.shape[-2:])
 
 
 @dataclass(frozen=True)
@@ -205,12 +197,14 @@ class DivergenceWeight(Tracker):
 
     def _right_inverse(self, A, DA, xi):
         """Y at xi; a declared constant diffusion (DA(1) is None) is inverted
-        once per block, at the origin, where it was evaluated."""
+        once per block, at the origin, where it was evaluated.  The call goes
+        through the module name with both arguments positional, so a wrapper
+        installed on ``malliavin.right_inverse`` sees every inversion."""
         if DA[1] is not None:
-            return _located_right_inverse(np.stack(A[1:], axis=-1), xi)
+            return right_inverse(np.stack(A[1:], axis=-1), xi)
         if self.y is None:
             origin = np.zeros((1, xi.shape[1]))
-            self.y = _located_right_inverse(np.stack(A[1:], axis=-1), origin)
+            self.y = right_inverse(np.stack(A[1:], axis=-1), origin)
         return self.y
 
     def step(self, k, xis, Vs, dWk, dt, coefs):

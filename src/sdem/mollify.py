@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import integrate
@@ -32,7 +32,6 @@ from .fields import FieldMeta, VectorFieldSet, FieldError, _as_batch
 
 __all__ = [
     "QuadratureError",
-    "QuadSpec",
     "mollifier_constant",
     "eta",
     "eta_grad",
@@ -44,7 +43,7 @@ __all__ = [
 
 
 class QuadratureError(RuntimeError):
-    """Quadrature failed to converge under refinement."""
+    """The kernel quadrature's mass is far from one."""
 
 
 @lru_cache(maxsize=8)
@@ -87,33 +86,22 @@ def eta_grad(x) -> np.ndarray:
     return grad[0] if single else grad.reshape(x.shape)
 
 
-@dataclass(frozen=True)
-class QuadSpec:
-    """Tensor-product quadrature over the bounding box [-eps, eps]^n."""
-
-    nodes_per_axis: int = 16
-    rule: str = "gauss"   # gauss | midpoint
-
-    def axis_nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights on [-1, 1] for one axis."""
-        if self.rule == "gauss":
-            return np.polynomial.legendre.leggauss(self.nodes_per_axis)
-        if self.rule == "midpoint":
-            k = self.nodes_per_axis
-            h = 2.0 / k
-            return -1.0 + (np.arange(k) + 0.5) * h, np.full(k, h)
-        raise FieldError(f"unknown quadrature rule {self.rule!r}")
-
-
 @lru_cache(maxsize=64)
-def _tensor_nodes(n: int, eps: float, quad: QuadSpec):
-    """Scaled tensor grid and the normalized kernel weights on it.
+def _tensor_nodes(n: int, eps: float, nodes: int):
+    """Gauss-Legendre tensor grid of ``nodes`` points per axis over the
+    bounding box [-eps, eps]^n, and the normalized kernel weights on it.
 
     Returns (offsets (Q, n), kernel weights summing to 1, raw product
     weights (Q,) including the volume element but not the kernel).  The
-    returned arrays are cached and must be treated as read-only.
+    returned arrays are cached and must be treated as read-only.  Every
+    mollified field and scalar reaches its nodes here, so eps and the node
+    count are checked here.
     """
-    z, w = quad.axis_nodes()
+    if eps <= 0:
+        raise FieldError(f"mollify: eps must be positive, got {eps}")
+    if nodes < 8:
+        raise FieldError(f"mollify: need at least 8 quadrature nodes per axis, got {nodes}")
+    z, w = np.polynomial.legendre.leggauss(nodes)
     axes = [z] * n
     grid = np.array(list(itertools.product(*axes)))          # (Q, n) in [-1,1]^n
     wgrid = np.prod(np.array(list(itertools.product(*([w] * n)))), axis=1)
@@ -124,16 +112,16 @@ def _tensor_nodes(n: int, eps: float, quad: QuadSpec):
     total = kw.sum()
     if not (0.9 < total < 1.1):
         raise QuadratureError(
-            f"kernel quadrature mass {total:.4f} is far from 1; refine the rule"
+            f"kernel quadrature mass {total:.4f} is far from 1; use more nodes"
         )
     return offsets, kw / total, raw
 
 
 @lru_cache(maxsize=64)
-def _kernel_nodes(n: int, eps: float, quad: QuadSpec):
+def _kernel_nodes(n: int, eps: float, nodes: int):
     """Offsets with nonzero kernel weight, those weights (sum 1) and the
     index of the reference node, the one with the largest weight."""
-    offsets, kw, _ = _tensor_nodes(n, eps, quad)
+    offsets, kw, _ = _tensor_nodes(n, eps, nodes)
     keep = kw != 0.0
     return offsets[keep], kw[keep], int(np.argmax(kw[keep]))
 
@@ -145,12 +133,13 @@ class MollifiedFieldSet:
     ``A(l, x)`` is the convolution of the base field with the scaled bump
     kernel, evaluated by quadrature.  ``DA(l, x)`` smooths the supplied
     weak derivative when the base has one, and otherwise differentiates
-    the kernel analytically.
+    the kernel analytically.  The quadrature is Gauss-Legendre with
+    ``nodes`` points per axis.
     """
 
     base: VectorFieldSet
     eps: float
-    quad: QuadSpec = field(default_factory=QuadSpec)
+    nodes: int = 16
 
     @property
     def n(self) -> int:
@@ -179,10 +168,6 @@ class MollifiedFieldSet:
         and their derivatives to exactly 0, by the same rule."""
         return self.base.constant_diffusion
 
-    @property
-    def has_weak_derivative(self) -> bool:
-        return True
-
     def require_dfield(self):
         return None
 
@@ -190,7 +175,7 @@ class MollifiedFieldSet:
     def _grad_nodes(self):
         """Offsets and weights for the kernel-gradient route, (Q, n) each,
         and the reference node, the one nearest the centre."""
-        offsets, _, raw = _tensor_nodes(self.n, self.eps, self.quad)
+        offsets, _, raw = _tensor_nodes(self.n, self.eps, self.nodes)
         gvals = eta_grad(offsets / self.eps) / self.eps ** (self.n + 1)
         keep = np.any(gvals != 0.0, axis=-1)
         offsets = offsets[keep]
@@ -203,7 +188,7 @@ class MollifiedFieldSet:
 
     def A(self, l: int, x) -> np.ndarray:
         pts, single = _as_batch(np.asarray(x, dtype=float), self.n)
-        offsets, kw, r = _kernel_nodes(self.n, self.eps, self.quad)
+        offsets, kw, r = _kernel_nodes(self.n, self.eps, self.nodes)
         vals = np.asarray(self.base.A(l, self._shifted(pts, offsets)))
         vals = vals.reshape(len(offsets), pts.shape[0], self.n)
         acc = vals[r] + np.tensordot(kw, vals - vals[r], axes=1)
@@ -213,7 +198,7 @@ class MollifiedFieldSet:
         pts, single = _as_batch(np.asarray(x, dtype=float), self.n)
         n = self.n
         if self.base.DA is not None:
-            offsets, kw, r = _kernel_nodes(self.n, self.eps, self.quad)
+            offsets, kw, r = _kernel_nodes(self.n, self.eps, self.nodes)
             vals = self.base.DA(l, self._shifted(pts, offsets))
             vals = np.asarray(vals).reshape(len(offsets), pts.shape[0], n, n)
             acc = vals[r] + np.tensordot(kw, vals - vals[r], axes=1)
@@ -230,46 +215,18 @@ class MollifiedFieldSet:
 
     diffusion_matrix = VectorFieldSet.diffusion_matrix
 
-    def cross_check(self, x, l: int = 1) -> float:
-        """Disagreement between this rule and one with doubled resolution."""
-        finer = MollifiedFieldSet(self.base, self.eps,
-                                  QuadSpec(2 * self.quad.nodes_per_axis, self.quad.rule))
-        a = np.atleast_2d(self.A(l, x))
-        b = np.atleast_2d(finer.A(l, x))
-        return float(np.max(np.abs(a - b)))
 
-
-def mollify_field(fs: VectorFieldSet, eps: float, quad: Optional[QuadSpec] = None,
-                  validate_at=None, tolerance: float = 1e-3) -> MollifiedFieldSet:
-    """Smooth a coefficient family at scale eps.
-
-    ``validate_at``: optional points at which a refinement cross-check is
-    run; disagreement beyond ``tolerance`` raises QuadratureError.
-    """
-    if eps <= 0:
-        raise FieldError("mollify_field: eps must be positive")
-    quad = quad or QuadSpec()
-    if quad.nodes_per_axis < 8:
-        raise FieldError("mollify_field: need at least 8 quadrature nodes per axis")
-    mf = MollifiedFieldSet(fs, eps, quad)
-    _tensor_nodes(fs.n, eps, quad)     # the mass sanity check, at construction
-    if validate_at is not None:
-        for l in range(fs.m + 1):
-            gap = mf.cross_check(validate_at, l)
-            if gap > tolerance:
-                raise QuadratureError(
-                    f"refinement disagreement {gap:.3e} > {tolerance:.1e} for field {l}"
-                )
-    return mf
+def mollify_field(fs: VectorFieldSet, eps: float, nodes: int = 16) -> MollifiedFieldSet:
+    """Smooth a coefficient family at scale eps, with ``nodes`` quadrature
+    nodes per axis (at least 8)."""
+    _tensor_nodes(fs.n, eps, nodes)     # the checks, at construction
+    return MollifiedFieldSet(fs, eps, nodes)
 
 
 def mollify_scalar(f: Callable[[np.ndarray], np.ndarray], eps: float,
-                   n: int = 1, quad: Optional[QuadSpec] = None) -> Callable:
+                   n: int = 1, nodes: int = 16) -> Callable:
     """Mollify a scalar field on R^n; f maps (..., n) points to scalars."""
-    if eps <= 0:
-        raise FieldError("mollify_scalar: eps must be positive")
-    quad = quad or QuadSpec()
-    offsets, kw, r = _kernel_nodes(n, eps, quad)
+    offsets, kw, r = _kernel_nodes(n, eps, nodes)
 
     def f_eps(x):
         pts, single = _as_batch(np.asarray(x, dtype=float), n)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -44,9 +43,6 @@ class EstimatorReport:
             "excluded": self.excluded,
             "config_hash": self.config_hash,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def from_samples(values, config_hash: str = "", excluded: int = 0) -> EstimatorReport:

@@ -23,6 +23,19 @@ def scalar_drift_field(f, df=None, name="scalar"):
     return VectorFieldSet(1, 1, A, DA, FieldMeta(theta=1.0), name=name)
 
 
+def finite_difference_dfield(fs, l, x, step=1e-5):
+    """Central finite-difference Jacobian of field l at x, the reference
+    that supplied and chain-rule derivatives are checked against."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    n = fs.n
+    out = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = step
+        out[:, j] = (fs.A(l, x + e) - fs.A(l, x - e)) / (2.0 * step)
+    return out
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260810)

@@ -15,6 +15,27 @@ from sdem.malliavin import MCConfig, bismut_gradient
 
 
 # ---------------------------------------------------------------------------
+# public surface
+
+
+def test_every_all_entry_star_imports():
+    # a name deleted from a module but left in its __all__ breaks
+    # `from sdem.x import *`; star-import every module that declares one
+    import importlib
+    import pkgutil
+
+    import sdem
+
+    names = ["sdem"] + [f"sdem.{m.name}" for m in pkgutil.iter_modules(sdem.__path__)]
+    checked = 0
+    for name in names:
+        if hasattr(importlib.import_module(name), "__all__"):
+            exec(f"from {name} import *", {})
+            checked += 1
+    assert checked >= 6
+
+
+# ---------------------------------------------------------------------------
 # growth controls
 
 

@@ -8,10 +8,9 @@ from scipy import integrate
 
 from sdem.fields import (DerivativeUnavailableError, FieldError, builtin_field,
                          condition_g_estimate, ellipticity_margin,
-                         field_from_json, field_to_json,
-                         finite_difference_dfield, g_function,
+                         field_from_json, g_function,
                          hoelder_estimate, radial_cutoff)
-from conftest import scalar_drift_field
+from conftest import finite_difference_dfield, scalar_drift_field
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +89,14 @@ def test_builtin_field_errors():
 
 def test_field_json_round_trip():
     fs = builtin_field("log_example", beta=1.0)
-    doc = field_to_json(fs)
-    assert doc["name"] == "log_example" and doc["n"] == 1
+    doc = {"name": "log_example", "params": {"beta": 1.0}, "n": 1, "m": 1}
     back = field_from_json(doc)
     assert back.A(1, np.array([0.3]))[0] == pytest.approx(fs.A(1, np.array([0.3]))[0])
     with pytest.raises(FieldError):
         field_from_json({"name": "mystery"})
+    for declared in ({"n": 2}, {"m": 2}):
+        with pytest.raises(FieldError, match="does not match"):
+            field_from_json({**doc, **declared})
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +345,25 @@ def test_radial_cutoff_projects_points_beyond_the_largest_double():
     u = pts / np.max(np.abs(pts), axis=1, keepdims=True)
     assert np.allclose(out, -u / np.linalg.norm(u, axis=1, keepdims=True), rtol=1e-15, atol=0)
     assert np.allclose(out[0], [-math.sqrt(0.5)] * 2, rtol=1e-15, atol=0)
+
+
+def test_radial_cutoff_tiny_entries_raise_no_underflow():
+    # squaring a tiny entry underflows; inside the cutoff the point keeps its
+    # values, outside it lands on the sphere, with no floating-point event
+    ou, bm2 = builtin_field("ou", lam=1.0), builtin_field("bm", n=2)
+    cases = [(ou, [[1e-300]], True), (bm2, [[1e-300, 0.0]], True),
+             (bm2, [[1e-300, 5e-324]], True), (bm2, [[3.0, 1e-200]], False),
+             (bm2, [[0.5, 1e-320]], False)]
+    for fs, x, inside in cases:
+        x = np.array(x)
+        for N in (0.3, 1.0):
+            cut = radial_cutoff(fs, N)
+            for l in range(fs.m + 1):
+                with np.errstate(all="raise"):
+                    a, da = cut.A(l, x), cut.DA(l, x)
+                assert np.all(np.isfinite(a)) and np.all(np.isfinite(da))
+                if inside:
+                    assert np.array_equal(a, fs.A(l, x)) and np.array_equal(da, fs.DA(l, x))
 
 
 def test_radial_cutoff_rejects_bad_radius():

@@ -309,8 +309,6 @@ def test_bad_start_or_missing_derivative_fails_before_any_noise(monkeypatch):
         (lambda: run_ensemble(bare, [0.0], g, noise), DerivativeUnavailableError, "'bare'"),
         (lambda: run_multi([(ou, [0.0]), (bare, [0.0])], g, noise),
          DerivativeUnavailableError, "'bare'"),
-        (lambda: coupled_family(bare, [0.2, 0.1], [0.0], g, noise, include_base=True),
-         DerivativeUnavailableError, "'bare'"),
     ]
     for call, error, name in rows:
         with pytest.raises(error, match=name):
@@ -405,8 +403,8 @@ def test_coupled_family_log_example_trend():
     jests = [fam.sup_moment(e, 0.025, 2.0, which="jac").estimate
              for e in (0.2, 0.1, 0.05)]
     assert jests[0] > jests[1] > jests[2]
-    # reference (unmollified) run is present under key 0.0
-    assert 0.0 in fam.levels
+    # the family runs the mollified levels alone
+    assert list(fam.levels) == [0.2, 0.1, 0.05, 0.025]
     assert fam.n_flagged == 0
 
 
@@ -414,7 +412,7 @@ def test_coupled_family_triangle_inequality_pathwise():
     g = TimeGrid(0.25, 125)
     noise = BrownianBatch(seed=13, paths=500, grid=g, m=1)
     log = builtin_field("log_example", beta=1.0)
-    fam = coupled_family(log, [0.2, 0.1, 0.05], [0.0], g, noise, include_base=False)
+    fam = coupled_family(log, [0.2, 0.1, 0.05], [0.0], g, noise)
     d13 = fam.pair_state_sup[(0.2, 0.05)]
     d12 = fam.pair_state_sup[(0.2, 0.1)]
     d23 = fam.pair_state_sup[(0.1, 0.05)]
@@ -426,11 +424,13 @@ def test_state_only_family_refuses_derivative_gaps():
     noise = BrownianBatch(seed=13, paths=300, grid=g, m=1)
     log = builtin_field("log_example", beta=1.0)
     eps = [0.2, 0.1, 0.05]
-    full = coupled_family(log, eps, [0.0], g, noise, include_base=False)
-    fam = coupled_family(log, eps, [0.0], g, noise, include_base=False, with_jac=False)
+    full = coupled_family(log, eps, [0.0], g, noise)
+    fam = coupled_family(log, eps, [0.0], g, noise, with_jac=False)
     assert fam.pair_jac_sup is None
     with pytest.raises(FieldError, match="state-only"):
         fam.sup_moment(0.2, 0.05, 2.0, which="jac")
+    with pytest.raises(FieldError, match=r"\(0\.3, 0\.1\).*\[0\.2, 0\.1, 0\.05\]"):
+        fam.sup_moment(0.3, 0.1, 2.0)
     assert fam.pair_state_sup.keys() == full.pair_state_sup.keys()
     for key, vals in full.pair_state_sup.items():
         assert vals.tobytes() == fam.pair_state_sup[key].tobytes()

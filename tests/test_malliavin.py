@@ -18,19 +18,25 @@ from conftest import scalar_drift_field
 # right inverse
 
 
+def _right_inverse_at(fs, pts):
+    """Y of the field set's diffusion at the points pts (B, n)."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    return right_inverse(fs.diffusion_matrix(pts), pts)
+
+
 def test_right_inverse_identity_for_bm():
     fs = builtin_field("bm", n=2)
-    assert np.allclose(right_inverse(fs, np.zeros(2)), np.eye(2))
+    assert np.allclose(_right_inverse_at(fs, np.zeros(2))[0], np.eye(2))
 
 
 def test_right_inverse_scalar():
     fs = builtin_field("const_shift", matrix=[[2.0]], shift=[0.0])
-    assert right_inverse(fs, np.zeros(1))[0, 0] == pytest.approx(0.5)
+    assert _right_inverse_at(fs, np.zeros(1))[0, 0, 0] == pytest.approx(0.5)
 
 
 def test_right_inverse_minimum_norm():
     fs = builtin_field("const_shift", matrix=[[1.0, 1.0]], shift=[0.0])
-    y = right_inverse(fs, np.zeros(1))
+    y = _right_inverse_at(fs, np.zeros(1))
     assert np.allclose(y.ravel(), [0.5, 0.5])
 
 
@@ -42,7 +48,7 @@ def test_right_inverse_residual_contract(rng):
                  for e in (0.1, 0.05)]
     for fs in families:
         pts = rng.uniform(-3, 3, (1000, fs.n))
-        y = right_inverse(fs, pts)
+        y = _right_inverse_at(fs, pts)
         amat = np.asarray(fs.diffusion_matrix(pts))
         res = amat @ y - np.eye(fs.n)
         assert np.max(np.sqrt(np.sum(res * res, axis=(1, 2)))) <= 1e-10
@@ -59,16 +65,19 @@ def test_right_inverse_singular_point_reports_location():
         return out[0] if single else out
 
     degen = VectorFieldSet(1, 1, A, None, FieldMeta(), name="degenerate")
-    with pytest.raises(RightInverseError, match="singular"):
-        right_inverse(degen, np.zeros(1))
-    y = right_inverse(degen, np.array([2.0]))
-    assert y[0, 0] == pytest.approx(0.5)
+    with pytest.raises(RightInverseError, match=r"singular at \[0\.\]"):
+        _right_inverse_at(degen, np.zeros(1))
+    # a flagged (NaN) path in the same block is not the point named
+    with pytest.raises(RightInverseError, match=r"singular at \[0\.\]: min eigenvalue 0"):
+        _right_inverse_at(degen, np.array([[np.nan], [0.0], [1.0]]))
+    y = _right_inverse_at(degen, np.array([2.0]))
+    assert y[0, 0, 0] == pytest.approx(0.5)
 
 
 def test_right_inverse_scalar_is_reciprocal(rng):
     fs = mollify_field(builtin_field("log_example", beta=1.0), 0.1)
     pts = rng.uniform(-2, 2, (1000, 1))
-    y = right_inverse(fs, pts)
+    y = _right_inverse_at(fs, pts)
     assert np.array_equal(y, 1.0 / fs.diffusion_matrix(pts))
 
 
@@ -82,12 +91,12 @@ def test_right_inverse_subnormal_diffusion_raises():
 
     tiny = VectorFieldSet(1, 1, A, None, FieldMeta(), name="subnormal")
     with pytest.raises(RightInverseError, match="singular at"):
-        right_inverse(tiny, np.array([[0.5], [1.0]]))
+        _right_inverse_at(tiny, np.array([[0.5], [1.0]]))
 
 
 def test_right_inverse_nan_row_passes_through():
     fs = builtin_field("log_example", beta=1.0)
-    y = right_inverse(fs, np.array([[0.3], [np.nan], [-0.5]]))
+    y = _right_inverse_at(fs, np.array([[0.3], [np.nan], [-0.5]]))
     assert np.isnan(y[1, 0, 0])
     assert np.all(np.isfinite(y[[0, 2]]))
 
@@ -96,10 +105,10 @@ def test_mollified_right_inverse_converges(rng):
     # sup_x |Y_eps - Y| shrinks along the smoothing ladder
     fs = builtin_field("log_example", beta=1.0)
     pts = rng.uniform(-2, 2, (1000, 1))
-    y_base = right_inverse(fs, pts)
+    y_base = _right_inverse_at(fs, pts)
     gaps = []
     for eps in (0.2, 0.1, 0.05, 0.025):
-        y_eps = right_inverse(mollify_field(fs, eps), pts)
+        y_eps = _right_inverse_at(mollify_field(fs, eps), pts)
         gaps.append(np.max(np.abs(y_eps - y_base)))
     assert gaps[0] > gaps[1] > gaps[2] > gaps[3]
 

@@ -8,7 +8,7 @@ from scipy import integrate
 
 from sdem.fields import (FieldError, FieldMeta, VectorFieldSet, _as_batch, builtin_field,
                          ellipticity_margin, hoelder_estimate)
-from sdem.mollify import (MollifiedFieldSet, QuadSpec, QuadratureError, _kernel_nodes,
+from sdem.mollify import (MollifiedFieldSet, _kernel_nodes,
                           eta, eta_grad, mollifier_constant, mollify_field,
                           mollify_scalar, sup_error)
 from conftest import scalar_drift_field
@@ -119,7 +119,7 @@ def _affine(mat, shift):
 @settings(max_examples=30, deadline=None)
 @given(eps=st.floats(0.005, 0.5), n=st.sampled_from([1, 2]))
 def test_unit_mass_and_fixed_points_at_any_eps(eps, n):
-    _, kw, _ = _kernel_nodes(n, eps, QuadSpec())
+    _, kw, _ = _kernel_nodes(n, eps, 16)
     assert abs(math.fsum(kw) - 1.0) <= 4 * 2.0 ** -52
     mat = [[2.0, 0.5], [-0.3, 1.5]] if n == 2 else [[2.0]]
     shift = [0.7, -0.4][:n]
@@ -140,7 +140,7 @@ def test_abs_value_at_origin_scales_like_eps():
         fe = mollify_scalar(f, eps)
         assert fe(np.array([0.0])) == pytest.approx(ABS_MOMENT_1D * eps, rel=1e-2)
     # the finer rule should approach the oracle
-    fe = mollify_scalar(f, 0.1, quad=QuadSpec(96))
+    fe = mollify_scalar(f, 0.1, nodes=96)
     assert fe(np.array([0.0])) == pytest.approx(ABS_MOMENT_1D * 0.1, rel=5e-4)
 
 
@@ -201,15 +201,14 @@ def test_derivative_routes_agree_for_smooth_fields(rng):
     with_da = scalar_drift_field(f, df)
     without = scalar_drift_field(f)
     pts = rng.uniform(-2, 2, (100, 1))
-    spec = QuadSpec(64)
-    d1 = mollify_field(with_da, 0.1, spec).DA(0, pts)
-    d2 = mollify_field(without, 0.1, spec).DA(0, pts)
+    d1 = mollify_field(with_da, 0.1, nodes=64).DA(0, pts)
+    d2 = mollify_field(without, 0.1, nodes=64).DA(0, pts)
     assert np.max(np.abs(d1 - d2)) < 1e-6
 
 
 def test_gradient_route_matches_fd_of_smoothed_field(rng):
     fs = scalar_drift_field(lambda x: np.abs(x))     # no derivative supplied
-    mf = mollify_field(fs, 0.2, QuadSpec(48))
+    mf = mollify_field(fs, 0.2, nodes=48)
     for x in (-0.15, 0.0, 0.3):
         h = 1e-6
         fd = (mf.A(0, np.array([x + h]))[0] - mf.A(0, np.array([x - h]))[0]) / (2 * h)
@@ -230,30 +229,24 @@ def test_local_l2_convergence_for_sqrt():
     assert errs[0] > errs[1] > errs[2]
 
 
-def test_midpoint_rule_cross_checks_gauss():
+def test_default_rule_agrees_with_doubled_nodes():
+    # the default 16 nodes per axis resolve log_example's diffusion to 1e-3
     fs = builtin_field("log_example", beta=1.0)
     g16 = mollify_field(fs, 0.1)
-    m32 = mollify_field(fs, 0.1, QuadSpec(32, rule="midpoint"))
+    g32 = mollify_field(fs, 0.1, nodes=32)
     xs = np.linspace(-1.5, 1.5, 61).reshape(-1, 1)
-    assert np.max(np.abs(g16.A(1, xs) - m32.A(1, xs))) < 1e-3
-
-
-def test_refinement_validation():
-    fs = builtin_field("log_example", beta=1.0)
-    mollify_field(fs, 0.1, validate_at=np.array([[0.5]]))        # passes
-    with pytest.raises(QuadratureError):
-        # x = 0.3 is asymmetric enough that refinement moves the value
-        mollify_field(fs, 0.1, validate_at=np.array([[0.3]]), tolerance=1e-15)
+    assert np.max(np.abs(g16.A(1, xs) - g32.A(1, xs))) < 1e-3
 
 
 def test_quadspec_preconditions():
     fs = builtin_field("bm", n=1)
-    with pytest.raises(FieldError):
-        mollify_field(fs, -0.1)
-    with pytest.raises(FieldError):
-        mollify_field(fs, 0.1, QuadSpec(4))
-    with pytest.raises(FieldError):
-        QuadSpec(16, rule="simpson").axis_nodes()
+    ident = lambda p: p[..., 0]
+    for call, name in ((lambda: mollify_field(fs, -0.1), "eps"),
+                       (lambda: mollify_scalar(ident, -0.1), "eps"),
+                       (lambda: mollify_field(fs, 0.1, nodes=4), "nodes"),
+                       (lambda: mollify_scalar(ident, 0.1, nodes=7), "nodes")):
+        with pytest.raises(FieldError, match=name):
+            call()
 
 
 def test_mollified_set_delegates_metadata():
@@ -261,7 +254,6 @@ def test_mollified_set_delegates_metadata():
     mf = mollify_field(fs, 0.1)
     assert (mf.n, mf.m) == (1, 1)
     assert mf.meta.theta == fs.meta.theta
-    assert mf.has_weak_derivative
     assert isinstance(mf, MollifiedFieldSet)
     assert mf.diffusion_matrix(np.array([0.2])).shape == (1, 1)
 
