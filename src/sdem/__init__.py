@@ -18,9 +18,9 @@ from .flow import (BLOCK, TimeGrid, BrownianBatch, EnsembleResult, run_ensemble,
                    coupled_family, moment_sup, exp_g_functional, spatial_derivative_check)
 from .kernel import (DensityQuery, gaussian_kernel, silverman_bandwidth,
                      density_estimate, kernel_bound_fit)
-from .malliavin import (MCConfig, CameronMartinPath, right_inverse,
-                        RightInverseError, bismut_gradient,
-                        intertwine_gradient, fd_gradient, divergence, ibp_check)
+from .malliavin import (CameronMartinPath, right_inverse, RightInverseError,
+                        bismut_gradient, intertwine_gradient, fd_gradient, divergence,
+                        ibp_check)
 from .report import EstimatorReport
 from .harness import ExperimentConfig, run_command, COMMANDS
 

@@ -14,6 +14,7 @@ evaluated through the closed form of its antiderivative, with no table.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -307,16 +308,25 @@ def builtin_field(name: str, **params) -> VectorFieldSet:
         factory = _BUILTINS[name]
     except KeyError:
         raise FieldError(f"unknown built-in field {name!r}; have {sorted(_BUILTINS)}") from None
+    accepted = list(inspect.signature(factory).parameters)
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise FieldError(f"unknown parameter(s) {unknown} of field {name!r}; accepted: {accepted}")
     return factory(**params)
 
 
 def field_from_json(doc: dict) -> VectorFieldSet:
+    if not isinstance(doc, dict) or "name" not in doc:
+        raise FieldError(f"a field spec is an object with a 'name', got {doc!r}")
     name = doc["name"]
     if name not in _BUILTINS:
         raise FieldError(
             f"field {name!r} is not a built-in; custom fields are registered programmatically"
         )
-    fs = builtin_field(name, **doc.get("params", {}))
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise FieldError(f"field 'params' must be an object, got {params!r}")
+    fs = builtin_field(name, **params)
     if "n" in doc and doc["n"] != fs.n:
         raise FieldError(f"declared n={doc['n']} does not match constructed n={fs.n}")
     if "m" in doc and doc["m"] != fs.m:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -65,8 +66,10 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.T <= 0 or self.steps <= 0:
-            raise FieldError("TimeGrid: horizon and step count must be positive")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise FieldError(f"TimeGrid: horizon T must be finite and positive, got {self.T}")
+        if self.steps <= 0:
+            raise FieldError(f"TimeGrid: step count must be positive, got {self.steps}")
 
     @property
     def dt(self) -> float:
@@ -97,6 +100,8 @@ class BrownianBatch:
     def __post_init__(self):
         if self.paths <= 0 or self.m <= 0:
             raise FieldError("BrownianBatch: paths and noise dimension must be positive")
+        if self.seed < 0:
+            raise FieldError(f"BrownianBatch: seed must be a nonnegative integer, got {self.seed}")
 
     @property
     def n_blocks(self) -> int:
@@ -293,10 +298,17 @@ class _PairSup(Tracker):
 
 
 def _resolve_workers(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("SDEM_WORKERS")
-    return max(1, int(env)) if env else 1
+    """The worker count: `workers`, else SDEM_WORKERS, else 1.  Anything but
+    an integer of at least 1 raises, naming where it came from."""
+    key, value = "workers", workers
+    if workers is None:
+        env = os.environ.get("SDEM_WORKERS")
+        if not env:
+            return 1
+        key, value = "SDEM_WORKERS", int(env) if env.strip().isdecimal() else env
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise FieldError(f"{key} must be an integer of at least 1, got {value!r}")
+    return int(value)
 
 
 def _simulate_block(runs, grid, dW, trackers, with_jac):
@@ -340,8 +352,6 @@ def _map_blocks(noise: BrownianBatch, fn, workers: Optional[int]):
 class EnsembleResult:
     """Endpoint and tracker statistics for one run across all paths."""
 
-    grid: TimeGrid
-    paths: int
     state_T: np.ndarray                 # (paths, n)
     jac_T: Optional[np.ndarray]         # (paths, n, n)
     flag: np.ndarray                    # (paths,) bool
@@ -380,7 +390,7 @@ def _run(runs, grid: TimeGrid, noise: BrownianBatch, trackers, with_jac, workers
     for r in range(len(runs)):
         state_T = np.concatenate([p[0][r] for p in parts], axis=0)
         jac_T = np.concatenate([p[1][r] for p in parts], axis=0) if with_jac else None
-        results.append(EnsembleResult(grid, noise.paths, state_T, jac_T, flag, {}))
+        results.append(EnsembleResult(state_T, jac_T, flag, {}))
     return results, extras
 
 
@@ -446,7 +456,7 @@ class CoupledFamilyResult:
         return int(self.flag.sum())
 
     def sup_moment(self, eps_a: float, eps_b: float, p: float,
-                   which: str = "state", config_hash: str = "") -> EstimatorReport:
+                   which: str = "state") -> EstimatorReport:
         """Report of E sup_t |gap|^p between two levels."""
         table = self.pair_state_sup if which == "state" else self.pair_jac_sup
         if table is None:
@@ -457,7 +467,7 @@ class CoupledFamilyResult:
             raise FieldError(f"the family did not run the level pair ({eps_a}, {eps_b}); "
                              f"its levels are {list(self.levels)}")
         vals = table[key][~self.flag] ** p
-        return from_samples(vals, config_hash=config_hash, excluded=self.n_flagged)
+        return from_samples(vals, excluded=self.n_flagged)
 
 
 def coupled_family(fs: VectorFieldSet, eps_list: Sequence[float], x0,
@@ -490,19 +500,17 @@ def coupled_family(fs: VectorFieldSet, eps_list: Sequence[float], x0,
                                results[0].flag)
 
 
-def moment_sup(ensemble: EnsembleResult, p: float,
-               config_hash: str = "") -> EstimatorReport:
+def moment_sup(ensemble: EnsembleResult, p: float) -> EstimatorReport:
     """Monte Carlo estimate of E sup_{s<=T} |V_s|^p (Frobenius norm)."""
     if "sup_jac" not in ensemble.extras:
         raise FieldError("ensemble was run without a JacSupNorm tracker")
     vals = ensemble.extras["sup_jac"][ensemble.ok]
     if vals.size == 0:
         raise FieldError("moment_sup: no unflagged paths")
-    return from_samples(vals ** p, config_hash=config_hash, excluded=ensemble.n_flagged)
+    return from_samples(vals ** p, excluded=ensemble.n_flagged)
 
 
-def exp_g_functional(ensemble: EnsembleResult, q: float,
-                     config_hash: str = "") -> EstimatorReport:
+def exp_g_functional(ensemble: EnsembleResult, q: float) -> EstimatorReport:
     """Estimate of E exp(6 q^2 int_0^T G(xi_s) ds), left-point time sums.
 
     Overflowing paths make the estimate +inf; their count is available on
@@ -511,6 +519,8 @@ def exp_g_functional(ensemble: EnsembleResult, q: float,
     if "int_g" not in ensemble.extras:
         raise FieldError("ensemble was run without an IntegratedG tracker")
     ints = ensemble.extras["int_g"][ensemble.ok]
+    if ints.size == 0:
+        raise FieldError("exp_g_functional: no unflagged paths")
     with np.errstate(over="ignore"):
         vals = np.exp(6.0 * q * q * ints)
     overflow = int(np.isinf(vals).sum())
@@ -518,8 +528,7 @@ def exp_g_functional(ensemble: EnsembleResult, q: float,
     est = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(n)) if (n > 1 and math.isfinite(est)) else math.inf
     return EstimatorReport(est, se if math.isfinite(se) else math.inf, n,
-                           excluded=ensemble.n_flagged, config_hash=config_hash,
-                           overflowed=overflow)
+                           excluded=ensemble.n_flagged, overflowed=overflow)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
@@ -22,8 +23,8 @@ from . import kernel as kern
 from .fields import (FieldError, condition_g_estimate, field_from_json)
 from .flow import (BrownianBatch, IntegratedG, JacSupNorm, TimeGrid,
                    coupled_family, exp_g_functional, moment_sup, run_ensemble)
-from .malliavin import (CameronMartinPath, MCConfig, bismut_gradient,
-                        fd_gradient, ibp_check, intertwine_gradient)
+from .malliavin import (CameronMartinPath, bismut_gradient, fd_gradient, ibp_check,
+                        intertwine_gradient)
 from .mollify import mollify_field
 
 __all__ = [
@@ -51,6 +52,19 @@ def _reject_unknown(where: str, doc: dict, known) -> None:
     unknown = sorted(set(doc) - set(known))
     if unknown:
         raise FieldError(f"unknown {where} key(s) {unknown}; accepted: {sorted(known)}")
+
+
+def _reject_misshapen(doc: dict) -> None:
+    """Objects must be objects and vectors lists of numbers, or the key is named."""
+    for key in ("field", "grid", "options"):
+        if key in doc and not isinstance(doc[key], dict):
+            raise FieldError(f"config key {key!r} must be an object, got {doc[key]!r}")
+    for key in ("eps", "x0"):
+        vec = doc.get(key, [])
+        numeric = isinstance(vec, (list, tuple)) and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in vec)
+        if not numeric:
+            raise FieldError(f"config key {key!r} must be a list of numbers, got {vec!r}")
 
 
 @dataclass(frozen=True)
@@ -93,6 +107,13 @@ class ExperimentConfig:
     def grid(self) -> TimeGrid:
         return TimeGrid(self.T, self.steps)
 
+    def grid_at(self, t: float) -> TimeGrid:
+        """The grid of a study at the option horizon t, on this config's step size."""
+        dt = self.grid.dt
+        if not (math.isfinite(t) and t > 0):
+            raise FieldError(f"option 't' must be a finite positive horizon, got {t}")
+        return TimeGrid(t, max(1, round(t / dt)))
+
     def make_field(self):
         return field_from_json(self.field_spec)
 
@@ -102,6 +123,7 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(doc: dict, **overrides) -> "ExperimentConfig":
         _reject_unknown("config", doc, _CONFIG_KEYS)
+        _reject_misshapen(doc)
         grid = doc.get("grid", {})
         _reject_unknown("grid", grid, _GRID_KEYS)
         cfg = ExperimentConfig(
@@ -151,6 +173,11 @@ def _csv_text(fingerprint: str, header: list, rows: list) -> str:
     for row in rows:
         buf.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
     return buf.getvalue()
+
+
+def _report_dict(rep, cfg: ExperimentConfig) -> dict:
+    """A report as written to a study's JSON, with the config fingerprint."""
+    return {**rep.to_dict(), "config_hash": cfg.fingerprint}
 
 
 def _plot_text(fingerprint: str, pairs) -> str:
@@ -211,7 +238,7 @@ def _converge(cfg: ExperimentConfig, which: str, name: str) -> CommandResult:
     ref = eps[-1]
     rows, ests, ses = [], [], []
     for e in eps[:-1]:
-        rep = fam.sup_moment(e, ref, p, which=which, config_hash=cfg.fingerprint)
+        rep = fam.sup_moment(e, ref, p, which=which)
         rows.append((e, ref, rep.estimate, rep.se))
         ests.append(rep.estimate)
         ses.append(rep.se)
@@ -258,18 +285,18 @@ def cmd_gradient(cfg: ExperimentConfig) -> CommandResult:
     bump = float(cfg.opt("bump", 1e-3))
     if bump <= 0:
         raise FieldError(f"option 'bump' must be positive, got {bump}")
-    mc = MCConfig(fields, cfg.paths, dt=cfg.grid.dt, seed=cfg.seed,
-                  workers=cfg.workers, config_hash=cfg.fingerprint)
-    x0 = np.asarray(cfg.x0, dtype=float)
+    grid = cfg.grid_at(t)
+    run = (fields, np.asarray(cfg.x0, dtype=float), grid,
+           BrownianBatch(cfg.seed, cfg.paths, grid, fields.m))
     out = {"config_fingerprint": cfg.fingerprint, "f": label, "t": t}
-    reports = {"bismut": bismut_gradient(f, x0, v0, t, mc),
-               "fd": fd_gradient(f, x0, v0, t, bump, mc)}
+    reports = {"bismut": bismut_gradient(f, v0, *run, workers=cfg.workers),
+               "fd": fd_gradient(f, v0, *run, bump=bump, workers=cfg.workers)}
     if df is not None:
-        reports["intertwine"] = intertwine_gradient(df, x0, v0, t, mc)
+        reports["intertwine"] = intertwine_gradient(df, v0, *run, workers=cfg.workers)
     failures = []
     names = sorted(reports)
     for a in names:
-        out[a] = reports[a].to_dict()
+        out[a] = _report_dict(reports[a], cfg)
     gaps = {}
     # the pooled SE for pair gaps; for target checks the SEs of all routes
     # are pooled so that a zero-variance route still tolerates the O(dt)
@@ -322,8 +349,7 @@ def cmd_kernel_bound(cfg: ExperimentConfig) -> CommandResult:
     if bandwidth is not None and float(bandwidth) <= 0:
         raise FieldError(f"option 'bandwidth' must be positive, got {bandwidth}")
     t = float(cfg.opt("t", cfg.T))
-    steps = max(1, round(t / cfg.grid.dt))
-    grid = TimeGrid(t, steps)
+    grid = cfg.grid_at(t)
     noise = BrownianBatch(cfg.seed, cfg.paths, grid, fields.m)
     res = run_ensemble(fields, np.asarray(cfg.x0), grid, noise,
                        with_jac=False, workers=cfg.workers)
@@ -401,13 +427,14 @@ def cmd_ibp(cfg: ExperimentConfig) -> CommandResult:
     if df is None:
         raise FieldError("cmd_ibp: the path functional must be C^1 (no indicator)")
     h = CameronMartinPath.constant(_direction(cfg, "hdot", fields.n))
-    mc = MCConfig(fields, cfg.paths, dt=cfg.grid.dt, seed=cfg.seed,
-                  workers=cfg.workers, config_hash=cfg.fingerprint)
+    grid = cfg.grid_at(t)
+    noise = BrownianBatch(cfg.seed, cfg.paths, grid, fields.m)
 
     def dF(xT, vT):
         return np.sum(np.asarray(df(xT)) * vT, axis=1)
 
-    res = ibp_check(f, dF, h, mc, t=t, x=np.asarray(cfg.x0, dtype=float))
+    res = ibp_check(f, dF, h, fields, np.asarray(cfg.x0, dtype=float), grid, noise,
+                    workers=cfg.workers)
     failures = []
     if not res.ok:
         failures.append(f"ibp: |lhs - rhs| = {res.gap:.4e} > 3 x {res.se_paired:.4e}")
@@ -420,7 +447,7 @@ def cmd_ibp(cfg: ExperimentConfig) -> CommandResult:
                 failures.append(f"ibp: {side} = {rep.estimate:.5f} not within 3 SE of {target}")
     payload = {
         "config_fingerprint": cfg.fingerprint, "F": label, "t": t,
-        "lhs": res.lhs.to_dict(), "rhs": res.rhs.to_dict(),
+        "lhs": _report_dict(res.lhs, cfg), "rhs": _report_dict(res.rhs, cfg),
         "gap": res.gap, "se_pooled": res.se_pooled, "se_paired": res.se_paired,
         "verdict": not failures,
     }
@@ -435,8 +462,8 @@ def cmd_moment(cfg: ExperimentConfig) -> CommandResult:
     res = run_ensemble(fields, np.asarray(cfg.x0), cfg.grid, noise,
                        trackers=(JacSupNorm(), IntegratedG()),
                        workers=cfg.workers)
-    sup = moment_sup(res, p, config_hash=cfg.fingerprint)
-    bound = exp_g_functional(res, p, config_hash=cfg.fingerprint)
+    sup = moment_sup(res, p)
+    bound = exp_g_functional(res, p)
     # compare in log scale with delta-method standard errors
     log_l = math.log(sup.estimate)
     log_r = math.log(bound.estimate) if math.isfinite(bound.estimate) else math.inf
@@ -453,7 +480,7 @@ def cmd_moment(cfg: ExperimentConfig) -> CommandResult:
         failures.append(f"moment: flagged fraction {frac:.2e} >= 1e-4")
     payload = {
         "config_fingerprint": cfg.fingerprint, "p": p,
-        "sup_moment": sup.to_dict(), "exp_g_bound": bound.to_dict(),
+        "sup_moment": _report_dict(sup, cfg), "exp_g_bound": _report_dict(bound, cfg),
         "overflowed": bound.overflowed,
         "inequality_ok": inequality_ok,
     }

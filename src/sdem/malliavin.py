@@ -6,6 +6,10 @@ integral of the right inverse of the diffusion applied to the derivative
 flow), the intertwining estimator for differentiable f, and a common
 random number finite difference used as a cross-validation oracle.
 
+Every estimator takes its functionals or direction, then the engine's
+inputs ``(fs, x0, grid, noise)`` and keyword ``workers``, as ``run_ensemble``
+does; the horizon is ``grid.T``.
+
 All Ito integrals are discretized with the left-point rule on the
 integration grid; no Stratonovich correction appears anywhere.
 
@@ -33,7 +37,6 @@ from .report import EstimatorReport, from_samples
 __all__ = [
     "RightInverseError",
     "right_inverse",
-    "MCConfig",
     "CameronMartinPath",
     "bismut_gradient",
     "intertwine_gradient",
@@ -107,27 +110,6 @@ def right_inverse(amat: np.ndarray, pts: np.ndarray) -> np.ndarray:
         raise RightInverseError(
             f"diffusion matrix singular at {pts[i]}: min eigenvalue {eigs[i, 0]:.3e}"
         ) from None
-
-
-@dataclass(frozen=True)
-class MCConfig:
-    """Ensemble configuration shared by the gradient and IBP estimators."""
-
-    fields: object
-    paths: int
-    dt: float = 1e-3
-    seed: int = 0
-    workers: Optional[int] = None
-    config_hash: str = ""
-
-    def grid_for(self, t: float) -> TimeGrid:
-        if t <= 0:
-            raise FieldError("horizon must be positive")
-        steps = max(1, round(t / self.dt))
-        return TimeGrid(t, steps)
-
-    def noise_for(self, grid: TimeGrid) -> BrownianBatch:
-        return BrownianBatch(self.seed, self.paths, grid, self.fields.m)
 
 
 @dataclass(frozen=True)
@@ -258,54 +240,50 @@ class _DirectionRecorder(Tracker):
 # gradient estimators
 
 
-def bismut_gradient(f: Callable, x, v0, t: float, cfg: MCConfig) -> EstimatorReport:
-    """Weighted gradient estimate (1/t) E[f(xi_t) int <Y V v0, dW>].
+def bismut_gradient(f: Callable, v0, fs, x0, grid: TimeGrid, noise: BrownianBatch, *,
+                    workers: Optional[int] = None) -> EstimatorReport:
+    """Weighted gradient estimate (1/T) E[f(xi_T) int <Y V v0, dW>] at T = grid.T.
 
     The Bismut weight int <Y V v0, dW> is the divergence weight of the
     direction with constant rate hdot = v0.  Valid for bounded measurable
     f; no derivative of f is used.
     """
-    v0 = _checked_vector(v0, "v0", cfg.fields.n)
-    grid = cfg.grid_for(t)
-    noise = cfg.noise_for(grid)
-    res = run_ensemble(cfg.fields, x, grid, noise,
+    v0 = _checked_vector(v0, "v0", fs.n)
+    res = run_ensemble(fs, x0, grid, noise,
                        trackers=(DivergenceWeight(CameronMartinPath.constant(v0)),),
-                       workers=cfg.workers)
+                       workers=workers)
     ok = res.ok
     fx = np.asarray(f(res.state_T[ok]), dtype=float).reshape(-1)
-    vals = fx * res.extras["div_weight"][ok] / t
-    return from_samples(vals, config_hash=cfg.config_hash, excluded=res.n_flagged)
+    vals = fx * res.extras["div_weight"][ok] / grid.T
+    return from_samples(vals, excluded=res.n_flagged)
 
 
-def intertwine_gradient(df: Callable, x, v0, t: float, cfg: MCConfig) -> EstimatorReport:
-    """Intertwining estimate E[df(xi_t) . (V_t v0)] for C^1 test functions."""
-    v0 = _checked_vector(v0, "v0", cfg.fields.n)
-    grid = cfg.grid_for(t)
-    noise = cfg.noise_for(grid)
-    res = run_ensemble(cfg.fields, x, grid, noise, workers=cfg.workers)
+def intertwine_gradient(df: Callable, v0, fs, x0, grid: TimeGrid, noise: BrownianBatch, *,
+                        workers: Optional[int] = None) -> EstimatorReport:
+    """Intertwining estimate E[df(xi_T) . (V_T v0)] for C^1 test functions."""
+    v0 = _checked_vector(v0, "v0", fs.n)
+    res = run_ensemble(fs, x0, grid, noise, workers=workers)
     ok = res.ok
     direction = np.einsum("bij,j->bi", res.jac_T[ok], v0)
     grads = np.asarray(df(res.state_T[ok]), dtype=float).reshape(direction.shape)
     vals = np.sum(grads * direction, axis=1)
-    return from_samples(vals, config_hash=cfg.config_hash, excluded=res.n_flagged)
+    return from_samples(vals, excluded=res.n_flagged)
 
 
-def fd_gradient(f: Callable, x, v0, t: float, h: float, cfg: MCConfig) -> EstimatorReport:
-    """Central finite difference of P_t f with common random numbers."""
-    if h <= 0:
+def fd_gradient(f: Callable, v0, fs, x0, grid: TimeGrid, noise: BrownianBatch, *,
+                bump: float, workers: Optional[int] = None) -> EstimatorReport:
+    """Central finite difference of P_T f from x0 +/- bump v0 on shared noise."""
+    if bump <= 0:
         raise FieldError("fd_gradient: bump size must be positive")
-    v0 = _checked_vector(v0, "v0", cfg.fields.n)
-    grid = cfg.grid_for(t)
-    noise = cfg.noise_for(grid)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    runs = [(cfg.fields, x + h * v0), (cfg.fields, x - h * v0)]
-    results, _ = run_multi(runs, grid, noise, with_jac=False, workers=cfg.workers)
+    v0 = _checked_vector(v0, "v0", fs.n)
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    runs = [(fs, x0 + bump * v0), (fs, x0 - bump * v0)]
+    results, _ = run_multi(runs, grid, noise, with_jac=False, workers=workers)
     ok = results[0].ok
     fp = np.asarray(f(results[0].state_T[ok]), dtype=float).reshape(-1)
     fm = np.asarray(f(results[1].state_T[ok]), dtype=float).reshape(-1)
-    vals = (fp - fm) / (2.0 * h)
-    return from_samples(vals, config_hash=cfg.config_hash,
-                        excluded=results[0].n_flagged)
+    vals = (fp - fm) / (2.0 * bump)
+    return from_samples(vals, excluded=results[0].n_flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +315,9 @@ class IbpResult:
         return self.gap <= 3.0 * self.se_paired + 1e-12
 
 
-def ibp_check(F: Callable, dF: Callable, h: CameronMartinPath, cfg: MCConfig,
-              *, t: float, x=0.0, full_path: bool = False) -> IbpResult:
+def ibp_check(F: Callable, dF: Callable, h: CameronMartinPath, fs, x0, grid: TimeGrid,
+              noise: BrownianBatch, *, full_path: bool = False,
+              workers: Optional[int] = None) -> IbpResult:
     """Test E[dF(V^h)] = E[F(xi) delta V^h_T] on the discrete flow.
 
     Endpoint mode (default): F maps terminal states (B, n) -> (B,), and dF
@@ -346,15 +325,12 @@ def ibp_check(F: Callable, dF: Callable, h: CameronMartinPath, cfg: MCConfig,
     ``full_path=True`` the functionals receive (times, states (B, K+1, n))
     and (times, states, direction path) instead.
     """
-    _check_direction(h, cfg.fields.n)
-    grid = cfg.grid_for(t)
-    noise = cfg.noise_for(grid)
+    _check_direction(h, fs.n)
     trackers = [DivergenceWeight(h)]
     if full_path:
         trackers.append(_DirectionRecorder(h))
         trackers.append(PathRecorder(with_jac=False))
-    res = run_ensemble(cfg.fields, np.atleast_1d(np.asarray(x, dtype=float)),
-                       grid, noise, trackers=trackers, workers=cfg.workers)
+    res = run_ensemble(fs, x0, grid, noise, trackers=trackers, workers=workers)
     ok = res.ok
     delta = res.extras["div_weight"][ok]
     if full_path:
@@ -369,8 +345,8 @@ def ibp_check(F: Callable, dF: Callable, h: CameronMartinPath, cfg: MCConfig,
         lhs_vals = np.asarray(dF(xT, vh_T), dtype=float).reshape(-1)
         f_vals = np.asarray(F(xT), dtype=float).reshape(-1)
     rhs_vals = f_vals * delta
-    lhs = from_samples(lhs_vals, config_hash=cfg.config_hash, excluded=res.n_flagged)
-    rhs = from_samples(rhs_vals, config_hash=cfg.config_hash, excluded=res.n_flagged)
+    lhs = from_samples(lhs_vals, excluded=res.n_flagged)
+    rhs = from_samples(rhs_vals, excluded=res.n_flagged)
     gap = abs(lhs.estimate - rhs.estimate)
     se_pooled = math.hypot(lhs.se, rhs.se)
     diff = lhs_vals - rhs_vals

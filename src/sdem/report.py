@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class EstimatorReport:
-    """A Monte Carlo estimate with its standard error and provenance.
+    """A Monte Carlo estimate with its standard error.
 
     ``excluded`` counts paths dropped because they went non-finite; accepted
     runs require ``excluded / samples < 1e-4``.
@@ -18,7 +18,6 @@ class EstimatorReport:
     se: float
     samples: int
     excluded: int = 0
-    config_hash: str = ""
     overflowed: int = 0
 
     def __post_init__(self):
@@ -41,11 +40,10 @@ class EstimatorReport:
             "se": self.se,
             "paths": self.samples,
             "excluded": self.excluded,
-            "config_hash": self.config_hash,
         }
 
 
-def from_samples(values, config_hash: str = "", excluded: int = 0) -> EstimatorReport:
+def from_samples(values, excluded: int = 0) -> EstimatorReport:
     """Build a report from per-path sample values (mean and SE of the mean)."""
     import numpy as np
 
@@ -55,4 +53,4 @@ def from_samples(values, config_hash: str = "", excluded: int = 0) -> EstimatorR
         raise ValueError("cannot build a report from an empty sample")
     est = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-    return EstimatorReport(est, se, n, excluded=excluded, config_hash=config_hash)
+    return EstimatorReport(est, se, n, excluded=excluded)

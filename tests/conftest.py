@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sdem.fields import FieldMeta, VectorFieldSet, _as_batch
+from sdem.flow import BrownianBatch, TimeGrid
 
 
 def scalar_drift_field(f, df=None, name="scalar"):
@@ -21,6 +22,13 @@ def scalar_drift_field(f, df=None, name="scalar"):
             return out[0] if single else out.reshape(np.asarray(x).shape[:-1] + (1, 1))
 
     return VectorFieldSet(1, 1, A, DA, FieldMeta(theta=1.0), name=name)
+
+
+def engine_inputs(fs, x0, t, paths, seed, dt=1e-3):
+    """(fs, x0, grid, noise) for `paths` paths of fs from x0 to the horizon t
+    on steps of about dt, the noise drawn from `seed`."""
+    grid = TimeGrid(t, max(1, round(t / dt)))
+    return fs, x0, grid, BrownianBatch(seed, paths, grid, fs.m)
 
 
 def finite_difference_dfield(fs, l, x, step=1e-5):

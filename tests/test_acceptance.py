@@ -13,10 +13,10 @@ import numpy as np
 from sdem.fields import builtin_field, condition_g_estimate
 from sdem.flow import BrownianBatch, PathRecorder, TimeGrid, run_ensemble
 from sdem.harness import ExperimentConfig, run_command
-from sdem.malliavin import (CameronMartinPath, MCConfig, bismut_gradient,
-                            fd_gradient, ibp_check, intertwine_gradient,
-                            right_inverse)
+from sdem.malliavin import (CameronMartinPath, bismut_gradient, fd_gradient,
+                            ibp_check, intertwine_gradient, right_inverse)
 from sdem.mollify import mollify_field, mollify_scalar
+from conftest import engine_inputs
 
 WORKERS = 4
 
@@ -81,14 +81,14 @@ def test_ac2_constant_coefficient_exactness():
 def test_ac3_gradient_triple_agreement():
     t0 = time.time()
     target = math.exp(-0.5)
-    cfg = MCConfig(builtin_field("ou", lam=1.0), paths=100_000, dt=1e-3,
-                   seed=20260703, workers=WORKERS)
+    run = engine_inputs(builtin_field("ou", lam=1.0), [0.0], 0.5, paths=100_000,
+                        seed=20260703)
     f = lambda s: s[:, 0]
     df = lambda s: np.ones_like(s)
     reps = {
-        "bismut": bismut_gradient(f, [0.0], [1.0], 0.5, cfg),
-        "intertwine": intertwine_gradient(df, [0.0], [1.0], 0.5, cfg),
-        "fd": fd_gradient(f, [0.0], [1.0], 0.5, 1e-3, cfg),
+        "bismut": bismut_gradient(f, [1.0], *run, workers=WORKERS),
+        "intertwine": intertwine_gradient(df, [1.0], *run, workers=WORKERS),
+        "fd": fd_gradient(f, [1.0], *run, bump=1e-3, workers=WORKERS),
     }
     pooled = math.sqrt(sum(r.se ** 2 for r in reps.values()))
     for name, rep in reps.items():
@@ -201,8 +201,8 @@ def test_ac8_integration_by_parts():
     details = []
     for name, fs in (("bm", builtin_field("bm", n=1)),
                      ("ou", builtin_field("ou", lam=1.0))):
-        cfg = MCConfig(fs, paths=100_000, dt=1e-3, seed=20260808, workers=WORKERS)
-        res = ibp_check(F, dF, h, cfg, t=T, x=[x0])
+        run = engine_inputs(fs, [x0], T, paths=100_000, seed=20260808)
+        res = ibp_check(F, dF, h, *run, workers=WORKERS)
         assert res.gap <= 3.0 * res.se_pooled, (name, res.gap, res.se_pooled)
         if name == "bm":
             assert abs(res.lhs.estimate - target) <= 3.0 * res.lhs.se

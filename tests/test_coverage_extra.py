@@ -11,7 +11,8 @@ from sdem.fields import (FieldError, FieldMeta, GrowthProfile, VectorFieldSet,
 from sdem.flow import (BrownianBatch, IntegratedG, JacSupNorm, PathRecorder, TimeGrid,
                        exp_g_functional, moment_sup, run_ensemble)
 from sdem.harness import ExperimentConfig, run_command
-from sdem.malliavin import MCConfig, bismut_gradient
+from sdem.malliavin import bismut_gradient
+from conftest import engine_inputs
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +104,11 @@ def test_2d_linear_derivative_flow_is_matrix_power():
 
 
 def test_2d_bm_bismut_gradient_picks_the_direction():
-    cfg = MCConfig(builtin_field("bm", n=2), paths=20_000, dt=2e-3, seed=62)
+    run = engine_inputs(builtin_field("bm", n=2), [0.0, 0.0], 0.5, paths=20_000, seed=62,
+                        dt=2e-3)
     f = lambda s: s[:, 0]
-    along = bismut_gradient(f, [0.0, 0.0], [1.0, 0.0], 0.5, cfg)
-    across = bismut_gradient(f, [0.0, 0.0], [0.0, 1.0], 0.5, cfg)
+    along = bismut_gradient(f, [1.0, 0.0], *run)
+    across = bismut_gradient(f, [0.0, 1.0], *run)
     assert along.within(1.0)
     assert across.within(0.0)
 
@@ -121,8 +123,8 @@ def test_redundant_noise_channels_m_greater_than_n():
     expect = 0.2 + np.concatenate([np.zeros((8, 1)), w], axis=1)
     assert np.max(np.abs(res.extras["paths_states"][:, :, 0] - expect)) < 1e-13
     # the semigroup of x + W^1 + W^2 still has unit gradient for f(x) = x
-    cfg = MCConfig(fs, paths=20_000, dt=2e-3, seed=64)
-    rep = bismut_gradient(lambda s: s[:, 0], [0.0], [1.0], 0.5, cfg)
+    run = engine_inputs(fs, [0.0], 0.5, paths=20_000, seed=64, dt=2e-3)
+    rep = bismut_gradient(lambda s: s[:, 0], [1.0], *run)
     assert rep.within(1.0)
 
 

@@ -94,6 +94,10 @@ def test_field_json_round_trip():
     assert back.A(1, np.array([0.3]))[0] == pytest.approx(fs.A(1, np.array([0.3]))[0])
     with pytest.raises(FieldError):
         field_from_json({"name": "mystery"})
+    with pytest.raises(FieldError, match="'name'"):
+        field_from_json({"params": {"beta": 1.0}})
+    with pytest.raises(FieldError, match="'bta'"):
+        field_from_json({"name": "log_example", "params": {"bta": 1.0}})
     for declared in ({"n": 2}, {"m": 2}):
         with pytest.raises(FieldError, match="does not match"):
             field_from_json({**doc, **declared})

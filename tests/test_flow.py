@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -21,8 +22,9 @@ def test_time_grid_endpoint_exact():
     assert g.times()[-1] == 0.25
     assert g.times()[0] == 0.0
     assert g.dt > 0
-    with pytest.raises(FieldError):
-        TimeGrid(-1.0, 10)
+    for T in (-1.0, math.nan, math.inf):
+        with pytest.raises(FieldError, match="horizon T"):
+            TimeGrid(T, 10)
     with pytest.raises(FieldError):
         TimeGrid(1.0, 0)
 
@@ -290,8 +292,9 @@ def test_state_only_run_rejects_trackers_that_read_v_before_any_noise(monkeypatc
 
 
 def test_bad_start_or_missing_derivative_fails_before_any_noise(monkeypatch):
-    # every run checks its start point, its grid and, when it carries V, the
-    # field set's DA before it draws a block
+    # every run checks its start point, its grid, its worker count and, when
+    # it carries V, the field set's DA before it draws a block; the noise
+    # checks its seed when it is built
     def no_noise(*args, **kwargs):
         raise AssertionError("a rejected run drew noise")
 
@@ -309,7 +312,10 @@ def test_bad_start_or_missing_derivative_fails_before_any_noise(monkeypatch):
         (lambda: run_ensemble(bare, [0.0], g, noise), DerivativeUnavailableError, "'bare'"),
         (lambda: run_multi([(ou, [0.0]), (bare, [0.0])], g, noise),
          DerivativeUnavailableError, "'bare'"),
+        (lambda: BrownianBatch(seed=-1, paths=2, grid=g, m=1), FieldError, "seed"),
     ]
+    rows += [(lambda w=w: run_ensemble(ou, [0.0], g, noise, workers=w), FieldError, "workers")
+             for w in ("two", 0, -3)]
     for call, error, name in rows:
         with pytest.raises(error, match=name):
             call()
@@ -323,11 +329,17 @@ def test_flagged_explosive_path():
     fs = scalar_drift_field(lambda x: x ** 9, df=lambda x: 9.0 * x ** 8)
     g = TimeGrid(5.0, 40)
     noise = BrownianBatch(seed=8, paths=64, grid=g, m=1)
-    res = run_ensemble(fs, [2.0], g, noise, trackers=(JacSupNorm(), PathRecorder()))
+    res = run_ensemble(fs, [2.0], g, noise,
+                       trackers=(JacSupNorm(), IntegratedG(), PathRecorder()))
     assert res.n_flagged == 64
     assert not np.isfinite(res.extras["paths_states"][:, -1, 0]).any()
-    with pytest.raises(FieldError):
-        moment_sup(res, 2.0)     # nothing left after exclusion
+    # nothing is left after exclusion; each reduction says so before numpy
+    # warns about the mean of an empty sample
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for reduce in (moment_sup, exp_g_functional):
+            with pytest.raises(FieldError, match=f"{reduce.__name__}: no unflagged paths"):
+                reduce(res, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +507,10 @@ def test_env_variable_sets_default_workers(monkeypatch):
     assert _resolve_workers(2) == 2
     monkeypatch.delenv("SDEM_WORKERS")
     assert _resolve_workers(None) == 1
+    for bad in ("abc", "0", "-3"):
+        monkeypatch.setenv("SDEM_WORKERS", bad)
+        with pytest.raises(FieldError, match="SDEM_WORKERS"):
+            _resolve_workers(None)
 
 
 # ---------------------------------------------------------------------------

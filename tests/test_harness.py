@@ -40,6 +40,15 @@ def test_config_file_round_trip_and_overrides(tmp_path):
     assert bumped.fingerprint != cfg.fingerprint
 
 
+def test_grid_at_keeps_the_step_size():
+    cfg = _cfg(T=0.25, steps=250)
+    grid = cfg.grid_at(0.5)
+    assert grid.steps == 500 and grid.T == 0.5
+    assert cfg.grid_at(1e-5).steps == 1
+    with pytest.raises(FieldError):
+        cfg.grid_at(-1.0)
+
+
 def test_unknown_command_rejected():
     with pytest.raises(FieldError):
         run_command("frobnicate", _cfg())
@@ -235,6 +244,10 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_dict({**doc, "feild": doc["field"]})
     with pytest.raises(FieldError, match="'step'"):
         ExperimentConfig.from_dict({**doc, "grid": {"T": 0.25, "step": 50}})
+    # a key of the wrong shape is named too
+    for key, value in (("x0", 0.0), ("eps", 0.1), ("options", ["p"])):
+        with pytest.raises(FieldError, match=f"'{key}'"):
+            ExperimentConfig.from_dict({**doc, key: value})
 
 
 def test_cli_rejects_misspelled_top_level_key(tmp_path):
@@ -282,7 +295,13 @@ def test_study_dimensions_rejected_before_any_noise(monkeypatch):
            ("kernel-bound", {"paths": 10_000, "options": {"query": [-4, 4, 0]}}, "'query'"),
            ("kernel-bound", {"paths": 10_000, "options": {"bandwidth": -0.1}}, "'bandwidth'"),
            ("converge-flow", {"eps": (0.1,)}, "'eps'"),
-           ("converge-derivative", {"eps": (0.1,)}, "'eps'")]
+           ("converge-derivative", {"eps": (0.1,)}, "'eps'"),
+           ("moment", {"T": math.nan}, "horizon T"),
+           ("gradient", {"options": {"t": math.nan}}, "'t'"),
+           ("ibp", {"options": {"t": 0.0}}, "'t'"),
+           ("kernel-bound", {"paths": 10_000, "options": {"t": math.inf}}, "'t'"),
+           ("converge-flow", {"seed": -1}, "seed"),
+           ("moment", {"workers": "two"}, "workers")]
     for name, kw, key in bad:
         with pytest.raises(FieldError, match=key):
             run_command(name, _cfg(field_spec=ou, **kw))
@@ -382,6 +401,16 @@ def test_benchmark_tracer_hooks_install_and_restore():
     owners += [mollify.MollifiedFieldSet, flow.BrownianBatch]
     before = [dict(vars(o)) for o in owners]
     orig_run, orig_A = harness.run_command, mollify.MollifiedFieldSet.A
+    # name the function behind each estimator span; the tracer's own
+    # estimator wrappers record no counts
+    wrap = tracer.wrap
+
+    def naming_wrap(name, fn, count=None):
+        if name == "malliavin.estimator":
+            count = lambda a, k, out, route=fn.__name__: {"route": route}
+        return wrap(name, fn, count)
+
+    tracer.wrap = naming_wrap
     try:
         tracer.install()
         assert harness.run_command is not orig_run
@@ -390,6 +419,13 @@ def test_benchmark_tracer_hooks_install_and_restore():
                    steps=10, paths=200, options={"t": 0.5, "F": "sin", "hdot": [1.0]})
         harness.run_command("ibp", ibp)
         assert any(s.name == "malliavin.right_inverse" for s in tracer.spans)
+        tracer.reset()
+        gradient = _cfg(field_spec={"name": "ou", "params": {"lam": 1.0}}, eps=(), T=0.5,
+                        steps=10, paths=200, options={"t": 0.5, "f": "sin"})
+        harness.run_command("gradient", gradient)
+        routes = sorted(s.counts["route"] for s in tracer.spans
+                        if s.name == "malliavin.estimator")
+        assert routes == ["bismut_gradient", "fd_gradient", "intertwine_gradient"]
     finally:
         tracer.uninstall()
     for owner, snap in zip(owners, before):

@@ -5,13 +5,13 @@ import pytest
 
 from sdem.fields import FieldError, builtin_field
 from sdem.flow import BrownianBatch, TimeGrid, run_ensemble
-from sdem.malliavin import (CameronMartinPath, DivergenceWeight, MCConfig,
-                            IbpResult, RightInverseError, bismut_gradient,
-                            divergence, fd_gradient, ibp_check,
-                            intertwine_gradient, right_inverse)
+from sdem.malliavin import (CameronMartinPath, DivergenceWeight, IbpResult,
+                            RightInverseError, bismut_gradient, divergence,
+                            fd_gradient, ibp_check, intertwine_gradient,
+                            right_inverse)
 from sdem.mollify import mollify_field
 from sdem.report import EstimatorReport
-from conftest import scalar_drift_field
+from conftest import engine_inputs, scalar_drift_field
 
 
 # ---------------------------------------------------------------------------
@@ -118,21 +118,21 @@ def test_mollified_right_inverse_converges(rng):
 
 
 def test_bismut_bm_linear():
-    cfg = MCConfig(builtin_field("bm", n=1), paths=20_000, dt=1e-3, seed=30)
-    rep = bismut_gradient(lambda s: s[:, 0], [0.3], [1.0], 0.5, cfg)
+    run = engine_inputs(builtin_field("bm", n=1), [0.3], 0.5, paths=20_000, seed=30)
+    rep = bismut_gradient(lambda s: s[:, 0], [1.0], *run)
     assert rep.within(1.0)
 
 
 def test_bismut_constant_function_is_zero():
-    cfg = MCConfig(builtin_field("bm", n=1), paths=20_000, dt=1e-3, seed=31)
-    rep = bismut_gradient(lambda s: np.ones(len(s)), [0.0], [1.0], 0.5, cfg)
+    run = engine_inputs(builtin_field("bm", n=1), [0.0], 0.5, paths=20_000, seed=31)
+    rep = bismut_gradient(lambda s: np.ones(len(s)), [1.0], *run)
     assert abs(rep.estimate) <= 3.0 * rep.se
 
 
 def test_bismut_shift_invariance():
-    cfg = MCConfig(builtin_field("ou", lam=1.0), paths=20_000, dt=1e-3, seed=32)
-    a = bismut_gradient(lambda s: s[:, 0], [0.0], [1.0], 0.5, cfg)
-    b = bismut_gradient(lambda s: s[:, 0] + 7.0, [0.0], [1.0], 0.5, cfg)
+    run = engine_inputs(builtin_field("ou", lam=1.0), [0.0], 0.5, paths=20_000, seed=32)
+    a = bismut_gradient(lambda s: s[:, 0], [1.0], *run)
+    b = bismut_gradient(lambda s: s[:, 0] + 7.0, [1.0], *run)
     assert abs(a.estimate - b.estimate) <= 3.0 * math.hypot(a.se, b.se)
 
 
@@ -140,32 +140,32 @@ def test_bismut_indicator_function():
     # beyond C^1: f = 1_{x > 0}; the gradient of P_t f at 0 is the
     # transition density at the threshold, (2 pi t)^{-1/2}
     t = 0.5
-    cfg = MCConfig(builtin_field("bm", n=1), paths=40_000, dt=1e-3, seed=33)
-    rep = bismut_gradient(lambda s: (s[:, 0] > 0).astype(float), [0.0], [1.0], t, cfg)
+    run = engine_inputs(builtin_field("bm", n=1), [0.0], t, paths=40_000, seed=33)
+    rep = bismut_gradient(lambda s: (s[:, 0] > 0).astype(float), [1.0], *run)
     assert rep.within(1.0 / math.sqrt(2 * math.pi * t))
 
 
 def test_intertwine_closed_forms():
     t = 0.5
-    cfg = MCConfig(builtin_field("bm", n=1), paths=20_000, dt=1e-3, seed=34)
-    rep = intertwine_gradient(lambda s: np.cos(s), [0.2], [1.0], t, cfg)
+    run = engine_inputs(builtin_field("bm", n=1), [0.2], t, paths=20_000, seed=34)
+    rep = intertwine_gradient(lambda s: np.cos(s), [1.0], *run)
     assert rep.within(math.cos(0.2) * math.exp(-t / 2.0))
-    ou_cfg = MCConfig(builtin_field("ou", lam=1.0), paths=5_000, dt=1e-3, seed=35)
-    rep2 = intertwine_gradient(lambda s: np.ones_like(s), [0.0], [1.0], t, ou_cfg)
+    ou_run = engine_inputs(builtin_field("ou", lam=1.0), [0.0], t, paths=5_000, seed=35)
+    rep2 = intertwine_gradient(lambda s: np.ones_like(s), [1.0], *ou_run)
     assert rep2.se < 1e-15          # deterministic up to mean-rounding noise
     assert rep2.estimate == pytest.approx((1.0 - 1e-3) ** 500, rel=1e-12)
-    rep3 = intertwine_gradient(lambda s: np.zeros_like(s), [0.0], [1.0], t, ou_cfg)
+    rep3 = intertwine_gradient(lambda s: np.zeros_like(s), [1.0], *ou_run)
     assert rep3.estimate == 0.0
 
 
 def test_fd_gradient_cases():
-    cfg = MCConfig(builtin_field("bm", n=1), paths=5_000, dt=1e-3, seed=36)
-    rep = fd_gradient(lambda s: s[:, 0], [0.0], [1.0], 0.5, 1e-3, cfg)
+    run = engine_inputs(builtin_field("bm", n=1), [0.0], 0.5, paths=5_000, seed=36)
+    rep = fd_gradient(lambda s: s[:, 0], [1.0], *run, bump=1e-3)
     assert rep.estimate == pytest.approx(1.0, abs=1e-10)     # CRN cancels the noise
-    rep0 = fd_gradient(lambda s: np.ones(len(s)), [0.0], [1.0], 0.5, 1e-3, cfg)
+    rep0 = fd_gradient(lambda s: np.ones(len(s)), [1.0], *run, bump=1e-3)
     assert rep0.estimate == 0.0
-    ou_cfg = MCConfig(builtin_field("ou", lam=1.0), paths=5_000, dt=1e-3, seed=37)
-    rep2 = fd_gradient(lambda s: s[:, 0], [0.0], [1.0], 0.5, 1e-3, ou_cfg)
+    ou_run = engine_inputs(builtin_field("ou", lam=1.0), [0.0], 0.5, paths=5_000, seed=37)
+    rep2 = fd_gradient(lambda s: s[:, 0], [1.0], *ou_run, bump=1e-3)
     assert rep2.estimate == pytest.approx(math.exp(-0.5), abs=2e-3)
 
 
@@ -179,13 +179,12 @@ def test_triple_agreement_matrix():
     for fi, fs in enumerate(fields):
         for ci, (f, df) in enumerate(cases):
             for t in (0.25, 0.5):
-                cfg = MCConfig(fs, paths=8_000, dt=1e-3,
-                               seed=5000 + 100 * fi + 10 * ci + int(t * 4),
-                               workers=2)
+                run = engine_inputs(fs, [0.0], t, paths=8_000,
+                                    seed=5000 + 100 * fi + 10 * ci + int(t * 4))
                 reps = {
-                    "bismut": bismut_gradient(f, [0.0], [1.0], t, cfg),
-                    "intertwine": intertwine_gradient(df, [0.0], [1.0], t, cfg),
-                    "fd": fd_gradient(f, [0.0], [1.0], t, 1e-3, cfg),
+                    "bismut": bismut_gradient(f, [1.0], *run, workers=2),
+                    "intertwine": intertwine_gradient(df, [1.0], *run, workers=2),
+                    "fd": fd_gradient(f, [1.0], *run, bump=1e-3, workers=2),
                 }
                 pooled_all = math.sqrt(sum(r.se ** 2 for r in reps.values()))
                 names = list(reps)
@@ -250,10 +249,9 @@ def _sin_functionals():
 def test_ibp_bm_linear_endpoint():
     # F(path) = path_T with hdot = 1: both sides equal T
     T = 0.5
-    cfg = MCConfig(builtin_field("bm", n=1), paths=20_000, dt=1e-3, seed=43)
+    run = engine_inputs(builtin_field("bm", n=1), [0.0], T, paths=20_000, seed=43)
     h = CameronMartinPath.constant([1.0])
-    res = ibp_check(lambda xT: xT[:, 0], lambda xT, vT: vT[:, 0], h, cfg, t=T,
-                    x=[0.0])
+    res = ibp_check(lambda xT: xT[:, 0], lambda xT, vT: vT[:, 0], h, *run)
     assert res.lhs.estimate == pytest.approx(T, rel=1e-12)   # deterministic side
     assert abs(res.rhs.estimate - T) <= 3.0 * res.rhs.se
     assert res.ok
@@ -261,9 +259,9 @@ def test_ibp_bm_linear_endpoint():
 
 def test_ibp_bm_sin_matches_closed_form():
     T, x0 = 0.5, 0.0
-    cfg = MCConfig(builtin_field("bm", n=1), paths=20_000, dt=1e-3, seed=44)
+    run = engine_inputs(builtin_field("bm", n=1), [x0], T, paths=20_000, seed=44)
     F, dF = _sin_functionals()
-    res = ibp_check(F, dF, CameronMartinPath.constant([1.0]), cfg, t=T, x=[x0])
+    res = ibp_check(F, dF, CameronMartinPath.constant([1.0]), *run)
     target = T * math.cos(x0) * math.exp(-T / 2.0)
     assert abs(res.lhs.estimate - target) <= 3.0 * res.lhs.se
     assert abs(res.rhs.estimate - target) <= 3.0 * res.rhs.se
@@ -271,16 +269,16 @@ def test_ibp_bm_sin_matches_closed_form():
 
 
 def test_ibp_ou_sin():
-    cfg = MCConfig(builtin_field("ou", lam=1.0), paths=20_000, dt=1e-3, seed=45)
+    run = engine_inputs(builtin_field("ou", lam=1.0), [0.0], 0.5, paths=20_000, seed=45)
     F, dF = _sin_functionals()
-    res = ibp_check(F, dF, CameronMartinPath.constant([1.0]), cfg, t=0.5, x=[0.0])
+    res = ibp_check(F, dF, CameronMartinPath.constant([1.0]), *run)
     assert res.gap <= 3.0 * res.se_pooled
 
 
 def test_ibp_constant_functional():
-    cfg = MCConfig(builtin_field("bm", n=1), paths=10_000, dt=1e-3, seed=46)
+    run = engine_inputs(builtin_field("bm", n=1), [0.0], 0.5, paths=10_000, seed=46)
     res = ibp_check(lambda xT: np.ones(len(xT)), lambda xT, vT: np.zeros(len(xT)),
-                    CameronMartinPath.constant([1.0]), cfg, t=0.5, x=[0.0])
+                    CameronMartinPath.constant([1.0]), *run)
     assert res.lhs.estimate == 0.0
     assert abs(res.rhs.estimate) <= 3.0 * res.rhs.se
 
@@ -288,17 +286,16 @@ def test_ibp_constant_functional():
 def test_ibp_adapted_direction():
     # hdot_s = tanh(xi_s) reads only the current state: still a valid
     # adapted Cameron-Martin direction, and the identity must survive
-    cfg = MCConfig(builtin_field("bm", n=1), paths=40_000, dt=1e-3, seed=47)
+    run = engine_inputs(builtin_field("bm", n=1), [0.0], 0.25, paths=40_000, seed=47)
     h = CameronMartinPath(lambda k, state: np.tanh(state))
-    res = ibp_check(lambda xT: xT[:, 0], lambda xT, vT: vT[:, 0], h, cfg, t=0.25,
-                    x=[0.0])
+    res = ibp_check(lambda xT: xT[:, 0], lambda xT, vT: vT[:, 0], h, *run)
     assert res.gap <= 3.0 * res.se_pooled + 1e-3
 
 
 def test_ibp_full_path_functional():
     # F(path) = mean_k sin(path_k); on flat noise both sides match termwise
     T = 0.5
-    cfg = MCConfig(builtin_field("bm", n=1), paths=20_000, dt=1e-3, seed=48)
+    run = engine_inputs(builtin_field("bm", n=1), [0.0], T, paths=20_000, seed=48)
 
     def F(times, states):
         return np.mean(np.sin(states[:, :, 0]), axis=1)
@@ -306,8 +303,7 @@ def test_ibp_full_path_functional():
     def dF(times, states, direction):
         return np.mean(np.cos(states[:, :, 0]) * direction[:, :, 0], axis=1)
 
-    res = ibp_check(F, dF, CameronMartinPath.constant([1.0]), cfg, t=T, x=[0.0],
-                    full_path=True)
+    res = ibp_check(F, dF, CameronMartinPath.constant([1.0]), *run, full_path=True)
     assert res.gap <= 3.0 * res.se_pooled
 
 
@@ -319,14 +315,6 @@ def test_ibp_verdict_uses_paired_se():
     assert not IbpResult(rep, rep, gap=3.4, se_pooled=1.2, se_paired=1.1).ok
 
 
-def test_mc_config_grid():
-    cfg = MCConfig(builtin_field("bm", n=1), paths=10, dt=1e-3, seed=0)
-    grid = cfg.grid_for(0.5)
-    assert grid.steps == 500 and grid.T == 0.5
-    with pytest.raises(Exception):
-        cfg.grid_for(-1.0)
-
-
 def test_direction_of_the_wrong_length_fails_before_any_noise(monkeypatch):
     # a v0 or a constant direction that does not match the field set's n is
     # rejected, naming the key, before a block of noise is drawn
@@ -334,25 +322,22 @@ def test_direction_of_the_wrong_length_fails_before_any_noise(monkeypatch):
         raise AssertionError("a rejected run drew noise")
 
     monkeypatch.setattr(BrownianBatch, "block_increments", no_noise)
-    fs = builtin_field("bm", n=2)
-    cfg = MCConfig(fs, paths=8, dt=0.1, seed=0)
+    run = engine_inputs(builtin_field("bm", n=2), [0.0, 0.0], 0.5, paths=8, seed=0, dt=0.1)
     f = lambda s: s[:, 0]
     df = lambda s: np.ones_like(s)
-    grid = cfg.grid_for(0.5)
-    noise = cfg.noise_for(grid)
     F, dF = (lambda xT: xT[:, 0]), (lambda xT, vT: vT[:, 0])
     for bad in ([1.0, 0.0, 0.0], [1.0]):
         h = CameronMartinPath.constant(bad)
         rows = [
-            (lambda: bismut_gradient(f, [0.0, 0.0], bad, 0.5, cfg), "v0"),
-            (lambda: intertwine_gradient(df, [0.0, 0.0], bad, 0.5, cfg), "v0"),
-            (lambda: fd_gradient(f, [0.0, 0.0], bad, 0.5, 1e-3, cfg), "v0"),
-            (lambda: ibp_check(F, dF, h, cfg, t=0.5, x=[0.0, 0.0]), "direction h"),
-            (lambda: divergence(h, fs, [0.0, 0.0], grid, noise), "direction h"),
+            (lambda: bismut_gradient(f, bad, *run), "v0"),
+            (lambda: intertwine_gradient(df, bad, *run), "v0"),
+            (lambda: fd_gradient(f, bad, *run, bump=1e-3), "v0"),
+            (lambda: ibp_check(F, dF, h, *run), "direction h"),
+            (lambda: divergence(h, *run), "direction h"),
         ]
         for call, key in rows:
             with pytest.raises(FieldError, match=key):
                 call()
     # the right length goes on to draw the noise
     with pytest.raises(AssertionError, match="drew noise"):
-        bismut_gradient(f, [0.0, 0.0], [0.6, -0.8], 0.5, cfg)
+        bismut_gradient(f, [0.6, -0.8], *run)
