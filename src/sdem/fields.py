@@ -429,6 +429,8 @@ def condition_g_estimate(fs: VectorFieldSet, sigma: float, T0: float, x,
         raise FieldError("condition_g_estimate: sigma and T0 must be positive")
     if samples < 10_000:
         raise FieldError("condition_g_estimate: need at least 1e4 samples")
+    if seed < 0:
+        raise FieldError(f"condition_g_estimate: seed must be a nonnegative integer, got {seed}")
     fs.require_dfield()
     x = np.atleast_1d(np.asarray(x, dtype=float))
     scale = T0 * (2.0 * math.pi) ** (fs.n / 2.0)

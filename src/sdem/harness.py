@@ -54,6 +54,19 @@ def _reject_unknown(where: str, doc: dict, known) -> None:
         raise FieldError(f"unknown {where} key(s) {unknown}; accepted: {sorted(known)}")
 
 
+def _config_number(key: str, value, least=None, whole=False):
+    """A config number, exactly: a non-number, a fraction where an integer is
+    due, or a value below ``least`` raises an error that names the key."""
+    ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+          and (not whole or (math.isfinite(value) and value == math.floor(value)))
+          and (least is None or value >= least))
+    if not ok:
+        kind = "an integer" if whole else "a number"
+        bound = f" >= {least}" if least is not None else ""
+        raise FieldError(f"config key {key!r} must be {kind}{bound}, got {value!r}")
+    return int(value) if whole else float(value)
+
+
 def _reject_misshapen(doc: dict) -> None:
     """Objects must be objects and vectors lists of numbers, or the key is named."""
     for key in ("field", "grid", "options"):
@@ -112,7 +125,10 @@ class ExperimentConfig:
         dt = self.grid.dt
         if not (math.isfinite(t) and t > 0):
             raise FieldError(f"option 't' must be a finite positive horizon, got {t}")
-        return TimeGrid(t, max(1, round(t / dt)))
+        steps = t / dt
+        if not math.isfinite(steps):
+            raise FieldError(f"option 't' = {t} takes more steps of {dt} than a float holds")
+        return TimeGrid(t, max(1, round(steps)))
 
     def make_field(self):
         return field_from_json(self.field_spec)
@@ -129,10 +145,10 @@ class ExperimentConfig:
         cfg = ExperimentConfig(
             field_spec=doc.get("field", {"name": "bm", "params": {"n": 1}}),
             eps=tuple(doc.get("eps", ())),
-            T=float(grid.get("T", 0.25)),
-            steps=int(grid.get("steps", 250)),
-            paths=int(doc.get("paths", 10_000)),
-            seed=int(doc.get("seed", 20260810)),
+            T=_config_number("grid.T", grid.get("T", 0.25)),
+            steps=_config_number("grid.steps", grid.get("steps", 250), 1, whole=True),
+            paths=_config_number("paths", doc.get("paths", 10_000), 1, whole=True),
+            seed=_config_number("seed", doc.get("seed", 20260810), 0, whole=True),
             x0=tuple(doc.get("x0", (0.0,))),
             workers=doc.get("workers"),
             out=doc.get("out"),
@@ -346,8 +362,10 @@ def cmd_kernel_bound(cfg: ExperimentConfig) -> CommandResult:
     lo, hi, count = spec
     qpts = np.linspace(float(lo), float(hi), int(count))[:, None]
     bandwidth = cfg.opt("bandwidth")
-    if bandwidth is not None and float(bandwidth) <= 0:
-        raise FieldError(f"option 'bandwidth' must be positive, got {bandwidth}")
+    if bandwidth is not None:
+        bandwidth = float(bandwidth)
+        if not (math.isfinite(bandwidth) and bandwidth > 0):
+            raise FieldError(f"option 'bandwidth' must be finite and positive, got {bandwidth}")
     t = float(cfg.opt("t", cfg.T))
     grid = cfg.grid_at(t)
     noise = BrownianBatch(cfg.seed, cfg.paths, grid, fields.m)
@@ -362,7 +380,8 @@ def cmd_kernel_bound(cfg: ExperimentConfig) -> CommandResult:
                              [f"kernel_bound: flagged fraction {frac:.2e} >= 1e-4"],
                              payload, {"kernel_bound.json": _json_text(payload)})
     samples = res.state_T[res.ok]
-    bandwidth = float(bandwidth) if bandwidth else kern.silverman_bandwidth(samples)
+    if bandwidth is None:
+        bandwidth = kern.silverman_bandwidth(samples)
     query = kern.DensityQuery(t, np.asarray(cfg.x0, dtype=float), qpts, bandwidth)
     dens, se = kern.density_estimate(samples, query)
     c1_target = float(cfg.opt("c1", 1.05))

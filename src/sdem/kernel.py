@@ -27,8 +27,14 @@ __all__ = [
 ]
 
 MIN_SAMPLES = 10_000
-# sample rows per KDE pass; bounds the (rows, Q) kernel matrix in memory
+# sample rows per partial sum of the KDE: each column is summed row after row
+# over a chunk and the chunk's partial is then added to the total, so this
+# sets how the sums associate, and with it every bit of the estimate
 _CHUNK = 262144
+# elements of one tile of the KDE workspace, which holds _TILE // Q sample rows
+_TILE = 1 << 15
+# exp(x) is exactly +0 at and below this; it underflows below -745.14
+_EXP_FLOOR = -746.0
 # C1 values the bound fit scans, smallest first
 _C1_GRID = np.geomspace(1.0, 20.0, 200)
 
@@ -48,10 +54,11 @@ class DensityQuery:
         if q.ndim == 1:
             q = q[:, None]
         object.__setattr__(self, "query_points", q)
-        if self.t <= 0:
-            raise FieldError("DensityQuery: time must be positive")
-        if self.bandwidth <= 0:
-            raise FieldError("DensityQuery: bandwidth must be positive")
+        if not (math.isfinite(self.t) and self.t > 0):
+            raise FieldError(f"DensityQuery: time must be finite and positive, got {self.t}")
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise FieldError("DensityQuery: bandwidth must be finite and positive, "
+                             f"got {self.bandwidth}")
         if not np.all(np.isfinite(q)):
             raise FieldError("DensityQuery: query points must be finite")
 
@@ -91,6 +98,13 @@ def density_estimate(samples, query: DensityQuery) -> tuple[np.ndarray, np.ndarr
     The KDE is a sample mean of kernel evaluations, for which the delete-one
     jackknife variance coincides with the usual variance of the mean; it is
     computed that way.  Returns (densities, se), each of shape (Q,).
+
+    The kernels are computed in place, a tile of _TILE // Q sample rows at a
+    time, in one workspace that every tile reuses.  Row 0 of a tile carries
+    the running column sums of its chunk, so each column is still summed row
+    after row over the _CHUNK rows.  `exp` runs only where its argument lies
+    above _EXP_FLOOR; below it the kernel is exactly +0, which leaves the
+    non-negative sums unchanged.  Samples must be finite.
     """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim == 1:
@@ -100,17 +114,47 @@ def density_estimate(samples, query: DensityQuery) -> tuple[np.ndarray, np.ndarr
         raise FieldError("density_estimate: need at least 1e4 samples")
     if n != query.n:
         raise FieldError("sample dimension does not match query points")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise FieldError(f"density_estimate: sample {i} is not finite: {pts[i].tolist()}")
     h = query.bandwidth
     norm = 1.0 / ((2.0 * math.pi) ** (n / 2.0) * h ** n)
     q = query.query_points
-    total = np.zeros(len(q))
-    total_sq = np.zeros(len(q))
+    Q = len(q)
+    rows = max(1, _TILE // max(1, Q))
+    diff = np.empty((rows, Q, n))
+    live = np.empty((rows, Q), dtype=bool)
+    k = np.empty((rows + 1, Q))
+    k_sq = np.empty((rows + 1, Q))
+    part = np.empty(Q)
+    part_sq = np.empty(Q)
+    total = np.zeros(Q)
+    total_sq = np.zeros(Q)
     for lo in range(0, N, _CHUNK):
-        block = pts[lo:lo + _CHUNK]
-        d2 = np.sum((block[:, None, :] - q[None, :, :]) ** 2, axis=-1)
-        k = norm * np.exp(-d2 / (2.0 * h * h))
-        total += k.sum(axis=0)
-        total_sq += (k * k).sum(axis=0)
+        hi = min(lo + _CHUNK, N)
+        part.fill(0.0)
+        part_sq.fill(0.0)
+        for a in range(lo, hi, rows):
+            r = min(rows, hi - a)
+            # exp's argument sits in k_sq's rows until k * k overwrites it
+            d, kt, arg = diff[:r], k[1:r + 1], k_sq[1:r + 1]
+            np.subtract(pts[a:a + r, None, :], q[None, :, :], out=d)
+            np.square(d, out=d)
+            np.sum(d, axis=-1, out=arg)
+            np.negative(arg, out=arg)
+            np.divide(arg, 2.0 * h * h, out=arg)
+            np.greater(arg, _EXP_FLOOR, out=live[:r])
+            kt.fill(0.0)
+            np.exp(arg, out=kt, where=live[:r])
+            np.multiply(kt, norm, out=kt)
+            np.multiply(kt, kt, out=arg)
+            k[0] = part
+            k_sq[0] = part_sq
+            np.sum(k[:r + 1], axis=0, out=part)
+            np.sum(k_sq[:r + 1], axis=0, out=part_sq)
+        total += part
+        total_sq += part_sq
     mean = total / N
     var = np.maximum(total_sq / N - mean ** 2, 0.0)
     se = np.sqrt(var / (N - 1))

@@ -26,7 +26,6 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .fields import FieldMeta, VectorFieldSet, FieldError, _as_batch
 
@@ -51,6 +50,9 @@ def mollifier_constant(n: int) -> float:
     """Normalizing constant making the bump kernel integrate to one on R^n."""
     if n < 1:
         raise ValueError("dimension must be positive")
+    # imported here, its only use, so runs that never mollify do not pay for it
+    from scipy import integrate
+
     # radial reduction: integral = S_{n-1} * int_0^1 r^{n-1} exp(1/(r^2-1)) dr
     surface = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     val, _ = integrate.quad(lambda r: r ** (n - 1) * math.exp(1.0 / (r * r - 1.0)), 0.0, 1.0)

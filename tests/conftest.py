@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from sdem.fields import FieldMeta, VectorFieldSet, _as_batch
 from sdem.flow import BrownianBatch, TimeGrid
+from sdem.kernel import _CHUNK
 
 
 def scalar_drift_field(f, df=None, name="scalar"):
@@ -42,6 +45,28 @@ def finite_difference_dfield(fs, l, x, step=1e-5):
         e[j] = step
         out[:, j] = (fs.A(l, x + e) - fs.A(l, x - e)) / (2.0 * step)
     return out
+
+
+def density_estimate_oracle(pts, query):
+    """The KDE as first written, one (rows, Q) kernel matrix per _CHUNK of
+    samples: the reference that the tiled `density_estimate` must match bit
+    for bit.  `pts` is an (N, n) float array."""
+    N, n = pts.shape
+    h = query.bandwidth
+    norm = 1.0 / ((2.0 * math.pi) ** (n / 2.0) * h ** n)
+    q = query.query_points
+    total = np.zeros(len(q))
+    total_sq = np.zeros(len(q))
+    for lo in range(0, N, _CHUNK):
+        block = pts[lo:lo + _CHUNK]
+        d2 = np.sum((block[:, None, :] - q[None, :, :]) ** 2, axis=-1)
+        k = norm * np.exp(-d2 / (2.0 * h * h))
+        total += k.sum(axis=0)
+        total_sq += (k * k).sum(axis=0)
+    mean = total / N
+    var = np.maximum(total_sq / N - mean ** 2, 0.0)
+    se = np.sqrt(var / (N - 1))
+    return mean, se
 
 
 @pytest.fixture(scope="session")

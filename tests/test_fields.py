@@ -228,6 +228,8 @@ def test_condition_g_rejects_small_samples():
     fs = builtin_field("bm", n=1)
     with pytest.raises(FieldError):
         condition_g_estimate(fs, 1.0, 1.0, np.zeros(1), 100, seed=0)
+    with pytest.raises(FieldError, match="seed"):
+        condition_g_estimate(fs, 1.0, 1.0, np.zeros(1), 10_000, seed=-1)
     bare = scalar_drift_field(lambda x: x)
     with pytest.raises(DerivativeUnavailableError):
         condition_g_estimate(bare, 1.0, 1.0, np.zeros(1), 10_000, seed=0)

@@ -47,6 +47,9 @@ def test_grid_at_keeps_the_step_size():
     assert cfg.grid_at(1e-5).steps == 1
     with pytest.raises(FieldError):
         cfg.grid_at(-1.0)
+    # t / dt overflows to inf; the error names t rather than failing in round()
+    with pytest.raises(FieldError, match="'t'"):
+        cfg.grid_at(1e308)
 
 
 def test_unknown_command_rejected():
@@ -250,6 +253,25 @@ def test_config_rejects_unknown_keys():
             ExperimentConfig.from_dict({**doc, key: value})
 
 
+def test_config_numbers_are_exact():
+    doc = _cfg().to_dict()
+    cfg = ExperimentConfig.from_dict({**doc, "grid": {"T": 1, "steps": 40.0}, "paths": 1e3})
+    assert (cfg.T, cfg.steps, cfg.paths) == (1.0, 40, 1000)
+    assert type(cfg.steps) is int and type(cfg.paths) is int
+    bad = [("grid", {"T": 0.25, "steps": 2.7}, "'grid.steps'"),
+           ("grid", {"T": 0.25, "steps": 0}, "'grid.steps'"),
+           ("grid", {"T": "abc", "steps": 50}, "'grid.T'"),
+           ("grid", {"T": 0.25, "steps": math.inf}, "'grid.steps'"),
+           ("paths", 1000.9, "'paths'"),
+           ("paths", True, "'paths'"),
+           ("paths", "1000", "'paths'"),
+           ("seed", -1, "'seed'"),
+           ("seed", math.nan, "'seed'")]
+    for key, value, name in bad:
+        with pytest.raises(FieldError, match=name):
+            ExperimentConfig.from_dict({**doc, key: value})
+
+
 def test_cli_rejects_misspelled_top_level_key(tmp_path):
     doc = _cfg().to_dict()
     doc["feild"] = doc.pop("field")
@@ -294,6 +316,10 @@ def test_study_dimensions_rejected_before_any_noise(monkeypatch):
            ("kernel-bound", {"paths": 10_000, "options": {"query": [-4, 4]}}, "'query'"),
            ("kernel-bound", {"paths": 10_000, "options": {"query": [-4, 4, 0]}}, "'query'"),
            ("kernel-bound", {"paths": 10_000, "options": {"bandwidth": -0.1}}, "'bandwidth'"),
+           ("kernel-bound", {"paths": 10_000, "options": {"bandwidth": "nan"}}, "'bandwidth'"),
+           ("kernel-bound", {"paths": 10_000, "options": {"bandwidth": math.inf}}, "'bandwidth'"),
+           ("kernel-bound", {"paths": 10_000, "options": {"t": 1e308}}, "'t'"),
+           ("condition-g", {"seed": -1}, "seed"),
            ("converge-flow", {"eps": (0.1,)}, "'eps'"),
            ("converge-derivative", {"eps": (0.1,)}, "'eps'"),
            ("moment", {"T": math.nan}, "horizon T"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import strategies as st
 
 from sdem.fields import FieldError, builtin_field
 from sdem.flow import BrownianBatch, TimeGrid, run_ensemble
-from sdem.kernel import (DensityQuery, density_estimate, gaussian_kernel,
-                         kernel_bound_fit, silverman_bandwidth)
+from sdem.kernel import (_CHUNK, _EXP_FLOOR, _TILE, DensityQuery, density_estimate,
+                         gaussian_kernel, kernel_bound_fit, silverman_bandwidth)
 from sdem.mollify import mollify_field
+
+from conftest import density_estimate_oracle
 
 
 def test_heat_kernel_values():
@@ -78,6 +81,66 @@ def test_density_estimate_preconditions():
         DensityQuery(1.0, [0.0], np.array([[0.0]]), bandwidth=0.0)
     with pytest.raises(FieldError):
         DensityQuery(-1.0, [0.0], np.array([[0.0]]), bandwidth=0.1)
+    # a value that is not finite is named before any kernel is evaluated
+    for bad in (math.nan, math.inf):
+        with pytest.raises(FieldError, match=f"bandwidth .* got {bad}"):
+            DensityQuery(1.0, [0.0], np.array([[0.0]]), bandwidth=bad)
+    with pytest.raises(FieldError, match="time .* got nan"):
+        DensityQuery(math.nan, [0.0], np.array([[0.0]]), bandwidth=0.1)
+    samples = np.zeros((20_000, 1))
+    for bad in (math.nan, -math.inf):
+        samples[12_345, 0] = bad
+        with pytest.raises(FieldError, match=f"sample 12345 is not finite: \\[{bad}\\]"):
+            density_estimate(samples, query)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_tiled_kde_is_bytewise_the_chunked_one(n):
+    # two full chunks and a ragged tail, so the sums cross chunk and tile
+    # boundaries; at this bandwidth over 30% of the kernels underflow to +0
+    # and some are subnormal, the values the masked exp must reproduce.  The
+    # last query point lies 1.9 beyond the outermost sample, where every
+    # kernel is subnormal or zero and so is the density
+    N, h = 2 * _CHUNK + 4321, 0.05
+    pts = np.random.default_rng(20261019 + n).standard_normal((N, n))
+    far = pts[np.argmax(pts[:, 0])] + 1.9 * np.eye(n)[0]
+    q = np.vstack([np.linspace(-4.0, 4.0, 21)[:, None] + np.linspace(0.0, 0.3, n), far])
+    query = DensityQuery(1.0, np.zeros(n), q, bandwidth=h)
+    assert _CHUNK % (_TILE // len(q)) != 0      # each chunk ends in a short tile
+    underflow = subnormal = 0
+    for y in q:
+        arg = -np.sum((pts - y) ** 2, axis=1) / (2.0 * h * h)
+        kern = np.exp(arg)
+        underflow += np.count_nonzero(arg < _EXP_FLOOR)
+        subnormal += np.count_nonzero((kern > 0.0) & (kern < np.finfo(float).tiny))
+    assert underflow > 0.3 * N * len(q) and subnormal > 0
+    dens, se = density_estimate(pts, query)
+    ref_dens, ref_se = density_estimate_oracle(pts, query)
+    assert 0.0 < ref_dens[-1] < np.finfo(float).tiny
+    assert dens.tobytes() == ref_dens.tobytes()
+    assert se.tobytes() == ref_se.tobytes()
+
+
+def test_exp_is_exactly_zero_from_the_floor_down():
+    below = np.concatenate([[_EXP_FLOOR, -np.inf],
+                            _EXP_FLOOR - np.geomspace(1e-12, 1e300, 4001),
+                            np.random.default_rng(5).uniform(-2000.0, _EXP_FLOOR, 4000)])
+    out = np.exp(below)
+    assert np.all(out == 0.0) and not np.any(np.signbit(out))
+    assert math.exp(_EXP_FLOOR) == 0.0
+
+
+def test_density_estimate_works_in_a_small_workspace():
+    pts = np.random.default_rng(6).standard_normal((300_000, 1))
+    query = DensityQuery(1.0, [0.0], np.linspace(-4.0, 4.0, 21)[:, None], bandwidth=0.05)
+    tracemalloc.start()
+    try:
+        density_estimate(pts, query)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one (rows, Q) matrix per 262,144-row chunk would peak near 126 MB
+    assert peak <= 16 * 2 ** 20
 
 
 def test_bound_fit_bm_sits_at_grid_floor():
