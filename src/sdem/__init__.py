@@ -11,7 +11,7 @@ from .fields import (FieldError, DerivativeUnavailableError, FieldMeta,
                      GrowthProfile, VectorFieldSet, builtin_field,
                      ellipticity_margin, hoelder_estimate, g_function,
                      check_growth_profile,
-                     condition_g_estimate, radial_cutoff, field_from_json)
+                     condition_g_estimate, field_from_json)
 from .mollify import (QuadratureError, MollifiedFieldSet, eta,
                       eta_grad, mollify_field, mollify_scalar, sup_error)
 from .flow import (BLOCK, TimeGrid, BrownianBatch, EnsembleResult, run_ensemble,

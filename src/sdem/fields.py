@@ -2,8 +2,7 @@
 
 A family consists of a drift field (index 0) and m diffusion fields
 (indices 1..m) on R^n, together with an optional chosen version of the
-weak derivative of each field and regularity metadata (ellipticity floor,
-Hoelder constant/exponent, sup bound, growth class).
+weak derivative of each field and its ellipticity floor.
 
 Evaluators are vectorized: points may be a single array of shape (n,) or a
 batch of shape (..., n); field values have the same leading shape, and
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,7 +35,6 @@ __all__ = [
     "condition_g_estimate",
     "ConditionGResult",
     "check_growth_profile",
-    "radial_cutoff",
 ]
 
 
@@ -59,11 +57,6 @@ class GrowthProfile:
 @dataclass(frozen=True)
 class FieldMeta:
     theta: float = 0.0          # uniform ellipticity lower bound (0 = not claimed)
-    hoelder_K: float = 0.0
-    hoelder_alpha: float = 1.0  # exponent in (0, 1]
-    bound_M: float = math.inf
-    growth: str = "bounded"     # bounded | linear | custom
-    profile: Optional[GrowthProfile] = None
 
 
 def check_growth_profile(profile: GrowthProfile, radii,
@@ -168,8 +161,7 @@ def _bm(n: int) -> VectorFieldSet:
         out = np.zeros((pts.shape[0], n, n))
         return out[0] if single else out.reshape(np.asarray(x).shape[:-1] + (n, n))
 
-    meta = FieldMeta(theta=1.0, hoelder_K=0.0, hoelder_alpha=0.5, bound_M=1.0)
-    return VectorFieldSet(n, n, A, DA, meta, name="bm", params={"n": n}, zero_drift=True,
+    return VectorFieldSet(n, n, A, DA, FieldMeta(theta=1.0), name="bm", params={"n": n}, zero_drift=True,
                           constant_diffusion=True)
 
 
@@ -188,8 +180,7 @@ def _ou(lam: float) -> VectorFieldSet:
         out = np.full((pts.shape[0], 1, 1), val)
         return out[0] if single else out.reshape(np.asarray(x).shape[:-1] + (1, 1))
 
-    meta = FieldMeta(theta=1.0, hoelder_K=lam, hoelder_alpha=1.0, growth="linear")
-    return VectorFieldSet(1, 1, A, DA, meta, name="ou", params={"lam": lam},
+    return VectorFieldSet(1, 1, A, DA, FieldMeta(theta=1.0), name="ou", params={"lam": lam},
                           constant_diffusion=True)
 
 
@@ -216,10 +207,7 @@ def _const_shift(matrix, shift) -> VectorFieldSet:
         out = np.zeros((pts.shape[0], n, n))
         return out[0] if single else out.reshape(np.asarray(x).shape[:-1] + (n, n))
 
-    theta = float(sv[-1] ** 2)
-    meta = FieldMeta(theta=theta, hoelder_K=0.0, hoelder_alpha=0.5,
-                     bound_M=float(np.abs(mat).sum(axis=0).max() + np.abs(b).max()))
-    return VectorFieldSet(n, m, A, DA, meta, name="const_shift",
+    return VectorFieldSet(n, m, A, DA, FieldMeta(theta=float(sv[-1] ** 2)), name="const_shift",
                           params={"matrix": mat.tolist(), "shift": b.tolist()},
                           constant_diffusion=True)
 
@@ -284,9 +272,7 @@ def _log_example(beta: float) -> VectorFieldSet:
     theta = (1.0 - math.sqrt(beta) * math.sqrt(math.pi) / 2.0) ** 2
     if theta <= 0:
         raise FieldError(f"log_example: beta={beta} destroys ellipticity (needs beta < 4/pi)")
-    meta = FieldMeta(theta=theta, hoelder_K=2.0 * math.sqrt(beta),
-                     hoelder_alpha=0.5, bound_M=1.0 + math.sqrt(beta * math.pi) / 2.0)
-    return VectorFieldSet(1, 1, A, DA, meta, name="log_example", params={"beta": beta},
+    return VectorFieldSet(1, 1, A, DA, FieldMeta(theta=theta), name="log_example", params={"beta": beta},
                           zero_drift=True)
 
 
@@ -458,94 +444,3 @@ def condition_g_estimate(fs: VectorFieldSet, sigma: float, T0: float, x,
     est = scale * float(pooled.mean())
     se = scale * float(pooled.std(ddof=1) / math.sqrt(pooled.size))
     return ConditionGResult(est, bool(worst > growth_ratio), worst, se, int(pooled.size))
-
-
-# ---------------------------------------------------------------------------
-# radial cutoff
-
-
-def _radius(pts):
-    """|x| over the last axis, shape (..., 1).  Where squaring the entries
-    overflows, the point is first scaled by max_i |x_i|, so the radius of a
-    finite point is finite whenever it is below the largest double; above
-    it, the radius is inf, with no warning."""
-    with np.errstate(over="ignore"):
-        r = np.linalg.norm(pts, axis=-1, keepdims=True)
-        big = np.isinf(r[..., 0]) & np.all(np.isfinite(pts), axis=-1)
-        if np.any(big):
-            s = np.max(np.abs(pts[big]), axis=-1, keepdims=True)
-            r[big] = s * np.linalg.norm(pts[big] / s, axis=-1, keepdims=True)
-    return r
-
-
-def _unit(pts):
-    """x / |x| over the last axis, taken through the scaled point
-    u = x / max_i |x_i|, whose norm lies in [1, sqrt(n)]: the direction of
-    every finite point is finite, even where |x| exceeds the largest double.
-    The origin maps to itself."""
-    s = np.max(np.abs(pts), axis=-1, keepdims=True)
-    u = pts / np.where(s > 0, s, 1.0)
-    ru = np.linalg.norm(u, axis=-1, keepdims=True)
-    return u / np.where(ru > 0, ru, 1.0)
-
-
-def radial_cutoff(fs: VectorFieldSet, N: float) -> VectorFieldSet:
-    """Clamp every field at radius N along rays through the origin.
-
-    Inside the closed ball of radius N the family is unchanged.  Outside,
-    fields take their value at the radial projection N x / |x| and the
-    derivative follows by the chain rule through that projection.  On the
-    sphere |x| = N itself the inside limit is used; the mismatch lives on a
-    measure-zero set and does not affect the simulated flows.  The
-    projection goes through the unit direction of x, never through |x|, so
-    a finite point whose norm exceeds the largest double still lands on the
-    sphere.  A constant field stays constant, so the declarations carry over.
-    Underflow in the projection and its derivative, such as squaring the
-    entries of a tiny point, only rounds a value toward 0, so it raises
-    nothing whatever the caller's ``np.errstate``.
-    """
-    if N <= 0:
-        raise FieldError("radial_cutoff: N must be positive")
-    n = fs.n
-
-    @np.errstate(under="ignore")
-    def project(pts):
-        r = _radius(pts)
-        outside = r[..., 0] > N
-        safe_r = np.where(r > 0, r, 1.0)
-        proj = np.where(outside[..., None], N * _unit(pts), pts)
-        # force projected radii to land at <= N so the cutoff is exactly
-        # idempotent despite rounding in the rescale
-        for _ in range(3):
-            r2 = np.linalg.norm(proj, axis=-1)
-            high = r2 > N
-            if not np.any(high):
-                break
-            proj[high] = np.nextafter(proj[high], 0.0)
-        return proj, outside, safe_r
-
-    def A(l, x):
-        pts, single = _as_batch(x, n)
-        proj, _, _ = project(pts)
-        out = fs.A(l, proj)
-        return out[0] if single else out.reshape(np.asarray(x).shape)
-
-    DA = None
-    if fs.DA is not None:
-        def DA(l, x):
-            pts, single = _as_batch(x, n)
-            proj, outside, safe_r = project(pts)
-            base = fs.DA(l, proj)                      # (N, n, n) at projected points
-            # d/dx of x -> N x / |x| is (N/|x|) (I - xhat xhat^T)
-            with np.errstate(under="ignore"):
-                xhat = _unit(pts)
-                tang = np.eye(n) - xhat[:, :, None] * xhat[:, None, :]
-                jac = (N / safe_r)[:, :, None] * tang
-                out = np.where(outside[:, None, None], base @ jac, base)
-            return out[0] if single else out.reshape(np.asarray(x).shape[:-1] + (n, n))
-
-    meta = replace(fs.meta, growth="bounded")
-    return VectorFieldSet(n, fs.m, A, DA, meta, name=f"{fs.name}|cutoff",
-                          params={**fs.params, "cutoff_N": N}, zero_drift=fs.zero_drift,
-                          constant_diffusion=fs.constant_diffusion)
-

@@ -54,10 +54,14 @@ def _reject_unknown(where: str, doc: dict, known) -> None:
         raise FieldError(f"unknown {where} key(s) {unknown}; accepted: {sorted(known)}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _config_number(key: str, value, least=None, whole=False):
     """A config number, exactly: a non-number, a fraction where an integer is
     due, or a value below ``least`` raises an error that names the key."""
-    ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+    ok = (_is_number(value)
           and (not whole or (math.isfinite(value) and value == math.floor(value)))
           and (least is None or value >= least))
     if not ok:
@@ -74,8 +78,7 @@ def _reject_misshapen(doc: dict) -> None:
             raise FieldError(f"config key {key!r} must be an object, got {doc[key]!r}")
     for key in ("eps", "x0"):
         vec = doc.get(key, [])
-        numeric = isinstance(vec, (list, tuple)) and all(
-            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in vec)
+        numeric = isinstance(vec, (list, tuple)) and all(_is_number(v) for v in vec)
         if not numeric:
             raise FieldError(f"config key {key!r} must be a list of numbers, got {vec!r}")
 
@@ -225,16 +228,38 @@ def _named_test_function(name: str):
 
 def _direction(cfg: ExperimentConfig, key: str, n: int) -> np.ndarray:
     """Option `key` as a vector of n entries, the first basis vector by default."""
-    vec = np.atleast_1d(np.asarray(cfg.opt(key, [1.0] + [0.0] * (n - 1)), dtype=float))
+    vec = cfg.opt(key, [1.0] + [0.0] * (n - 1))
+    if not all(_is_number(v) for v in np.ravel(np.asarray(vec, dtype=object))):
+        raise FieldError(f"option {key!r} must be a vector of numbers, got {vec!r}")
+    vec = np.atleast_1d(np.asarray(vec, dtype=float))
     if vec.shape != (n,):
         raise FieldError(f"option {key!r} has shape {vec.shape}, field set has n={n}")
     return vec
 
 
+def _option(cfg: ExperimentConfig, key: str, default=None, positive: bool = False):
+    """Numeric option `key` as a float, or its default (maybe None) when absent.
+    A value that is not a finite number, or with ``positive`` not above 0, is an
+    error that names the key; studies read every one before any noise is drawn."""
+    value = cfg.opt(key, default)
+    if value is None:
+        return None
+    if not (_is_number(value) and math.isfinite(value) and (value > 0 or not positive)):
+        kind = "a finite positive number" if positive else "a finite number"
+        raise FieldError(f"option {key!r} must be {kind}, got {value!r}")
+    return float(value)
+
+
+def _flagged_failures(label: str, flagged: int, paths: int) -> list:
+    """A study's failure when the paths it flagged reach 1e-4 of the paths it ran."""
+    frac = flagged / paths
+    return [f"{label}: flagged fraction {frac:.2e} >= 1e-4"] if frac >= 1e-4 else []
+
+
 def _level_fields(cfg: ExperimentConfig):
     fs = cfg.make_field()
-    eps = cfg.opt("mollify_eps")
-    return mollify_field(fs, float(eps)) if eps else fs
+    eps = _option(cfg, "mollify_eps")
+    return mollify_field(fs, eps) if eps else fs
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +271,7 @@ def _converge(cfg: ExperimentConfig, which: str, name: str) -> CommandResult:
     if len(eps) < 2:
         raise FieldError(f"config key 'eps' needs at least two levels, got {eps}")
     fs = cfg.make_field()
-    p = float(cfg.opt("p", 2.0))
+    p = _option(cfg, "p", 2.0)
     noise = BrownianBatch(cfg.seed, cfg.paths, cfg.grid, fs.m)
     # the state gaps need no derivative flow; only the jac study integrates it
     fam = coupled_family(fs, eps, np.asarray(cfg.x0), cfg.grid, noise,
@@ -266,9 +291,7 @@ def _converge(cfg: ExperimentConfig, which: str, name: str) -> CommandResult:
                 f"{name}: not nonincreasing at eps={eps[i + 1]}: "
                 f"{ests[i + 1]:.4e} > {ests[i]:.4e} + {slack:.1e}"
             )
-    frac = fam.n_flagged / cfg.paths
-    if frac >= 1e-4:
-        failures.append(f"{name}: flagged fraction {frac:.2e} >= 1e-4")
+    failures += _flagged_failures(name, fam.n_flagged, cfg.paths)
     header = ["eps", "eps_ref", f"E_sup_gap_pow_{p:g}", "se"]
     csv = _csv_text(cfg.fingerprint, header, rows)
     payload = {
@@ -295,12 +318,12 @@ def cmd_converge_derivative(cfg: ExperimentConfig) -> CommandResult:
 
 def cmd_gradient(cfg: ExperimentConfig) -> CommandResult:
     fields = _level_fields(cfg)
-    t = float(cfg.opt("t", 0.5))
+    t = _option(cfg, "t", 0.5)
     v0 = _direction(cfg, "v0", fields.n)
     f, df, label = _named_test_function(cfg.opt("f", "identity"))
-    bump = float(cfg.opt("bump", 1e-3))
-    if bump <= 0:
-        raise FieldError(f"option 'bump' must be positive, got {bump}")
+    bump = _option(cfg, "bump", 1e-3, positive=True)
+    target = _option(cfg, "target")
+    abs_tol = _option(cfg, "abs_tol")
     grid = cfg.grid_at(t)
     run = (fields, np.asarray(cfg.x0, dtype=float), grid,
            BrownianBatch(cfg.seed, cfg.paths, grid, fields.m))
@@ -325,26 +348,21 @@ def cmd_gradient(cfg: ExperimentConfig) -> CommandResult:
             gaps[f"{a}_vs_{b}"] = {"gap": gap, "pooled_se": pooled}
             if gap > 3.0 * max(pooled, pooled_all) + 1e-12:
                 failures.append(f"gradient: {a} vs {b} gap {gap:.4e} > 3 x {pooled:.4e}")
-    target = cfg.opt("target")
     if target is not None:
-        abs_tol = cfg.opt("abs_tol")
         for a in names:
             rep = reports[a]
             if abs(rep.estimate - target) > 3.0 * pooled_all + 1e-12:
                 failures.append(
                     f"gradient: {a} = {rep.estimate:.5f} not within 3 pooled SE of {target}"
                 )
-            if abs_tol is not None and abs(rep.estimate - target) > float(abs_tol):
+            if abs_tol is not None and abs(rep.estimate - target) > abs_tol:
                 failures.append(
                     f"gradient: {a} = {rep.estimate:.5f} off {target} by more than {abs_tol}"
                 )
     out["pairwise"] = gaps
     out["pooled_se_all"] = pooled_all
     for a in names:
-        if reports[a].excluded_fraction >= 1e-4:
-            failures.append(
-                f"gradient: {a} flagged fraction {reports[a].excluded_fraction:.2e} >= 1e-4"
-            )
+        failures += _flagged_failures(f"gradient: {a}", reports[a].excluded, cfg.paths)
     files = {"gradient.json": _json_text(out)}
     return CommandResult("gradient", not failures, failures, out, files)
 
@@ -357,44 +375,39 @@ def cmd_kernel_bound(cfg: ExperimentConfig) -> CommandResult:
         raise FieldError(f"cmd_kernel_bound: paths={cfg.paths} is below the "
                          f"{kern.MIN_SAMPLES} samples the density estimate needs")
     spec = cfg.opt("query", [-4.0, 4.0, 21])
-    if np.shape(spec) != (3,) or int(spec[2]) < 1:
+    if (np.shape(spec) != (3,) or not all(_is_number(v) and math.isfinite(v) for v in spec)
+            or int(spec[2]) < 1):
         raise FieldError(f"option 'query' must be [lo, hi, count] with count >= 1, got {spec}")
     lo, hi, count = spec
     qpts = np.linspace(float(lo), float(hi), int(count))[:, None]
-    bandwidth = cfg.opt("bandwidth")
-    if bandwidth is not None:
-        bandwidth = float(bandwidth)
-        if not (math.isfinite(bandwidth) and bandwidth > 0):
-            raise FieldError(f"option 'bandwidth' must be finite and positive, got {bandwidth}")
-    t = float(cfg.opt("t", cfg.T))
+    bandwidth = _option(cfg, "bandwidth", positive=True)
+    t = _option(cfg, "t", cfg.T)
+    c1_target = _option(cfg, "c1", 1.05, positive=True)
+    c1_max = _option(cfg, "c1_max")
     grid = cfg.grid_at(t)
     noise = BrownianBatch(cfg.seed, cfg.paths, grid, fields.m)
     res = run_ensemble(fields, np.asarray(cfg.x0), grid, noise,
                        with_jac=False, workers=cfg.workers)
-    frac = res.n_flagged / cfg.paths
-    if frac >= 1e-4:
+    flagged = _flagged_failures("kernel_bound", res.n_flagged, cfg.paths)
+    if flagged:
         # flagged paths are missing from the KDE's sample, which can then be
         # too small to estimate from at all; the study fails before the fit
         payload = {"config_fingerprint": cfg.fingerprint, "t": t, "flagged": res.n_flagged}
-        return CommandResult("kernel_bound", False,
-                             [f"kernel_bound: flagged fraction {frac:.2e} >= 1e-4"],
+        return CommandResult("kernel_bound", False, flagged,
                              payload, {"kernel_bound.json": _json_text(payload)})
     samples = res.state_T[res.ok]
     if bandwidth is None:
         bandwidth = kern.silverman_bandwidth(samples)
     query = kern.DensityQuery(t, np.asarray(cfg.x0, dtype=float), qpts, bandwidth)
     dens, se = kern.density_estimate(samples, query)
-    c1_target = float(cfg.opt("c1", 1.05))
     fit = kern.kernel_bound_fit(dens, query, se=se)
-    bound_at_c1 = c1_target * t ** (-query.n / 2.0) * np.exp(
-        -np.sum((qpts - query.x) ** 2, axis=1) / (2.0 * c1_target * t))
-    ok_at_target = bool(np.all(np.maximum(dens - 3.0 * se, 0.0) <= bound_at_c1))
+    bound_at_c1 = kern.gaussian_bound(c1_target, query)
+    ok_at_target = bool(np.all(kern.density_floor(dens, se) <= bound_at_c1))
     failures = []
     if not fit.satisfied:
         failures.append(f"kernel_bound: no C1 on the grid satisfies the bound "
                         f"(max log-violation {fit.max_violation:.3e})")
-    c1_max = cfg.opt("c1_max")
-    if c1_max is not None and fit.c1_min > float(c1_max):
+    if c1_max is not None and fit.c1_min > c1_max:
         failures.append(f"kernel_bound: C1_min {fit.c1_min:.3f} > limit {c1_max}")
     if not ok_at_target:
         failures.append(f"kernel_bound: bound violated at C1 = {c1_target}")
@@ -417,11 +430,11 @@ def cmd_kernel_bound(cfg: ExperimentConfig) -> CommandResult:
 
 def cmd_condition_g(cfg: ExperimentConfig) -> CommandResult:
     fields = cfg.make_field()
-    sigma = float(cfg.opt("sigma", 0.5))
-    t0 = float(cfg.opt("T0", 1.0))
+    sigma = _option(cfg, "sigma", 0.5, positive=True)
+    t0 = _option(cfg, "T0", 1.0, positive=True)
     res = condition_g_estimate(fields, sigma, t0, np.asarray(cfg.x0, dtype=float),
                                max(cfg.paths, 10_000), cfg.seed,
-                               growth_ratio=float(cfg.opt("growth_ratio", 2.0)))
+                               growth_ratio=_option(cfg, "growth_ratio", 2.0))
     failures = []
     expect = cfg.opt("expect_diverging")
     if expect is not None and bool(expect) != res.diverging:
@@ -441,7 +454,8 @@ def cmd_condition_g(cfg: ExperimentConfig) -> CommandResult:
 
 def cmd_ibp(cfg: ExperimentConfig) -> CommandResult:
     fields = _level_fields(cfg)
-    t = float(cfg.opt("t", 0.5))
+    t = _option(cfg, "t", 0.5)
+    target = _option(cfg, "target")
     f, df, label = _named_test_function(cfg.opt("F", "sin"))
     if df is None:
         raise FieldError("cmd_ibp: the path functional must be C^1 (no indicator)")
@@ -457,9 +471,7 @@ def cmd_ibp(cfg: ExperimentConfig) -> CommandResult:
     failures = []
     if not res.ok:
         failures.append(f"ibp: |lhs - rhs| = {res.gap:.4e} > 3 x {res.se_paired:.4e}")
-    if res.lhs.excluded_fraction >= 1e-4:
-        failures.append(f"ibp: flagged fraction {res.lhs.excluded_fraction:.2e} >= 1e-4")
-    target = cfg.opt("target")
+    failures += _flagged_failures("ibp", res.lhs.excluded, cfg.paths)
     if target is not None:
         for side, rep in (("lhs", res.lhs), ("rhs", res.rhs)):
             if abs(rep.estimate - target) > 3.0 * rep.se + 1e-12:
@@ -476,7 +488,7 @@ def cmd_ibp(cfg: ExperimentConfig) -> CommandResult:
 
 def cmd_moment(cfg: ExperimentConfig) -> CommandResult:
     fields = _level_fields(cfg)
-    p = float(cfg.opt("p", 2.0))
+    p = _option(cfg, "p", 2.0)
     noise = BrownianBatch(cfg.seed, cfg.paths, cfg.grid, fields.m)
     res = run_ensemble(fields, np.asarray(cfg.x0), cfg.grid, noise,
                        trackers=(JacSupNorm(), IntegratedG()),
@@ -494,9 +506,7 @@ def cmd_moment(cfg: ExperimentConfig) -> CommandResult:
         failures.append(
             f"moment: log E sup|V|^p = {log_l:.4f} exceeds log bound {log_r:.4f} + 3 SE"
         )
-    frac = res.n_flagged / cfg.paths
-    if frac >= 1e-4:
-        failures.append(f"moment: flagged fraction {frac:.2e} >= 1e-4")
+    failures += _flagged_failures("moment", res.n_flagged, cfg.paths)
     payload = {
         "config_fingerprint": cfg.fingerprint, "p": p,
         "sup_moment": _report_dict(sup, cfg), "exp_g_bound": _report_dict(bound, cfg),

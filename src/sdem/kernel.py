@@ -23,6 +23,8 @@ __all__ = [
     "density_estimate",
     "kernel_bound_fit",
     "KernelBoundFit",
+    "gaussian_bound",
+    "density_floor",
     "MIN_SAMPLES",
 ]
 
@@ -37,6 +39,8 @@ _TILE = 1 << 15
 _EXP_FLOOR = -746.0
 # C1 values the bound fit scans, smallest first
 _C1_GRID = np.geomspace(1.0, 20.0, 200)
+# standard errors taken off each density before a bound is checked against it
+_SE_MARGIN = 3.0
 
 
 @dataclass(frozen=True)
@@ -168,30 +172,38 @@ class KernelBoundFit:
     max_violation: float
 
 
-def kernel_bound_fit(densities, query: DensityQuery, *,
-                     se: Optional[Sequence[float]] = None,
-                     se_margin: float = 3.0) -> KernelBoundFit:
-    """Fit the smallest C1 with p(y) <= C1 t^{-n/2} exp(-|x-y|^2/(2 C1 t)).
-
-    Each density is first reduced by ``se_margin`` standard errors when
-    ``se`` is given, so noise above the true density does not inflate the
-    constant.  The scan runs over a logarithmic grid (1 to 20, 200
-    points); if no grid value satisfies the bound at every query point the
-    flag is false and the worst log-violation at the top of the grid is
-    reported.
-    """
-    p = np.asarray(densities, dtype=float).copy()
-    if se is not None:
-        p = p - se_margin * np.asarray(se, dtype=float)
-    p = np.maximum(p, 0.0)
+def gaussian_bound(c1: float, query: DensityQuery) -> np.ndarray:
+    """The bound C1 t^{-n/2} exp(-|x-y|^2/(2 C1 t)) at each query point y."""
     t, n = query.t, query.n
     r2 = np.sum((query.query_points - query.x) ** 2, axis=-1)
+    return c1 * t ** (-n / 2.0) * np.exp(-r2 / (2.0 * c1 * t))
+
+
+def density_floor(densities, se: Optional[Sequence[float]] = None) -> np.ndarray:
+    """Each density less _SE_MARGIN standard errors when ``se`` is given,
+    floored at 0: what a bound must dominate at every query point."""
+    p = np.asarray(densities, dtype=float)
+    if se is not None:
+        p = p - _SE_MARGIN * np.asarray(se, dtype=float)
+    return np.maximum(p, 0.0)
+
+
+def kernel_bound_fit(densities, query: DensityQuery, *,
+                     se: Optional[Sequence[float]] = None) -> KernelBoundFit:
+    """Fit the smallest C1 with p(y) <= C1 t^{-n/2} exp(-|x-y|^2/(2 C1 t)).
+
+    The densities are first lowered by ``density_floor``, so noise above the
+    true density does not inflate the constant.  The scan runs over a
+    logarithmic grid (1 to 20, 200 points); if no grid value satisfies the
+    bound at every query point the flag is false and the worst log-violation
+    at the top of the grid is reported.
+    """
+    p = density_floor(densities, se)
     for c1 in _C1_GRID:
-        bound = c1 * t ** (-n / 2.0) * np.exp(-r2 / (2.0 * c1 * t))
-        if np.all(p <= bound):
+        if np.all(p <= gaussian_bound(c1, query)):
             return KernelBoundFit(float(c1), True, 0.0)
     c1 = _C1_GRID[-1]
-    bound = c1 * t ** (-n / 2.0) * np.exp(-r2 / (2.0 * c1 * t))
     with np.errstate(divide="ignore"):
-        violation = float(np.max(np.log(np.where(p > 0, p, 1e-300)) - np.log(bound)))
+        violation = float(np.max(np.log(np.where(p > 0, p, 1e-300))
+                                 - np.log(gaussian_bound(c1, query))))
     return KernelBoundFit(float(c1), False, violation)

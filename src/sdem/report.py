@@ -10,8 +10,9 @@ from dataclasses import dataclass
 class EstimatorReport:
     """A Monte Carlo estimate with its standard error.
 
-    ``excluded`` counts paths dropped because they went non-finite; accepted
-    runs require ``excluded / samples < 1e-4``.
+    ``samples`` counts the paths that entered the estimate and ``excluded``
+    those dropped because they went non-finite; accepted runs require the
+    excluded fraction of all paths run to stay below 1e-4.
     """
 
     estimate: float
@@ -28,7 +29,8 @@ class EstimatorReport:
 
     @property
     def excluded_fraction(self) -> float:
-        return self.excluded / self.samples
+        """Excluded paths over all paths run, excluded ones included."""
+        return self.excluded / (self.samples + self.excluded)
 
     def within(self, target: float, k: float = 3.0) -> bool:
         """True if the estimate is within k standard errors of target."""

@@ -59,17 +59,6 @@ def test_growth_profile_checker_rejects_violations():
         check_growth_profile(fast, [])
 
 
-def test_custom_growth_metadata_travels_with_field():
-    prof = GrowthProfile(psi1=lambda s: np.log1p(s ** 2), psi2=lambda s: 2.0 * (1 + s))
-    meta = FieldMeta(theta=1.0, growth="custom", profile=prof)
-    fs = VectorFieldSet(1, 1,
-                        lambda l, x: np.zeros_like(np.atleast_2d(x)) if l == 0
-                        else np.ones_like(np.atleast_2d(x)),
-                        None, meta, name="custom-growth")
-    assert fs.meta.growth == "custom"
-    check_growth_profile(fs.meta.profile, np.linspace(0, 4, 9), linear_bound_C=2.0)
-
-
 # ---------------------------------------------------------------------------
 # two-dimensional and multi-noise flows
 

@@ -9,7 +9,7 @@ from scipy import integrate
 from sdem.fields import (DerivativeUnavailableError, FieldError, builtin_field,
                          condition_g_estimate, ellipticity_margin,
                          field_from_json, g_function,
-                         hoelder_estimate, radial_cutoff)
+                         hoelder_estimate)
 from conftest import finite_difference_dfield, scalar_drift_field
 
 
@@ -233,145 +233,3 @@ def test_condition_g_rejects_small_samples():
     bare = scalar_drift_field(lambda x: x)
     with pytest.raises(DerivativeUnavailableError):
         condition_g_estimate(bare, 1.0, 1.0, np.zeros(1), 10_000, seed=0)
-
-
-# ---------------------------------------------------------------------------
-# radial cutoff
-
-
-def test_radial_cutoff_clamps_linear_drift():
-    fs = builtin_field("ou", lam=1.0)   # drift -x in 1-d
-    cut = radial_cutoff(fs, 1.0)
-    assert cut.A(0, np.array([2.0]))[0] == pytest.approx(-1.0)
-    assert cut.A(0, np.array([-2.0]))[0] == pytest.approx(1.0)
-    assert cut.A(0, np.array([0.5]))[0] == pytest.approx(-0.5)
-
-
-def test_radial_cutoff_2d_drift():
-    def A(l, x):
-        x = np.asarray(x, dtype=float)
-        return -x if l == 0 else np.broadcast_to(np.eye(2)[l - 1], x.shape).copy()
-    from sdem.fields import VectorFieldSet, FieldMeta
-    fs = VectorFieldSet(2, 2, A, None, FieldMeta(), name="lin2")
-    cut = radial_cutoff(fs, 1.0)
-    assert np.allclose(cut.A(0, np.array([2.0, 0.0])), [-1.0, 0.0])
-
-
-def test_radial_cutoff_leaves_bm_unchanged(rng):
-    fs = builtin_field("bm", n=2)
-    cut = radial_cutoff(fs, 3.0)
-    pts = rng.uniform(-6, 6, (50, 2))
-    for l in range(3):
-        assert np.allclose(cut.A(l, pts), fs.A(l, pts))
-
-
-def test_radial_cutoff_square_clamp():
-    fs = scalar_drift_field(lambda x: x ** 2, df=lambda x: 2.0 * x)
-    cut = radial_cutoff(fs, 2.0)
-    assert cut.A(0, np.array([3.0]))[0] == pytest.approx(4.0)
-    assert cut.A(0, np.array([-3.0]))[0] == pytest.approx(4.0)
-
-
-@given(st.floats(min_value=0.5, max_value=4.0))
-@settings(max_examples=20, deadline=None)
-def test_radial_cutoff_idempotent(N):
-    fs = builtin_field("ou", lam=2.0)
-    pts = np.random.default_rng(3).uniform(-8, 8, (1000, 1))
-    once = radial_cutoff(fs, N)
-    twice = radial_cutoff(once, N)
-    assert np.allclose(once.A(0, pts), twice.A(0, pts), atol=0, rtol=0)
-
-
-def test_radial_cutoff_bounded_by_interior_sup(rng):
-    fs = scalar_drift_field(lambda x: x ** 3)
-    cut = radial_cutoff(fs, 2.0)
-    far = rng.uniform(-50, 50, (1000, 1))
-    inside = np.linspace(-2, 2, 2001).reshape(-1, 1)
-    assert np.max(np.abs(cut.A(0, far))) <= np.max(np.abs(fs.A(0, inside))) + 1e-12
-
-
-def test_radial_cutoff_derivative_chain_rule():
-    # outside the ball the derivative must match finite differences of the
-    # cutoff field itself (away from the sphere)
-    def A(l, x):
-        x = np.asarray(x, dtype=float)
-        if l == 0:
-            return np.stack([np.sin(x[..., 0]) * x[..., 1], x[..., 0] ** 2], axis=-1)
-        return np.broadcast_to(np.eye(2)[l - 1], x.shape).copy()
-
-    def DA(l, x):
-        x = np.asarray(x, dtype=float)
-        pts = np.atleast_2d(x)
-        out = np.zeros(pts.shape[:-1] + (2, 2))
-        if l == 0:
-            out[..., 0, 0] = np.cos(pts[..., 0]) * pts[..., 1]
-            out[..., 0, 1] = np.sin(pts[..., 0])
-            out[..., 1, 0] = 2 * pts[..., 0]
-        return out[0] if x.ndim == 1 else out.reshape(x.shape[:-1] + (2, 2))
-
-    from sdem.fields import VectorFieldSet, FieldMeta
-    fs = VectorFieldSet(2, 2, A, DA, FieldMeta(), name="curvy")
-    cut = radial_cutoff(fs, 1.5)
-    for pt in ([2.0, 1.0], [-1.7, 2.2], [0.4, 0.3]):
-        fd = finite_difference_dfield(cut, 0, pt, step=1e-6)
-        assert np.allclose(cut.DA(0, np.array(pt)), fd, atol=5e-5)
-
-
-def test_radial_cutoff_sends_huge_points_to_the_sphere(rng, recwarn):
-    # squaring |x| > ~1.3e154 overflows the plain norm; such a point must
-    # still land on the sphere, not at the origin, and raise no warning
-    from sdem.fields import VectorFieldSet, FieldMeta, _radius
-    lin2 = VectorFieldSet(2, 2, lambda l, x: -np.asarray(x, dtype=float) if l == 0
-                          else np.broadcast_to(np.eye(2)[l - 1], np.shape(x)).copy(),
-                          None, FieldMeta(), name="lin2")
-    for fs in (builtin_field("ou", lam=1.0), lin2):
-        cut = radial_cutoff(fs, 1.0)
-        for v in (1e160, -1e160, 1e200, -1e200):
-            for x in ([[v]] if fs.n == 1 else [[v, 0.0], [0.0, v], [v, -v], [v, 0.5 * v]]):
-                u = np.array(x) / abs(v)
-                assert np.allclose(cut.A(0, np.array(x)), -u / np.linalg.norm(u),
-                                   rtol=1e-15, atol=0)
-    assert len(recwarn) == 0
-    # a point whose plain norm is finite keeps the plain norm's bits
-    pts = rng.standard_normal((200, 2)) * 10.0 ** rng.integers(-300, 150, (200, 1))
-    assert np.array_equal(_radius(pts), np.linalg.norm(pts, axis=-1, keepdims=True))
-
-
-def test_radial_cutoff_projects_points_beyond_the_largest_double():
-    # |x| itself overflows here; the projection goes through the direction
-    # of x, so the point lands on the sphere, with no floating-point event
-    from sdem.fields import VectorFieldSet, FieldMeta
-    lin2 = VectorFieldSet(2, 2, lambda l, x: -np.asarray(x, dtype=float) if l == 0
-                          else np.broadcast_to(np.eye(2)[l - 1], np.shape(x)).copy(),
-                          None, FieldMeta(), name="lin2")
-    cut = radial_cutoff(lin2, 1.0)
-    pts = np.array([[1.5e308, 1.5e308], [1.5e308, -1.7e308], [-1.7e308, 0.0]])
-    with np.errstate(all="raise"):
-        out = cut.A(0, pts)
-    u = pts / np.max(np.abs(pts), axis=1, keepdims=True)
-    assert np.allclose(out, -u / np.linalg.norm(u, axis=1, keepdims=True), rtol=1e-15, atol=0)
-    assert np.allclose(out[0], [-math.sqrt(0.5)] * 2, rtol=1e-15, atol=0)
-
-
-def test_radial_cutoff_tiny_entries_raise_no_underflow():
-    # squaring a tiny entry underflows; inside the cutoff the point keeps its
-    # values, outside it lands on the sphere, with no floating-point event
-    ou, bm2 = builtin_field("ou", lam=1.0), builtin_field("bm", n=2)
-    cases = [(ou, [[1e-300]], True), (bm2, [[1e-300, 0.0]], True),
-             (bm2, [[1e-300, 5e-324]], True), (bm2, [[3.0, 1e-200]], False),
-             (bm2, [[0.5, 1e-320]], False)]
-    for fs, x, inside in cases:
-        x = np.array(x)
-        for N in (0.3, 1.0):
-            cut = radial_cutoff(fs, N)
-            for l in range(fs.m + 1):
-                with np.errstate(all="raise"):
-                    a, da = cut.A(l, x), cut.DA(l, x)
-                assert np.all(np.isfinite(a)) and np.all(np.isfinite(da))
-                if inside:
-                    assert np.array_equal(a, fs.A(l, x)) and np.array_equal(da, fs.DA(l, x))
-
-
-def test_radial_cutoff_rejects_bad_radius():
-    with pytest.raises(FieldError):
-        radial_cutoff(builtin_field("bm", n=1), 0.0)

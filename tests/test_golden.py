@@ -111,8 +111,7 @@ def test_golden_digests_do_not_depend_on_blas_threads(threads):
     here = Path(__file__).resolve().parent
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
            "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
-    commands = ["converge-flow", "converge-derivative", "gradient", "gradient-bm2", "ibp",
-                "moment"]
+    commands = sorted(CASES)
     script = ("import json, sys, test_golden as g; "
               "print(json.dumps({c: g.digests(c) for c in sys.argv[1:]}))")
     out = subprocess.run([sys.executable, "-c", script, *commands], env=env, cwd=here,

@@ -327,7 +327,21 @@ def test_study_dimensions_rejected_before_any_noise(monkeypatch):
            ("ibp", {"options": {"t": 0.0}}, "'t'"),
            ("kernel-bound", {"paths": 10_000, "options": {"t": math.inf}}, "'t'"),
            ("converge-flow", {"seed": -1}, "seed"),
-           ("moment", {"workers": "two"}, "workers")]
+           ("moment", {"workers": "two"}, "workers"),
+           # every numeric option is read, and named, before the run
+           ("kernel-bound", {"paths": 10_000, "options": {"c1": "abc"}}, "'c1'"),
+           ("kernel-bound", {"paths": 10_000, "options": {"c1_max": "abc"}}, "'c1_max'"),
+           ("kernel-bound", {"paths": 10_000, "options": {"query": [-4, 4, math.nan]}},
+            "'query'"),
+           ("gradient", {"options": {"target": "abc"}}, "'target'"),
+           ("gradient", {"options": {"target": 1.0, "abs_tol": "abc"}}, "'abs_tol'"),
+           ("gradient", {"options": {"v0": ["abc"]}}, "'v0'"),
+           ("ibp", {"options": {"target": "abc"}}, "'target'"),
+           ("converge-flow", {"options": {"p": "abc"}}, "'p'"),
+           ("moment", {"options": {"p": "abc"}}, "'p'"),
+           ("moment", {"options": {"mollify_eps": "abc"}}, "'mollify_eps'"),
+           ("condition-g", {"options": {"sigma": "abc"}}, "'sigma'"),
+           ("condition-g", {"options": {"growth_ratio": "abc"}}, "'growth_ratio'")]
     for name, kw, key in bad:
         with pytest.raises(FieldError, match=key):
             run_command(name, _cfg(field_spec=ou, **kw))
@@ -388,6 +402,37 @@ def test_kernel_bound_fails_on_the_flagged_fraction(monkeypatch):
     assert not res.ok
     assert res.payload["flagged"] == 5
     assert any("flagged fraction 5.00e-04" in f for f in res.failures), res.failures
+
+
+def test_flagged_fraction_counts_every_path_run(monkeypatch):
+    # the limit is flagged paths over all paths run, in every study: one
+    # flagged path of 10,001 stays below 1e-4, one of 10,000 reaches it
+    from sdem import malliavin
+    from sdem.report import EstimatorReport
+
+    assert EstimatorReport(0.0, 1.0, samples=10_000, excluded=1).excluded_fraction == 1 / 10_001
+    real_one, real_multi = malliavin.run_ensemble, malliavin.run_multi
+
+    def flag_one(*args, **kwargs):
+        res = real_one(*args, **kwargs)
+        res.flag[:1] = True
+        return res
+
+    def flag_one_each(*args, **kwargs):
+        results, extras = real_multi(*args, **kwargs)
+        for res in results:
+            res.flag[:1] = True
+        return results, extras
+
+    monkeypatch.setattr(malliavin, "run_ensemble", flag_one)
+    monkeypatch.setattr(malliavin, "run_multi", flag_one_each)
+    ou = {"name": "ou", "params": {"lam": 1.0}}
+    for name in ("ibp", "gradient"):
+        for paths, flagged in ((10_001, False), (10_000, True)):
+            res = run_command(name, _cfg(field_spec=ou, T=0.2, steps=4, paths=paths,
+                                         options={"t": 0.2}))
+            hits = [f for f in res.failures if "flagged fraction 1.00e-04" in f]
+            assert bool(hits) == flagged, (name, paths, res.failures)
 
 
 def test_documented_and_benchmarked_configs_are_accepted(monkeypatch):

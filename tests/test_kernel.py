@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from sdem.fields import FieldError, builtin_field
 from sdem.flow import BrownianBatch, TimeGrid, run_ensemble
-from sdem.kernel import (_CHUNK, _EXP_FLOOR, _TILE, DensityQuery, density_estimate,
-                         gaussian_kernel, kernel_bound_fit, silverman_bandwidth)
+from sdem.kernel import (_C1_GRID, _CHUNK, _EXP_FLOOR, _SE_MARGIN, _TILE, DensityQuery,
+                         density_estimate, density_floor, gaussian_bound, gaussian_kernel,
+                         kernel_bound_fit, silverman_bandwidth)
 from sdem.mollify import mollify_field
 
 from conftest import density_estimate_oracle
@@ -184,12 +185,22 @@ def test_bound_fit_unsatisfied_reports_violation():
 
 
 def test_se_margin_enters_the_fit():
+    # the fit and the study's check at a given C1 use one bound and one floor
     q = np.linspace(-2, 2, 11)[:, None]
     query = DensityQuery(0.5, [0.0], q, bandwidth=0.1)
     dens = 3.0 * np.exp(-q[:, 0] ** 2)
     tight = kernel_bound_fit(dens, query)
-    slack = kernel_bound_fit(dens, query, se=np.full(11, 0.3))
+    se = np.full(11, 0.3)
+    slack = kernel_bound_fit(dens, query, se=se)
     assert slack.c1_min <= tight.c1_min
+    floor = density_floor(dens, se)
+    assert np.array_equal(floor, np.maximum(dens - _SE_MARGIN * se, 0.0))
+    # the fit is the least grid constant whose bound holds
+    k = int(np.searchsorted(_C1_GRID, slack.c1_min))
+    assert np.all(floor <= gaussian_bound(slack.c1_min, query))
+    assert 0 < k and not np.all(floor <= gaussian_bound(_C1_GRID[k - 1], query))
+    assert np.array_equal(gaussian_bound(2.0, query),
+                          2.0 * 0.5 ** -0.5 * np.exp(-q[:, 0] ** 2 / (2.0 * 2.0 * 0.5)))
 
 
 def test_bound_constant_stable_across_smoothing_levels():

@@ -269,7 +269,7 @@ BUILTIN_EXAMPLES = [("bm", {"n": 1}), ("bm", {"n": 2}), ("ou", {"lam": 1.0}),
        eps=st.floats(0.005, 0.5))
 def test_declared_zero_drift_is_exactly_zero(xs, eps):
     # the engine skips A(0) and DA(0) of a field that declares a zero drift,
-    # so a wrong declaration must fail here: raw, mollified and cut off
+    # so a wrong declaration must fail here: raw and mollified
     from sdem import fields as fields_mod
 
     assert {name for name, _ in BUILTIN_EXAMPLES} == set(fields_mod._BUILTINS)
@@ -282,7 +282,7 @@ def test_declared_zero_drift_is_exactly_zero(xs, eps):
         declared.add(name)
         vals = np.array(fixed + xs)
         pts = np.resize(vals, (len(vals), fs.n))
-        for view in (fs, mollify_field(fs, eps), fields_mod.radial_cutoff(fs, 1.0)):
+        for view in (fs, mollify_field(fs, eps)):
             assert view.zero_drift
             assert np.all(view.A(0, pts) == 0.0), view.name
             assert np.all(view.DA(0, pts) == 0.0), view.name
@@ -303,7 +303,7 @@ def _assert_constant_diffusion(view, pts):
 def test_declared_constant_diffusion_is_exact(xs, eps):
     # the engine evaluates each A(l >= 1) of a declared constant diffusion at
     # the origin alone and never its DA(l >= 1), so a wrong declaration must
-    # fail here: raw, mollified and cut off
+    # fail here: raw and mollified
     from dataclasses import replace
 
     from sdem import fields as fields_mod
@@ -318,7 +318,7 @@ def test_declared_constant_diffusion_is_exact(xs, eps):
             continue
         declared.add(name)
         pts = np.resize(vals, (len(vals), fs.n))
-        for view in (fs, mollify_field(fs, eps), fields_mod.radial_cutoff(fs, 1.0)):
+        for view in (fs, mollify_field(fs, eps)):
             assert view.constant_diffusion
             _assert_constant_diffusion(view, pts)
     assert declared == {"bm", "ou", "const_shift"}
