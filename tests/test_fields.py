@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import integrate
 
 from sdem.fields import (DerivativeUnavailableError, FieldError, builtin_field,
