@@ -7,14 +7,17 @@ weak derivative of each field and its ellipticity floor.
 Evaluators are vectorized: points may be a single array of shape (n,) or a
 batch of shape (..., n); field values have the same leading shape, and
 derivative values carry a trailing (n, n) matrix axis.  All evaluators are
-pure and safe for concurrent use.  The ``log_example`` diffusion is
-evaluated through the closed form of its antiderivative, with no table.
+pure and safe for concurrent use, and every array they return is a fresh
+one that the caller owns.  The ``log_example`` diffusion is evaluated
+through the closed form of its antiderivative, with no table; its
+temporaries live in per-thread workspaces.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -79,6 +82,25 @@ def check_growth_profile(profile: GrowthProfile, radii,
             raise FieldError(f"growth control {name} is not nondecreasing on the samples")
     if linear_bound_C is not None and np.any(p2 > linear_bound_C * (1.0 + radii)):
         raise FieldError("growth control psi2 exceeds the linear bound C (1 + s)")
+
+
+class _Workspace(threading.local):
+    """Scratch arrays of one thread, reused from call to call.
+
+    ``array(key, shape)`` is a C-ordered array of that shape over the
+    thread's buffer for ``key``, which grows to the largest request and is
+    never shrunk.  Its entries are whatever the last use left.  The array
+    stays valid until the same thread asks for ``key`` again, so it must not
+    outlive the call that asked for it: no field returns one.
+    """
+
+    def array(self, key: str, shape, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        buf = getattr(self, key, None)
+        if buf is None or buf.size < size:
+            buf = np.empty(size, dtype)
+            setattr(self, key, buf)
+        return buf[:size].reshape(shape)
 
 
 def _as_batch(x: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
@@ -216,17 +238,19 @@ _SMALLEST_SUBNORMAL = 5e-324
 _HALF_SQRT_PI = math.sqrt(math.pi) / 2.0
 
 
-def _log_antiderivative(t: np.ndarray, beta: float) -> np.ndarray:
-    """I(t) = int_0^min(t, 1) sqrt(beta |log y|) dy for t >= 0, in closed form.
+def _log_antiderivative(x: np.ndarray, beta: float, ws: _Workspace) -> np.ndarray:
+    """I(|x|), where I(t) = int_0^min(t, 1) sqrt(beta |log y|) dy for t >= 0,
+    in closed form, as a fresh array; the temporaries live in ``ws``.
 
     The substitution y = exp(-u^2) gives
     int_0^t sqrt(-log y) dy = t sqrt(-log t) + (sqrt(pi)/2) erfc(sqrt(-log t)).
     At t = 0 the logarithm is taken at the smallest subnormal instead, where
     erfc underflows to exactly 0, so I(0) = 0 with no warning; NaN stays NaN.
     """
-    t = np.minimum(t, 1.0)
-    u = np.maximum(t, _SMALLEST_SUBNORMAL)
     # in place from here on: the stacks are (nodes x points) long
+    t = np.abs(x, out=ws.array("t", x.shape))
+    np.minimum(t, 1.0, out=t)
+    u = np.maximum(t, _SMALLEST_SUBNORMAL, out=ws.array("u", x.shape))
     np.log(u, out=u)
     np.negative(u, out=u)
     np.sqrt(u, out=u)
@@ -241,13 +265,14 @@ def _log_antiderivative(t: np.ndarray, beta: float) -> np.ndarray:
 def _log_example(beta: float) -> VectorFieldSet:
     if beta <= 0:
         raise FieldError("log_example: beta must be positive")
+    ws = _Workspace()
 
     def A(l, x):
         pts, single = _as_batch(x, 1)
         if l == 0:
             out = np.zeros_like(pts)
         else:
-            out = _log_antiderivative(np.abs(pts[:, 0]), beta)
+            out = _log_antiderivative(pts[:, 0], beta, ws)
             np.copysign(out, pts[:, 0], out=out)
             out += 1.0
             out = out[:, None]
@@ -260,9 +285,12 @@ def _log_example(beta: float) -> VectorFieldSet:
         else:
             # chosen version of the weak derivative: 0 at the origin and
             # outside the unit interval
-            t = np.abs(pts[:, 0])
-            v = np.zeros_like(t)
-            np.log(t, out=v, where=(t > 0) & (t <= 1.0))
+            N = pts.shape[0]
+            t = np.abs(pts[:, 0], out=ws.array("t", (N,)))
+            inside = np.greater(t, 0.0, out=ws.array("inside", (N,), bool))
+            inside &= np.less_equal(t, 1.0, out=ws.array("below", (N,), bool))
+            v = np.zeros(N)
+            np.log(t, out=v, where=inside)
             np.abs(v, out=v)
             v *= beta
             np.sqrt(v, out=v)

@@ -16,6 +16,11 @@ A block's increments are stored step-major: the (paths, steps, m) array the
 engine indexes is a transposed view of a (steps, paths, m) array, so the
 step-k slice dW[:, k, :] that every Euler step and tracker reads is one
 contiguous run of memory rather than a column with a stride of a whole path.
+The block is drawn a tile of about TILE values at a time into one small
+path-major buffer, and each tile is scaled straight into its step-major
+place, so a block never exists twice.  Each worker of a run draws every
+block it simulates into one step-major buffer of its own; a returned view
+of it is valid until that worker's next block.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .fields import FieldError, VectorFieldSet, _g_sum
+from .fields import FieldError, VectorFieldSet, _g_sum, _Workspace
 from .mollify import mollify_field
 from .report import EstimatorReport, from_samples
 
@@ -56,6 +61,12 @@ __all__ = [
 # Fixed path-block size; a constant of the noise layout, not a tuning knob.
 # Changing it would change which increments belong to which path stream.
 BLOCK = 16384
+# Values per tile of a block's draw: a block is drawn TILE // (steps * m)
+# paths at a time (at least one), so a tile is about 1 MB unless one path is
+# longer, and a short grid takes few tiles per block.  The generator fills
+# values in order, so consecutive tiles continue one stream and no increment
+# depends on TILE.
+TILE = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -88,8 +99,10 @@ class BrownianBatch:
     partial block is a prefix of the full block's draw, the increments of
     path i never depend on the total number of paths requested.
 
-    The draw is path-major, but a block's increments are stored step-major
-    (see `block_increments`), since the engine reads them one step at a time.
+    The draw is path-major, in tiles of about TILE values, but a block's
+    increments are stored step-major (see `block_increments`), since the engine reads
+    them one step at a time.  A block must fit in an array that numpy can
+    index; a grid too long for that is rejected here, before any draw.
     """
 
     seed: int
@@ -102,6 +115,11 @@ class BrownianBatch:
             raise FieldError("BrownianBatch: paths and noise dimension must be positive")
         if self.seed < 0:
             raise FieldError(f"BrownianBatch: seed must be a nonnegative integer, got {self.seed}")
+        rows = min(BLOCK, self.paths)
+        if rows * self.grid.steps * self.m * 8 > np.iinfo(np.intp).max:
+            raise FieldError(f"BrownianBatch: a block of {rows} paths over {self.grid.steps} "
+                             f"steps (horizon t = {self.grid.T}) has more values than numpy "
+                             "can index")
 
     @property
     def n_blocks(self) -> int:
@@ -111,23 +129,36 @@ class BrownianBatch:
         lo = b * BLOCK
         return slice(lo, min(lo + BLOCK, self.paths))
 
-    def _draw(self, b: int, rows: int) -> np.ndarray:
-        """The first `rows` paths of block b's raw normals, shape (rows, steps, m)."""
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(b,))
-        return np.random.default_rng(ss).standard_normal((rows, self.grid.steps, self.m))
-
-    def block_increments(self, b: int) -> np.ndarray:
+    def block_increments(self, b: int, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Increments dW for block b, shape (block_paths, steps, m).
 
         The result is a transposed view of a C-ordered (steps, block_paths, m)
-        array, so dW[:, k, :] is contiguous.  The scaling by sqrt(dt) writes
-        straight into that layout; each value is the same product as in the
-        path-major order, so the increments are bit for bit the same.
+        array, so dW[:, k, :] is contiguous.  That array is fresh, or, given
+        ``out``, a float64 (steps, R, m) array with R >= block_paths, the
+        leading block_paths columns of ``out``; the view is then valid until
+        ``out`` is written again.  Each tile of TILE // (steps * m) paths
+        (at least one) is drawn into one reused path-major buffer and scaled
+        by sqrt(dt) straight into the step-major layout; each value is the
+        same product as in a whole-block draw, so the increments are bit for
+        bit the same.
         """
         sl = self.block_slice(b)
-        z = self._draw(b, sl.stop - sl.start)
-        dW = np.empty((self.grid.steps, z.shape[0], self.m))
-        np.multiply(z.transpose(1, 0, 2), math.sqrt(self.grid.dt), out=dW)
+        rows, steps, m = sl.stop - sl.start, self.grid.steps, self.m
+        if out is None:
+            out = np.empty((steps, rows, m))
+        elif (out.dtype != np.float64 or out.ndim != 3
+              or out.shape[0] != steps or out.shape[1] < rows or out.shape[2] != m):
+            raise FieldError(f"block_increments: out must be a float64 ({steps}, >= {rows}, {m}) "
+                             f"array, got {out.dtype} {out.shape}")
+        dW = out[:, :rows]
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=self.seed, spawn_key=(b,)))
+        per = max(1, TILE // (steps * m))
+        tile = np.empty((min(per, rows), steps, m))
+        scale = math.sqrt(self.grid.dt)
+        for lo in range(0, rows, per):
+            z = tile[:min(per, rows - lo)]
+            rng.standard_normal(out=z)
+            np.multiply(z.transpose(1, 0, 2), scale, out=dW[:, lo:lo + len(z)])
         return dW.transpose(1, 0, 2)
 
 
@@ -379,8 +410,14 @@ def _run(runs, grid: TimeGrid, noise: BrownianBatch, trackers, with_jac, workers
                 raise FieldError(f"tracker {type(t).__name__} reads the derivative flow, "
                                  "which a state-only run (with_jac=False) does not integrate")
 
+    # each worker draws every block into its own step-major buffer, sized for
+    # the largest block and freed with the run
+    ws = _Workspace()
+    shape = (grid.steps, min(BLOCK, noise.paths), noise.m)
+
     def one(b):
-        return _simulate_block(runs, grid, noise.block_increments(b), trackers, with_jac)
+        dW = noise.block_increments(b, out=ws.array("dW", shape))
+        return _simulate_block(runs, grid, dW, trackers, with_jac)
 
     parts = _map_blocks(noise, one, workers)
     flag = np.concatenate([p[2] for p in parts], axis=0)

@@ -376,8 +376,9 @@ def cmd_kernel_bound(cfg: ExperimentConfig) -> CommandResult:
                          f"{kern.MIN_SAMPLES} samples the density estimate needs")
     spec = cfg.opt("query", [-4.0, 4.0, 21])
     if (np.shape(spec) != (3,) or not all(_is_number(v) and math.isfinite(v) for v in spec)
-            or int(spec[2]) < 1):
-        raise FieldError(f"option 'query' must be [lo, hi, count] with count >= 1, got {spec}")
+            or spec[2] != math.floor(spec[2]) or spec[2] < 1):
+        raise FieldError(f"option 'query' must be [lo, hi, count] with an integer count >= 1, "
+                         f"got {spec}")
     lo, hi, count = spec
     qpts = np.linspace(float(lo), float(hi), int(count))[:, None]
     bandwidth = _option(cfg, "bandwidth", positive=True)

@@ -15,6 +15,11 @@ Every difference vanishes for a constant f, so constants mollify to
 themselves bit for bit, whatever the BLAS build, batch size or thread
 count.  The kernel-gradient route sums gw_i (f(x - o_i) - f(x - o_r)) in
 the same way, which is exactly zero on constants.
+
+The shifted node stack and the differences f(x - o_i) - f(x - o_r) are
+(nodes x points) long.  Each mollified field set builds them in per-thread
+workspaces that it reuses from step to step; what it returns is always a
+fresh array.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import FieldMeta, VectorFieldSet, FieldError, _as_batch
+from .fields import FieldMeta, VectorFieldSet, FieldError, _as_batch, _Workspace
 
 __all__ = [
     "QuadratureError",
@@ -184,16 +189,26 @@ class MollifiedFieldSet:
         ref = int(np.argmin(np.sum(offsets * offsets, axis=-1)))
         return offsets, raw[keep, None] * gvals[keep], ref
 
+    @cached_property
+    def _ws(self) -> _Workspace:
+        return _Workspace()
+
     def _shifted(self, pts, offsets):
         # (Q*N, n) stack of pts - offset_q, one base-field call for all nodes
-        return (pts[None, :, :] - offsets[:, None, :]).reshape(-1, self.n)
+        out = self._ws.array("shifted", (len(offsets),) + pts.shape)
+        np.subtract(pts[None, :, :], offsets[:, None, :], out=out)
+        return out.reshape(-1, self.n)
+
+    def _minus_ref(self, vals, r):
+        """vals - vals[r], node by node, in the workspace."""
+        return np.subtract(vals, vals[r], out=self._ws.array("diff", vals.shape))
 
     def A(self, l: int, x) -> np.ndarray:
         pts, single = _as_batch(np.asarray(x, dtype=float), self.n)
         offsets, kw, r = _kernel_nodes(self.n, self.eps, self.nodes)
         vals = np.asarray(self.base.A(l, self._shifted(pts, offsets)))
         vals = vals.reshape(len(offsets), pts.shape[0], self.n)
-        acc = vals[r] + np.tensordot(kw, vals - vals[r], axes=1)
+        acc = vals[r] + np.tensordot(kw, self._minus_ref(vals, r), axes=1)
         return acc[0] if single else acc.reshape(np.asarray(x).shape)
 
     def DA(self, l: int, x) -> np.ndarray:
@@ -203,7 +218,7 @@ class MollifiedFieldSet:
             offsets, kw, r = _kernel_nodes(self.n, self.eps, self.nodes)
             vals = self.base.DA(l, self._shifted(pts, offsets))
             vals = np.asarray(vals).reshape(len(offsets), pts.shape[0], n, n)
-            acc = vals[r] + np.tensordot(kw, vals - vals[r], axes=1)
+            acc = vals[r] + np.tensordot(kw, self._minus_ref(vals, r), axes=1)
         else:
             # D(eta_eps * f) = (D eta_eps) * f with the analytic kernel gradient;
             # the gradient weights sum to zero up to rounding, so subtracting f
@@ -212,7 +227,7 @@ class MollifiedFieldSet:
             offsets, gw, r = self._grad_nodes
             vals = np.asarray(self.base.A(l, self._shifted(pts, offsets)))
             vals = vals.reshape(len(offsets), pts.shape[0], n)
-            acc = np.tensordot(vals - vals[r], gw, axes=([0], [0]))
+            acc = np.tensordot(self._minus_ref(vals, r), gw, axes=([0], [0]))
         return acc[0] if single else acc.reshape(np.asarray(x).shape[:-1] + (n, n))
 
     diffusion_matrix = VectorFieldSet.diffusion_matrix

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from sdem.fields import DerivativeUnavailableError, FieldError, builtin_field
 from sdem.malliavin import CameronMartinPath, DivergenceWeight, _DirectionRecorder
 from sdem.mollify import mollify_field
-from sdem.flow import (BLOCK, BrownianBatch, IntegratedG, JacSupNorm, PathRecorder, TimeGrid,
-                       _mm, coupled_family, exp_g_functional, moment_sup,
+from sdem.flow import (BLOCK, TILE, BrownianBatch, IntegratedG, JacSupNorm, PathRecorder,
+                       TimeGrid, Tracker, _mm, coupled_family, exp_g_functional, moment_sup,
                        run_ensemble, run_multi, spatial_derivative_check)
 from conftest import scalar_drift_field
 
@@ -63,18 +63,47 @@ def test_different_seeds_differ():
 
 def test_block_increments_are_the_stream_stored_step_major():
     # the engine reads dW[:, k, :] once per step, so a block is stored
-    # step-major; its values are still the path-major draw times sqrt(dt)
-    g = TimeGrid(0.5, 6)
-    noise = BrownianBatch(seed=31, paths=BLOCK + 37, grid=g, m=2)
-    for b in range(noise.n_blocks):
-        sl = noise.block_slice(b)
-        ss = np.random.SeedSequence(31, spawn_key=(b,))
-        ref = (np.random.default_rng(ss).standard_normal((sl.stop - sl.start, 6, 2))
-               * math.sqrt(g.dt))
-        dW = noise.block_increments(b)
-        assert dW.shape == ref.shape
-        assert np.array_equal(dW.view(np.int64), ref.view(np.int64))
-        assert all(dW[:, k, :].flags.c_contiguous for k in range(g.steps))
+    # step-major; its values are still the path-major draw times sqrt(dt).
+    # The draw goes TILE values at a time and the generator fills in order, so
+    # the tiles continue one stream: a full block, and a partial block whose
+    # row count is not a multiple of the tile, equal the whole-block draw
+    g = TimeGrid(0.5, 20)
+    for m in (1, 2):
+        per = TILE // (g.steps * m)
+        assert BLOCK % per and BLOCK > 2 * per
+        noise = BrownianBatch(seed=31, paths=BLOCK + 2 * per + 77, grid=g, m=m)
+        out = np.full((g.steps, BLOCK, m), np.nan)
+        for b in range(noise.n_blocks):
+            sl = noise.block_slice(b)
+            ss = np.random.SeedSequence(31, spawn_key=(b,))
+            ref = (np.random.default_rng(ss).standard_normal((sl.stop - sl.start, 20, m))
+                   * math.sqrt(g.dt))
+            fresh, again = noise.block_increments(b), noise.block_increments(b)
+            into = noise.block_increments(b, out=out)
+            for dW in (fresh, again, into):
+                assert dW.shape == ref.shape
+                assert dW.tobytes() == ref.tobytes()
+                assert all(dW[:, k, :].flags.c_contiguous for k in range(g.steps))
+            # out= fills the leading rows of the buffer and returns a view of it
+            assert np.shares_memory(into, out)
+            # two calls without out= return arrays the caller owns
+            assert not np.shares_memory(fresh, again)
+            fresh[...] = 0.0
+            assert again.tobytes() == ref.tobytes()
+        with pytest.raises(FieldError, match="out must be"):
+            noise.block_increments(0, out=np.empty((g.steps, BLOCK - 1, m)))
+        with pytest.raises(FieldError, match="out must be"):
+            noise.block_increments(0, out=np.empty((g.steps, BLOCK, m), dtype=np.float32))
+
+
+def test_noise_block_numpy_cannot_index_is_rejected_before_any_draw():
+    # a finite horizon can still ask for more steps than numpy can index
+    grid = TimeGrid(1e300, 10 ** 303)
+    with pytest.raises(FieldError, match="steps"):
+        BrownianBatch(seed=0, paths=10, grid=grid, m=1)
+    # the largest block that does fit is accepted: the check is on one block
+    rows_max = np.iinfo(np.intp).max // 8
+    BrownianBatch(seed=0, paths=BLOCK * 4, grid=TimeGrid(1.0, rows_max // BLOCK), m=1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -542,3 +571,41 @@ def test_spatial_check_log_example_trend():
         noise = BrownianBatch(seed=18, paths=1024, grid=g, m=1)
         gaps.append(spatial_derivative_check(log, [0.0], [1.0], h, g, noise).gap)
     assert gaps[0] > gaps[2]
+
+
+class _CoefficientRecorder(Tracker):
+    """Each listed run's A(1) and DA(1) at every step, one row per path."""
+
+    reads_jac = True
+
+    def __init__(self, runs):
+        self.runs = runs
+
+    def start(self, B):
+        self.seen = []
+
+    def step(self, k, xis, Vs, dWk, dt, coefs):
+        if coefs is not None:
+            self.seen.append([(coefs[r][0][1].copy(), coefs[r][1][1].copy())
+                              for r in self.runs])
+
+    def finish(self):
+        return {f"{name}_{r}": np.stack([seen[i][j] for seen in self.seen], axis=1)
+                for i, r in enumerate(self.runs) for j, name in enumerate(("A", "DA"))}
+
+
+def test_lockstep_runs_do_not_alias_field_workspaces():
+    # a lockstep run holds run 0's coefficients while run 1 is evaluated, and
+    # the mollified field evaluates the same raw log_example on its node
+    # stack; were any returned array a workspace view, run 0's would change
+    raw = builtin_field("log_example", beta=1.0)
+    runs = [(raw, [0.05]), (mollify_field(raw, 0.1), [0.05])]
+    g = TimeGrid(0.1, 12)
+    noise = BrownianBatch(seed=23, paths=300, grid=g, m=1)
+    together, extras = run_multi(runs, g, noise, trackers=[_CoefficientRecorder((0, 1))])
+    for r, run in enumerate(runs):
+        alone = run_ensemble(*run, g, noise, trackers=[_CoefficientRecorder((0,))])
+        assert together[r].state_T.tobytes() == alone.state_T.tobytes()
+        assert together[r].jac_T.tobytes() == alone.jac_T.tobytes()
+        for name in ("A", "DA"):
+            assert extras[f"{name}_{r}"].tobytes() == alone.extras[f"{name}_0"].tobytes()

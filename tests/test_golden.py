@@ -21,6 +21,7 @@ LOG = {"name": "log_example", "params": {"beta": 1.0}}
 OU = {"name": "ou", "params": {"lam": 1.0}}
 BM = {"name": "bm", "params": {"n": 1}}
 BM2 = {"name": "bm", "params": {"n": 2}}
+SHIFT12 = {"name": "const_shift", "params": {"matrix": [[1.0, 0.5]], "shift": [0.3]}}
 
 CASES = {
     "converge-flow": dict(field_spec=LOG, eps=(0.2, 0.1, 0.05), T=0.25, steps=25,
@@ -42,10 +43,14 @@ CASES = {
     "gradient-bm2": dict(field_spec=BM2, T=0.25, steps=50, paths=2000, seed=17,
                          x0=(0.3, -0.2), options={"t": 0.25, "f": "sin",
                                                   "v0": [0.6, -0.8]}),
+    # n = 1 with m = 2: two noise columns per path, the only built-in with
+    # m > n, and the minimum-norm right inverse of a non-square diffusion
+    "ibp-shift12": dict(field_spec=SHIFT12, T=0.2, steps=20, paths=BLOCK + 1000, seed=18,
+                        workers=2, options={"t": 0.2, "F": "sin"}),
 }
 
 # a case named COMMAND-SUFFIX runs COMMAND at another config
-COMMAND_OF = {"gradient-bm2": "gradient"}
+COMMAND_OF = {"gradient-bm2": "gradient", "ibp-shift12": "ibp"}
 
 GOLDEN = {
     "condition-g": {
@@ -77,6 +82,10 @@ GOLDEN = {
     "ibp": {
         "ibp.json":
             "b46e1b28a2a0d1974f2a7ddac9919c2d89fc6dfa15e2474df3575bf4fdfe3c3c",
+    },
+    "ibp-shift12": {
+        "ibp.json":
+            "168b0beeba29122ca65db17b75ab48d7fdd4da28767cd663d10e23153ec7e7bc",
     },
     "kernel-bound": {
         "kernel_bound.csv":

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -108,6 +109,19 @@ def test_kernel_bound_bm(tmp_path):
     rows = (tmp_path / "kernel_bound.csv").read_text().splitlines()
     assert rows[1] == "y,density,se,gaussian_bound_at_C1"
     assert len(rows) == 23       # comment + header + 21 query points
+
+
+def test_kernel_bound_takes_an_integral_float_query_count():
+    # a count is an integer as grid.steps is: 21.0 is 21 (3.9, which is not 3,
+    # is a row of test_study_dimensions_rejected_before_any_noise)
+    cfg = _cfg(paths=10_000, steps=8, options={"t": 0.25, "query": [-4.0, 4.0, 21]})
+    whole = run_command("kernel-bound", cfg)
+    as_float = run_command("kernel-bound", dataclasses.replace(
+        cfg, options={"t": 0.25, "query": [-4.0, 4.0, 21.0]}))
+    assert len(whole.files["kernel_bound.csv"].splitlines()) == 2 + 21
+    # the fingerprint line differs, since the config does
+    assert as_float.files["kernel_bound.csv"].splitlines()[1:] == \
+        whole.files["kernel_bound.csv"].splitlines()[1:]
 
 
 def test_kernel_bound_rejects_2d_field_before_simulating(monkeypatch):
@@ -319,6 +333,10 @@ def test_study_dimensions_rejected_before_any_noise(monkeypatch):
            ("kernel-bound", {"paths": 10_000, "options": {"bandwidth": "nan"}}, "'bandwidth'"),
            ("kernel-bound", {"paths": 10_000, "options": {"bandwidth": math.inf}}, "'bandwidth'"),
            ("kernel-bound", {"paths": 10_000, "options": {"t": 1e308}}, "'t'"),
+           # finite, but a block over 2e302 steps has more values than numpy indexes
+           ("kernel-bound", {"paths": 10_000, "options": {"t": 1e300}}, "steps"),
+           ("gradient", {"options": {"t": 1e300}}, "steps"),
+           ("kernel-bound", {"paths": 10_000, "options": {"query": [-4, 4, 3.9]}}, "'query'"),
            ("condition-g", {"seed": -1}, "seed"),
            ("converge-flow", {"eps": (0.1,)}, "'eps'"),
            ("converge-derivative", {"eps": (0.1,)}, "'eps'"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,3 +327,23 @@ def test_declared_constant_diffusion_is_exact(xs, eps):
     false = replace(builtin_field("log_example", beta=1.0), constant_diffusion=True)
     with pytest.raises(AssertionError):
         _assert_constant_diffusion(false, vals[:, None])
+
+
+@pytest.mark.parametrize("which", ["A", "DA"])
+def test_repeated_quadrature_reuses_its_workspaces(which):
+    # the shifted node stack, the differences to the reference node and
+    # log_example's temporaries live in per-thread workspaces, so a repeated
+    # call allocates little beyond the one stack of values the base returns
+    fs = mollify_field(builtin_field("log_example", beta=1.0), 0.1)
+    x = np.linspace(-1.5, 1.5, 10_000)[:, None]
+    stack = len(_kernel_nodes(1, 0.1, fs.nodes)[0]) * len(x) * 8
+    evaluate = getattr(fs, which)
+    first = evaluate(1, x)
+    tracemalloc.start()
+    try:
+        again = evaluate(1, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * stack
+    assert again.tobytes() == first.tobytes() and not np.shares_memory(again, first)
