@@ -12,6 +12,14 @@ Runs at several mollification levels can share one increment stream (common
 random numbers), turning pathwise differences into direct measurements of
 the smoothing error rather than of the noise.
 
+Workers are scheduled in one of two ways.  A run of two or more blocks
+hands its blocks to a pool of `workers` threads.  A run of one block
+spreads its lockstep runs over min(workers, runs) lanes instead: run r
+steps on lane r % lanes, and each lane is pinned to one thread for the whole
+run, so every level is evaluated on the same thread and its per-thread
+workspaces exist once.  Either way each run's arithmetic is the one a
+single worker does, so outputs are byte-identical across worker counts.
+
 A block's increments are stored step-major: the (paths, steps, m) array the
 engine indexes is a transposed view of a (steps, paths, m) array, so the
 step-k slice dW[:, k, :] that every Euler step and tracker reads is one
@@ -25,6 +33,7 @@ of it is valid until that worker's next block.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import itertools
 import math
@@ -342,41 +351,66 @@ def _resolve_workers(workers: Optional[int]) -> int:
     return int(value)
 
 
-def _simulate_block(runs, grid, dW, trackers, with_jac):
-    """Integrate one block of lockstep runs; each x0 is a checked start point."""
+def _simulate_block(runs, grid, dW, trackers, with_jac, pools=()):
+    """Integrate one block of lockstep runs; each x0 is a checked start point.
+
+    Run r steps on lane r % L of L = len(pools) + 1 lanes: lane 0 is the
+    calling thread and lane i >= 1 the one thread of pools[i - 1], so a run
+    is always evaluated on the same thread.  Each step, every lane evaluates
+    its runs' coefficients, computes their Euler updates into new arrays and
+    checks those for finiteness.  After the join the calling thread runs the
+    trackers on the pre-update states and the shared coefficients, then
+    swaps the new states in.  A run's arithmetic is the same on any lane, so
+    no result depends on L.
+    """
     B = dW.shape[0]
     dt = grid.dt
+    R, L = len(runs), len(pools) + 1
     xis = [np.tile(x0, (B, 1)) for _, x0 in runs]
     Vs = [np.tile(np.eye(len(x0)), (B, 1, 1)) if with_jac else None for _, x0 in runs]
     accs = [t.make(B) for t in trackers]
     flagged = np.zeros(B, dtype=bool)
-    for k in range(grid.steps):
-        dWk = dW[:, k, :]
+
+    def advance(lane, dWk, out):
+        # errstate is per thread, so each lane sets its own; a lane's first
+        # error ends its step and takes the failing run's slot in `out`
         with np.errstate(over="ignore", invalid="ignore"):
-            coefs = [_coefficients(fields, xis[r], with_jac)
-                     for r, (fields, _) in enumerate(runs)]
+            for r in range(lane, R, L):
+                try:
+                    coef = _coefficients(runs[r][0], xis[r], with_jac)
+                    xi, V = _euler_step(xis[r], Vs[r], coef, dWk, dt)
+                except Exception as exc:
+                    out[r] = exc
+                    return
+                bad = ~np.isfinite(xi).all(axis=1)
+                if V is not None:
+                    bad |= ~np.isfinite(V.reshape(B, -1)).all(axis=1)
+                out[r] = coef, xi, V, bad
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(grid.steps):
+            dWk = dW[:, k, :]
+            out = [None] * R
+            futures = [pool.submit(advance, lane, dWk, out)
+                       for lane, pool in enumerate(pools, 1)]
+            advance(0, dWk, out)
+            for f in futures:
+                f.result()
+            # each lane stops at its first error, so the first in run order
+            # is the one a single lane would have raised
+            for item in out:
+                if isinstance(item, Exception):
+                    raise item
+            coefs = [coef for coef, _, _, _ in out]
             for acc in accs:
                 acc.step(k, xis, Vs, dWk, dt, coefs)
-            for r in range(len(runs)):
-                xis[r], Vs[r] = _euler_step(xis[r], Vs[r], coefs[r], dWk, dt)
-        for r in range(len(runs)):
-            bad = ~np.isfinite(xis[r]).all(axis=1)
-            if Vs[r] is not None:
-                bad |= ~np.isfinite(Vs[r].reshape(B, -1)).all(axis=1)
-            flagged |= bad
-    for acc in accs:
-        acc.step(grid.steps, xis, Vs, None, dt, None)
+            for r, (_, xi, V, bad) in enumerate(out):
+                xis[r], Vs[r] = xi, V
+                flagged |= bad
+        for acc in accs:
+            acc.step(grid.steps, xis, Vs, None, dt, None)
     extras = {key: val for acc in accs for key, val in acc.finish().items()}
     return xis, Vs, flagged, extras
-
-
-def _map_blocks(noise: BrownianBatch, fn, workers: Optional[int]):
-    nb = noise.n_blocks
-    w = _resolve_workers(workers)
-    if w <= 1 or nb <= 1:
-        return [fn(b) for b in range(nb)]
-    with ThreadPoolExecutor(max_workers=w) as ex:
-        return list(ex.map(fn, range(nb)))
 
 
 @dataclass
@@ -400,6 +434,12 @@ class EnsembleResult:
 def _run(runs, grid: TimeGrid, noise: BrownianBatch, trackers, with_jac, workers):
     """Simulate every block of lockstep runs and join the blocks in order.
 
+    With two or more blocks and w >= 2 resolved workers, the blocks go over
+    a pool of w threads.  Otherwise the blocks run in turn on the calling
+    thread, and each spreads its lockstep runs over min(w, runs) pinned
+    lanes (see `_simulate_block`): the calling thread and one single-thread
+    executor per further lane, made for this run and shut down with it.
+
     Returns (list of EnsembleResult in run order, joint extras dict).
     """
     runs = [(fields, _start_point(fields, x0, grid, noise, with_jac)) for fields, x0 in runs]
@@ -409,17 +449,26 @@ def _run(runs, grid: TimeGrid, noise: BrownianBatch, trackers, with_jac, workers
             if t.reads_jac:
                 raise FieldError(f"tracker {type(t).__name__} reads the derivative flow, "
                                  "which a state-only run (with_jac=False) does not integrate")
+    w = _resolve_workers(workers)
 
     # each worker draws every block into its own step-major buffer, sized for
     # the largest block and freed with the run
     ws = _Workspace()
     shape = (grid.steps, min(BLOCK, noise.paths), noise.m)
 
-    def one(b):
+    def one(b, pools=()):
         dW = noise.block_increments(b, out=ws.array("dW", shape))
-        return _simulate_block(runs, grid, dW, trackers, with_jac)
+        return _simulate_block(runs, grid, dW, trackers, with_jac, pools)
 
-    parts = _map_blocks(noise, one, workers)
+    nb = noise.n_blocks
+    if nb > 1 and w > 1:
+        with ThreadPoolExecutor(max_workers=w) as ex:
+            parts = list(ex.map(one, range(nb)))
+    else:
+        with contextlib.ExitStack() as stack:
+            pools = [stack.enter_context(ThreadPoolExecutor(max_workers=1))
+                     for _ in range(min(w, len(runs)) - 1)]
+            parts = [one(b, pools) for b in range(nb)]
     flag = np.concatenate([p[2] for p in parts], axis=0)
     extras = {key: np.concatenate([p[3][key] for p in parts], axis=0)
               for key in parts[0][3]}
@@ -447,6 +496,9 @@ def run_multi(runs, grid: TimeGrid, noise: BrownianBatch, *,
 
     Returns (list of EnsembleResult in run order, joint extras dict).
     Flag masks are pooled: a path flagged in any run is flagged in all.
+    With one block of paths, ``workers`` >= 2 spreads the runs over
+    min(workers, runs) pinned lanes (see `_run`); the results are those of
+    one worker, byte for byte.
     """
     return _run(runs, grid, noise, trackers, with_jac, workers)
 
@@ -518,6 +570,10 @@ def coupled_family(fs: VectorFieldSet, eps_list: Sequence[float], x0,
     ``with_jac=False`` the levels are state-only: no DA is evaluated,
     ``pair_jac_sup`` is None, ``sup_moment(..., which="jac")`` raises, and
     a path is flagged only when its state is non-finite.
+
+    The levels run in lockstep.  Several blocks of paths go over
+    ``workers`` threads block by block; one block spreads its levels over
+    min(workers, levels) threads, each level pinned to one of them.
     """
     eps_list = list(eps_list)
     if any(e <= 0 for e in eps_list):

@@ -1,19 +1,22 @@
 import dataclasses
+import itertools
 import math
+import threading
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sdem import flow
 from sdem.fields import DerivativeUnavailableError, FieldError, builtin_field
 from sdem.malliavin import CameronMartinPath, DivergenceWeight, _DirectionRecorder
 from sdem.mollify import mollify_field
 from sdem.flow import (BLOCK, TILE, BrownianBatch, IntegratedG, JacSupNorm, PathRecorder,
-                       TimeGrid, Tracker, _mm, coupled_family, exp_g_functional, moment_sup,
-                       run_ensemble, run_multi, spatial_derivative_check)
+                       TimeGrid, Tracker, _mm, _PairSup, coupled_family, exp_g_functional,
+                       moment_sup, run_ensemble, run_multi, spatial_derivative_check)
 from conftest import scalar_drift_field
 
 
@@ -501,31 +504,114 @@ def test_worker_count_does_not_change_results():
 
 
 _WORKER_FIELDS = {
-    "ou": (builtin_field("ou", lam=1.0), [0.5], [-0.25]),
+    "ou": (builtin_field("ou", lam=1.0), ([0.5], [-0.25], [0.0])),
     "log_example|eps=0.1": (mollify_field(builtin_field("log_example", beta=1.0), 0.1),
-                            [0.2], [-0.1]),
-    "bm2": (builtin_field("bm", n=2), [0.0, 0.3], [1.0, -1.0]),
+                            ([0.2], [-0.1], [0.0])),
+    "bm2": (builtin_field("bm", n=2), ([0.0, 0.3], [1.0, -1.0], [0.5, 0.5])),
 }
 
 
 @settings(max_examples=15, deadline=None)
 @given(name=st.sampled_from(sorted(_WORKER_FIELDS)),
-       paths=st.integers(BLOCK + 1, 3 * BLOCK), steps=st.integers(1, 4),
-       seed=st.integers(0, 2 ** 32 - 1))
+       paths=st.one_of(st.integers(1, BLOCK - 1), st.integers(BLOCK + 1, 3 * BLOCK)),
+       steps=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+@example(name="log_example|eps=0.1", paths=700, steps=3, seed=5)
+@example(name="ou", paths=BLOCK + 1, steps=2, seed=6)
 def test_outputs_do_not_depend_on_the_worker_count(name, paths, steps, seed):
-    # 2-3 blocks, so workers > 1 runs them on the pool
-    fs, xa, xb = _WORKER_FIELDS[name]
+    # one block, so workers > 1 spread the three lockstep runs over lanes; or
+    # 2-3 blocks, so workers > 1 run the blocks on the pool
+    fs, starts = _WORKER_FIELDS[name]
     g = TimeGrid(0.25, steps)
     noise = BrownianBatch(seed=seed, paths=paths, grid=g, m=fs.m)
     out = []
-    for w in (1, 2, 3):
-        results, extras = run_multi([(fs, xa), (fs, xb)], g, noise,
-                                    trackers=(JacSupNorm(0), JacSupNorm(1, "sup_jac_1"),
-                                              PathRecorder(1)), workers=w)
+    for w in (1, 2, 3, 5):
+        results, extras = run_multi([(fs, x0) for x0 in starts], g, noise,
+                                    trackers=(JacSupNorm(0), JacSupNorm(2, "sup_jac_2"),
+                                              PathRecorder(1), _PairSup(0, 2, "pair", True)),
+                                    workers=w)
         out.append([a.tobytes() for res in results for a in (res.state_T, res.jac_T, res.flag)]
                    + [extras[key].tobytes() for key in sorted(extras)])
-    assert len(out[0]) == 6 + 4
-    assert out[0] == out[1] == out[2]
+    assert len(out[0]) == 9 + 6
+    assert out[0] == out[1] == out[2] == out[3]
+
+
+def test_lane_threads_ignore_overflow_as_the_calling_thread_does():
+    # numpy's errstate is per thread: a lane that did not set its own would
+    # let the overflow of the runs it steps escape as a warning (an error here)
+    fs = scalar_drift_field(lambda x: 1e3 * np.maximum(x, 0.0) ** 2,
+                            lambda x: 2e3 * np.maximum(x, 0.0))
+    g = TimeGrid(0.1, 20)
+    noise = BrownianBatch(seed=24, paths=500, grid=g, m=1)
+    runs = [(fs, [-0.5]), (fs, [0.0]), (fs, [-0.3])]
+    out = []
+    for w in (1, 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results, extras = run_multi(runs, g, noise, workers=w,
+                                        trackers=(IntegratedG(1), JacSupNorm(1),
+                                                  _PairSup(0, 1, "pair", True)))
+        out.append([a.tobytes() for res in results for a in (res.state_T, res.jac_T, res.flag)]
+                   + [extras[key].tobytes() for key in sorted(extras)])
+    assert 0 < results[0].n_flagged < noise.paths
+    assert not np.isfinite(results[1].state_T).all()
+    assert out[0] == out[1]
+
+
+def _fails_on_call(fs, call, message):
+    """fs whose drift raises a FieldError on its call-th evaluation (from 0)."""
+    calls = itertools.count()
+
+    def A(l, x):
+        if l == 0 and next(calls) == call:
+            raise FieldError(message)
+        return fs.A(l, x)
+
+    return dataclasses.replace(fs, A=A)
+
+
+@pytest.mark.parametrize("failing", [(1,), (1, 2)])
+def test_a_lane_error_is_the_one_worker_error_and_leaves_no_thread(failing):
+    # run 1 steps on a lane thread at workers >= 2; with runs 1 and 2 failing
+    # at one step, run 1's error is the one raised, as on one thread
+    ou = builtin_field("ou", lam=1.0)
+    g = TimeGrid(0.1, 10)
+    noise = BrownianBatch(seed=25, paths=200, grid=g, m=1)
+    before = threading.active_count()
+    for w in (1, 2, 3):
+        runs = [(_fails_on_call(ou, 4, f"run {r} failed") if r in failing else ou, [0.1 * r])
+                for r in range(3)]
+        with pytest.raises(FieldError, match=f"^run {failing[0]} failed$"):
+            run_multi(runs, g, noise, workers=w)
+        assert threading.active_count() == before
+
+
+def test_each_level_of_a_one_block_family_stays_on_one_thread(monkeypatch):
+    # each level's base field is wrapped to record the threads it runs on
+    seen = {}
+
+    def recorded(fs, eps):
+        def on_thread(f):
+            def g(l, x):
+                seen.setdefault(eps, set()).add(threading.get_ident())
+                return f(l, x)
+            return g
+        return mollify_field(dataclasses.replace(fs, A=on_thread(fs.A), DA=on_thread(fs.DA)),
+                             eps)
+
+    monkeypatch.setattr(flow, "mollify_field", recorded)
+    ou = builtin_field("ou", lam=1.0)
+    g = TimeGrid(0.1, 6)
+    noise = BrownianBatch(seed=26, paths=300, grid=g, m=1)
+    here = threading.get_ident()
+    for w, lanes in ((1, 1), (2, 2), (5, 3)):
+        seen.clear()
+        coupled_family(ou, [0.2, 0.1, 0.05], [0.0], g, noise, workers=w)
+        assert sorted(seen) == [0.05, 0.1, 0.2]
+        assert all(len(threads) == 1 for threads in seen.values())
+        # level r runs on lane r % lanes, and lane 0 is the calling thread
+        threads = [seen[eps].pop() for eps in (0.2, 0.1, 0.05)]
+        assert threads[0] == here
+        assert [threads.index(t) for t in threads] == [r % lanes for r in range(3)]
 
 
 def test_env_variable_sets_default_workers(monkeypatch):

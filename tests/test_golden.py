@@ -102,8 +102,8 @@ GOLDEN = {
 }
 
 
-def digests(case):
-    res = run_command(COMMAND_OF.get(case, case), ExperimentConfig(**CASES[case]))
+def digests(case, **overrides):
+    res = run_command(COMMAND_OF.get(case, case), ExperimentConfig(**{**CASES[case], **overrides}))
     return {name: hashlib.sha256(text.encode("utf-8")).hexdigest()
             for name, text in sorted(res.files.items())}
 
@@ -111,6 +111,14 @@ def digests(case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_study_outputs_match_golden_digests(case):
     assert digests(case) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("workers", [2, 3, 5])
+@pytest.mark.parametrize("case", ["converge-derivative", "converge-flow", "gradient",
+                                  "gradient-bm2"])
+def test_one_block_lockstep_digests_do_not_depend_on_workers(case, workers):
+    # one block of several lockstep runs: workers spread the runs over lanes
+    assert digests(case, workers=workers) == GOLDEN[case]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
