@@ -22,6 +22,6 @@ from .malliavin import (CameronMartinPath, right_inverse, RightInverseError,
                         bismut_gradient, intertwine_gradient, fd_gradient, divergence,
                         ibp_check)
 from .report import EstimatorReport
-from .harness import ExperimentConfig, run_command, COMMANDS
+from .harness import ExperimentConfig, run_command, STUDIES
 
 __version__ = "0.1.0"

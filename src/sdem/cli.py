@@ -6,7 +6,12 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .harness import COMMANDS, OPTION_KEYS, ExperimentConfig, run_command
+from .harness import STUDIES, ExperimentConfig, run_command
+
+
+def _switches(study) -> list:
+    """The study's options that are false by default; each is a --switch."""
+    return [key for key, (_, default) in study.options.items() if default is False]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -15,18 +20,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stochastic-flow studies for SDEs with mollified rough coefficients",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in sorted(COMMANDS.items()):
-        p = sub.add_parser(name, help=(fn.__doc__ or "").strip().splitlines()[0]
-                           if fn.__doc__ else None)
+    for name, study in sorted(STUDIES.items()):
+        p = sub.add_parser(name, help=study.help)
         p.add_argument("--config", help="JSON config document")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--paths", type=int, help="override the path count")
         p.add_argument("--out", help="output directory for reports")
         p.add_argument("--workers", type=int,
                        help="worker threads (default: SDEM_WORKERS or 1)")
-        if "plot_data" in OPTION_KEYS[name]:
-            p.add_argument("--plot-data", action="store_true",
-                           help="also emit two-column gnuplot data files")
+        for key in _switches(study):
+            p.add_argument("--" + key.replace("_", "-"), action="store_true",
+                           help=f"set the option {key} to true")
     return parser
 
 
@@ -38,8 +42,9 @@ def main(argv=None) -> int:
         cfg = ExperimentConfig.from_file(args.config, **overrides)
     else:
         cfg = ExperimentConfig.from_dict({}, **overrides)
-    if getattr(args, "plot_data", False):
-        cfg = replace(cfg, options={**cfg.options, "plot_data": True})
+    switched = {key: True for key in _switches(STUDIES[args.command]) if getattr(args, key)}
+    if switched:
+        cfg = replace(cfg, options={**cfg.options, **switched})
     result = run_command(args.command, cfg)
     print(f"{result.name}: {'PASS' if result.ok else 'FAIL'} "
           f"(config {cfg.fingerprint})")

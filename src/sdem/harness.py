@@ -14,8 +14,9 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -30,16 +31,9 @@ from .mollify import mollify_field
 __all__ = [
     "ExperimentConfig",
     "CommandResult",
-    "COMMANDS",
-    "OPTION_KEYS",
+    "Study",
+    "STUDIES",
     "run_command",
-    "cmd_converge_flow",
-    "cmd_converge_derivative",
-    "cmd_gradient",
-    "cmd_kernel_bound",
-    "cmd_condition_g",
-    "cmd_ibp",
-    "cmd_moment",
 ]
 
 
@@ -58,29 +52,46 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _config_number(key: str, value, least=None, whole=False):
-    """A config number, exactly: a non-number, a fraction where an integer is
-    due, or a value below ``least`` raises an error that names the key."""
-    ok = (_is_number(value)
-          and (not whole or (math.isfinite(value) and value == math.floor(value)))
-          and (least is None or value >= least))
-    if not ok:
-        kind = "an integer" if whole else "a number"
-        bound = f" >= {least}" if least is not None else ""
-        raise FieldError(f"config key {key!r} must be {kind}{bound}, got {value!r}")
-    return int(value) if whole else float(value)
+class Kind(NamedTuple):
+    """What a config number or study option must be: the phrase an error
+    names it by, the test of a value (n is the field set's dimension), and
+    what the caller is handed for a value that passes."""
+
+    must_be: str
+    accepts: Callable[[object, int], bool]
+    read: Callable = float
 
 
-def _reject_misshapen(doc: dict) -> None:
-    """Objects must be objects and vectors lists of numbers, or the key is named."""
-    for key in ("field", "grid", "options"):
-        if key in doc and not isinstance(doc[key], dict):
-            raise FieldError(f"config key {key!r} must be an object, got {doc[key]!r}")
-    for key in ("eps", "x0"):
-        vec = doc.get(key, [])
-        numeric = isinstance(vec, (list, tuple)) and all(_is_number(v) for v in vec)
-        if not numeric:
-            raise FieldError(f"config key {key!r} must be a list of numbers, got {vec!r}")
+def _read(where: str, key: str, value, kind: Kind, n: int = 0):
+    if not kind.accepts(value, n):
+        raise FieldError(f"{where} {key!r} must be {kind.must_be.format(n=n)}, got {value!r}")
+    return kind.read(value)
+
+
+def _finite(value) -> bool:
+    return _is_number(value) and math.isfinite(value)
+
+
+def _whole(value) -> bool:
+    return _finite(value) and value == math.floor(value)
+
+
+# a count is an exact integer: 2.0 is 2, and 2.7 is an error, not 2
+_COUNT = Kind("an integer >= 1", lambda v, n: _whole(v) and v >= 1, int)
+_SEED = Kind("an integer >= 0", lambda v, n: _whole(v) and v >= 0, int)
+_REAL = Kind("a number", lambda v, n: _is_number(v))
+_OBJECT = Kind("an object", lambda v, n: isinstance(v, dict), lambda v: v)
+_NUMBERS = Kind("a list of numbers",
+                lambda v, n: isinstance(v, (list, tuple)) and all(map(_is_number, v)), tuple)
+_NUMBER = Kind("a finite number", lambda v, n: _finite(v))
+_POSITIVE = Kind("a finite positive number", lambda v, n: _finite(v) and v > 0)
+_VECTOR = Kind("a list of n = {n} numbers", lambda v, n: _NUMBERS.accepts(v, n) and len(v) == n,
+               lambda v: np.asarray(v, dtype=float))
+_POINTS = Kind("[lo, hi, count] of finite numbers with an integer count >= 1",
+               lambda v, n: (isinstance(v, (list, tuple)) and len(v) == 3
+                             and _finite(v[0]) and _finite(v[1]) and _COUNT.accepts(v[2], n)),
+               lambda v: np.linspace(float(v[0]), float(v[1]), int(v[2])))
+_FLAG = Kind("true or false", lambda v, n: isinstance(v, bool), bool)
 
 
 @dataclass(frozen=True)
@@ -133,32 +144,29 @@ class ExperimentConfig:
             raise FieldError(f"option 't' = {t} takes more steps of {dt} than a float holds")
         return TimeGrid(t, max(1, round(steps)))
 
-    def make_field(self):
-        return field_from_json(self.field_spec)
-
-    def opt(self, key, default=None):
-        return self.options.get(key, default)
-
     @staticmethod
     def from_dict(doc: dict, **overrides) -> "ExperimentConfig":
+        """Parse a config document.  Each override that is not None replaces
+        the document's key of that name first, so it gets the same checks."""
+        if not isinstance(doc, dict):
+            raise FieldError(f"a config document is an object, got {doc!r}")
+        doc = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
         _reject_unknown("config", doc, _CONFIG_KEYS)
-        _reject_misshapen(doc)
-        grid = doc.get("grid", {})
+        grid = _read("config key", "grid", doc.get("grid", {}), _OBJECT)
         _reject_unknown("grid", grid, _GRID_KEYS)
-        cfg = ExperimentConfig(
-            field_spec=doc.get("field", {"name": "bm", "params": {"n": 1}}),
-            eps=tuple(doc.get("eps", ())),
-            T=_config_number("grid.T", grid.get("T", 0.25)),
-            steps=_config_number("grid.steps", grid.get("steps", 250), 1, whole=True),
-            paths=_config_number("paths", doc.get("paths", 10_000), 1, whole=True),
-            seed=_config_number("seed", doc.get("seed", 20260810), 0, whole=True),
-            x0=tuple(doc.get("x0", (0.0,))),
+        return ExperimentConfig(
+            field_spec=_read("config key", "field",
+                             doc.get("field", {"name": "bm", "params": {"n": 1}}), _OBJECT),
+            eps=_read("config key", "eps", doc.get("eps", ()), _NUMBERS),
+            T=_read("config key", "grid.T", grid.get("T", 0.25), _REAL),
+            steps=_read("config key", "grid.steps", grid.get("steps", 250), _COUNT),
+            paths=_read("config key", "paths", doc.get("paths", 10_000), _COUNT),
+            seed=_read("config key", "seed", doc.get("seed", 20260810), _SEED),
+            x0=_read("config key", "x0", doc.get("x0", (0.0,)), _NUMBERS),
             workers=doc.get("workers"),
             out=doc.get("out"),
-            options=doc.get("options", {}),
+            options=_read("config key", "options", doc.get("options", {}), _OBJECT),
         )
-        clean = {k: v for k, v in overrides.items() if v is not None}
-        return replace(cfg, **clean) if clean else cfg
 
     @staticmethod
     def from_file(path: str, **overrides) -> "ExperimentConfig":
@@ -206,48 +214,29 @@ def _plot_text(fingerprint: str, pairs) -> str:
 
 
 # ---------------------------------------------------------------------------
-# test functions available to gradient/ibp studies by name
+# test functions of the gradient and ibp studies, by name
 
 
-def _named_test_function(name: str):
-    """Returns (f on terminal states, df or None, descriptive label)."""
-    if name == "identity":
-        return (lambda s: s[:, 0],
-                lambda s: np.concatenate([np.ones((len(s), 1)), np.zeros((len(s), s.shape[1] - 1))], axis=1),
-                "f(x) = x_1")
-    if name == "sin":
-        return (lambda s: np.sin(s[:, 0]),
-                lambda s: np.concatenate([np.cos(s[:, :1]), np.zeros((len(s), s.shape[1] - 1))], axis=1),
-                "f(x) = sin(x_1)")
-    if name == "indicator":
-        return (lambda s: (s[:, 0] > 0).astype(float), None, "f(x) = 1_{x_1 > 0}")
-    if name == "const":
-        return (lambda s: np.ones(len(s)), lambda s: np.zeros_like(s), "f(x) = 1")
-    raise FieldError(f"unknown test function {name!r}")
+_TEST_FUNCTIONS = {   # name -> (f on terminal states, its gradient or None, label)
+    "identity": (lambda s: s[:, 0],
+                 lambda s: np.concatenate([np.ones((len(s), 1)), np.zeros((len(s), s.shape[1] - 1))], axis=1),
+                 "f(x) = x_1"),
+    "sin": (lambda s: np.sin(s[:, 0]),
+            lambda s: np.concatenate([np.cos(s[:, :1]), np.zeros((len(s), s.shape[1] - 1))], axis=1),
+            "f(x) = sin(x_1)"),
+    "indicator": (lambda s: (s[:, 0] > 0).astype(float), None, "f(x) = 1_{x_1 > 0}"),
+    "const": (lambda s: np.ones(len(s)), lambda s: np.zeros_like(s), "f(x) = 1"),
+}
+_NAMES = sorted(_TEST_FUNCTIONS)
+_SMOOTH_NAMES = [k for k in _NAMES if _TEST_FUNCTIONS[k][1] is not None]
+_FUNCTION = Kind(f"one of {_NAMES}", lambda v, n: v in _NAMES, _TEST_FUNCTIONS.get)
+# the ibp study differentiates its path functional
+_SMOOTH_FUNCTION = Kind(f"one of {_SMOOTH_NAMES}", lambda v, n: v in _SMOOTH_NAMES,
+                        _TEST_FUNCTIONS.get)
 
 
-def _direction(cfg: ExperimentConfig, key: str, n: int) -> np.ndarray:
-    """Option `key` as a vector of n entries, the first basis vector by default."""
-    vec = cfg.opt(key, [1.0] + [0.0] * (n - 1))
-    if not all(_is_number(v) for v in np.ravel(np.asarray(vec, dtype=object))):
-        raise FieldError(f"option {key!r} must be a vector of numbers, got {vec!r}")
-    vec = np.atleast_1d(np.asarray(vec, dtype=float))
-    if vec.shape != (n,):
-        raise FieldError(f"option {key!r} has shape {vec.shape}, field set has n={n}")
-    return vec
-
-
-def _option(cfg: ExperimentConfig, key: str, default=None, positive: bool = False):
-    """Numeric option `key` as a float, or its default (maybe None) when absent.
-    A value that is not a finite number, or with ``positive`` not above 0, is an
-    error that names the key; studies read every one before any noise is drawn."""
-    value = cfg.opt(key, default)
-    if value is None:
-        return None
-    if not (_is_number(value) and math.isfinite(value) and (value > 0 or not positive)):
-        kind = "a finite positive number" if positive else "a finite number"
-        raise FieldError(f"option {key!r} must be {kind}, got {value!r}")
-    return float(value)
+def _first_axis(cfg: ExperimentConfig, n: int) -> list:
+    return [1.0] + [0.0] * (n - 1)
 
 
 def _flagged_failures(label: str, flagged: int, paths: int) -> list:
@@ -256,25 +245,19 @@ def _flagged_failures(label: str, flagged: int, paths: int) -> list:
     return [f"{label}: flagged fraction {frac:.2e} >= 1e-4"] if frac >= 1e-4 else []
 
 
-def _level_fields(cfg: ExperimentConfig):
-    fs = cfg.make_field()
-    eps = _option(cfg, "mollify_eps")
-    return mollify_field(fs, eps) if eps else fs
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _converge(cfg: ExperimentConfig, which: str, name: str) -> CommandResult:
+def _converge(cfg: ExperimentConfig, fields, opts: dict, which: str,
+              name: str) -> CommandResult:
     eps = list(cfg.eps) or [0.2, 0.1, 0.05, 0.025]
     if len(eps) < 2:
         raise FieldError(f"config key 'eps' needs at least two levels, got {eps}")
-    fs = cfg.make_field()
-    p = _option(cfg, "p", 2.0)
-    noise = BrownianBatch(cfg.seed, cfg.paths, cfg.grid, fs.m)
+    p = opts["p"]
+    noise = BrownianBatch(cfg.seed, cfg.paths, cfg.grid, fields.m)
     # the state gaps need no derivative flow; only the jac study integrates it
-    fam = coupled_family(fs, eps, np.asarray(cfg.x0), cfg.grid, noise,
+    fam = coupled_family(fields, eps, np.asarray(cfg.x0), cfg.grid, noise,
                          with_jac=which == "jac", workers=cfg.workers)
     ref = eps[-1]
     rows, ests, ses = [], [], []
@@ -301,35 +284,20 @@ def _converge(cfg: ExperimentConfig, which: str, name: str) -> CommandResult:
         "flagged": fam.n_flagged,
     }
     files = {f"{name}.csv": csv, f"{name}.json": _json_text(payload)}
-    if cfg.opt("plot_data"):
+    if opts["plot_data"]:
         files[f"{name}.dat"] = _plot_text(cfg.fingerprint, [(r[0], r[2]) for r in rows])
     return CommandResult(name, not failures, failures, payload, files)
 
 
-def cmd_converge_flow(cfg: ExperimentConfig) -> CommandResult:
-    """Pathwise sup-distance of the state across the smoothing ladder."""
-    return _converge(cfg, "state", "converge_flow")
-
-
-def cmd_converge_derivative(cfg: ExperimentConfig) -> CommandResult:
-    """Pathwise sup-distance of the derivative matrix across the ladder."""
-    return _converge(cfg, "jac", "converge_derivative")
-
-
-def cmd_gradient(cfg: ExperimentConfig) -> CommandResult:
-    fields = _level_fields(cfg)
-    t = _option(cfg, "t", 0.5)
-    v0 = _direction(cfg, "v0", fields.n)
-    f, df, label = _named_test_function(cfg.opt("f", "identity"))
-    bump = _option(cfg, "bump", 1e-3, positive=True)
-    target = _option(cfg, "target")
-    abs_tol = _option(cfg, "abs_tol")
+def cmd_gradient(cfg: ExperimentConfig, fields, opts: dict) -> CommandResult:
+    t, v0, target, abs_tol = opts["t"], opts["v0"], opts["target"], opts["abs_tol"]
+    f, df, label = opts["f"]
     grid = cfg.grid_at(t)
     run = (fields, np.asarray(cfg.x0, dtype=float), grid,
            BrownianBatch(cfg.seed, cfg.paths, grid, fields.m))
     out = {"config_fingerprint": cfg.fingerprint, "f": label, "t": t}
     reports = {"bismut": bismut_gradient(f, v0, *run, workers=cfg.workers),
-               "fd": fd_gradient(f, v0, *run, bump=bump, workers=cfg.workers)}
+               "fd": fd_gradient(f, v0, *run, bump=opts["bump"], workers=cfg.workers)}
     if df is not None:
         reports["intertwine"] = intertwine_gradient(df, v0, *run, workers=cfg.workers)
     failures = []
@@ -367,24 +335,14 @@ def cmd_gradient(cfg: ExperimentConfig) -> CommandResult:
     return CommandResult("gradient", not failures, failures, out, files)
 
 
-def cmd_kernel_bound(cfg: ExperimentConfig) -> CommandResult:
-    fields = _level_fields(cfg)
+def cmd_kernel_bound(cfg: ExperimentConfig, fields, opts: dict) -> CommandResult:
     if fields.n != 1:
         raise FieldError("cmd_kernel_bound: query grid construction is 1-d only")
     if cfg.paths < kern.MIN_SAMPLES:
         raise FieldError(f"cmd_kernel_bound: paths={cfg.paths} is below the "
                          f"{kern.MIN_SAMPLES} samples the density estimate needs")
-    spec = cfg.opt("query", [-4.0, 4.0, 21])
-    if (np.shape(spec) != (3,) or not all(_is_number(v) and math.isfinite(v) for v in spec)
-            or spec[2] != math.floor(spec[2]) or spec[2] < 1):
-        raise FieldError(f"option 'query' must be [lo, hi, count] with an integer count >= 1, "
-                         f"got {spec}")
-    lo, hi, count = spec
-    qpts = np.linspace(float(lo), float(hi), int(count))[:, None]
-    bandwidth = _option(cfg, "bandwidth", positive=True)
-    t = _option(cfg, "t", cfg.T)
-    c1_target = _option(cfg, "c1", 1.05, positive=True)
-    c1_max = _option(cfg, "c1_max")
+    qpts = opts["query"][:, None]
+    t, bandwidth, c1_target, c1_max = opts["t"], opts["bandwidth"], opts["c1"], opts["c1_max"]
     grid = cfg.grid_at(t)
     noise = BrownianBatch(cfg.seed, cfg.paths, grid, fields.m)
     res = run_ensemble(fields, np.asarray(cfg.x0), grid, noise,
@@ -423,25 +381,20 @@ def cmd_kernel_bound(cfg: ExperimentConfig) -> CommandResult:
         "flagged": res.n_flagged,
     }
     files = {"kernel_bound.csv": csv, "kernel_bound.json": _json_text(payload)}
-    if cfg.opt("plot_data"):
+    if opts["plot_data"]:
         files["kernel_bound.dat"] = _plot_text(cfg.fingerprint,
                                                [(r[0], r[1]) for r in rows])
     return CommandResult("kernel_bound", not failures, failures, payload, files)
 
 
-def cmd_condition_g(cfg: ExperimentConfig) -> CommandResult:
-    fields = cfg.make_field()
-    sigma = _option(cfg, "sigma", 0.5, positive=True)
-    t0 = _option(cfg, "T0", 1.0, positive=True)
+def cmd_condition_g(cfg: ExperimentConfig, fields, opts: dict) -> CommandResult:
+    sigma, t0, expect = opts["sigma"], opts["T0"], opts["expect_diverging"]
     res = condition_g_estimate(fields, sigma, t0, np.asarray(cfg.x0, dtype=float),
                                max(cfg.paths, 10_000), cfg.seed,
-                               growth_ratio=_option(cfg, "growth_ratio", 2.0))
+                               growth_ratio=opts["growth_ratio"])
     failures = []
-    expect = cfg.opt("expect_diverging")
-    if expect is not None and bool(expect) != res.diverging:
-        failures.append(
-            f"condition_g: diverging = {res.diverging}, expected {bool(expect)}"
-        )
+    if expect is not None and expect != res.diverging:
+        failures.append(f"condition_g: diverging = {res.diverging}, expected {expect}")
     payload = {
         "config_fingerprint": cfg.fingerprint,
         "sigma": sigma, "T0": t0,
@@ -453,14 +406,10 @@ def cmd_condition_g(cfg: ExperimentConfig) -> CommandResult:
                          {"condition_g.json": _json_text(payload)})
 
 
-def cmd_ibp(cfg: ExperimentConfig) -> CommandResult:
-    fields = _level_fields(cfg)
-    t = _option(cfg, "t", 0.5)
-    target = _option(cfg, "target")
-    f, df, label = _named_test_function(cfg.opt("F", "sin"))
-    if df is None:
-        raise FieldError("cmd_ibp: the path functional must be C^1 (no indicator)")
-    h = CameronMartinPath.constant(_direction(cfg, "hdot", fields.n))
+def cmd_ibp(cfg: ExperimentConfig, fields, opts: dict) -> CommandResult:
+    t, target = opts["t"], opts["target"]
+    f, df, label = opts["F"]
+    h = CameronMartinPath.constant(opts["hdot"])
     grid = cfg.grid_at(t)
     noise = BrownianBatch(cfg.seed, cfg.paths, grid, fields.m)
 
@@ -487,9 +436,8 @@ def cmd_ibp(cfg: ExperimentConfig) -> CommandResult:
                          {"ibp.json": _json_text(payload)})
 
 
-def cmd_moment(cfg: ExperimentConfig) -> CommandResult:
-    fields = _level_fields(cfg)
-    p = _option(cfg, "p", 2.0)
+def cmd_moment(cfg: ExperimentConfig, fields, opts: dict) -> CommandResult:
+    p = opts["p"]
     noise = BrownianBatch(cfg.seed, cfg.paths, cfg.grid, fields.m)
     res = run_ensemble(fields, np.asarray(cfg.x0), cfg.grid, noise,
                        trackers=(JacSupNorm(), IntegratedG()),
@@ -518,37 +466,76 @@ def cmd_moment(cfg: ExperimentConfig) -> CommandResult:
                          {"moment.json": _json_text(payload)})
 
 
-COMMANDS: dict[str, Callable[[ExperimentConfig], CommandResult]] = {
-    "converge-flow": cmd_converge_flow,
-    "converge-derivative": cmd_converge_derivative,
-    "gradient": cmd_gradient,
-    "kernel-bound": cmd_kernel_bound,
-    "condition-g": cmd_condition_g,
-    "ibp": cmd_ibp,
-    "moment": cmd_moment,
-}
+class Study(NamedTuple):
+    """A study: its function, which run_command calls as run(cfg, fields,
+    opts), its one-line help, and its options as key -> (kind, default).  An
+    option that is absent or null takes its default; a callable default is
+    called as default(cfg, n).  A default of None leaves the option None and
+    is not read by the kind; any other value, default or given, is."""
+
+    run: Callable[[ExperimentConfig, object, dict], CommandResult]
+    help: str
+    options: dict
 
 
-# the option keys each command reads; any other key is rejected before a run
-OPTION_KEYS: dict[str, frozenset] = {
-    "converge-flow": frozenset({"p", "plot_data"}),
-    "converge-derivative": frozenset({"p", "plot_data"}),
-    "gradient": frozenset({"mollify_eps", "t", "v0", "f", "bump", "target", "abs_tol"}),
-    "kernel-bound": frozenset({"mollify_eps", "t", "query", "bandwidth", "c1", "c1_max",
-                               "plot_data"}),
-    "condition-g": frozenset({"sigma", "T0", "growth_ratio", "expect_diverging"}),
-    "ibp": frozenset({"mollify_eps", "t", "F", "hdot", "target"}),
-    "moment": frozenset({"mollify_eps", "p"}),
+STUDIES: dict[str, Study] = {
+    "converge-flow": Study(
+        partial(_converge, which="state", name="converge_flow"),
+        "pathwise sup-distance of the state across the smoothing ladder",
+        {"p": (_NUMBER, 2.0), "plot_data": (_FLAG, False)}),
+    "converge-derivative": Study(
+        partial(_converge, which="jac", name="converge_derivative"),
+        "pathwise sup-distance of the derivative matrix across the ladder",
+        {"p": (_NUMBER, 2.0), "plot_data": (_FLAG, False)}),
+    "gradient": Study(
+        cmd_gradient,
+        "semigroup gradient by the Bismut, intertwining and finite-difference routes",
+        {"mollify_eps": (_POSITIVE, None), "t": (_POSITIVE, 0.5), "v0": (_VECTOR, _first_axis),
+         "f": (_FUNCTION, "identity"), "bump": (_POSITIVE, 1e-3), "target": (_NUMBER, None),
+         "abs_tol": (_POSITIVE, None)}),
+    "kernel-bound": Study(
+        cmd_kernel_bound,
+        "Gaussian upper bound of the transition density, fitted to a KDE",
+        {"mollify_eps": (_POSITIVE, None), "t": (_POSITIVE, lambda cfg, n: cfg.T),
+         "query": (_POINTS, [-4.0, 4.0, 21]), "bandwidth": (_POSITIVE, None),
+         "c1": (_POSITIVE, 1.05), "c1_max": (_NUMBER, None), "plot_data": (_FLAG, False)}),
+    "condition-g": Study(
+        cmd_condition_g,
+        "condition (G): integrability of exp(sigma G) against the heat kernel",
+        {"sigma": (_POSITIVE, 0.5), "T0": (_POSITIVE, 1.0), "growth_ratio": (_NUMBER, 2.0),
+         "expect_diverging": (_FLAG, None)}),
+    "ibp": Study(
+        cmd_ibp,
+        "integration by parts on path space, E dF(V^h) = E F delta(V^h)",
+        {"mollify_eps": (_POSITIVE, None), "t": (_POSITIVE, 0.5),
+         "F": (_SMOOTH_FUNCTION, "sin"), "hdot": (_VECTOR, _first_axis),
+         "target": (_NUMBER, None)}),
+    "moment": Study(
+        cmd_moment,
+        "moment bound of the derivative flow by the exp(G) functional",
+        {"mollify_eps": (_POSITIVE, None), "p": (_NUMBER, 2.0)}),
 }
 
 
 def run_command(name: str, cfg: ExperimentConfig) -> CommandResult:
+    """Run study `name`.  Before any noise is drawn, it rejects an option the
+    study does not declare, builds the field set once, reads every option
+    with its kind, and smooths the field set when mollify_eps is given."""
     try:
-        fn = COMMANDS[name]
+        study = STUDIES[name]
     except KeyError:
-        raise FieldError(f"unknown subcommand {name!r}; have {sorted(COMMANDS)}") from None
-    _reject_unknown(f"{name} option", cfg.options, OPTION_KEYS[name])
-    result = fn(cfg)
+        raise FieldError(f"unknown subcommand {name!r}; have {sorted(STUDIES)}") from None
+    _reject_unknown(f"{name} option", cfg.options, study.options)
+    fields = field_from_json(cfg.field_spec)
+    opts = {}
+    for key, (kind, default) in study.options.items():
+        value = cfg.options.get(key)
+        if value is None:
+            value = default(cfg, fields.n) if callable(default) else default
+        opts[key] = None if value is None else _read("option", key, value, kind, fields.n)
+    if (eps := opts.get("mollify_eps")) is not None:
+        fields = mollify_field(fields, eps)
+    result = study.run(cfg, fields, opts)
     if cfg.out:
         result.write(cfg.out)
     return result

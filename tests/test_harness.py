@@ -2,12 +2,17 @@ import dataclasses
 import json
 import math
 import os
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sdem import harness
 from sdem.cli import main
 from sdem.fields import FieldError
-from sdem.harness import (COMMANDS, ExperimentConfig, run_command)
+from sdem.harness import (STUDIES, ExperimentConfig, run_command)
 
 
 def _cfg(**kw):
@@ -265,6 +270,9 @@ def test_config_rejects_unknown_keys():
     for key, value in (("x0", 0.0), ("eps", 0.1), ("options", ["p"])):
         with pytest.raises(FieldError, match=f"'{key}'"):
             ExperimentConfig.from_dict({**doc, key: value})
+    # and a document that is not an object is refused as a whole
+    with pytest.raises(FieldError, match="document"):
+        ExperimentConfig.from_dict(["field", "grid"])
 
 
 def test_config_numbers_are_exact():
@@ -284,6 +292,25 @@ def test_config_numbers_are_exact():
     for key, value, name in bad:
         with pytest.raises(FieldError, match=name):
             ExperimentConfig.from_dict({**doc, key: value})
+
+
+def test_cli_overrides_are_checked_as_the_document_is(tmp_path, monkeypatch):
+    # --paths and --seed go into the document before it is read, so a bad one
+    # is named before any study runs, and never recorded in a fingerprint
+    from sdem import cli
+
+    def no_run(name, cfg):
+        raise AssertionError(f"{name} ran with {cfg}")
+
+    monkeypatch.setattr(cli, "run_command", no_run)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(_cfg().to_dict()))
+    for argv, key in ((["condition-g", "--paths", "0"], "'paths'"),
+                      (["moment", "--paths", "-5"], "'paths'"),
+                      (["converge-flow", "--seed", "-1"], "'seed'")):
+        for config in ([], ["--config", str(cfg_path)]):
+            with pytest.raises(FieldError, match=key):
+                main(argv + config)
 
 
 def test_cli_rejects_misspelled_top_level_key(tmp_path):
@@ -359,10 +386,56 @@ def test_study_dimensions_rejected_before_any_noise(monkeypatch):
            ("moment", {"options": {"p": "abc"}}, "'p'"),
            ("moment", {"options": {"mollify_eps": "abc"}}, "'mollify_eps'"),
            ("condition-g", {"options": {"sigma": "abc"}}, "'sigma'"),
-           ("condition-g", {"options": {"growth_ratio": "abc"}}, "'growth_ratio'")]
+           ("condition-g", {"options": {"growth_ratio": "abc"}}, "'growth_ratio'"),
+           # a flag is a JSON boolean: the string "false" is not false
+           ("condition-g", {"options": {"expect_diverging": "false"}}, "'expect_diverging'"),
+           ("converge-flow", {"options": {"plot_data": "no"}}, "'plot_data'"),
+           ("kernel-bound", {"paths": 10_000, "options": {"plot_data": 1}}, "'plot_data'"),
+           # a test function's name: the error names the key and the accepted names
+           ("gradient", {"options": {"f": 3}},
+            r"'f' must be one of \['const', 'identity', 'indicator', 'sin'\]"),
+           ("ibp", {"options": {"F": ["sin"]}}, r"'F' must be one of \['const', 'identity', 'sin'\]"),
+           ("ibp", {"options": {"F": "indicator"}}, "'F'"),
+           # a smoothing scale and a tolerance are positive
+           ("moment", {"options": {"mollify_eps": -0.1}}, "'mollify_eps'"),
+           ("gradient", {"options": {"mollify_eps": 0}}, "'mollify_eps'"),
+           ("gradient", {"options": {"target": 1.0, "abs_tol": -1.0}}, "'abs_tol'")]
     for name, kw, key in bad:
         with pytest.raises(FieldError, match=key):
             run_command(name, _cfg(field_spec=ou, **kw))
+
+
+# values of the wrong kind, for each kind of option in the table
+_BAD_VALUES = {
+    harness._NUMBER: st.sampled_from(["abc", math.nan, math.inf, -math.inf, True, [1.0]]),
+    harness._POSITIVE: st.one_of(st.floats(max_value=0.0),
+                                 st.sampled_from(["abc", math.nan, math.inf, False, [1.0]])),
+    harness._VECTOR: st.sampled_from([[], [1.0, 0.0], ["abc"], [True], "abc", 1.0, {"x": 1.0}]),
+    harness._FUNCTION: st.sampled_from([3, ["sin"], "cosh", "Sin", True, {"sin": 1}]),
+    harness._SMOOTH_FUNCTION: st.sampled_from([3, ["sin"], "cosh", "indicator", False]),
+    harness._POINTS: st.sampled_from([[-4, 4], [-4, 4, 0], [-4, 4, 3.9], [-4, 4, math.nan],
+                                      [-4, "4", 3], [math.inf, 4, 3], [-4, 4, True], 5, "abc"]),
+    harness._FLAG: st.sampled_from(["false", "true", "no", 0, 1, [True]]),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_option_rejects_a_value_of_the_wrong_kind_before_any_noise(data):
+    name, key = data.draw(st.sampled_from(
+        [(name, key) for name, study in sorted(STUDIES.items()) for key in sorted(study.options)]))
+    kind, _ = STUDIES[name].options[key]
+    value = data.draw(_BAD_VALUES[kind])
+
+    def no_noise(*args, **kwargs):
+        raise AssertionError(f"{name} drew noise with {key} = {value!r}")
+
+    cfg = _cfg(field_spec={"name": "ou", "params": {"lam": 1.0}}, options={key: value})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness.BrownianBatch, "block_increments", no_noise)
+        mp.setattr(harness, "condition_g_estimate", no_noise)
+        with pytest.raises(FieldError, match=re.escape(f"option {key!r} must be")):
+            run_command(name, cfg)
 
 
 def test_converge_studies_evaluate_only_what_they_report(monkeypatch):
@@ -468,7 +541,8 @@ def test_documented_and_benchmarked_configs_are_accepted(monkeypatch):
     runs += [(name, w.config) for w in workloads.values() for name in w.commands]
     assert len(runs) == 6
     for name, doc in runs:
-        monkeypatch.setitem(harness.COMMANDS, name, lambda cfg: "validated")
+        stub = STUDIES[name]._replace(run=lambda cfg, fields, opts: "validated")
+        monkeypatch.setitem(harness.STUDIES, name, stub)
         assert run_command(name, ExperimentConfig.from_dict(doc)) == "validated"
 
 
@@ -536,6 +610,18 @@ def test_worker_count_leaves_bytes_unchanged(tmp_path):
 
 
 def test_every_command_is_registered():
-    assert sorted(COMMANDS) == ["condition-g", "converge-derivative",
+    assert sorted(STUDIES) == ["condition-g", "converge-derivative",
                                 "converge-flow", "gradient", "ibp",
                                 "kernel-bound", "moment"]
+
+
+def test_readme_lists_every_study_option():
+    # the README's option paragraph has one bullet per study (the two converge
+    # studies share one), and each bullet names every option of its studies
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("\n- `", readme.index("Study options"))
+    bullets = readme[start:readme.index("\n\n", start)].split("\n- ")[1:]
+    for name, study in STUDIES.items():
+        (bullet,) = [b for b in bullets if f"`{name}`" in b.split(":")[0]]
+        for key in study.options:
+            assert f"`{key}`" in bullet, (name, key)
