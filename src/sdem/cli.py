@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import replace
 
+from .fields import FieldError
 from .harness import STUDIES, ExperimentConfig, run_command
 
 
@@ -34,18 +36,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _config(args) -> ExperimentConfig:
+    """The config that the arguments give; a --config file that cannot be
+    read or parsed is a FieldError naming it."""
     overrides = dict(seed=args.seed, paths=args.paths, out=args.out,
                      workers=args.workers)
     if args.config:
-        cfg = ExperimentConfig.from_file(args.config, **overrides)
+        try:
+            cfg = ExperimentConfig.from_file(args.config, **overrides)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise FieldError(f"cannot read --config {args.config}: {exc}") from exc
     else:
         cfg = ExperimentConfig.from_dict({}, **overrides)
     switched = {key: True for key in _switches(STUDIES[args.command]) if getattr(args, key)}
     if switched:
         cfg = replace(cfg, options={**cfg.options, **switched})
-    result = run_command(args.command, cfg)
+    return cfg
+
+
+def main(argv=None) -> int:
+    """Run one study.  Exit code 0: every check passed; 1: a check failed;
+    2: bad input, a FieldError, which is printed without a traceback (the
+    code argparse gives a bad command line)."""
+    args = build_parser().parse_args(argv)
+    try:
+        cfg = _config(args)
+        result = run_command(args.command, cfg)
+    except FieldError as exc:
+        print(f"sdem: error: {exc}", file=sys.stderr)
+        return 2
     print(f"{result.name}: {'PASS' if result.ok else 'FAIL'} "
           f"(config {cfg.fingerprint})")
     if not result.ok:

@@ -4,13 +4,14 @@ A family consists of a drift field (index 0) and m diffusion fields
 (indices 1..m) on R^n, together with an optional chosen version of the
 weak derivative of each field and its ellipticity floor.
 
-Evaluators are vectorized: points may be a single array of shape (n,) or a
-batch of shape (..., n); field values have the same leading shape, and
-derivative values carry a trailing (n, n) matrix axis.  All evaluators are
-pure and safe for concurrent use, and every array they return is a fresh
-one that the caller owns.  The ``log_example`` diffusion is evaluated
-through the closed form of its antiderivative, with no table; its
-temporaries live in per-thread workspaces.
+Evaluators take one point format, a float (N, n) batch, and return one row
+per point (see ``VectorFieldSet``); they do no shape handling of their own.
+Points from a caller are checked once, where they enter, and a row's value
+may differ in the last bit with the batch size.  All evaluators are pure and
+safe for concurrent use, and every array they return is a fresh one that
+the caller owns.  The ``log_example`` diffusion is evaluated through the
+closed form of its antiderivative, with no table; its temporaries live in
+per-thread workspaces.
 """
 
 from __future__ import annotations
@@ -103,27 +104,33 @@ class _Workspace(threading.local):
         return buf[:size].reshape(shape)
 
 
-def _as_batch(x: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
-    """Coerce a point or point batch to shape (N, n); report if it was single."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        if n != 1:
-            raise FieldError(f"scalar point given for dimension {n}")
-        return x.reshape(1, 1), True
-    if x.shape[-1] != n:
-        raise FieldError(f"point has dimension {x.shape[-1]}, field set has n={n}")
-    if x.ndim == 1:
-        return x.reshape(1, n), True
-    return x.reshape(-1, n), False
+def _points(x, n: int, where: str) -> np.ndarray:
+    """A caller's points as the float (N, n) batch evaluators take."""
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != n:
+        raise FieldError(f"{where}: points must be an (N, {n}) array, got shape {pts.shape}")
+    return pts
 
 
 @dataclass(frozen=True)
 class VectorFieldSet:
     """Drift and diffusion fields with an optional weak-derivative version.
 
-    ``A(l, x)`` evaluates field l (0 = drift) at x; ``DA(l, x)``, when
-    present, evaluates a fixed version of its weak derivative as an
-    n-by-n matrix.  Which version of the weak derivative enters is a
+    ``A(l, x)`` evaluates field l (0 = drift) at a float (N, n) batch x and
+    returns (N, n); ``DA(l, x)``, when present, evaluates a fixed version of
+    its weak derivative there and returns (N, n, n).  Neither checks or
+    reshapes x, so a custom field is written for batches alone.  Points
+    from a caller are checked once, where they enter: the engine checks its
+    start point, and ``ellipticity_margin``, ``hoelder_estimate``,
+    ``g_function`` and the function ``mollify_scalar`` returns check theirs
+    with ``_points``, which names the expected (N, n) and the shape it got.
+
+    A row's value may differ in the last bit with N: a mollified field sums
+    its quadrature nodes through BLAS, whose kernels handle the tail of a
+    vector differently at different lengths.  So compare rows across batch
+    sizes only to a tolerance.
+
+    Which version of the weak derivative enters is a
     modelling choice supplied by the caller; any two a.e.-equal versions
     produce indistinguishable flows.
 
@@ -161,7 +168,7 @@ class VectorFieldSet:
             )
 
     def diffusion_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Stack the diffusion fields as columns: shape (..., n, m)."""
+        """Stack the diffusion fields at an (N, n) batch as columns: (N, n, m)."""
         cols = [self.A(l, x) for l in range(1, self.m + 1)]
         return np.stack(cols, axis=-1)
 
@@ -174,14 +181,10 @@ def _bm(n: int) -> VectorFieldSet:
     basis = np.eye(n)
 
     def A(l, x):
-        pts, single = _as_batch(x, n)
-        out = np.zeros_like(pts) if l == 0 else np.broadcast_to(basis[l - 1], pts.shape).copy()
-        return out[0] if single else out.reshape(np.asarray(x).shape)
+        return np.zeros_like(x) if l == 0 else np.broadcast_to(basis[l - 1], x.shape).copy()
 
     def DA(l, x):
-        pts, single = _as_batch(x, n)
-        out = np.zeros((pts.shape[0], n, n))
-        return out[0] if single else out.reshape(np.asarray(x).shape[:-1] + (n, n))
+        return np.zeros((len(x), n, n))
 
     return VectorFieldSet(n, n, A, DA, FieldMeta(theta=1.0), name="bm", params={"n": n}, zero_drift=True,
                           constant_diffusion=True)
@@ -192,15 +195,10 @@ def _ou(lam: float) -> VectorFieldSet:
         raise FieldError("ou: mean-reversion rate must be positive")
 
     def A(l, x):
-        pts, single = _as_batch(x, 1)
-        out = -lam * pts if l == 0 else np.ones_like(pts)
-        return out[0] if single else out.reshape(np.asarray(x).shape)
+        return -lam * x if l == 0 else np.ones_like(x)
 
     def DA(l, x):
-        pts, single = _as_batch(x, 1)
-        val = -lam if l == 0 else 0.0
-        out = np.full((pts.shape[0], 1, 1), val)
-        return out[0] if single else out.reshape(np.asarray(x).shape[:-1] + (1, 1))
+        return np.full((len(x), 1, 1), -lam if l == 0 else 0.0)
 
     return VectorFieldSet(1, 1, A, DA, FieldMeta(theta=1.0), name="ou", params={"lam": lam},
                           constant_diffusion=True)
@@ -219,15 +217,10 @@ def _const_shift(matrix, shift) -> VectorFieldSet:
         raise FieldError("const_shift: degenerate (rank-deficient) diffusion matrix")
 
     def A(l, x):
-        pts, single = _as_batch(x, n)
-        col = b if l == 0 else mat[:, l - 1]
-        out = np.broadcast_to(col, pts.shape).copy()
-        return out[0] if single else out.reshape(np.asarray(x).shape)
+        return np.broadcast_to(b if l == 0 else mat[:, l - 1], x.shape).copy()
 
     def DA(l, x):
-        pts, single = _as_batch(x, n)
-        out = np.zeros((pts.shape[0], n, n))
-        return out[0] if single else out.reshape(np.asarray(x).shape[:-1] + (n, n))
+        return np.zeros((len(x), n, n))
 
     return VectorFieldSet(n, m, A, DA, FieldMeta(theta=float(sv[-1] ** 2)), name="const_shift",
                           params={"matrix": mat.tolist(), "shift": b.tolist()},
@@ -268,34 +261,27 @@ def _log_example(beta: float) -> VectorFieldSet:
     ws = _Workspace()
 
     def A(l, x):
-        pts, single = _as_batch(x, 1)
         if l == 0:
-            out = np.zeros_like(pts)
-        else:
-            out = _log_antiderivative(pts[:, 0], beta, ws)
-            np.copysign(out, pts[:, 0], out=out)
-            out += 1.0
-            out = out[:, None]
-        return out[0] if single else out.reshape(np.asarray(x).shape)
+            return np.zeros_like(x)
+        out = _log_antiderivative(x[:, 0], beta, ws)
+        np.copysign(out, x[:, 0], out=out)
+        out += 1.0
+        return out[:, None]
 
     def DA(l, x):
-        pts, single = _as_batch(x, 1)
-        if l == 0:
-            v = np.zeros(pts.shape[0])
-        else:
+        N = len(x)
+        v = np.zeros(N)
+        if l != 0:
             # chosen version of the weak derivative: 0 at the origin and
             # outside the unit interval
-            N = pts.shape[0]
-            t = np.abs(pts[:, 0], out=ws.array("t", (N,)))
+            t = np.abs(x[:, 0], out=ws.array("t", (N,)))
             inside = np.greater(t, 0.0, out=ws.array("inside", (N,), bool))
             inside &= np.less_equal(t, 1.0, out=ws.array("below", (N,), bool))
-            v = np.zeros(N)
             np.log(t, out=v, where=inside)
             np.abs(v, out=v)
             v *= beta
             np.sqrt(v, out=v)
-        out = v.reshape(-1, 1, 1)
-        return out[0] if single else out.reshape(np.asarray(x).shape[:-1] + (1, 1))
+        return v.reshape(N, 1, 1)
 
     theta = (1.0 - math.sqrt(beta) * math.sqrt(math.pi) / 2.0) ** 2
     if theta <= 0:
@@ -353,9 +339,9 @@ def field_from_json(doc: dict) -> VectorFieldSet:
 
 
 def ellipticity_margin(fs: VectorFieldSet, sample_points) -> float:
-    """Smallest eigenvalue of a(x) = A(x) A(x)^T over the sample points."""
-    pts, _ = _as_batch(np.asarray(sample_points, dtype=float), fs.n)
-    if pts.shape[0] == 0:
+    """Smallest eigenvalue of a(x) = A(x) A(x)^T over the (N, n) sample points."""
+    pts = _points(sample_points, fs.n, "ellipticity_margin")
+    if len(pts) == 0:
         raise FieldError("ellipticity_margin: empty sample set")
     amat = fs.diffusion_matrix(pts)              # (N, n, m)
     a = amat @ np.swapaxes(amat, -1, -2)         # (N, n, n)
@@ -368,37 +354,38 @@ def ellipticity_margin(fs: VectorFieldSet, sample_points) -> float:
     return float(eigs[:, 0].min())
 
 
-def hoelder_estimate(fs: VectorFieldSet, alpha: float, pairs) -> float:
+def hoelder_estimate(fs: VectorFieldSet, alpha: float, x, y) -> float:
     """Empirical lower bound for the Hoelder constant over point pairs.
 
-    Returns max over pairs and field indices of |A_l(x) - A_l(y)| / |x-y|^alpha.
+    Pair i is (x[i], y[i]) of two (N, n) batches.  Returns the max over
+    pairs and field indices of |A_l(x) - A_l(y)| / |x-y|^alpha, or 0.0 when
+    N is 0.
     """
     if not (0.0 < alpha <= 1.0):
         raise FieldError(f"alpha must lie in (0, 1], got {alpha}")
+    x = _points(x, fs.n, "hoelder_estimate")
+    y = _points(y, fs.n, "hoelder_estimate")
+    if len(x) != len(y):
+        raise FieldError(f"hoelder_estimate: {len(x)} points x against {len(y)} points y")
+    gap = np.linalg.norm(x - y, axis=1)
+    if np.any(gap == 0.0):
+        raise FieldError(f"coincident pair at {x[np.argmin(gap)]}")
     best = 0.0
-    for x, y in pairs:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        gap = float(np.linalg.norm(x - y))
-        if gap == 0.0:
-            raise FieldError(f"coincident pair at {x}")
-        for l in range(fs.m + 1):
-            diff = float(np.linalg.norm(fs.A(l, x) - fs.A(l, y)))
-            best = max(best, diff / gap ** alpha)
+    for l in range(fs.m + 1):
+        diff = np.linalg.norm(fs.A(l, x) - fs.A(l, y), axis=1)
+        best = max(best, float(np.max(diff / gap ** alpha, initial=0.0)))
     return best
 
 
-def g_function(fs: VectorFieldSet, x) -> np.ndarray | float:
-    """Sum over l of the squared Frobenius norm of the weak derivative at x.
+def g_function(fs: VectorFieldSet, x) -> np.ndarray:
+    """Sum over l of the squared Frobenius norm of the weak derivative at
+    each point of the (N, n) batch x: shape (N,).
 
     A declared zero drift is not evaluated; its DA(0) adds nothing."""
     fs.require_dfield()
-    pts, single = _as_batch(np.asarray(x, dtype=float), fs.n)
+    pts = _points(x, fs.n, "g_function")
     first = 1 if fs.zero_drift else 0
-    total = _g_sum([None] * first + [fs.DA(l, pts) for l in range(first, fs.m + 1)])
-    if single:
-        return float(total[0])
-    return total.reshape(np.asarray(x).shape[:-1])
+    return _g_sum([None] * first + [fs.DA(l, pts) for l in range(first, fs.m + 1)])
 
 
 def _g_sum(das) -> np.ndarray | float:
@@ -452,10 +439,8 @@ def condition_g_estimate(fs: VectorFieldSet, sigma: float, T0: float, x,
     def one_batch(rng, k):
         s = rng.uniform(0.0, T0, k)
         y = x + np.sqrt(s)[:, None] * rng.standard_normal((k, fs.n))
-        g = g_function(fs, y)
         with np.errstate(over="ignore"):
-            vals = np.exp(sigma * np.asarray(g))
-        return vals
+            return np.exp(sigma * g_function(fs, y))
 
     root = np.random.SeedSequence(seed)
     worst = 0.0

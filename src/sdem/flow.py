@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import itertools
 import math
 import numbers
 import os
@@ -409,7 +408,13 @@ def _simulate_block(runs, grid, dW, trackers, with_jac, pools=()):
                 flagged |= bad
         for acc in accs:
             acc.step(grid.steps, xis, Vs, None, dt, None)
-    extras = {key: val for acc in accs for key, val in acc.finish().items()}
+    extras, writer = {}, {}
+    for acc in accs:
+        for key, val in acc.finish().items():
+            if key in extras:
+                raise FieldError(f"trackers {writer[key]} and {type(acc).__name__} "
+                                 f"both write the extra {key!r}")
+            extras[key], writer[key] = val, type(acc).__name__
     return xis, Vs, flagged, extras
 
 
@@ -530,8 +535,8 @@ class CoupledFamilyResult:
 
     ``levels`` maps eps to its EnsembleResult, mollified levels only.
     ``pair_state_sup``/``pair_jac_sup`` hold per-path running sups of
-    |state gap| and Frobenius derivative gap for every level pair (keys are
-    (eps_a, eps_b) with eps_a > eps_b).  A state-only family has no
+    |state gap| and Frobenius derivative gap between each coarser level and
+    the finest one (keys are (eps, eps_finest)).  A state-only family has no
     derivative gaps: ``pair_jac_sup`` is None.
     """
 
@@ -553,8 +558,9 @@ class CoupledFamilyResult:
                              "it has no derivative gaps")
         key = (eps_a, eps_b) if (eps_a, eps_b) in table else (eps_b, eps_a)
         if key not in table:
-            raise FieldError(f"the family did not run the level pair ({eps_a}, {eps_b}); "
-                             f"its levels are {list(self.levels)}")
+            raise FieldError(f"the family tracks no gap for the level pair ({eps_a}, {eps_b}), "
+                             f"only each level against its finest; its levels are "
+                             f"{list(self.levels)}")
         vals = table[key][~self.flag] ** p
         return from_samples(vals, excluded=self.n_flagged)
 
@@ -565,6 +571,7 @@ def coupled_family(fs: VectorFieldSet, eps_list: Sequence[float], x0,
                    workers: Optional[int] = None) -> CoupledFamilyResult:
     """Integrate every mollified level on identical Brownian increments.
 
+    The gaps tracked are those of each coarser level to the finest one.
     With ``with_jac`` (the default) each level carries its derivative flow
     and the result holds derivative gaps beside the state gaps.  With
     ``with_jac=False`` the levels are state-only: no DA is evaluated,
@@ -581,15 +588,15 @@ def coupled_family(fs: VectorFieldSet, eps_list: Sequence[float], x0,
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise FieldError("coupled_family: eps ladder must be strictly decreasing")
     runs = [(mollify_field(fs, e), x0) for e in eps_list]
-    keys = eps_list
-    pairs = list(itertools.combinations(range(len(runs)), 2))
-    trackers = [_PairSup(i, j, f"pair_{i}_{j}", with_jac) for i, j in pairs]
+    last = len(runs) - 1
+    trackers = [_PairSup(i, last, f"pair_{i}", with_jac) for i in range(last)]
     results, extras = run_multi(runs, grid, noise, trackers=trackers,
                                 with_jac=with_jac, workers=workers)
-    pair_state = {(keys[i], keys[j]): extras[f"pair_{i}_{j}_state"] for i, j in pairs}
-    pair_jac = ({(keys[i], keys[j]): extras[f"pair_{i}_{j}_jac"] for i, j in pairs}
+    finest = eps_list[last]
+    pair_state = {(eps_list[i], finest): extras[f"pair_{i}_state"] for i in range(last)}
+    pair_jac = ({(eps_list[i], finest): extras[f"pair_{i}_jac"] for i in range(last)}
                 if with_jac else None)
-    return CoupledFamilyResult(dict(zip(keys, results)), pair_state, pair_jac,
+    return CoupledFamilyResult(dict(zip(eps_list, results)), pair_state, pair_jac,
                                results[0].flag)
 
 

@@ -267,9 +267,11 @@ def _converge(cfg: ExperimentConfig, fields, opts: dict, which: str,
         ests.append(rep.estimate)
         ses.append(rep.se)
     failures = []
+    monotone = True
     for i in range(len(ests) - 1):
         slack = 2.0 * math.hypot(ses[i], ses[i + 1])
         if ests[i + 1] > ests[i] + slack:
+            monotone = False
             failures.append(
                 f"{name}: not nonincreasing at eps={eps[i + 1]}: "
                 f"{ests[i + 1]:.4e} > {ests[i]:.4e} + {slack:.1e}"
@@ -280,7 +282,7 @@ def _converge(cfg: ExperimentConfig, fields, opts: dict, which: str,
     payload = {
         "config_fingerprint": cfg.fingerprint,
         "pairs": [{"eps": a, "eps_ref": b, "estimate": c, "se": d} for a, b, c, d in rows],
-        "monotone": not any("nonincreasing" in f for f in failures),
+        "monotone": monotone,
         "flagged": fam.n_flagged,
     }
     files = {f"{name}.csv": csv, f"{name}.json": _json_text(payload)}

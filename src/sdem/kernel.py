@@ -71,18 +71,13 @@ class DensityQuery:
         return self.query_points.shape[1]
 
 
-def gaussian_kernel(s: float, x, y) -> np.ndarray | float:
-    """The unnormalized heat kernel s^{-n/2} exp(-|x-y|^2 / (2s))."""
+def gaussian_kernel(s: float, x, y: np.ndarray) -> np.ndarray:
+    """The unnormalized heat kernel s^{-n/2} exp(-|x-y|^2 / (2s)) from the
+    point x, n numbers, to each point of the (N, n) batch y: shape (N,)."""
     if s <= 0:
         raise FieldError("gaussian_kernel: s must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.asarray(y, dtype=float)
-    single = y.ndim <= 1
-    ypts = np.atleast_2d(y)
-    n = ypts.shape[-1]
-    r2 = np.sum((ypts - x) ** 2, axis=-1)
-    vals = s ** (-n / 2.0) * np.exp(-r2 / (2.0 * s))
-    return float(vals[0]) if single else vals.reshape(y.shape[:-1])
+    r2 = np.sum((y - np.asarray(x, dtype=float)) ** 2, axis=-1)
+    return s ** (-y.shape[1] / 2.0) * np.exp(-r2 / (2.0 * s))
 
 
 def silverman_bandwidth(samples: np.ndarray) -> float:

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import FieldMeta, VectorFieldSet, FieldError, _as_batch, _Workspace
+from .fields import FieldMeta, VectorFieldSet, FieldError, _points, _Workspace
 
 __all__ = [
     "QuadratureError",
@@ -64,33 +64,26 @@ def mollifier_constant(n: int) -> float:
     return 1.0 / (surface * val)
 
 
-def eta(x) -> np.ndarray | float:
-    """The unit-mass bump kernel on R^n, vanishing outside the unit ball."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim <= 1
-    pts = np.atleast_2d(x)
-    n = pts.shape[-1]
-    c = mollifier_constant(n)
-    r2 = np.sum(pts * pts, axis=-1)
+def eta(x: np.ndarray) -> np.ndarray:
+    """The unit-mass bump kernel on R^n at an (N, n) batch, vanishing
+    outside the unit ball: shape (N,)."""
+    c = mollifier_constant(x.shape[1])
+    r2 = np.sum(x * x, axis=-1)
     inside = r2 < 1.0
     with np.errstate(divide="ignore", over="ignore"):
-        vals = np.where(inside, c * np.exp(1.0 / np.where(inside, r2 - 1.0, -1.0)), 0.0)
-    return float(vals[0]) if single else vals.reshape(x.shape[:-1])
+        return np.where(inside, c * np.exp(1.0 / np.where(inside, r2 - 1.0, -1.0)), 0.0)
 
 
-def eta_grad(x) -> np.ndarray:
-    """Analytic gradient of the bump kernel (zero outside the unit ball)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim <= 1
-    pts = np.atleast_2d(x)
-    r2 = np.sum(pts * pts, axis=-1)
+def eta_grad(x: np.ndarray) -> np.ndarray:
+    """Analytic gradient of the bump kernel at an (N, n) batch (zero outside
+    the unit ball): shape (N, n)."""
+    r2 = np.sum(x * x, axis=-1)
     inside = r2 < 1.0
     denom = np.where(inside, r2 - 1.0, -1.0)
     with np.errstate(divide="ignore", over="ignore"):
         base = np.where(inside, np.exp(1.0 / denom), 0.0)
-    c = mollifier_constant(pts.shape[-1])
-    grad = (-2.0 * c) * base[..., None] * pts / (denom ** 2)[..., None]
-    return grad[0] if single else grad.reshape(x.shape)
+    c = mollifier_constant(x.shape[1])
+    return (-2.0 * c) * base[:, None] * x / (denom ** 2)[:, None]
 
 
 @lru_cache(maxsize=64)
@@ -141,7 +134,9 @@ class MollifiedFieldSet:
     kernel, evaluated by quadrature.  ``DA(l, x)`` smooths the supplied
     weak derivative when the base has one, and otherwise differentiates
     the kernel analytically.  The quadrature is Gauss-Legendre with
-    ``nodes`` points per axis.
+    ``nodes`` points per axis.  Both take a float (N, n) batch, as the
+    base's evaluators do, and hand the base one (Q·N, n) stack of shifted
+    points.
     """
 
     base: VectorFieldSet
@@ -193,42 +188,34 @@ class MollifiedFieldSet:
     def _ws(self) -> _Workspace:
         return _Workspace()
 
-    def _shifted(self, pts, offsets):
-        # (Q*N, n) stack of pts - offset_q, one base-field call for all nodes
-        out = self._ws.array("shifted", (len(offsets),) + pts.shape)
-        np.subtract(pts[None, :, :], offsets[:, None, :], out=out)
+    def _shifted(self, x, offsets):
+        # (Q*N, n) stack of x - offset_q, one base-field call for all nodes
+        out = self._ws.array("shifted", (len(offsets),) + x.shape)
+        np.subtract(x[None, :, :], offsets[:, None, :], out=out)
         return out.reshape(-1, self.n)
 
     def _minus_ref(self, vals, r):
         """vals - vals[r], node by node, in the workspace."""
         return np.subtract(vals, vals[r], out=self._ws.array("diff", vals.shape))
 
-    def A(self, l: int, x) -> np.ndarray:
-        pts, single = _as_batch(np.asarray(x, dtype=float), self.n)
+    def A(self, l: int, x: np.ndarray) -> np.ndarray:
         offsets, kw, r = _kernel_nodes(self.n, self.eps, self.nodes)
-        vals = np.asarray(self.base.A(l, self._shifted(pts, offsets)))
-        vals = vals.reshape(len(offsets), pts.shape[0], self.n)
-        acc = vals[r] + np.tensordot(kw, self._minus_ref(vals, r), axes=1)
-        return acc[0] if single else acc.reshape(np.asarray(x).shape)
+        vals = self.base.A(l, self._shifted(x, offsets)).reshape(len(offsets), len(x), self.n)
+        return vals[r] + np.tensordot(kw, self._minus_ref(vals, r), axes=1)
 
-    def DA(self, l: int, x) -> np.ndarray:
-        pts, single = _as_batch(np.asarray(x, dtype=float), self.n)
+    def DA(self, l: int, x: np.ndarray) -> np.ndarray:
         n = self.n
         if self.base.DA is not None:
-            offsets, kw, r = _kernel_nodes(self.n, self.eps, self.nodes)
-            vals = self.base.DA(l, self._shifted(pts, offsets))
-            vals = np.asarray(vals).reshape(len(offsets), pts.shape[0], n, n)
-            acc = vals[r] + np.tensordot(kw, self._minus_ref(vals, r), axes=1)
-        else:
-            # D(eta_eps * f) = (D eta_eps) * f with the analytic kernel gradient;
-            # the gradient weights sum to zero up to rounding, so subtracting f
-            # at the reference node changes only rounding and makes constants
-            # give exactly 0.
-            offsets, gw, r = self._grad_nodes
-            vals = np.asarray(self.base.A(l, self._shifted(pts, offsets)))
-            vals = vals.reshape(len(offsets), pts.shape[0], n)
-            acc = np.tensordot(self._minus_ref(vals, r), gw, axes=([0], [0]))
-        return acc[0] if single else acc.reshape(np.asarray(x).shape[:-1] + (n, n))
+            offsets, kw, r = _kernel_nodes(n, self.eps, self.nodes)
+            vals = self.base.DA(l, self._shifted(x, offsets)).reshape(len(offsets), len(x), n, n)
+            return vals[r] + np.tensordot(kw, self._minus_ref(vals, r), axes=1)
+        # D(eta_eps * f) = (D eta_eps) * f with the analytic kernel gradient;
+        # the gradient weights sum to zero up to rounding, so subtracting f
+        # at the reference node changes only rounding and makes constants
+        # give exactly 0.
+        offsets, gw, r = self._grad_nodes
+        vals = self.base.A(l, self._shifted(x, offsets)).reshape(len(offsets), len(x), n)
+        return np.tensordot(self._minus_ref(vals, r), gw, axes=([0], [0]))
 
     diffusion_matrix = VectorFieldSet.diffusion_matrix
 
@@ -242,21 +229,23 @@ def mollify_field(fs: VectorFieldSet, eps: float, nodes: int = 16) -> MollifiedF
 
 def mollify_scalar(f: Callable[[np.ndarray], np.ndarray], eps: float,
                    n: int = 1, nodes: int = 16) -> Callable:
-    """Mollify a scalar field on R^n; f maps (..., n) points to scalars."""
+    """Mollify a scalar field on R^n; f maps an (N, n) batch to (N,) values.
+
+    The returned function takes an (N, n) batch, which it checks, and
+    returns (N,) values."""
     offsets, kw, r = _kernel_nodes(n, eps, nodes)
 
     def f_eps(x):
-        pts, single = _as_batch(np.asarray(x, dtype=float), n)
+        pts = _points(x, n, "mollify_scalar")
         shifted = (pts[None, :, :] - offsets[:, None, :]).reshape(-1, n)
-        vals = np.asarray(f(shifted), dtype=float).reshape(len(offsets), pts.shape[0])
-        acc = vals[r] + kw @ (vals - vals[r])
-        return float(acc[0]) if single else acc.reshape(np.asarray(x).shape[:-1])
+        vals = np.asarray(f(shifted), dtype=float).reshape(len(offsets), len(pts))
+        return vals[r] + kw @ (vals - vals[r])
 
     return f_eps
 
 
 def sup_error(f: Callable, f_eps: Callable, grid) -> float:
-    """Max over the grid of |f_eps(x) - f(x)| for scalar fields."""
+    """Max over an (N, n) grid of |f_eps(x) - f(x)| for scalar fields."""
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise FieldError("sup_error: empty grid")

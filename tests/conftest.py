@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sdem.fields import FieldMeta, VectorFieldSet, _as_batch
+from sdem.fields import FieldMeta, VectorFieldSet
 from sdem.flow import BrownianBatch, TimeGrid
 from sdem.kernel import _CHUNK
 
@@ -12,17 +12,13 @@ def scalar_drift_field(f, df=None, name="scalar"):
     """Wrap a scalar function as the drift of a 1-d field set (unit noise)."""
 
     def A(l, x):
-        pts, single = _as_batch(np.asarray(x, dtype=float), 1)
-        out = np.asarray(f(pts[:, 0]), dtype=float)[:, None] if l == 0 else np.ones_like(pts)
-        return out[0] if single else out.reshape(np.asarray(x).shape)
+        return np.asarray(f(x[:, 0]), dtype=float)[:, None] if l == 0 else np.ones_like(x)
 
     DA = None
     if df is not None:
         def DA(l, x):
-            pts, single = _as_batch(np.asarray(x, dtype=float), 1)
-            v = np.asarray(df(pts[:, 0]), dtype=float) if l == 0 else np.zeros(pts.shape[0])
-            out = v.reshape(-1, 1, 1)
-            return out[0] if single else out.reshape(np.asarray(x).shape[:-1] + (1, 1))
+            v = np.asarray(df(x[:, 0]), dtype=float) if l == 0 else np.zeros(len(x))
+            return v.reshape(-1, 1, 1)
 
     return VectorFieldSet(1, 1, A, DA, FieldMeta(theta=1.0), name=name)
 
@@ -35,16 +31,12 @@ def engine_inputs(fs, x0, t, paths, seed, dt=1e-3):
 
 
 def finite_difference_dfield(fs, l, x, step=1e-5):
-    """Central finite-difference Jacobian of field l at x, the reference
-    that supplied and chain-rule derivatives are checked against."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = fs.n
-    out = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = step
-        out[:, j] = (fs.A(l, x + e) - fs.A(l, x - e)) / (2.0 * step)
-    return out
+    """Central finite-difference Jacobian of field l at the point x, the
+    reference that supplied and chain-rule derivatives are checked against.
+    Row j of the batches x +/- step e is x +/- step e_j, which gives column j."""
+    x = np.asarray(x, dtype=float)
+    e = step * np.eye(len(x))
+    return ((fs.A(l, x + e) - fs.A(l, x - e)) / (2.0 * step)).T
 
 
 def density_estimate_oracle(pts, query):

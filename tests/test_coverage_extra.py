@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sdem.fields import (FieldError, FieldMeta, GrowthProfile, VectorFieldSet,
-                         builtin_field, check_growth_profile, _as_batch)
+                         builtin_field, check_growth_profile)
 from sdem.flow import (BrownianBatch, IntegratedG, JacSupNorm, PathRecorder, TimeGrid,
                        exp_g_functional, moment_sup, run_ensemble)
 from sdem.harness import ExperimentConfig, run_command
@@ -67,15 +67,10 @@ def _linear_2d(mat):
     mat = np.asarray(mat, dtype=float)
 
     def A(l, x):
-        pts, single = _as_batch(np.asarray(x, dtype=float), 2)
-        out = pts @ mat.T if l == 0 else np.broadcast_to(np.eye(2)[l - 1], pts.shape).copy()
-        return out[0] if single else out.reshape(np.asarray(x).shape)
+        return x @ mat.T if l == 0 else np.broadcast_to(np.eye(2)[l - 1], x.shape).copy()
 
     def DA(l, x):
-        pts, single = _as_batch(np.asarray(x, dtype=float), 2)
-        blk = mat if l == 0 else np.zeros((2, 2))
-        out = np.broadcast_to(blk, (pts.shape[0], 2, 2)).copy()
-        return out[0] if single else out.reshape(np.asarray(x).shape[:-1] + (2, 2))
+        return np.broadcast_to(mat if l == 0 else np.zeros((2, 2)), (len(x), 2, 2)).copy()
 
     return VectorFieldSet(2, 2, A, DA, FieldMeta(theta=1.0), name="linear2d")
 

@@ -1,13 +1,17 @@
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from sdem.fields import (DerivativeUnavailableError, FieldError, builtin_field,
-                         condition_g_estimate, ellipticity_margin,
+from sdem.fields import (DerivativeUnavailableError, FieldError, FieldMeta, VectorFieldSet,
+                         builtin_field, condition_g_estimate, ellipticity_margin,
                          field_from_json, g_function,
                          hoelder_estimate)
+from sdem.flow import BrownianBatch, IntegratedG, TimeGrid, run_ensemble
+from sdem.mollify import mollify_field, mollify_scalar
 from conftest import finite_difference_dfield, scalar_drift_field
 
 
@@ -17,29 +21,29 @@ from conftest import finite_difference_dfield, scalar_drift_field
 
 def test_bm_fields_are_basis_vectors():
     fs = builtin_field("bm", n=2)
-    x = np.array([0.3, -1.2])
-    assert np.array_equal(fs.A(1, x), [1.0, 0.0])
-    assert np.array_equal(fs.A(2, x), [0.0, 1.0])
-    assert np.array_equal(fs.A(0, x), [0.0, 0.0])
+    x = np.array([[0.3, -1.2]])
+    assert np.array_equal(fs.A(1, x), [[1.0, 0.0]])
+    assert np.array_equal(fs.A(2, x), [[0.0, 1.0]])
+    assert np.array_equal(fs.A(0, x), [[0.0, 0.0]])
     for l in range(3):
         assert np.all(fs.DA(l, x) == 0.0)
 
 
 def test_ou_linear_drift():
     fs = builtin_field("ou", lam=1.0)
-    assert fs.A(1, np.array([3.0])) == pytest.approx(1.0)
-    assert fs.A(0, np.array([3.0])) == pytest.approx(-3.0)
-    assert fs.DA(0, np.array([3.0]))[0, 0] == pytest.approx(-1.0)
+    assert fs.A(1, np.array([[3.0]]))[0, 0] == pytest.approx(1.0)
+    assert fs.A(0, np.array([[3.0]]))[0, 0] == pytest.approx(-3.0)
+    assert fs.DA(0, np.array([[3.0]]))[0, 0, 0] == pytest.approx(-1.0)
 
 
 def test_log_example_weak_derivative_value():
     # sqrt(beta |log x|) at x = 0.5: sqrt(log 2)
     fs = builtin_field("log_example", beta=1.0)
-    assert fs.DA(1, np.array([0.5]))[0, 0] == pytest.approx(math.sqrt(math.log(2.0)),
-                                                            abs=1e-12)
+    assert fs.DA(1, np.array([[0.5]]))[0, 0, 0] == pytest.approx(math.sqrt(math.log(2.0)),
+                                                                 abs=1e-12)
     # chosen version: zero at the origin and outside the unit interval
-    assert fs.DA(1, np.array([0.0]))[0, 0] == 0.0
-    assert fs.DA(1, np.array([1.5]))[0, 0] == 0.0
+    assert fs.DA(1, np.array([[0.0]]))[0, 0, 0] == 0.0
+    assert fs.DA(1, np.array([[1.5]]))[0, 0, 0] == 0.0
 
 
 def log_field_by_quadrature(x, beta=1.0):
@@ -57,21 +61,21 @@ def test_log_example_matches_closed_form():
     vals = fs.A(1, xs.reshape(-1, 1))[:, 0]
     expect = np.array([log_field_by_quadrature(x) for x in xs])
     assert np.max(np.abs(vals - expect)) < 1e-9
-    assert fs.A(1, np.array([0.5]))[0] == pytest.approx(log_field_by_quadrature(0.5),
-                                                        abs=1e-9)
+    assert fs.A(1, np.array([[0.5]]))[0, 0] == pytest.approx(log_field_by_quadrature(0.5),
+                                                             abs=1e-9)
 
 
 def test_log_example_beta_scaling():
     fs = builtin_field("log_example", beta=0.5)
-    assert fs.A(1, np.array([0.7]))[0] == pytest.approx(log_field_by_quadrature(0.7, 0.5),
-                                                        abs=1e-9)
+    assert fs.A(1, np.array([[0.7]]))[0, 0] == pytest.approx(log_field_by_quadrature(0.7, 0.5),
+                                                             abs=1e-9)
 
 
 def test_log_example_dfield_consistent_with_fd_at_smooth_points():
     fs = builtin_field("log_example", beta=1.0)
     for x in (0.5, -0.4, 0.9):
         fd = finite_difference_dfield(fs, 1, [x], step=1e-5)
-        assert fd[0, 0] == pytest.approx(fs.DA(1, np.array([x]))[0, 0], abs=1e-6)
+        assert fd[0, 0] == pytest.approx(fs.DA(1, np.array([[x]]))[0, 0, 0], abs=1e-6)
 
 
 def test_builtin_field_errors():
@@ -89,7 +93,8 @@ def test_field_json_round_trip():
     fs = builtin_field("log_example", beta=1.0)
     doc = {"name": "log_example", "params": {"beta": 1.0}, "n": 1, "m": 1}
     back = field_from_json(doc)
-    assert back.A(1, np.array([0.3]))[0] == pytest.approx(fs.A(1, np.array([0.3]))[0])
+    x = np.array([[0.3]])
+    assert back.A(1, x)[0, 0] == pytest.approx(fs.A(1, x)[0, 0])
     with pytest.raises(FieldError):
         field_from_json({"name": "mystery"})
     with pytest.raises(FieldError, match="'name'"):
@@ -145,20 +150,19 @@ def test_ellipticity_margin_empty_samples():
 def test_hoelder_estimate_constant_fields_zero(rng):
     fs = builtin_field("bm", n=2)
     pts = rng.uniform(-3, 3, (20, 2))
-    pairs = [(pts[i], pts[i + 1]) for i in range(0, 18, 2)]
-    assert hoelder_estimate(fs, 0.5, pairs) == 0.0
+    assert hoelder_estimate(fs, 0.5, pts[0:18:2], pts[1:18:2]) == 0.0
 
 
 def test_hoelder_estimate_sqrt_drift():
     fs = scalar_drift_field(lambda x: np.sqrt(np.abs(x)))
-    assert hoelder_estimate(fs, 0.5, [([0.0], [1.0])]) >= 1.0 - 1e-12
+    assert hoelder_estimate(fs, 0.5, [[0.0]], [[1.0]]) >= 1.0 - 1e-12
 
 
 def test_log_example_not_lipschitz_at_origin():
     fs = builtin_field("log_example", beta=1.0)
     ratios = []
     for d in (1e-2, 1e-4, 1e-6):
-        ratios.append(hoelder_estimate(fs, 1.0, [([0.0], [d])]))
+        ratios.append(hoelder_estimate(fs, 1.0, [[0.0]], [[d]]))
     assert ratios[0] < ratios[1] < ratios[2]
     assert ratios[2] > 3.0          # ~ sqrt(|log d|)
 
@@ -166,9 +170,9 @@ def test_log_example_not_lipschitz_at_origin():
 def test_hoelder_estimate_rejects_bad_input():
     fs = builtin_field("bm", n=1)
     with pytest.raises(FieldError):
-        hoelder_estimate(fs, 1.5, [([0.0], [1.0])])
+        hoelder_estimate(fs, 1.5, [[0.0]], [[1.0]])
     with pytest.raises(FieldError):
-        hoelder_estimate(fs, 0.5, [([1.0], [1.0])])
+        hoelder_estimate(fs, 0.5, [[1.0]], [[1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -176,22 +180,22 @@ def test_hoelder_estimate_rejects_bad_input():
 
 
 def test_g_function_values(rng):
-    assert g_function(builtin_field("ou", lam=1.0), np.array([7.0])) == pytest.approx(1.0)
-    assert g_function(builtin_field("bm", n=2), rng.normal(size=2)) == 0.0
-    val = g_function(builtin_field("log_example", beta=1.0), np.array([0.5]))
+    assert g_function(builtin_field("ou", lam=1.0), np.array([[7.0]]))[0] == pytest.approx(1.0)
+    assert g_function(builtin_field("bm", n=2), rng.normal(size=(1, 2)))[0] == 0.0
+    val = g_function(builtin_field("log_example", beta=1.0), np.array([[0.5]]))[0]
     assert val == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_g_function_nonnegative_everywhere(rng):
     fs = builtin_field("log_example", beta=1.0)
     pts = rng.uniform(-3, 3, (500, 1))
-    assert np.all(np.asarray(g_function(fs, pts)) >= 0.0)
+    assert np.all(g_function(fs, pts) >= 0.0)
 
 
 def test_g_function_requires_weak_derivative():
     fs = scalar_drift_field(lambda x: np.abs(x))
     with pytest.raises(DerivativeUnavailableError, match="weak derivative unavailable"):
-        g_function(fs, np.array([0.5]))
+        g_function(fs, np.array([[0.5]]))
 
 
 # ---------------------------------------------------------------------------
@@ -231,3 +235,80 @@ def test_condition_g_rejects_small_samples():
     bare = scalar_drift_field(lambda x: x)
     with pytest.raises(DerivativeUnavailableError):
         condition_g_estimate(bare, 1.0, 1.0, np.zeros(1), 10_000, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the point rule: evaluators take (N, n) batches, and points from a caller
+# are checked once, where they enter
+
+
+def _batch_only_field(with_da=True):
+    """A 2-d field written for (N, 2) batches alone, with no shape handling:
+    drift -x and diffusion columns (1 + sin(x_l)^2 / 2) e_l."""
+
+    def A(l, x):
+        if l == 0:
+            return -x
+        out = np.zeros_like(x)
+        out[:, l - 1] = 1.0 + 0.5 * np.sin(x[:, l - 1]) ** 2
+        return out
+
+    def DA(l, x):
+        out = np.zeros((len(x), 2, 2))
+        if l == 0:
+            out[:] = -np.eye(2)
+        else:
+            out[:, l - 1, l - 1] = 0.5 * np.sin(2.0 * x[:, l - 1])
+        return out
+
+    return VectorFieldSet(2, 2, A, DA if with_da else None, FieldMeta(theta=1.0),
+                          name="batch_only")
+
+
+def test_a_batch_only_field_runs_everywhere():
+    fs, bare = _batch_only_field(), _batch_only_field(with_da=False)
+    pts = np.random.default_rng(3).uniform(-2, 2, (50, 2))
+    grid = TimeGrid(0.25, 25)
+    res = run_ensemble(fs, [0.1, -0.2], grid, BrownianBatch(26, 200, grid, 2),
+                       trackers=(IntegratedG(),))
+    assert res.state_T.shape == (200, 2) and res.jac_T.shape == (200, 2, 2)
+    assert res.n_flagged == 0
+    # every derivative is diagonal, so the derivative flow stays diagonal
+    assert np.all(res.jac_T[:, 0, 1] == 0.0) and np.all(res.jac_T[:, 1, 0] == 0.0)
+    # both derivative routes of the smoothed field: the supplied DA smoothed,
+    # and the kernel gradient of the bare field's A
+    for l in range(3):
+        smoothed = mollify_field(fs, 0.1, nodes=32).DA(l, pts)
+        assert smoothed.shape == (50, 2, 2)
+        assert np.max(np.abs(smoothed - mollify_field(bare, 0.1, nodes=32).DA(l, pts))) < 1e-3
+        assert np.max(np.abs(smoothed - fs.DA(l, pts))) < 5e-3
+    assert ellipticity_margin(fs, pts) >= 1.0
+    g = g_function(fs, pts)
+    assert g.shape == (50,)
+    assert np.allclose(g, 2.0 + np.sum((0.5 * np.sin(2.0 * pts)) ** 2, axis=1),
+                       rtol=0, atol=1e-14)
+    # the drift -x has Hoelder-1 constant exactly 1, the diffusion 1/2
+    x, y = pts[:25], pts[25:]
+    assert hoelder_estimate(fs, 1.0, x, y) == pytest.approx(1.0, abs=1e-12)
+    # against the loop over single pairs that the vectorised estimate replaced
+    loop = max(np.linalg.norm(fs.A(l, x[i:i + 1]) - fs.A(l, y[i:i + 1]))
+               / np.linalg.norm(x[i] - y[i]) ** 0.5 for i in range(25) for l in range(3))
+    assert hoelder_estimate(fs, 0.5, x, y) == pytest.approx(loop, rel=4 * 2.0 ** -52, abs=0)
+
+
+@pytest.mark.parametrize("bad", [np.zeros(2), np.zeros((4, 3)), np.zeros((4, 1))],
+                         ids=["point", "wide", "narrow"])
+def test_checkers_reject_what_is_not_an_n_column_batch(bad):
+    def never(l, x):
+        raise AssertionError("an evaluator saw unchecked points")
+
+    fs = replace(_batch_only_field(), A=never, DA=never)
+    good = np.ones((4, 2))
+    f_eps = mollify_scalar(lambda p: never(0, p), 0.1, n=2)
+    for call in (lambda: ellipticity_margin(fs, bad),
+                 lambda: g_function(fs, bad),
+                 lambda: hoelder_estimate(fs, 0.5, bad, good),
+                 lambda: hoelder_estimate(fs, 0.5, good, bad),
+                 lambda: f_eps(bad)):
+        with pytest.raises(FieldError, match=re.escape(f"(N, 2) array, got shape {bad.shape}")):
+            call()

@@ -451,17 +451,6 @@ def test_coupled_family_log_example_trend():
     assert fam.n_flagged == 0
 
 
-def test_coupled_family_triangle_inequality_pathwise():
-    g = TimeGrid(0.25, 125)
-    noise = BrownianBatch(seed=13, paths=500, grid=g, m=1)
-    log = builtin_field("log_example", beta=1.0)
-    fam = coupled_family(log, [0.2, 0.1, 0.05], [0.0], g, noise)
-    d13 = fam.pair_state_sup[(0.2, 0.05)]
-    d12 = fam.pair_state_sup[(0.2, 0.1)]
-    d23 = fam.pair_state_sup[(0.1, 0.05)]
-    assert np.all(d13 <= d12 + d23 + 1e-15)
-
-
 def test_state_only_family_refuses_derivative_gaps():
     g = TimeGrid(0.25, 25)
     noise = BrownianBatch(seed=13, paths=300, grid=g, m=1)
@@ -474,6 +463,11 @@ def test_state_only_family_refuses_derivative_gaps():
         fam.sup_moment(0.2, 0.05, 2.0, which="jac")
     with pytest.raises(FieldError, match=r"\(0\.3, 0\.1\).*\[0\.2, 0\.1, 0\.05\]"):
         fam.sup_moment(0.3, 0.1, 2.0)
+    # only the gaps to the finest level are tracked, in either order of asking
+    assert list(fam.pair_state_sup) == [(0.2, 0.05), (0.1, 0.05)]
+    assert fam.sup_moment(0.05, 0.1, 2.0).estimate == fam.sup_moment(0.1, 0.05, 2.0).estimate
+    with pytest.raises(FieldError, match=r"\(0\.2, 0\.1\).*finest"):
+        fam.sup_moment(0.2, 0.1, 2.0)
     assert fam.pair_state_sup.keys() == full.pair_state_sup.keys()
     for key, vals in full.pair_state_sup.items():
         assert vals.tobytes() == fam.pair_state_sup[key].tobytes()
@@ -555,6 +549,19 @@ def test_lane_threads_ignore_overflow_as_the_calling_thread_does():
     assert 0 < results[0].n_flagged < noise.paths
     assert not np.isfinite(results[1].state_T).all()
     assert out[0] == out[1]
+
+
+def test_trackers_writing_the_same_extra_are_refused():
+    # two sups of different runs under one name would silently keep only one
+    fs = scalar_drift_field(lambda x: x * x, df=lambda x: 2.0 * x)
+    g = TimeGrid(0.25, 10)
+    noise = BrownianBatch(seed=25, paths=64, grid=g, m=1)
+    runs = [(fs, [0.5]), (fs, [-0.5])]
+    with pytest.raises(FieldError, match=r"JacSupNorm and JacSupNorm.*'sup_jac'"):
+        run_multi(runs, g, noise, trackers=(JacSupNorm(0), JacSupNorm(1)))
+    _, extras = run_multi(runs, g, noise, trackers=(JacSupNorm(0), JacSupNorm(1, "sup_jac_1")))
+    assert sorted(extras) == ["sup_jac", "sup_jac_1"]
+    assert not np.array_equal(extras["sup_jac"], extras["sup_jac_1"])
 
 
 def _fails_on_call(fs, call, message):

@@ -294,9 +294,10 @@ def test_config_numbers_are_exact():
             ExperimentConfig.from_dict({**doc, key: value})
 
 
-def test_cli_overrides_are_checked_as_the_document_is(tmp_path, monkeypatch):
+def test_cli_overrides_are_checked_as_the_document_is(tmp_path, monkeypatch, capsys):
     # --paths and --seed go into the document before it is read, so a bad one
-    # is named before any study runs, and never recorded in a fingerprint
+    # is named before any study runs, and never recorded in a fingerprint; bad
+    # input exits 2, apart from a failed check's 1
     from sdem import cli
 
     def no_run(name, cfg):
@@ -309,17 +310,28 @@ def test_cli_overrides_are_checked_as_the_document_is(tmp_path, monkeypatch):
                       (["moment", "--paths", "-5"], "'paths'"),
                       (["converge-flow", "--seed", "-1"], "'seed'")):
         for config in ([], ["--config", str(cfg_path)]):
-            with pytest.raises(FieldError, match=key):
-                main(argv + config)
+            assert main(argv + config) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("sdem: error: ") and key in err
 
 
-def test_cli_rejects_misspelled_top_level_key(tmp_path):
+def test_cli_rejects_misspelled_top_level_key(tmp_path, capsys):
     doc = _cfg().to_dict()
     doc["feild"] = doc.pop("field")
     cfg_path = tmp_path / "c.json"
     cfg_path.write_text(json.dumps(doc))
-    with pytest.raises(FieldError, match="'feild'"):
-        main(["converge-flow", "--config", str(cfg_path)])
+    assert main(["converge-flow", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sdem: error: ") and "'feild'" in err
+
+
+def test_cli_unreadable_config_is_bad_input(tmp_path, capsys):
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"paths": 100,')
+    for path in (broken, tmp_path / "missing.json"):
+        assert main(["moment", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"sdem: error: cannot read --config {path}: ")
 
 
 def test_unknown_option_rejected_before_simulating(monkeypatch):

@@ -17,22 +17,22 @@ from conftest import density_estimate_oracle
 
 
 def test_heat_kernel_values():
-    assert gaussian_kernel(0.5, [0.0], np.array([0.0])) == pytest.approx(0.5 ** -0.5)
-    assert gaussian_kernel(1.0, [0.0], np.array([1.0])) == pytest.approx(math.exp(-0.5))
+    assert gaussian_kernel(0.5, [0.0], np.array([[0.0]]))[0] == pytest.approx(0.5 ** -0.5)
+    assert gaussian_kernel(1.0, [0.0], np.array([[1.0]]))[0] == pytest.approx(math.exp(-0.5))
     with pytest.raises(FieldError):
-        gaussian_kernel(0.0, [0.0], np.array([1.0]))
+        gaussian_kernel(0.0, [0.0], np.array([[1.0]]))
 
 
 @given(st.floats(0.1, 2.0), st.floats(0.1, 3.0), st.integers(1, 2))
 @settings(max_examples=30, deadline=None)
 def test_heat_kernel_parabolic_scaling(s, r, n):
     x = np.zeros(n)
-    y1 = np.zeros(n)
-    y1[0] = r
-    y2 = np.zeros(n)
-    y2[0] = 2 * r
-    lhs = gaussian_kernel(4 * s, x, y2)
-    rhs = 2.0 ** -n * gaussian_kernel(s, x, y1)
+    y1 = np.zeros((1, n))
+    y1[0, 0] = r
+    y2 = np.zeros((1, n))
+    y2[0, 0] = 2 * r
+    lhs = gaussian_kernel(4 * s, x, y2)[0]
+    rhs = 2.0 ** -n * gaussian_kernel(s, x, y1)[0]
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 

@@ -57,12 +57,10 @@ def test_right_inverse_residual_contract(rng):
 def test_right_inverse_singular_point_reports_location():
     fs = scalar_drift_field(lambda x: x)     # unit diffusion
     # build a degenerate diffusion: A_1(x) = x vanishes at 0
-    from sdem.fields import VectorFieldSet, FieldMeta, _as_batch
+    from sdem.fields import VectorFieldSet, FieldMeta
 
     def A(l, x):
-        pts, single = _as_batch(np.asarray(x, dtype=float), 1)
-        out = np.zeros_like(pts) if l == 0 else pts.copy()
-        return out[0] if single else out
+        return np.zeros_like(x) if l == 0 else x.copy()
 
     degen = VectorFieldSet(1, 1, A, None, FieldMeta(), name="degenerate")
     with pytest.raises(RightInverseError, match=r"singular at \[0\.\]"):
@@ -82,12 +80,10 @@ def test_right_inverse_scalar_is_reciprocal(rng):
 
 
 def test_right_inverse_subnormal_diffusion_raises():
-    from sdem.fields import VectorFieldSet, FieldMeta, _as_batch
+    from sdem.fields import VectorFieldSet, FieldMeta
 
     def A(l, x):
-        pts, single = _as_batch(np.asarray(x, dtype=float), 1)
-        out = np.zeros_like(pts) if l == 0 else np.full_like(pts, 1e-320)
-        return out[0] if single else out
+        return np.zeros_like(x) if l == 0 else np.full_like(x, 1e-320)
 
     tiny = VectorFieldSet(1, 1, A, None, FieldMeta(), name="subnormal")
     with pytest.raises(RightInverseError, match="singular at"):

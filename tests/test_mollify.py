@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from sdem.fields import (FieldError, FieldMeta, VectorFieldSet, _as_batch, builtin_field,
+from sdem.fields import (FieldError, FieldMeta, VectorFieldSet, builtin_field,
                          ellipticity_margin, hoelder_estimate)
 from sdem.mollify import (MollifiedFieldSet, _kernel_nodes,
                           eta, eta_grad, mollifier_constant, mollify_field,
@@ -25,14 +25,14 @@ ABS_MOMENT_1D = 0.334453997709974
 def test_eta_vanishes_outside_unit_ball(rng):
     pts = rng.uniform(1.0, 5.0, (200, 1)) * np.sign(rng.normal(size=(200, 1)))
     assert np.all(eta(pts) == 0.0)
-    assert eta(np.array([1.0])) == 0.0
+    assert eta(np.array([[1.0]]))[0] == 0.0
 
 
 def test_eta_center_value_matches_quadrature_oracle():
     # C = 1 / 0.443994...; eta(0) = C / e
     val, _ = integrate.quad(lambda x: math.exp(1.0 / (x * x - 1.0)), -1, 1)
     assert val == pytest.approx(RAW_MASS_1D, abs=1e-12)
-    assert eta(np.array([0.0])) == pytest.approx(math.exp(-1.0) / RAW_MASS_1D, rel=1e-10)
+    assert eta(np.array([[0.0]]))[0] == pytest.approx(math.exp(-1.0) / RAW_MASS_1D, rel=1e-10)
 
 
 def test_eta_unit_mass_1d_and_2d():
@@ -72,18 +72,16 @@ def test_constant_field_is_fixed_point():
 
     def const_A(l, x):
         # read-only views, which the quadrature must not write into
-        pts, single = _as_batch(np.asarray(x, dtype=float), 1)
-        out = np.broadcast_to(2.0 if l == 0 else 1.0, pts.shape)
-        return out[0] if single else out
+        return np.broadcast_to(2.0 if l == 0 else 1.0, x.shape)
 
     no_da = VectorFieldSet(1, 1, const_A, None, FieldMeta(theta=1.0), name="const")
     scalar = lambda p: np.full(p.shape[:-1], -2.5)
     for eps in (0.3, 0.2, 0.1, 0.05, 0.025):
         mf_shift, mf_ou, mf_no_da = (mollify_field(fs, eps) for fs in (shift, ou, no_da))
         fe = mollify_scalar(scalar, eps)
-        assert mf_shift.A(0, np.array([1.3]))[0] == 0.7
-        assert mf_shift.A(1, np.array([-2.0]))[0] == 2.0
-        assert fe(np.array([0.4])) == -2.5
+        assert mf_shift.A(0, np.array([[1.3]]))[0, 0] == 0.7
+        assert mf_shift.A(1, np.array([[-2.0]]))[0, 0] == 2.0
+        assert fe(np.array([[0.4]]))[0] == -2.5
         for size in (1, 7, 512):
             xs = rng.uniform(-3, 3, (size, 1))
             assert np.all(mf_shift.A(0, xs) == 0.7)
@@ -110,9 +108,7 @@ def _affine(mat, shift):
     n = len(shift)
 
     def A(l, x):
-        pts, single = _as_batch(np.asarray(x, dtype=float), n)
-        out = pts @ mat.T + shift if l == 0 else np.ones_like(pts) * np.eye(n)[l - 1]
-        return out[0] if single else out.reshape(np.asarray(x).shape)
+        return x @ mat.T + shift if l == 0 else np.ones_like(x) * np.eye(n)[l - 1]
 
     return VectorFieldSet(n, n, A, None, FieldMeta(theta=1.0), name="affine")
 
@@ -139,10 +135,10 @@ def test_abs_value_at_origin_scales_like_eps():
     for eps in (0.2, 0.05):
         # default GL-16 carries ~0.8% relative error across the kink
         fe = mollify_scalar(f, eps)
-        assert fe(np.array([0.0])) == pytest.approx(ABS_MOMENT_1D * eps, rel=1e-2)
+        assert fe(np.array([[0.0]]))[0] == pytest.approx(ABS_MOMENT_1D * eps, rel=1e-2)
     # the finer rule should approach the oracle
     fe = mollify_scalar(f, 0.1, nodes=96)
-    assert fe(np.array([0.0])) == pytest.approx(ABS_MOMENT_1D * 0.1, rel=5e-4)
+    assert fe(np.array([[0.0]]))[0] == pytest.approx(ABS_MOMENT_1D * 0.1, rel=5e-4)
 
 
 def test_sup_error_cases():
@@ -163,11 +159,12 @@ def test_sup_error_empty_grid():
 def test_hoelder_constant_never_increases():
     fs = builtin_field("log_example", beta=1.0)
     pts = np.linspace(-1.5, 1.5, 25)
-    pairs = [([pts[i]], [pts[j]]) for i in range(len(pts)) for j in range(i + 1, len(pts), 5)]
-    base_k = hoelder_estimate(fs, 0.5, pairs)
+    i, j = np.array([(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts), 5)]).T
+    x, y = pts[i, None], pts[j, None]
+    base_k = hoelder_estimate(fs, 0.5, x, y)
     for eps in (0.1, 0.05):
         mf = mollify_field(fs, eps)
-        assert hoelder_estimate(mf, 0.5, pairs) <= base_k + 1e-6
+        assert hoelder_estimate(mf, 0.5, x, y) <= base_k + 1e-6
 
 
 def test_local_sup_bound():
@@ -177,7 +174,7 @@ def test_local_sup_bound():
     for x in np.linspace(-1.5, 1.5, 31):
         near = np.linspace(x - 0.1, x + 0.1, 201).reshape(-1, 1)
         local_sup = np.max(np.abs(fs.A(1, near)))
-        assert abs(mf.A(1, np.array([x]))[0]) <= local_sup + 1e-12
+        assert abs(mf.A(1, np.array([[x]]))[0, 0]) <= local_sup + 1e-12
 
 
 def test_ellipticity_survives_mollification():
@@ -212,10 +209,10 @@ def test_gradient_route_matches_fd_of_smoothed_field(rng):
     mf = mollify_field(fs, 0.2, nodes=48)
     for x in (-0.15, 0.0, 0.3):
         h = 1e-6
-        fd = (mf.A(0, np.array([x + h]))[0] - mf.A(0, np.array([x - h]))[0]) / (2 * h)
+        fd = (mf.A(0, np.array([[x + h]]))[0, 0] - mf.A(0, np.array([[x - h]]))[0, 0]) / (2 * h)
         # the kink keeps GL-48 at ~1e-3 here; exactness for smooth fields is
         # covered by the route-agreement test above
-        assert mf.DA(0, np.array([x]))[0, 0] == pytest.approx(fd, abs=5e-3)
+        assert mf.DA(0, np.array([[x]]))[0, 0, 0] == pytest.approx(fd, abs=5e-3)
 
 
 def test_local_l2_convergence_for_sqrt():
@@ -256,7 +253,7 @@ def test_mollified_set_delegates_metadata():
     assert (mf.n, mf.m) == (1, 1)
     assert mf.meta.theta == fs.meta.theta
     assert isinstance(mf, MollifiedFieldSet)
-    assert mf.diffusion_matrix(np.array([0.2])).shape == (1, 1)
+    assert mf.diffusion_matrix(np.array([[0.2]])).shape == (1, 1, 1)
 
 
 # one example of every built-in; a new built-in must join this list
