@@ -112,6 +112,16 @@ def _points(x, n: int, where: str) -> np.ndarray:
     return pts
 
 
+def _start_vector(x0, n: int) -> np.ndarray:
+    """A caller's start point x0 as a finite vector of n entries."""
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if len(x0) != n:
+        raise FieldError(f"start point x0 has dimension {len(x0)}, field set has n={n}")
+    if not np.all(np.isfinite(x0)):
+        raise FieldError(f"start point x0 = {x0} is not finite")
+    return x0
+
+
 @dataclass(frozen=True)
 class VectorFieldSet:
     """Drift and diffusion fields with an optional weak-derivative version.
@@ -433,7 +443,7 @@ def condition_g_estimate(fs: VectorFieldSet, sigma: float, T0: float, x,
     if seed < 0:
         raise FieldError(f"condition_g_estimate: seed must be a nonnegative integer, got {seed}")
     fs.require_dfield()
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _start_vector(x, fs.n)
     scale = T0 * (2.0 * math.pi) ** (fs.n / 2.0)
 
     def one_batch(rng, k):

@@ -44,7 +44,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .fields import FieldError, VectorFieldSet, _g_sum, _Workspace
+from .fields import FieldError, VectorFieldSet, _g_sum, _start_vector, _Workspace
 from .mollify import mollify_field
 from .report import EstimatorReport, from_samples
 
@@ -232,9 +232,10 @@ def _euler_step(xi, V, coef, dWk, dt):
 # rows A(l >= 1) with None DA(l >= 1); a declared zero drift as None A(0) and
 # DA(0).  After the final step comes one more call,
 # `step(steps, xis, Vs, None, dt, None)`; Ito sums return at once when dWk is
-# None.  `finish()` returns the block's extras: arrays with one row per path.
-# A tracker that reads V or DA sets `reads_jac`; a state-only run rejects it
-# before any noise is drawn.
+# None.  `finish()` returns the block's extras: arrays with one row per path,
+# under the keys that `keys()` names up front.  A tracker that reads V or DA
+# sets `reads_jac`.  Before any noise is drawn, a state-only run rejects such
+# a tracker, and every run rejects two trackers that name the same key.
 
 
 class Tracker:
@@ -256,6 +257,9 @@ class JacSupNorm(Tracker):
     def __init__(self, run: int = 0, name: str = "sup_jac"):
         self.run, self.name = run, name
 
+    def keys(self):
+        return (self.name,)
+
     def start(self, B):
         self.best = np.zeros(B)
 
@@ -275,6 +279,9 @@ class IntegratedG(Tracker):
     def __init__(self, run: int = 0, name: str = "int_g"):
         self.run, self.name = run, name
 
+    def keys(self):
+        return (self.name,)
+
     def start(self, B):
         self.total = np.zeros(B)
 
@@ -292,6 +299,9 @@ class PathRecorder(Tracker):
 
     def __init__(self, run: int = 0, name: str = "paths", with_jac: bool = True):
         self.run, self.name, self.reads_jac = run, name, with_jac
+
+    def keys(self):
+        return (self.name + "_states",) + ((self.name + "_jacs",) if self.reads_jac else ())
 
     def start(self, B):
         self.states, self.jacs = [], []
@@ -314,6 +324,9 @@ class _PairSup(Tracker):
 
     def __init__(self, i: int, j: int, name: str, with_jac: bool):
         self.i, self.j, self.name, self.reads_jac = i, j, name, with_jac
+
+    def keys(self):
+        return (f"{self.name}_state",) + ((f"{self.name}_jac",) if self.reads_jac else ())
 
     def start(self, B):
         self.state, self.jac = np.zeros(B), np.zeros(B)
@@ -408,13 +421,9 @@ def _simulate_block(runs, grid, dW, trackers, with_jac, pools=()):
                 flagged |= bad
         for acc in accs:
             acc.step(grid.steps, xis, Vs, None, dt, None)
-    extras, writer = {}, {}
+    extras = {}
     for acc in accs:
-        for key, val in acc.finish().items():
-            if key in extras:
-                raise FieldError(f"trackers {writer[key]} and {type(acc).__name__} "
-                                 f"both write the extra {key!r}")
-            extras[key], writer[key] = val, type(acc).__name__
+        extras.update(acc.finish())
     return xis, Vs, flagged, extras
 
 
@@ -449,11 +458,16 @@ def _run(runs, grid: TimeGrid, noise: BrownianBatch, trackers, with_jac, workers
     """
     runs = [(fields, _start_point(fields, x0, grid, noise, with_jac)) for fields, x0 in runs]
     trackers = tuple(trackers)
-    if not with_jac:
-        for t in trackers:
-            if t.reads_jac:
-                raise FieldError(f"tracker {type(t).__name__} reads the derivative flow, "
-                                 "which a state-only run (with_jac=False) does not integrate")
+    writer = {}
+    for t in trackers:
+        if t.reads_jac and not with_jac:
+            raise FieldError(f"tracker {type(t).__name__} reads the derivative flow, "
+                             "which a state-only run (with_jac=False) does not integrate")
+        for key in t.keys():
+            if key in writer:
+                raise FieldError(f"trackers {writer[key]} and {type(t).__name__} "
+                                 f"both write the extra {key!r}")
+            writer[key] = type(t).__name__
     w = _resolve_workers(workers)
 
     # each worker draws every block into its own step-major buffer, sized for
@@ -515,11 +529,7 @@ def _start_point(fields, x0, grid: TimeGrid, noise: BrownianBatch, with_jac) -> 
         raise FieldError("noise was generated for a different time grid")
     if noise.m != fields.m:
         raise FieldError(f"noise dimension {noise.m} != field noise dimension {fields.m}")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if len(x0) != fields.n:
-        raise FieldError(f"start point x0 has dimension {len(x0)}, field set has n={fields.n}")
-    if not np.all(np.isfinite(x0)):
-        raise FieldError(f"start point x0 = {x0} is not finite")
+    x0 = _start_vector(x0, fields.n)
     if with_jac:
         fields.require_dfield()
     return x0

@@ -360,7 +360,7 @@ def cmd_kernel_bound(cfg: ExperimentConfig, fields, opts: dict) -> CommandResult
     if bandwidth is None:
         bandwidth = kern.silverman_bandwidth(samples)
     query = kern.DensityQuery(t, np.asarray(cfg.x0, dtype=float), qpts, bandwidth)
-    dens, se = kern.density_estimate(samples, query)
+    dens, se = kern.density_estimate(samples, query, workers=cfg.workers)
     fit = kern.kernel_bound_fit(dens, query, se=se)
     bound_at_c1 = kern.gaussian_bound(c1_target, query)
     ok_at_target = bool(np.all(kern.density_floor(dens, se) <= bound_at_c1))

@@ -4,17 +4,25 @@ The comparison kernel is the unnormalized heat kernel
 K_s(x, y) = s^{-n/2} exp(-|x-y|^2 / (2 s)); probability densities carry an
 extra (2 pi)^{-n/2} relative to it, which is why the fitted bound constant
 for Brownian motion sits at the bottom of the search grid.
+
+The density estimate sums its samples in chunks of _CHUNK rows.  The chunks
+go over the study's workers, each reduced by one tile loop into its own
+partial sums, and the partials are added in ascending chunk order, so the
+estimate and its standard errors are bit for bit the same at every worker
+count.  Each worker's tiles live in a workspace of its own.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent import futures
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import FieldError
+from .fields import FieldError, _Workspace
+from .flow import _resolve_workers
 
 __all__ = [
     "DensityQuery",
@@ -91,19 +99,29 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
     return float(1.06 * sig * samples.shape[0] ** (-0.2))
 
 
-def density_estimate(samples, query: DensityQuery) -> tuple[np.ndarray, np.ndarray]:
+def density_estimate(samples, query: DensityQuery, *,
+                     workers: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian-kernel KDE at the query points with jackknife standard errors.
 
     The KDE is a sample mean of kernel evaluations, for which the delete-one
     jackknife variance coincides with the usual variance of the mean; it is
     computed that way.  Returns (densities, se), each of shape (Q,).
 
-    The kernels are computed in place, a tile of _TILE // Q sample rows at a
-    time, in one workspace that every tile reuses.  Row 0 of a tile carries
-    the running column sums of its chunk, so each column is still summed row
-    after row over the _CHUNK rows.  `exp` runs only where its argument lies
-    above _EXP_FLOOR; below it the kernel is exactly +0, which leaves the
-    non-negative sums unchanged.  Samples must be finite.
+    The samples are summed in chunks of _CHUNK rows.  With w >= 2 workers
+    (``workers``, else SDEM_WORKERS, else 1, as the engine resolves them)
+    and two or more chunks, the chunks go over a pool of min(w, chunks)
+    threads; otherwise they run in turn on the calling thread.  Each chunk
+    is reduced into its own partial sums, and the partials are added in
+    ascending chunk order, so no bit of the result depends on w.
+
+    A chunk's kernels are computed in place, a tile of _TILE // Q sample rows
+    at a time.  Each worker keeps its tiles (the differences, the kernels and
+    their squares, and the mask of live exponents) in a workspace of its own
+    that every tile it reduces reuses, freed with the call.  Row 0 of a tile
+    carries the running column sums of its chunk, so each column is still
+    summed row after row over the _CHUNK rows.  `exp` runs only where its
+    argument lies above _EXP_FLOOR; below it the kernel is exactly +0, which
+    leaves the non-negative sums unchanged.  Samples must be finite.
     """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim == 1:
@@ -117,23 +135,24 @@ def density_estimate(samples, query: DensityQuery) -> tuple[np.ndarray, np.ndarr
     if not finite.all():
         i = int(np.argmin(finite))
         raise FieldError(f"density_estimate: sample {i} is not finite: {pts[i].tolist()}")
+    w = _resolve_workers(workers)
     h = query.bandwidth
     norm = 1.0 / ((2.0 * math.pi) ** (n / 2.0) * h ** n)
+    # dividing by -2h^2 gives each value that negating and dividing by 2h^2 does
+    neg_2h2 = -(2.0 * h * h)
     q = query.query_points
     Q = len(q)
     rows = max(1, _TILE // max(1, Q))
-    diff = np.empty((rows, Q, n))
-    live = np.empty((rows, Q), dtype=bool)
-    k = np.empty((rows + 1, Q))
-    k_sq = np.empty((rows + 1, Q))
-    part = np.empty(Q)
-    part_sq = np.empty(Q)
-    total = np.zeros(Q)
-    total_sq = np.zeros(Q)
-    for lo in range(0, N, _CHUNK):
+    ws = _Workspace()
+
+    def chunk(lo):
+        diff = ws.array("diff", (rows, Q, n))
+        live = ws.array("live", (rows, Q), bool)
+        k = ws.array("k", (rows + 1, Q))
+        k_sq = ws.array("k_sq", (rows + 1, Q))
+        part = np.zeros(Q)
+        part_sq = np.zeros(Q)
         hi = min(lo + _CHUNK, N)
-        part.fill(0.0)
-        part_sq.fill(0.0)
         for a in range(lo, hi, rows):
             r = min(rows, hi - a)
             # exp's argument sits in k_sq's rows until k * k overwrites it
@@ -141,8 +160,7 @@ def density_estimate(samples, query: DensityQuery) -> tuple[np.ndarray, np.ndarr
             np.subtract(pts[a:a + r, None, :], q[None, :, :], out=d)
             np.square(d, out=d)
             np.sum(d, axis=-1, out=arg)
-            np.negative(arg, out=arg)
-            np.divide(arg, 2.0 * h * h, out=arg)
+            np.divide(arg, neg_2h2, out=arg)
             np.greater(arg, _EXP_FLOOR, out=live[:r])
             kt.fill(0.0)
             np.exp(arg, out=kt, where=live[:r])
@@ -152,6 +170,20 @@ def density_estimate(samples, query: DensityQuery) -> tuple[np.ndarray, np.ndarr
             k_sq[0] = part_sq
             np.sum(k[:r + 1], axis=0, out=part)
             np.sum(k_sq[:r + 1], axis=0, out=part_sq)
+        return part, part_sq
+
+    starts = range(0, N, _CHUNK)
+    if w > 1 and len(starts) > 1:
+        # taken through its module: bench/tracer.py swaps the engine's
+        # executor wherever an sdem module holds it by name, and books each
+        # task of it as an engine block, which a chunk is not
+        with futures.ThreadPoolExecutor(max_workers=min(w, len(starts))) as ex:
+            parts = list(ex.map(chunk, starts))
+    else:
+        parts = list(map(chunk, starts))
+    total = np.zeros(Q)
+    total_sq = np.zeros(Q)
+    for part, part_sq in parts:
         total += part
         total_sq += part_sq
     mean = total / N

@@ -170,6 +170,9 @@ class DivergenceWeight(Tracker):
     def __init__(self, h: CameronMartinPath, run: int = 0, name: str = "div"):
         self.h, self.run, self.name = h, run, name
 
+    def keys(self):
+        return (f"{self.name}_weight", f"{self.name}_h_T", f"{self.name}_energy")
+
     def start(self, B):
         self.B, self.w, self.y = B, np.zeros(B), None
         if self.h.vec is None:
@@ -220,6 +223,9 @@ class _DirectionRecorder(Tracker):
 
     def __init__(self, h: CameronMartinPath, run: int = 0, name: str = "dir"):
         self.h, self.run, self.name = h, run, name
+
+    def keys(self):
+        return (self.name,)
 
     def start(self, B):
         self.hval, self.frames = None, []

@@ -551,17 +551,37 @@ def test_lane_threads_ignore_overflow_as_the_calling_thread_does():
     assert out[0] == out[1]
 
 
-def test_trackers_writing_the_same_extra_are_refused():
-    # two sups of different runs under one name would silently keep only one
+def test_trackers_writing_the_same_extra_are_refused(monkeypatch):
+    # two sups of different runs under one name would silently keep only one;
+    # the declared keys show the clash before any noise is drawn
     fs = scalar_drift_field(lambda x: x * x, df=lambda x: 2.0 * x)
     g = TimeGrid(0.25, 10)
     noise = BrownianBatch(seed=25, paths=64, grid=g, m=1)
     runs = [(fs, [0.5]), (fs, [-0.5])]
-    with pytest.raises(FieldError, match=r"JacSupNorm and JacSupNorm.*'sup_jac'"):
-        run_multi(runs, g, noise, trackers=(JacSupNorm(0), JacSupNorm(1)))
+
+    def no_noise(*args, **kwargs):
+        raise AssertionError("a run drew noise for trackers it must reject")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(BrownianBatch, "block_increments", no_noise)
+        with pytest.raises(FieldError, match=r"JacSupNorm and JacSupNorm.*'sup_jac'"):
+            run_multi(runs, g, noise, trackers=(JacSupNorm(0), JacSupNorm(1)))
     _, extras = run_multi(runs, g, noise, trackers=(JacSupNorm(0), JacSupNorm(1, "sup_jac_1")))
     assert sorted(extras) == ["sup_jac", "sup_jac_1"]
     assert not np.array_equal(extras["sup_jac"], extras["sup_jac_1"])
+
+
+def test_each_tracker_writes_the_extras_it_declares():
+    # the clash check reads keys(), so they must be what finish() returns
+    fs = builtin_field("ou", lam=1.0)
+    g = TimeGrid(0.25, 10)
+    noise = BrownianBatch(seed=26, paths=16, grid=g, m=1)
+    h = CameronMartinPath.constant([1.0])
+    for tracker in (JacSupNorm(), IntegratedG(), PathRecorder(), PathRecorder(with_jac=False),
+                    _PairSup(0, 1, "pair", True), _PairSup(0, 1, "pair", False),
+                    DivergenceWeight(h), _DirectionRecorder(h)):
+        _, extras = run_multi([(fs, [0.0]), (fs, [1.0])], g, noise, trackers=(tracker,))
+        assert tuple(extras) == tracker.keys(), type(tracker).__name__
 
 
 def _fails_on_call(fs, call, message):
@@ -673,6 +693,9 @@ class _CoefficientRecorder(Tracker):
 
     def __init__(self, runs):
         self.runs = runs
+
+    def keys(self):
+        return tuple(f"{name}_{r}" for r in self.runs for name in ("A", "DA"))
 
     def start(self, B):
         self.seen = []

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from sdem.flow import BLOCK
+from sdem.kernel import _CHUNK
 from sdem.harness import ExperimentConfig, run_command
 
 LOG = {"name": "log_example", "params": {"beta": 1.0}}
@@ -47,10 +48,15 @@ CASES = {
     # m > n, and the minimum-norm right inverse of a non-square diffusion
     "ibp-shift12": dict(field_spec=SHIFT12, T=0.2, steps=20, paths=BLOCK + 1000, seed=18,
                         workers=2, options={"t": 0.2, "F": "sin"}),
+    # the only case whose density estimate spans several chunks, the last
+    # one partial, so its partial sums go over the workers
+    "kernel-bound-chunks": dict(field_spec=BM, T=1.0, steps=8, paths=2 * _CHUNK + 4321,
+                                seed=19, workers=2, options={"t": 1.0}),
 }
 
 # a case named COMMAND-SUFFIX runs COMMAND at another config
-COMMAND_OF = {"gradient-bm2": "gradient", "ibp-shift12": "ibp"}
+COMMAND_OF = {"gradient-bm2": "gradient", "ibp-shift12": "ibp",
+              "kernel-bound-chunks": "kernel-bound"}
 
 GOLDEN = {
     "condition-g": {
@@ -95,6 +101,12 @@ GOLDEN = {
         "kernel_bound.json":
             "009d5671c9d4bffae2e8b9b11903b783ff8249f7f51ab175079fef02d82b32f8",
     },
+    "kernel-bound-chunks": {
+        "kernel_bound.csv":
+            "af5ef231bcf7bcca8c0ad32be4662af4d8aac054416397839173d86af5e68c68",
+        "kernel_bound.json":
+            "d0716f5739ebab55e3da9d6288e89e8ba2ca720282416dad82f7ac215c8a0245",
+    },
     "moment": {
         "moment.json":
             "fd3d8e0e8aa298a4773c0b07cc24ef7df892b4f126c0e678cadb26e67df554ec",
@@ -113,11 +125,12 @@ def test_study_outputs_match_golden_digests(case):
     assert digests(case) == GOLDEN[case]
 
 
-@pytest.mark.parametrize("workers", [2, 3, 5])
-@pytest.mark.parametrize("case", ["converge-derivative", "converge-flow", "gradient",
-                                  "gradient-bm2"])
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+@pytest.mark.parametrize("case", sorted(CASES))
 def test_one_block_lockstep_digests_do_not_depend_on_workers(case, workers):
-    # one block of several lockstep runs: workers spread the runs over lanes
+    # every case, not only the one-block lockstep runs whose levels the
+    # workers spread over lanes: several blocks go over the workers, and so
+    # do the chunks of a density estimate
     assert digests(case, workers=workers) == GOLDEN[case]
 
 

@@ -377,6 +377,10 @@ def test_study_dimensions_rejected_before_any_noise(monkeypatch):
            ("gradient", {"options": {"t": 1e300}}, "steps"),
            ("kernel-bound", {"paths": 10_000, "options": {"query": [-4, 4, 3.9]}}, "'query'"),
            ("condition-g", {"seed": -1}, "seed"),
+           # the start point of condition-g is checked by the engine's rule
+           ("condition-g", {"x0": (0.0, 0.0)}, "x0 has dimension 2"),
+           ("condition-g", {"x0": (math.nan,)}, "x0 .* not finite"),
+           ("condition-g", {"x0": (math.inf,)}, "x0 .* not finite"),
            ("converge-flow", {"eps": (0.1,)}, "'eps'"),
            ("converge-derivative", {"eps": (0.1,)}, "'eps'"),
            ("moment", {"T": math.nan}, "horizon T"),
@@ -567,7 +571,9 @@ def test_benchmark_tracer_hooks_install_and_restore():
     import sys
     from pathlib import Path
 
-    from sdem import flow, harness, mollify
+    import numpy as np
+
+    from sdem import flow, harness, kernel, mollify
 
     root = Path(__file__).resolve().parents[1]
     tracer = runpy.run_path(str(root / "bench" / "tracer.py"))["Tracer"]()
@@ -601,6 +607,12 @@ def test_benchmark_tracer_hooks_install_and_restore():
         routes = sorted(s.counts["route"] for s in tracer.spans
                         if s.name == "malliavin.estimator")
         assert routes == ["bismut_gradient", "fd_gradient", "intertwine_gradient"]
+        tracer.reset()
+        # the density estimate's chunks go over a pool of its own, not the
+        # engine's, so none of them is booked as a block
+        query = kernel.DensityQuery(1.0, [0.0], np.array([[0.0]]), bandwidth=0.1)
+        kernel.density_estimate(np.zeros((kernel._CHUNK + 1, 1)), query, workers=2)
+        assert [s.name for s in tracer.spans] == ["kernel.kde"]
     finally:
         tracer.uninstall()
     for owner, snap in zip(owners, before):

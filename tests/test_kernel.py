@@ -115,11 +115,30 @@ def test_tiled_kde_is_bytewise_the_chunked_one(n):
         underflow += np.count_nonzero(arg < _EXP_FLOOR)
         subnormal += np.count_nonzero((kern > 0.0) & (kern < np.finfo(float).tiny))
     assert underflow > 0.3 * N * len(q) and subnormal > 0
-    dens, se = density_estimate(pts, query)
     ref_dens, ref_se = density_estimate_oracle(pts, query)
     assert 0.0 < ref_dens[-1] < np.finfo(float).tiny
-    assert dens.tobytes() == ref_dens.tobytes()
-    assert se.tobytes() == ref_se.tobytes()
+    # the three chunks go over the workers and are joined in chunk order
+    for workers in (1, 2, 3):
+        dens, se = density_estimate(pts, query, workers=workers)
+        assert dens.tobytes() == ref_dens.tobytes()
+        assert se.tobytes() == ref_se.tobytes()
+
+
+def test_one_chunk_density_estimate_makes_no_thread(monkeypatch):
+    from sdem import kernel
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-chunk density estimate made a thread pool")
+
+    monkeypatch.setattr(kernel.futures, "ThreadPoolExecutor", no_pool)
+    pts = np.random.default_rng(7).standard_normal((_CHUNK, 1))
+    query = DensityQuery(1.0, [0.0], np.linspace(-4.0, 4.0, 21)[:, None], bandwidth=0.05)
+    alone = density_estimate(pts, query)
+    for workers in (2, 5):
+        dens, se = density_estimate(pts, query, workers=workers)
+        assert dens.tobytes() == alone[0].tobytes() and se.tobytes() == alone[1].tobytes()
+    # one worker maps several chunks on the calling thread
+    density_estimate(np.vstack([pts, pts]), query, workers=1)
 
 
 def test_exp_is_exactly_zero_from_the_floor_down():
@@ -136,7 +155,8 @@ def test_density_estimate_works_in_a_small_workspace():
     query = DensityQuery(1.0, [0.0], np.linspace(-4.0, 4.0, 21)[:, None], bandwidth=0.05)
     tracemalloc.start()
     try:
-        density_estimate(pts, query)
+        # two chunks on two workers: one tile workspace each
+        density_estimate(pts, query, workers=2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
