@@ -8,12 +8,11 @@ path-space integration by parts identity.
 """
 
 from .fields import (FieldError, DerivativeUnavailableError, FieldMeta,
-                     GrowthProfile, VectorFieldSet, builtin_field,
+                     VectorFieldSet, builtin_field,
                      ellipticity_margin, hoelder_estimate, g_function,
-                     check_growth_profile,
                      condition_g_estimate, field_from_json)
 from .mollify import (QuadratureError, MollifiedFieldSet, eta,
-                      eta_grad, mollify_field, mollify_scalar, sup_error)
+                      eta_grad, mollify_field, mollify_scalar)
 from .flow import (BLOCK, TimeGrid, BrownianBatch, EnsembleResult, run_ensemble,
                    coupled_family, moment_sup, exp_g_functional, spatial_derivative_check)
 from .kernel import (DensityQuery, gaussian_kernel, silverman_bandwidth,

@@ -6,12 +6,13 @@ weak derivative of each field and its ellipticity floor.
 
 Evaluators take one point format, a float (N, n) batch, and return one row
 per point (see ``VectorFieldSet``); they do no shape handling of their own.
-Points from a caller are checked once, where they enter, and a row's value
-may differ in the last bit with the batch size.  All evaluators are pure and
-safe for concurrent use, and every array they return is a fresh one that
-the caller owns.  The ``log_example`` diffusion is evaluated through the
-closed form of its antiderivative, with no table; its temporaries live in
-per-thread workspaces.
+Points from a caller are checked once, where they enter.  The built-in and
+mollified evaluators are row-wise exact: a row's value has the same bytes
+alone and in a batch of any size.  A custom field is as exact as its own
+code.  All evaluators are pure and safe for concurrent use, and every array
+they return is a fresh one that the caller owns.  The ``log_example``
+diffusion is evaluated through the closed form of its antiderivative, with
+no table; its temporaries live in per-thread workspaces.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "FieldError",
     "DerivativeUnavailableError",
     "FieldMeta",
-    "GrowthProfile",
     "VectorFieldSet",
     "builtin_field",
     "field_from_json",
@@ -38,7 +38,6 @@ __all__ = [
     "g_function",
     "condition_g_estimate",
     "ConditionGResult",
-    "check_growth_profile",
 ]
 
 
@@ -51,38 +50,8 @@ class DerivativeUnavailableError(FieldError):
 
 
 @dataclass(frozen=True)
-class GrowthProfile:
-    """Nondecreasing controls psi1 (derivative energy) and psi2 (field size)."""
-
-    psi1: Callable[[np.ndarray], np.ndarray]
-    psi2: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
 class FieldMeta:
     theta: float = 0.0          # uniform ellipticity lower bound (0 = not claimed)
-
-
-def check_growth_profile(profile: GrowthProfile, radii,
-                         linear_bound_C: Optional[float] = None) -> None:
-    """Validate the growth controls on sampled radii.
-
-    Both controls must be nonnegative and nondecreasing on the samples;
-    with ``linear_bound_C`` given, the field-size control must also stay
-    under C (1 + s) there.
-    """
-    radii = np.sort(np.asarray(radii, dtype=float).reshape(-1))
-    if radii.size == 0:
-        raise FieldError("check_growth_profile: empty sample set")
-    p1 = np.asarray(profile.psi1(radii), dtype=float)
-    p2 = np.asarray(profile.psi2(radii), dtype=float)
-    for name, vals in (("psi1", p1), ("psi2", p2)):
-        if np.any(vals < 0):
-            raise FieldError(f"growth control {name} is negative on the samples")
-        if np.any(np.diff(vals) < -1e-12):
-            raise FieldError(f"growth control {name} is not nondecreasing on the samples")
-    if linear_bound_C is not None and np.any(p2 > linear_bound_C * (1.0 + radii)):
-        raise FieldError("growth control psi2 exceeds the linear bound C (1 + s)")
 
 
 class _Workspace(threading.local):
@@ -135,10 +104,11 @@ class VectorFieldSet:
     ``g_function`` and the function ``mollify_scalar`` returns check theirs
     with ``_points``, which names the expected (N, n) and the shape it got.
 
-    A row's value may differ in the last bit with N: a mollified field sums
-    its quadrature nodes through BLAS, whose kernels handle the tail of a
-    vector differently at different lengths.  So compare rows across batch
-    sizes only to a tolerance.
+    The engine cuts a block of paths into row slices over its workers, so
+    its outputs are byte-identical across worker counts when a row's value
+    does not depend on N.  The built-in and mollified evaluators are
+    row-wise exact in this sense; a custom field is as exact as its own
+    code.
 
     Which version of the weak derivative enters is a
     modelling choice supplied by the caller; any two a.e.-equal versions

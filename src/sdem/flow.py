@@ -12,13 +12,13 @@ Runs at several mollification levels can share one increment stream (common
 random numbers), turning pathwise differences into direct measurements of
 the smoothing error rather than of the noise.
 
-Workers are scheduled in one of two ways.  A run of two or more blocks
-hands its blocks to a pool of `workers` threads.  A run of one block
-spreads its lockstep runs over min(workers, runs) lanes instead: run r
-steps on lane r % lanes, and each lane is pinned to one thread for the whole
-run, so every level is evaluated on the same thread and its per-thread
-workspaces exist once.  Either way each run's arithmetic is the one a
-single worker does, so outputs are byte-identical across worker counts.
+Workers follow one rule: the unit of work is a contiguous range of a
+block's rows.  With at least as many blocks as workers, each block is a
+unit.  With fewer, each block is cut into min(ceil(workers / blocks), rows)
+slices.  The units go over a pool of `workers` threads and their results
+are joined in row order.  Every evaluation and reduction the engine makes
+is row by row, the quadrature sum of a mollified field included, so
+outputs are byte-identical across worker counts.
 
 A block's increments are stored step-major: the (paths, steps, m) array the
 engine indexes is a transposed view of a (steps, paths, m) array, so the
@@ -26,14 +26,14 @@ step-k slice dW[:, k, :] that every Euler step and tracker reads is one
 contiguous run of memory rather than a column with a stride of a whole path.
 The block is drawn a tile of about TILE values at a time into one small
 path-major buffer, and each tile is scaled straight into its step-major
-place, so a block never exists twice.  Each worker of a run draws every
-block it simulates into one step-major buffer of its own; a returned view
-of it is valid until that worker's next block.
+place, so a block never exists twice.  When blocks are the units, each
+worker draws every block it simulates into one step-major buffer of its
+own.  When blocks are cut, the calling thread draws each block once, and
+its slices share it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import math
 import numbers
@@ -363,62 +363,33 @@ def _resolve_workers(workers: Optional[int]) -> int:
     return int(value)
 
 
-def _simulate_block(runs, grid, dW, trackers, with_jac, pools=()):
-    """Integrate one block of lockstep runs; each x0 is a checked start point.
+def _simulate_block(runs, grid, dW, trackers, with_jac):
+    """Integrate rows of lockstep runs on their increments dW (B, steps, m),
+    a block or a slice of one; each x0 is a checked start point.
 
-    Run r steps on lane r % L of L = len(pools) + 1 lanes: lane 0 is the
-    calling thread and lane i >= 1 the one thread of pools[i - 1], so a run
-    is always evaluated on the same thread.  Each step, every lane evaluates
-    its runs' coefficients, computes their Euler updates into new arrays and
-    checks those for finiteness.  After the join the calling thread runs the
-    trackers on the pre-update states and the shared coefficients, then
-    swaps the new states in.  A run's arithmetic is the same on any lane, so
-    no result depends on L.
+    Each step evaluates every run's coefficients once, steps the trackers on
+    the pre-update states and those coefficients, then takes the Euler
+    updates.  A row's arithmetic depends on that row alone, so a slice's
+    result is the same rows of its block's result.
     """
     B = dW.shape[0]
     dt = grid.dt
-    R, L = len(runs), len(pools) + 1
     xis = [np.tile(x0, (B, 1)) for _, x0 in runs]
     Vs = [np.tile(np.eye(len(x0)), (B, 1, 1)) if with_jac else None for _, x0 in runs]
     accs = [t.make(B) for t in trackers]
     flagged = np.zeros(B, dtype=bool)
-
-    def advance(lane, dWk, out):
-        # errstate is per thread, so each lane sets its own; a lane's first
-        # error ends its step and takes the failing run's slot in `out`
-        with np.errstate(over="ignore", invalid="ignore"):
-            for r in range(lane, R, L):
-                try:
-                    coef = _coefficients(runs[r][0], xis[r], with_jac)
-                    xi, V = _euler_step(xis[r], Vs[r], coef, dWk, dt)
-                except Exception as exc:
-                    out[r] = exc
-                    return
-                bad = ~np.isfinite(xi).all(axis=1)
-                if V is not None:
-                    bad |= ~np.isfinite(V.reshape(B, -1)).all(axis=1)
-                out[r] = coef, xi, V, bad
-
+    # errstate is per thread, so each unit sets its own
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(grid.steps):
             dWk = dW[:, k, :]
-            out = [None] * R
-            futures = [pool.submit(advance, lane, dWk, out)
-                       for lane, pool in enumerate(pools, 1)]
-            advance(0, dWk, out)
-            for f in futures:
-                f.result()
-            # each lane stops at its first error, so the first in run order
-            # is the one a single lane would have raised
-            for item in out:
-                if isinstance(item, Exception):
-                    raise item
-            coefs = [coef for coef, _, _, _ in out]
+            coefs = [_coefficients(fields, xi, with_jac) for (fields, _), xi in zip(runs, xis)]
             for acc in accs:
                 acc.step(k, xis, Vs, dWk, dt, coefs)
-            for r, (_, xi, V, bad) in enumerate(out):
-                xis[r], Vs[r] = xi, V
-                flagged |= bad
+            for r, coef in enumerate(coefs):
+                xis[r], Vs[r] = _euler_step(xis[r], Vs[r], coef, dWk, dt)
+                flagged |= ~np.isfinite(xis[r]).all(axis=1)
+                if Vs[r] is not None:
+                    flagged |= ~np.isfinite(Vs[r].reshape(B, -1)).all(axis=1)
         for acc in accs:
             acc.step(grid.steps, xis, Vs, None, dt, None)
     extras = {}
@@ -446,13 +417,14 @@ class EnsembleResult:
 
 
 def _run(runs, grid: TimeGrid, noise: BrownianBatch, trackers, with_jac, workers):
-    """Simulate every block of lockstep runs and join the blocks in order.
+    """Simulate every block of lockstep runs in units of rows, and join the
+    units in row order.
 
-    With two or more blocks and w >= 2 resolved workers, the blocks go over
-    a pool of w threads.  Otherwise the blocks run in turn on the calling
-    thread, and each spreads its lockstep runs over min(w, runs) pinned
-    lanes (see `_simulate_block`): the calling thread and one single-thread
-    executor per further lane, made for this run and shut down with it.
+    With nb blocks and w resolved workers, a unit is a whole block when
+    nb >= w, and its worker draws the block's noise.  When nb < w, the
+    calling thread draws each block once and cuts it into
+    min(ceil(w / nb), rows) contiguous, non-empty slices, each a unit.  The
+    units go over a pool of w threads; one worker makes no pool.
 
     Returns (list of EnsembleResult in run order, joint extras dict).
     """
@@ -468,26 +440,31 @@ def _run(runs, grid: TimeGrid, noise: BrownianBatch, trackers, with_jac, workers
                 raise FieldError(f"trackers {writer[key]} and {type(t).__name__} "
                                  f"both write the extra {key!r}")
             writer[key] = type(t).__name__
-    w = _resolve_workers(workers)
-
-    # each worker draws every block into its own step-major buffer, sized for
-    # the largest block and freed with the run
+    w, nb = _resolve_workers(workers), noise.n_blocks
+    # when blocks are the units, each worker draws every block into its own
+    # step-major buffer, sized for the largest block and freed with the run
     ws = _Workspace()
     shape = (grid.steps, min(BLOCK, noise.paths), noise.m)
 
-    def one(b, pools=()):
-        dW = noise.block_increments(b, out=ws.array("dW", shape))
-        return _simulate_block(runs, grid, dW, trackers, with_jac, pools)
+    def simulate(dW):
+        return _simulate_block(runs, grid, dW, trackers, with_jac)
 
-    nb = noise.n_blocks
-    if nb > 1 and w > 1:
-        with ThreadPoolExecutor(max_workers=w) as ex:
-            parts = list(ex.map(one, range(nb)))
+    def block(b):
+        return simulate(noise.block_increments(b, out=ws.array("dW", shape)))
+
+    def slices():
+        for b in range(nb):
+            dW = noise.block_increments(b)
+            yield from np.array_split(dW, min(-(-w // nb), len(dW)))
+
+    unit, units = (block, range(nb)) if nb >= w else (simulate, slices())
+    if w == 1:
+        parts = [unit(u) for u in units]
     else:
-        with contextlib.ExitStack() as stack:
-            pools = [stack.enter_context(ThreadPoolExecutor(max_workers=1))
-                     for _ in range(min(w, len(runs)) - 1)]
-            parts = [one(b, pools) for b in range(nb)]
+        # map submits every unit before it waits, so the calling thread
+        # draws block b + 1 while the slices of block b run
+        with ThreadPoolExecutor(max_workers=w) as ex:
+            parts = list(ex.map(unit, units))
     flag = np.concatenate([p[2] for p in parts], axis=0)
     extras = {key: np.concatenate([p[3][key] for p in parts], axis=0)
               for key in parts[0][3]}
@@ -515,9 +492,9 @@ def run_multi(runs, grid: TimeGrid, noise: BrownianBatch, *,
 
     Returns (list of EnsembleResult in run order, joint extras dict).
     Flag masks are pooled: a path flagged in any run is flagged in all.
-    With one block of paths, ``workers`` >= 2 spreads the runs over
-    min(workers, runs) pinned lanes (see `_run`); the results are those of
-    one worker, byte for byte.
+    The paths go over ``workers`` threads in units of rows (see `_run`), so
+    even one block of paths uses every worker; the results are those of one
+    worker, byte for byte.
     """
     return _run(runs, grid, noise, trackers, with_jac, workers)
 
@@ -588,9 +565,8 @@ def coupled_family(fs: VectorFieldSet, eps_list: Sequence[float], x0,
     ``pair_jac_sup`` is None, ``sup_moment(..., which="jac")`` raises, and
     a path is flagged only when its state is non-finite.
 
-    The levels run in lockstep.  Several blocks of paths go over
-    ``workers`` threads block by block; one block spreads its levels over
-    min(workers, levels) threads, each level pinned to one of them.
+    The levels run in lockstep, and the paths go over ``workers`` threads
+    in units of rows, block by block or in slices of a block (see `_run`).
     """
     eps_list = list(eps_list)
     if any(e <= 0 for e in eps_list):

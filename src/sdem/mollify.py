@@ -12,9 +12,16 @@ relative to a reference node r, the node with the largest weight:
     f_eps(x) = f(x - o_r) + sum_i w_i (f(x - o_i) - f(x - o_r)).
 
 Every difference vanishes for a constant f, so constants mollify to
-themselves bit for bit, whatever the BLAS build, batch size or thread
-count.  The kernel-gradient route sums gw_i (f(x - o_i) - f(x - o_r)) in
-the same way, which is exactly zero on constants.
+themselves bit for bit.  The kernel-gradient route sums
+gw_i (f(x - o_i) - f(x - o_r)) in the same way, which is exactly zero on
+constants.
+
+A mollified field set adds its nodes one after another in a fixed order,
+in numpy rather than through BLAS, so each row of a result depends on that
+row alone: not on the batch size, the BLAS build or its thread count.  A
+batch may be cut into row slices anywhere without moving a bit.  (The
+function ``mollify_scalar`` returns, which the engine never calls, sums its
+nodes with one BLAS product.)
 
 The shifted node stack and the differences f(x - o_i) - f(x - o_r) are
 (nodes x points) long.  Each mollified field set builds them in per-thread
@@ -42,7 +49,6 @@ __all__ = [
     "MollifiedFieldSet",
     "mollify_field",
     "mollify_scalar",
-    "sup_error",
 ]
 
 
@@ -198,24 +204,33 @@ class MollifiedFieldSet:
         """vals - vals[r], node by node, in the workspace."""
         return np.subtract(vals, vals[r], out=self._ws.array("diff", vals.shape))
 
+    def _node_sum(self, w, d):
+        """sum_q w[q] * d[q] as a fresh array, added node after node in a
+        fixed order, so each row depends on that row alone."""
+        acc = w[0] * d[0]
+        term = self._ws.array("term", acc.shape)
+        for q in range(1, len(w)):
+            acc += np.multiply(w[q], d[q], out=term)
+        return acc
+
     def A(self, l: int, x: np.ndarray) -> np.ndarray:
         offsets, kw, r = _kernel_nodes(self.n, self.eps, self.nodes)
         vals = self.base.A(l, self._shifted(x, offsets)).reshape(len(offsets), len(x), self.n)
-        return vals[r] + np.tensordot(kw, self._minus_ref(vals, r), axes=1)
+        return vals[r] + self._node_sum(kw, self._minus_ref(vals, r))
 
     def DA(self, l: int, x: np.ndarray) -> np.ndarray:
         n = self.n
         if self.base.DA is not None:
             offsets, kw, r = _kernel_nodes(n, self.eps, self.nodes)
             vals = self.base.DA(l, self._shifted(x, offsets)).reshape(len(offsets), len(x), n, n)
-            return vals[r] + np.tensordot(kw, self._minus_ref(vals, r), axes=1)
+            return vals[r] + self._node_sum(kw, self._minus_ref(vals, r))
         # D(eta_eps * f) = (D eta_eps) * f with the analytic kernel gradient;
         # the gradient weights sum to zero up to rounding, so subtracting f
         # at the reference node changes only rounding and makes constants
         # give exactly 0.
         offsets, gw, r = self._grad_nodes
         vals = self.base.A(l, self._shifted(x, offsets)).reshape(len(offsets), len(x), n)
-        return np.tensordot(self._minus_ref(vals, r), gw, axes=([0], [0]))
+        return self._node_sum(gw[:, None, None, :], self._minus_ref(vals, r)[..., None])
 
     diffusion_matrix = VectorFieldSet.diffusion_matrix
 
@@ -243,12 +258,3 @@ def mollify_scalar(f: Callable[[np.ndarray], np.ndarray], eps: float,
 
     return f_eps
 
-
-def sup_error(f: Callable, f_eps: Callable, grid) -> float:
-    """Max over an (N, n) grid of |f_eps(x) - f(x)| for scalar fields."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise FieldError("sup_error: empty grid")
-    a = np.asarray(f(grid), dtype=float)
-    b = np.asarray(f_eps(grid), dtype=float)
-    return float(np.max(np.abs(b - a)))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sdem.fields import FieldMeta, VectorFieldSet
+from sdem.fields import FieldError, FieldMeta, VectorFieldSet
 from sdem.flow import BrownianBatch, TimeGrid
 from sdem.kernel import _CHUNK
 
@@ -37,6 +37,16 @@ def finite_difference_dfield(fs, l, x, step=1e-5):
     x = np.asarray(x, dtype=float)
     e = step * np.eye(len(x))
     return ((fs.A(l, x + e) - fs.A(l, x - e)) / (2.0 * step)).T
+
+
+def sup_error(f, f_eps, grid) -> float:
+    """Max over an (N, n) grid of |f_eps(x) - f(x)| for scalar fields."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise FieldError("sup_error: empty grid")
+    a = np.asarray(f(grid), dtype=float)
+    b = np.asarray(f_eps(grid), dtype=float)
+    return float(np.max(np.abs(b - a)))
 
 
 def density_estimate_oracle(pts, query):

@@ -1,13 +1,11 @@
-"""Cross-module cases: higher dimensions, extra noise channels, growth
-controls, and the moment-bound inequality on the rough field itself."""
+"""Cross-module cases: higher dimensions, extra noise channels and the
+moment-bound inequality on the rough field itself."""
 
 import math
 
 import numpy as np
-import pytest
 
-from sdem.fields import (FieldError, FieldMeta, GrowthProfile, VectorFieldSet,
-                         builtin_field, check_growth_profile)
+from sdem.fields import FieldMeta, VectorFieldSet, builtin_field
 from sdem.flow import (BrownianBatch, IntegratedG, JacSupNorm, PathRecorder, TimeGrid,
                        exp_g_functional, moment_sup, run_ensemble)
 from sdem.harness import ExperimentConfig, run_command
@@ -34,29 +32,6 @@ def test_every_all_entry_star_imports():
             exec(f"from {name} import *", {})
             checked += 1
     assert checked >= 6
-
-
-# ---------------------------------------------------------------------------
-# growth controls
-
-
-def test_growth_profile_checker_accepts_monotone():
-    prof = GrowthProfile(psi1=lambda s: np.log1p(s ** 2), psi2=lambda s: 1.0 + s)
-    check_growth_profile(prof, np.linspace(0, 10, 101), linear_bound_C=1.0)
-
-
-def test_growth_profile_checker_rejects_violations():
-    dec = GrowthProfile(psi1=lambda s: -s, psi2=lambda s: 1.0 + s)
-    with pytest.raises(FieldError, match="negative"):
-        check_growth_profile(dec, np.linspace(0, 2, 11))
-    wiggly = GrowthProfile(psi1=lambda s: np.sin(3 * s) + 1.5, psi2=lambda s: 1.0 + s)
-    with pytest.raises(FieldError, match="nondecreasing"):
-        check_growth_profile(wiggly, np.linspace(0, 5, 51))
-    fast = GrowthProfile(psi1=lambda s: s, psi2=lambda s: s ** 2)
-    with pytest.raises(FieldError, match="linear bound"):
-        check_growth_profile(fast, np.linspace(0, 5, 51), linear_bound_C=2.0)
-    with pytest.raises(FieldError, match="empty"):
-        check_growth_profile(fast, [])
 
 
 # ---------------------------------------------------------------------------

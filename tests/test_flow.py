@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 import threading
 import warnings
 from collections import Counter
@@ -510,10 +511,11 @@ _WORKER_FIELDS = {
        paths=st.one_of(st.integers(1, BLOCK - 1), st.integers(BLOCK + 1, 3 * BLOCK)),
        steps=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
 @example(name="log_example|eps=0.1", paths=700, steps=3, seed=5)
+@example(name="log_example|eps=0.1", paths=4, steps=3, seed=0)
 @example(name="ou", paths=BLOCK + 1, steps=2, seed=6)
 def test_outputs_do_not_depend_on_the_worker_count(name, paths, steps, seed):
-    # one block, so workers > 1 spread the three lockstep runs over lanes; or
-    # 2-3 blocks, so workers > 1 run the blocks on the pool
+    # one block, so workers > 1 cut it into row slices over the pool; or
+    # 2-3 blocks, so workers > 1 run them whole or cut, by their count
     fs, starts = _WORKER_FIELDS[name]
     g = TimeGrid(0.25, steps)
     noise = BrownianBatch(seed=seed, paths=paths, grid=g, m=fs.m)
@@ -529,9 +531,10 @@ def test_outputs_do_not_depend_on_the_worker_count(name, paths, steps, seed):
     assert out[0] == out[1] == out[2] == out[3]
 
 
-def test_lane_threads_ignore_overflow_as_the_calling_thread_does():
-    # numpy's errstate is per thread: a lane that did not set its own would
-    # let the overflow of the runs it steps escape as a warning (an error here)
+def test_worker_threads_ignore_overflow_as_the_calling_thread_does():
+    # numpy's errstate is per thread: a worker thread that did not set its
+    # own would let the overflow of the rows it steps escape as a warning
+    # (an error here)
     fs = scalar_drift_field(lambda x: 1e3 * np.maximum(x, 0.0) ** 2,
                             lambda x: 2e3 * np.maximum(x, 0.0))
     g = TimeGrid(0.1, 20)
@@ -597,9 +600,10 @@ def _fails_on_call(fs, call, message):
 
 
 @pytest.mark.parametrize("failing", [(1,), (1, 2)])
-def test_a_lane_error_is_the_one_worker_error_and_leaves_no_thread(failing):
-    # run 1 steps on a lane thread at workers >= 2; with runs 1 and 2 failing
-    # at one step, run 1's error is the one raised, as on one thread
+def test_a_worker_threads_error_is_the_one_worker_error_and_leaves_no_thread(failing):
+    # the block's rows step on worker threads at workers >= 2; with runs 1
+    # and 2 failing at one step, run 1's error is the one raised, as on one
+    # thread
     ou = builtin_field("ou", lam=1.0)
     g = TimeGrid(0.1, 10)
     noise = BrownianBatch(seed=25, paths=200, grid=g, m=1)
@@ -612,33 +616,66 @@ def test_a_lane_error_is_the_one_worker_error_and_leaves_no_thread(failing):
         assert threading.active_count() == before
 
 
-def test_each_level_of_a_one_block_family_stays_on_one_thread(monkeypatch):
-    # each level's base field is wrapped to record the threads it runs on
-    seen = {}
+def test_a_one_block_run_is_cut_into_contiguous_row_slices(monkeypatch):
+    # the drift records the rows each call gets and the thread it runs on;
+    # after step 0 every row's state is distinct, so a call's rows can be
+    # found among the rows the one-worker run steps at each step
+    calls = []
 
-    def recorded(fs, eps):
-        def on_thread(f):
-            def g(l, x):
-                seen.setdefault(eps, set()).add(threading.get_ident())
-                return f(l, x)
-            return g
-        return mollify_field(dataclasses.replace(fs, A=on_thread(fs.A), DA=on_thread(fs.DA)),
-                             eps)
+    def A(l, x):
+        if l == 0:
+            calls.append((threading.get_ident(), x.copy()))
+        return ou.A(l, x)
 
-    monkeypatch.setattr(flow, "mollify_field", recorded)
     ou = builtin_field("ou", lam=1.0)
-    g = TimeGrid(0.1, 6)
-    noise = BrownianBatch(seed=26, paths=300, grid=g, m=1)
-    here = threading.get_ident()
-    for w, lanes in ((1, 1), (2, 2), (5, 3)):
-        seen.clear()
-        coupled_family(ou, [0.2, 0.1, 0.05], [0.0], g, noise, workers=w)
-        assert sorted(seen) == [0.05, 0.1, 0.2]
-        assert all(len(threads) == 1 for threads in seen.values())
-        # level r runs on lane r % lanes, and lane 0 is the calling thread
-        threads = [seen[eps].pop() for eps in (0.2, 0.1, 0.05)]
-        assert threads[0] == here
-        assert [threads.index(t) for t in threads] == [r % lanes for r in range(3)]
+    fs = dataclasses.replace(ou, A=A)
+    g = TimeGrid(0.1, 4)
+
+    def stepped(paths, w):
+        calls.clear()
+        run_ensemble(fs, [0.3], g, BrownianBatch(seed=27, paths=paths, grid=g, m=1), workers=w)
+        return list(calls)
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("one worker made a thread pool")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(flow, "ThreadPoolExecutor", NoPool)
+        for paths in (2, 300):
+            assert {t for t, _ in stepped(paths, 1)} == {threading.get_ident()}
+    for paths, w in ((300, 2), (300, 3), (300, 5), (2, 5)):
+        whole = [x for _, x in stepped(paths, 1)]
+        cuts = min(w, paths)
+        sliced = stepped(paths, w)
+        assert len(sliced) == g.steps * cuts
+        assert sum(len(x) for _, x in sliced) == g.steps * paths
+        for k in range(1, g.steps):
+            found = sorted((lo, lo + len(x)) for _, x in sliced for lo in range(paths)
+                           if np.array_equal(whole[k][lo:lo + len(x)], x))
+            assert len(found) == cuts
+            assert [lo for lo, _ in found] == [0] + [hi for _, hi in found[:-1]]
+            assert found[-1][1] == paths
+
+
+def test_row_slices_agree_with_one_worker_under_frequent_thread_switches():
+    # more workers than cores step slices of one block through the same
+    # mollified levels, whose quadrature stacks live in per-thread
+    # workspaces; a buffer shared by two threads would show as a moved byte
+    fs = builtin_field("log_example", beta=1.0)
+    g = TimeGrid(0.25, 5)
+    noise = BrownianBatch(seed=28, paths=4000, grid=g, m=1)
+    out = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for w in (1, 8):
+            fam = coupled_family(fs, [0.2, 0.1], [0.1], g, noise, workers=w)
+            out.append([a.tobytes() for res in fam.levels.values() for a in (res.state_T, res.jac_T)]
+                       + [a.tobytes() for a in fam.pair_jac_sup.values()])
+    finally:
+        sys.setswitchinterval(interval)
+    assert out[0] == out[1]
 
 
 def test_env_variable_sets_default_workers(monkeypatch):

@@ -65,21 +65,21 @@ GOLDEN = {
     },
     "converge-derivative": {
         "converge_derivative.csv":
-            "5607206fb95ea2ccc6498ad45c92151f4f9feb4df01adbe50150de178e15286f",
+            "27820d09ce1d0b3c2429e51807f63f6231e96f45ff418b0b83cafb8b4d67ad60",
         "converge_derivative.json":
-            "f0b81f9c8a156fb8b87b73df7d7970e0edb9187eb0fb4aadf377d64f925fc046",
+            "843f0b141be4fae48cf7cda32cd9544924c1739e6518651e918a124c004828c1",
     },
     "converge-flow": {
         "converge_flow.csv":
-            "c14792c5652b9129b3d4aeba610a98b7da551b3e11d5f1150ce84f6b274cc052",
+            "fa612e5835fc995282248a8efe458816e78253ca0dd42e5bc66bceffca41d461",
         "converge_flow.dat":
-            "7895ec7d6fda4cc81366f17a5fd2cf622f744d4309bb167a764823f6899d6483",
+            "4214c2117f26f0f0c1b42dd8b3038788e7c6f8890e05f9057b0e049a8fb4d3a6",
         "converge_flow.json":
-            "d9ae14bf26928a8e7445aaf0df2ce55c045a8bbcd875f468e59d244ab0611bee",
+            "12e96368f3eae08ec4a2f076f32f86925f26300c459baa9c646715112e2ccca7",
     },
     "gradient": {
         "gradient.json":
-            "10d03de66d41490515d6656331bbaacf1639e7e273a97c6e4f499ca6cc705a6c",
+            "5b8c76e7898c4149e7acfcf14a061d2a725e47ca78755faf9492316d83cda1f5",
     },
     "gradient-bm2": {
         "gradient.json":
@@ -109,7 +109,7 @@ GOLDEN = {
     },
     "moment": {
         "moment.json":
-            "fd3d8e0e8aa298a4773c0b07cc24ef7df892b4f126c0e678cadb26e67df554ec",
+            "073964023349de3e2a73e9f8807672a7712dea07afda917f1f408b5317a6079f",
     },
 }
 
@@ -128,16 +128,16 @@ def test_study_outputs_match_golden_digests(case):
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_one_block_lockstep_digests_do_not_depend_on_workers(case, workers):
-    # every case, not only the one-block lockstep runs whose levels the
-    # workers spread over lanes: several blocks go over the workers, and so
-    # do the chunks of a density estimate
+    # every case: a one-block run is cut into row slices over the workers,
+    # several blocks go over the workers whole, and so do the chunks of a
+    # density estimate
     assert digests(case, workers=workers) == GOLDEN[case]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_golden_digests_do_not_depend_on_blas_threads(threads):
-    # the engine's matmul/tensordot reductions must not change a byte when
-    # OpenBLAS splits them across threads; a fresh process picks up the pin
+    # the engine's matmul reductions must not change a byte when OpenBLAS
+    # splits them across threads; a fresh process picks up the pin
     here = Path(__file__).resolve().parent
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
            "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}

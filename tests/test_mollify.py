@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,8 +12,8 @@ from sdem.fields import (FieldError, FieldMeta, VectorFieldSet, builtin_field,
                          ellipticity_margin, hoelder_estimate)
 from sdem.mollify import (MollifiedFieldSet, _kernel_nodes,
                           eta, eta_grad, mollifier_constant, mollify_field,
-                          mollify_scalar, sup_error)
-from conftest import scalar_drift_field
+                          mollify_scalar)
+from conftest import scalar_drift_field, sup_error
 
 
 # frozen oracles, computed by adaptive quadrature ahead of the build:
@@ -92,6 +93,21 @@ def test_constant_field_is_fixed_point():
             assert np.all(mf_no_da.DA(0, xs) == 0.0)
             assert np.all(mf_no_da.DA(1, xs) == 0.0)
             assert np.all(fe(xs) == -2.5)
+
+
+def test_a_row_has_the_same_bytes_alone_and_in_any_batch():
+    # the nodes are added in a fixed order, so a row's value depends on that
+    # row alone, and the engine may cut a batch of paths anywhere
+    fs = builtin_field("log_example", beta=1.0)
+    weak, grad = mollify_field(fs, 0.1), mollify_field(dataclasses.replace(fs, DA=None), 0.1)
+    xs = np.random.default_rng(11).uniform(-1.5, 1.5, (5000, 1))
+    for name, evaluate in (("A", weak.A), ("weak DA", weak.DA), ("kernel-gradient DA", grad.DA)):
+        whole = evaluate(1, xs)
+        for lo in range(0, len(xs), 7):
+            lo = min(lo, len(xs) - 7)
+            assert whole[lo:lo + 7].tobytes() == evaluate(1, xs[lo:lo + 7]).tobytes(), name
+        for i in range(len(xs)):
+            assert whole[i].tobytes() == evaluate(1, xs[i:i + 1]).tobytes(), (name, i)
 
 
 def test_linear_field_is_fixed_point():
