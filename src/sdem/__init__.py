@@ -7,15 +7,14 @@ estimators for transition-kernel bounds, semigroup gradients, and the
 path-space integration by parts identity.
 """
 
-from .fields import (FieldError, DerivativeUnavailableError, FieldMeta,
-                     VectorFieldSet, builtin_field,
+from .fields import (FieldError, DerivativeUnavailableError, VectorFieldSet, builtin_field,
                      ellipticity_margin, hoelder_estimate, g_function,
                      condition_g_estimate, field_from_json)
 from .mollify import (QuadratureError, MollifiedFieldSet, eta,
                       eta_grad, mollify_field, mollify_scalar)
 from .flow import (BLOCK, TimeGrid, BrownianBatch, EnsembleResult, run_ensemble,
-                   coupled_family, moment_sup, exp_g_functional, spatial_derivative_check)
-from .kernel import (DensityQuery, gaussian_kernel, silverman_bandwidth,
+                   coupled_family, moment_sup, exp_g_functional)
+from .kernel import (DensityQuery, silverman_bandwidth,
                      density_estimate, kernel_bound_fit)
 from .malliavin import (CameronMartinPath, right_inverse, RightInverseError,
                         bismut_gradient, intertwine_gradient, fd_gradient, divergence,

@@ -2,17 +2,23 @@
 
 A family consists of a drift field (index 0) and m diffusion fields
 (indices 1..m) on R^n, together with an optional chosen version of the
-weak derivative of each field and its ellipticity floor.
+weak derivative of each field.  Ellipticity is measured, not declared:
+``ellipticity_margin`` takes the smallest eigenvalue of A A^T over sample
+points.
 
 Evaluators take one point format, a float (N, n) batch, and return one row
 per point (see ``VectorFieldSet``); they do no shape handling of their own.
-Points from a caller are checked once, where they enter.  The built-in and
-mollified evaluators are row-wise exact: a row's value has the same bytes
-alone and in a batch of any size.  A custom field is as exact as its own
-code.  All evaluators are pure and safe for concurrent use, and every array
-they return is a fresh one that the caller owns.  The ``log_example``
-diffusion is evaluated through the closed form of its antiderivative, with
-no table; its temporaries live in per-thread workspaces.
+Points from a caller are checked once, where they enter, and so is each
+vector a caller hands in (a start point, a direction, a density's centre):
+``_vector`` requires n finite entries and names the key otherwise.  The
+built-in and mollified evaluators are row-wise exact: a row's value has the
+same bytes alone and in a batch of any size.  A custom field is as exact as
+its own code.  All evaluators are pure and safe for concurrent use, and
+every array they return is a fresh one that the caller owns.  The
+``log_example`` diffusion is evaluated through the closed form of its
+antiderivative, with no table; its temporaries live in per-thread
+workspaces.  Its infimum is 1 - sqrt(beta pi)/2, so beta must lie in
+(0, 4/pi).
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from scipy.special import erfc
 __all__ = [
     "FieldError",
     "DerivativeUnavailableError",
-    "FieldMeta",
     "VectorFieldSet",
     "builtin_field",
     "field_from_json",
@@ -47,11 +52,6 @@ class FieldError(ValueError):
 
 class DerivativeUnavailableError(FieldError):
     """Raised when an operation needs a weak derivative that was not supplied."""
-
-
-@dataclass(frozen=True)
-class FieldMeta:
-    theta: float = 0.0          # uniform ellipticity lower bound (0 = not claimed)
 
 
 class _Workspace(threading.local):
@@ -81,14 +81,15 @@ def _points(x, n: int, where: str) -> np.ndarray:
     return pts
 
 
-def _start_vector(x0, n: int) -> np.ndarray:
-    """A caller's start point x0 as a finite vector of n entries."""
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if len(x0) != n:
-        raise FieldError(f"start point x0 has dimension {len(x0)}, field set has n={n}")
-    if not np.all(np.isfinite(x0)):
-        raise FieldError(f"start point x0 = {x0} is not finite")
-    return x0
+def _vector(v, key: str, n: int) -> np.ndarray:
+    """A caller's vector as n finite float entries; any other length, or an
+    entry that is not finite, raises a FieldError that names ``key``."""
+    v = np.asarray(v, dtype=float).reshape(-1)
+    if len(v) != n:
+        raise FieldError(f"{key} has dimension {len(v)}, expected n={n}")
+    if not np.all(np.isfinite(v)):
+        raise FieldError(f"{key} = {v} is not finite")
+    return v
 
 
 @dataclass(frozen=True)
@@ -100,9 +101,10 @@ class VectorFieldSet:
     its weak derivative there and returns (N, n, n).  Neither checks or
     reshapes x, so a custom field is written for batches alone.  Points
     from a caller are checked once, where they enter: the engine checks its
-    start point, and ``ellipticity_margin``, ``hoelder_estimate``,
-    ``g_function`` and the function ``mollify_scalar`` returns check theirs
-    with ``_points``, which names the expected (N, n) and the shape it got.
+    start point with ``_vector``, and ``ellipticity_margin``,
+    ``hoelder_estimate``, ``g_function`` and the function ``mollify_scalar``
+    returns check theirs with ``_points``, which names the expected (N, n)
+    and the shape it got.
 
     The engine cuts a block of paths into row slices over its workers, so
     its outputs are byte-identical across worker counts when a row's value
@@ -131,7 +133,6 @@ class VectorFieldSet:
     m: int
     A: Callable[[int, np.ndarray], np.ndarray]
     DA: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
-    meta: FieldMeta = field(default_factory=FieldMeta)
     name: str = "custom"
     params: dict = field(default_factory=dict)
     zero_drift: bool = False
@@ -166,7 +167,7 @@ def _bm(n: int) -> VectorFieldSet:
     def DA(l, x):
         return np.zeros((len(x), n, n))
 
-    return VectorFieldSet(n, n, A, DA, FieldMeta(theta=1.0), name="bm", params={"n": n}, zero_drift=True,
+    return VectorFieldSet(n, n, A, DA, name="bm", params={"n": n}, zero_drift=True,
                           constant_diffusion=True)
 
 
@@ -180,7 +181,7 @@ def _ou(lam: float) -> VectorFieldSet:
     def DA(l, x):
         return np.full((len(x), 1, 1), -lam if l == 0 else 0.0)
 
-    return VectorFieldSet(1, 1, A, DA, FieldMeta(theta=1.0), name="ou", params={"lam": lam},
+    return VectorFieldSet(1, 1, A, DA, name="ou", params={"lam": lam},
                           constant_diffusion=True)
 
 
@@ -202,7 +203,7 @@ def _const_shift(matrix, shift) -> VectorFieldSet:
     def DA(l, x):
         return np.zeros((len(x), n, n))
 
-    return VectorFieldSet(n, m, A, DA, FieldMeta(theta=float(sv[-1] ** 2)), name="const_shift",
+    return VectorFieldSet(n, m, A, DA, name="const_shift",
                           params={"matrix": mat.tolist(), "shift": b.tolist()},
                           constant_diffusion=True)
 
@@ -236,8 +237,11 @@ def _log_antiderivative(x: np.ndarray, beta: float, ws: _Workspace) -> np.ndarra
 
 
 def _log_example(beta: float) -> VectorFieldSet:
-    if beta <= 0:
-        raise FieldError("log_example: beta must be positive")
+    # the diffusion's infimum is 1 - sqrt(beta pi)/2, at x = -1: uniformly
+    # elliptic exactly when beta < 4/pi
+    if not 0.0 < beta < 4.0 / math.pi:
+        raise FieldError(f"log_example: beta must lie in (0, 4/pi), where the diffusion "
+                         f"stays uniformly elliptic, got beta={beta}")
     ws = _Workspace()
 
     def A(l, x):
@@ -263,10 +267,7 @@ def _log_example(beta: float) -> VectorFieldSet:
             np.sqrt(v, out=v)
         return v.reshape(N, 1, 1)
 
-    theta = (1.0 - math.sqrt(beta) * math.sqrt(math.pi) / 2.0) ** 2
-    if theta <= 0:
-        raise FieldError(f"log_example: beta={beta} destroys ellipticity (needs beta < 4/pi)")
-    return VectorFieldSet(1, 1, A, DA, FieldMeta(theta=theta), name="log_example", params={"beta": beta},
+    return VectorFieldSet(1, 1, A, DA, name="log_example", params={"beta": beta},
                           zero_drift=True)
 
 
@@ -413,7 +414,7 @@ def condition_g_estimate(fs: VectorFieldSet, sigma: float, T0: float, x,
     if seed < 0:
         raise FieldError(f"condition_g_estimate: seed must be a nonnegative integer, got {seed}")
     fs.require_dfield()
-    x = _start_vector(x, fs.n)
+    x = _vector(x, "start point x0", fs.n)
     scale = T0 * (2.0 * math.pi) ** (fs.n / 2.0)
 
     def one_batch(rng, k):

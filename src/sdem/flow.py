@@ -18,7 +18,8 @@ unit.  With fewer, each block is cut into min(ceil(workers / blocks), rows)
 slices.  The units go over a pool of `workers` threads and their results
 are joined in row order.  Every evaluation and reduction the engine makes
 is row by row, the quadrature sum of a mollified field included, so
-outputs are byte-identical across worker counts.
+outputs are byte-identical across worker counts.  So are errors: a run
+that fails raises the error one worker would raise.
 
 A block's increments are stored step-major: the (paths, steps, m) array the
 engine indexes is a transposed view of a (steps, paths, m) array, so the
@@ -44,7 +45,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .fields import FieldError, VectorFieldSet, _g_sum, _start_vector, _Workspace
+from .fields import FieldError, VectorFieldSet, _g_sum, _vector, _Workspace
 from .mollify import mollify_field
 from .report import EstimatorReport, from_samples
 
@@ -58,8 +59,6 @@ __all__ = [
     "coupled_family",
     "moment_sup",
     "exp_g_functional",
-    "spatial_derivative_check",
-    "SpatialDerivativeCheck",
     "JacSupNorm",
     "IntegratedG",
     "PathRecorder",
@@ -424,7 +423,9 @@ def _run(runs, grid: TimeGrid, noise: BrownianBatch, trackers, with_jac, workers
     nb >= w, and its worker draws the block's noise.  When nb < w, the
     calling thread draws each block once and cuts it into
     min(ceil(w / nb), rows) contiguous, non-empty slices, each a unit.  The
-    units go over a pool of w threads; one worker makes no pool.
+    units go over a pool of w threads; one worker makes no pool.  A failing
+    run raises the error of its first failing block, and a failing slice
+    re-runs its block whole to raise it, so the error is one worker's.
 
     Returns (list of EnsembleResult in run order, joint extras dict).
     """
@@ -455,9 +456,19 @@ def _run(runs, grid: TimeGrid, noise: BrownianBatch, trackers, with_jac, workers
     def slices():
         for b in range(nb):
             dW = noise.block_increments(b)
-            yield from np.array_split(dW, min(-(-w // nb), len(dW)))
+            yield from ((dW, rows) for rows in np.array_split(dW, min(-(-w // nb), len(dW))))
 
-    unit, units = (block, range(nb)) if nb >= w else (simulate, slices())
+    def cut(item):
+        dW, rows = item
+        try:
+            return simulate(rows)
+        except Exception:
+            # another slice's rows may fail at an earlier step: the block
+            # run whole raises the error that one worker would
+            simulate(dW)
+            raise
+
+    unit, units = (block, range(nb)) if nb >= w else (cut, slices())
     if w == 1:
         parts = [unit(u) for u in units]
     else:
@@ -506,7 +517,7 @@ def _start_point(fields, x0, grid: TimeGrid, noise: BrownianBatch, with_jac) -> 
         raise FieldError("noise was generated for a different time grid")
     if noise.m != fields.m:
         raise FieldError(f"noise dimension {noise.m} != field noise dimension {fields.m}")
-    x0 = _start_vector(x0, fields.n)
+    x0 = _vector(x0, "start point x0", fields.n)
     if with_jac:
         fields.require_dfield()
     return x0
@@ -615,32 +626,3 @@ def exp_g_functional(ensemble: EnsembleResult, q: float) -> EstimatorReport:
     se = float(vals.std(ddof=1) / math.sqrt(n)) if (n > 1 and math.isfinite(est)) else math.inf
     return EstimatorReport(est, se if math.isfinite(se) else math.inf, n,
                            excluded=ensemble.n_flagged, overflowed=overflow)
-
-
-@dataclass(frozen=True)
-class SpatialDerivativeCheck:
-    fd: np.ndarray
-    vt: np.ndarray
-    gap: float
-
-
-def spatial_derivative_check(fs, x0, v0, h: float, grid: TimeGrid,
-                             noise: BrownianBatch, *,
-                             workers: Optional[int] = None) -> SpatialDerivativeCheck:
-    """Compare the derivative flow against a central spatial finite difference.
-
-    Three runs share identical increments: starts x0 +/- h v0 (states only)
-    and x0 (with the derivative matrix).  Returns ensemble means of the
-    finite-difference direction and of V_T v0, and the mean pathwise gap.
-    """
-    if h <= 0:
-        raise FieldError("spatial_derivative_check: h must be positive")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    v0 = np.asarray(v0, dtype=float).reshape(-1)
-    runs = [(fs, x0 + h * v0), (fs, x0 - h * v0), (fs, x0)]
-    results, _ = run_multi(runs, grid, noise, workers=workers)
-    ok = results[0].ok
-    fd_paths = (results[0].state_T[ok] - results[1].state_T[ok]) / (2.0 * h)
-    vt_paths = np.einsum("bij,j->bi", results[2].jac_T[ok], v0)
-    gap = float(np.mean(np.linalg.norm(fd_paths - vt_paths, axis=1)))
-    return SpatialDerivativeCheck(fd_paths.mean(axis=0), vt_paths.mean(axis=0), gap)

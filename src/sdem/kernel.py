@@ -21,12 +21,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import FieldError, _Workspace
+from .fields import FieldError, _vector, _Workspace
 from .flow import _resolve_workers
 
 __all__ = [
     "DensityQuery",
-    "gaussian_kernel",
     "silverman_bandwidth",
     "density_estimate",
     "kernel_bound_fit",
@@ -61,11 +60,11 @@ class DensityQuery:
     bandwidth: float
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
         q = np.asarray(self.query_points, dtype=float)
         if q.ndim == 1:
             q = q[:, None]
         object.__setattr__(self, "query_points", q)
+        object.__setattr__(self, "x", _vector(self.x, "DensityQuery: point x", q.shape[1]))
         if not (math.isfinite(self.t) and self.t > 0):
             raise FieldError(f"DensityQuery: time must be finite and positive, got {self.t}")
         if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
@@ -77,15 +76,6 @@ class DensityQuery:
     @property
     def n(self) -> int:
         return self.query_points.shape[1]
-
-
-def gaussian_kernel(s: float, x, y: np.ndarray) -> np.ndarray:
-    """The unnormalized heat kernel s^{-n/2} exp(-|x-y|^2 / (2s)) from the
-    point x, n numbers, to each point of the (N, n) batch y: shape (N,)."""
-    if s <= 0:
-        raise FieldError("gaussian_kernel: s must be positive")
-    r2 = np.sum((y - np.asarray(x, dtype=float)) ** 2, axis=-1)
-    return s ** (-y.shape[1] / 2.0) * np.exp(-r2 / (2.0 * s))
 
 
 def silverman_bandwidth(samples: np.ndarray) -> float:

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fields import FieldError
+from .fields import FieldError, _vector
 from .flow import (BrownianBatch, PathRecorder, TimeGrid, Tracker, _mm,
                    run_ensemble, run_multi)
 from .report import EstimatorReport, from_samples
@@ -127,26 +127,14 @@ class CameronMartinPath:
 
     @staticmethod
     def constant(vec) -> "CameronMartinPath":
-        vec = np.atleast_1d(np.asarray(vec, dtype=float))
+        """The direction with rate vec; an estimator checks vec against its
+        field set's n, before any noise is drawn."""
+        vec = np.asarray(vec, dtype=float).reshape(-1)
 
         def rate(k, state):
             return np.broadcast_to(vec, state.shape)
 
         return CameronMartinPath(rate, vec)
-
-
-def _checked_vector(vec, key: str, n: int) -> np.ndarray:
-    """A direction as a vector of n entries; any other length raises,
-    naming the key, before a run draws noise."""
-    vec = np.atleast_1d(np.asarray(vec, dtype=float))
-    if vec.shape != (n,):
-        raise FieldError(f"direction {key} has shape {vec.shape}, field set has n={n}")
-    return vec
-
-
-def _check_direction(h: "CameronMartinPath", n: int) -> None:
-    if h.vec is not None:
-        _checked_vector(h.vec, "h", n)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +242,7 @@ def bismut_gradient(f: Callable, v0, fs, x0, grid: TimeGrid, noise: BrownianBatc
     direction with constant rate hdot = v0.  Valid for bounded measurable
     f; no derivative of f is used.
     """
-    v0 = _checked_vector(v0, "v0", fs.n)
+    v0 = _vector(v0, "direction v0", fs.n)
     res = run_ensemble(fs, x0, grid, noise,
                        trackers=(DivergenceWeight(CameronMartinPath.constant(v0)),),
                        workers=workers)
@@ -267,7 +255,7 @@ def bismut_gradient(f: Callable, v0, fs, x0, grid: TimeGrid, noise: BrownianBatc
 def intertwine_gradient(df: Callable, v0, fs, x0, grid: TimeGrid, noise: BrownianBatch, *,
                         workers: Optional[int] = None) -> EstimatorReport:
     """Intertwining estimate E[df(xi_T) . (V_T v0)] for C^1 test functions."""
-    v0 = _checked_vector(v0, "v0", fs.n)
+    v0 = _vector(v0, "direction v0", fs.n)
     res = run_ensemble(fs, x0, grid, noise, workers=workers)
     ok = res.ok
     direction = np.einsum("bij,j->bi", res.jac_T[ok], v0)
@@ -281,8 +269,8 @@ def fd_gradient(f: Callable, v0, fs, x0, grid: TimeGrid, noise: BrownianBatch, *
     """Central finite difference of P_T f from x0 +/- bump v0 on shared noise."""
     if bump <= 0:
         raise FieldError("fd_gradient: bump size must be positive")
-    v0 = _checked_vector(v0, "v0", fs.n)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    v0 = _vector(v0, "direction v0", fs.n)
+    x0 = _vector(x0, "start point x0", fs.n)
     runs = [(fs, x0 + bump * v0), (fs, x0 - bump * v0)]
     results, _ = run_multi(runs, grid, noise, with_jac=False, workers=workers)
     ok = results[0].ok
@@ -300,7 +288,8 @@ def divergence(h: CameronMartinPath, fs, x0, grid: TimeGrid, noise: BrownianBatc
                workers: Optional[int] = None) -> np.ndarray:
     """Per-path left-point Ito sums of <Y(xi_k) V_k hdot_k, dW_k>: the
     DivergenceWeight of an ensemble of fs started at x0 on the given noise."""
-    _check_direction(h, fs.n)
+    if h.vec is not None:
+        _vector(h.vec, "direction h", fs.n)
     res = run_ensemble(fs, x0, grid, noise, trackers=(DivergenceWeight(h),),
                        workers=workers)
     return res.extras["div_weight"]
@@ -331,7 +320,8 @@ def ibp_check(F: Callable, dF: Callable, h: CameronMartinPath, fs, x0, grid: Tim
     ``full_path=True`` the functionals receive (times, states (B, K+1, n))
     and (times, states, direction path) instead.
     """
-    _check_direction(h, fs.n)
+    if h.vec is not None:
+        _vector(h.vec, "direction h", fs.n)
     trackers = [DivergenceWeight(h)]
     if full_path:
         trackers.append(_DirectionRecorder(h))

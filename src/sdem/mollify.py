@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import FieldMeta, VectorFieldSet, FieldError, _points, _Workspace
+from .fields import VectorFieldSet, FieldError, _points, _Workspace
 
 __all__ = [
     "QuadratureError",
@@ -156,10 +156,6 @@ class MollifiedFieldSet:
     @property
     def m(self) -> int:
         return self.base.m
-
-    @property
-    def meta(self) -> FieldMeta:
-        return self.base.meta
 
     @property
     def name(self) -> str:

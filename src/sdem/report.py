@@ -1,4 +1,9 @@
-"""Monte Carlo estimator reports."""
+"""Monte Carlo estimator reports: an estimate, its standard error and the
+counts of paths that entered it and that were dropped.
+
+A report holds numbers, not verdicts.  Each study states its own test where
+it decides (how many standard errors, paired or pooled), and the harness
+checks the flagged paths against all the paths a study ran."""
 
 from __future__ import annotations
 
@@ -26,15 +31,6 @@ class EstimatorReport:
             raise ValueError(f"standard error must be nonnegative, got {self.se}")
         if self.samples <= 0:
             raise ValueError("sample count must be positive")
-
-    @property
-    def excluded_fraction(self) -> float:
-        """Excluded paths over all paths run, excluded ones included."""
-        return self.excluded / (self.samples + self.excluded)
-
-    def within(self, target: float, k: float = 3.0) -> bool:
-        """True if the estimate is within k standard errors of target."""
-        return abs(self.estimate - target) <= k * self.se
 
     def to_dict(self) -> dict:
         return {

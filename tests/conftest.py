@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sdem.fields import FieldError, FieldMeta, VectorFieldSet
-from sdem.flow import BrownianBatch, TimeGrid
+from sdem.fields import FieldError, VectorFieldSet
+from sdem.flow import BrownianBatch, TimeGrid, run_multi
 from sdem.kernel import _CHUNK
 
 
@@ -20,7 +20,7 @@ def scalar_drift_field(f, df=None, name="scalar"):
             v = np.asarray(df(x[:, 0]), dtype=float) if l == 0 else np.zeros(len(x))
             return v.reshape(-1, 1, 1)
 
-    return VectorFieldSet(1, 1, A, DA, FieldMeta(theta=1.0), name=name)
+    return VectorFieldSet(1, 1, A, DA, name=name)
 
 
 def engine_inputs(fs, x0, t, paths, seed, dt=1e-3):
@@ -37,6 +37,28 @@ def finite_difference_dfield(fs, l, x, step=1e-5):
     x = np.asarray(x, dtype=float)
     e = step * np.eye(len(x))
     return ((fs.A(l, x + e) - fs.A(l, x - e)) / (2.0 * step)).T
+
+
+def within(rep, target, k=3.0) -> bool:
+    """True if the report's estimate lies within k standard errors of target."""
+    return abs(rep.estimate - target) <= k * rep.se
+
+
+def spatial_derivative_check(fs, x0, v0, h, grid, noise):
+    """The derivative flow against a central spatial finite difference.
+
+    Three runs share identical increments: starts x0 +/- h v0 (states only)
+    and x0 (with the derivative matrix).  Returns the ensemble means of the
+    finite-difference direction and of V_T v0, and the mean pathwise gap."""
+    x0 = np.asarray(x0, dtype=float)
+    v0 = np.asarray(v0, dtype=float)
+    runs = [(fs, x0 + h * v0), (fs, x0 - h * v0), (fs, x0)]
+    results, _ = run_multi(runs, grid, noise)
+    ok = results[0].ok
+    fd_paths = (results[0].state_T[ok] - results[1].state_T[ok]) / (2.0 * h)
+    vt_paths = np.einsum("bij,j->bi", results[2].jac_T[ok], v0)
+    gap = float(np.mean(np.linalg.norm(fd_paths - vt_paths, axis=1)))
+    return fd_paths.mean(axis=0), vt_paths.mean(axis=0), gap
 
 
 def sup_error(f, f_eps, grid) -> float:

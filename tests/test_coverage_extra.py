@@ -5,12 +5,12 @@ import math
 
 import numpy as np
 
-from sdem.fields import FieldMeta, VectorFieldSet, builtin_field
+from sdem.fields import VectorFieldSet, builtin_field
 from sdem.flow import (BrownianBatch, IntegratedG, JacSupNorm, PathRecorder, TimeGrid,
                        exp_g_functional, moment_sup, run_ensemble)
 from sdem.harness import ExperimentConfig, run_command
 from sdem.malliavin import bismut_gradient
-from conftest import engine_inputs
+from conftest import engine_inputs, within
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +47,7 @@ def _linear_2d(mat):
     def DA(l, x):
         return np.broadcast_to(mat if l == 0 else np.zeros((2, 2)), (len(x), 2, 2)).copy()
 
-    return VectorFieldSet(2, 2, A, DA, FieldMeta(theta=1.0), name="linear2d")
+    return VectorFieldSet(2, 2, A, DA, name="linear2d")
 
 
 def test_2d_linear_derivative_flow_is_matrix_power():
@@ -68,8 +68,8 @@ def test_2d_bm_bismut_gradient_picks_the_direction():
     f = lambda s: s[:, 0]
     along = bismut_gradient(f, [1.0, 0.0], *run)
     across = bismut_gradient(f, [0.0, 1.0], *run)
-    assert along.within(1.0)
-    assert across.within(0.0)
+    assert within(along, 1.0)
+    assert within(across, 0.0)
 
 
 def test_redundant_noise_channels_m_greater_than_n():
@@ -84,7 +84,7 @@ def test_redundant_noise_channels_m_greater_than_n():
     # the semigroup of x + W^1 + W^2 still has unit gradient for f(x) = x
     run = engine_inputs(fs, [0.0], 0.5, paths=20_000, seed=64, dt=2e-3)
     rep = bismut_gradient(lambda s: s[:, 0], [1.0], *run)
-    assert rep.within(1.0)
+    assert within(rep, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from sdem.fields import (DerivativeUnavailableError, FieldError, FieldMeta, VectorFieldSet,
+from sdem.fields import (DerivativeUnavailableError, FieldError, VectorFieldSet,
                          builtin_field, condition_g_estimate, ellipticity_margin,
                          field_from_json, g_function,
                          hoelder_estimate)
@@ -128,14 +128,30 @@ def test_ellipticity_margin_log_example():
     margin = ellipticity_margin(fs, np.linspace(-2, 2, 801).reshape(-1, 1))
     assert margin >= theta - 1e-9
     assert margin == pytest.approx(theta, abs=1e-4)
-    assert fs.meta.theta == pytest.approx(theta)
 
 
-def test_builtin_margins_dominate_meta_theta(rng):
-    for fs in (builtin_field("bm", n=2), builtin_field("ou", lam=1.0),
-               builtin_field("log_example", beta=1.0)):
+def test_builtin_margins_dominate_their_floors(rng):
+    # each floor from its formula: 1 for bm and ou, the smallest singular
+    # value squared for const_shift, (1 - sqrt(beta pi)/2)^2 for log_example
+    matrix = np.array([[2.0, 0.5], [0.0, 1.0]])
+    cases = [(builtin_field("bm", n=2), 1.0), (builtin_field("ou", lam=1.0), 1.0),
+             (builtin_field("const_shift", matrix=matrix, shift=[0.0, 1.0]),
+              np.linalg.svd(matrix, compute_uv=False)[-1] ** 2)]
+    cases += [(builtin_field("log_example", beta=beta),
+               (1.0 - math.sqrt(beta * math.pi) / 2.0) ** 2) for beta in (0.5, 1.0, 1.27)]
+    for fs, floor in cases:
         pts = rng.uniform(-5, 5, (1000, fs.n))
-        assert ellipticity_margin(fs, pts) >= fs.meta.theta - 1e-9
+        assert ellipticity_margin(fs, pts) >= floor - 1e-9
+
+
+def test_log_example_rejects_a_beta_that_destroys_ellipticity():
+    # the diffusion's infimum 1 - sqrt(beta pi)/2 reaches 0 at beta = 4/pi;
+    # at beta = 2 the diffusion passes through 0 near x = -0.6
+    for beta in (2.0, 4.0 / math.pi):
+        with pytest.raises(FieldError, match=f"beta={re.escape(repr(beta))}"):
+            builtin_field("log_example", beta=beta)
+    for beta in (0.5, 1.0, 1.27):
+        assert builtin_field("log_example", beta=beta).params == {"beta": beta}
 
 
 def test_ellipticity_margin_empty_samples():
@@ -261,8 +277,7 @@ def _batch_only_field(with_da=True):
             out[:, l - 1, l - 1] = 0.5 * np.sin(2.0 * x[:, l - 1])
         return out
 
-    return VectorFieldSet(2, 2, A, DA if with_da else None, FieldMeta(theta=1.0),
-                          name="batch_only")
+    return VectorFieldSet(2, 2, A, DA if with_da else None, name="batch_only")
 
 
 def test_a_batch_only_field_runs_everywhere():

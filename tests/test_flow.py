@@ -1,6 +1,6 @@
 import dataclasses
-import itertools
 import math
+import re
 import sys
 import threading
 import warnings
@@ -17,8 +17,8 @@ from sdem.malliavin import CameronMartinPath, DivergenceWeight, _DirectionRecord
 from sdem.mollify import mollify_field
 from sdem.flow import (BLOCK, TILE, BrownianBatch, IntegratedG, JacSupNorm, PathRecorder,
                        TimeGrid, Tracker, _mm, _PairSup, coupled_family, exp_g_functional,
-                       moment_sup, run_ensemble, run_multi, spatial_derivative_check)
-from conftest import scalar_drift_field
+                       moment_sup, run_ensemble, run_multi)
+from conftest import scalar_drift_field, spatial_derivative_check
 
 
 def test_time_grid_endpoint_exact():
@@ -587,13 +587,15 @@ def test_each_tracker_writes_the_extras_it_declares():
         assert tuple(extras) == tracker.keys(), type(tracker).__name__
 
 
-def _fails_on_call(fs, call, message):
-    """fs whose drift raises a FieldError on its call-th evaluation (from 0)."""
-    calls = itertools.count()
+def _fails_above(fs, level, message):
+    """fs whose drift raises a FieldError at any state above level, naming
+    the batch's first such state: a pure field, whose error depends on the
+    rows it is given and on nothing else."""
 
     def A(l, x):
-        if l == 0 and next(calls) == call:
-            raise FieldError(message)
+        above = x[:, 0] > level
+        if l == 0 and above.any():
+            raise FieldError(f"{message} at x = {float(x[above][0, 0])!r}")
         return fs.A(l, x)
 
     return dataclasses.replace(fs, A=A)
@@ -601,19 +603,35 @@ def _fails_on_call(fs, call, message):
 
 @pytest.mark.parametrize("failing", [(1,), (1, 2)])
 def test_a_worker_threads_error_is_the_one_worker_error_and_leaves_no_thread(failing):
-    # the block's rows step on worker threads at workers >= 2; with runs 1
-    # and 2 failing at one step, run 1's error is the one raised, as on one
-    # thread
+    # every run starts at 0 on one block of 200 paths, and the failing runs'
+    # drift is undefined above 0.5.  Row 193, in the last row slice at 2 and
+    # at 3 workers, crosses first, at step 4; the first slice's rows cross at
+    # step 5.  One worker raises the first failing run's error at row 193's
+    # state, and so does every worker count, with threads switching at the
+    # default interval and every microsecond
     ou = builtin_field("ou", lam=1.0)
     g = TimeGrid(0.1, 10)
     noise = BrownianBatch(seed=25, paths=200, grid=g, m=1)
+    states = run_ensemble(ou, [0.0], g, noise, trackers=(PathRecorder(with_jac=False),),
+                          with_jac=False).extras["paths_states"][:, :g.steps, 0]
+    above = states > 0.5
+    crossed = np.where(above.any(axis=1), above.argmax(axis=1), g.steps)
+    assert crossed.min() == 4 and np.argmax(crossed == 4) == 193
+    assert crossed[:100].min() == crossed[:67].min() == 5
+    message = f"^run {failing[0]} failed at x = {re.escape(repr(float(states[193, 4])))}$"
+    runs = [(_fails_above(ou, 0.5, f"run {r} failed") if r in failing else ou, [0.0])
+            for r in range(3)]
     before = threading.active_count()
-    for w in (1, 2, 3):
-        runs = [(_fails_on_call(ou, 4, f"run {r} failed") if r in failing else ou, [0.1 * r])
-                for r in range(3)]
-        with pytest.raises(FieldError, match=f"^run {failing[0]} failed$"):
-            run_multi(runs, g, noise, workers=w)
-        assert threading.active_count() == before
+    interval = sys.getswitchinterval()
+    try:
+        for switch in (interval, 1e-6):
+            sys.setswitchinterval(switch)
+            for w in (1, 2, 3):
+                with pytest.raises(FieldError, match=message):
+                    run_multi(runs, g, noise, workers=w)
+                assert threading.active_count() == before
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_a_one_block_run_is_cut_into_contiguous_row_slices(monkeypatch):
@@ -698,19 +716,19 @@ def test_env_variable_sets_default_workers(monkeypatch):
 def test_spatial_check_bm_is_exact():
     g = TimeGrid(0.5, 50)
     noise = BrownianBatch(seed=16, paths=128, grid=g, m=1)
-    chk = spatial_derivative_check(builtin_field("bm", n=1), [0.0], [1.0], 1e-3,
-                                   g, noise)
-    assert chk.gap < 1e-12
-    assert chk.fd[0] == pytest.approx(1.0, abs=1e-10)
+    fd, _, gap = spatial_derivative_check(builtin_field("bm", n=1), [0.0], [1.0], 1e-3,
+                                          g, noise)
+    assert gap < 1e-12
+    assert fd[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_spatial_check_ou_small_gap():
     g = TimeGrid(1.0, 1000)
     noise = BrownianBatch(seed=17, paths=512, grid=g, m=1)
-    chk = spatial_derivative_check(builtin_field("ou", lam=1.0), [1.0], [1.0],
-                                   1e-3, g, noise)
-    assert chk.gap <= 1e-2
-    assert chk.vt[0] == pytest.approx(math.exp(-1.0), abs=2e-3)
+    _, vt, gap = spatial_derivative_check(builtin_field("ou", lam=1.0), [1.0], [1.0],
+                                          1e-3, g, noise)
+    assert gap <= 1e-2
+    assert vt[0] == pytest.approx(math.exp(-1.0), abs=2e-3)
 
 
 def test_spatial_check_log_example_trend():
@@ -719,7 +737,7 @@ def test_spatial_check_log_example_trend():
     for steps, h in ((25, 4e-2), (50, 2e-2), (100, 1e-2)):
         g = TimeGrid(0.1, steps)
         noise = BrownianBatch(seed=18, paths=1024, grid=g, m=1)
-        gaps.append(spatial_derivative_check(log, [0.0], [1.0], h, g, noise).gap)
+        gaps.append(spatial_derivative_check(log, [0.0], [1.0], h, g, noise)[2])
     assert gaps[0] > gaps[2]
 
 

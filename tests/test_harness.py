@@ -515,9 +515,7 @@ def test_flagged_fraction_counts_every_path_run(monkeypatch):
     # the limit is flagged paths over all paths run, in every study: one
     # flagged path of 10,001 stays below 1e-4, one of 10,000 reaches it
     from sdem import malliavin
-    from sdem.report import EstimatorReport
 
-    assert EstimatorReport(0.0, 1.0, samples=10_000, excluded=1).excluded_fraction == 1 / 10_001
     real_one, real_multi = malliavin.run_ensemble, malliavin.run_multi
 
     def flag_one(*args, **kwargs):
@@ -637,6 +635,32 @@ def test_every_command_is_registered():
     assert sorted(STUDIES) == ["condition-g", "converge-derivative",
                                 "converge-flow", "gradient", "ibp",
                                 "kernel-bound", "moment"]
+
+
+def test_readme_python_blocks_import_what_sdem_has_and_the_custom_field_runs():
+    # every name a ```python block imports from sdem exists there, and the
+    # custom-field block runs and builds a field set that evaluates batches;
+    # the library-use block draws 10,000 paths, so only its imports are read
+    import ast
+
+    import numpy as np
+
+    import sdem
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    imported = [alias.name for code in blocks for node in ast.walk(ast.parse(code))
+                if isinstance(node, ast.ImportFrom) and node.module == "sdem"
+                for alias in node.names]
+    assert len(imported) >= 7
+    assert [name for name in imported if not hasattr(sdem, name)] == []
+    (custom,) = [code for code in blocks if "VectorFieldSet(" in code]
+    scope = {}
+    exec(custom, scope)
+    fs, x = scope["fs"], np.linspace(-1.0, 1.0, 5)[:, None]
+    assert isinstance(fs, sdem.VectorFieldSet)
+    assert [fs.A(l, x).shape for l in (0, 1)] == [(5, 1)] * 2
+    assert [fs.DA(l, x).shape for l in (0, 1)] == [(5, 1, 1)] * 2
 
 
 def test_readme_lists_every_study_option():

@@ -3,37 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sdem.fields import FieldError, builtin_field
 from sdem.flow import BrownianBatch, TimeGrid, run_ensemble
 from sdem.kernel import (_C1_GRID, _CHUNK, _EXP_FLOOR, _SE_MARGIN, _TILE, DensityQuery,
-                         density_estimate, density_floor, gaussian_bound, gaussian_kernel,
+                         density_estimate, density_floor, gaussian_bound,
                          kernel_bound_fit, silverman_bandwidth)
 from sdem.mollify import mollify_field
 
 from conftest import density_estimate_oracle
-
-
-def test_heat_kernel_values():
-    assert gaussian_kernel(0.5, [0.0], np.array([[0.0]]))[0] == pytest.approx(0.5 ** -0.5)
-    assert gaussian_kernel(1.0, [0.0], np.array([[1.0]]))[0] == pytest.approx(math.exp(-0.5))
-    with pytest.raises(FieldError):
-        gaussian_kernel(0.0, [0.0], np.array([[1.0]]))
-
-
-@given(st.floats(0.1, 2.0), st.floats(0.1, 3.0), st.integers(1, 2))
-@settings(max_examples=30, deadline=None)
-def test_heat_kernel_parabolic_scaling(s, r, n):
-    x = np.zeros(n)
-    y1 = np.zeros((1, n))
-    y1[0, 0] = r
-    y2 = np.zeros((1, n))
-    y2[0, 0] = 2 * r
-    lhs = gaussian_kernel(4 * s, x, y2)[0]
-    rhs = 2.0 ** -n * gaussian_kernel(s, x, y1)[0]
-    assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def _bm_endpoints(paths, t=1.0, seed=21):
@@ -93,6 +71,17 @@ def test_density_estimate_preconditions():
         samples[12_345, 0] = bad
         with pytest.raises(FieldError, match=f"sample 12345 is not finite: \\[{bad}\\]"):
             density_estimate(samples, query)
+
+
+def test_density_query_point_x_has_n_finite_entries():
+    # x is the centre of every bound; n is the query points' dimension
+    q = [[0.0], [1.0]]
+    with pytest.raises(FieldError, match="x has dimension 2, expected n=1"):
+        DensityQuery(1.0, [0.0, 5.0], q, 0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(FieldError, match="x = .* is not finite"):
+            DensityQuery(1.0, [bad], q, 0.1)
+    assert DensityQuery(1.0, 0.5, q, 0.1).x.tolist() == [0.5]
 
 
 @pytest.mark.parametrize("n", [1, 2])

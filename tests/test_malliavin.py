@@ -11,7 +11,7 @@ from sdem.malliavin import (CameronMartinPath, DivergenceWeight, IbpResult,
                             right_inverse)
 from sdem.mollify import mollify_field
 from sdem.report import EstimatorReport
-from conftest import engine_inputs, scalar_drift_field
+from conftest import engine_inputs, scalar_drift_field, within
 
 
 # ---------------------------------------------------------------------------
@@ -57,12 +57,12 @@ def test_right_inverse_residual_contract(rng):
 def test_right_inverse_singular_point_reports_location():
     fs = scalar_drift_field(lambda x: x)     # unit diffusion
     # build a degenerate diffusion: A_1(x) = x vanishes at 0
-    from sdem.fields import VectorFieldSet, FieldMeta
+    from sdem.fields import VectorFieldSet
 
     def A(l, x):
         return np.zeros_like(x) if l == 0 else x.copy()
 
-    degen = VectorFieldSet(1, 1, A, None, FieldMeta(), name="degenerate")
+    degen = VectorFieldSet(1, 1, A, None, name="degenerate")
     with pytest.raises(RightInverseError, match=r"singular at \[0\.\]"):
         _right_inverse_at(degen, np.zeros(1))
     # a flagged (NaN) path in the same block is not the point named
@@ -80,12 +80,12 @@ def test_right_inverse_scalar_is_reciprocal(rng):
 
 
 def test_right_inverse_subnormal_diffusion_raises():
-    from sdem.fields import VectorFieldSet, FieldMeta
+    from sdem.fields import VectorFieldSet
 
     def A(l, x):
         return np.zeros_like(x) if l == 0 else np.full_like(x, 1e-320)
 
-    tiny = VectorFieldSet(1, 1, A, None, FieldMeta(), name="subnormal")
+    tiny = VectorFieldSet(1, 1, A, None, name="subnormal")
     with pytest.raises(RightInverseError, match="singular at"):
         _right_inverse_at(tiny, np.array([[0.5], [1.0]]))
 
@@ -116,7 +116,7 @@ def test_mollified_right_inverse_converges(rng):
 def test_bismut_bm_linear():
     run = engine_inputs(builtin_field("bm", n=1), [0.3], 0.5, paths=20_000, seed=30)
     rep = bismut_gradient(lambda s: s[:, 0], [1.0], *run)
-    assert rep.within(1.0)
+    assert within(rep, 1.0)
 
 
 def test_bismut_constant_function_is_zero():
@@ -138,14 +138,14 @@ def test_bismut_indicator_function():
     t = 0.5
     run = engine_inputs(builtin_field("bm", n=1), [0.0], t, paths=40_000, seed=33)
     rep = bismut_gradient(lambda s: (s[:, 0] > 0).astype(float), [1.0], *run)
-    assert rep.within(1.0 / math.sqrt(2 * math.pi * t))
+    assert within(rep, 1.0 / math.sqrt(2 * math.pi * t))
 
 
 def test_intertwine_closed_forms():
     t = 0.5
     run = engine_inputs(builtin_field("bm", n=1), [0.2], t, paths=20_000, seed=34)
     rep = intertwine_gradient(lambda s: np.cos(s), [1.0], *run)
-    assert rep.within(math.cos(0.2) * math.exp(-t / 2.0))
+    assert within(rep, math.cos(0.2) * math.exp(-t / 2.0))
     ou_run = engine_inputs(builtin_field("ou", lam=1.0), [0.0], t, paths=5_000, seed=35)
     rep2 = intertwine_gradient(lambda s: np.ones_like(s), [1.0], *ou_run)
     assert rep2.se < 1e-15          # deterministic up to mean-rounding noise
@@ -337,3 +337,34 @@ def test_direction_of_the_wrong_length_fails_before_any_noise(monkeypatch):
     # the right length goes on to draw the noise
     with pytest.raises(AssertionError, match="drew noise"):
         bismut_gradient(f, [0.6, -0.8], *run)
+
+
+def test_every_caller_vector_needs_n_finite_entries_before_any_noise(monkeypatch):
+    # one rule for x0, v0 and a constant h: n entries, each finite, or a
+    # FieldError naming the key before a block of noise is drawn
+    def no_noise(*args, **kwargs):
+        raise AssertionError("a rejected run drew noise")
+
+    monkeypatch.setattr(BrownianBatch, "block_increments", no_noise)
+    fs, x0, grid, noise = engine_inputs(builtin_field("bm", n=2), [0.0, 0.0], 0.5,
+                                        paths=8, seed=0, dt=0.1)
+    f = lambda s: s[:, 0]
+    df = lambda s: np.ones_like(s)
+    F, dF = (lambda xT: xT[:, 0]), (lambda xT, vT: vT[:, 0])
+    # fd_gradient bumps x0 along v0, and rejects a short x0 as bismut_gradient does
+    with pytest.raises(FieldError, match="x0 has dimension 1"):
+        fd_gradient(f, [1.0, 0.0], fs, [0.0], grid, noise, bump=1e-3)
+    with pytest.raises(FieldError, match="x0 has dimension 1"):
+        bismut_gradient(f, [1.0, 0.0], fs, [0.0], grid, noise)
+    for bad in (math.nan, math.inf):
+        v0 = [1.0, bad]
+        h = CameronMartinPath.constant(v0)
+        rows = [(lambda: bismut_gradient(f, v0, fs, x0, grid, noise), "v0 .* not finite"),
+                (lambda: intertwine_gradient(df, v0, fs, x0, grid, noise), "v0 .* not finite"),
+                (lambda: fd_gradient(f, v0, fs, x0, grid, noise, bump=1e-3),
+                 "v0 .* not finite"),
+                (lambda: ibp_check(F, dF, h, fs, x0, grid, noise), "direction h .* not finite"),
+                (lambda: divergence(h, fs, x0, grid, noise), "direction h .* not finite")]
+        for call, key in rows:
+            with pytest.raises(FieldError, match=key):
+                call()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from sdem.fields import (FieldError, FieldMeta, VectorFieldSet, builtin_field,
+from sdem.fields import (FieldError, VectorFieldSet, builtin_field,
                          ellipticity_margin, hoelder_estimate)
 from sdem.mollify import (MollifiedFieldSet, _kernel_nodes,
                           eta, eta_grad, mollifier_constant, mollify_field,
@@ -75,7 +75,7 @@ def test_constant_field_is_fixed_point():
         # read-only views, which the quadrature must not write into
         return np.broadcast_to(2.0 if l == 0 else 1.0, x.shape)
 
-    no_da = VectorFieldSet(1, 1, const_A, None, FieldMeta(theta=1.0), name="const")
+    no_da = VectorFieldSet(1, 1, const_A, None, name="const")
     scalar = lambda p: np.full(p.shape[:-1], -2.5)
     for eps in (0.3, 0.2, 0.1, 0.05, 0.025):
         mf_shift, mf_ou, mf_no_da = (mollify_field(fs, eps) for fs in (shift, ou, no_da))
@@ -126,7 +126,7 @@ def _affine(mat, shift):
     def A(l, x):
         return x @ mat.T + shift if l == 0 else np.ones_like(x) * np.eye(n)[l - 1]
 
-    return VectorFieldSet(n, n, A, None, FieldMeta(theta=1.0), name="affine")
+    return VectorFieldSet(n, n, A, None, name="affine")
 
 
 @settings(max_examples=30, deadline=None)
@@ -194,12 +194,16 @@ def test_local_sup_bound():
 
 
 def test_ellipticity_survives_mollification():
+    # each floor from its formula: 1 for ou, (1 - sqrt(beta pi)/2)^2 for
+    # log_example at beta = 1
     grid1 = np.linspace(-3, 3, 301).reshape(-1, 1)
-    for name, params in (("ou", {"lam": 1.0}), ("log_example", {"beta": 1.0})):
+    for name, params, floor in (("ou", {"lam": 1.0}, 1.0),
+                                ("log_example", {"beta": 1.0},
+                                 (1.0 - math.sqrt(math.pi) / 2.0) ** 2)):
         fs = builtin_field(name, **params)
         for eps in (0.1, 0.05, 0.01):
             mf = mollify_field(fs, eps)
-            assert ellipticity_margin(mf, grid1) >= fs.meta.theta / 2.0
+            assert ellipticity_margin(mf, grid1) >= floor / 2.0
     fs2 = builtin_field("bm", n=2)
     grid2 = np.stack(np.meshgrid(np.linspace(-3, 3, 11), np.linspace(-3, 3, 11)),
                      axis=-1).reshape(-1, 2)
@@ -267,7 +271,6 @@ def test_mollified_set_delegates_metadata():
     fs = builtin_field("log_example", beta=1.0)
     mf = mollify_field(fs, 0.1)
     assert (mf.n, mf.m) == (1, 1)
-    assert mf.meta.theta == fs.meta.theta
     assert isinstance(mf, MollifiedFieldSet)
     assert mf.diffusion_matrix(np.array([[0.2]])).shape == (1, 1, 1)
 
