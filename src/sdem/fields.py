@@ -18,7 +18,10 @@ every array they return is a fresh one that the caller owns.  The
 ``log_example`` diffusion is evaluated through the closed form of its
 antiderivative, with no table; its temporaries live in per-thread
 workspaces.  Its infimum is 1 - sqrt(beta pi)/2, so beta must lie in
-(0, 4/pi).
+(0, 4/pi).  The closed form needs ``erfc``: ``scipy.special`` is imported
+when a ``log_example`` is built, so a process that builds only the other
+families never loads scipy.  Every built-in parameter must be finite: a
+non-finite or out-of-range value raises a FieldError naming the parameter.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import erfc
 
 __all__ = [
     "FieldError",
@@ -172,8 +174,8 @@ def _bm(n: int) -> VectorFieldSet:
 
 
 def _ou(lam: float) -> VectorFieldSet:
-    if lam <= 0:
-        raise FieldError("ou: mean-reversion rate must be positive")
+    if not 0.0 < lam < math.inf:
+        raise FieldError(f"ou: lam must be a finite positive mean-reversion rate, got lam={lam}")
 
     def A(l, x):
         return -lam * x if l == 0 else np.ones_like(x)
@@ -187,10 +189,10 @@ def _ou(lam: float) -> VectorFieldSet:
 
 def _const_shift(matrix, shift) -> VectorFieldSet:
     mat = np.atleast_2d(np.asarray(matrix, dtype=float))
-    b = np.atleast_1d(np.asarray(shift, dtype=float))
+    if not np.all(np.isfinite(mat)):
+        raise FieldError(f"const_shift: matrix = {mat.tolist()} is not finite")
     n, m = mat.shape
-    if b.shape != (n,):
-        raise FieldError(f"const_shift: shift has shape {b.shape}, expected ({n},)")
+    b = _vector(shift, "const_shift: shift", n)
     if m < n:
         raise FieldError("const_shift: need at least as many noise columns as state dimensions")
     sv = np.linalg.svd(mat, compute_uv=False)
@@ -212,9 +214,10 @@ _SMALLEST_SUBNORMAL = 5e-324
 _HALF_SQRT_PI = math.sqrt(math.pi) / 2.0
 
 
-def _log_antiderivative(x: np.ndarray, beta: float, ws: _Workspace) -> np.ndarray:
+def _log_antiderivative(x: np.ndarray, beta: float, ws: _Workspace, erfc) -> np.ndarray:
     """I(|x|), where I(t) = int_0^min(t, 1) sqrt(beta |log y|) dy for t >= 0,
     in closed form, as a fresh array; the temporaries live in ``ws``.
+    ``erfc`` is ``scipy.special.erfc``, imported by the caller.
 
     The substitution y = exp(-u^2) gives
     int_0^t sqrt(-log y) dy = t sqrt(-log t) + (sqrt(pi)/2) erfc(sqrt(-log t)).
@@ -242,12 +245,16 @@ def _log_example(beta: float) -> VectorFieldSet:
     if not 0.0 < beta < 4.0 / math.pi:
         raise FieldError(f"log_example: beta must lie in (0, 4/pi), where the diffusion "
                          f"stays uniformly elliptic, got beta={beta}")
+    # imported here, where the one family that needs it is built, so that a
+    # process on the other families never loads scipy
+    from scipy.special import erfc
+
     ws = _Workspace()
 
     def A(l, x):
         if l == 0:
             return np.zeros_like(x)
-        out = _log_antiderivative(x[:, 0], beta, ws)
+        out = _log_antiderivative(x[:, 0], beta, ws, erfc)
         np.copysign(out, x[:, 0], out=out)
         out += 1.0
         return out[:, None]

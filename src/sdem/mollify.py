@@ -24,9 +24,13 @@ function ``mollify_scalar`` returns, which the engine never calls, sums its
 nodes with one BLAS product.)
 
 The shifted node stack and the differences f(x - o_i) - f(x - o_r) are
-(nodes x points) long.  Each mollified field set builds them in per-thread
-workspaces that it reuses from step to step; what it returns is always a
-fresh array.
+(nodes x points) long.  They are built in workspaces kept per thread and
+per nesting depth, not per field set: every mollified field set of one
+depth (1 over a plain field set, one more than its base's over a
+mollified one) shares them, so the levels of a convergence ladder hold
+one copy of the stacks, and a field that is mollified again never writes
+into a stack its caller still holds.  What a mollified field set returns
+is always a fresh array.
 """
 
 from __future__ import annotations
@@ -50,6 +54,12 @@ __all__ = [
     "mollify_field",
     "mollify_scalar",
 ]
+
+
+# the stacks of every mollified field set at a nesting depth, by depth; an
+# evaluation holds its shifted stack only while its base is evaluated, and
+# the base is one depth lower
+_WORKSPACES: dict[int, _Workspace] = {}
 
 
 class QuadratureError(RuntimeError):
@@ -187,8 +197,12 @@ class MollifiedFieldSet:
         return offsets, raw[keep, None] * gvals[keep], ref
 
     @cached_property
+    def _depth(self) -> int:
+        return self.base._depth + 1 if isinstance(self.base, MollifiedFieldSet) else 1
+
+    @cached_property
     def _ws(self) -> _Workspace:
-        return _Workspace()
+        return _WORKSPACES.setdefault(self._depth, _Workspace())
 
     def _shifted(self, x, offsets):
         # (Q*N, n) stack of x - offset_q, one base-field call for all nodes

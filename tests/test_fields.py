@@ -89,6 +89,23 @@ def test_builtin_field_errors():
         builtin_field("const_shift", matrix=[[1.0, 0.0], [1.0, 0.0]], shift=[0.0, 0.0])
 
 
+@pytest.mark.parametrize("name, params, key", [
+    ("ou", {"lam": math.nan}, "lam"),
+    ("ou", {"lam": math.inf}, "lam"),
+    ("ou", {"lam": 0.0}, "lam"),
+    ("const_shift", {"matrix": [[1.0]], "shift": [math.nan]}, "shift"),
+    ("const_shift", {"matrix": [[1.0]], "shift": [-math.inf]}, "shift"),
+    ("const_shift", {"matrix": [[1.0]], "shift": [0.0, 1.0]}, "shift"),
+    ("const_shift", {"matrix": [[math.inf]], "shift": [0.0]}, "matrix"),
+    # an SVD of a nan matrix does not converge: refused before it is tried
+    ("const_shift", {"matrix": [[math.nan]], "shift": [0.0]}, "matrix"),
+    ("const_shift", {"matrix": [[1.0, 0.0], [0.0, math.nan]], "shift": [0.0, 0.0]}, "matrix"),
+])
+def test_builtin_parameters_must_be_finite(name, params, key):
+    with pytest.raises(FieldError, match=key):
+        builtin_field(name, **params)
+
+
 def test_field_json_round_trip():
     fs = builtin_field("log_example", beta=1.0)
     doc = {"name": "log_example", "params": {"beta": 1.0}, "n": 1, "m": 1}

@@ -389,6 +389,8 @@ def test_study_dimensions_rejected_before_any_noise(monkeypatch):
            ("kernel-bound", {"paths": 10_000, "options": {"t": math.inf}}, "'t'"),
            ("converge-flow", {"seed": -1}, "seed"),
            ("moment", {"workers": "two"}, "workers"),
+           # a built-in field's parameters are finite
+           ("moment", {"field_spec": {"name": "ou", "params": {"lam": math.nan}}}, "lam"),
            # every numeric option is read, and named, before the run
            ("kernel-bound", {"paths": 10_000, "options": {"c1": "abc"}}, "'c1'"),
            ("kernel-bound", {"paths": 10_000, "options": {"c1_max": "abc"}}, "'c1_max'"),
@@ -418,7 +420,7 @@ def test_study_dimensions_rejected_before_any_noise(monkeypatch):
            ("gradient", {"options": {"target": 1.0, "abs_tol": -1.0}}, "'abs_tol'")]
     for name, kw, key in bad:
         with pytest.raises(FieldError, match=key):
-            run_command(name, _cfg(field_spec=ou, **kw))
+            run_command(name, _cfg(**{"field_spec": ou, **kw}))
 
 
 # values of the wrong kind, for each kind of option in the table

@@ -363,3 +363,50 @@ def test_repeated_quadrature_reuses_its_workspaces(which):
         tracemalloc.stop()
     assert peak <= 2 * stack
     assert again.tobytes() == first.tobytes() and not np.shares_memory(again, first)
+
+
+@pytest.mark.parametrize("which", ["A", "DA"])
+def test_the_levels_of_a_ladder_share_their_workspaces(which):
+    # every mollified set of one depth builds its stacks in the same
+    # workspace, so a new level of a ladder allocates no stacks of its own
+    raw = builtin_field("log_example", beta=1.0)
+    x = np.linspace(-1.5, 1.5, 10_000)[:, None]
+    getattr(mollify_field(raw, 0.1), which)(1, x)
+    level = mollify_field(raw, 0.05)
+    stack = len(_kernel_nodes(1, 0.05, level.nodes)[0]) * len(x) * 8
+    tracemalloc.start()
+    try:
+        getattr(level, which)(1, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * stack
+
+
+def _fresh_quadrature(fs, which, l, x):
+    """``fs.A`` or ``fs.DA`` with the quadrature of every mollified level
+    written out on fresh arrays, in the same order of operations."""
+    if not isinstance(fs, MollifiedFieldSet):
+        return getattr(fs, which)(l, x)
+    offsets, kw, r = _kernel_nodes(fs.n, fs.eps, fs.nodes)
+    shifted = (x[None, :, :] - offsets[:, None, :]).reshape(-1, fs.n)
+    vals = _fresh_quadrature(fs.base, which, l, shifted)
+    vals = vals.reshape((len(offsets), len(x)) + vals.shape[1:])
+    d = vals - vals[r]
+    acc = kw[0] * d[0]
+    for q in range(1, len(kw)):
+        acc = acc + kw[q] * d[q]
+    return vals[r] + acc
+
+
+@pytest.mark.parametrize("which", ["A", "DA"])
+def test_a_field_mollified_twice_keeps_its_stacks_apart(which):
+    # the outer level holds its shifted stack while the inner level, one
+    # depth lower, builds its own in another workspace; the second call runs
+    # on workspaces the first one grew, and both match fresh arrays
+    twice = mollify_field(mollify_field(builtin_field("log_example", beta=1.0), 0.1), 0.05)
+    x = np.linspace(-1.5, 1.5, 101)[:, None]
+    expected = _fresh_quadrature(mollify_field(mollify_field(
+        builtin_field("log_example", beta=1.0), 0.1), 0.05), which, 1, x)
+    for _ in range(2):
+        assert getattr(twice, which)(1, x).tobytes() == expected.tobytes()
