@@ -20,14 +20,17 @@ antiderivative, with no table; its temporaries live in per-thread
 workspaces.  Its infimum is 1 - sqrt(beta pi)/2, so beta must lie in
 (0, 4/pi).  The closed form needs ``erfc``: ``scipy.special`` is imported
 when a ``log_example`` is built, so a process that builds only the other
-families never loads scipy.  Every built-in parameter must be finite: a
-non-finite or out-of-range value raises a FieldError naming the parameter.
+families never loads scipy.  Every built-in parameter must be given, of its
+kind and finite: a missing one, a value of the wrong kind (a string for a
+rate, a float for a dimension, a 3-d matrix) and a non-finite or
+out-of-range value each raise a FieldError naming the parameter.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -86,7 +89,10 @@ def _points(x, n: int, where: str) -> np.ndarray:
 def _vector(v, key: str, n: int) -> np.ndarray:
     """A caller's vector as n finite float entries; any other length, or an
     entry that is not finite, raises a FieldError that names ``key``."""
-    v = np.asarray(v, dtype=float).reshape(-1)
+    try:
+        v = np.asarray(v, dtype=float).reshape(-1)
+    except (TypeError, ValueError):
+        raise FieldError(f"{key} must be {n} numbers, got {v!r}") from None
     if len(v) != n:
         raise FieldError(f"{key} has dimension {len(v)}, expected n={n}")
     if not np.all(np.isfinite(v)):
@@ -122,12 +128,18 @@ class VectorFieldSet:
     and ``DA(0, x)`` are 0 at every x.  The engine then evaluates neither,
     and the Euler step and the derivative energy skip their zero terms.
 
+    ``affine_drift`` declares that the drift is affine: ``DA(0, x)`` equals
+    ``DA(0, 0)`` at every x.  The engine then evaluates ``DA(0)`` at the
+    origin alone.  Under an affine drift and a constant diffusion every
+    coefficient of the derivative flow's equation is a constant, so the
+    engine carries V as one row that all paths share.
+
     ``constant_diffusion`` declares that every diffusion field is constant:
     ``A(l, x)`` equals ``A(l, 0)`` and ``DA(l, x)`` is 0 at every x, for
     l >= 1.  The engine then evaluates each ``A(l)`` at the origin alone and
     broadcasts that row over the paths, evaluates no ``DA(l)``, skips the
     zero ``DA(l) V dW`` terms, and inverts the diffusion matrix once per
-    block.  A declaration, of either kind, that is false changes the
+    block.  A declaration, of any kind, that is false changes the
     simulated flow.
     """
 
@@ -138,6 +150,7 @@ class VectorFieldSet:
     name: str = "custom"
     params: dict = field(default_factory=dict)
     zero_drift: bool = False
+    affine_drift: bool = False
     constant_diffusion: bool = False
 
     def __post_init__(self):
@@ -160,7 +173,15 @@ class VectorFieldSet:
 # built-in families
 
 
+def _is_real(value) -> bool:
+    """Whether a built-in's numeric parameter is of its kind: a real number,
+    not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _bm(n: int) -> VectorFieldSet:
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
+        raise FieldError(f"bm: n must be a positive integer, got n={n!r}")
     basis = np.eye(n)
 
     def A(l, x):
@@ -174,8 +195,8 @@ def _bm(n: int) -> VectorFieldSet:
 
 
 def _ou(lam: float) -> VectorFieldSet:
-    if not 0.0 < lam < math.inf:
-        raise FieldError(f"ou: lam must be a finite positive mean-reversion rate, got lam={lam}")
+    if not (_is_real(lam) and 0.0 < lam < math.inf):
+        raise FieldError(f"ou: lam must be a finite positive mean-reversion rate, got lam={lam!r}")
 
     def A(l, x):
         return -lam * x if l == 0 else np.ones_like(x)
@@ -184,11 +205,18 @@ def _ou(lam: float) -> VectorFieldSet:
         return np.full((len(x), 1, 1), -lam if l == 0 else 0.0)
 
     return VectorFieldSet(1, 1, A, DA, name="ou", params={"lam": lam},
-                          constant_diffusion=True)
+                          affine_drift=True, constant_diffusion=True)
 
 
 def _const_shift(matrix, shift) -> VectorFieldSet:
-    mat = np.atleast_2d(np.asarray(matrix, dtype=float))
+    try:
+        mat = np.atleast_2d(np.asarray(matrix, dtype=float))
+    except (TypeError, ValueError):
+        raise FieldError(f"const_shift: matrix must be an (n, m) array of numbers, "
+                         f"got {matrix!r}") from None
+    if mat.ndim != 2:
+        raise FieldError(f"const_shift: matrix must be an (n, m) array of numbers, "
+                         f"got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise FieldError(f"const_shift: matrix = {mat.tolist()} is not finite")
     n, m = mat.shape
@@ -207,7 +235,7 @@ def _const_shift(matrix, shift) -> VectorFieldSet:
 
     return VectorFieldSet(n, m, A, DA, name="const_shift",
                           params={"matrix": mat.tolist(), "shift": b.tolist()},
-                          constant_diffusion=True)
+                          affine_drift=True, constant_diffusion=True)
 
 
 _SMALLEST_SUBNORMAL = 5e-324
@@ -242,9 +270,9 @@ def _log_antiderivative(x: np.ndarray, beta: float, ws: _Workspace, erfc) -> np.
 def _log_example(beta: float) -> VectorFieldSet:
     # the diffusion's infimum is 1 - sqrt(beta pi)/2, at x = -1: uniformly
     # elliptic exactly when beta < 4/pi
-    if not 0.0 < beta < 4.0 / math.pi:
+    if not (_is_real(beta) and 0.0 < beta < 4.0 / math.pi):
         raise FieldError(f"log_example: beta must lie in (0, 4/pi), where the diffusion "
-                         f"stays uniformly elliptic, got beta={beta}")
+                         f"stays uniformly elliptic, got beta={beta!r}")
     # imported here, where the one family that needs it is built, so that a
     # process on the other families never loads scipy
     from scipy.special import erfc
@@ -300,6 +328,9 @@ def builtin_field(name: str, **params) -> VectorFieldSet:
     unknown = sorted(set(params) - set(accepted))
     if unknown:
         raise FieldError(f"unknown parameter(s) {unknown} of field {name!r}; accepted: {accepted}")
+    missing = [key for key in accepted if key not in params]
+    if missing:
+        raise FieldError(f"missing parameter(s) {missing} of field {name!r}")
     return factory(**params)
 
 

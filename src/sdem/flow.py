@@ -176,14 +176,18 @@ def _coefficients(fields, xi, with_jac):
     A declared constant diffusion is evaluated at the origin alone: each
     A(l >= 1) is one (1, n) row that broadcasts over the block, and each
     DA(l >= 1) is None.  A one-path block also has (1, n) rows, so a None
-    DA(l), never a row count, is what marks a constant diffusion."""
+    DA(l), never a row count, is what marks a constant diffusion.  A
+    declared affine drift has its DA(0) evaluated at the origin alone, as
+    one (1, n, n) row."""
     B, n = xi.shape
-    pts = np.zeros((1, n)) if fields.constant_diffusion else xi
+    origin = np.zeros((1, n))
+    pts = origin if fields.constant_diffusion else xi
     A = [None if fields.zero_drift else np.asarray(fields.A(0, xi)).reshape(B, n)]
     A += [np.asarray(fields.A(l, pts)).reshape(len(pts), n) for l in range(1, fields.m + 1)]
     if not with_jac:
         return A, None
-    DA = [None if fields.zero_drift else np.asarray(fields.DA(0, xi)).reshape(B, n, n)]
+    at = origin if fields.affine_drift else xi
+    DA = [None if fields.zero_drift else np.asarray(fields.DA(0, at)).reshape(len(at), n, n)]
     DA += [None if fields.constant_diffusion else np.asarray(fields.DA(l, xi)).reshape(B, n, n)
            for l in range(1, fields.m + 1)]
     return A, DA
@@ -200,13 +204,16 @@ def _mm(a, b):
 
 
 def _euler_step(xi, V, coef, dWk, dt):
-    """One left-point Euler step for a block: xi (B, n), V (B, n, n) or None.
+    """One left-point Euler step for a block: xi (B, n), V (B, n, n), (1, n, n)
+    or None.
 
     A skipped zero drift (A[0] is None) has no dt terms, and a skipped
     constant diffusion (DA[l] is None) no DA(l) V dW terms.  Adding their
     zeros could only turn a -0 entry into +0, or an infinite V entry into
     NaN, so no value a study reads and no flag depends on the skip.  A (1, n)
-    row A[l] broadcasts over the block: each entry is the same product."""
+    row A[l] broadcasts over the block: each entry is the same product.  So
+    does a one-row V or DA[l]: V stays one row while every DA it meets is
+    one row, and becomes B rows at the first DA that has B rows."""
     A, DA = coef
     xi_new = xi if A[0] is None else xi + A[0] * dt
     V_new = None
@@ -229,7 +236,9 @@ def _euler_step(xi, V, coef, dWk, dt):
 # xis[r] from _coefficients, which the Euler update then uses too, so no
 # tracker evaluates a field.  A declared constant diffusion arrives as (1, n)
 # rows A(l >= 1) with None DA(l >= 1); a declared zero drift as None A(0) and
-# DA(0).  After the final step comes one more call,
+# DA(0); a declared affine drift as a (1, n, n) row DA(0).  Vs[r] is (B, n, n)
+# or, while every path shares it, one (1, n, n) row; a tracker broadcasts it
+# and never reads its row count.  After the final step comes one more call,
 # `step(steps, xis, Vs, None, dt, None)`; Ito sums return at once when dWk is
 # None.  `finish()` returns the block's extras: arrays with one row per path,
 # under the keys that `keys()` names up front.  A tracker that reads V or DA
@@ -306,9 +315,11 @@ class PathRecorder(Tracker):
         self.states, self.jacs = [], []
 
     def step(self, k, xis, Vs, dWk, dt, coefs):
-        self.states.append(xis[self.run].copy())
+        xi = xis[self.run]
+        self.states.append(xi.copy())
         if self.reads_jac:
-            self.jacs.append(Vs[self.run].copy())
+            V = Vs[self.run]
+            self.jacs.append(np.broadcast_to(V, xi.shape[:1] + V.shape[1:]).copy())
 
     def finish(self):
         out = {self.name + "_states": np.stack(self.states, axis=1)}
@@ -369,14 +380,20 @@ def _simulate_block(runs, grid, dW, trackers, with_jac):
     Each step evaluates every run's coefficients once, steps the trackers on
     the pre-update states and those coefficients, then takes the Euler
     updates.  A row's arithmetic depends on that row alone, so a slice's
-    result is the same rows of its block's result.
+    result is the same rows of its block's result.  Each V starts as one
+    identity row and is broadcast to B rows before it is returned.
+
+    A row is flagged when any run's final state or V has a non-finite
+    entry.  That is the same as checking after every step: each Euler
+    update adds onto the previous state and V, and under IEEE rules a sum
+    with a non-finite addend is non-finite, so a row that goes non-finite
+    stays so to the end.
     """
     B = dW.shape[0]
     dt = grid.dt
     xis = [np.tile(x0, (B, 1)) for _, x0 in runs]
-    Vs = [np.tile(np.eye(len(x0)), (B, 1, 1)) if with_jac else None for _, x0 in runs]
+    Vs = [np.eye(len(x0))[None] if with_jac else None for _, x0 in runs]
     accs = [t.make(B) for t in trackers]
-    flagged = np.zeros(B, dtype=bool)
     # errstate is per thread, so each unit sets its own
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(grid.steps):
@@ -386,11 +403,14 @@ def _simulate_block(runs, grid, dW, trackers, with_jac):
                 acc.step(k, xis, Vs, dWk, dt, coefs)
             for r, coef in enumerate(coefs):
                 xis[r], Vs[r] = _euler_step(xis[r], Vs[r], coef, dWk, dt)
-                flagged |= ~np.isfinite(xis[r]).all(axis=1)
-                if Vs[r] is not None:
-                    flagged |= ~np.isfinite(Vs[r].reshape(B, -1)).all(axis=1)
         for acc in accs:
             acc.step(grid.steps, xis, Vs, None, dt, None)
+    flagged = np.zeros(B, dtype=bool)
+    for r, xi in enumerate(xis):
+        flagged |= ~np.isfinite(xi).all(axis=1)
+        if Vs[r] is not None:
+            flagged |= ~np.isfinite(Vs[r].reshape(len(Vs[r]), -1)).all(axis=1)
+            Vs[r] = np.broadcast_to(Vs[r], (B,) + Vs[r].shape[1:])
     extras = {}
     for acc in accs:
         extras.update(acc.finish())

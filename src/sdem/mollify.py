@@ -177,6 +177,14 @@ class MollifiedFieldSet:
         return self.base.zero_drift
 
     @property
+    def affine_drift(self) -> bool:
+        """The base's declaration when the base has a DA: its DA(0) is a
+        constant, which the reference-node rule mollifies exactly to
+        itself.  The kernel-gradient route sums differences of A(0), whose
+        rounding depends on x, so without a DA nothing is declared."""
+        return self.base.affine_drift and self.base.DA is not None
+
+    @property
     def constant_diffusion(self) -> bool:
         """The base's declaration; constants mollify exactly to themselves,
         and their derivatives to exactly 0, by the same rule."""

@@ -100,6 +100,16 @@ def test_builtin_field_errors():
     # an SVD of a nan matrix does not converge: refused before it is tried
     ("const_shift", {"matrix": [[math.nan]], "shift": [0.0]}, "matrix"),
     ("const_shift", {"matrix": [[1.0, 0.0], [0.0, math.nan]], "shift": [0.0, 0.0]}, "matrix"),
+    # a parameter of the wrong kind, or none at all, is named as well
+    ("bm", {"n": 2.5}, "bm: n must"),
+    ("bm", {"n": True}, "bm: n must"),
+    ("bm", {"n": -1}, "bm: n must"),
+    ("ou", {"lam": "abc"}, "lam"),
+    ("ou", {}, r"\['lam'\]"),
+    ("log_example", {"beta": "abc"}, "beta"),
+    ("const_shift", {"matrix": [[[1.0]]], "shift": [0.0]}, "matrix"),
+    ("const_shift", {"matrix": "abc", "shift": [0.0]}, "matrix"),
+    ("const_shift", {"matrix": [[1.0]], "shift": ["abc"]}, "shift"),
 ])
 def test_builtin_parameters_must_be_finite(name, params, key):
     with pytest.raises(FieldError, match=key):

@@ -204,9 +204,10 @@ def test_ou_derivative_flow_matches_product_and_exponential():
 
 def test_each_field_is_evaluated_once_per_step():
     # the Euler update and every tracker share one evaluation of each field;
-    # a drift declared identically zero (bm's) is never evaluated, and a
-    # declared constant diffusion (all three here) is evaluated on one row
-    # per step, with its zero derivative never evaluated
+    # a drift declared identically zero (bm's) is never evaluated, a declared
+    # affine drift (const_shift's and ou's) has its derivative evaluated on
+    # one row per step, and a declared constant diffusion (all three here) is
+    # evaluated on one row per step, with its zero derivative never evaluated
     calls, rows = Counter(), Counter()
 
     def counted(name, fn):
@@ -231,8 +232,8 @@ def test_each_field_is_evaluated_once_per_step():
         expect_rows = {("A", l): per_step if l else g.steps * noise.paths
                        for l in range(first, base.m + 1)}
         if first == 0:
-            expect_calls["DA", 0] = per_step
-            expect_rows["DA", 0] = g.steps * noise.paths
+            assert base.affine_drift
+            expect_calls["DA", 0] = expect_rows["DA", 0] = per_step
         for trackers in ((DivergenceWeight(CameronMartinPath.constant(hdot)),),
                          (JacSupNorm(), IntegratedG())):
             calls.clear()
@@ -298,6 +299,61 @@ def test_constant_diffusion_declaration_is_bit_exact():
                            trackers=(DivergenceWeight(CameronMartinPath.constant([1.0])),))
         weights.append(res.extras["div_weight"][0])
     assert weights[0] == weights[1]
+
+
+def test_one_row_derivative_flow_is_byte_identical():
+    # under a declared affine drift and a constant diffusion V is carried as
+    # one row that every path shares; declared or not, at 1 worker or cut
+    # into 3 slices, every output byte is the same, and a recorded V has one
+    # row per path
+    def both(fs):
+        return fs, dataclasses.replace(fs, affine_drift=False)
+
+    ou = builtin_field("ou", lam=1.0)
+    shifted = builtin_field("const_shift", matrix=[[1.0, 0.5], [0.0, 2.0]], shift=[0.1, -0.2])
+    cases = [(both(ou), [0.3], [1.0]),
+             (both(shifted), [0.3, -0.2], [0.6, -0.8]),
+             ([mollify_field(fs, 0.1) for fs in both(ou)], [0.3], [1.0])]
+    g = TimeGrid(0.25, 20)
+    for (declared, plain), x0, hdot in cases:
+        assert declared.affine_drift and not plain.affine_drift
+        noise = BrownianBatch(seed=26, paths=300, grid=g, m=declared.m)
+        out = []
+        for fs in (declared, plain):
+            for workers in (1, 3):
+                trackers = (JacSupNorm(), IntegratedG(),
+                            DivergenceWeight(CameronMartinPath.constant(hdot)), PathRecorder())
+                res = run_ensemble(fs, x0, g, noise, trackers=trackers, workers=workers)
+                n = fs.n
+                assert res.jac_T.shape == (300, n, n)
+                assert res.extras["paths_jacs"].shape == (300, g.steps + 1, n, n)
+                out.append([a.tobytes() for a in (res.state_T, res.jac_T, res.flag)]
+                           + [res.extras[key].tobytes() for key in sorted(res.extras)])
+        assert all(o == out[0] for o in out), declared.name
+
+
+@pytest.mark.parametrize("drift, ddrift, x0, state_finite", [
+    # the state overflows, on each flagged row at a step of its own
+    (lambda x: x ** 3, lambda x: 3.0 * x ** 2, [0.5], False),
+    # V overflows while the state, plain Brownian motion, stays finite
+    (lambda x: 0.0 * x, lambda x: 1e6 * x * x, [0.0], True),
+])
+def test_flags_at_the_end_match_the_recorded_trajectory(drift, ddrift, x0, state_finite):
+    # the engine checks its states and V once, after the last step; a row is
+    # flagged exactly when some recorded state or V of it is non-finite
+    fs = scalar_drift_field(drift, ddrift)
+    g = TimeGrid(1.0, 100)
+    noise = BrownianBatch(seed=31, paths=200, grid=g, m=1)
+    for workers in (1, 2, 3):
+        res = run_ensemble(fs, x0, g, noise, trackers=(PathRecorder(),), workers=workers)
+        states, jacs = res.extras["paths_states"], res.extras["paths_jacs"]
+        bad = (~np.isfinite(states).all(axis=2)
+               | ~np.isfinite(jacs.reshape(200, g.steps + 1, -1)).all(axis=2))
+        np.testing.assert_array_equal(res.flag, bad.any(axis=1))
+        # the premise: some rows are flagged, some not, at several steps
+        first = bad.argmax(axis=1)[res.flag]
+        assert 0 < res.n_flagged < 200 and len(set(first.tolist())) > 1
+        assert np.isfinite(states).all() == state_finite
 
 
 def test_state_only_run_rejects_trackers_that_read_v_before_any_noise(monkeypatch):

@@ -325,6 +325,16 @@ def test_cli_rejects_misspelled_top_level_key(tmp_path, capsys):
     assert err.startswith("sdem: error: ") and "'feild'" in err
 
 
+def test_cli_field_parameter_of_the_wrong_kind_is_bad_input(tmp_path, capsys):
+    doc = _cfg().to_dict()
+    doc["field"] = {"name": "ou", "params": {"lam": "abc"}}
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["moment", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sdem: error: ") and "lam" in err
+
+
 def test_cli_unreadable_config_is_bad_input(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text('{"paths": 100,')

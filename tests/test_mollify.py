@@ -306,6 +306,33 @@ def test_declared_zero_drift_is_exactly_zero(xs, eps):
     assert declared == {"bm", "log_example"}
 
 
+@settings(max_examples=40, deadline=None)
+@given(xs=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=12),
+       eps=st.floats(0.005, 0.5))
+def test_declared_affine_drift_is_exact(xs, eps):
+    # the engine evaluates DA(0) of a declared affine drift at the origin
+    # alone, so a wrong declaration must fail here: raw and mollified
+    from dataclasses import replace
+
+    fixed = [0.0, -0.0, 5e-324, 0.5, -1.0, 1.0, 1.5, -3.0, 1e6, -1e300, 1e300]
+    vals = np.array(fixed + xs)
+    declared = set()
+    for name, params in BUILTIN_EXAMPLES:
+        fs = builtin_field(name, **params)
+        if not fs.affine_drift:
+            continue
+        declared.add(name)
+        pts = np.resize(vals, (len(vals), fs.n))
+        origin = np.zeros((1, fs.n))
+        for view in (fs, mollify_field(fs, eps)):
+            assert view.affine_drift
+            assert np.all(view.DA(0, pts) == view.DA(0, origin)), view.name
+    assert declared == {"ou", "const_shift"}
+    # the kernel-gradient route, taken when the base has no DA, is not exact
+    # on an affine drift, so the mollified view declares nothing
+    assert not mollify_field(replace(builtin_field("ou", lam=1.0), DA=None), eps).affine_drift
+
+
 def _assert_constant_diffusion(view, pts):
     """A(l >= 1) equals its value at the origin and DA(l >= 1) is exactly 0."""
     origin = np.zeros((1, view.n))
