@@ -17,8 +17,7 @@ from .flow import (BLOCK, TimeGrid, BrownianBatch, EnsembleResult, run_ensemble,
 from .kernel import (DensityQuery, silverman_bandwidth,
                      density_estimate, kernel_bound_fit)
 from .malliavin import (CameronMartinPath, right_inverse, RightInverseError,
-                        bismut_gradient, intertwine_gradient, fd_gradient, divergence,
-                        ibp_check)
+                        gradient_routes, divergence, ibp_check)
 from .report import EstimatorReport
 from .harness import ExperimentConfig, run_command, STUDIES
 

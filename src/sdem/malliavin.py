@@ -5,10 +5,12 @@ a weighted estimator that needs only f itself (the weight is an Ito
 integral of the right inverse of the diffusion applied to the derivative
 flow), the intertwining estimator for differentiable f, and a common
 random number finite difference used as a cross-validation oracle.
+``gradient_routes`` takes all three from one lockstep run, whose arrays
+``bismut_gradient``, ``intertwine_gradient`` and ``fd_gradient`` reduce.
 
-Every estimator takes its functionals or direction, then the engine's
-inputs ``(fs, x0, grid, noise)`` and keyword ``workers``, as ``run_ensemble``
-does; the horizon is ``grid.T``.
+``gradient_routes``, ``divergence`` and ``ibp_check`` take their functionals
+or direction, then the engine's inputs ``(fs, x0, grid, noise)`` and keyword
+``workers``, as ``run_ensemble`` does; the horizon is ``grid.T``.
 
 All Ito integrals are discretized with the left-point rule on the
 integration grid; no Stratonovich correction appears anywhere.
@@ -29,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fields import FieldError, _vector
+from .fields import FieldError, _is_real, _vector
 from .flow import (BrownianBatch, PathRecorder, TimeGrid, Tracker, _mm,
                    run_ensemble, run_multi)
 from .report import EstimatorReport, from_samples
@@ -38,9 +40,7 @@ __all__ = [
     "RightInverseError",
     "right_inverse",
     "CameronMartinPath",
-    "bismut_gradient",
-    "intertwine_gradient",
-    "fd_gradient",
+    "gradient_routes",
     "divergence",
     "ibp_check",
     "IbpResult",
@@ -234,50 +234,51 @@ class _DirectionRecorder(Tracker):
 # gradient estimators
 
 
-def bismut_gradient(f: Callable, v0, fs, x0, grid: TimeGrid, noise: BrownianBatch, *,
-                    workers: Optional[int] = None) -> EstimatorReport:
-    """Weighted gradient estimate (1/T) E[f(xi_T) int <Y V v0, dW>] at T = grid.T.
+def gradient_routes(f: Callable, df: Optional[Callable], v0, fs, x0, grid: TimeGrid,
+                    noise: BrownianBatch, *, bump: float,
+                    workers: Optional[int] = None) -> dict:
+    """The three routes to the derivative of P_T f at x0 along v0, T = grid.T,
+    from one lockstep run of fs from x0, x0 + bump v0 and x0 - bump v0.
 
-    The Bismut weight int <Y V v0, dW> is the divergence weight of the
-    direction with constant rate hdot = v0.  Valid for bounded measurable
-    f; no derivative of f is used.
+    Returns the reports ``bismut`` and ``fd``, and ``intertwine`` when df is
+    given.  A path flagged in any of the three runs leaves every route.
     """
     v0 = _vector(v0, "direction v0", fs.n)
-    res = run_ensemble(fs, x0, grid, noise,
-                       trackers=(DivergenceWeight(CameronMartinPath.constant(v0)),),
-                       workers=workers)
-    ok = res.ok
-    fx = np.asarray(f(res.state_T[ok]), dtype=float).reshape(-1)
-    vals = fx * res.extras["div_weight"][ok] / grid.T
-    return from_samples(vals, excluded=res.n_flagged)
-
-
-def intertwine_gradient(df: Callable, v0, fs, x0, grid: TimeGrid, noise: BrownianBatch, *,
-                        workers: Optional[int] = None) -> EstimatorReport:
-    """Intertwining estimate E[df(xi_T) . (V_T v0)] for C^1 test functions."""
-    v0 = _vector(v0, "direction v0", fs.n)
-    res = run_ensemble(fs, x0, grid, noise, workers=workers)
-    ok = res.ok
-    direction = np.einsum("bij,j->bi", res.jac_T[ok], v0)
-    grads = np.asarray(df(res.state_T[ok]), dtype=float).reshape(direction.shape)
-    vals = np.sum(grads * direction, axis=1)
-    return from_samples(vals, excluded=res.n_flagged)
-
-
-def fd_gradient(f: Callable, v0, fs, x0, grid: TimeGrid, noise: BrownianBatch, *,
-                bump: float, workers: Optional[int] = None) -> EstimatorReport:
-    """Central finite difference of P_T f from x0 +/- bump v0 on shared noise."""
-    if bump <= 0:
-        raise FieldError("fd_gradient: bump size must be positive")
-    v0 = _vector(v0, "direction v0", fs.n)
     x0 = _vector(x0, "start point x0", fs.n)
-    runs = [(fs, x0 + bump * v0), (fs, x0 - bump * v0)]
-    results, _ = run_multi(runs, grid, noise, with_jac=False, workers=workers)
-    ok = results[0].ok
-    fp = np.asarray(f(results[0].state_T[ok]), dtype=float).reshape(-1)
-    fm = np.asarray(f(results[1].state_T[ok]), dtype=float).reshape(-1)
-    vals = (fp - fm) / (2.0 * bump)
-    return from_samples(vals, excluded=results[0].n_flagged)
+    if not (_is_real(bump) and 0.0 < bump < math.inf):
+        raise FieldError(f"bump must be a finite positive number, got {bump!r}")
+    runs = [(fs, x0), (fs, x0 + bump * v0), (fs, x0 - bump * v0)]
+    (res, plus, minus), extras = run_multi(
+        runs, grid, noise, trackers=(DivergenceWeight(CameronMartinPath.constant(v0)),),
+        workers=workers)
+    ok, excluded = res.ok, res.n_flagged
+    states = res.state_T[ok]
+    # each route goes through its module name, which bench/tracer.py hooks
+    reports = {"bismut": bismut_gradient(f, states, extras["div_weight"][ok], grid.T, excluded),
+               "fd": fd_gradient(f, plus.state_T[ok], minus.state_T[ok], bump, excluded)}
+    if df is not None:
+        direction = np.einsum("bij,j->bi", res.jac_T[ok], v0)
+        reports["intertwine"] = intertwine_gradient(df, states, direction, excluded)
+    return reports
+
+
+def bismut_gradient(f: Callable, states, weight, T: float, excluded: int) -> EstimatorReport:
+    """(1/T) E[f(xi_T) int <Y V v0, dW>] for bounded measurable f; uses no df."""
+    fx = np.asarray(f(states), dtype=float).reshape(-1)
+    return from_samples(fx * weight / T, excluded=excluded)
+
+
+def intertwine_gradient(df: Callable, states, direction, excluded: int) -> EstimatorReport:
+    """E[df(xi_T) . direction], the direction V_T v0, for C^1 f."""
+    grads = np.asarray(df(states), dtype=float).reshape(direction.shape)
+    return from_samples(np.sum(grads * direction, axis=1), excluded=excluded)
+
+
+def fd_gradient(f: Callable, plus, minus, bump: float, excluded: int) -> EstimatorReport:
+    """E[f(plus) - f(minus)] / (2 bump) of states run from x0 +/- bump v0."""
+    fp = np.asarray(f(plus), dtype=float).reshape(-1)
+    fm = np.asarray(f(minus), dtype=float).reshape(-1)
+    return from_samples((fp - fm) / (2.0 * bump), excluded=excluded)
 
 
 # ---------------------------------------------------------------------------

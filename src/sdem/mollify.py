@@ -113,8 +113,8 @@ def _tensor_nodes(n: int, eps: float, nodes: int):
     mollified field and scalar reaches its nodes here, so eps and the node
     count are checked here.
     """
-    if eps <= 0:
-        raise FieldError(f"mollify: eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise FieldError(f"mollify: eps must be finite and positive, got {eps}")
     if nodes < 8:
         raise FieldError(f"mollify: need at least 8 quadrature nodes per axis, got {nodes}")
     z, w = np.polynomial.legendre.leggauss(nodes)

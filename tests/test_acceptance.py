@@ -13,8 +13,8 @@ import numpy as np
 from sdem.fields import builtin_field, condition_g_estimate
 from sdem.flow import BrownianBatch, PathRecorder, TimeGrid, run_ensemble
 from sdem.harness import ExperimentConfig, run_command
-from sdem.malliavin import (CameronMartinPath, bismut_gradient, fd_gradient,
-                            ibp_check, intertwine_gradient, right_inverse)
+from sdem.malliavin import (CameronMartinPath, gradient_routes, ibp_check,
+                            right_inverse)
 from sdem.mollify import mollify_field, mollify_scalar
 from conftest import engine_inputs
 
@@ -85,11 +85,7 @@ def test_ac3_gradient_triple_agreement():
                         seed=20260703)
     f = lambda s: s[:, 0]
     df = lambda s: np.ones_like(s)
-    reps = {
-        "bismut": bismut_gradient(f, [1.0], *run, workers=WORKERS),
-        "intertwine": intertwine_gradient(df, [1.0], *run, workers=WORKERS),
-        "fd": fd_gradient(f, [1.0], *run, bump=1e-3, workers=WORKERS),
-    }
+    reps = gradient_routes(f, df, [1.0], *run, bump=1e-3, workers=WORKERS)
     pooled = math.sqrt(sum(r.se ** 2 for r in reps.values()))
     for name, rep in reps.items():
         assert abs(rep.estimate - target) <= 3.0 * pooled, (name, rep.estimate)

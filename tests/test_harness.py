@@ -105,6 +105,35 @@ def test_gradient_indicator_skips_intertwine():
     assert res.ok, res.failures
 
 
+@pytest.mark.parametrize("paths,workers", [(200, 1), (200, 2), (16_385, 2)])
+def test_gradient_study_is_one_engine_run_drawing_each_block_once(monkeypatch, paths,
+                                                                  workers):
+    from sdem import flow
+
+    runs, drawn = [], []
+    run, draw = flow._run, flow.BrownianBatch.block_increments
+    monkeypatch.setattr(flow, "_run", lambda *a, **k: runs.append(1) or run(*a, **k))
+    monkeypatch.setattr(flow.BrownianBatch, "block_increments",
+                        lambda self, b, **k: drawn.append(b) or draw(self, b, **k))
+    cfg = _cfg(field_spec={"name": "ou", "params": {"lam": 1.0}}, eps=(), T=0.5, steps=10,
+               paths=paths, workers=workers, options={"t": 0.5, "f": "sin"})
+    run_command("gradient", cfg)
+    assert len(runs) == 1
+    assert sorted(drawn) == list(range(-(-paths // flow.BLOCK)))
+
+
+def test_gradient_verdict_names_the_allowance_it_tested(monkeypatch):
+    # bismut and fd have no spread, so their gap is tested against 3 x the
+    # SE pooled over every route, which intertwine's SE sets
+    from sdem.report import EstimatorReport
+
+    reports = {"bismut": EstimatorReport(0.0, 0.0, 100), "fd": EstimatorReport(5.0, 0.0, 100),
+               "intertwine": EstimatorReport(2.5, 1.0, 100)}
+    monkeypatch.setattr(harness, "gradient_routes", lambda *a, **k: reports)
+    res = run_command("gradient", _cfg(options={"t": 0.25}))
+    assert res.failures[0] == "gradient: bismut vs fd gap 5.0000e+00 > allowance 3.0000e+00"
+
+
 def test_kernel_bound_bm(tmp_path):
     cfg = _cfg(paths=100_000, steps=16, T=1.0, out=str(tmp_path),
                options={"t": 1.0, "c1": 1.05, "c1_max": 1.1})
@@ -333,6 +362,16 @@ def test_cli_field_parameter_of_the_wrong_kind_is_bad_input(tmp_path, capsys):
     assert main(["moment", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("sdem: error: ") and "lam" in err
+
+
+def test_cli_non_finite_smoothing_scale_is_bad_input(tmp_path, capsys):
+    doc = _cfg().to_dict()
+    doc["eps"] = [0.2, math.nan]
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["converge-flow", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sdem: error: ") and "eps" in err
 
 
 def test_cli_unreadable_config_is_bad_input(tmp_path, capsys):

@@ -6,9 +6,8 @@ import pytest
 from sdem.fields import FieldError, builtin_field
 from sdem.flow import BrownianBatch, TimeGrid, run_ensemble
 from sdem.malliavin import (CameronMartinPath, DivergenceWeight, IbpResult,
-                            RightInverseError, bismut_gradient, divergence,
-                            fd_gradient, ibp_check, intertwine_gradient,
-                            right_inverse)
+                            RightInverseError, divergence, gradient_routes,
+                            ibp_check, right_inverse)
 from sdem.mollify import mollify_field
 from sdem.report import EstimatorReport
 from conftest import engine_inputs, scalar_drift_field, within
@@ -115,20 +114,20 @@ def test_mollified_right_inverse_converges(rng):
 
 def test_bismut_bm_linear():
     run = engine_inputs(builtin_field("bm", n=1), [0.3], 0.5, paths=20_000, seed=30)
-    rep = bismut_gradient(lambda s: s[:, 0], [1.0], *run)
+    rep = gradient_routes(lambda s: s[:, 0], None, [1.0], *run, bump=1e-3)["bismut"]
     assert within(rep, 1.0)
 
 
 def test_bismut_constant_function_is_zero():
     run = engine_inputs(builtin_field("bm", n=1), [0.0], 0.5, paths=20_000, seed=31)
-    rep = bismut_gradient(lambda s: np.ones(len(s)), [1.0], *run)
+    rep = gradient_routes(lambda s: np.ones(len(s)), None, [1.0], *run, bump=1e-3)["bismut"]
     assert abs(rep.estimate) <= 3.0 * rep.se
 
 
 def test_bismut_shift_invariance():
     run = engine_inputs(builtin_field("ou", lam=1.0), [0.0], 0.5, paths=20_000, seed=32)
-    a = bismut_gradient(lambda s: s[:, 0], [1.0], *run)
-    b = bismut_gradient(lambda s: s[:, 0] + 7.0, [1.0], *run)
+    a = gradient_routes(lambda s: s[:, 0], None, [1.0], *run, bump=1e-3)["bismut"]
+    b = gradient_routes(lambda s: s[:, 0] + 7.0, None, [1.0], *run, bump=1e-3)["bismut"]
     assert abs(a.estimate - b.estimate) <= 3.0 * math.hypot(a.se, b.se)
 
 
@@ -137,31 +136,35 @@ def test_bismut_indicator_function():
     # transition density at the threshold, (2 pi t)^{-1/2}
     t = 0.5
     run = engine_inputs(builtin_field("bm", n=1), [0.0], t, paths=40_000, seed=33)
-    rep = bismut_gradient(lambda s: (s[:, 0] > 0).astype(float), [1.0], *run)
+    rep = gradient_routes(lambda s: (s[:, 0] > 0).astype(float), None, [1.0], *run,
+                          bump=1e-3)["bismut"]
     assert within(rep, 1.0 / math.sqrt(2 * math.pi * t))
 
 
 def test_intertwine_closed_forms():
     t = 0.5
     run = engine_inputs(builtin_field("bm", n=1), [0.2], t, paths=20_000, seed=34)
-    rep = intertwine_gradient(lambda s: np.cos(s), [1.0], *run)
+    rep = gradient_routes(lambda s: np.sin(s[:, 0]), lambda s: np.cos(s), [1.0], *run,
+                          bump=1e-3)["intertwine"]
     assert within(rep, math.cos(0.2) * math.exp(-t / 2.0))
     ou_run = engine_inputs(builtin_field("ou", lam=1.0), [0.0], t, paths=5_000, seed=35)
-    rep2 = intertwine_gradient(lambda s: np.ones_like(s), [1.0], *ou_run)
+    rep2 = gradient_routes(lambda s: s[:, 0], lambda s: np.ones_like(s), [1.0], *ou_run,
+                           bump=1e-3)["intertwine"]
     assert rep2.se < 1e-15          # deterministic up to mean-rounding noise
     assert rep2.estimate == pytest.approx((1.0 - 1e-3) ** 500, rel=1e-12)
-    rep3 = intertwine_gradient(lambda s: np.zeros_like(s), [1.0], *ou_run)
+    rep3 = gradient_routes(lambda s: np.zeros(len(s)), lambda s: np.zeros_like(s), [1.0],
+                           *ou_run, bump=1e-3)["intertwine"]
     assert rep3.estimate == 0.0
 
 
 def test_fd_gradient_cases():
     run = engine_inputs(builtin_field("bm", n=1), [0.0], 0.5, paths=5_000, seed=36)
-    rep = fd_gradient(lambda s: s[:, 0], [1.0], *run, bump=1e-3)
+    rep = gradient_routes(lambda s: s[:, 0], None, [1.0], *run, bump=1e-3)["fd"]
     assert rep.estimate == pytest.approx(1.0, abs=1e-10)     # CRN cancels the noise
-    rep0 = fd_gradient(lambda s: np.ones(len(s)), [1.0], *run, bump=1e-3)
+    rep0 = gradient_routes(lambda s: np.ones(len(s)), None, [1.0], *run, bump=1e-3)["fd"]
     assert rep0.estimate == 0.0
     ou_run = engine_inputs(builtin_field("ou", lam=1.0), [0.0], 0.5, paths=5_000, seed=37)
-    rep2 = fd_gradient(lambda s: s[:, 0], [1.0], *ou_run, bump=1e-3)
+    rep2 = gradient_routes(lambda s: s[:, 0], None, [1.0], *ou_run, bump=1e-3)["fd"]
     assert rep2.estimate == pytest.approx(math.exp(-0.5), abs=2e-3)
 
 
@@ -177,11 +180,7 @@ def test_triple_agreement_matrix():
             for t in (0.25, 0.5):
                 run = engine_inputs(fs, [0.0], t, paths=8_000,
                                     seed=5000 + 100 * fi + 10 * ci + int(t * 4))
-                reps = {
-                    "bismut": bismut_gradient(f, [1.0], *run, workers=2),
-                    "intertwine": intertwine_gradient(df, [1.0], *run, workers=2),
-                    "fd": fd_gradient(f, [1.0], *run, bump=1e-3, workers=2),
-                }
+                reps = gradient_routes(f, df, [1.0], *run, bump=1e-3, workers=2)
                 pooled_all = math.sqrt(sum(r.se ** 2 for r in reps.values()))
                 names = list(reps)
                 for i, a in enumerate(names):
@@ -190,6 +189,30 @@ def test_triple_agreement_matrix():
                         assert gap <= 3.0 * pooled_all + 1e-4, (
                             f"{fs.name} case{ci} t={t}: {a} vs {b} gap {gap:.2e} "
                             f"pooled {pooled_all:.2e}")
+
+
+def test_a_path_flagged_in_a_bumped_run_leaves_every_route():
+    # the drift is NaN on a band near x0 + bump v0, which paths from there
+    # reach far more often than paths from x0; flags of the three lockstep
+    # runs are pooled, so such a path leaves every route
+    fs = scalar_drift_field(lambda x: np.where(np.abs(x - 0.8) < 0.2, np.nan, 0.0),
+                            lambda x: np.zeros_like(x))
+    run = engine_inputs(fs, [0.0], 0.1, paths=400, seed=70, dt=5e-3)
+    f, df = (lambda s: s[:, 0]), (lambda s: np.ones_like(s))
+    weight = DivergenceWeight(CameronMartinPath.constant([1.0]))
+    alone = [run_ensemble(fs, [x], *run[2:], trackers=(weight,)) for x in (0.0, 0.5, -0.5)]
+    flag = alone[0].flag | alone[1].flag | alone[2].flag
+    assert np.any(alone[1].flag & ~alone[0].flag)
+    reps = gradient_routes(f, df, [1.0], *run, bump=0.5)
+    assert sorted(reps) == ["bismut", "fd", "intertwine"]
+    for rep in reps.values():
+        assert (rep.excluded, rep.samples) == (flag.sum(), (~flag).sum())
+    ok = ~flag
+    bismut = f(alone[0].state_T[ok]) * alone[0].extras["div_weight"][ok] / 0.1
+    assert reps["bismut"].estimate == bismut.mean()
+    fd = (f(alone[1].state_T[ok]) - f(alone[2].state_T[ok])) / 1.0
+    assert reps["fd"].estimate == fd.mean()
+    assert reps["intertwine"].estimate == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +348,7 @@ def test_direction_of_the_wrong_length_fails_before_any_noise(monkeypatch):
     for bad in ([1.0, 0.0, 0.0], [1.0]):
         h = CameronMartinPath.constant(bad)
         rows = [
-            (lambda: bismut_gradient(f, bad, *run), "v0"),
-            (lambda: intertwine_gradient(df, bad, *run), "v0"),
-            (lambda: fd_gradient(f, bad, *run, bump=1e-3), "v0"),
+            (lambda: gradient_routes(f, df, bad, *run, bump=1e-3), "v0"),
             (lambda: ibp_check(F, dF, h, *run), "direction h"),
             (lambda: divergence(h, *run), "direction h"),
         ]
@@ -336,7 +357,7 @@ def test_direction_of_the_wrong_length_fails_before_any_noise(monkeypatch):
                 call()
     # the right length goes on to draw the noise
     with pytest.raises(AssertionError, match="drew noise"):
-        bismut_gradient(f, [0.6, -0.8], *run)
+        gradient_routes(f, df, [0.6, -0.8], *run, bump=1e-3)
 
 
 def test_every_caller_vector_needs_n_finite_entries_before_any_noise(monkeypatch):
@@ -351,18 +372,16 @@ def test_every_caller_vector_needs_n_finite_entries_before_any_noise(monkeypatch
     f = lambda s: s[:, 0]
     df = lambda s: np.ones_like(s)
     F, dF = (lambda xT: xT[:, 0]), (lambda xT, vT: vT[:, 0])
-    # fd_gradient bumps x0 along v0, and rejects a short x0 as bismut_gradient does
+    # gradient_routes bumps x0 along v0, and rejects a short x0 before it does
     with pytest.raises(FieldError, match="x0 has dimension 1"):
-        fd_gradient(f, [1.0, 0.0], fs, [0.0], grid, noise, bump=1e-3)
-    with pytest.raises(FieldError, match="x0 has dimension 1"):
-        bismut_gradient(f, [1.0, 0.0], fs, [0.0], grid, noise)
+        gradient_routes(f, df, [1.0, 0.0], fs, [0.0], grid, noise, bump=1e-3)
     for bad in (math.nan, math.inf):
         v0 = [1.0, bad]
         h = CameronMartinPath.constant(v0)
-        rows = [(lambda: bismut_gradient(f, v0, fs, x0, grid, noise), "v0 .* not finite"),
-                (lambda: intertwine_gradient(df, v0, fs, x0, grid, noise), "v0 .* not finite"),
-                (lambda: fd_gradient(f, v0, fs, x0, grid, noise, bump=1e-3),
+        rows = [(lambda: gradient_routes(f, df, v0, fs, x0, grid, noise, bump=1e-3),
                  "v0 .* not finite"),
+                (lambda: gradient_routes(f, df, [1.0, 0.0], fs, x0, grid, noise, bump=bad),
+                 "bump"),
                 (lambda: ibp_check(F, dF, h, fs, x0, grid, noise), "direction h .* not finite"),
                 (lambda: divergence(h, fs, x0, grid, noise), "direction h .* not finite")]
         for call, key in rows:

@@ -261,6 +261,10 @@ def test_quadspec_preconditions():
     ident = lambda p: p[..., 0]
     for call, name in ((lambda: mollify_field(fs, -0.1), "eps"),
                        (lambda: mollify_scalar(ident, -0.1), "eps"),
+                       (lambda: mollify_field(fs, math.nan), "eps"),
+                       (lambda: mollify_field(fs, math.inf), "eps"),
+                       (lambda: mollify_scalar(ident, math.nan), "eps"),
+                       (lambda: mollify_scalar(ident, math.inf), "eps"),
                        (lambda: mollify_field(fs, 0.1, nodes=4), "nodes"),
                        (lambda: mollify_scalar(ident, 0.1, nodes=7), "nodes")):
         with pytest.raises(FieldError, match=name):
