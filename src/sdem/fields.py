@@ -32,7 +32,7 @@ import inspect
 import math
 import numbers
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -148,7 +148,6 @@ class VectorFieldSet:
     A: Callable[[int, np.ndarray], np.ndarray]
     DA: Optional[Callable[[int, np.ndarray], np.ndarray]] = None
     name: str = "custom"
-    params: dict = field(default_factory=dict)
     zero_drift: bool = False
     affine_drift: bool = False
     constant_diffusion: bool = False
@@ -190,7 +189,7 @@ def _bm(n: int) -> VectorFieldSet:
     def DA(l, x):
         return np.zeros((len(x), n, n))
 
-    return VectorFieldSet(n, n, A, DA, name="bm", params={"n": n}, zero_drift=True,
+    return VectorFieldSet(n, n, A, DA, name="bm", zero_drift=True,
                           constant_diffusion=True)
 
 
@@ -204,8 +203,7 @@ def _ou(lam: float) -> VectorFieldSet:
     def DA(l, x):
         return np.full((len(x), 1, 1), -lam if l == 0 else 0.0)
 
-    return VectorFieldSet(1, 1, A, DA, name="ou", params={"lam": lam},
-                          affine_drift=True, constant_diffusion=True)
+    return VectorFieldSet(1, 1, A, DA, name="ou", affine_drift=True, constant_diffusion=True)
 
 
 def _const_shift(matrix, shift) -> VectorFieldSet:
@@ -234,7 +232,6 @@ def _const_shift(matrix, shift) -> VectorFieldSet:
         return np.zeros((len(x), n, n))
 
     return VectorFieldSet(n, m, A, DA, name="const_shift",
-                          params={"matrix": mat.tolist(), "shift": b.tolist()},
                           affine_drift=True, constant_diffusion=True)
 
 
@@ -302,8 +299,7 @@ def _log_example(beta: float) -> VectorFieldSet:
             np.sqrt(v, out=v)
         return v.reshape(N, 1, 1)
 
-    return VectorFieldSet(1, 1, A, DA, name="log_example", params={"beta": beta},
-                          zero_drift=True)
+    return VectorFieldSet(1, 1, A, DA, name="log_example", zero_drift=True)
 
 
 _BUILTINS = {

@@ -91,6 +91,8 @@ _POINTS = Kind("[lo, hi, count] of finite numbers with an integer count >= 1",
                              and _finite(v[0]) and _finite(v[1]) and _COUNT.accepts(v[2], n)),
                lambda v: np.linspace(float(v[0]), float(v[1]), int(v[2])))
 _FLAG = Kind("true or false", lambda v, n: isinstance(v, bool), bool)
+# an output directory; absent (None) writes no files
+_DIRECTORY = Kind("a string", lambda v, n: v is None or isinstance(v, str), lambda v: v)
 
 
 @dataclass(frozen=True)
@@ -163,7 +165,7 @@ class ExperimentConfig:
             seed=_read("config key", "seed", doc.get("seed", 20260810), _SEED),
             x0=_read("config key", "x0", doc.get("x0", (0.0,)), _NUMBERS),
             workers=doc.get("workers"),
-            out=doc.get("out"),
+            out=_read("config key", "out", doc.get("out"), _DIRECTORY),
             options=_read("config key", "options", doc.get("options", {}), _OBJECT),
         )
 

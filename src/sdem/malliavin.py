@@ -144,13 +144,13 @@ class CameronMartinPath:
 class DivergenceWeight(Tracker):
     """Divergence of a Cameron-Martin direction along the flow.
 
-    Accumulates the Ito sum <Y(xi_k) V_k hdot_k, dW_k>, the direction
-    h_k = sum_{j<k} hdot_j dt, and the energy int |hdot|^2 dt.
+    Accumulates the Ito sum <Y(xi_k) V_k hdot_k, dW_k> and the direction
+    h_k = sum_{j<k} hdot_j dt.
 
     Under a declared constant diffusion (DA(l >= 1) is None) the (1, m, n)
     right inverse is computed once per block and broadcast.  A constant
-    direction keeps hdot, h and the energy as one row, broadcast to every
-    path in ``finish``.  Each entry is the same product either way.
+    direction keeps hdot and h as one row, broadcast to every path in
+    ``finish``.  Each entry is the same product either way.
     """
 
     reads_jac = True
@@ -159,14 +159,11 @@ class DivergenceWeight(Tracker):
         self.h, self.run, self.name = h, run, name
 
     def keys(self):
-        return (f"{self.name}_weight", f"{self.name}_h_T", f"{self.name}_energy")
+        return (f"{self.name}_weight", f"{self.name}_h_T")
 
     def start(self, B):
         self.B, self.w, self.y = B, np.zeros(B), None
-        if self.h.vec is None:
-            self.hval, self.energy = None, np.zeros(B)
-        else:
-            self.hval, self.energy = np.zeros((1, len(self.h.vec))), np.zeros(1)
+        self.hval = None if self.h.vec is None else np.zeros((1, len(self.h.vec)))
 
     def _right_inverse(self, A, DA, xi):
         """Y at xi; a declared constant diffusion (DA(1) is None) is inverted
@@ -193,14 +190,12 @@ class DivergenceWeight(Tracker):
         proj = _mm(y, vd[:, :, None])[:, :, 0]
         self.w += np.sum(proj * dWk, axis=1)
         self.hval = self.hval + hdot * dt
-        self.energy += np.sum(hdot * hdot, axis=1) * dt
 
     def finish(self):
         n = self.hval.shape[1]
         return {
             f"{self.name}_weight": self.w,
             f"{self.name}_h_T": np.broadcast_to(self.hval, (self.B, n)),
-            f"{self.name}_energy": np.broadcast_to(self.energy, (self.B,)),
         }
 
 

@@ -2,35 +2,38 @@
 supported bump kernel, evaluated by numerical quadrature.
 
 The kernel is the classical unit-mass bump supported on the unit ball,
-rescaled to radius eps.  Convolution weights are normalized to unit mass,
-which keeps the mass error at rounding level so that empirical Hoelder
-constants never increase, independent of quadrature resolution.
-
-Rounded weights need not sum to exactly one, so the quadrature is taken
-relative to a reference node r, the node with the largest weight:
+rescaled to radius eps, and the quadrature is a Gauss-Legendre tensor grid
+over [-eps, eps]^n.  Its kernel weights are normalized to unit mass, which
+keeps the mass error at rounding level so that empirical Hoelder constants
+never increase, independent of quadrature resolution.  Rounded weights need
+not sum to exactly one, so the quadrature is taken relative to a reference
+node r, the node with the largest weight:
 
     f_eps(x) = f(x - o_r) + sum_i w_i (f(x - o_i) - f(x - o_r)).
 
 Every difference vanishes for a constant f, so constants mollify to
 themselves bit for bit.  The kernel-gradient route sums
-gw_i (f(x - o_i) - f(x - o_r)) in the same way, which is exactly zero on
-constants.
+(f(x - o_i) - f(x - o_r)) gw_i, with gw_i the row of product weights times
+the kernel's gradient and r the node nearest the centre.  The gw_i sum to
+zero up to rounding, so subtracting f at r changes only rounding, and the
+sum is exactly zero on constants.
 
-A mollified field set adds its nodes one after another in a fixed order,
-in numpy rather than through BLAS, so each row of a result depends on that
-row alone: not on the batch size, the BLAS build or its thread count.  A
-batch may be cut into row slices anywhere without moving a bit.  (The
-function ``mollify_scalar`` returns, which the engine never calls, sums its
-nodes with one BLAS product.)
+Once the weights are final (the kernel weights after their normalization),
+a node is kept only if |w| > 2^-53 max |w|, |w| being the row's norm on the
+gradient route.  The kept weights are not renormalized, so each keeps its
+bytes.  The dropped nodes lie outside the ball or in its boundary layer,
+and their mass is at most Q · 2^-53 of the largest weight for Q grid nodes.
 
-The shifted node stack and the differences f(x - o_i) - f(x - o_r) are
-(nodes x points) long.  They are built in workspaces kept per thread and
-per nesting depth, not per field set: every mollified field set of one
-depth (1 over a plain field set, one more than its base's over a
-mollified one) shares them, so the levels of a convergence ladder hold
-one copy of the stacks, and a field that is mollified again never writes
-into a stack its caller still holds.  What a mollified field set returns
-is always a fresh array.
+One routine, ``_quadrature``, serves both routes and ``mollify_scalar``.  It
+adds the nodes one after another in a fixed order, in numpy rather than
+through BLAS, so each row of a result depends on that row alone: not on the
+batch size, the BLAS build or its thread count.  Its shifted stack and
+differences, (nodes x points) long, live in workspaces kept per thread and
+per nesting depth (1 over a plain field set, one more than its base's over
+a mollified one): the levels of a ladder share one copy, and a field that
+is mollified again never writes into a stack its caller still holds.  Each
+function ``mollify_scalar`` returns has a workspace of its own.  What the
+quadrature returns is always a fresh array.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -135,11 +138,44 @@ def _tensor_nodes(n: int, eps: float, nodes: int):
 
 @lru_cache(maxsize=64)
 def _kernel_nodes(n: int, eps: float, nodes: int):
-    """Offsets with nonzero kernel weight, those weights (sum 1) and the
-    index of the reference node, the one with the largest weight."""
+    """The value route's node table: the kept offsets, their kernel weights
+    and the index of the reference node, the one with the largest weight."""
     offsets, kw, _ = _tensor_nodes(n, eps, nodes)
-    keep = kw != 0.0
+    keep = kw > 2.0 ** -53 * kw.max()
     return offsets[keep], kw[keep], int(np.argmax(kw[keep]))
+
+
+@lru_cache(maxsize=64)
+def _grad_nodes(n: int, eps: float, nodes: int):
+    """The kernel-gradient route's node table: the kept offsets, a row of
+    weights per node and the index of the reference node, the one nearest
+    the centre."""
+    offsets, _, raw = _tensor_nodes(n, eps, nodes)
+    gw = raw[:, None] * (eta_grad(offsets / eps) / eps ** (n + 1))
+    size = np.sqrt(np.sum(gw * gw, axis=-1))
+    keep = size > 2.0 ** -53 * size.max()
+    offsets = offsets[keep]
+    return offsets, gw[keep], int(np.argmin(np.sum(offsets * offsets, axis=-1)))
+
+
+def _quadrature(evaluate, x: np.ndarray, table, ws: _Workspace) -> np.ndarray:
+    """The quadrature over a node table (offsets, w, r) at a float (N, n)
+    batch, from one call of ``evaluate`` on the (Q·N, n) stack of x - o_q:
+    f_r + sum_q w_q (f_q - f_r) with one weight per node, and
+    sum_q (f_q - f_r) ⊗ w_q with a row of gradient weights per node."""
+    offsets, w, r = table
+    shifted = ws.array("shifted", (len(offsets),) + x.shape)
+    np.subtract(x[None, :, :], offsets[:, None, :], out=shifted)
+    vals = evaluate(shifted.reshape(-1, x.shape[1]))
+    vals = vals.reshape((len(offsets), len(x)) + vals.shape[1:])
+    d = np.subtract(vals, vals[r], out=ws.array("diff", vals.shape))
+    if w.ndim == 2:
+        d = d[..., None]
+    acc = w[0] * d[0]
+    term = ws.array("term", acc.shape)
+    for q in range(1, len(w)):
+        acc += np.multiply(w[q], d[q], out=term)
+    return acc if w.ndim == 2 else vals[r] + acc
 
 
 @dataclass(frozen=True)
@@ -194,17 +230,6 @@ class MollifiedFieldSet:
         return None
 
     @cached_property
-    def _grad_nodes(self):
-        """Offsets and weights for the kernel-gradient route, (Q, n) each,
-        and the reference node, the one nearest the centre."""
-        offsets, _, raw = _tensor_nodes(self.n, self.eps, self.nodes)
-        gvals = eta_grad(offsets / self.eps) / self.eps ** (self.n + 1)
-        keep = np.any(gvals != 0.0, axis=-1)
-        offsets = offsets[keep]
-        ref = int(np.argmin(np.sum(offsets * offsets, axis=-1)))
-        return offsets, raw[keep, None] * gvals[keep], ref
-
-    @cached_property
     def _depth(self) -> int:
         return self.base._depth + 1 if isinstance(self.base, MollifiedFieldSet) else 1
 
@@ -212,43 +237,17 @@ class MollifiedFieldSet:
     def _ws(self) -> _Workspace:
         return _WORKSPACES.setdefault(self._depth, _Workspace())
 
-    def _shifted(self, x, offsets):
-        # (Q*N, n) stack of x - offset_q, one base-field call for all nodes
-        out = self._ws.array("shifted", (len(offsets),) + x.shape)
-        np.subtract(x[None, :, :], offsets[:, None, :], out=out)
-        return out.reshape(-1, self.n)
-
-    def _minus_ref(self, vals, r):
-        """vals - vals[r], node by node, in the workspace."""
-        return np.subtract(vals, vals[r], out=self._ws.array("diff", vals.shape))
-
-    def _node_sum(self, w, d):
-        """sum_q w[q] * d[q] as a fresh array, added node after node in a
-        fixed order, so each row depends on that row alone."""
-        acc = w[0] * d[0]
-        term = self._ws.array("term", acc.shape)
-        for q in range(1, len(w)):
-            acc += np.multiply(w[q], d[q], out=term)
-        return acc
-
     def A(self, l: int, x: np.ndarray) -> np.ndarray:
-        offsets, kw, r = _kernel_nodes(self.n, self.eps, self.nodes)
-        vals = self.base.A(l, self._shifted(x, offsets)).reshape(len(offsets), len(x), self.n)
-        return vals[r] + self._node_sum(kw, self._minus_ref(vals, r))
+        return _quadrature(partial(self.base.A, l), x,
+                           _kernel_nodes(self.n, self.eps, self.nodes), self._ws)
 
     def DA(self, l: int, x: np.ndarray) -> np.ndarray:
-        n = self.n
         if self.base.DA is not None:
-            offsets, kw, r = _kernel_nodes(n, self.eps, self.nodes)
-            vals = self.base.DA(l, self._shifted(x, offsets)).reshape(len(offsets), len(x), n, n)
-            return vals[r] + self._node_sum(kw, self._minus_ref(vals, r))
-        # D(eta_eps * f) = (D eta_eps) * f with the analytic kernel gradient;
-        # the gradient weights sum to zero up to rounding, so subtracting f
-        # at the reference node changes only rounding and makes constants
-        # give exactly 0.
-        offsets, gw, r = self._grad_nodes
-        vals = self.base.A(l, self._shifted(x, offsets)).reshape(len(offsets), len(x), n)
-        return self._node_sum(gw[:, None, None, :], self._minus_ref(vals, r)[..., None])
+            return _quadrature(partial(self.base.DA, l), x,
+                               _kernel_nodes(self.n, self.eps, self.nodes), self._ws)
+        # D(eta_eps * f) = (D eta_eps) * f with the analytic kernel gradient
+        return _quadrature(partial(self.base.A, l), x,
+                           _grad_nodes(self.n, self.eps, self.nodes), self._ws)
 
     diffusion_matrix = VectorFieldSet.diffusion_matrix
 
@@ -266,13 +265,11 @@ def mollify_scalar(f: Callable[[np.ndarray], np.ndarray], eps: float,
 
     The returned function takes an (N, n) batch, which it checks, and
     returns (N,) values."""
-    offsets, kw, r = _kernel_nodes(n, eps, nodes)
+    table = _kernel_nodes(n, eps, nodes)
+    ws = _Workspace()
 
     def f_eps(x):
-        pts = _points(x, n, "mollify_scalar")
-        shifted = (pts[None, :, :] - offsets[:, None, :]).reshape(-1, n)
-        vals = np.asarray(f(shifted), dtype=float).reshape(len(offsets), len(pts))
-        return vals[r] + kw @ (vals - vals[r])
+        return _quadrature(lambda p: np.asarray(f(p), dtype=float).reshape(len(p)),
+                           _points(x, n, "mollify_scalar"), table, ws)
 
     return f_eps
-

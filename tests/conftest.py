@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from sdem.fields import FieldError, VectorFieldSet
-from sdem.flow import BrownianBatch, TimeGrid, run_multi
+from sdem.flow import BrownianBatch, TimeGrid, run_ensemble, run_multi
 from sdem.kernel import _CHUNK
+from sdem.malliavin import CameronMartinPath, DivergenceWeight, bismut_gradient
 
 
 def scalar_drift_field(f, df=None, name="scalar"):
@@ -28,6 +29,17 @@ def engine_inputs(fs, x0, t, paths, seed, dt=1e-3):
     on steps of about dt, the noise drawn from `seed`."""
     grid = TimeGrid(t, max(1, round(t / dt)))
     return fs, x0, grid, BrownianBatch(seed, paths, grid, fs.m)
+
+
+def bismut_report(f, v0, fs, x0, grid, noise):
+    """The Bismut route of ``gradient_routes`` alone: one run of fs from x0
+    carrying the divergence weight of the constant direction v0, without
+    the two bumped runs the other routes need."""
+    res = run_ensemble(fs, x0, grid, noise,
+                       trackers=(DivergenceWeight(CameronMartinPath.constant(v0)),))
+    ok = res.ok
+    return bismut_gradient(f, res.state_T[ok], res.extras["div_weight"][ok], grid.T,
+                           res.n_flagged)
 
 
 def finite_difference_dfield(fs, l, x, step=1e-5):

@@ -9,8 +9,7 @@ from sdem.fields import VectorFieldSet, builtin_field
 from sdem.flow import (BrownianBatch, IntegratedG, JacSupNorm, PathRecorder, TimeGrid,
                        exp_g_functional, moment_sup, run_ensemble)
 from sdem.harness import ExperimentConfig, run_command
-from sdem.malliavin import gradient_routes
-from conftest import engine_inputs, within
+from conftest import bismut_report, engine_inputs, within
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +65,8 @@ def test_2d_bm_bismut_gradient_picks_the_direction():
     run = engine_inputs(builtin_field("bm", n=2), [0.0, 0.0], 0.5, paths=20_000, seed=62,
                         dt=2e-3)
     f = lambda s: s[:, 0]
-    along = gradient_routes(f, None, [1.0, 0.0], *run, bump=1e-3)["bismut"]
-    across = gradient_routes(f, None, [0.0, 1.0], *run, bump=1e-3)["bismut"]
+    along = bismut_report(f, [1.0, 0.0], *run)
+    across = bismut_report(f, [0.0, 1.0], *run)
     assert within(along, 1.0)
     assert within(across, 0.0)
 
@@ -83,7 +82,7 @@ def test_redundant_noise_channels_m_greater_than_n():
     assert np.max(np.abs(res.extras["paths_states"][:, :, 0] - expect)) < 1e-13
     # the semigroup of x + W^1 + W^2 still has unit gradient for f(x) = x
     run = engine_inputs(fs, [0.0], 0.5, paths=20_000, seed=64, dt=2e-3)
-    rep = gradient_routes(lambda s: s[:, 0], None, [1.0], *run, bump=1e-3)["bismut"]
+    rep = bismut_report(lambda s: s[:, 0], [1.0], *run)
     assert within(rep, 1.0)
 
 

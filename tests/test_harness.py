@@ -296,7 +296,7 @@ def test_config_rejects_unknown_keys():
     with pytest.raises(FieldError, match="'step'"):
         ExperimentConfig.from_dict({**doc, "grid": {"T": 0.25, "step": 50}})
     # a key of the wrong shape is named too
-    for key, value in (("x0", 0.0), ("eps", 0.1), ("options", ["p"])):
+    for key, value in (("x0", 0.0), ("eps", 0.1), ("options", ["p"]), ("out", 5)):
         with pytest.raises(FieldError, match=f"'{key}'"):
             ExperimentConfig.from_dict({**doc, key: value})
     # and a document that is not an object is refused as a whole

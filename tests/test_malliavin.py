@@ -10,7 +10,7 @@ from sdem.malliavin import (CameronMartinPath, DivergenceWeight, IbpResult,
                             ibp_check, right_inverse)
 from sdem.mollify import mollify_field
 from sdem.report import EstimatorReport
-from conftest import engine_inputs, scalar_drift_field, within
+from conftest import bismut_report, engine_inputs, scalar_drift_field, within
 
 
 # ---------------------------------------------------------------------------
@@ -114,20 +114,20 @@ def test_mollified_right_inverse_converges(rng):
 
 def test_bismut_bm_linear():
     run = engine_inputs(builtin_field("bm", n=1), [0.3], 0.5, paths=20_000, seed=30)
-    rep = gradient_routes(lambda s: s[:, 0], None, [1.0], *run, bump=1e-3)["bismut"]
+    rep = bismut_report(lambda s: s[:, 0], [1.0], *run)
     assert within(rep, 1.0)
 
 
 def test_bismut_constant_function_is_zero():
     run = engine_inputs(builtin_field("bm", n=1), [0.0], 0.5, paths=20_000, seed=31)
-    rep = gradient_routes(lambda s: np.ones(len(s)), None, [1.0], *run, bump=1e-3)["bismut"]
+    rep = bismut_report(lambda s: np.ones(len(s)), [1.0], *run)
     assert abs(rep.estimate) <= 3.0 * rep.se
 
 
 def test_bismut_shift_invariance():
     run = engine_inputs(builtin_field("ou", lam=1.0), [0.0], 0.5, paths=20_000, seed=32)
-    a = gradient_routes(lambda s: s[:, 0], None, [1.0], *run, bump=1e-3)["bismut"]
-    b = gradient_routes(lambda s: s[:, 0] + 7.0, None, [1.0], *run, bump=1e-3)["bismut"]
+    a = bismut_report(lambda s: s[:, 0], [1.0], *run)
+    b = bismut_report(lambda s: s[:, 0] + 7.0, [1.0], *run)
     assert abs(a.estimate - b.estimate) <= 3.0 * math.hypot(a.se, b.se)
 
 
@@ -136,8 +136,7 @@ def test_bismut_indicator_function():
     # transition density at the threshold, (2 pi t)^{-1/2}
     t = 0.5
     run = engine_inputs(builtin_field("bm", n=1), [0.0], t, paths=40_000, seed=33)
-    rep = gradient_routes(lambda s: (s[:, 0] > 0).astype(float), None, [1.0], *run,
-                          bump=1e-3)["bismut"]
+    rep = bismut_report(lambda s: (s[:, 0] > 0).astype(float), [1.0], *run)
     assert within(rep, 1.0 / math.sqrt(2 * math.pi * t))
 
 
@@ -251,7 +250,6 @@ def test_divergence_ou_ito_isometry():
     se_var = delta.var(ddof=1) * math.sqrt(2.0 / (paths - 1))
     assert abs(delta.mean()) <= 3.0 * delta.std(ddof=1) / math.sqrt(paths)
     assert abs(delta.var(ddof=1) - target_var) <= 3.0 * se_var + 2.0 * g.dt
-    assert np.allclose(res.extras["div_energy"], T)
     assert np.allclose(res.extras["div_h_T"][:, 0], T)
 
 

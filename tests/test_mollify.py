@@ -10,9 +10,9 @@ from scipy import integrate
 
 from sdem.fields import (FieldError, VectorFieldSet, builtin_field,
                          ellipticity_margin, hoelder_estimate)
-from sdem.mollify import (MollifiedFieldSet, _kernel_nodes,
-                          eta, eta_grad, mollifier_constant, mollify_field,
-                          mollify_scalar)
+from sdem.mollify import (MollifiedFieldSet, _grad_nodes, _kernel_nodes,
+                          _tensor_nodes, eta, eta_grad, mollifier_constant,
+                          mollify_field, mollify_scalar)
 from conftest import scalar_drift_field, sup_error
 
 
@@ -100,14 +100,46 @@ def test_a_row_has_the_same_bytes_alone_and_in_any_batch():
     # row alone, and the engine may cut a batch of paths anywhere
     fs = builtin_field("log_example", beta=1.0)
     weak, grad = mollify_field(fs, 0.1), mollify_field(dataclasses.replace(fs, DA=None), 0.1)
+    scalar = mollify_scalar(lambda p: fs.A(1, p)[:, 0], 0.1)
     xs = np.random.default_rng(11).uniform(-1.5, 1.5, (5000, 1))
-    for name, evaluate in (("A", weak.A), ("weak DA", weak.DA), ("kernel-gradient DA", grad.DA)):
+    for name, evaluate in (("A", weak.A), ("weak DA", weak.DA), ("kernel-gradient DA", grad.DA),
+                           ("mollify_scalar", lambda l, x: scalar(x))):
         whole = evaluate(1, xs)
         for lo in range(0, len(xs), 7):
             lo = min(lo, len(xs) - 7)
             assert whole[lo:lo + 7].tobytes() == evaluate(1, xs[lo:lo + 7]).tobytes(), name
         for i in range(len(xs)):
             assert whole[i].tobytes() == evaluate(1, xs[i:i + 1]).tobytes(), (name, i)
+
+
+@pytest.mark.parametrize("n, nodes, value, gradient",
+                         [(1, 16, 14, 14), (1, 24, 22, 22), (2, 16, 136, 136), (2, 24, 280, 288)])
+def test_a_node_is_kept_when_its_weight_can_reach_the_sum(n, nodes, value, gradient):
+    # the grid's weights, final before any node is dropped: the kernel
+    # weights normalized to unit mass, and a row of kernel-gradient weights
+    # per node (its size is the row's norm)
+    eps = 0.1
+    offsets, kw, raw = _tensor_nodes(n, eps, nodes)
+    gw = raw[:, None] * (eta_grad(offsets / eps) / eps ** (n + 1))
+    for (kept, weights, ref), full, size, count in (
+            (_kernel_nodes(n, eps, nodes), kw, kw, value),
+            (_grad_nodes(n, eps, nodes), gw, np.linalg.norm(gw, axis=1), gradient)):
+        assert len(kept) == len(weights) == count
+        index = np.array([np.flatnonzero(np.all(offsets == o, axis=1))[0] for o in kept])
+        assert np.all(np.diff(index) > 0)
+        # each kept weight has the bytes it had before the drop
+        assert weights.tobytes() == full[index].tobytes()
+        dropped = np.ones(len(full), bool)
+        dropped[index] = False
+        assert np.all(size[index] > 2.0 ** -53 * size.max())
+        assert np.all(size[dropped] <= 2.0 ** -53 * size.max())
+        assert np.sum(size[dropped]) <= len(full) * 2.0 ** -53 * size.max()
+    # the value route's reference carries the largest weight, the gradient
+    # route's is the kept node nearest the centre
+    _, kw_kept, r = _kernel_nodes(n, eps, nodes)
+    assert kw_kept[r] == kw.max()
+    kept, _, r = _grad_nodes(n, eps, nodes)
+    assert np.sum(kept[r] ** 2) == np.min(np.sum(offsets ** 2, axis=1))
 
 
 def test_linear_field_is_fixed_point():
