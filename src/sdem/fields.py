@@ -10,11 +10,14 @@ Evaluators take one point format, a float (N, n) batch, and return one row
 per point (see ``VectorFieldSet``); they do no shape handling of their own.
 Points from a caller are checked once, where they enter, and so is each
 vector a caller hands in (a start point, a direction, a density's centre):
-``_vector`` requires n finite entries and names the key otherwise.  The
-built-in and mollified evaluators are row-wise exact: a row's value has the
-same bytes alone and in a batch of any size.  A custom field is as exact as
-its own code.  All evaluators are pure and safe for concurrent use, and
-every array they return is a fresh one that the caller owns.  The
+``_vector`` requires n finite entries and names the key otherwise.  Each
+scalar is read by one rule, ``_read`` with a ``Kind``: a count is an
+integer >= 1 (2.0 is one), a seed an integer >= 0, any other scalar a finite
+number; a bool is not a number, and a non-finite value is never a parameter.
+The built-in and mollified evaluators are row-wise exact: a row's value has
+the same bytes alone and in a batch of any size.  A custom field is as
+exact as its own code.  All evaluators are pure and safe for concurrent
+use, and every array they return is a fresh one that the caller owns.  The
 ``log_example`` diffusion is evaluated through the closed form of its
 antiderivative, with no table; its temporaries live in per-thread
 workspaces.  Its infimum is 1 - sqrt(beta pi)/2, so beta must lie in
@@ -22,8 +25,8 @@ workspaces.  Its infimum is 1 - sqrt(beta pi)/2, so beta must lie in
 when a ``log_example`` is built, so a process that builds only the other
 families never loads scipy.  Every built-in parameter must be given, of its
 kind and finite: a missing one, a value of the wrong kind (a string for a
-rate, a float for a dimension, a 3-d matrix) and a non-finite or
-out-of-range value each raise a FieldError naming the parameter.
+rate, 2.5 for a dimension, a 3-d matrix) and a non-finite or out-of-range
+value each raise a FieldError naming the parameter.
 """
 
 from __future__ import annotations
@@ -31,9 +34,10 @@ from __future__ import annotations
 import inspect
 import math
 import numbers
+import sys
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -98,6 +102,42 @@ def _vector(v, key: str, n: int) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise FieldError(f"{key} = {v} is not finite")
     return v
+
+
+class Kind(NamedTuple):
+    """What a number a caller hands in must be: the phrase an error names
+    it by, the test of a value (n is the field set's dimension), and what
+    the caller is handed for a value that passes."""
+
+    must_be: str
+    accepts: Callable[[object, int], bool]
+    read: Callable = float
+
+
+def _read(name: str, value, kind: Kind, n: int = 0):
+    if not kind.accepts(value, n):
+        raise FieldError(f"{name} must be {kind.must_be.format(n=n)}, got {value!r}")
+    return kind.read(value)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    # math.isfinite raises on an int too large for a float; this calls it not finite
+    return _is_number(value) and abs(value) <= sys.float_info.max
+
+
+def _whole(value) -> bool:
+    return _finite(value) and value == math.floor(value)
+
+
+# a count is an exact integer: 2.0 is 2, and 2.7 is an error, not 2
+_COUNT = Kind("an integer >= 1", lambda v, n: _whole(v) and v >= 1, int)
+_SEED = Kind("an integer >= 0", lambda v, n: _whole(v) and v >= 0, int)
+_NUMBER = Kind("a finite number", lambda v, n: _finite(v))
+_POSITIVE = Kind("a finite positive number", lambda v, n: _finite(v) and v > 0)
 
 
 @dataclass(frozen=True)
@@ -172,15 +212,8 @@ class VectorFieldSet:
 # built-in families
 
 
-def _is_real(value) -> bool:
-    """Whether a built-in's numeric parameter is of its kind: a real number,
-    not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _bm(n: int) -> VectorFieldSet:
-    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
-        raise FieldError(f"bm: n must be a positive integer, got n={n!r}")
+    n = _read("bm: n", n, _COUNT)
     basis = np.eye(n)
 
     def A(l, x):
@@ -194,8 +227,7 @@ def _bm(n: int) -> VectorFieldSet:
 
 
 def _ou(lam: float) -> VectorFieldSet:
-    if not (_is_real(lam) and 0.0 < lam < math.inf):
-        raise FieldError(f"ou: lam must be a finite positive mean-reversion rate, got lam={lam!r}")
+    lam = _read("ou: lam", lam, _POSITIVE)
 
     def A(l, x):
         return -lam * x if l == 0 else np.ones_like(x)
@@ -267,7 +299,8 @@ def _log_antiderivative(x: np.ndarray, beta: float, ws: _Workspace, erfc) -> np.
 def _log_example(beta: float) -> VectorFieldSet:
     # the diffusion's infimum is 1 - sqrt(beta pi)/2, at x = -1: uniformly
     # elliptic exactly when beta < 4/pi
-    if not (_is_real(beta) and 0.0 < beta < 4.0 / math.pi):
+    beta = _read("log_example: beta", beta, _NUMBER)
+    if not 0.0 < beta < 4.0 / math.pi:
         raise FieldError(f"log_example: beta must lie in (0, 4/pi), where the diffusion "
                          f"stays uniformly elliptic, got beta={beta!r}")
     # imported here, where the one family that needs it is built, so that a
@@ -376,7 +409,8 @@ def hoelder_estimate(fs: VectorFieldSet, alpha: float, x, y) -> float:
     pairs and field indices of |A_l(x) - A_l(y)| / |x-y|^alpha, or 0.0 when
     N is 0.
     """
-    if not (0.0 < alpha <= 1.0):
+    alpha = _read("hoelder_estimate: alpha", alpha, _NUMBER)
+    if not 0.0 < alpha <= 1.0:
         raise FieldError(f"alpha must lie in (0, 1], got {alpha}")
     x = _points(x, fs.n, "hoelder_estimate")
     y = _points(y, fs.n, "hoelder_estimate")
@@ -425,28 +459,30 @@ class ConditionGResult:
     samples: int
 
 
+_REPLICATES = 8
+
+
 def condition_g_estimate(fs: VectorFieldSet, sigma: float, T0: float, x,
                          samples: int, seed: int, *,
-                         growth_ratio: float = 2.0,
-                         replicates: int = 8) -> ConditionGResult:
+                         growth_ratio: float = 2.0) -> ConditionGResult:
     """Monte Carlo check of the small-time integrability of exp(sigma G).
 
     Estimates int_0^{T0} int exp(sigma G(y)) K_s(x, y) dy ds via the identity
     int exp(sigma G(y)) K_s(x, y) dy = (2 pi)^{n/2} E[exp(sigma G(Y))] with
     Y normal, mean x, covariance s I, and s uniform on (0, T0].
 
-    Divergence is detected by sample doubling: each replicate draws an
-    independent batch of ``samples`` and one of ``2 * samples`` points; the
-    flag is set when any replicate grows by more than ``growth_ratio``.  A
-    single doubling has roughly coin-flip power against borderline
-    non-integrable cases, hence the replication.
+    Divergence is detected by sample doubling: each of _REPLICATES
+    replicates draws an independent batch of ``samples`` and one of
+    ``2 * samples`` points; the flag is set when any replicate grows by more
+    than ``growth_ratio``.  A single doubling has roughly coin-flip power
+    against borderline non-integrable cases, hence the replication.
     """
-    if sigma <= 0 or T0 <= 0:
-        raise FieldError("condition_g_estimate: sigma and T0 must be positive")
+    sigma = _read("condition_g_estimate: sigma", sigma, _POSITIVE)
+    T0 = _read("condition_g_estimate: T0", T0, _POSITIVE)
+    samples = _read("condition_g_estimate: samples", samples, _COUNT)
     if samples < 10_000:
         raise FieldError("condition_g_estimate: need at least 1e4 samples")
-    if seed < 0:
-        raise FieldError(f"condition_g_estimate: seed must be a nonnegative integer, got {seed}")
+    seed = _read("condition_g_estimate: seed", seed, _SEED)
     fs.require_dfield()
     x = _vector(x, "start point x0", fs.n)
     scale = T0 * (2.0 * math.pi) ** (fs.n / 2.0)
@@ -460,7 +496,7 @@ def condition_g_estimate(fs: VectorFieldSet, sigma: float, T0: float, x,
     root = np.random.SeedSequence(seed)
     worst = 0.0
     all_vals = []
-    for rep, ss in enumerate(root.spawn(replicates)):
+    for rep, ss in enumerate(root.spawn(_REPLICATES)):
         rng = np.random.default_rng(ss)
         small = one_batch(rng, samples)
         big = one_batch(rng, 2 * samples)

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import copy
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -45,7 +44,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .fields import FieldError, VectorFieldSet, _g_sum, _vector, _Workspace
+from .fields import (_COUNT, _POSITIVE, _SEED, FieldError, VectorFieldSet, _g_sum, _read,
+                     _vector, _Workspace)
 from .mollify import mollify_field
 from .report import EstimatorReport, from_samples
 
@@ -84,10 +84,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.T) and self.T > 0):
-            raise FieldError(f"TimeGrid: horizon T must be finite and positive, got {self.T}")
-        if self.steps <= 0:
-            raise FieldError(f"TimeGrid: step count must be positive, got {self.steps}")
+        object.__setattr__(self, "T", _read("TimeGrid: horizon T", self.T, _POSITIVE))
+        object.__setattr__(self, "steps", _read("TimeGrid: steps", self.steps, _COUNT))
 
     @property
     def dt(self) -> float:
@@ -118,10 +116,9 @@ class BrownianBatch:
     m: int
 
     def __post_init__(self):
-        if self.paths <= 0 or self.m <= 0:
-            raise FieldError("BrownianBatch: paths and noise dimension must be positive")
-        if self.seed < 0:
-            raise FieldError(f"BrownianBatch: seed must be a nonnegative integer, got {self.seed}")
+        object.__setattr__(self, "seed", _read("BrownianBatch: seed", self.seed, _SEED))
+        object.__setattr__(self, "paths", _read("BrownianBatch: paths", self.paths, _COUNT))
+        object.__setattr__(self, "m", _read("BrownianBatch: m", self.m, _COUNT))
         rows = min(BLOCK, self.paths)
         if rows * self.grid.steps * self.m * 8 > np.iinfo(np.intp).max:
             raise FieldError(f"BrownianBatch: a block of {rows} paths over {self.grid.steps} "
@@ -362,15 +359,12 @@ class _PairSup(Tracker):
 def _resolve_workers(workers: Optional[int]) -> int:
     """The worker count: `workers`, else SDEM_WORKERS, else 1.  Anything but
     an integer of at least 1 raises, naming where it came from."""
-    key, value = "workers", workers
-    if workers is None:
-        env = os.environ.get("SDEM_WORKERS")
-        if not env:
-            return 1
-        key, value = "SDEM_WORKERS", int(env) if env.strip().isdecimal() else env
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise FieldError(f"{key} must be an integer of at least 1, got {value!r}")
-    return int(value)
+    if workers is not None:
+        return _read("workers", workers, _COUNT)
+    env = os.environ.get("SDEM_WORKERS")
+    if not env:
+        return 1
+    return _read("SDEM_WORKERS", int(env) if env.strip().isdecimal() else env, _COUNT)
 
 
 def _simulate_block(runs, grid, dW, trackers, with_jac):
@@ -600,11 +594,10 @@ def coupled_family(fs: VectorFieldSet, eps_list: Sequence[float], x0,
     in units of rows, block by block or in slices of a block (see `_run`).
     """
     eps_list = list(eps_list)
-    if any(e <= 0 for e in eps_list):
-        raise FieldError("coupled_family: eps values must be positive")
+    # each level's eps is checked, and named, where it is mollified
+    runs = [(mollify_field(fs, e), x0) for e in eps_list]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise FieldError("coupled_family: eps ladder must be strictly decreasing")
-    runs = [(mollify_field(fs, e), x0) for e in eps_list]
     last = len(runs) - 1
     trackers = [_PairSup(i, last, f"pair_{i}", with_jac) for i in range(last)]
     results, extras = run_multi(runs, grid, noise, trackers=trackers,
@@ -640,9 +633,4 @@ def exp_g_functional(ensemble: EnsembleResult, q: float) -> EstimatorReport:
         raise FieldError("exp_g_functional: no unflagged paths")
     with np.errstate(over="ignore"):
         vals = np.exp(6.0 * q * q * ints)
-    overflow = int(np.isinf(vals).sum())
-    n = vals.size
-    est = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(n)) if (n > 1 and math.isfinite(est)) else math.inf
-    return EstimatorReport(est, se if math.isfinite(se) else math.inf, n,
-                           excluded=ensemble.n_flagged, overflowed=overflow)
+    return from_samples(vals, excluded=ensemble.n_flagged)

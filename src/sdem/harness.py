@@ -12,7 +12,6 @@ import hashlib
 import io
 import json
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 from functools import partial
@@ -21,7 +20,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import kernel as kern
-from .fields import (FieldError, condition_g_estimate, field_from_json)
+from .fields import (_COUNT, _NUMBER, _POSITIVE, _SEED, FieldError, Kind, _finite,
+                     _is_number, _read, condition_g_estimate, field_from_json)
 from .flow import (BrownianBatch, IntegratedG, JacSupNorm, TimeGrid,
                    coupled_family, exp_g_functional, moment_sup, run_ensemble)
 from .malliavin import CameronMartinPath, gradient_routes, ibp_check
@@ -47,43 +47,10 @@ def _reject_unknown(where: str, doc: dict, known) -> None:
         raise FieldError(f"unknown {where} key(s) {unknown}; accepted: {sorted(known)}")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-class Kind(NamedTuple):
-    """What a config number or study option must be: the phrase an error
-    names it by, the test of a value (n is the field set's dimension), and
-    what the caller is handed for a value that passes."""
-
-    must_be: str
-    accepts: Callable[[object, int], bool]
-    read: Callable = float
-
-
-def _read(where: str, key: str, value, kind: Kind, n: int = 0):
-    if not kind.accepts(value, n):
-        raise FieldError(f"{where} {key!r} must be {kind.must_be.format(n=n)}, got {value!r}")
-    return kind.read(value)
-
-
-def _finite(value) -> bool:
-    return _is_number(value) and math.isfinite(value)
-
-
-def _whole(value) -> bool:
-    return _finite(value) and value == math.floor(value)
-
-
-# a count is an exact integer: 2.0 is 2, and 2.7 is an error, not 2
-_COUNT = Kind("an integer >= 1", lambda v, n: _whole(v) and v >= 1, int)
-_SEED = Kind("an integer >= 0", lambda v, n: _whole(v) and v >= 0, int)
-_REAL = Kind("a number", lambda v, n: _is_number(v))
+# the kinds of config numbers and study options beyond fields.py's scalars
 _OBJECT = Kind("an object", lambda v, n: isinstance(v, dict), lambda v: v)
 _NUMBERS = Kind("a list of numbers",
                 lambda v, n: isinstance(v, (list, tuple)) and all(map(_is_number, v)), tuple)
-_NUMBER = Kind("a finite number", lambda v, n: _finite(v))
-_POSITIVE = Kind("a finite positive number", lambda v, n: _finite(v) and v > 0)
 _VECTOR = Kind("a list of n = {n} numbers", lambda v, n: _NUMBERS.accepts(v, n) and len(v) == n,
                lambda v: np.asarray(v, dtype=float))
 _POINTS = Kind("[lo, hi, count] of finite numbers with an integer count >= 1",
@@ -138,8 +105,7 @@ class ExperimentConfig:
     def grid_at(self, t: float) -> TimeGrid:
         """The grid of a study at the option horizon t, on this config's step size."""
         dt = self.grid.dt
-        if not (math.isfinite(t) and t > 0):
-            raise FieldError(f"option 't' must be a finite positive horizon, got {t}")
+        t = _read("option 't'", t, _POSITIVE)
         steps = t / dt
         if not math.isfinite(steps):
             raise FieldError(f"option 't' = {t} takes more steps of {dt} than a float holds")
@@ -153,20 +119,21 @@ class ExperimentConfig:
             raise FieldError(f"a config document is an object, got {doc!r}")
         doc = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
         _reject_unknown("config", doc, _CONFIG_KEYS)
-        grid = _read("config key", "grid", doc.get("grid", {}), _OBJECT)
+        grid = _read("config key 'grid'", doc.get("grid", {}), _OBJECT)
         _reject_unknown("grid", grid, _GRID_KEYS)
+        workers = doc.get("workers")
         return ExperimentConfig(
-            field_spec=_read("config key", "field",
+            field_spec=_read("config key 'field'",
                              doc.get("field", {"name": "bm", "params": {"n": 1}}), _OBJECT),
-            eps=_read("config key", "eps", doc.get("eps", ()), _NUMBERS),
-            T=_read("config key", "grid.T", grid.get("T", 0.25), _REAL),
-            steps=_read("config key", "grid.steps", grid.get("steps", 250), _COUNT),
-            paths=_read("config key", "paths", doc.get("paths", 10_000), _COUNT),
-            seed=_read("config key", "seed", doc.get("seed", 20260810), _SEED),
-            x0=_read("config key", "x0", doc.get("x0", (0.0,)), _NUMBERS),
-            workers=doc.get("workers"),
-            out=_read("config key", "out", doc.get("out"), _DIRECTORY),
-            options=_read("config key", "options", doc.get("options", {}), _OBJECT),
+            eps=_read("config key 'eps'", doc.get("eps", ()), _NUMBERS),
+            T=_read("config key 'grid.T'", grid.get("T", 0.25), _POSITIVE),
+            steps=_read("config key 'grid.steps'", grid.get("steps", 250), _COUNT),
+            paths=_read("config key 'paths'", doc.get("paths", 10_000), _COUNT),
+            seed=_read("config key 'seed'", doc.get("seed", 20260810), _SEED),
+            x0=_read("config key 'x0'", doc.get("x0", (0.0,)), _NUMBERS),
+            workers=None if workers is None else _read("config key 'workers'", workers, _COUNT),
+            out=_read("config key 'out'", doc.get("out"), _DIRECTORY),
+            options=_read("config key 'options'", doc.get("options", {}), _OBJECT),
         )
 
     @staticmethod
@@ -533,7 +500,7 @@ def run_command(name: str, cfg: ExperimentConfig) -> CommandResult:
         value = cfg.options.get(key)
         if value is None:
             value = default(cfg, fields.n) if callable(default) else default
-        opts[key] = None if value is None else _read("option", key, value, kind, fields.n)
+        opts[key] = None if value is None else _read(f"option {key!r}", value, kind, fields.n)
     if (eps := opts.get("mollify_eps")) is not None:
         fields = mollify_field(fields, eps)
     result = study.run(cfg, fields, opts)

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import FieldError, _vector, _Workspace
+from .fields import _POSITIVE, FieldError, _read, _vector, _Workspace
 from .flow import _resolve_workers
 
 __all__ = [
@@ -65,11 +65,9 @@ class DensityQuery:
             q = q[:, None]
         object.__setattr__(self, "query_points", q)
         object.__setattr__(self, "x", _vector(self.x, "DensityQuery: point x", q.shape[1]))
-        if not (math.isfinite(self.t) and self.t > 0):
-            raise FieldError(f"DensityQuery: time must be finite and positive, got {self.t}")
-        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
-            raise FieldError("DensityQuery: bandwidth must be finite and positive, "
-                             f"got {self.bandwidth}")
+        object.__setattr__(self, "t", _read("DensityQuery: time t", self.t, _POSITIVE))
+        object.__setattr__(self, "bandwidth",
+                           _read("DensityQuery: bandwidth", self.bandwidth, _POSITIVE))
         if not np.all(np.isfinite(q)):
             raise FieldError("DensityQuery: query points must be finite")
 

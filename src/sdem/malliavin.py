@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fields import FieldError, _is_real, _vector
+from .fields import _POSITIVE, FieldError, _read, _vector
 from .flow import (BrownianBatch, PathRecorder, TimeGrid, Tracker, _mm,
                    run_ensemble, run_multi)
 from .report import EstimatorReport, from_samples
@@ -118,7 +118,8 @@ class CameronMartinPath:
 
     ``rate(k, state)`` returns hdot at step k given the state at the left
     endpoint of the step, so the evaluator can only ever see the past;
-    adaptedness holds by construction rather than by a runtime check.
+    adaptedness holds by construction rather than by a runtime check.  It
+    returns one row per path, or one (1, n) row that every path shares.
     A direction with a constant rate also carries that rate as ``vec``.
     """
 
@@ -127,12 +128,14 @@ class CameronMartinPath:
 
     @staticmethod
     def constant(vec) -> "CameronMartinPath":
-        """The direction with rate vec; an estimator checks vec against its
-        field set's n, before any noise is drawn."""
+        """The direction whose rate is vec, as one (1, n) row at every step;
+        an estimator checks vec against its field set's n, before any noise
+        is drawn."""
         vec = np.asarray(vec, dtype=float).reshape(-1)
+        row = vec[None, :]
 
         def rate(k, state):
-            return np.broadcast_to(vec, state.shape)
+            return row
 
         return CameronMartinPath(rate, vec)
 
@@ -148,9 +151,10 @@ class DivergenceWeight(Tracker):
     h_k = sum_{j<k} hdot_j dt.
 
     Under a declared constant diffusion (DA(l >= 1) is None) the (1, m, n)
-    right inverse is computed once per block and broadcast.  A constant
-    direction keeps hdot and h as one row, broadcast to every path in
-    ``finish``.  Each entry is the same product either way.
+    right inverse is computed once per block and broadcast.  h starts as one
+    zero row and stays one row while every hdot is: a constant direction's
+    rate is its one (1, n) row.  ``finish`` broadcasts h to every path.
+    Each entry is the same product either way.
     """
 
     reads_jac = True
@@ -163,7 +167,6 @@ class DivergenceWeight(Tracker):
 
     def start(self, B):
         self.B, self.w, self.y = B, np.zeros(B), None
-        self.hval = None if self.h.vec is None else np.zeros((1, len(self.h.vec)))
 
     def _right_inverse(self, A, DA, xi):
         """Y at xi; a declared constant diffusion (DA(1) is None) is inverted
@@ -181,10 +184,9 @@ class DivergenceWeight(Tracker):
         if dWk is None:
             return
         xi, V = xis[self.run], Vs[self.run]
-        if self.hval is None:
-            self.hval = np.zeros_like(xi)
-        hdot = (self.h.vec[None, :] if self.h.vec is not None
-                else np.asarray(self.h.rate(k, xi), dtype=float))
+        if k == 0:
+            self.hval = np.zeros((1, xi.shape[1]))
+        hdot = np.asarray(self.h.rate(k, xi), dtype=float)
         y = self._right_inverse(*coefs[self.run], xi)
         vd = _mm(V, hdot[:, :, None])[:, :, 0]
         proj = _mm(y, vd[:, :, None])[:, :, 0]
@@ -200,7 +202,8 @@ class DivergenceWeight(Tracker):
 
 
 class _DirectionRecorder(Tracker):
-    """Record the direction path s -> V_s h_s for full-path functionals."""
+    """Record the direction path s -> V_s h_s for full-path functionals;
+    ``finish`` broadcasts a frame that is one row, as V and h can be."""
 
     reads_jac = True
 
@@ -211,18 +214,20 @@ class _DirectionRecorder(Tracker):
         return (self.name,)
 
     def start(self, B):
-        self.hval, self.frames = None, []
+        self.B, self.frames = B, []
 
     def step(self, k, xis, Vs, dWk, dt, coefs):
         xi, V = xis[self.run], Vs[self.run]
-        if self.hval is None:
-            self.hval = np.zeros_like(xi)
+        if k == 0:
+            self.hval = np.zeros((1, xi.shape[1]))
         self.frames.append(_mm(V, self.hval[:, :, None])[:, :, 0])
         if dWk is not None:
             self.hval = self.hval + np.asarray(self.h.rate(k, xi), dtype=float) * dt
 
     def finish(self):
-        return {self.name: np.stack(self.frames, axis=1)}  # (B, K+1, n)
+        n = self.frames[0].shape[1]
+        return {self.name: np.stack([np.broadcast_to(f, (self.B, n)) for f in self.frames],
+                                    axis=1)}  # (B, K+1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +245,7 @@ def gradient_routes(f: Callable, df: Optional[Callable], v0, fs, x0, grid: TimeG
     """
     v0 = _vector(v0, "direction v0", fs.n)
     x0 = _vector(x0, "start point x0", fs.n)
-    if not (_is_real(bump) and 0.0 < bump < math.inf):
-        raise FieldError(f"bump must be a finite positive number, got {bump!r}")
+    bump = _read("bump", bump, _POSITIVE)
     runs = [(fs, x0), (fs, x0 + bump * v0), (fs, x0 - bump * v0)]
     (res, plus, minus), extras = run_multi(
         runs, grid, noise, trackers=(DivergenceWeight(CameronMartinPath.constant(v0)),),

@@ -46,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import VectorFieldSet, FieldError, _points, _Workspace
+from .fields import _COUNT, _POSITIVE, VectorFieldSet, FieldError, _points, _read, _Workspace
 
 __all__ = [
     "QuadratureError",
@@ -105,7 +105,8 @@ def eta_grad(x: np.ndarray) -> np.ndarray:
     return (-2.0 * c) * base[:, None] * x / (denom ** 2)[:, None]
 
 
-@lru_cache(maxsize=64)
+# the tables are cached by typed key, so that eps=True never finds eps=1's
+@lru_cache(maxsize=64, typed=True)
 def _tensor_nodes(n: int, eps: float, nodes: int):
     """Gauss-Legendre tensor grid of ``nodes`` points per axis over the
     bounding box [-eps, eps]^n, and the normalized kernel weights on it.
@@ -116,8 +117,8 @@ def _tensor_nodes(n: int, eps: float, nodes: int):
     mollified field and scalar reaches its nodes here, so eps and the node
     count are checked here.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise FieldError(f"mollify: eps must be finite and positive, got {eps}")
+    eps = _read("mollify: eps", eps, _POSITIVE)
+    nodes = _read("mollify: nodes", nodes, _COUNT)
     if nodes < 8:
         raise FieldError(f"mollify: need at least 8 quadrature nodes per axis, got {nodes}")
     z, w = np.polynomial.legendre.leggauss(nodes)
@@ -136,7 +137,7 @@ def _tensor_nodes(n: int, eps: float, nodes: int):
     return offsets, kw / total, raw
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def _kernel_nodes(n: int, eps: float, nodes: int):
     """The value route's node table: the kept offsets, their kernel weights
     and the index of the reference node, the one with the largest weight."""
@@ -145,7 +146,7 @@ def _kernel_nodes(n: int, eps: float, nodes: int):
     return offsets[keep], kw[keep], int(np.argmax(kw[keep]))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def _grad_nodes(n: int, eps: float, nodes: int):
     """The kernel-gradient route's node table: the kept offsets, a row of
     weights per node and the index of the reference node, the one nearest

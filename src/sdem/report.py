@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class EstimatorReport:
@@ -42,13 +44,15 @@ class EstimatorReport:
 
 
 def from_samples(values, excluded: int = 0) -> EstimatorReport:
-    """Build a report from per-path sample values (mean and SE of the mean)."""
-    import numpy as np
+    """Build a report from per-path sample values (mean and SE of the mean).
 
+    A mean that is not finite has an infinite SE, and so has a single
+    sample; ``overflowed`` counts the infinite values."""
     values = np.asarray(values, dtype=float)
     n = values.size
     if n == 0:
         raise ValueError("cannot build a report from an empty sample")
     est = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-    return EstimatorReport(est, se, n, excluded=excluded)
+    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 and math.isfinite(est) else math.inf
+    return EstimatorReport(est, se, n, excluded=excluded,
+                           overflowed=int(np.isinf(values).sum()))

@@ -11,6 +11,9 @@ from sdem.fields import (DerivativeUnavailableError, FieldError, VectorFieldSet,
                          field_from_json, g_function,
                          hoelder_estimate)
 from sdem.flow import BrownianBatch, IntegratedG, TimeGrid, run_ensemble
+from sdem.harness import ExperimentConfig
+from sdem.kernel import DensityQuery
+from sdem.malliavin import gradient_routes
 from sdem.mollify import mollify_field, mollify_scalar
 from conftest import finite_difference_dfield, scalar_drift_field
 
@@ -110,10 +113,59 @@ def test_builtin_field_errors():
     ("const_shift", {"matrix": [[[1.0]]], "shift": [0.0]}, "matrix"),
     ("const_shift", {"matrix": "abc", "shift": [0.0]}, "matrix"),
     ("const_shift", {"matrix": [[1.0]], "shift": ["abc"]}, "shift"),
+    ("bm", {"n": math.inf}, "bm: n must"),
+    ("bm", {"n": "2"}, "bm: n must"),
+    ("ou", {"lam": True}, "lam"),
+    ("log_example", {"beta": math.nan}, "beta"),
+    ("log_example", {"beta": True}, "beta"),
 ])
 def test_builtin_parameters_must_be_finite(name, params, key):
     with pytest.raises(FieldError, match=key):
         builtin_field(name, **params)
+
+
+_BM = builtin_field("bm", n=1)
+_GRID = TimeGrid(0.25, 10)
+_NOISE = BrownianBatch(seed=1, paths=8, grid=_GRID, m=1)
+
+
+@pytest.mark.parametrize("call, key", [
+    (lambda: condition_g_estimate(_BM, math.nan, 1.0, [0.0], 10_000, 0), "sigma must"),
+    (lambda: condition_g_estimate(_BM, "a", 1.0, [0.0], 10_000, 0), "sigma must"),
+    (lambda: condition_g_estimate(_BM, 0.5, math.inf, [0.0], 10_000, 0), "T0 must"),
+    (lambda: condition_g_estimate(_BM, 0.5, 1.0, [0.0], 10_000.5, 0), "samples must"),
+    (lambda: condition_g_estimate(_BM, 0.5, 1.0, [0.0], 10_000, 1.5), "seed must"),
+    (lambda: TimeGrid(1.0, 2.5), "TimeGrid: steps must"),
+    (lambda: TimeGrid(1.0, True), "TimeGrid: steps must"),
+    (lambda: TimeGrid("a", 10), "horizon T must"),
+    (lambda: BrownianBatch(seed=1, paths=10.5, grid=_GRID, m=1), "paths must"),
+    (lambda: BrownianBatch(seed=1.5, paths=10, grid=_GRID, m=1), "seed must"),
+    (lambda: BrownianBatch(seed=1, paths=10, grid=_GRID, m=0), "BrownianBatch: m must"),
+    (lambda: mollify_field(_BM, "a"), "eps must"),
+    (lambda: mollify_field(_BM, 0.1, nodes=16.5), "nodes must"),
+    (lambda: mollify_scalar(lambda p: p[:, 0], True), "eps must"),
+    (lambda: hoelder_estimate(_BM, "a", [[0.0]], [[1.0]]), "alpha must"),
+    (lambda: DensityQuery("a", [0.0], [[0.0]], 0.1), "time t must"),
+    (lambda: DensityQuery(1.0, [0.0], [[0.0]], True), "bandwidth must"),
+    (lambda: gradient_routes(np.sin, None, [1.0], _BM, [0.0], _GRID, _NOISE, bump="a"),
+     "bump must"),
+    (lambda: run_ensemble(_BM, [0.0], _GRID, _NOISE, workers=2.5), "workers must"),
+    (lambda: ExperimentConfig().grid_at("a"), "'t' must"),
+], ids=["sigma-nan", "sigma-str", "T0-inf", "samples-10000.5", "seed-1.5", "steps-2.5",
+        "steps-True", "T-str", "paths-10.5", "noise-seed-1.5", "m-0", "eps-str", "nodes-16.5",
+        "scalar-eps-True", "alpha-str", "t-str", "bandwidth-True", "bump-str", "workers-2.5",
+        "grid_at-t-str"])
+def test_every_library_scalar_is_read_by_one_rule_before_any_noise(monkeypatch, call, key):
+    # a count is a whole number, a seed a whole number >= 0, and every other
+    # scalar a finite number; a bool is none of them.  A bad one is a
+    # FieldError naming the parameter, raised before any noise is drawn
+    def no_noise(*args, **kwargs):
+        raise AssertionError("a rejected call drew noise")
+
+    monkeypatch.setattr(BrownianBatch, "block_increments", no_noise)
+    monkeypatch.setattr(np.random, "default_rng", no_noise)
+    with pytest.raises(FieldError, match=key):
+        call()
 
 
 def test_field_json_round_trip():
@@ -247,7 +299,7 @@ def test_g_function_requires_weak_derivative():
 
 def test_condition_g_bm_exact():
     fs = builtin_field("bm", n=2)
-    res = condition_g_estimate(fs, 1.0, 0.7, np.zeros(2), 10_000, seed=5, replicates=2)
+    res = condition_g_estimate(fs, 1.0, 0.7, np.zeros(2), 10_000, seed=5)
     assert res.estimate == pytest.approx((2 * math.pi) * 0.7, rel=1e-12)
     assert not res.diverging
 

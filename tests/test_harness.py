@@ -316,11 +316,22 @@ def test_config_numbers_are_exact():
            ("paths", 1000.9, "'paths'"),
            ("paths", True, "'paths'"),
            ("paths", "1000", "'paths'"),
+           ("paths", 10 ** 400, "'paths'"),
            ("seed", -1, "'seed'"),
-           ("seed", math.nan, "'seed'")]
+           ("seed", math.nan, "'seed'"),
+           ("grid", {"T": math.inf, "steps": 50}, "'grid.T'"),
+           ("grid", {"T": -0.25, "steps": 50}, "'grid.T'"),
+           ("workers", -3, "'workers'"),
+           ("workers", "abc", "'workers'"),
+           ("workers", 2.5, "'workers'"),
+           ("workers", True, "'workers'")]
     for key, value, name in bad:
         with pytest.raises(FieldError, match=name):
             ExperimentConfig.from_dict({**doc, key: value})
+    # workers is a count, as paths is: moment reads 2.0 as 2
+    cfg = ExperimentConfig.from_dict({**doc, "paths": 2.0, "workers": 2.0})
+    assert (cfg.paths, cfg.workers) == (2, 2) and type(cfg.workers) is int
+    assert run_command("moment", cfg).ok
 
 
 def test_cli_overrides_are_checked_as_the_document_is(tmp_path, monkeypatch, capsys):
@@ -337,11 +348,17 @@ def test_cli_overrides_are_checked_as_the_document_is(tmp_path, monkeypatch, cap
     cfg_path.write_text(json.dumps(_cfg().to_dict()))
     for argv, key in ((["condition-g", "--paths", "0"], "'paths'"),
                       (["moment", "--paths", "-5"], "'paths'"),
-                      (["converge-flow", "--seed", "-1"], "'seed'")):
+                      (["converge-flow", "--seed", "-1"], "'seed'"),
+                      (["condition-g", "--workers", "-3"], "'workers'")):
         for config in ([], ["--config", str(cfg_path)]):
             assert main(argv + config) == 2
             err = capsys.readouterr().err
             assert err.startswith("sdem: error: ") and key in err
+    # so is the document's own workers, though condition-g runs on one thread
+    cfg_path.write_text(json.dumps({**_cfg().to_dict(), "workers": "abc"}))
+    assert main(["condition-g", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sdem: error: ") and "'workers'" in err
 
 
 def test_cli_rejects_misspelled_top_level_key(tmp_path, capsys):
