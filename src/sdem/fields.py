@@ -82,11 +82,13 @@ class _Workspace(threading.local):
         return buf[:size].reshape(shape)
 
 
-def _points(x, n: int, where: str) -> np.ndarray:
-    """A caller's points as the float (N, n) batch evaluators take."""
+def _points(x, n: Optional[int], where: str) -> np.ndarray:
+    """A caller's points as the float (N, n) batch evaluators take; with n
+    None, a batch of any width n."""
     pts = np.asarray(x, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != n:
-        raise FieldError(f"{where}: points must be an (N, {n}) array, got shape {pts.shape}")
+    if pts.ndim != 2 or n not in (None, pts.shape[1]):
+        raise FieldError(f"{where}: points must be an (N, {n or 'n'}) array, "
+                         f"got shape {pts.shape}")
     return pts
 
 
@@ -118,6 +120,12 @@ def _read(name: str, value, kind: Kind, n: int = 0):
     if not kind.accepts(value, n):
         raise FieldError(f"{name} must be {kind.must_be.format(n=n)}, got {value!r}")
     return kind.read(value)
+
+
+def _reject_unknown(where: str, doc: dict, known) -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise FieldError(f"unknown {where} key(s) {unknown}; accepted: {sorted(known)}")
 
 
 def _is_number(value) -> bool:
@@ -364,8 +372,11 @@ def builtin_field(name: str, **params) -> VectorFieldSet:
 
 
 def field_from_json(doc: dict) -> VectorFieldSet:
+    """The built-in field set a spec {name, params, n, m} names; n and m, when
+    declared, are counts that must match the constructed field set."""
     if not isinstance(doc, dict) or "name" not in doc:
         raise FieldError(f"a field spec is an object with a 'name', got {doc!r}")
+    _reject_unknown("field spec", doc, ("name", "params", "n", "m"))
     name = doc["name"]
     if name not in _BUILTINS:
         raise FieldError(
@@ -374,11 +385,13 @@ def field_from_json(doc: dict) -> VectorFieldSet:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise FieldError(f"field 'params' must be an object, got {params!r}")
+    declared = {key: _read(f"field spec key {key!r}", doc[key], _COUNT)
+                for key in ("n", "m") if key in doc}
     fs = builtin_field(name, **params)
-    if "n" in doc and doc["n"] != fs.n:
-        raise FieldError(f"declared n={doc['n']} does not match constructed n={fs.n}")
-    if "m" in doc and doc["m"] != fs.m:
-        raise FieldError(f"declared m={doc['m']} does not match constructed m={fs.m}")
+    for key, value in declared.items():
+        if value != getattr(fs, key):
+            raise FieldError(f"declared {key}={value} does not match constructed "
+                             f"{key}={getattr(fs, key)}")
     return fs
 
 

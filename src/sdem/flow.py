@@ -8,9 +8,10 @@ of how many paths are requested, how the work is scheduled, or how many
 worker threads run.  Ensemble reductions always combine per-block results in
 ascending block order, which makes every aggregate bit-reproducible.
 
-Runs at several mollification levels can share one increment stream (common
-random numbers), turning pathwise differences into direct measurements of
-the smoothing error rather than of the noise.
+Every run steps on the grid of its noise, which fixes it.  Runs at several
+mollification levels can share one increment stream (common random
+numbers), turning pathwise differences into direct measurements of the
+smoothing error rather than of the noise.
 
 Workers follow one rule: the unit of work is a contiguous range of a
 block's rows.  With at least as many blocks as workers, each block is a
@@ -241,12 +242,24 @@ def _euler_step(xi, V, coef, dWk, dt):
 # under the keys that `keys()` names up front.  A tracker that reads V or DA
 # sets `reads_jac`.  Before any noise is drawn, a state-only run rejects such
 # a tracker, and every run rejects two trackers that name the same key.
+# A tracker's keys follow from its kind and the run or runs it reads, and
+# `finish()` returns its arrays in the order `keys()` names them.
 
 
 class Tracker:
-    """Base of the per-block trackers; see the protocol above."""
+    """Base of the per-block trackers; see the protocol above.  A tracker of
+    one run writes its kind's ``prefix`` followed by each of ``suffixes``, with
+    ``_r`` after the prefix for run r > 0: ``sup_jac``, then ``sup_jac_1``."""
 
     reads_jac = False
+    suffixes = ("",)
+
+    def __init__(self, run: int = 0):
+        self.run = run
+
+    def keys(self):
+        prefix = self.prefix if self.run == 0 else f"{self.prefix}_{self.run}"
+        return tuple(prefix + suffix for suffix in self.suffixes)
 
     def make(self, B):
         acc = copy.copy(self)
@@ -258,12 +271,7 @@ class JacSupNorm(Tracker):
     """Running sup over time of the Frobenius norm of the derivative matrix."""
 
     reads_jac = True
-
-    def __init__(self, run: int = 0, name: str = "sup_jac"):
-        self.run, self.name = run, name
-
-    def keys(self):
-        return (self.name,)
+    prefix = "sup_jac"
 
     def start(self, B):
         self.best = np.zeros(B)
@@ -273,19 +281,14 @@ class JacSupNorm(Tracker):
         self.best = np.maximum(self.best, np.sqrt(np.sum(v * v, axis=(1, 2))))
 
     def finish(self):
-        return {self.name: self.best}
+        return dict(zip(self.keys(), (self.best,)))
 
 
 class IntegratedG(Tracker):
     """Left-point Riemann sum of the derivative-energy function along a run."""
 
     reads_jac = True
-
-    def __init__(self, run: int = 0, name: str = "int_g"):
-        self.run, self.name = run, name
-
-    def keys(self):
-        return (self.name,)
+    prefix = "int_g"
 
     def start(self, B):
         self.total = np.zeros(B)
@@ -296,17 +299,17 @@ class IntegratedG(Tracker):
         self.total += _g_sum(coefs[self.run][1]) * dt
 
     def finish(self):
-        return {self.name: self.total}
+        return dict(zip(self.keys(), (self.total,)))
 
 
 class PathRecorder(Tracker):
     """Record full trajectories of a run (memory: paths x steps x (n + n^2))."""
 
-    def __init__(self, run: int = 0, name: str = "paths", with_jac: bool = True):
-        self.run, self.name, self.reads_jac = run, name, with_jac
+    prefix = "paths"
 
-    def keys(self):
-        return (self.name + "_states",) + ((self.name + "_jacs",) if self.reads_jac else ())
+    def __init__(self, run: int = 0, with_jac: bool = True):
+        self.run, self.reads_jac = run, with_jac
+        self.suffixes = ("_states", "_jacs") if with_jac else ("_states",)
 
     def start(self, B):
         self.states, self.jacs = [], []
@@ -319,21 +322,20 @@ class PathRecorder(Tracker):
             self.jacs.append(np.broadcast_to(V, xi.shape[:1] + V.shape[1:]).copy())
 
     def finish(self):
-        out = {self.name + "_states": np.stack(self.states, axis=1)}
-        if self.reads_jac:
-            out[self.name + "_jacs"] = np.stack(self.jacs, axis=1)
-        return out
+        # a state-only recorder names one key, so the zip ends at the states
+        return dict(zip(self.keys(), (np.stack(f, axis=1) for f in (self.states, self.jacs))))
 
 
 class _PairSup(Tracker):
     """Running sup of pathwise state gaps between two runs, and of their
     derivative gaps when ``with_jac``."""
 
-    def __init__(self, i: int, j: int, name: str, with_jac: bool):
-        self.i, self.j, self.name, self.reads_jac = i, j, name, with_jac
+    def __init__(self, i: int, j: int, with_jac: bool):
+        self.i, self.j, self.reads_jac = i, j, with_jac
 
     def keys(self):
-        return (f"{self.name}_state",) + ((f"{self.name}_jac",) if self.reads_jac else ())
+        prefix = f"pair_{self.i}_{self.j}"
+        return (f"{prefix}_state",) + ((f"{prefix}_jac",) if self.reads_jac else ())
 
     def start(self, B):
         self.state, self.jac = np.zeros(B), np.zeros(B)
@@ -346,10 +348,8 @@ class _PairSup(Tracker):
             self.jac = np.maximum(self.jac, np.sqrt(np.sum(dv * dv, axis=(1, 2))))
 
     def finish(self):
-        out = {f"{self.name}_state": self.state}
-        if self.reads_jac:
-            out[f"{self.name}_jac"] = self.jac
-        return out
+        # a state-only pair names one key, so the zip ends at the state gaps
+        return dict(zip(self.keys(), (self.state, self.jac)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +367,9 @@ def _resolve_workers(workers: Optional[int]) -> int:
     return _read("SDEM_WORKERS", int(env) if env.strip().isdecimal() else env, _COUNT)
 
 
-def _simulate_block(runs, grid, dW, trackers, with_jac):
+def _simulate_block(runs, dt, dW, trackers, with_jac):
     """Integrate rows of lockstep runs on their increments dW (B, steps, m),
-    a block or a slice of one; each x0 is a checked start point.
+    a block or a slice of one, in steps of dt from checked start points.
 
     Each step evaluates every run's coefficients once, steps the trackers on
     the pre-update states and those coefficients, then takes the Euler
@@ -383,14 +383,13 @@ def _simulate_block(runs, grid, dW, trackers, with_jac):
     with a non-finite addend is non-finite, so a row that goes non-finite
     stays so to the end.
     """
-    B = dW.shape[0]
-    dt = grid.dt
+    B, steps = dW.shape[:2]
     xis = [np.tile(x0, (B, 1)) for _, x0 in runs]
     Vs = [np.eye(len(x0))[None] if with_jac else None for _, x0 in runs]
     accs = [t.make(B) for t in trackers]
     # errstate is per thread, so each unit sets its own
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(grid.steps):
+        for k in range(steps):
             dWk = dW[:, k, :]
             coefs = [_coefficients(fields, xi, with_jac) for (fields, _), xi in zip(runs, xis)]
             for acc in accs:
@@ -398,7 +397,7 @@ def _simulate_block(runs, grid, dW, trackers, with_jac):
             for r, coef in enumerate(coefs):
                 xis[r], Vs[r] = _euler_step(xis[r], Vs[r], coef, dWk, dt)
         for acc in accs:
-            acc.step(grid.steps, xis, Vs, None, dt, None)
+            acc.step(steps, xis, Vs, None, dt, None)
     flagged = np.zeros(B, dtype=bool)
     for r, xi in enumerate(xis):
         flagged |= ~np.isfinite(xi).all(axis=1)
@@ -429,7 +428,7 @@ class EnsembleResult:
         return ~self.flag
 
 
-def _run(runs, grid: TimeGrid, noise: BrownianBatch, trackers, with_jac, workers):
+def _run(runs, noise: BrownianBatch, trackers, with_jac, workers):
     """Simulate every block of lockstep runs in units of rows, and join the
     units in row order.
 
@@ -440,10 +439,9 @@ def _run(runs, grid: TimeGrid, noise: BrownianBatch, trackers, with_jac, workers
     units go over a pool of w threads; one worker makes no pool.  A failing
     run raises the error of its first failing block, and a failing slice
     re-runs its block whole to raise it, so the error is one worker's.
-
-    Returns (list of EnsembleResult in run order, joint extras dict).
+    Returns what `run_multi` does.
     """
-    runs = [(fields, _start_point(fields, x0, grid, noise, with_jac)) for fields, x0 in runs]
+    runs = [(fields, _start_point(fields, x0, noise, with_jac)) for fields, x0 in runs]
     trackers = tuple(trackers)
     writer = {}
     for t in trackers:
@@ -459,10 +457,10 @@ def _run(runs, grid: TimeGrid, noise: BrownianBatch, trackers, with_jac, workers
     # when blocks are the units, each worker draws every block into its own
     # step-major buffer, sized for the largest block and freed with the run
     ws = _Workspace()
-    shape = (grid.steps, min(BLOCK, noise.paths), noise.m)
+    shape = (noise.grid.steps, min(BLOCK, noise.paths), noise.m)
 
     def simulate(dW):
-        return _simulate_block(runs, grid, dW, trackers, with_jac)
+        return _simulate_block(runs, noise.grid.dt, dW, trackers, with_jac)
 
     def block(b):
         return simulate(noise.block_increments(b, out=ws.array("dW", shape)))
@@ -501,16 +499,16 @@ def _run(runs, grid: TimeGrid, noise: BrownianBatch, trackers, with_jac, workers
     return results, extras
 
 
-def run_ensemble(fields, x0, grid: TimeGrid, noise: BrownianBatch, *,
+def run_ensemble(fields, x0, noise: BrownianBatch, *,
                  trackers: Iterable = (), with_jac: bool = True,
                  workers: Optional[int] = None) -> EnsembleResult:
     """Integrate an ensemble of independent paths for one field set."""
-    (res,), extras = _run([(fields, x0)], grid, noise, trackers, with_jac, workers)
+    (res,), extras = _run([(fields, x0)], noise, trackers, with_jac, workers)
     res.extras.update(extras)
     return res
 
 
-def run_multi(runs, grid: TimeGrid, noise: BrownianBatch, *,
+def run_multi(runs, noise: BrownianBatch, *,
               trackers: Iterable = (), with_jac: bool = True,
               workers: Optional[int] = None):
     """Lockstep ensembles for several (fields, start) runs on shared noise.
@@ -521,14 +519,12 @@ def run_multi(runs, grid: TimeGrid, noise: BrownianBatch, *,
     even one block of paths uses every worker; the results are those of one
     worker, byte for byte.
     """
-    return _run(runs, grid, noise, trackers, with_jac, workers)
+    return _run(runs, noise, trackers, with_jac, workers)
 
 
-def _start_point(fields, x0, grid: TimeGrid, noise: BrownianBatch, with_jac) -> np.ndarray:
+def _start_point(fields, x0, noise: BrownianBatch, with_jac) -> np.ndarray:
     """x0 as a finite vector of n entries, checked with the noise, and the
     field set's DA checked when the run carries V, before any draw."""
-    if noise.grid != grid:
-        raise FieldError("noise was generated for a different time grid")
     if noise.m != fields.m:
         raise FieldError(f"noise dimension {noise.m} != field noise dimension {fields.m}")
     x0 = _vector(x0, "start point x0", fields.n)
@@ -578,7 +574,7 @@ class CoupledFamilyResult:
 
 
 def coupled_family(fs: VectorFieldSet, eps_list: Sequence[float], x0,
-                   grid: TimeGrid, noise: BrownianBatch, *,
+                   noise: BrownianBatch, *,
                    with_jac: bool = True,
                    workers: Optional[int] = None) -> CoupledFamilyResult:
     """Integrate every mollified level on identical Brownian increments.
@@ -599,12 +595,12 @@ def coupled_family(fs: VectorFieldSet, eps_list: Sequence[float], x0,
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise FieldError("coupled_family: eps ladder must be strictly decreasing")
     last = len(runs) - 1
-    trackers = [_PairSup(i, last, f"pair_{i}", with_jac) for i in range(last)]
-    results, extras = run_multi(runs, grid, noise, trackers=trackers,
+    trackers = [_PairSup(i, last, with_jac) for i in range(last)]
+    results, extras = run_multi(runs, noise, trackers=trackers,
                                 with_jac=with_jac, workers=workers)
     finest = eps_list[last]
-    pair_state = {(eps_list[i], finest): extras[f"pair_{i}_state"] for i in range(last)}
-    pair_jac = ({(eps_list[i], finest): extras[f"pair_{i}_jac"] for i in range(last)}
+    pair_state = {(eps_list[t.i], finest): extras[t.keys()[0]] for t in trackers}
+    pair_jac = ({(eps_list[t.i], finest): extras[t.keys()[1]] for t in trackers}
                 if with_jac else None)
     return CoupledFamilyResult(dict(zip(eps_list, results)), pair_state, pair_jac,
                                results[0].flag)

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import kernel as kern
 from .fields import (_COUNT, _NUMBER, _POSITIVE, _SEED, FieldError, Kind, _finite,
-                     _is_number, _read, condition_g_estimate, field_from_json)
+                     _is_number, _read, _reject_unknown, condition_g_estimate,
+                     field_from_json)
 from .flow import (BrownianBatch, IntegratedG, JacSupNorm, TimeGrid,
                    coupled_family, exp_g_functional, moment_sup, run_ensemble)
 from .malliavin import CameronMartinPath, gradient_routes, ibp_check
@@ -34,17 +35,6 @@ __all__ = [
     "STUDIES",
     "run_command",
 ]
-
-
-_CONFIG_KEYS = frozenset({"field", "eps", "grid", "paths", "seed", "x0",
-                          "workers", "out", "options"})
-_GRID_KEYS = frozenset({"T", "steps"})
-
-
-def _reject_unknown(where: str, doc: dict, known) -> None:
-    unknown = sorted(set(doc) - set(known))
-    if unknown:
-        raise FieldError(f"unknown {where} key(s) {unknown}; accepted: {sorted(known)}")
 
 
 # the kinds of config numbers and study options beyond fields.py's scalars
@@ -60,6 +50,17 @@ _POINTS = Kind("[lo, hi, count] of finite numbers with an integer count >= 1",
 _FLAG = Kind("true or false", lambda v, n: isinstance(v, bool), bool)
 # an output directory; absent (None) writes no files
 _DIRECTORY = Kind("a string", lambda v, n: v is None or isinstance(v, str), lambda v: v)
+# a worker count; absent (None) leaves it to the engine
+_WORKERS = Kind(_COUNT.must_be, lambda v, n: v is None or _COUNT.accepts(v, n),
+                lambda v: v if v is None else _COUNT.read(v))
+
+# each config key, the field it sets and its kind; an absent key keeps the
+# field's default, which ExperimentConfig states once
+_CONFIG_KEYS = {"field": ("field_spec", _OBJECT), "eps": ("eps", _NUMBERS),
+                "grid.T": ("T", _POSITIVE), "grid.steps": ("steps", _COUNT),
+                "paths": ("paths", _COUNT), "seed": ("seed", _SEED), "x0": ("x0", _NUMBERS),
+                "workers": ("workers", _WORKERS), "out": ("out", _DIRECTORY),
+                "options": ("options", _OBJECT)}
 
 
 @dataclass(frozen=True)
@@ -118,23 +119,13 @@ class ExperimentConfig:
         if not isinstance(doc, dict):
             raise FieldError(f"a config document is an object, got {doc!r}")
         doc = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
-        _reject_unknown("config", doc, _CONFIG_KEYS)
+        _reject_unknown("config", doc, {key.partition(".")[0] for key in _CONFIG_KEYS})
         grid = _read("config key 'grid'", doc.get("grid", {}), _OBJECT)
-        _reject_unknown("grid", grid, _GRID_KEYS)
-        workers = doc.get("workers")
-        return ExperimentConfig(
-            field_spec=_read("config key 'field'",
-                             doc.get("field", {"name": "bm", "params": {"n": 1}}), _OBJECT),
-            eps=_read("config key 'eps'", doc.get("eps", ()), _NUMBERS),
-            T=_read("config key 'grid.T'", grid.get("T", 0.25), _POSITIVE),
-            steps=_read("config key 'grid.steps'", grid.get("steps", 250), _COUNT),
-            paths=_read("config key 'paths'", doc.get("paths", 10_000), _COUNT),
-            seed=_read("config key 'seed'", doc.get("seed", 20260810), _SEED),
-            x0=_read("config key 'x0'", doc.get("x0", (0.0,)), _NUMBERS),
-            workers=None if workers is None else _read("config key 'workers'", workers, _COUNT),
-            out=_read("config key 'out'", doc.get("out"), _DIRECTORY),
-            options=_read("config key 'options'", doc.get("options", {}), _OBJECT),
-        )
+        _reject_unknown("grid", grid,
+                        {key.partition(".")[2] for key in _CONFIG_KEYS if "." in key})
+        given = {**doc, **{f"grid.{key}": value for key, value in grid.items()}}
+        return ExperimentConfig(**{attr: _read(f"config key {key!r}", given[key], kind)
+                                   for key, (attr, kind) in _CONFIG_KEYS.items() if key in given})
 
     @staticmethod
     def from_file(path: str, **overrides) -> "ExperimentConfig":
@@ -225,7 +216,7 @@ def _converge(cfg: ExperimentConfig, fields, opts: dict, which: str,
     p = opts["p"]
     noise = BrownianBatch(cfg.seed, cfg.paths, cfg.grid, fields.m)
     # the state gaps need no derivative flow; only the jac study integrates it
-    fam = coupled_family(fields, eps, np.asarray(cfg.x0), cfg.grid, noise,
+    fam = coupled_family(fields, eps, np.asarray(cfg.x0), noise,
                          with_jac=which == "jac", workers=cfg.workers)
     ref = eps[-1]
     rows, ests, ses = [], [], []
@@ -262,10 +253,9 @@ def _converge(cfg: ExperimentConfig, fields, opts: dict, which: str,
 def cmd_gradient(cfg: ExperimentConfig, fields, opts: dict) -> CommandResult:
     t, v0, target, abs_tol = opts["t"], opts["v0"], opts["target"], opts["abs_tol"]
     f, df, label = opts["f"]
-    grid = cfg.grid_at(t)
-    noise = BrownianBatch(cfg.seed, cfg.paths, grid, fields.m)
+    noise = BrownianBatch(cfg.seed, cfg.paths, cfg.grid_at(t), fields.m)
     out = {"config_fingerprint": cfg.fingerprint, "f": label, "t": t}
-    reports = gradient_routes(f, df, v0, fields, cfg.x0, grid, noise, bump=opts["bump"],
+    reports = gradient_routes(f, df, v0, fields, cfg.x0, noise, bump=opts["bump"],
                               workers=cfg.workers)
     failures = []
     names = sorted(reports)
@@ -311,9 +301,8 @@ def cmd_kernel_bound(cfg: ExperimentConfig, fields, opts: dict) -> CommandResult
                          f"{kern.MIN_SAMPLES} samples the density estimate needs")
     qpts = opts["query"][:, None]
     t, bandwidth, c1_target, c1_max = opts["t"], opts["bandwidth"], opts["c1"], opts["c1_max"]
-    grid = cfg.grid_at(t)
-    noise = BrownianBatch(cfg.seed, cfg.paths, grid, fields.m)
-    res = run_ensemble(fields, np.asarray(cfg.x0), grid, noise,
+    noise = BrownianBatch(cfg.seed, cfg.paths, cfg.grid_at(t), fields.m)
+    res = run_ensemble(fields, np.asarray(cfg.x0), noise,
                        with_jac=False, workers=cfg.workers)
     flagged = _flagged_failures("kernel_bound", res.n_flagged, cfg.paths)
     if flagged:
@@ -378,13 +367,12 @@ def cmd_ibp(cfg: ExperimentConfig, fields, opts: dict) -> CommandResult:
     t, target = opts["t"], opts["target"]
     f, df, label = opts["F"]
     h = CameronMartinPath.constant(opts["hdot"])
-    grid = cfg.grid_at(t)
-    noise = BrownianBatch(cfg.seed, cfg.paths, grid, fields.m)
+    noise = BrownianBatch(cfg.seed, cfg.paths, cfg.grid_at(t), fields.m)
 
     def dF(xT, vT):
         return np.sum(np.asarray(df(xT)) * vT, axis=1)
 
-    res = ibp_check(f, dF, h, fields, np.asarray(cfg.x0, dtype=float), grid, noise,
+    res = ibp_check(f, dF, h, fields, np.asarray(cfg.x0, dtype=float), noise,
                     workers=cfg.workers)
     failures = []
     if not res.ok:
@@ -407,7 +395,7 @@ def cmd_ibp(cfg: ExperimentConfig, fields, opts: dict) -> CommandResult:
 def cmd_moment(cfg: ExperimentConfig, fields, opts: dict) -> CommandResult:
     p = opts["p"]
     noise = BrownianBatch(cfg.seed, cfg.paths, cfg.grid, fields.m)
-    res = run_ensemble(fields, np.asarray(cfg.x0), cfg.grid, noise,
+    res = run_ensemble(fields, np.asarray(cfg.x0), noise,
                        trackers=(JacSupNorm(), IntegratedG()),
                        workers=cfg.workers)
     sup = moment_sup(res, p)

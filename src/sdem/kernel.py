@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import _POSITIVE, FieldError, _read, _vector, _Workspace
+from .fields import _POSITIVE, FieldError, _points, _read, _vector, _Workspace
 from .flow import _resolve_workers
 
 __all__ = [
@@ -60,9 +60,7 @@ class DensityQuery:
     bandwidth: float
 
     def __post_init__(self):
-        q = np.asarray(self.query_points, dtype=float)
-        if q.ndim == 1:
-            q = q[:, None]
+        q = _points(self.query_points, None, "DensityQuery: query points")
         object.__setattr__(self, "query_points", q)
         object.__setattr__(self, "x", _vector(self.x, "DensityQuery: point x", q.shape[1]))
         object.__setattr__(self, "t", _read("DensityQuery: time t", self.t, _POSITIVE))
@@ -77,8 +75,9 @@ class DensityQuery:
 
 
 def silverman_bandwidth(samples: np.ndarray) -> float:
-    """Per-axis rule h = 1.06 sigma_hat N^{-1/5}, averaged over axes."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    """Per-axis rule h = 1.06 sigma_hat N^{-1/5}, averaged over axes, for
+    a float (N, n) batch of samples."""
+    samples = _points(samples, None, "silverman_bandwidth")
     if samples.shape[0] < 2:
         raise FieldError("bandwidth rule needs at least two samples")
     sig = samples.std(axis=0, ddof=1).mean()
@@ -109,16 +108,13 @@ def density_estimate(samples, query: DensityQuery, *,
     carries the running column sums of its chunk, so each column is still
     summed row after row over the _CHUNK rows.  `exp` runs only where its
     argument lies above _EXP_FLOOR; below it the kernel is exactly +0, which
-    leaves the non-negative sums unchanged.  Samples must be finite.
+    leaves the non-negative sums unchanged.  The samples are a float
+    (N, n) batch, n the query's, and must be finite.
     """
-    pts = np.asarray(samples, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _points(samples, query.n, "density_estimate")
     N, n = pts.shape
     if N < MIN_SAMPLES:
         raise FieldError("density_estimate: need at least 1e4 samples")
-    if n != query.n:
-        raise FieldError("sample dimension does not match query points")
     finite = np.isfinite(pts).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))

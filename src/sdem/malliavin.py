@@ -9,8 +9,8 @@ random number finite difference used as a cross-validation oracle.
 ``bismut_gradient``, ``intertwine_gradient`` and ``fd_gradient`` reduce.
 
 ``gradient_routes``, ``divergence`` and ``ibp_check`` take their functionals
-or direction, then the engine's inputs ``(fs, x0, grid, noise)`` and keyword
-``workers``, as ``run_ensemble`` does; the horizon is ``grid.T``.
+or direction, then the engine's inputs ``(fs, x0, noise)`` and keyword
+``workers``, as ``run_ensemble`` does; the horizon is ``noise.grid.T``.
 
 All Ito integrals are discretized with the left-point rule on the
 integration grid; no Stratonovich correction appears anywhere.
@@ -26,14 +26,13 @@ constant rate hdot = v0, so one tracker, DivergenceWeight, serves both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .fields import _POSITIVE, FieldError, _read, _vector
-from .flow import (BrownianBatch, PathRecorder, TimeGrid, Tracker, _mm,
-                   run_ensemble, run_multi)
+from .flow import BrownianBatch, PathRecorder, Tracker, _mm, run_ensemble, run_multi
 from .report import EstimatorReport, from_samples
 
 __all__ = [
@@ -120,24 +119,31 @@ class CameronMartinPath:
     endpoint of the step, so the evaluator can only ever see the past;
     adaptedness holds by construction rather than by a runtime check.  It
     returns one row per path, or one (1, n) row that every path shares.
-    A direction with a constant rate also carries that rate as ``vec``.
+    An estimator checks ``rate(0, x0[None])`` before any noise (`_check_direction`).
     """
 
     rate: Callable[[int, np.ndarray], np.ndarray]
-    vec: Optional[np.ndarray] = field(default=None, compare=False)
 
     @staticmethod
     def constant(vec) -> "CameronMartinPath":
-        """The direction whose rate is vec, as one (1, n) row at every step;
-        an estimator checks vec against its field set's n, before any noise
-        is drawn."""
-        vec = np.asarray(vec, dtype=float).reshape(-1)
-        row = vec[None, :]
+        """The direction whose rate is vec, as one (1, n) row at every step."""
+        row = np.asarray(vec, dtype=float).reshape(1, -1)
 
         def rate(k, state):
             return row
 
-        return CameronMartinPath(rate, vec)
+        return CameronMartinPath(rate)
+
+
+def _check_direction(h: CameronMartinPath, fs, x0) -> None:
+    """h's rate at step 0 from x0 must be one row of n finite entries; a
+    FieldError names ``direction h`` otherwise.  x0 is checked first."""
+    x0 = _vector(x0, "start point x0", fs.n)
+    row = np.asarray(h.rate(0, x0[None]), dtype=float)
+    if row.ndim != 2 or len(row) != 1:
+        raise FieldError(f"direction h: rate(0, x0) must be one (1, {fs.n}) row, "
+                         f"got shape {row.shape}")
+    _vector(row, "direction h", fs.n)
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +164,10 @@ class DivergenceWeight(Tracker):
     """
 
     reads_jac = True
+    prefix, suffixes = "div", ("_weight", "_h_T")
 
-    def __init__(self, h: CameronMartinPath, run: int = 0, name: str = "div"):
-        self.h, self.run, self.name = h, run, name
-
-    def keys(self):
-        return (f"{self.name}_weight", f"{self.name}_h_T")
+    def __init__(self, h: CameronMartinPath, run: int = 0):
+        self.h, self.run = h, run
 
     def start(self, B):
         self.B, self.w, self.y = B, np.zeros(B), None
@@ -194,11 +198,8 @@ class DivergenceWeight(Tracker):
         self.hval = self.hval + hdot * dt
 
     def finish(self):
-        n = self.hval.shape[1]
-        return {
-            f"{self.name}_weight": self.w,
-            f"{self.name}_h_T": np.broadcast_to(self.hval, (self.B, n)),
-        }
+        h_T = np.broadcast_to(self.hval, (self.B, self.hval.shape[1]))
+        return dict(zip(self.keys(), (self.w, h_T)))
 
 
 class _DirectionRecorder(Tracker):
@@ -206,12 +207,10 @@ class _DirectionRecorder(Tracker):
     ``finish`` broadcasts a frame that is one row, as V and h can be."""
 
     reads_jac = True
+    prefix = "dir"
 
-    def __init__(self, h: CameronMartinPath, run: int = 0, name: str = "dir"):
-        self.h, self.run, self.name = h, run, name
-
-    def keys(self):
-        return (self.name,)
+    def __init__(self, h: CameronMartinPath, run: int = 0):
+        self.h, self.run = h, run
 
     def start(self, B):
         self.B, self.frames = B, []
@@ -225,20 +224,18 @@ class _DirectionRecorder(Tracker):
             self.hval = self.hval + np.asarray(self.h.rate(k, xi), dtype=float) * dt
 
     def finish(self):
-        n = self.frames[0].shape[1]
-        return {self.name: np.stack([np.broadcast_to(f, (self.B, n)) for f in self.frames],
-                                    axis=1)}  # (B, K+1, n)
+        frames = [np.broadcast_to(f, (self.B, f.shape[1])) for f in self.frames]
+        return dict(zip(self.keys(), (np.stack(frames, axis=1),)))  # (B, K+1, n)
 
 
 # ---------------------------------------------------------------------------
 # gradient estimators
 
 
-def gradient_routes(f: Callable, df: Optional[Callable], v0, fs, x0, grid: TimeGrid,
-                    noise: BrownianBatch, *, bump: float,
-                    workers: Optional[int] = None) -> dict:
-    """The three routes to the derivative of P_T f at x0 along v0, T = grid.T,
-    from one lockstep run of fs from x0, x0 + bump v0 and x0 - bump v0.
+def gradient_routes(f: Callable, df: Optional[Callable], v0, fs, x0, noise: BrownianBatch, *,
+                    bump: float, workers: Optional[int] = None) -> dict:
+    """The three routes to the derivative of P_T f at x0 along v0 (T is
+    noise.grid.T), from one lockstep run of fs from x0 and x0 +/- bump v0.
 
     Returns the reports ``bismut`` and ``fd``, and ``intertwine`` when df is
     given.  A path flagged in any of the three runs leaves every route.
@@ -248,12 +245,13 @@ def gradient_routes(f: Callable, df: Optional[Callable], v0, fs, x0, grid: TimeG
     bump = _read("bump", bump, _POSITIVE)
     runs = [(fs, x0), (fs, x0 + bump * v0), (fs, x0 - bump * v0)]
     (res, plus, minus), extras = run_multi(
-        runs, grid, noise, trackers=(DivergenceWeight(CameronMartinPath.constant(v0)),),
+        runs, noise, trackers=(DivergenceWeight(CameronMartinPath.constant(v0)),),
         workers=workers)
     ok, excluded = res.ok, res.n_flagged
     states = res.state_T[ok]
     # each route goes through its module name, which bench/tracer.py hooks
-    reports = {"bismut": bismut_gradient(f, states, extras["div_weight"][ok], grid.T, excluded),
+    reports = {"bismut": bismut_gradient(f, states, extras["div_weight"][ok], noise.grid.T,
+                                         excluded),
                "fd": fd_gradient(f, plus.state_T[ok], minus.state_T[ok], bump, excluded)}
     if df is not None:
         direction = np.einsum("bij,j->bi", res.jac_T[ok], v0)
@@ -284,14 +282,12 @@ def fd_gradient(f: Callable, plus, minus, bump: float, excluded: int) -> Estimat
 # divergence and integration by parts
 
 
-def divergence(h: CameronMartinPath, fs, x0, grid: TimeGrid, noise: BrownianBatch, *,
+def divergence(h: CameronMartinPath, fs, x0, noise: BrownianBatch, *,
                workers: Optional[int] = None) -> np.ndarray:
     """Per-path left-point Ito sums of <Y(xi_k) V_k hdot_k, dW_k>: the
     DivergenceWeight of an ensemble of fs started at x0 on the given noise."""
-    if h.vec is not None:
-        _vector(h.vec, "direction h", fs.n)
-    res = run_ensemble(fs, x0, grid, noise, trackers=(DivergenceWeight(h),),
-                       workers=workers)
+    _check_direction(h, fs, x0)
+    res = run_ensemble(fs, x0, noise, trackers=(DivergenceWeight(h),), workers=workers)
     return res.extras["div_weight"]
 
 
@@ -310,7 +306,7 @@ class IbpResult:
         return self.gap <= 3.0 * self.se_paired + 1e-12
 
 
-def ibp_check(F: Callable, dF: Callable, h: CameronMartinPath, fs, x0, grid: TimeGrid,
+def ibp_check(F: Callable, dF: Callable, h: CameronMartinPath, fs, x0,
               noise: BrownianBatch, *, full_path: bool = False,
               workers: Optional[int] = None) -> IbpResult:
     """Test E[dF(V^h)] = E[F(xi) delta V^h_T] on the discrete flow.
@@ -320,17 +316,16 @@ def ibp_check(F: Callable, dF: Callable, h: CameronMartinPath, fs, x0, grid: Tim
     ``full_path=True`` the functionals receive (times, states (B, K+1, n))
     and (times, states, direction path) instead.
     """
-    if h.vec is not None:
-        _vector(h.vec, "direction h", fs.n)
+    _check_direction(h, fs, x0)
     trackers = [DivergenceWeight(h)]
     if full_path:
         trackers.append(_DirectionRecorder(h))
         trackers.append(PathRecorder(with_jac=False))
-    res = run_ensemble(fs, x0, grid, noise, trackers=trackers, workers=workers)
+    res = run_ensemble(fs, x0, noise, trackers=trackers, workers=workers)
     ok = res.ok
     delta = res.extras["div_weight"][ok]
     if full_path:
-        times = grid.times()
+        times = noise.grid.times()
         states = res.extras["paths_states"][ok]
         direction = res.extras["dir"][ok]
         lhs_vals = np.asarray(dF(times, states, direction), dtype=float).reshape(-1)

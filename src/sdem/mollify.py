@@ -105,22 +105,26 @@ def eta_grad(x: np.ndarray) -> np.ndarray:
     return (-2.0 * c) * base[:, None] * x / (denom ** 2)[:, None]
 
 
-# the tables are cached by typed key, so that eps=True never finds eps=1's
-@lru_cache(maxsize=64, typed=True)
-def _tensor_nodes(n: int, eps: float, nodes: int):
-    """Gauss-Legendre tensor grid of ``nodes`` points per axis over the
-    bounding box [-eps, eps]^n, and the normalized kernel weights on it.
-
-    Returns (offsets (Q, n), kernel weights summing to 1, raw product
-    weights (Q,) including the volume element but not the kernel).  The
-    returned arrays are cached and must be treated as read-only.  Every
-    mollified field and scalar reaches its nodes here, so eps and the node
-    count are checked here.
-    """
+def _node_rule(eps, nodes) -> tuple[float, int]:
+    """eps and nodes as every mollified field and scalar reads them, before
+    a node table is looked up: eps finite and positive, nodes a count >= 8."""
     eps = _read("mollify: eps", eps, _POSITIVE)
     nodes = _read("mollify: nodes", nodes, _COUNT)
     if nodes < 8:
         raise FieldError(f"mollify: need at least 8 quadrature nodes per axis, got {nodes}")
+    return eps, nodes
+
+
+@lru_cache(maxsize=64)
+def _tensor_nodes(n: int, eps: float, nodes: int):
+    """Gauss-Legendre tensor grid of ``nodes`` points per axis over the
+    bounding box [-eps, eps]^n, and the normalized kernel weights on it;
+    eps and nodes are read by `_node_rule`.
+
+    Returns (offsets (Q, n), kernel weights summing to 1, raw product
+    weights (Q,) including the volume element but not the kernel).  The
+    returned arrays are cached and must be treated as read-only.
+    """
     z, w = np.polynomial.legendre.leggauss(nodes)
     axes = [z] * n
     grid = np.array(list(itertools.product(*axes)))          # (Q, n) in [-1,1]^n
@@ -137,7 +141,7 @@ def _tensor_nodes(n: int, eps: float, nodes: int):
     return offsets, kw / total, raw
 
 
-@lru_cache(maxsize=64, typed=True)
+@lru_cache(maxsize=64)
 def _kernel_nodes(n: int, eps: float, nodes: int):
     """The value route's node table: the kept offsets, their kernel weights
     and the index of the reference node, the one with the largest weight."""
@@ -146,7 +150,7 @@ def _kernel_nodes(n: int, eps: float, nodes: int):
     return offsets[keep], kw[keep], int(np.argmax(kw[keep]))
 
 
-@lru_cache(maxsize=64, typed=True)
+@lru_cache(maxsize=64)
 def _grad_nodes(n: int, eps: float, nodes: int):
     """The kernel-gradient route's node table: the kept offsets, a row of
     weights per node and the index of the reference node, the one nearest
@@ -189,12 +193,18 @@ class MollifiedFieldSet:
     the kernel analytically.  The quadrature is Gauss-Legendre with
     ``nodes`` points per axis.  Both take a float (N, n) batch, as the
     base's evaluators do, and hand the base one (Q·N, n) stack of shifted
-    points.
+    points.  eps and nodes are read, and the node table built, on construction.
     """
 
     base: VectorFieldSet
     eps: float
     nodes: int = 16
+
+    def __post_init__(self):
+        eps, nodes = _node_rule(self.eps, self.nodes)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "nodes", nodes)
+        _tensor_nodes(self.n, eps, nodes)
 
     @property
     def n(self) -> int:
@@ -256,7 +266,6 @@ class MollifiedFieldSet:
 def mollify_field(fs: VectorFieldSet, eps: float, nodes: int = 16) -> MollifiedFieldSet:
     """Smooth a coefficient family at scale eps, with ``nodes`` quadrature
     nodes per axis (at least 8)."""
-    _tensor_nodes(fs.n, eps, nodes)     # the checks, at construction
     return MollifiedFieldSet(fs, eps, nodes)
 
 
@@ -266,7 +275,8 @@ def mollify_scalar(f: Callable[[np.ndarray], np.ndarray], eps: float,
 
     The returned function takes an (N, n) batch, which it checks, and
     returns (N,) values."""
-    table = _kernel_nodes(n, eps, nodes)
+    n = _read("mollify_scalar: n", n, _COUNT)
+    table = _kernel_nodes(n, *_node_rule(eps, nodes))
     ws = _Workspace()
 
     def f_eps(x):

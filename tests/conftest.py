@@ -25,20 +25,20 @@ def scalar_drift_field(f, df=None, name="scalar"):
 
 
 def engine_inputs(fs, x0, t, paths, seed, dt=1e-3):
-    """(fs, x0, grid, noise) for `paths` paths of fs from x0 to the horizon t
+    """(fs, x0, noise) for `paths` paths of fs from x0 to the horizon t
     on steps of about dt, the noise drawn from `seed`."""
     grid = TimeGrid(t, max(1, round(t / dt)))
-    return fs, x0, grid, BrownianBatch(seed, paths, grid, fs.m)
+    return fs, x0, BrownianBatch(seed, paths, grid, fs.m)
 
 
-def bismut_report(f, v0, fs, x0, grid, noise):
+def bismut_report(f, v0, fs, x0, noise):
     """The Bismut route of ``gradient_routes`` alone: one run of fs from x0
     carrying the divergence weight of the constant direction v0, without
     the two bumped runs the other routes need."""
-    res = run_ensemble(fs, x0, grid, noise,
+    res = run_ensemble(fs, x0, noise,
                        trackers=(DivergenceWeight(CameronMartinPath.constant(v0)),))
     ok = res.ok
-    return bismut_gradient(f, res.state_T[ok], res.extras["div_weight"][ok], grid.T,
+    return bismut_gradient(f, res.state_T[ok], res.extras["div_weight"][ok], noise.grid.T,
                            res.n_flagged)
 
 
@@ -56,7 +56,7 @@ def within(rep, target, k=3.0) -> bool:
     return abs(rep.estimate - target) <= k * rep.se
 
 
-def spatial_derivative_check(fs, x0, v0, h, grid, noise):
+def spatial_derivative_check(fs, x0, v0, h, noise):
     """The derivative flow against a central spatial finite difference.
 
     Three runs share identical increments: starts x0 +/- h v0 (states only)
@@ -65,7 +65,7 @@ def spatial_derivative_check(fs, x0, v0, h, grid, noise):
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     runs = [(fs, x0 + h * v0), (fs, x0 - h * v0), (fs, x0)]
-    results, _ = run_multi(runs, grid, noise)
+    results, _ = run_multi(runs, noise)
     ok = results[0].ok
     fd_paths = (results[0].state_T[ok] - results[1].state_T[ok]) / (2.0 * h)
     vt_paths = np.einsum("bij,j->bi", results[2].jac_T[ok], v0)

@@ -54,7 +54,7 @@ def test_2d_linear_derivative_flow_is_matrix_power():
     fs = _linear_2d(mat)
     grid = TimeGrid(1.0, 400)
     noise = BrownianBatch(seed=61, paths=4, grid=grid, m=2)
-    res = run_ensemble(fs, [0.3, -0.2], grid, noise, trackers=(PathRecorder(),))
+    res = run_ensemble(fs, [0.3, -0.2], noise, trackers=(PathRecorder(),))
     jacs = res.extras["paths_jacs"]
     expect = np.linalg.matrix_power(np.eye(2) + mat * grid.dt, grid.steps)
     assert np.max(np.abs(jacs[:, -1] - expect)) < 1e-12
@@ -75,7 +75,7 @@ def test_redundant_noise_channels_m_greater_than_n():
     fs = builtin_field("const_shift", matrix=[[1.0, 1.0]], shift=[0.0])
     grid = TimeGrid(0.5, 200)
     noise = BrownianBatch(seed=63, paths=8, grid=grid, m=2)
-    res = run_ensemble(fs, [0.2], grid, noise, trackers=(PathRecorder(),))
+    res = run_ensemble(fs, [0.2], noise, trackers=(PathRecorder(),))
     dW = noise.block_increments(0)
     w = np.cumsum(dW[:, :, 0] + dW[:, :, 1], axis=1)
     expect = 0.2 + np.concatenate([np.zeros((8, 1)), w], axis=1)
@@ -94,7 +94,7 @@ def test_moment_bound_inequality_unmollified_log_example():
     log = builtin_field("log_example", beta=1.0)
     grid = TimeGrid(0.25, 250)
     noise = BrownianBatch(seed=65, paths=8_000, grid=grid, m=1)
-    res = run_ensemble(log, [0.0], grid, noise,
+    res = run_ensemble(log, [0.0], noise,
                        trackers=(JacSupNorm(), IntegratedG()), workers=2)
     p = 2.0
     sup = moment_sup(res, p)
@@ -103,7 +103,7 @@ def test_moment_bound_inequality_unmollified_log_example():
     assert math.log(sup.estimate) <= math.log(bound.estimate) + 3.0 * se_log
     # same shape for the ou field, where both sides are deterministic
     ou = builtin_field("ou", lam=1.0)
-    res2 = run_ensemble(ou, [0.0], grid, noise,
+    res2 = run_ensemble(ou, [0.0], noise,
                         trackers=(JacSupNorm(), IntegratedG()))
     assert moment_sup(res2, p).estimate <= exp_g_functional(res2, p).estimate
 
@@ -116,7 +116,7 @@ def test_exp_g_functional_log_example_small_horizon_stable():
     vals = []
     for paths in (4_000, 8_000):
         noise = BrownianBatch(seed=66, paths=paths, grid=grid, m=1)
-        res = run_ensemble(log, [0.0], grid, noise, trackers=(IntegratedG(),))
+        res = run_ensemble(log, [0.0], noise, trackers=(IntegratedG(),))
         rep = exp_g_functional(res, 1.0)
         assert math.isfinite(rep.estimate) and rep.overflowed == 0
         vals.append(rep.estimate)

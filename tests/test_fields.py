@@ -144,17 +144,21 @@ _NOISE = BrownianBatch(seed=1, paths=8, grid=_GRID, m=1)
     (lambda: mollify_field(_BM, "a"), "eps must"),
     (lambda: mollify_field(_BM, 0.1, nodes=16.5), "nodes must"),
     (lambda: mollify_scalar(lambda p: p[:, 0], True), "eps must"),
+    (lambda: mollify_field(_BM, [0.1]), "eps must"),
+    (lambda: mollify_scalar(lambda p: p[:, 0], [0.1]), "eps must"),
+    (lambda: mollify_field(_BM, 0.1, nodes=[16]), "nodes must"),
+    (lambda: mollify_scalar(lambda p: p[:, 0], 0.1, nodes=[16]), "nodes must"),
     (lambda: hoelder_estimate(_BM, "a", [[0.0]], [[1.0]]), "alpha must"),
     (lambda: DensityQuery("a", [0.0], [[0.0]], 0.1), "time t must"),
     (lambda: DensityQuery(1.0, [0.0], [[0.0]], True), "bandwidth must"),
-    (lambda: gradient_routes(np.sin, None, [1.0], _BM, [0.0], _GRID, _NOISE, bump="a"),
+    (lambda: gradient_routes(np.sin, None, [1.0], _BM, [0.0], _NOISE, bump="a"),
      "bump must"),
-    (lambda: run_ensemble(_BM, [0.0], _GRID, _NOISE, workers=2.5), "workers must"),
+    (lambda: run_ensemble(_BM, [0.0], _NOISE, workers=2.5), "workers must"),
     (lambda: ExperimentConfig().grid_at("a"), "'t' must"),
 ], ids=["sigma-nan", "sigma-str", "T0-inf", "samples-10000.5", "seed-1.5", "steps-2.5",
         "steps-True", "T-str", "paths-10.5", "noise-seed-1.5", "m-0", "eps-str", "nodes-16.5",
-        "scalar-eps-True", "alpha-str", "t-str", "bandwidth-True", "bump-str", "workers-2.5",
-        "grid_at-t-str"])
+        "scalar-eps-True", "eps-list", "scalar-eps-list", "nodes-list", "scalar-nodes-list",
+        "alpha-str", "t-str", "bandwidth-True", "bump-str", "workers-2.5", "grid_at-t-str"])
 def test_every_library_scalar_is_read_by_one_rule_before_any_noise(monkeypatch, call, key):
     # a count is a whole number, a seed a whole number >= 0, and every other
     # scalar a finite number; a bool is none of them.  A bad one is a
@@ -183,6 +187,23 @@ def test_field_json_round_trip():
     for declared in ({"n": 2}, {"m": 2}):
         with pytest.raises(FieldError, match="does not match"):
             field_from_json({**doc, **declared})
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"name": "ou", "params": {"lam": 1.0}, "parms": {"lam": 2.0}}, "'parms'"),
+    ({"name": "bm", "params": {"n": 1}, "n": "1"}, "'n' must be an integer"),
+    ({"name": "bm", "params": {"n": 1}, "n": True}, "'n' must be an integer"),
+    ({"name": "bm", "params": {"n": 1}, "m": 1.5}, "'m' must be an integer"),
+    ({"name": "bm", "params": {"n": 1}, "m": 2.0}, "declared m=2 does not match"),
+])
+def test_field_spec_keys_are_known_and_its_dimensions_counts(doc, key):
+    with pytest.raises(FieldError, match=key):
+        field_from_json(doc)
+
+
+def test_field_spec_declared_counts_read_as_counts():
+    fs = field_from_json({"name": "bm", "params": {"n": 2}, "n": 2.0, "m": 2})
+    assert (fs.n, fs.m) == (2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +384,7 @@ def test_a_batch_only_field_runs_everywhere():
     fs, bare = _batch_only_field(), _batch_only_field(with_da=False)
     pts = np.random.default_rng(3).uniform(-2, 2, (50, 2))
     grid = TimeGrid(0.25, 25)
-    res = run_ensemble(fs, [0.1, -0.2], grid, BrownianBatch(26, 200, grid, 2),
+    res = run_ensemble(fs, [0.1, -0.2], BrownianBatch(26, 200, grid, 2),
                        trackers=(IntegratedG(),))
     assert res.state_T.shape == (200, 2) and res.jac_T.shape == (200, 2, 2)
     assert res.n_flagged == 0

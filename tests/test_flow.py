@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from sdem import flow
 from sdem.fields import DerivativeUnavailableError, FieldError, builtin_field
-from sdem.malliavin import CameronMartinPath, DivergenceWeight, _DirectionRecorder
+from sdem.malliavin import (CameronMartinPath, DivergenceWeight, _DirectionRecorder,
+                            divergence, gradient_routes, ibp_check)
 from sdem.mollify import mollify_field
 from sdem.flow import (BLOCK, TILE, BrownianBatch, IntegratedG, JacSupNorm, PathRecorder,
                        TimeGrid, Tracker, _mm, _PairSup, coupled_family, exp_g_functional,
@@ -168,7 +169,7 @@ def _cumulative_noise(noise):
 def test_bm_path_is_cumulative_sum():
     g = TimeGrid(1.0, 200)
     noise = BrownianBatch(seed=3, paths=4, grid=g, m=1)
-    res = run_ensemble(builtin_field("bm", n=1), [0.0], g, noise, trackers=(PathRecorder(),))
+    res = run_ensemble(builtin_field("bm", n=1), [0.0], noise, trackers=(PathRecorder(),))
     assert res.extras["paths_states"].shape == (4, 201, 1)
     assert np.max(np.abs(res.extras["paths_states"][:, :, 0] - _cumulative_noise(noise))) < 1e-13
     assert np.all(res.extras["paths_jacs"] == 1.0)
@@ -179,7 +180,7 @@ def test_const_shift_euler_is_exact():
     g = TimeGrid(1.0, 500)
     noise = BrownianBatch(seed=4, paths=3, grid=g, m=1)
     fs = builtin_field("const_shift", matrix=[[2.0]], shift=[1.0])
-    res = run_ensemble(fs, [0.3], g, noise, trackers=(PathRecorder(),))
+    res = run_ensemble(fs, [0.3], noise, trackers=(PathRecorder(),))
     exact = 0.3 + 2.0 * _cumulative_noise(noise) + g.times()
     assert np.max(np.abs(res.extras["paths_states"][:, :, 0] - exact)) < 1e-12
 
@@ -187,7 +188,7 @@ def test_const_shift_euler_is_exact():
 def test_ou_derivative_flow_matches_product_and_exponential():
     g = TimeGrid(1.0, 1000)
     noise = BrownianBatch(seed=5, paths=2, grid=g, m=1)
-    res = run_ensemble(builtin_field("ou", lam=1.0), [1.0], g, noise, trackers=(PathRecorder(),))
+    res = run_ensemble(builtin_field("ou", lam=1.0), [1.0], noise, trackers=(PathRecorder(),))
     # 1-d commutative system: Euler V_k is the running product
     prod = np.cumprod(np.concatenate([[1.0], np.full(1000, 1.0 - g.dt)]))
     assert np.max(np.abs(res.extras["paths_jacs"][:, :, 0, 0] - prod)) < 1e-12
@@ -196,7 +197,7 @@ def test_ou_derivative_flow_matches_product_and_exponential():
     for steps in (500, 1000):
         gg = TimeGrid(1.0, steps)
         nn = BrownianBatch(seed=5, paths=2, grid=gg, m=1)
-        r = run_ensemble(builtin_field("ou", lam=1.0), [1.0], gg, nn)
+        r = run_ensemble(builtin_field("ou", lam=1.0), [1.0], nn)
         errs.append(abs(r.jac_T[0, 0, 0] - math.exp(-1.0)))
     assert errs[1] == pytest.approx(errs[0] / 2.0, rel=0.05)
     assert errs[1] <= 1.0 * gg.dt
@@ -238,7 +239,7 @@ def test_each_field_is_evaluated_once_per_step():
                          (JacSupNorm(), IntegratedG())):
             calls.clear()
             rows.clear()
-            run_ensemble(fs, x0, g, noise, trackers=trackers, workers=1)
+            run_ensemble(fs, x0, noise, trackers=trackers, workers=1)
             assert dict(calls) == expect_calls, base.name
             assert dict(rows) == expect_rows, base.name
 
@@ -254,8 +255,8 @@ def test_zero_drift_skip_and_state_only_runs_are_bit_exact():
         assert wrap(log).zero_drift and not wrap(plain).zero_drift
         out = []
         for fs in (wrap(log), wrap(plain)):
-            (res,), extras = run_multi([(fs, [0.3])], g, noise, trackers=(IntegratedG(),))
-            (state,), _ = run_multi([(fs, [0.3])], g, noise, with_jac=False)
+            (res,), extras = run_multi([(fs, [0.3])], noise, trackers=(IntegratedG(),))
+            (state,), _ = run_multi([(fs, [0.3])], noise, with_jac=False)
             out.append([a.tobytes() for a in (res.state_T, res.jac_T, res.flag,
                                                extras["int_g"], state.state_T, state.flag)])
         assert out[0] == out[1]
@@ -284,7 +285,7 @@ def test_constant_diffusion_declaration_is_bit_exact():
         out = []
         for fs in (declared, plain):
             trackers = (DivergenceWeight(CameronMartinPath.constant(hdot)), IntegratedG())
-            res = run_ensemble(fs, x0, g, noise, trackers=trackers)
+            res = run_ensemble(fs, x0, noise, trackers=trackers)
             out.append([a.tobytes() for a in (res.state_T, res.jac_T, res.flag)]
                        + [res.extras[key].tobytes() for key in
                           ("div_weight", "div_h_T", "int_g")])
@@ -295,7 +296,7 @@ def test_constant_diffusion_declaration_is_bit_exact():
     weights = []
     for paths in (1, 3):
         noise = BrownianBatch(seed=24, paths=paths, grid=g, m=1)
-        res = run_ensemble(log, [0.3], g, noise,
+        res = run_ensemble(log, [0.3], noise,
                            trackers=(DivergenceWeight(CameronMartinPath.constant([1.0])),))
         weights.append(res.extras["div_weight"][0])
     assert weights[0] == weights[1]
@@ -323,7 +324,7 @@ def test_one_row_derivative_flow_is_byte_identical():
             for workers in (1, 3):
                 trackers = (JacSupNorm(), IntegratedG(),
                             DivergenceWeight(CameronMartinPath.constant(hdot)), PathRecorder())
-                res = run_ensemble(fs, x0, g, noise, trackers=trackers, workers=workers)
+                res = run_ensemble(fs, x0, noise, trackers=trackers, workers=workers)
                 n = fs.n
                 assert res.jac_T.shape == (300, n, n)
                 assert res.extras["paths_jacs"].shape == (300, g.steps + 1, n, n)
@@ -345,7 +346,7 @@ def test_flags_at_the_end_match_the_recorded_trajectory(drift, ddrift, x0, state
     g = TimeGrid(1.0, 100)
     noise = BrownianBatch(seed=31, paths=200, grid=g, m=1)
     for workers in (1, 2, 3):
-        res = run_ensemble(fs, x0, g, noise, trackers=(PathRecorder(),), workers=workers)
+        res = run_ensemble(fs, x0, noise, trackers=(PathRecorder(),), workers=workers)
         states, jacs = res.extras["paths_states"], res.extras["paths_jacs"]
         bad = (~np.isfinite(states).all(axis=2)
                | ~np.isfinite(jacs.reshape(200, g.steps + 1, -1)).all(axis=2))
@@ -369,18 +370,18 @@ def test_state_only_run_rejects_trackers_that_read_v_before_any_noise(monkeypatc
                     PathRecorder(with_jac=True)):
         name = type(tracker).__name__
         with pytest.raises(FieldError, match=name):
-            run_ensemble(fs, [0.0], g, noise, trackers=(tracker,), with_jac=False)
+            run_ensemble(fs, [0.0], noise, trackers=(tracker,), with_jac=False)
         with pytest.raises(FieldError, match=name):
-            run_multi([(fs, [0.0]), (fs, [1.0])], g, noise, trackers=(tracker,),
+            run_multi([(fs, [0.0]), (fs, [1.0])], noise, trackers=(tracker,),
                       with_jac=False)
     # a recorder of states alone is accepted and goes on to draw the noise
     with pytest.raises(AssertionError, match="drew noise"):
-        run_ensemble(fs, [0.0], g, noise, trackers=(PathRecorder(with_jac=False),),
+        run_ensemble(fs, [0.0], noise, trackers=(PathRecorder(with_jac=False),),
                      with_jac=False)
 
 
 def test_bad_start_or_missing_derivative_fails_before_any_noise(monkeypatch):
-    # every run checks its start point, its grid, its worker count and, when
+    # every run checks its start point, its worker count and, when
     # it carries V, the field set's DA before it draws a block; the noise
     # checks its seed when it is built
     def no_noise(*args, **kwargs):
@@ -392,24 +393,23 @@ def test_bad_start_or_missing_derivative_fails_before_any_noise(monkeypatch):
     ou = builtin_field("ou", lam=1.0)
     bare = scalar_drift_field(lambda x: x, name="bare")
     rows = [
-        (lambda: run_ensemble(ou, [math.nan], g, noise), FieldError, "x0"),
-        (lambda: run_ensemble(ou, [-math.inf], g, noise, with_jac=False), FieldError, "x0"),
-        (lambda: run_multi([(ou, [0.0]), (ou, [math.nan])], g, noise), FieldError, "x0"),
-        (lambda: coupled_family(ou, [0.2, 0.1], [math.inf], g, noise), FieldError, "x0"),
-        (lambda: run_ensemble(ou, [0.0], TimeGrid(1.0, 20), noise), FieldError, "grid"),
-        (lambda: run_ensemble(bare, [0.0], g, noise), DerivativeUnavailableError, "'bare'"),
-        (lambda: run_multi([(ou, [0.0]), (bare, [0.0])], g, noise),
+        (lambda: run_ensemble(ou, [math.nan], noise), FieldError, "x0"),
+        (lambda: run_ensemble(ou, [-math.inf], noise, with_jac=False), FieldError, "x0"),
+        (lambda: run_multi([(ou, [0.0]), (ou, [math.nan])], noise), FieldError, "x0"),
+        (lambda: coupled_family(ou, [0.2, 0.1], [math.inf], noise), FieldError, "x0"),
+        (lambda: run_ensemble(bare, [0.0], noise), DerivativeUnavailableError, "'bare'"),
+        (lambda: run_multi([(ou, [0.0]), (bare, [0.0])], noise),
          DerivativeUnavailableError, "'bare'"),
         (lambda: BrownianBatch(seed=-1, paths=2, grid=g, m=1), FieldError, "seed"),
     ]
-    rows += [(lambda w=w: run_ensemble(ou, [0.0], g, noise, workers=w), FieldError, "workers")
+    rows += [(lambda w=w: run_ensemble(ou, [0.0], noise, workers=w), FieldError, "workers")
              for w in ("two", 0, -3)]
     for call, error, name in rows:
         with pytest.raises(error, match=name):
             call()
     # a state-only run needs no DA and goes on to draw the noise
     with pytest.raises(AssertionError, match="drew noise"):
-        run_ensemble(bare, [0.0], g, noise, with_jac=False)
+        run_ensemble(bare, [0.0], noise, with_jac=False)
 
 
 def test_flagged_explosive_path():
@@ -417,7 +417,7 @@ def test_flagged_explosive_path():
     fs = scalar_drift_field(lambda x: x ** 9, df=lambda x: 9.0 * x ** 8)
     g = TimeGrid(5.0, 40)
     noise = BrownianBatch(seed=8, paths=64, grid=g, m=1)
-    res = run_ensemble(fs, [2.0], g, noise,
+    res = run_ensemble(fs, [2.0], noise,
                        trackers=(JacSupNorm(), IntegratedG(), PathRecorder()))
     assert res.n_flagged == 64
     assert not np.isfinite(res.extras["paths_states"][:, -1, 0]).any()
@@ -437,11 +437,11 @@ def test_flagged_explosive_path():
 def test_moment_sup_bm_and_ou():
     g = TimeGrid(1.0, 100)
     noise = BrownianBatch(seed=7, paths=256, grid=g, m=1)
-    bm_res = run_ensemble(builtin_field("bm", n=1), [0.0], g, noise,
+    bm_res = run_ensemble(builtin_field("bm", n=1), [0.0], noise,
                           trackers=(JacSupNorm(),))
     rep = moment_sup(bm_res, 3.0)
     assert rep.estimate == 1.0 and rep.se == 0.0
-    ou_res = run_ensemble(builtin_field("ou", lam=1.0), [0.0], g, noise,
+    ou_res = run_ensemble(builtin_field("ou", lam=1.0), [0.0], noise,
                           trackers=(JacSupNorm(),))
     rep2 = moment_sup(ou_res, 2.0)
     assert rep2.estimate == pytest.approx(1.0, abs=1e-12)   # sup at t = 0
@@ -450,11 +450,11 @@ def test_moment_sup_bm_and_ou():
 def test_exp_g_functional_values():
     g = TimeGrid(1.0, 100)
     noise = BrownianBatch(seed=7, paths=128, grid=g, m=1)
-    bm_res = run_ensemble(builtin_field("bm", n=1), [0.0], g, noise,
+    bm_res = run_ensemble(builtin_field("bm", n=1), [0.0], noise,
                           trackers=(IntegratedG(),))
     assert exp_g_functional(bm_res, 2.0).estimate == 1.0
     ou = builtin_field("ou", lam=1.0)
-    ou_res = run_ensemble(ou, [0.0], g, noise, trackers=(IntegratedG(),))
+    ou_res = run_ensemble(ou, [0.0], noise, trackers=(IntegratedG(),))
     rep = exp_g_functional(ou_res, 1.0)
     assert rep.estimate == pytest.approx(math.exp(6.0), rel=1e-12)
     assert rep.overflowed == 0
@@ -464,7 +464,7 @@ def test_exp_g_overflow_reported_as_inf():
     fs = scalar_drift_field(lambda x: -x, df=lambda x: np.full_like(x, -30.0))
     g = TimeGrid(1.0, 50)
     noise = BrownianBatch(seed=2, paths=16, grid=g, m=1)
-    res = run_ensemble(fs, [0.0], g, noise, trackers=(IntegratedG(),))
+    res = run_ensemble(fs, [0.0], noise, trackers=(IntegratedG(),))
     rep = exp_g_functional(res, 5.0)     # exp(6 * 25 * 900) overflows
     assert math.isinf(rep.estimate)
     assert rep.overflowed == 16
@@ -477,7 +477,7 @@ def test_exp_g_overflow_reported_as_inf():
 def test_coupled_family_constant_fields_collapse():
     g = TimeGrid(0.5, 50)
     noise = BrownianBatch(seed=10, paths=512, grid=g, m=1)
-    fam = coupled_family(builtin_field("bm", n=1), [0.2, 0.1, 0.05], [0.0], g, noise)
+    fam = coupled_family(builtin_field("bm", n=1), [0.2, 0.1, 0.05], [0.0], noise)
     for pair, vals in fam.pair_state_sup.items():
         assert np.all(vals == 0.0), pair
     for pair, vals in fam.pair_jac_sup.items():
@@ -488,7 +488,7 @@ def test_coupled_family_linear_drift_collapses():
     # an affine field passes through the even kernel unchanged
     g = TimeGrid(0.5, 50)
     noise = BrownianBatch(seed=11, paths=256, grid=g, m=1)
-    fam = coupled_family(builtin_field("ou", lam=1.0), [0.2, 0.1], [1.0], g, noise)
+    fam = coupled_family(builtin_field("ou", lam=1.0), [0.2, 0.1], [1.0], noise)
     assert np.max(fam.pair_state_sup[(0.2, 0.1)]) < 1e-12
     assert np.max(fam.pair_jac_sup[(0.2, 0.1)]) < 1e-12
 
@@ -497,7 +497,7 @@ def test_coupled_family_log_example_trend():
     g = TimeGrid(0.25, 125)
     noise = BrownianBatch(seed=12, paths=2000, grid=g, m=1)
     log = builtin_field("log_example", beta=1.0)
-    fam = coupled_family(log, [0.2, 0.1, 0.05, 0.025], [0.0], g, noise)
+    fam = coupled_family(log, [0.2, 0.1, 0.05, 0.025], [0.0], noise)
     ests = [fam.sup_moment(e, 0.025, 2.0).estimate for e in (0.2, 0.1, 0.05)]
     assert ests[0] > ests[1] > ests[2]
     jests = [fam.sup_moment(e, 0.025, 2.0, which="jac").estimate
@@ -513,8 +513,8 @@ def test_state_only_family_refuses_derivative_gaps():
     noise = BrownianBatch(seed=13, paths=300, grid=g, m=1)
     log = builtin_field("log_example", beta=1.0)
     eps = [0.2, 0.1, 0.05]
-    full = coupled_family(log, eps, [0.0], g, noise)
-    fam = coupled_family(log, eps, [0.0], g, noise, with_jac=False)
+    full = coupled_family(log, eps, [0.0], noise)
+    fam = coupled_family(log, eps, [0.0], noise, with_jac=False)
     assert fam.pair_jac_sup is None
     with pytest.raises(FieldError, match="state-only"):
         fam.sup_moment(0.2, 0.05, 2.0, which="jac")
@@ -535,9 +535,9 @@ def test_coupled_family_validates_ladder():
     g = TimeGrid(0.5, 10)
     noise = BrownianBatch(seed=1, paths=4, grid=g, m=1)
     with pytest.raises(FieldError):
-        coupled_family(builtin_field("bm", n=1), [0.1, 0.2], [0.0], g, noise)
+        coupled_family(builtin_field("bm", n=1), [0.1, 0.2], [0.0], noise)
     with pytest.raises(FieldError):
-        coupled_family(builtin_field("bm", n=1), [0.1, -0.2], [0.0], g, noise)
+        coupled_family(builtin_field("bm", n=1), [0.1, -0.2], [0.0], noise)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +548,7 @@ def test_worker_count_does_not_change_results():
     g = TimeGrid(0.5, 100)
     noise = BrownianBatch(seed=15, paths=3000, grid=g, m=1)
     ou = builtin_field("ou", lam=1.0)
-    runs = [run_ensemble(ou, [0.5], g, noise, trackers=(JacSupNorm(),), workers=w)
+    runs = [run_ensemble(ou, [0.5], noise, trackers=(JacSupNorm(),), workers=w)
             for w in (1, 4)]
     assert np.array_equal(runs[0].state_T, runs[1].state_T)
     assert np.array_equal(runs[0].extras["sup_jac"], runs[1].extras["sup_jac"])
@@ -577,9 +577,9 @@ def test_outputs_do_not_depend_on_the_worker_count(name, paths, steps, seed):
     noise = BrownianBatch(seed=seed, paths=paths, grid=g, m=fs.m)
     out = []
     for w in (1, 2, 3, 5):
-        results, extras = run_multi([(fs, x0) for x0 in starts], g, noise,
-                                    trackers=(JacSupNorm(0), JacSupNorm(2, "sup_jac_2"),
-                                              PathRecorder(1), _PairSup(0, 2, "pair", True)),
+        results, extras = run_multi([(fs, x0) for x0 in starts], noise,
+                                    trackers=(JacSupNorm(0), JacSupNorm(2),
+                                              PathRecorder(1), _PairSup(0, 2, True)),
                                     workers=w)
         out.append([a.tobytes() for res in results for a in (res.state_T, res.jac_T, res.flag)]
                    + [extras[key].tobytes() for key in sorted(extras)])
@@ -600,9 +600,9 @@ def test_worker_threads_ignore_overflow_as_the_calling_thread_does():
     for w in (1, 2):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            results, extras = run_multi(runs, g, noise, workers=w,
+            results, extras = run_multi(runs, noise, workers=w,
                                         trackers=(IntegratedG(1), JacSupNorm(1),
-                                                  _PairSup(0, 1, "pair", True)))
+                                                  _PairSup(0, 1, True)))
         out.append([a.tobytes() for res in results for a in (res.state_T, res.jac_T, res.flag)]
                    + [extras[key].tobytes() for key in sorted(extras)])
     assert 0 < results[0].n_flagged < noise.paths
@@ -611,8 +611,9 @@ def test_worker_threads_ignore_overflow_as_the_calling_thread_does():
 
 
 def test_trackers_writing_the_same_extra_are_refused(monkeypatch):
-    # two sups of different runs under one name would silently keep only one;
-    # the declared keys show the clash before any noise is drawn
+    # a tracker's keys follow from its run, so only two trackers of one kind
+    # on one run share a key; the declared keys show that clash before any
+    # noise is drawn, and the sups of runs 0 and 1 keep keys of their own
     fs = scalar_drift_field(lambda x: x * x, df=lambda x: 2.0 * x)
     g = TimeGrid(0.25, 10)
     noise = BrownianBatch(seed=25, paths=64, grid=g, m=1)
@@ -624,10 +625,24 @@ def test_trackers_writing_the_same_extra_are_refused(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(BrownianBatch, "block_increments", no_noise)
         with pytest.raises(FieldError, match=r"JacSupNorm and JacSupNorm.*'sup_jac'"):
-            run_multi(runs, g, noise, trackers=(JacSupNorm(0), JacSupNorm(1)))
-    _, extras = run_multi(runs, g, noise, trackers=(JacSupNorm(0), JacSupNorm(1, "sup_jac_1")))
+            run_multi(runs, noise, trackers=(JacSupNorm(0), JacSupNorm(0)))
+    _, extras = run_multi(runs, noise, trackers=(JacSupNorm(0), JacSupNorm(1)))
     assert sorted(extras) == ["sup_jac", "sup_jac_1"]
     assert not np.array_equal(extras["sup_jac"], extras["sup_jac_1"])
+
+
+def test_no_entry_takes_what_its_inputs_fix():
+    # the noise fixes the grid, a direction's rate its width, and a
+    # tracker's kind and run its keys
+    import inspect
+
+    for entry in (run_ensemble, run_multi, coupled_family, gradient_routes, divergence,
+                  ibp_check):
+        assert "grid" not in inspect.signature(entry).parameters, entry.__name__
+    for tracker in (JacSupNorm, IntegratedG, PathRecorder, _PairSup, DivergenceWeight,
+                    _DirectionRecorder):
+        assert "name" not in inspect.signature(tracker).parameters, tracker.__name__
+    assert [f.name for f in dataclasses.fields(CameronMartinPath)] == ["rate"]
 
 
 def test_each_tracker_writes_the_extras_it_declares():
@@ -637,9 +652,9 @@ def test_each_tracker_writes_the_extras_it_declares():
     noise = BrownianBatch(seed=26, paths=16, grid=g, m=1)
     h = CameronMartinPath.constant([1.0])
     for tracker in (JacSupNorm(), IntegratedG(), PathRecorder(), PathRecorder(with_jac=False),
-                    _PairSup(0, 1, "pair", True), _PairSup(0, 1, "pair", False),
+                    _PairSup(0, 1, True), _PairSup(0, 1, False),
                     DivergenceWeight(h), _DirectionRecorder(h)):
-        _, extras = run_multi([(fs, [0.0]), (fs, [1.0])], g, noise, trackers=(tracker,))
+        _, extras = run_multi([(fs, [0.0]), (fs, [1.0])], noise, trackers=(tracker,))
         assert tuple(extras) == tracker.keys(), type(tracker).__name__
 
 
@@ -668,7 +683,7 @@ def test_a_worker_threads_error_is_the_one_worker_error_and_leaves_no_thread(fai
     ou = builtin_field("ou", lam=1.0)
     g = TimeGrid(0.1, 10)
     noise = BrownianBatch(seed=25, paths=200, grid=g, m=1)
-    states = run_ensemble(ou, [0.0], g, noise, trackers=(PathRecorder(with_jac=False),),
+    states = run_ensemble(ou, [0.0], noise, trackers=(PathRecorder(with_jac=False),),
                           with_jac=False).extras["paths_states"][:, :g.steps, 0]
     above = states > 0.5
     crossed = np.where(above.any(axis=1), above.argmax(axis=1), g.steps)
@@ -684,7 +699,7 @@ def test_a_worker_threads_error_is_the_one_worker_error_and_leaves_no_thread(fai
             sys.setswitchinterval(switch)
             for w in (1, 2, 3):
                 with pytest.raises(FieldError, match=message):
-                    run_multi(runs, g, noise, workers=w)
+                    run_multi(runs, noise, workers=w)
                 assert threading.active_count() == before
     finally:
         sys.setswitchinterval(interval)
@@ -707,7 +722,7 @@ def test_a_one_block_run_is_cut_into_contiguous_row_slices(monkeypatch):
 
     def stepped(paths, w):
         calls.clear()
-        run_ensemble(fs, [0.3], g, BrownianBatch(seed=27, paths=paths, grid=g, m=1), workers=w)
+        run_ensemble(fs, [0.3], BrownianBatch(seed=27, paths=paths, grid=g, m=1), workers=w)
         return list(calls)
 
     class NoPool:
@@ -744,7 +759,7 @@ def test_row_slices_agree_with_one_worker_under_frequent_thread_switches():
     try:
         sys.setswitchinterval(1e-6)
         for w in (1, 8):
-            fam = coupled_family(fs, [0.2, 0.1], [0.1], g, noise, workers=w)
+            fam = coupled_family(fs, [0.2, 0.1], [0.1], noise, workers=w)
             out.append([a.tobytes() for res in fam.levels.values() for a in (res.state_T, res.jac_T)]
                        + [a.tobytes() for a in fam.pair_jac_sup.values()])
     finally:
@@ -773,7 +788,7 @@ def test_spatial_check_bm_is_exact():
     g = TimeGrid(0.5, 50)
     noise = BrownianBatch(seed=16, paths=128, grid=g, m=1)
     fd, _, gap = spatial_derivative_check(builtin_field("bm", n=1), [0.0], [1.0], 1e-3,
-                                          g, noise)
+                                          noise)
     assert gap < 1e-12
     assert fd[0] == pytest.approx(1.0, abs=1e-10)
 
@@ -782,7 +797,7 @@ def test_spatial_check_ou_small_gap():
     g = TimeGrid(1.0, 1000)
     noise = BrownianBatch(seed=17, paths=512, grid=g, m=1)
     _, vt, gap = spatial_derivative_check(builtin_field("ou", lam=1.0), [1.0], [1.0],
-                                          1e-3, g, noise)
+                                          1e-3, noise)
     assert gap <= 1e-2
     assert vt[0] == pytest.approx(math.exp(-1.0), abs=2e-3)
 
@@ -793,7 +808,7 @@ def test_spatial_check_log_example_trend():
     for steps, h in ((25, 4e-2), (50, 2e-2), (100, 1e-2)):
         g = TimeGrid(0.1, steps)
         noise = BrownianBatch(seed=18, paths=1024, grid=g, m=1)
-        gaps.append(spatial_derivative_check(log, [0.0], [1.0], h, g, noise)[2])
+        gaps.append(spatial_derivative_check(log, [0.0], [1.0], h, noise)[2])
     assert gaps[0] > gaps[2]
 
 
@@ -829,9 +844,9 @@ def test_lockstep_runs_do_not_alias_field_workspaces():
     runs = [(raw, [0.05]), (mollify_field(raw, 0.1), [0.05])]
     g = TimeGrid(0.1, 12)
     noise = BrownianBatch(seed=23, paths=300, grid=g, m=1)
-    together, extras = run_multi(runs, g, noise, trackers=[_CoefficientRecorder((0, 1))])
+    together, extras = run_multi(runs, noise, trackers=[_CoefficientRecorder((0, 1))])
     for r, run in enumerate(runs):
-        alone = run_ensemble(*run, g, noise, trackers=[_CoefficientRecorder((0,))])
+        alone = run_ensemble(*run, noise, trackers=[_CoefficientRecorder((0,))])
         assert together[r].state_T.tobytes() == alone.state_T.tobytes()
         assert together[r].jac_T.tobytes() == alone.jac_T.tobytes()
         for name in ("A", "DA"):

@@ -381,6 +381,24 @@ def test_cli_field_parameter_of_the_wrong_kind_is_bad_input(tmp_path, capsys):
     assert err.startswith("sdem: error: ") and "lam" in err
 
 
+def test_cli_field_spec_with_an_unknown_key_is_bad_input(tmp_path, capsys):
+    doc = _cfg().to_dict()
+    doc["field"] = {"name": "ou", "params": {"lam": 1.0}, "parms": {"lam": 2.0}}
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main(["moment", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sdem: error: ") and "'parms'" in err
+
+
+def test_config_defaults_are_the_dataclass_defaults():
+    # from_dict states no default of its own: an empty document is the
+    # default config, fingerprint included
+    cfg = ExperimentConfig.from_dict({})
+    assert cfg == ExperimentConfig()
+    assert cfg.fingerprint == ExperimentConfig().fingerprint
+
+
 def test_cli_non_finite_smoothing_scale_is_bad_input(tmp_path, capsys):
     doc = _cfg().to_dict()
     doc["eps"] = [0.2, math.nan]
@@ -708,7 +726,7 @@ def test_every_command_is_registered():
 def test_readme_python_blocks_import_what_sdem_has_and_the_custom_field_runs():
     # every name a ```python block imports from sdem exists there, and the
     # custom-field block runs and builds a field set that evaluates batches;
-    # the library-use block draws 10,000 paths, so only its imports are read
+    # the library-use block runs in a test of its own
     import ast
 
     import numpy as np
@@ -729,6 +747,18 @@ def test_readme_python_blocks_import_what_sdem_has_and_the_custom_field_runs():
     assert isinstance(fs, sdem.VectorFieldSet)
     assert [fs.A(l, x).shape for l in (0, 1)] == [(5, 1)] * 2
     assert [fs.DA(l, x).shape for l in (0, 1)] == [(5, 1, 1)] * 2
+
+
+def test_readme_library_use_block_runs(capsys):
+    # the library-use block runs as written, so an API change that leaves it
+    # stale fails here; it prints one smoothing gap per coarser level and the
+    # Bismut and finite-difference gradients
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    (library,) = [code for code in blocks if "coupled_family(" in code]
+    exec(library, {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and "fd" in lines[-1]
 
 
 def test_readme_lists_every_study_option():

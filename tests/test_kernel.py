@@ -17,7 +17,7 @@ from conftest import density_estimate_oracle
 def _bm_endpoints(paths, t=1.0, seed=21):
     grid = TimeGrid(t, 16)
     noise = BrownianBatch(seed=seed, paths=paths, grid=grid, m=1)
-    res = run_ensemble(builtin_field("bm", n=1), [0.0], grid, noise, with_jac=False)
+    res = run_ensemble(builtin_field("bm", n=1), [0.0], noise, with_jac=False)
     return res.state_T
 
 
@@ -71,6 +71,21 @@ def test_density_estimate_preconditions():
         samples[12_345, 0] = bad
         with pytest.raises(FieldError, match=f"sample 12345 is not finite: \\[{bad}\\]"):
             density_estimate(samples, query)
+
+
+def test_samples_and_query_points_are_n_column_batches():
+    # a 1-d array is not a batch of 1-d samples: it is refused, naming the
+    # shape, rather than read as one sample of 20,000 entries
+    samples = np.random.default_rng(5).standard_normal(20_000)
+    with pytest.raises(FieldError, match=r"silverman_bandwidth: .*\(N, n\).*\(20000,\)"):
+        silverman_bandwidth(samples)
+    assert silverman_bandwidth(samples[:, None]) > 0.0
+    query = DensityQuery(1.0, [0.0], [[0.0]], 0.1)
+    for bad in (samples, np.zeros((20_000, 2))):
+        with pytest.raises(FieldError, match=r"density_estimate: .*\(N, 1\)"):
+            density_estimate(bad, query)
+    with pytest.raises(FieldError, match=r"query points: .*\(N, n\).*\(2,\)"):
+        DensityQuery(1.0, [0.0], [0.0, 1.0], 0.1)
 
 
 def test_density_query_point_x_has_n_finite_entries():
@@ -220,7 +235,7 @@ def test_bound_constant_stable_across_smoothing_levels():
         for eps in (0.1, 0.05):
             grid = TimeGrid(t, max(1, round(t / 1e-3)))
             noise = BrownianBatch(seed=31, paths=20_000, grid=grid, m=1)
-            res = run_ensemble(mollify_field(log, eps), [0.0], grid, noise,
+            res = run_ensemble(mollify_field(log, eps), [0.0], noise,
                                with_jac=False, workers=2)
             samples = res.state_T[res.ok]
             q = np.linspace(-3, 3, 21)[:, None]

@@ -222,7 +222,7 @@ def test_divergence_bm_is_brownian_endpoint():
     g = TimeGrid(0.5, 100)
     noise = BrownianBatch(seed=40, paths=4, grid=g, m=1)
     h = CameronMartinPath.constant([1.0])
-    vals = divergence(h, builtin_field("bm", n=1), [0.0], g, noise)
+    vals = divergence(h, builtin_field("bm", n=1), [0.0], noise)
     w_T = noise.block_increments(0)[:, :, 0].sum(axis=1)
     assert vals.shape == (4,)
     assert vals == pytest.approx(w_T, abs=1e-12)
@@ -234,7 +234,7 @@ def test_divergence_scaled_diffusion():
     fs = builtin_field("const_shift", matrix=[[2.0]], shift=[0.0])
     h = CameronMartinPath.constant([1.0])
     w_T = noise.block_increments(0)[:, :, 0].sum(axis=1)
-    assert divergence(h, fs, [0.0], g, noise) == pytest.approx(w_T / 2.0, abs=1e-12)
+    assert divergence(h, fs, [0.0], noise) == pytest.approx(w_T / 2.0, abs=1e-12)
 
 
 def test_divergence_ou_ito_isometry():
@@ -243,7 +243,7 @@ def test_divergence_ou_ito_isometry():
     g = TimeGrid(T, steps)
     noise = BrownianBatch(seed=42, paths=paths, grid=g, m=1)
     ou = builtin_field("ou", lam=1.0)
-    res = run_ensemble(ou, [0.0], g, noise,
+    res = run_ensemble(ou, [0.0], noise,
                        trackers=(DivergenceWeight(CameronMartinPath.constant([1.0])),))
     delta = res.extras["div_weight"]
     target_var = (1.0 - math.exp(-2.0 * T)) / 2.0
@@ -365,23 +365,52 @@ def test_every_caller_vector_needs_n_finite_entries_before_any_noise(monkeypatch
         raise AssertionError("a rejected run drew noise")
 
     monkeypatch.setattr(BrownianBatch, "block_increments", no_noise)
-    fs, x0, grid, noise = engine_inputs(builtin_field("bm", n=2), [0.0, 0.0], 0.5,
-                                        paths=8, seed=0, dt=0.1)
+    fs, x0, noise = engine_inputs(builtin_field("bm", n=2), [0.0, 0.0], 0.5,
+                                  paths=8, seed=0, dt=0.1)
     f = lambda s: s[:, 0]
     df = lambda s: np.ones_like(s)
     F, dF = (lambda xT: xT[:, 0]), (lambda xT, vT: vT[:, 0])
     # gradient_routes bumps x0 along v0, and rejects a short x0 before it does
     with pytest.raises(FieldError, match="x0 has dimension 1"):
-        gradient_routes(f, df, [1.0, 0.0], fs, [0.0], grid, noise, bump=1e-3)
+        gradient_routes(f, df, [1.0, 0.0], fs, [0.0], noise, bump=1e-3)
     for bad in (math.nan, math.inf):
         v0 = [1.0, bad]
         h = CameronMartinPath.constant(v0)
-        rows = [(lambda: gradient_routes(f, df, v0, fs, x0, grid, noise, bump=1e-3),
+        rows = [(lambda: gradient_routes(f, df, v0, fs, x0, noise, bump=1e-3),
                  "v0 .* not finite"),
-                (lambda: gradient_routes(f, df, [1.0, 0.0], fs, x0, grid, noise, bump=bad),
+                (lambda: gradient_routes(f, df, [1.0, 0.0], fs, x0, noise, bump=bad),
                  "bump"),
-                (lambda: ibp_check(F, dF, h, fs, x0, grid, noise), "direction h .* not finite"),
-                (lambda: divergence(h, fs, x0, grid, noise), "direction h .* not finite")]
+                (lambda: ibp_check(F, dF, h, fs, x0, noise), "direction h .* not finite"),
+                (lambda: divergence(h, fs, x0, noise), "direction h .* not finite")]
         for call, key in rows:
             with pytest.raises(FieldError, match=key):
                 call()
+
+
+def test_every_direction_is_checked_by_its_rate_before_any_noise(monkeypatch):
+    # constant or adapted, a direction's rate at step 0 from x0 must be one
+    # row of n finite entries; a wrong width, a non-finite entry, a 1-d row
+    # or a row per path is a FieldError naming the direction, before a block
+    # of noise is drawn
+    def no_noise(*args, **kwargs):
+        raise AssertionError("a rejected run drew noise")
+
+    monkeypatch.setattr(BrownianBatch, "block_increments", no_noise)
+    fs, x0, noise = engine_inputs(builtin_field("bm", n=2), [0.0, 0.0], 0.5,
+                                  paths=8, seed=0, dt=0.1)
+    F, dF = (lambda xT: xT[:, 0]), (lambda xT, vT: vT[:, 0])
+    rates = [lambda k, s: np.ones((len(s), 3)),
+             lambda k, s: np.full((len(s), 2), math.nan),
+             lambda k, s: np.full((len(s), 2), math.inf),
+             lambda k, s: np.ones(2),
+             lambda k, s: np.ones((2, 2))]
+    for rate in rates:
+        h = CameronMartinPath(rate)
+        for call in (lambda: ibp_check(F, dF, h, fs, x0, noise),
+                     lambda: divergence(h, fs, x0, noise)):
+            with pytest.raises(FieldError, match="direction h"):
+                call()
+    # an adapted direction of one row per path goes on to draw the noise
+    h = CameronMartinPath(lambda k, s: np.tanh(s))
+    with pytest.raises(AssertionError, match="drew noise"):
+        divergence(h, fs, x0, noise)
