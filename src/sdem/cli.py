@@ -28,8 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--paths", type=int, help="override the path count")
         p.add_argument("--out", help="output directory for reports")
-        p.add_argument("--workers", type=int,
-                       help="worker threads (default: SDEM_WORKERS or 1)")
+        p.add_argument("--workers", type=int, help="worker threads (default: 1)")
         for key in _switches(study):
             p.add_argument("--" + key.replace("_", "-"), action="store_true",
                            help=f"set the option {key} to true")

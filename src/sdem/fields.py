@@ -52,6 +52,7 @@ __all__ = [
     "g_function",
     "condition_g_estimate",
     "ConditionGResult",
+    "MIN_SAMPLES",
 ]
 
 
@@ -146,6 +147,16 @@ _COUNT = Kind("an integer >= 1", lambda v, n: _whole(v) and v >= 1, int)
 _SEED = Kind("an integer >= 0", lambda v, n: _whole(v) and v >= 0, int)
 _NUMBER = Kind("a finite number", lambda v, n: _finite(v))
 _POSITIVE = Kind("a finite positive number", lambda v, n: _finite(v) and v > 0)
+
+# the fewest samples an estimate is taken from: a density estimate's sample,
+# the paths of kernel-bound, and each batch of condition_g_estimate
+MIN_SAMPLES = 10_000
+
+
+def _enough(name: str, count: int) -> None:
+    """A FieldError that names ``name`` when ``count`` is below MIN_SAMPLES."""
+    if count < MIN_SAMPLES:
+        raise FieldError(f"{name}={count} is below the {MIN_SAMPLES} samples an estimate needs")
 
 
 @dataclass(frozen=True)
@@ -489,15 +500,15 @@ def condition_g_estimate(fs: VectorFieldSet, sigma: float, T0: float, x,
     ``2 * samples`` points; the flag is set when any replicate grows by more
     than ``growth_ratio``.  A single doubling has roughly coin-flip power
     against borderline non-integrable cases, hence the replication.
+    ``samples`` below MIN_SAMPLES raises, after the other arguments are read.
     """
     sigma = _read("condition_g_estimate: sigma", sigma, _POSITIVE)
     T0 = _read("condition_g_estimate: T0", T0, _POSITIVE)
     samples = _read("condition_g_estimate: samples", samples, _COUNT)
-    if samples < 10_000:
-        raise FieldError("condition_g_estimate: need at least 1e4 samples")
     seed = _read("condition_g_estimate: seed", seed, _SEED)
     fs.require_dfield()
     x = _vector(x, "start point x0", fs.n)
+    _enough("condition_g_estimate: samples", samples)
     scale = T0 * (2.0 * math.pi) ** (fs.n / 2.0)
 
     def one_batch(rng, k):

@@ -14,10 +14,11 @@ numbers), turning pathwise differences into direct measurements of the
 smoothing error rather than of the noise.
 
 Workers follow one rule: the unit of work is a contiguous range of a
-block's rows.  With at least as many blocks as workers, each block is a
-unit.  With fewer, each block is cut into min(ceil(workers / blocks), rows)
-slices.  The units go over a pool of `workers` threads and their results
-are joined in row order.  Every evaluation and reduction the engine makes
+block's rows.  ``workers`` is a count, 1 unless the caller gives another;
+no environment variable sets it.  With at least as many blocks as workers,
+each block is a unit.  With fewer, each block is cut into
+min(ceil(workers / blocks), rows) slices.  The units go over a pool of
+`workers` threads and their results are joined in row order.  Every evaluation and reduction the engine makes
 is row by row, the quadrature sum of a mollified field included, so
 outputs are byte-identical across worker counts.  So are errors: a run
 that fails raises the error one worker would raise.
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import copy
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -356,17 +356,6 @@ class _PairSup(Tracker):
 # block engine
 
 
-def _resolve_workers(workers: Optional[int]) -> int:
-    """The worker count: `workers`, else SDEM_WORKERS, else 1.  Anything but
-    an integer of at least 1 raises, naming where it came from."""
-    if workers is not None:
-        return _read("workers", workers, _COUNT)
-    env = os.environ.get("SDEM_WORKERS")
-    if not env:
-        return 1
-    return _read("SDEM_WORKERS", int(env) if env.strip().isdecimal() else env, _COUNT)
-
-
 def _simulate_block(runs, dt, dW, trackers, with_jac):
     """Integrate rows of lockstep runs on their increments dW (B, steps, m),
     a block or a slice of one, in steps of dt from checked start points.
@@ -377,11 +366,13 @@ def _simulate_block(runs, dt, dW, trackers, with_jac):
     result is the same rows of its block's result.  Each V starts as one
     identity row and is broadcast to B rows before it is returned.
 
-    A row is flagged when any run's final state or V has a non-finite
-    entry.  That is the same as checking after every step: each Euler
-    update adds onto the previous state and V, and under IEEE rules a sum
-    with a non-finite addend is non-finite, so a row that goes non-finite
-    stays so to the end.
+    A row is flagged when any run's final state or V, or any extra a
+    tracker returns for it, has a non-finite entry.  That is the same as
+    checking after every step: each Euler update adds onto the previous
+    state and V, and under IEEE rules a sum with a non-finite addend is
+    non-finite, so a row that goes non-finite stays so to the end.  The
+    trackers here keep a non-finite value too: a sum or a running sup that
+    meets one stays non-finite, and a recorder keeps every step.
     """
     B, steps = dW.shape[:2]
     xis = [np.tile(x0, (B, 1)) for _, x0 in runs]
@@ -398,21 +389,24 @@ def _simulate_block(runs, dt, dW, trackers, with_jac):
                 xis[r], Vs[r] = _euler_step(xis[r], Vs[r], coef, dWk, dt)
         for acc in accs:
             acc.step(steps, xis, Vs, None, dt, None)
-    flagged = np.zeros(B, dtype=bool)
-    for r, xi in enumerate(xis):
-        flagged |= ~np.isfinite(xi).all(axis=1)
-        if Vs[r] is not None:
-            flagged |= ~np.isfinite(Vs[r].reshape(len(Vs[r]), -1)).all(axis=1)
-            Vs[r] = np.broadcast_to(Vs[r], (B,) + Vs[r].shape[1:])
     extras = {}
     for acc in accs:
         extras.update(acc.finish())
+    flagged = np.zeros(B, dtype=bool)
+    for a in (*xis, *Vs, *extras.values()):
+        if a is not None:
+            # a one-row V checks its row once, for every path
+            flagged |= ~np.isfinite(a.reshape(len(a), -1)).all(axis=1)
+    Vs = [V if V is None else np.broadcast_to(V, (B,) + V.shape[1:]) for V in Vs]
     return xis, Vs, flagged, extras
 
 
 @dataclass
 class EnsembleResult:
-    """Endpoint and tracker statistics for one run across all paths."""
+    """Endpoint and tracker statistics for one run across all paths.
+
+    ``flag`` marks the paths whose state, V or tracker extras went
+    non-finite; ``ok`` is its complement."""
 
     state_T: np.ndarray                 # (paths, n)
     jac_T: Optional[np.ndarray]         # (paths, n, n)
@@ -432,7 +426,7 @@ def _run(runs, noise: BrownianBatch, trackers, with_jac, workers):
     """Simulate every block of lockstep runs in units of rows, and join the
     units in row order.
 
-    With nb blocks and w resolved workers, a unit is a whole block when
+    With nb blocks and w workers, a unit is a whole block when
     nb >= w, and its worker draws the block's noise.  When nb < w, the
     calling thread draws each block once and cuts it into
     min(ceil(w / nb), rows) contiguous, non-empty slices, each a unit.  The
@@ -453,7 +447,7 @@ def _run(runs, noise: BrownianBatch, trackers, with_jac, workers):
                 raise FieldError(f"trackers {writer[key]} and {type(t).__name__} "
                                  f"both write the extra {key!r}")
             writer[key] = type(t).__name__
-    w, nb = _resolve_workers(workers), noise.n_blocks
+    w, nb = _read("workers", workers, _COUNT), noise.n_blocks
     # when blocks are the units, each worker draws every block into its own
     # step-major buffer, sized for the largest block and freed with the run
     ws = _Workspace()
@@ -501,7 +495,7 @@ def _run(runs, noise: BrownianBatch, trackers, with_jac, workers):
 
 def run_ensemble(fields, x0, noise: BrownianBatch, *,
                  trackers: Iterable = (), with_jac: bool = True,
-                 workers: Optional[int] = None) -> EnsembleResult:
+                 workers: int = 1) -> EnsembleResult:
     """Integrate an ensemble of independent paths for one field set."""
     (res,), extras = _run([(fields, x0)], noise, trackers, with_jac, workers)
     res.extras.update(extras)
@@ -510,7 +504,7 @@ def run_ensemble(fields, x0, noise: BrownianBatch, *,
 
 def run_multi(runs, noise: BrownianBatch, *,
               trackers: Iterable = (), with_jac: bool = True,
-              workers: Optional[int] = None):
+              workers: int = 1):
     """Lockstep ensembles for several (fields, start) runs on shared noise.
 
     Returns (list of EnsembleResult in run order, joint extras dict).
@@ -542,10 +536,10 @@ class CoupledFamilyResult:
     """Ensembles at each smoothing level on common random numbers.
 
     ``levels`` maps eps to its EnsembleResult, mollified levels only.
-    ``pair_state_sup``/``pair_jac_sup`` hold per-path running sups of
-    |state gap| and Frobenius derivative gap between each coarser level and
-    the finest one (keys are (eps, eps_finest)).  A state-only family has no
-    derivative gaps: ``pair_jac_sup`` is None.
+    ``pair_state_sup``/``pair_jac_sup`` map each coarser level's eps to the
+    per-path running sups of its |state gap| and Frobenius derivative gap
+    to the finest level.  A state-only family has no derivative gaps:
+    ``pair_jac_sup`` is None.
     """
 
     levels: dict
@@ -557,26 +551,24 @@ class CoupledFamilyResult:
     def n_flagged(self) -> int:
         return int(self.flag.sum())
 
-    def sup_moment(self, eps_a: float, eps_b: float, p: float,
-                   which: str = "state") -> EstimatorReport:
-        """Report of E sup_t |gap|^p between two levels."""
+    def sup_moment(self, eps: float, p: float, which: str = "state") -> EstimatorReport:
+        """Report of E sup_t |gap|^p between the coarser level eps and the finest."""
         table = self.pair_state_sup if which == "state" else self.pair_jac_sup
         if table is None:
             raise FieldError("the family was run state-only (with_jac=False); "
                              "it has no derivative gaps")
-        key = (eps_a, eps_b) if (eps_a, eps_b) in table else (eps_b, eps_a)
-        if key not in table:
-            raise FieldError(f"the family tracks no gap for the level pair ({eps_a}, {eps_b}), "
-                             f"only each level against its finest; its levels are "
+        if eps not in table:
+            raise FieldError(f"the family tracks no gap for the level {eps}, only each "
+                             f"coarser level against its finest; its levels are "
                              f"{list(self.levels)}")
-        vals = table[key][~self.flag] ** p
+        vals = table[eps][~self.flag] ** p
         return from_samples(vals, excluded=self.n_flagged)
 
 
 def coupled_family(fs: VectorFieldSet, eps_list: Sequence[float], x0,
                    noise: BrownianBatch, *,
                    with_jac: bool = True,
-                   workers: Optional[int] = None) -> CoupledFamilyResult:
+                   workers: int = 1) -> CoupledFamilyResult:
     """Integrate every mollified level on identical Brownian increments.
 
     The gaps tracked are those of each coarser level to the finest one.
@@ -598,10 +590,8 @@ def coupled_family(fs: VectorFieldSet, eps_list: Sequence[float], x0,
     trackers = [_PairSup(i, last, with_jac) for i in range(last)]
     results, extras = run_multi(runs, noise, trackers=trackers,
                                 with_jac=with_jac, workers=workers)
-    finest = eps_list[last]
-    pair_state = {(eps_list[t.i], finest): extras[t.keys()[0]] for t in trackers}
-    pair_jac = ({(eps_list[t.i], finest): extras[t.keys()[1]] for t in trackers}
-                if with_jac else None)
+    pair_state = {eps_list[t.i]: extras[t.keys()[0]] for t in trackers}
+    pair_jac = {eps_list[t.i]: extras[t.keys()[1]] for t in trackers} if with_jac else None
     return CoupledFamilyResult(dict(zip(eps_list, results)), pair_state, pair_jac,
                                results[0].flag)
 

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import kernel as kern
-from .fields import (_COUNT, _NUMBER, _POSITIVE, _SEED, FieldError, Kind, _finite,
+from .fields import (_COUNT, _NUMBER, _POSITIVE, _SEED, FieldError, Kind, _enough, _finite,
                      _is_number, _read, _reject_unknown, condition_g_estimate,
                      field_from_json)
 from .flow import (BrownianBatch, IntegratedG, JacSupNorm, TimeGrid,
@@ -50,16 +50,13 @@ _POINTS = Kind("[lo, hi, count] of finite numbers with an integer count >= 1",
 _FLAG = Kind("true or false", lambda v, n: isinstance(v, bool), bool)
 # an output directory; absent (None) writes no files
 _DIRECTORY = Kind("a string", lambda v, n: v is None or isinstance(v, str), lambda v: v)
-# a worker count; absent (None) leaves it to the engine
-_WORKERS = Kind(_COUNT.must_be, lambda v, n: v is None or _COUNT.accepts(v, n),
-                lambda v: v if v is None else _COUNT.read(v))
 
 # each config key, the field it sets and its kind; an absent key keeps the
 # field's default, which ExperimentConfig states once
 _CONFIG_KEYS = {"field": ("field_spec", _OBJECT), "eps": ("eps", _NUMBERS),
                 "grid.T": ("T", _POSITIVE), "grid.steps": ("steps", _COUNT),
                 "paths": ("paths", _COUNT), "seed": ("seed", _SEED), "x0": ("x0", _NUMBERS),
-                "workers": ("workers", _WORKERS), "out": ("out", _DIRECTORY),
+                "workers": ("workers", _COUNT), "out": ("out", _DIRECTORY),
                 "options": ("options", _OBJECT)}
 
 
@@ -74,7 +71,7 @@ class ExperimentConfig:
     paths: int = 10_000
     seed: int = 20260810
     x0: tuple = (0.0,)
-    workers: Optional[int] = None
+    workers: int = 1
     out: Optional[str] = None
     options: dict = field(default_factory=dict)
 
@@ -221,7 +218,7 @@ def _converge(cfg: ExperimentConfig, fields, opts: dict, which: str,
     ref = eps[-1]
     rows, ests, ses = [], [], []
     for e in eps[:-1]:
-        rep = fam.sup_moment(e, ref, p, which=which)
+        rep = fam.sup_moment(e, p, which=which)
         rows.append((e, ref, rep.estimate, rep.se))
         ests.append(rep.estimate)
         ses.append(rep.se)
@@ -287,8 +284,8 @@ def cmd_gradient(cfg: ExperimentConfig, fields, opts: dict) -> CommandResult:
                 )
     out["pairwise"] = gaps
     out["pooled_se_all"] = pooled_all
-    for a in names:
-        failures += _flagged_failures(f"gradient: {a}", reports[a].excluded, cfg.paths)
+    # the routes share one run's pooled flags, so each report excludes the same paths
+    failures += _flagged_failures("gradient", reports["fd"].excluded, cfg.paths)
     files = {"gradient.json": _json_text(out)}
     return CommandResult("gradient", not failures, failures, out, files)
 
@@ -296,9 +293,7 @@ def cmd_gradient(cfg: ExperimentConfig, fields, opts: dict) -> CommandResult:
 def cmd_kernel_bound(cfg: ExperimentConfig, fields, opts: dict) -> CommandResult:
     if fields.n != 1:
         raise FieldError("cmd_kernel_bound: query grid construction is 1-d only")
-    if cfg.paths < kern.MIN_SAMPLES:
-        raise FieldError(f"cmd_kernel_bound: paths={cfg.paths} is below the "
-                         f"{kern.MIN_SAMPLES} samples the density estimate needs")
+    _enough("cmd_kernel_bound: paths", cfg.paths)
     qpts = opts["query"][:, None]
     t, bandwidth, c1_target, c1_max = opts["t"], opts["bandwidth"], opts["c1"], opts["c1_max"]
     noise = BrownianBatch(cfg.seed, cfg.paths, cfg.grid_at(t), fields.m)
@@ -347,8 +342,7 @@ def cmd_kernel_bound(cfg: ExperimentConfig, fields, opts: dict) -> CommandResult
 def cmd_condition_g(cfg: ExperimentConfig, fields, opts: dict) -> CommandResult:
     sigma, t0, expect = opts["sigma"], opts["T0"], opts["expect_diverging"]
     res = condition_g_estimate(fields, sigma, t0, np.asarray(cfg.x0, dtype=float),
-                               max(cfg.paths, 10_000), cfg.seed,
-                               growth_ratio=opts["growth_ratio"])
+                               cfg.paths, cfg.seed, growth_ratio=opts["growth_ratio"])
     failures = []
     if expect is not None and expect != res.diverging:
         failures.append(f"condition_g: diverging = {res.diverging}, expected {expect}")

@@ -6,10 +6,12 @@ extra (2 pi)^{-n/2} relative to it, which is why the fitted bound constant
 for Brownian motion sits at the bottom of the search grid.
 
 The density estimate sums its samples in chunks of _CHUNK rows.  The chunks
-go over the study's workers, each reduced by one tile loop into its own
-partial sums, and the partials are added in ascending chunk order, so the
-estimate and its standard errors are bit for bit the same at every worker
-count.  Each worker's tiles live in a workspace of its own.
+go over ``workers`` threads, a count that is 1 unless the caller gives
+another, each reduced by one tile loop into its own partial sums, and the
+partials are added in ascending chunk order, so the estimate and its
+standard errors are bit for bit the same at every worker count.  Each
+worker's tiles live in a workspace of its own.  The sample floor,
+MIN_SAMPLES, is the one the fields module states for every estimate.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import _POSITIVE, FieldError, _points, _read, _vector, _Workspace
-from .flow import _resolve_workers
+from .fields import (_COUNT, _POSITIVE, FieldError, _enough, _points, _read, _vector,
+                     _Workspace)
 
 __all__ = [
     "DensityQuery",
@@ -32,10 +34,8 @@ __all__ = [
     "KernelBoundFit",
     "gaussian_bound",
     "density_floor",
-    "MIN_SAMPLES",
 ]
 
-MIN_SAMPLES = 10_000
 # sample rows per partial sum of the KDE: each column is summed row after row
 # over a chunk and the chunk's partial is then added to the total, so this
 # sets how the sums associate, and with it every bit of the estimate
@@ -87,16 +87,15 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
 
 
 def density_estimate(samples, query: DensityQuery, *,
-                     workers: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+                     workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian-kernel KDE at the query points with jackknife standard errors.
 
     The KDE is a sample mean of kernel evaluations, for which the delete-one
     jackknife variance coincides with the usual variance of the mean; it is
     computed that way.  Returns (densities, se), each of shape (Q,).
 
-    The samples are summed in chunks of _CHUNK rows.  With w >= 2 workers
-    (``workers``, else SDEM_WORKERS, else 1, as the engine resolves them)
-    and two or more chunks, the chunks go over a pool of min(w, chunks)
+    The samples are summed in chunks of _CHUNK rows.  With w = ``workers``
+    >= 2 and two or more chunks, the chunks go over a pool of min(w, chunks)
     threads; otherwise they run in turn on the calling thread.  Each chunk
     is reduced into its own partial sums, and the partials are added in
     ascending chunk order, so no bit of the result depends on w.
@@ -109,17 +108,17 @@ def density_estimate(samples, query: DensityQuery, *,
     summed row after row over the _CHUNK rows.  `exp` runs only where its
     argument lies above _EXP_FLOOR; below it the kernel is exactly +0, which
     leaves the non-negative sums unchanged.  The samples are a float
-    (N, n) batch, n the query's, and must be finite.
+    (N, n) batch, n the query's, of at least MIN_SAMPLES rows, and must be
+    finite.
     """
     pts = _points(samples, query.n, "density_estimate")
     N, n = pts.shape
-    if N < MIN_SAMPLES:
-        raise FieldError("density_estimate: need at least 1e4 samples")
+    _enough("density_estimate: samples", N)
     finite = np.isfinite(pts).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
         raise FieldError(f"density_estimate: sample {i} is not finite: {pts[i].tolist()}")
-    w = _resolve_workers(workers)
+    w = _read("workers", workers, _COUNT)
     h = query.bandwidth
     norm = 1.0 / ((2.0 * math.pi) ** (n / 2.0) * h ** n)
     # dividing by -2h^2 gives each value that negating and dividing by 2h^2 does

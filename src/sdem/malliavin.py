@@ -54,61 +54,51 @@ class RightInverseError(FieldError):
 _RESIDUAL_TOL = 1e-10
 
 
-def _batched_right_inverse(amat: np.ndarray) -> np.ndarray:
-    """Minimum-norm right inverse A^T (A A^T)^{-1} for stacked (B, n, m).
+def _above_tol(amat: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The rows whose residual |A Y - I|, a Frobenius norm, is above 1e-10."""
+    res = amat @ y - np.eye(amat.shape[-2])
+    return np.sqrt(np.sum(res * res, axis=(-2, -1))) > _RESIDUAL_TOL
 
-    A 1x1 diffusion is inverted as 1/a.  Either way a row with a residual
-    above 1e-10 raises, and a NaN row (a flagged path) stays NaN.
+
+def right_inverse(amat: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Minimum-norm right inverse Y = A^T (A A^T)^{-1}, shape (B, m, n), of
+    the diffusion matrices amat (B, n, m) taken at the points pts (B, n).
+
+    A 1x1 diffusion is inverted as 1/a.  A Gram inverse that leaves a row's
+    residual |A Y - I| above 1e-10 gets one Newton refinement on those rows.
+    A row still above it, a zero or subnormal 1x1 diffusion, or a singular
+    Gram matrix raises, naming the point with the smallest eigenvalue of
+    A A^T and that eigenvalue.  A NaN row (a flagged path) stays NaN and is
+    never the point named.
     """
     if amat.shape[-2:] == (1, 1):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             y = 1.0 / amat
             # a == 0, or a subnormal a, overflows 1/a to inf
-            bad = np.isinf(y) | (np.abs(amat * y - 1.0) > _RESIDUAL_TOL)
-        if np.any(bad):
-            raise RightInverseError("diffusion is zero or numerically degenerate "
-                                    "at some evaluation point")
-        return y
-    at = np.swapaxes(amat, -1, -2)
-    gram = amat @ at
-    try:
-        inv = np.linalg.inv(gram)
-    except np.linalg.LinAlgError as exc:
-        raise RightInverseError(f"singular diffusion Gram matrix: {exc}") from exc
-    y = at @ inv
-    res = amat @ y - np.eye(amat.shape[-2])
-    bad = np.sqrt(np.sum(res * res, axis=(-2, -1))) > _RESIDUAL_TOL
-    if np.any(bad):
-        # one Newton refinement of the Gram inverse on the offending rows
-        ref = inv[bad] @ (2.0 * np.eye(amat.shape[-2]) - gram[bad] @ inv[bad])
-        y[bad] = at[bad] @ ref
-        res = amat[bad] @ y[bad] - np.eye(amat.shape[-2])
-        still = np.sqrt(np.sum(res * res, axis=(-2, -1))) > _RESIDUAL_TOL
-        if np.any(still):
-            raise RightInverseError(
-                "right-inverse residual above 1e-10 after refinement; "
-                "the diffusion is numerically degenerate at some evaluation point"
-            )
-    return y
-
-
-def right_inverse(amat: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Right inverse Y, shape (B, m, n), of the diffusion matrices amat
-    (B, n, m) taken at the points pts (B, n).
-
-    Requires ellipticity at every point; a singular point raises with the
-    point and the smallest eigenvalue named.
-    """
-    try:
-        return _batched_right_inverse(amat)
-    except RightInverseError:
-        gram = amat @ np.swapaxes(amat, -1, -2)
-        eigs = np.linalg.eigvalsh(gram)
+            singular = np.any(np.isinf(y) | (np.abs(amat * y - 1.0) > _RESIDUAL_TOL))
+    else:
+        at = np.swapaxes(amat, -1, -2)
+        gram = amat @ at
+        try:
+            inv = np.linalg.inv(gram)
+        except np.linalg.LinAlgError:
+            singular = True
+        else:
+            y = at @ inv
+            bad = _above_tol(amat, y)
+            if np.any(bad):
+                # one Newton refinement of the Gram inverse on the offending rows
+                ref = inv[bad] @ (2.0 * np.eye(amat.shape[-2]) - gram[bad] @ inv[bad])
+                y[bad] = at[bad] @ ref
+                bad = _above_tol(amat[bad], y[bad])
+            singular = np.any(bad)
+    if singular:
+        eigs = np.linalg.eigvalsh(amat @ np.swapaxes(amat, -1, -2))
         # a NaN row is a flagged path, which passes through; name a singular one
         i = int(np.argmin(np.where(np.isnan(eigs[:, 0]), np.inf, eigs[:, 0])))
         raise RightInverseError(
-            f"diffusion matrix singular at {pts[i]}: min eigenvalue {eigs[i, 0]:.3e}"
-        ) from None
+            f"diffusion matrix singular at {pts[i]}: min eigenvalue {eigs[i, 0]:.3e}")
+    return y
 
 
 @dataclass(frozen=True)
@@ -233,7 +223,7 @@ class _DirectionRecorder(Tracker):
 
 
 def gradient_routes(f: Callable, df: Optional[Callable], v0, fs, x0, noise: BrownianBatch, *,
-                    bump: float, workers: Optional[int] = None) -> dict:
+                    bump: float, workers: int = 1) -> dict:
     """The three routes to the derivative of P_T f at x0 along v0 (T is
     noise.grid.T), from one lockstep run of fs from x0 and x0 +/- bump v0.
 
@@ -283,7 +273,7 @@ def fd_gradient(f: Callable, plus, minus, bump: float, excluded: int) -> Estimat
 
 
 def divergence(h: CameronMartinPath, fs, x0, noise: BrownianBatch, *,
-               workers: Optional[int] = None) -> np.ndarray:
+               workers: int = 1) -> np.ndarray:
     """Per-path left-point Ito sums of <Y(xi_k) V_k hdot_k, dW_k>: the
     DivergenceWeight of an ensemble of fs started at x0 on the given noise."""
     _check_direction(h, fs, x0)
@@ -308,7 +298,7 @@ class IbpResult:
 
 def ibp_check(F: Callable, dF: Callable, h: CameronMartinPath, fs, x0,
               noise: BrownianBatch, *, full_path: bool = False,
-              workers: Optional[int] = None) -> IbpResult:
+              workers: int = 1) -> IbpResult:
     """Test E[dF(V^h)] = E[F(xi) delta V^h_T] on the discrete flow.
 
     Endpoint mode (default): F maps terminal states (B, n) -> (B,), and dF

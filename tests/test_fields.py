@@ -12,7 +12,7 @@ from sdem.fields import (DerivativeUnavailableError, FieldError, VectorFieldSet,
                          hoelder_estimate)
 from sdem.flow import BrownianBatch, IntegratedG, TimeGrid, run_ensemble
 from sdem.harness import ExperimentConfig
-from sdem.kernel import DensityQuery
+from sdem.kernel import DensityQuery, density_estimate
 from sdem.malliavin import gradient_routes
 from sdem.mollify import mollify_field, mollify_scalar
 from conftest import finite_difference_dfield, scalar_drift_field
@@ -127,6 +127,7 @@ def test_builtin_parameters_must_be_finite(name, params, key):
 _BM = builtin_field("bm", n=1)
 _GRID = TimeGrid(0.25, 10)
 _NOISE = BrownianBatch(seed=1, paths=8, grid=_GRID, m=1)
+_QUERY = DensityQuery(1.0, [0.0], [[0.0]], 0.1)
 
 
 @pytest.mark.parametrize("call, key", [
@@ -154,11 +155,18 @@ _NOISE = BrownianBatch(seed=1, paths=8, grid=_GRID, m=1)
     (lambda: gradient_routes(np.sin, None, [1.0], _BM, [0.0], _NOISE, bump="a"),
      "bump must"),
     (lambda: run_ensemble(_BM, [0.0], _NOISE, workers=2.5), "workers must"),
+    # workers is a count with the default 1: None is not a count
+    (lambda: run_ensemble(_BM, [0.0], _NOISE, workers=None), "workers must"),
+    (lambda: density_estimate(np.zeros((10_000, 1)), _QUERY, workers=None), "workers must"),
+    # one sample floor, MIN_SAMPLES, for every estimate from samples
+    (lambda: condition_g_estimate(_BM, 0.5, 1.0, [0.0], 9_999, 0), "samples=9999 is below"),
+    (lambda: density_estimate(np.zeros((9_999, 1)), _QUERY), "samples=9999 is below"),
     (lambda: ExperimentConfig().grid_at("a"), "'t' must"),
 ], ids=["sigma-nan", "sigma-str", "T0-inf", "samples-10000.5", "seed-1.5", "steps-2.5",
         "steps-True", "T-str", "paths-10.5", "noise-seed-1.5", "m-0", "eps-str", "nodes-16.5",
         "scalar-eps-True", "eps-list", "scalar-eps-list", "nodes-list", "scalar-nodes-list",
-        "alpha-str", "t-str", "bandwidth-True", "bump-str", "workers-2.5", "grid_at-t-str"])
+        "alpha-str", "t-str", "bandwidth-True", "bump-str", "workers-2.5", "workers-None",
+        "kde-workers-None", "samples-9999", "kde-samples-9999", "grid_at-t-str"])
 def test_every_library_scalar_is_read_by_one_rule_before_any_noise(monkeypatch, call, key):
     # a count is a whole number, a seed a whole number >= 0, and every other
     # scalar a finite number; a bool is none of them.  A bad one is a

@@ -478,9 +478,9 @@ def test_coupled_family_constant_fields_collapse():
     g = TimeGrid(0.5, 50)
     noise = BrownianBatch(seed=10, paths=512, grid=g, m=1)
     fam = coupled_family(builtin_field("bm", n=1), [0.2, 0.1, 0.05], [0.0], noise)
-    for pair, vals in fam.pair_state_sup.items():
-        assert np.all(vals == 0.0), pair
-    for pair, vals in fam.pair_jac_sup.items():
+    for eps, vals in fam.pair_state_sup.items():
+        assert np.all(vals == 0.0), eps
+    for eps, vals in fam.pair_jac_sup.items():
         assert np.all(vals == 0.0)
 
 
@@ -489,8 +489,8 @@ def test_coupled_family_linear_drift_collapses():
     g = TimeGrid(0.5, 50)
     noise = BrownianBatch(seed=11, paths=256, grid=g, m=1)
     fam = coupled_family(builtin_field("ou", lam=1.0), [0.2, 0.1], [1.0], noise)
-    assert np.max(fam.pair_state_sup[(0.2, 0.1)]) < 1e-12
-    assert np.max(fam.pair_jac_sup[(0.2, 0.1)]) < 1e-12
+    assert np.max(fam.pair_state_sup[0.2]) < 1e-12
+    assert np.max(fam.pair_jac_sup[0.2]) < 1e-12
 
 
 def test_coupled_family_log_example_trend():
@@ -498,9 +498,9 @@ def test_coupled_family_log_example_trend():
     noise = BrownianBatch(seed=12, paths=2000, grid=g, m=1)
     log = builtin_field("log_example", beta=1.0)
     fam = coupled_family(log, [0.2, 0.1, 0.05, 0.025], [0.0], noise)
-    ests = [fam.sup_moment(e, 0.025, 2.0).estimate for e in (0.2, 0.1, 0.05)]
+    ests = [fam.sup_moment(e, 2.0).estimate for e in (0.2, 0.1, 0.05)]
     assert ests[0] > ests[1] > ests[2]
-    jests = [fam.sup_moment(e, 0.025, 2.0, which="jac").estimate
+    jests = [fam.sup_moment(e, 2.0, which="jac").estimate
              for e in (0.2, 0.1, 0.05)]
     assert jests[0] > jests[1] > jests[2]
     # the family runs the mollified levels alone
@@ -517,14 +517,13 @@ def test_state_only_family_refuses_derivative_gaps():
     fam = coupled_family(log, eps, [0.0], noise, with_jac=False)
     assert fam.pair_jac_sup is None
     with pytest.raises(FieldError, match="state-only"):
-        fam.sup_moment(0.2, 0.05, 2.0, which="jac")
-    with pytest.raises(FieldError, match=r"\(0\.3, 0\.1\).*\[0\.2, 0\.1, 0\.05\]"):
-        fam.sup_moment(0.3, 0.1, 2.0)
-    # only the gaps to the finest level are tracked, in either order of asking
-    assert list(fam.pair_state_sup) == [(0.2, 0.05), (0.1, 0.05)]
-    assert fam.sup_moment(0.05, 0.1, 2.0).estimate == fam.sup_moment(0.1, 0.05, 2.0).estimate
-    with pytest.raises(FieldError, match=r"\(0\.2, 0\.1\).*finest"):
-        fam.sup_moment(0.2, 0.1, 2.0)
+        fam.sup_moment(0.2, 2.0, which="jac")
+    # the gaps are each coarser level's to the finest, keyed by that level;
+    # a level that is not a coarser one is named with the levels run
+    for level in (0.3, 0.05):
+        with pytest.raises(FieldError, match=rf"level {level}\b.*\[0\.2, 0\.1, 0\.05\]"):
+            fam.sup_moment(level, 2.0)
+    assert list(fam.pair_state_sup) == [0.2, 0.1]
     assert fam.pair_state_sup.keys() == full.pair_state_sup.keys()
     for key, vals in full.pair_state_sup.items():
         assert vals.tobytes() == fam.pair_state_sup[key].tobytes()
@@ -765,19 +764,6 @@ def test_row_slices_agree_with_one_worker_under_frequent_thread_switches():
     finally:
         sys.setswitchinterval(interval)
     assert out[0] == out[1]
-
-
-def test_env_variable_sets_default_workers(monkeypatch):
-    from sdem.flow import _resolve_workers
-    monkeypatch.setenv("SDEM_WORKERS", "3")
-    assert _resolve_workers(None) == 3
-    assert _resolve_workers(2) == 2
-    monkeypatch.delenv("SDEM_WORKERS")
-    assert _resolve_workers(None) == 1
-    for bad in ("abc", "0", "-3"):
-        monkeypatch.setenv("SDEM_WORKERS", bad)
-        with pytest.raises(FieldError, match="SDEM_WORKERS"):
-            _resolve_workers(None)
 
 
 # ---------------------------------------------------------------------------

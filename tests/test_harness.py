@@ -5,6 +5,7 @@ import os
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -194,6 +195,23 @@ def test_condition_g_log_example_both_regimes():
     assert res2.ok and res2.payload["diverging"]
 
 
+def test_condition_g_refuses_paths_below_the_sample_floor(tmp_path, capsys, monkeypatch):
+    # the floor is MIN_SAMPLES, as for kernel-bound; the study no longer
+    # raises a smaller paths to it, and refuses before any draw
+    from sdem import fields
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("condition-g drew samples it must refuse")
+
+    monkeypatch.setattr(fields.np.random, "default_rng", no_draw)
+    with pytest.raises(FieldError, match="samples=9999 is below the 10000"):
+        run_command("condition-g", _cfg(paths=9999))
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(_cfg(paths=9999).to_dict()))
+    assert main(["condition-g", "--config", str(cfg_path)]) == 2
+    assert "samples=9999" in capsys.readouterr().err
+
+
 def test_condition_g_flags_unexpected_verdict():
     cfg = _cfg(field_spec={"name": "log_example", "params": {"beta": 1.0}},
                paths=20_000,
@@ -224,6 +242,62 @@ def test_moment_command_bm_and_ou():
     assert res2.payload["sup_moment"]["estimate"] == pytest.approx(1.0, abs=1e-12)
     assert res2.payload["exp_g_bound"]["estimate"] == pytest.approx(math.exp(24.0),
                                                                     rel=1e-9)
+
+
+_OU = {"name": "ou", "params": {"lam": 1.0}}
+_LOG = {"name": "log_example", "params": {"beta": 1.0}}
+_SHIFT = {"name": "const_shift", "params": {"matrix": [[1.0]], "shift": [30.0]}}
+# a config each verdict of a study fails on, and a phrase of the failure
+_FAILING = [
+    # a negative power turns the shrinking gaps into a growing moment
+    ("converge-flow", dict(field_spec=_LOG, eps=(0.2, 0.1, 0.05), steps=25, paths=600,
+                           seed=11, options={"p": -2.0}), "not nonincreasing at eps=0.1"),
+    ("gradient", dict(field_spec=_OU, options={"target": 5.0}), "not within 3 pooled SE of 5.0"),
+    ("gradient", dict(field_spec=_OU, options={"target": 5.0, "abs_tol": 0.01}),
+     "off 5.0 by more than 0.01"),
+    ("ibp", dict(field_spec=_OU, options={"target": 5.0}), "not within 3 SE of 5.0"),
+    ("kernel-bound", dict(T=1.0, steps=8, paths=10_000, options={"c1": 0.1, "c1_max": 0.5}),
+     "C1_min 1.000 > limit 0.5"),
+    ("kernel-bound", dict(T=1.0, steps=8, paths=10_000, options={"c1": 0.1, "c1_max": 0.5}),
+     "bound violated at C1 = 0.1"),
+    # the sample sits at 30, where the bound of every grid C1 is below 1e-90
+    ("kernel-bound", dict(field_spec=_SHIFT, T=1.0, steps=8, paths=10_000,
+                          options={"query": [25, 35, 11]}), "no C1 on the grid"),
+]
+
+
+@pytest.mark.parametrize("name,kw,phrase", _FAILING)
+def test_each_verdict_fails_its_study(name, kw, phrase):
+    res = run_command(name, _cfg(**kw))
+    assert not res.ok
+    assert any(phrase in f for f in res.failures), res.failures
+
+
+def test_moment_fails_when_the_bound_is_below_the_moment(monkeypatch):
+    # no built-in field breaks the bound, so the bound is made 1/e of itself
+    from sdem.report import from_samples
+
+    real = harness.exp_g_functional
+
+    def shrunk(ensemble, q):
+        rep = real(ensemble, q)
+        return from_samples(np.full(rep.samples, rep.estimate / math.e))
+
+    monkeypatch.setattr(harness, "exp_g_functional", shrunk)
+    res = run_command("moment", _cfg(paths=2000, options={"p": 2.0}))
+    assert not res.ok and not res.payload["inequality_ok"]
+    assert any("exceeds log bound" in f for f in res.failures), res.failures
+
+
+def test_cli_lists_each_failed_verdict_and_exits_1(tmp_path, capsys):
+    name, kw, _ = _FAILING[4]
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(_cfg(**kw).to_dict()))
+    assert main([name, "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("  check failed: kernel_bound:")] == [
+        "  check failed: kernel_bound: C1_min 1.000 > limit 0.5",
+        "  check failed: kernel_bound: bound violated at C1 = 0.1"]
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +402,10 @@ def test_config_numbers_are_exact():
     for key, value, name in bad:
         with pytest.raises(FieldError, match=name):
             ExperimentConfig.from_dict({**doc, key: value})
+    # workers is a count whose default is 1, and null is not a count
+    assert ExperimentConfig.from_dict(doc).workers == 1
+    with pytest.raises(FieldError, match="'workers' must be an integer >= 1, got None"):
+        ExperimentConfig.from_dict({**doc, "workers": None})
     # workers is a count, as paths is: moment reads 2.0 as 2
     cfg = ExperimentConfig.from_dict({**doc, "paths": 2.0, "workers": 2.0})
     assert (cfg.paths, cfg.workers) == (2, 2) and type(cfg.workers) is int
@@ -355,10 +433,11 @@ def test_cli_overrides_are_checked_as_the_document_is(tmp_path, monkeypatch, cap
             err = capsys.readouterr().err
             assert err.startswith("sdem: error: ") and key in err
     # so is the document's own workers, though condition-g runs on one thread
-    cfg_path.write_text(json.dumps({**_cfg().to_dict(), "workers": "abc"}))
-    assert main(["condition-g", "--config", str(cfg_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("sdem: error: ") and "'workers'" in err
+    for workers in ("abc", None):
+        cfg_path.write_text(json.dumps({**_cfg().to_dict(), "workers": workers}))
+        assert main(["condition-g", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sdem: error: ") and "'workers'" in err
 
 
 def test_cli_rejects_misspelled_top_level_key(tmp_path, capsys):
@@ -623,7 +702,8 @@ def test_flagged_fraction_counts_every_path_run(monkeypatch):
             res = run_command(name, _cfg(field_spec=ou, T=0.2, steps=4, paths=paths,
                                          options={"t": 0.2}))
             hits = [f for f in res.failures if "flagged fraction 1.00e-04" in f]
-            assert bool(hits) == flagged, (name, paths, res.failures)
+            # the gradient's three routes pool their flags: one cause, one line
+            assert len(hits) == flagged, (name, paths, res.failures)
 
 
 def test_documented_and_benchmarked_configs_are_accepted(monkeypatch):

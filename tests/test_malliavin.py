@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +96,54 @@ def test_right_inverse_nan_row_passes_through():
     y = _right_inverse_at(fs, np.array([[0.3], [np.nan], [-0.5]]))
     assert np.isnan(y[1, 0, 0])
     assert np.all(np.isfinite(y[[0, 2]]))
+
+
+def _conditioned_2x2(seed, small, count):
+    """count random 2x2 diffusions with singular values 1 and small."""
+    gen = np.random.default_rng(seed)
+
+    def rot(a):
+        return np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+
+    return np.array([rot(a) @ np.diag([1.0, small]) @ rot(b)
+                     for a, b in gen.uniform(0.0, 2.0 * math.pi, (count, 2))])
+
+
+def _residual(amat, y):
+    res = amat @ y - np.eye(amat.shape[-2])
+    return np.sqrt(np.sum(res * res, axis=(-2, -1)))
+
+
+def _plain_and_refined(amat):
+    """Residuals of the Gram right inverse and of its one Newton refinement."""
+    at = np.swapaxes(amat, -1, -2)
+    gram = amat @ at
+    inv = np.linalg.inv(gram)
+    refined = inv @ (2.0 * np.eye(amat.shape[-2]) - gram @ inv)
+    return _residual(amat, at @ inv), _residual(amat, at @ refined)
+
+
+def test_right_inverse_refines_a_row_the_plain_inverse_misses():
+    # about one in twenty such diffusions lands above 1e-10 on the plain Gram
+    # inverse and under it after one Newton step
+    amat = _conditioned_2x2(20261020, 10 ** -3.5, 200)
+    plain, refined = _plain_and_refined(amat)
+    (hits,) = np.nonzero((plain > 1e-10) & (refined <= 1e-10))
+    assert len(hits) > 0
+    stack = np.stack([np.eye(2), amat[hits[0]]])
+    y = right_inverse(stack, np.array([[0.0, 0.0], [1.0, 2.0]]))
+    assert np.all(_residual(stack, y) <= 1e-10)
+
+
+def test_right_inverse_names_the_point_when_refinement_fails():
+    amat = _conditioned_2x2(20261020, 1e-5, 1)
+    plain, refined = _plain_and_refined(amat)
+    assert plain[0] > 1e-10 and refined[0] > 1e-10
+    stack = np.stack([np.eye(2), amat[0]])
+    low = np.linalg.eigvalsh(amat @ np.swapaxes(amat, -1, -2))[0, 0]
+    with pytest.raises(RightInverseError,
+                       match=re.escape(f"singular at [3. 4.]: min eigenvalue {low:.3e}")):
+        right_inverse(stack, np.array([[0.0, 0.0], [3.0, 4.0]]))
 
 
 def test_mollified_right_inverse_converges(rng):
@@ -307,6 +357,23 @@ def test_ibp_adapted_direction():
     h = CameronMartinPath(lambda k, state: np.tanh(state))
     res = ibp_check(lambda xT: xT[:, 0], lambda xT, vT: vT[:, 0], h, *run)
     assert res.gap <= 3.0 * res.se_pooled + 1e-3
+
+
+def test_ibp_flags_paths_whose_weight_is_not_finite():
+    # the state and V of every path stay finite, but the rate is infinite
+    # above 0.3, so the weights of the paths that get there are not: the
+    # flag rule reads the trackers' outputs too, and those paths leave both sides
+    fs = builtin_field("bm", n=1)
+    run = engine_inputs(fs, [0.0], 1.0, paths=200, seed=7, dt=0.1)
+    h = CameronMartinPath(lambda k, state: np.where(state > 0.3, np.inf, 1.0))
+    weights = divergence(h, *run)
+    assert np.sum(~np.isfinite(weights)) == 114
+    F, dF = _sin_functionals()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = ibp_check(F, dF, h, *run)
+    assert math.isfinite(res.lhs.estimate) and math.isfinite(res.rhs.estimate)
+    assert res.lhs.excluded == res.rhs.excluded == 114
 
 
 def test_ibp_full_path_functional():
