@@ -51,8 +51,9 @@ _FLAG = Kind("true or false", lambda v, n: isinstance(v, bool), bool)
 # an output directory; absent (None) writes no files
 _DIRECTORY = Kind("a string", lambda v, n: v is None or isinstance(v, str), lambda v: v)
 
-# each config key, the field it sets and its kind; an absent key keeps the
-# field's default, which ExperimentConfig states once
+# each config key, the field it sets and the kind ExperimentConfig reads that
+# field by, however it is built; an absent key keeps the field's default,
+# which ExperimentConfig states once
 _CONFIG_KEYS = {"field": ("field_spec", _OBJECT), "eps": ("eps", _NUMBERS),
                 "grid.T": ("T", _POSITIVE), "grid.steps": ("steps", _COUNT),
                 "paths": ("paths", _COUNT), "seed": ("seed", _SEED), "x0": ("x0", _NUMBERS),
@@ -74,6 +75,11 @@ class ExperimentConfig:
     workers: int = 1
     out: Optional[str] = None
     options: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for key, (attr, kind) in _CONFIG_KEYS.items():
+            name = f"config key {key!r}" + (" (the horizon T)" if attr == "T" else "")
+            object.__setattr__(self, attr, _read(name, getattr(self, attr), kind))
 
     def to_dict(self) -> dict:
         return {
@@ -121,8 +127,8 @@ class ExperimentConfig:
         _reject_unknown("grid", grid,
                         {key.partition(".")[2] for key in _CONFIG_KEYS if "." in key})
         given = {**doc, **{f"grid.{key}": value for key, value in grid.items()}}
-        return ExperimentConfig(**{attr: _read(f"config key {key!r}", given[key], kind)
-                                   for key, (attr, kind) in _CONFIG_KEYS.items() if key in given})
+        return ExperimentConfig(**{attr: given[key]
+                                   for key, (attr, _) in _CONFIG_KEYS.items() if key in given})
 
     @staticmethod
     def from_file(path: str, **overrides) -> "ExperimentConfig":

@@ -7,16 +7,22 @@ for Brownian motion sits at the bottom of the search grid.
 
 The density estimate sums its samples in chunks of _CHUNK rows.  The chunks
 go over ``workers`` threads, a count that is 1 unless the caller gives
-another, each reduced by one tile loop into its own partial sums, and the
-partials are added in ascending chunk order, so the estimate and its
-standard errors are bit for bit the same at every worker count.  Each
-worker's tiles live in a workspace of its own.  The sample floor,
-MIN_SAMPLES, is the one the fields module states for every estimate.
+another, each reduced into its own partial sums, and the partials are added
+in ascending chunk order, so the estimate and its standard errors are bit
+for bit the same at every worker count.  Within a chunk each query point's
+column of kernels, and of their squares, is summed row after row.  A chunk
+is streamed one column at a time, over tiles of contiguous sample rows, and
+only the kernels that can change the column's running sums are evaluated:
+a kernel under half an ulp of both sums adds nothing to either, and the
+sums only grow, so leaving it out keeps every bit.  Each worker's tiles
+live in a workspace of its own.  The sample floor, MIN_SAMPLES, is the one
+the fields module states for every estimate.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from concurrent import futures
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -40,14 +46,70 @@ __all__ = [
 # over a chunk and the chunk's partial is then added to the total, so this
 # sets how the sums associate, and with it every bit of the estimate
 _CHUNK = 262144
-# elements of one tile of the KDE workspace, which holds _TILE // Q sample rows
+# sample rows of the longest tile of a column, and of its first tile: a tile
+# has as many rows as its chunk has summed so far, within these two, so the
+# no-op floor rises soon after a chunk starts from zero sums
 _TILE = 1 << 15
+_FIRST_TILE = 1 << 10
 # exp(x) is exactly +0 at and below this; it underflows below -745.14
 _EXP_FLOOR = -746.0
+# exp(x) is a normal number above this
+_EXP_NORMAL = -708.0
+# a kernel k with k < p * _NOOP and k < sqrt(s) * _NOOP_ROOT is under half an
+# ulp of the running sum p of kernels and of the sum s of their squares
+_NOOP = 2.0 ** -54
+_NOOP_ROOT = 2.0 ** -27
+# the least no-op bound that raises the floor: above it no subnormal rounding
+# can carry a kernel that the floor leaves out over the bound
+_NOOP_MIN = 2.0 ** -1000
+# a squared distance at or above (1 + _MARGIN) times the one at the floor is
+# left out: wider than any rounding of the distance or of the floor's product
+_MARGIN = 1e-9
+# numpy sums this many terms or more over the last axis pairwise, fewer in turn
+_PAIRWISE = 8
 # C1 values the bound fit scans, smallest first
 _C1_GRID = np.geomspace(1.0, 20.0, 200)
 # standard errors taken off each density before a bound is checked against it
 _SE_MARGIN = 3.0
+
+
+def _normal(x: float) -> bool:
+    """True when x is a finite normal float: not 0, subnormal, infinite or NaN."""
+    return sys.float_info.min <= abs(x) <= sys.float_info.max
+
+
+def _kernel_scales(h: float, n: int) -> tuple[float, float]:
+    """The kernel's peak norm = (2 pi)^{-n/2} h^{-n} and -2h^2 as the sums
+    use them.  A bandwidth for which norm, norm^2 or 1/(2h^2) is not a
+    finite normal number is a FieldError naming it: the sums could not
+    represent the kernels or their squares, nor the floor its bound/norm."""
+    try:
+        norm = 1.0 / ((2.0 * math.pi) ** (n / 2.0) * h ** n)
+    except (OverflowError, ZeroDivisionError):
+        norm = 0.0
+    two_h2 = 2.0 * h * h
+    if not (_normal(norm) and _normal(norm * norm)
+            and _normal(two_h2) and _normal(1.0 / two_h2)):
+        raise FieldError(f"DensityQuery: bandwidth {h!r} in n={n} puts the kernel's peak, "
+                         f"its square or 1/(2h^2) outside the normal floats")
+    # dividing by -2h^2 gives each value that negating and dividing by 2h^2 does
+    return norm, -two_h2
+
+
+def _exp_floor(p: float, s: float, norm: float) -> float:
+    """The exp argument at and below which a kernel norm * exp(arg) changes
+    neither the running sum p of kernels nor the sum s of their squares.
+
+    Such a kernel is under e^-1 of min(p 2^-54, sqrt(s) 2^-27), so under half
+    an ulp of p and its square under half an ulp of s.  Where that bound is
+    tiny or exp at the floor would be subnormal, the floor is _EXP_FLOOR,
+    below which every kernel is +0."""
+    bound = min(p * _NOOP, math.sqrt(s) * _NOOP_ROOT)
+    if bound >= _NOOP_MIN:
+        floor = math.log(bound / norm) - 1.0
+        if floor > _EXP_NORMAL:
+            return floor
+    return _EXP_FLOOR
 
 
 @dataclass(frozen=True)
@@ -66,6 +128,7 @@ class DensityQuery:
         object.__setattr__(self, "t", _read("DensityQuery: time t", self.t, _POSITIVE))
         object.__setattr__(self, "bandwidth",
                            _read("DensityQuery: bandwidth", self.bandwidth, _POSITIVE))
+        _kernel_scales(self.bandwidth, q.shape[1])
         if not np.all(np.isfinite(q)):
             raise FieldError("DensityQuery: query points must be finite")
 
@@ -100,16 +163,25 @@ def density_estimate(samples, query: DensityQuery, *,
     is reduced into its own partial sums, and the partials are added in
     ascending chunk order, so no bit of the result depends on w.
 
-    A chunk's kernels are computed in place, a tile of _TILE // Q sample rows
-    at a time.  Each worker keeps its tiles (the differences, the kernels and
-    their squares, and the mask of live exponents) in a workspace of its own
-    that every tile it reduces reuses, freed with the call.  Row 0 of a tile
-    carries the running column sums of its chunk, so each column is still
-    summed row after row over the _CHUNK rows.  `exp` runs only where its
-    argument lies above _EXP_FLOOR; below it the kernel is exactly +0, which
-    leaves the non-negative sums unchanged.  The samples are a float
-    (N, n) batch, n the query's, of at least MIN_SAMPLES rows, and must be
-    finite.
+    Each of a chunk's Q columns, the kernels norm * exp(-|x - y|^2 / (2h^2))
+    of one query point y, is summed row after row into p, and their squares
+    into s.  A chunk is streamed one column at a time, over tiles of
+    contiguous sample rows, _FIRST_TILE rows first and then as many as the
+    chunk has summed, up to _TILE.  At a tile's start ``_exp_floor`` gives
+    the argument at and below which a kernel is under half an ulp of both p
+    and s; the sums only grow, so such a kernel changes neither anywhere in
+    the tile, and nor does a +0 one.  Only the rows whose squared distance
+    lies under the floor's, widened by _MARGIN, are kept: a superset of the
+    kernels that can move a sum.  A kept kernel gets the bits a full
+    (rows, Q) kernel matrix gives it: the squared distance summed over the
+    axes in the order of numpy's sum over the last axis (in turn for
+    n < _PAIRWISE, pairwise from there on), divided by -2h^2, `exp`, times
+    norm, and the square.  The kept kernels are then summed in row order by
+    `np.add.accumulate`, a sequential sum, with the running sum as element
+    0, which gives p and s bit for bit.  Each worker keeps its tiles in a
+    workspace of its own that every tile it reduces reuses, freed with the
+    call.  The samples are a float (N, n) batch, n the query's, of at least
+    MIN_SAMPLES rows, and must be finite.
     """
     pts = _points(samples, query.n, "density_estimate")
     N, n = pts.shape
@@ -119,40 +191,53 @@ def density_estimate(samples, query: DensityQuery, *,
         i = int(np.argmin(finite))
         raise FieldError(f"density_estimate: sample {i} is not finite: {pts[i].tolist()}")
     w = _read("workers", workers, _COUNT)
-    h = query.bandwidth
-    norm = 1.0 / ((2.0 * math.pi) ** (n / 2.0) * h ** n)
-    # dividing by -2h^2 gives each value that negating and dividing by 2h^2 does
-    neg_2h2 = -(2.0 * h * h)
+    norm, neg_2h2 = _kernel_scales(query.bandwidth, n)
     q = query.query_points
     Q = len(q)
-    rows = max(1, _TILE // max(1, Q))
     ws = _Workspace()
 
     def chunk(lo):
-        diff = ws.array("diff", (rows, Q, n))
-        live = ws.array("live", (rows, Q), bool)
-        k = ws.array("k", (rows + 1, Q))
-        k_sq = ws.array("k_sq", (rows + 1, Q))
-        part = np.zeros(Q)
-        part_sq = np.zeros(Q)
+        d2 = ws.array("d2", (_TILE,))
+        term = ws.array("term", (_TILE,))
+        live = ws.array("live", (_TILE,), bool)
+        # element 0 of each carries the running sum into the tile
+        k = ws.array("k", (_TILE + 1,))
+        k_sq = ws.array("k_sq", (_TILE + 1,))
+        part = np.empty(Q)
+        part_sq = np.empty(Q)
         hi = min(lo + _CHUNK, N)
-        for a in range(lo, hi, rows):
-            r = min(rows, hi - a)
-            # exp's argument sits in k_sq's rows until k * k overwrites it
-            d, kt, arg = diff[:r], k[1:r + 1], k_sq[1:r + 1]
-            np.subtract(pts[a:a + r, None, :], q[None, :, :], out=d)
-            np.square(d, out=d)
-            np.sum(d, axis=-1, out=arg)
-            np.divide(arg, neg_2h2, out=arg)
-            np.greater(arg, _EXP_FLOOR, out=live[:r])
-            kt.fill(0.0)
-            np.exp(arg, out=kt, where=live[:r])
-            np.multiply(kt, norm, out=kt)
-            np.multiply(kt, kt, out=arg)
-            k[0] = part
-            k_sq[0] = part_sq
-            np.sum(k[:r + 1], axis=0, out=part)
-            np.sum(k_sq[:r + 1], axis=0, out=part_sq)
+        for j, y in enumerate(q):
+            p = s = 0.0
+            a = lo
+            while a < hi:
+                b = min(a + min(_TILE, max(_FIRST_TILE, a - lo)), hi)
+                r = b - a
+                dd, keep = d2[:r], live[:r]
+                for i in range(n):
+                    t = dd if i == 0 else term[:r]
+                    np.subtract(pts[a:b, i], y[i], out=t)
+                    np.square(t, out=t)
+                    if i:
+                        np.add(dd, t, out=dd)
+                np.less(dd, _exp_floor(p, s, norm) * neg_2h2 * (1.0 + _MARGIN), out=keep)
+                K = int(np.count_nonzero(keep))
+                if K:
+                    arg = k[1:K + 1]
+                    if n < _PAIRWISE:
+                        np.compress(keep, dd, out=arg)
+                    else:
+                        np.sum(np.square(pts[a:b][keep] - y), axis=-1, out=arg)
+                    np.divide(arg, neg_2h2, out=arg)
+                    np.exp(arg, out=arg)
+                    np.multiply(arg, norm, out=arg)
+                    np.multiply(arg, arg, out=k_sq[1:K + 1])
+                    k[0] = p
+                    k_sq[0] = s
+                    p = float(np.add.accumulate(k[:K + 1], out=k[:K + 1])[K])
+                    s = float(np.add.accumulate(k_sq[:K + 1], out=k_sq[:K + 1])[K])
+                a = b
+            part[j] = p
+            part_sq[j] = s
         return part, part_sq
 
     starts = range(0, N, _CHUNK)

@@ -85,8 +85,12 @@ def sup_error(f, f_eps, grid) -> float:
 
 def density_estimate_oracle(pts, query):
     """The KDE as first written, one (rows, Q) kernel matrix per _CHUNK of
-    samples: the reference that the tiled `density_estimate` must match bit
-    for bit.  `pts` is an (N, n) float array."""
+    samples, every kernel evaluated: the reference that `density_estimate`,
+    which streams each column over tiles and sums only the kernels that can
+    move a sum, must match bit for bit.  numpy sums each column of the
+    matrix row after row when Q >= 2; a single column it sums pairwise, so
+    the reference holds for two or more query points.  `pts` is an (N, n)
+    float array."""
     N, n = pts.shape
     h = query.bandwidth
     norm = 1.0 / ((2.0 * math.pi) ** (n / 2.0) * h ** n)

@@ -478,6 +478,20 @@ def test_config_defaults_are_the_dataclass_defaults():
     assert cfg.fingerprint == ExperimentConfig().fingerprint
 
 
+def test_a_config_reads_each_field_by_its_kind_however_it_is_built():
+    # built in the library, a config is read by the rule a document is
+    for kw, key in (({"seed": -1}, "seed"), ({"workers": None}, "workers"),
+                    ({"paths": 0}, "paths"), ({"eps": [0.1, "a"]}, "eps")):
+        with pytest.raises(FieldError, match=f"config key '{key}'"):
+            ExperimentConfig(**kw)
+    # and handed the value a document's key is read to, fingerprint included
+    built = ExperimentConfig(eps=[0.2, 0.1], steps=50.0, paths=2000.0, x0=[0.5])
+    parsed = ExperimentConfig.from_dict({"eps": [0.2, 0.1], "grid": {"steps": 50},
+                                         "paths": 2000, "x0": [0.5]})
+    assert built == parsed and built.fingerprint == parsed.fingerprint
+    assert type(built.steps) is int and built.eps == (0.2, 0.1)
+
+
 def test_cli_non_finite_smoothing_scale_is_bad_input(tmp_path, capsys):
     doc = _cfg().to_dict()
     doc["eps"] = [0.2, math.nan]

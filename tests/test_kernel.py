@@ -6,9 +6,10 @@ import pytest
 
 from sdem.fields import FieldError, builtin_field
 from sdem.flow import BrownianBatch, TimeGrid, run_ensemble
-from sdem.kernel import (_C1_GRID, _CHUNK, _EXP_FLOOR, _SE_MARGIN, _TILE, DensityQuery,
-                         density_estimate, density_floor, gaussian_bound,
-                         kernel_bound_fit, silverman_bandwidth)
+from sdem.kernel import (_C1_GRID, _CHUNK, _EXP_FLOOR, _FIRST_TILE, _NOOP, _NOOP_ROOT,
+                         _SE_MARGIN, _TILE, DensityQuery, _exp_floor, density_estimate,
+                         density_floor, gaussian_bound, kernel_bound_fit,
+                         silverman_bandwidth)
 from sdem.mollify import mollify_field
 
 from conftest import density_estimate_oracle
@@ -99,19 +100,42 @@ def test_density_query_point_x_has_n_finite_entries():
     assert DensityQuery(1.0, 0.5, q, 0.1).x.tolist() == [0.5]
 
 
-@pytest.mark.parametrize("n", [1, 2])
+def _far_and_grid(pts, h, count=21):
+    """Query points on a grid and, last, one 38 h beyond the outermost sample
+    along axis 0: its kernels are exp(-722) * norm or less, subnormal or 0
+    for the bandwidths below."""
+    n = pts.shape[1]
+    far = pts[np.argmax(pts[:, 0])] + 38.0 * h * np.eye(n)[0]
+    return np.vstack([np.linspace(-4.0, 4.0, count)[:, None] + np.linspace(0.0, 0.3, n), far])
+
+
+def _assert_bytewise_oracle(pts, query, workers=(1, 2, 3)):
+    ref_dens, ref_se = density_estimate_oracle(pts, query)
+    # the three chunks go over the workers and are joined in chunk order
+    for w in workers:
+        dens, se = density_estimate(pts, query, workers=w)
+        assert dens.tobytes() == ref_dens.tobytes()
+        assert se.tobytes() == ref_se.tobytes()
+    return ref_dens
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
 def test_tiled_kde_is_bytewise_the_chunked_one(n):
     # two full chunks and a ragged tail, so the sums cross chunk and tile
     # boundaries; at this bandwidth over 30% of the kernels underflow to +0
-    # and some are subnormal, the values the masked exp must reproduce.  The
-    # last query point lies 1.9 beyond the outermost sample, where every
-    # kernel is subnormal or zero and so is the density
-    N, h = 2 * _CHUNK + 4321, 0.05
+    # and some are subnormal, the values the kept-only sums must reproduce.
+    # The squared distance sums its n terms in turn below n = 8 and pairwise
+    # from there on.  The last query point lies beyond the outermost sample,
+    # where every kernel is subnormal or zero and so is the density
+    N, h = 2 * _CHUNK + 4321, (0.09 if n == 8 else 0.05)
     pts = np.random.default_rng(20261019 + n).standard_normal((N, n))
-    far = pts[np.argmax(pts[:, 0])] + 1.9 * np.eye(n)[0]
-    q = np.vstack([np.linspace(-4.0, 4.0, 21)[:, None] + np.linspace(0.0, 0.3, n), far])
+    # the oracle holds (rows, Q, n) arrays: fewer points keep it small at n = 8
+    q = _far_and_grid(pts, h, 21 if n < 8 else 5)
     query = DensityQuery(1.0, np.zeros(n), q, bandwidth=h)
-    assert _CHUNK % (_TILE // len(q)) != 0      # each chunk ends in a short tile
+    # tiles are cut at multiples of _FIRST_TILE, and the last chunk is not
+    # one, so it ends in a short tile after full ones
+    tail = N % _CHUNK
+    assert _TILE % _FIRST_TILE == 0 and tail > _FIRST_TILE and tail % _FIRST_TILE != 0
     underflow = subnormal = 0
     for y in q:
         arg = -np.sum((pts - y) ** 2, axis=1) / (2.0 * h * h)
@@ -119,13 +143,65 @@ def test_tiled_kde_is_bytewise_the_chunked_one(n):
         underflow += np.count_nonzero(arg < _EXP_FLOOR)
         subnormal += np.count_nonzero((kern > 0.0) & (kern < np.finfo(float).tiny))
     assert underflow > 0.3 * N * len(q) and subnormal > 0
-    ref_dens, ref_se = density_estimate_oracle(pts, query)
+    ref_dens = _assert_bytewise_oracle(pts, query)
     assert 0.0 < ref_dens[-1] < np.finfo(float).tiny
-    # the three chunks go over the workers and are joined in chunk order
-    for workers in (1, 2, 3):
-        dens, se = density_estimate(pts, query, workers=workers)
-        assert dens.tobytes() == ref_dens.tobytes()
-        assert se.tobytes() == ref_se.tobytes()
+
+
+def test_tiled_kde_sums_subnormal_kernels_into_a_zero_partial():
+    # at this bandwidth a column's sums stay 0 over long runs of rows, where
+    # the floor stays at _EXP_FLOOR: the far point's one nonzero kernel is
+    # subnormal and comes after a tile of zeros in its chunk, and the tails'
+    # first kernels come more than a longest tile into their chunks
+    N, h = 2 * _CHUNK + 4321, 0.002
+    pts = np.random.default_rng(20261020).standard_normal((N, 1))
+    q = _far_and_grid(pts, h)
+    query = DensityQuery(1.0, [0.0], q, bandwidth=h)
+    norm = 1.0 / (math.sqrt(2.0 * math.pi) * h)
+    kern = norm * np.exp(-((pts - q[:, 0]) ** 2) / (2.0 * h * h))     # (N, Q)
+    # the row of each column's first nonzero kernel in each chunk
+    firsts = [int(np.argmax(c > 0.0)) for lo in range(0, N, _CHUNK)
+              for c in kern[lo:lo + _CHUNK].T if np.any(c > 0.0)]
+    assert sum(first >= _TILE for first in firsts) >= 2
+    (i,) = np.flatnonzero(kern[:, -1])
+    assert kern[i, -1] < np.finfo(float).tiny and i % _CHUNK >= _FIRST_TILE
+    ref_dens = _assert_bytewise_oracle(pts, query, workers=(1, 2))
+    assert 0.0 < ref_dens[-1]
+
+
+def test_a_kernel_under_the_noop_bound_moves_no_sum():
+    # at the edge of the bound: the largest float under p 2^-54 leaves p as
+    # it is, as does the square of the largest under sqrt(s) 2^-27, while
+    # four times either bound moves its sum.  Mantissas of every kind, odd
+    # last bits included, and p and s down to the least the floor is raised for
+    rng = np.random.default_rng(31)
+    sums = np.concatenate([np.ldexp(rng.uniform(1.0, 2.0, 400), rng.integers(-940, 1000, 400)),
+                           np.nextafter(np.ldexp(1.0, np.arange(-940, 1000, 37)), np.inf),
+                           [1.0, 1.5, np.nextafter(2.0, 0.0)]])
+    for p, s in zip(sums, rng.permutation(sums)):
+        k = np.nextafter(p * _NOOP, 0.0)
+        assert p + k == p and p + 4.0 * p * _NOOP > p
+        k = np.nextafter(np.sqrt(s) * _NOOP_ROOT, 0.0)
+        assert s + k * k == s and s + (4.0 * k) ** 2 > s
+        # the largest argument the floor leaves out gives a kernel under both
+        for norm in (1e-3, 1.0, 7.9, 1e12):
+            k = np.exp(np.float64(_exp_floor(float(p), float(s), norm))) * norm
+            assert (p + k).tobytes() == p.tobytes() and (s + k * k).tobytes() == s.tobytes()
+    # sums too small for the bound keep the floor where every kernel is +0
+    for p, s in ((0.0, 0.0), (1.0, 0.0), (5e-324, 1.0), (2.0 ** -947, 1.0)):
+        assert _exp_floor(p, s, 1.0) == _EXP_FLOOR
+
+
+def test_a_bandwidth_the_kernel_cannot_represent_is_refused():
+    # the peak 1/((2 pi)^{n/2} h^n) or 2h^2 underflows to 0, or the peak's
+    # square overflows: each is refused, naming the bandwidth, before any sum
+    for n, h in ((2, 1e-200), (2, 1e-170), (1, 1e-160), (1, 1e-300)):
+        with pytest.raises(FieldError, match="bandwidth"):
+            query = DensityQuery(1.0, np.zeros(n), np.zeros((1, n)), bandwidth=h)
+            density_estimate(np.zeros((10_000, n)), query)
+    # the smallest bandwidths that pass still estimate: every sample at the point
+    query = DensityQuery(1.0, [0.0], [[0.0]], bandwidth=1e-150)
+    dens, _ = density_estimate(np.zeros((10_000, 1)), query)
+    assert dens[0] == pytest.approx(1.0 / (math.sqrt(2.0 * math.pi) * 1e-150), rel=1e-12)
 
 
 def test_one_chunk_density_estimate_makes_no_thread(monkeypatch):
