@@ -51,14 +51,19 @@ _FLAG = Kind("true or false", lambda v, n: isinstance(v, bool), bool)
 # an output directory; absent (None) writes no files
 _DIRECTORY = Kind("a string", lambda v, n: v is None or isinstance(v, str), lambda v: v)
 
-# each config key, the field it sets and the kind ExperimentConfig reads that
-# field by, however it is built; an absent key keeps the field's default,
-# which ExperimentConfig states once
-_CONFIG_KEYS = {"field": ("field_spec", _OBJECT), "eps": ("eps", _NUMBERS),
-                "grid.T": ("T", _POSITIVE), "grid.steps": ("steps", _COUNT),
-                "paths": ("paths", _COUNT), "seed": ("seed", _SEED), "x0": ("x0", _NUMBERS),
-                "workers": ("workers", _COUNT), "out": ("out", _DIRECTORY),
-                "options": ("options", _OBJECT)}
+# each config key, the field it sets, the kind ExperimentConfig reads that
+# field by, however it is built, and what the key is, which its errors name;
+# an absent key keeps the field's default, which ExperimentConfig states once
+_CONFIG_KEYS = {"field": ("field_spec", _OBJECT, "the field spec"),
+                "eps": ("eps", _NUMBERS, "the smoothing levels"),
+                "grid.T": ("T", _POSITIVE, "the horizon T"),
+                "grid.steps": ("steps", _COUNT, "the step count"),
+                "paths": ("paths", _COUNT, "the path count"),
+                "seed": ("seed", _SEED, "the seed"),
+                "x0": ("x0", _NUMBERS, "the start point"),
+                "workers": ("workers", _COUNT, "the worker count"),
+                "out": ("out", _DIRECTORY, "the output directory"),
+                "options": ("options", _OBJECT, "the study options")}
 
 
 @dataclass(frozen=True)
@@ -77,8 +82,8 @@ class ExperimentConfig:
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for key, (attr, kind) in _CONFIG_KEYS.items():
-            name = f"config key {key!r}" + (" (the horizon T)" if attr == "T" else "")
+        for key, (attr, kind, what) in _CONFIG_KEYS.items():
+            name = f"{what}: config key {key!r}"
             object.__setattr__(self, attr, _read(name, getattr(self, attr), kind))
 
     def to_dict(self) -> dict:
@@ -128,7 +133,7 @@ class ExperimentConfig:
                         {key.partition(".")[2] for key in _CONFIG_KEYS if "." in key})
         given = {**doc, **{f"grid.{key}": value for key, value in grid.items()}}
         return ExperimentConfig(**{attr: given[key]
-                                   for key, (attr, _) in _CONFIG_KEYS.items() if key in given})
+                                   for key, (attr, *_) in _CONFIG_KEYS.items() if key in given})
 
     @staticmethod
     def from_file(path: str, **overrides) -> "ExperimentConfig":

@@ -46,11 +46,8 @@ __all__ = [
 # over a chunk and the chunk's partial is then added to the total, so this
 # sets how the sums associate, and with it every bit of the estimate
 _CHUNK = 262144
-# sample rows of the longest tile of a column, and of its first tile: a tile
-# has as many rows as its chunk has summed so far, within these two, so the
-# no-op floor rises soon after a chunk starts from zero sums
+# sample rows per tile of a column: the no-op floor is taken at each tile's start
 _TILE = 1 << 15
-_FIRST_TILE = 1 << 10
 # exp(x) is exactly +0 at and below this; it underflows below -745.14
 _EXP_FLOOR = -746.0
 # exp(x) is a normal number above this
@@ -65,8 +62,6 @@ _NOOP_MIN = 2.0 ** -1000
 # a squared distance at or above (1 + _MARGIN) times the one at the floor is
 # left out: wider than any rounding of the distance or of the floor's product
 _MARGIN = 1e-9
-# numpy sums this many terms or more over the last axis pairwise, fewer in turn
-_PAIRWISE = 8
 # C1 values the bound fit scans, smallest first
 _C1_GRID = np.geomspace(1.0, 20.0, 200)
 # standard errors taken off each density before a bound is checked against it
@@ -106,7 +101,8 @@ def _exp_floor(p: float, s: float, norm: float) -> float:
     below which every kernel is +0."""
     bound = min(p * _NOOP, math.sqrt(s) * _NOOP_ROOT)
     if bound >= _NOOP_MIN:
-        floor = math.log(bound / norm) - 1.0
+        # in logs: bound / norm may underflow where the floor is far below -708
+        floor = math.log(bound) - math.log(norm) - 1.0
         if floor > _EXP_NORMAL:
             return floor
     return _EXP_FLOOR
@@ -165,23 +161,22 @@ def density_estimate(samples, query: DensityQuery, *,
 
     Each of a chunk's Q columns, the kernels norm * exp(-|x - y|^2 / (2h^2))
     of one query point y, is summed row after row into p, and their squares
-    into s.  A chunk is streamed one column at a time, over tiles of
-    contiguous sample rows, _FIRST_TILE rows first and then as many as the
-    chunk has summed, up to _TILE.  At a tile's start ``_exp_floor`` gives
-    the argument at and below which a kernel is under half an ulp of both p
-    and s; the sums only grow, so such a kernel changes neither anywhere in
-    the tile, and nor does a +0 one.  Only the rows whose squared distance
-    lies under the floor's, widened by _MARGIN, are kept: a superset of the
-    kernels that can move a sum.  A kept kernel gets the bits a full
-    (rows, Q) kernel matrix gives it: the squared distance summed over the
-    axes in the order of numpy's sum over the last axis (in turn for
-    n < _PAIRWISE, pairwise from there on), divided by -2h^2, `exp`, times
-    norm, and the square.  The kept kernels are then summed in row order by
-    `np.add.accumulate`, a sequential sum, with the running sum as element
-    0, which gives p and s bit for bit.  Each worker keeps its tiles in a
-    workspace of its own that every tile it reduces reuses, freed with the
-    call.  The samples are a float (N, n) batch, n the query's, of at least
-    MIN_SAMPLES rows, and must be finite.
+    into s.  A chunk is streamed one column at a time, over tiles of _TILE
+    contiguous sample rows, the last one shorter.  At a tile's start
+    ``_exp_floor`` gives the argument at and below which a kernel is under
+    half an ulp of both p and s; the sums only grow, so such a kernel
+    changes neither anywhere in the tile, and nor does a +0 one.  Only the
+    rows whose squared distance, folded axis after axis, lies under the
+    floor's, widened by _MARGIN, are kept: a superset of the kernels that
+    can move a sum.  A kept kernel gets the bits a full (rows, Q) kernel
+    matrix gives it: its row's squared differences summed by `np.sum` over a
+    contiguous last axis of n entries, as the matrix's are, divided by
+    -2h^2, `exp`, times norm, and the square.  The kept kernels are then
+    summed in row order by `np.add.accumulate`, a sequential sum, with the
+    running sum as element 0, which gives p and s bit for bit.  Each worker
+    keeps its tiles in a workspace of its own that every tile it reduces
+    reuses, freed with the call.  The samples are a float (N, n) batch, n
+    the query's, of at least MIN_SAMPLES rows, and must be finite.
     """
     pts = _points(samples, query.n, "density_estimate")
     N, n = pts.shape
@@ -200,6 +195,7 @@ def density_estimate(samples, query: DensityQuery, *,
         d2 = ws.array("d2", (_TILE,))
         term = ws.array("term", (_TILE,))
         live = ws.array("live", (_TILE,), bool)
+        rows = ws.array("rows", (_TILE, n))
         # element 0 of each carries the running sum into the tile
         k = ws.array("k", (_TILE + 1,))
         k_sq = ws.array("k_sq", (_TILE + 1,))
@@ -210,7 +206,7 @@ def density_estimate(samples, query: DensityQuery, *,
             p = s = 0.0
             a = lo
             while a < hi:
-                b = min(a + min(_TILE, max(_FIRST_TILE, a - lo)), hi)
+                b = min(a + _TILE, hi)
                 r = b - a
                 dd, keep = d2[:r], live[:r]
                 for i in range(n):
@@ -222,11 +218,12 @@ def density_estimate(samples, query: DensityQuery, *,
                 np.less(dd, _exp_floor(p, s, norm) * neg_2h2 * (1.0 + _MARGIN), out=keep)
                 K = int(np.count_nonzero(keep))
                 if K:
+                    diff = rows[:K]
+                    np.compress(keep, pts[a:b], axis=0, out=diff)
+                    np.subtract(diff, y, out=diff)
+                    np.square(diff, out=diff)
                     arg = k[1:K + 1]
-                    if n < _PAIRWISE:
-                        np.compress(keep, dd, out=arg)
-                    else:
-                        np.sum(np.square(pts[a:b][keep] - y), axis=-1, out=arg)
+                    np.sum(diff, axis=-1, out=arg)
                     np.divide(arg, neg_2h2, out=arg)
                     np.exp(arg, out=arg)
                     np.multiply(arg, norm, out=arg)

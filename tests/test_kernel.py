@@ -6,7 +6,7 @@ import pytest
 
 from sdem.fields import FieldError, builtin_field
 from sdem.flow import BrownianBatch, TimeGrid, run_ensemble
-from sdem.kernel import (_C1_GRID, _CHUNK, _EXP_FLOOR, _FIRST_TILE, _NOOP, _NOOP_ROOT,
+from sdem.kernel import (_C1_GRID, _CHUNK, _EXP_FLOOR, _NOOP, _NOOP_ROOT,
                          _SE_MARGIN, _TILE, DensityQuery, _exp_floor, density_estimate,
                          density_floor, gaussian_bound, kernel_bound_fit,
                          silverman_bandwidth)
@@ -124,18 +124,19 @@ def test_tiled_kde_is_bytewise_the_chunked_one(n):
     # two full chunks and a ragged tail, so the sums cross chunk and tile
     # boundaries; at this bandwidth over 30% of the kernels underflow to +0
     # and some are subnormal, the values the kept-only sums must reproduce.
-    # The squared distance sums its n terms in turn below n = 8 and pairwise
-    # from there on.  The last query point lies beyond the outermost sample,
-    # where every kernel is subnormal or zero and so is the density
+    # numpy sums a row's n squared differences in turn below n = 8 and
+    # pairwise from there on.  The last query point lies beyond the outermost
+    # sample, where every kernel is subnormal or zero and so is the density
     N, h = 2 * _CHUNK + 4321, (0.09 if n == 8 else 0.05)
     pts = np.random.default_rng(20261019 + n).standard_normal((N, n))
     # the oracle holds (rows, Q, n) arrays: fewer points keep it small at n = 8
     q = _far_and_grid(pts, h, 21 if n < 8 else 5)
     query = DensityQuery(1.0, np.zeros(n), q, bandwidth=h)
-    # tiles are cut at multiples of _FIRST_TILE, and the last chunk is not
-    # one, so it ends in a short tile after full ones
+    # a full chunk is whole tiles and the last chunk is one short tile;
+    # test_density_estimate_works_in_a_small_workspace ends a chunk in a
+    # short tile after a full one
     tail = N % _CHUNK
-    assert _TILE % _FIRST_TILE == 0 and tail > _FIRST_TILE and tail % _FIRST_TILE != 0
+    assert _CHUNK % _TILE == 0 and 0 < tail < _TILE
     underflow = subnormal = 0
     for y in q:
         arg = -np.sum((pts - y) ** 2, axis=1) / (2.0 * h * h)
@@ -150,8 +151,8 @@ def test_tiled_kde_is_bytewise_the_chunked_one(n):
 def test_tiled_kde_sums_subnormal_kernels_into_a_zero_partial():
     # at this bandwidth a column's sums stay 0 over long runs of rows, where
     # the floor stays at _EXP_FLOOR: the far point's one nonzero kernel is
-    # subnormal and comes after a tile of zeros in its chunk, and the tails'
-    # first kernels come more than a longest tile into their chunks
+    # subnormal and comes after zeros in its chunk, and the tails' first
+    # kernels come more than a tile into their chunks
     N, h = 2 * _CHUNK + 4321, 0.002
     pts = np.random.default_rng(20261020).standard_normal((N, 1))
     q = _far_and_grid(pts, h)
@@ -163,7 +164,7 @@ def test_tiled_kde_sums_subnormal_kernels_into_a_zero_partial():
               for c in kern[lo:lo + _CHUNK].T if np.any(c > 0.0)]
     assert sum(first >= _TILE for first in firsts) >= 2
     (i,) = np.flatnonzero(kern[:, -1])
-    assert kern[i, -1] < np.finfo(float).tiny and i % _CHUNK >= _FIRST_TILE
+    assert kern[i, -1] < np.finfo(float).tiny and i % _CHUNK > 0
     ref_dens = _assert_bytewise_oracle(pts, query, workers=(1, 2))
     assert 0.0 < ref_dens[-1]
 
@@ -189,6 +190,9 @@ def test_a_kernel_under_the_noop_bound_moves_no_sum():
     # sums too small for the bound keep the floor where every kernel is +0
     for p, s in ((0.0, 0.0), (1.0, 0.0), (5e-324, 1.0), (2.0 ** -947, 1.0)):
         assert _exp_floor(p, s, 1.0) == _EXP_FLOOR
+    # and so do sums whose bound passes, under a peak so high that the
+    # bound over it is below the least float
+    assert _exp_floor(2.0 ** -530, 2.0 ** -1060, 2.0 ** 500) == _EXP_FLOOR
 
 
 def test_a_bandwidth_the_kernel_cannot_represent_is_refused():
@@ -202,6 +206,15 @@ def test_a_bandwidth_the_kernel_cannot_represent_is_refused():
     query = DensityQuery(1.0, [0.0], [[0.0]], bandwidth=1e-150)
     dens, _ = density_estimate(np.zeros((10_000, 1)), query)
     assert dens[0] == pytest.approx(1.0 / (math.sqrt(2.0 * math.pi) * 1e-150), rel=1e-12)
+    # a peak of 2^500 and, in the first tile, one kernel of about 2^-530 over
+    # zeros: the next tile's no-op bound over the peak is below the least float
+    h = 1.0 / (math.sqrt(2.0 * math.pi) * 2.0 ** 500)
+    pts = np.ones((_TILE + 10_000, 1))
+    pts[5, 0] = math.sqrt(2.0 * 1030.0 * math.log(2.0)) * h
+    query = DensityQuery(1.0, [0.0], [[0.0], [1.0]], bandwidth=h)
+    kern = density_estimate_oracle(pts, query)[0][0] * len(pts)
+    assert 2.0 ** -531 < kern < 2.0 ** -529
+    _assert_bytewise_oracle(pts, query, workers=(1,))
 
 
 def test_one_chunk_density_estimate_makes_no_thread(monkeypatch):
@@ -242,6 +255,11 @@ def test_density_estimate_works_in_a_small_workspace():
         tracemalloc.stop()
     # one (rows, Q) matrix per 262,144-row chunk would peak near 126 MB
     assert peak <= 16 * 2 ** 20
+    # the second chunk is a full tile and a short one, and its floor rises
+    # between them; the bytes are still the oracle's
+    tail = len(pts) - _CHUNK
+    assert _TILE < tail < 2 * _TILE
+    _assert_bytewise_oracle(pts, query, workers=(2,))
 
 
 def test_bound_fit_bm_sits_at_grid_floor():
