@@ -8,8 +8,7 @@ path-space integration by parts identity.
 """
 
 from .fields import (FieldError, DerivativeUnavailableError, VectorFieldSet, builtin_field,
-                     ellipticity_margin, hoelder_estimate, g_function,
-                     condition_g_estimate, field_from_json)
+                     g_function, condition_g_estimate, field_from_json)
 from .mollify import (QuadratureError, MollifiedFieldSet, eta,
                       eta_grad, mollify_field, mollify_scalar)
 from .flow import (BLOCK, TimeGrid, BrownianBatch, EnsembleResult, run_ensemble,

@@ -2,30 +2,21 @@
 
 A family consists of a drift field (index 0) and m diffusion fields
 (indices 1..m) on R^n, together with an optional chosen version of the
-weak derivative of each field.  Ellipticity is measured, not declared:
-``ellipticity_margin`` takes the smallest eigenvalue of A A^T over sample
-points.
-
-Evaluators take one point format, a float (N, n) batch, and return one row
-per point (see ``VectorFieldSet``); they do no shape handling of their own.
-Points from a caller are checked once, where they enter, and so is each
-vector a caller hands in (a start point, a direction, a density's centre):
-``_vector`` requires n finite entries and names the key otherwise.  Each
-scalar is read by one rule, ``_read`` with a ``Kind``: a count is an
-integer >= 1 (2.0 is one), a seed an integer >= 0, any other scalar a finite
-number; a bool is not a number, and a non-finite value is never a parameter.
-The built-in and mollified evaluators are row-wise exact: a row's value has
-the same bytes alone and in a batch of any size.  A custom field is as
-exact as its own code.  All evaluators are pure and safe for concurrent
-use, and every array they return is a fresh one that the caller owns.  The
-``log_example`` diffusion is evaluated through the closed form of its
-antiderivative, with no table; its temporaries live in per-thread
-workspaces.  Its infimum is 1 - sqrt(beta pi)/2, so beta must lie in
-(0, 4/pi).  The closed form needs ``erfc``: ``scipy.special`` is imported
-when a ``log_example`` is built, so a process that builds only the other
-families never loads scipy.  Every built-in parameter must be given, of its
-kind and finite: a missing one, a value of the wrong kind (a string for a
-rate, 2.5 for a dimension, a 3-d matrix) and a non-finite or out-of-range
+weak derivative of each field.  Evaluators take one point format, a float
+(N, n) batch, and return one row per point (see ``VectorFieldSet``); they
+do no shape handling of their own.  The built-in and mollified evaluators
+are row-wise exact: a row's value has the same bytes alone and in a batch
+of any size.  A custom field is as exact as its own code.  All evaluators
+are pure and safe for concurrent use, and every array they return is a
+fresh one that the caller owns.  The ``log_example`` diffusion is evaluated
+through the closed form of its antiderivative, with no table; its
+temporaries live in per-thread workspaces.  Its infimum is
+1 - sqrt(beta pi)/2, so beta must lie in (0, 4/pi).  The closed form needs
+``erfc``: ``scipy.special`` is imported when a ``log_example`` is built, so
+a process that builds only the other families never loads scipy.  Every
+built-in parameter must be given and is read by the input rule: a missing
+one, a value of the wrong kind (a string for a rate, 2.5 for a dimension,
+a bool entry of a shift, a 3-d matrix) and a non-finite or out-of-range
 value each raise a FieldError naming the parameter.
 """
 
@@ -33,13 +24,14 @@ from __future__ import annotations
 
 import inspect
 import math
-import numbers
-import sys
 import threading
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
+
+from .inputs import (COUNT, NUMBER, POSITIVE, SEED, FieldError, enough, points, read,
+                     reject_unknown, vector)
 
 __all__ = [
     "FieldError",
@@ -47,25 +39,19 @@ __all__ = [
     "VectorFieldSet",
     "builtin_field",
     "field_from_json",
-    "ellipticity_margin",
-    "hoelder_estimate",
     "g_function",
     "condition_g_estimate",
     "ConditionGResult",
-    "MIN_SAMPLES",
 ]
-
-
-class FieldError(ValueError):
-    """Invalid field construction or evaluation request."""
 
 
 class DerivativeUnavailableError(FieldError):
     """Raised when an operation needs a weak derivative that was not supplied."""
 
 
-class _Workspace(threading.local):
-    """Scratch arrays of one thread, reused from call to call.
+class Workspace(threading.local):
+    """Scratch arrays of one thread, reused from call to call; the engine,
+    the quadrature and the density estimate keep theirs in one too.
 
     ``array(key, shape)`` is a C-ordered array of that shape over the
     thread's buffer for ``key``, which grows to the largest request and is
@@ -83,82 +69,6 @@ class _Workspace(threading.local):
         return buf[:size].reshape(shape)
 
 
-def _points(x, n: Optional[int], where: str) -> np.ndarray:
-    """A caller's points as the float (N, n) batch evaluators take; with n
-    None, a batch of any width n."""
-    pts = np.asarray(x, dtype=float)
-    if pts.ndim != 2 or n not in (None, pts.shape[1]):
-        raise FieldError(f"{where}: points must be an (N, {n or 'n'}) array, "
-                         f"got shape {pts.shape}")
-    return pts
-
-
-def _vector(v, key: str, n: int) -> np.ndarray:
-    """A caller's vector as n finite float entries; any other length, or an
-    entry that is not finite, raises a FieldError that names ``key``."""
-    try:
-        v = np.asarray(v, dtype=float).reshape(-1)
-    except (TypeError, ValueError):
-        raise FieldError(f"{key} must be {n} numbers, got {v!r}") from None
-    if len(v) != n:
-        raise FieldError(f"{key} has dimension {len(v)}, expected n={n}")
-    if not np.all(np.isfinite(v)):
-        raise FieldError(f"{key} = {v} is not finite")
-    return v
-
-
-class Kind(NamedTuple):
-    """What a number a caller hands in must be: the phrase an error names
-    it by, the test of a value (n is the field set's dimension), and what
-    the caller is handed for a value that passes."""
-
-    must_be: str
-    accepts: Callable[[object, int], bool]
-    read: Callable = float
-
-
-def _read(name: str, value, kind: Kind, n: int = 0):
-    if not kind.accepts(value, n):
-        raise FieldError(f"{name} must be {kind.must_be.format(n=n)}, got {value!r}")
-    return kind.read(value)
-
-
-def _reject_unknown(where: str, doc: dict, known) -> None:
-    unknown = sorted(set(doc) - set(known))
-    if unknown:
-        raise FieldError(f"unknown {where} key(s) {unknown}; accepted: {sorted(known)}")
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _finite(value) -> bool:
-    # math.isfinite raises on an int too large for a float; this calls it not finite
-    return _is_number(value) and abs(value) <= sys.float_info.max
-
-
-def _whole(value) -> bool:
-    return _finite(value) and value == math.floor(value)
-
-
-# a count is an exact integer: 2.0 is 2, and 2.7 is an error, not 2
-_COUNT = Kind("an integer >= 1", lambda v, n: _whole(v) and v >= 1, int)
-_SEED = Kind("an integer >= 0", lambda v, n: _whole(v) and v >= 0, int)
-_NUMBER = Kind("a finite number", lambda v, n: _finite(v))
-_POSITIVE = Kind("a finite positive number", lambda v, n: _finite(v) and v > 0)
-
-# the fewest samples an estimate is taken from: a density estimate's sample,
-# the paths of kernel-bound, and each batch of condition_g_estimate
-MIN_SAMPLES = 10_000
-
-
-def _enough(name: str, count: int) -> None:
-    """A FieldError that names ``name`` when ``count`` is below MIN_SAMPLES."""
-    if count < MIN_SAMPLES:
-        raise FieldError(f"{name}={count} is below the {MIN_SAMPLES} samples an estimate needs")
-
-
 @dataclass(frozen=True)
 class VectorFieldSet:
     """Drift and diffusion fields with an optional weak-derivative version.
@@ -167,11 +77,10 @@ class VectorFieldSet:
     returns (N, n); ``DA(l, x)``, when present, evaluates a fixed version of
     its weak derivative there and returns (N, n, n).  Neither checks or
     reshapes x, so a custom field is written for batches alone.  Points
-    from a caller are checked once, where they enter: the engine checks its
-    start point with ``_vector``, and ``ellipticity_margin``,
-    ``hoelder_estimate``, ``g_function`` and the function ``mollify_scalar``
-    returns check theirs with ``_points``, which names the expected (N, n)
-    and the shape it got.
+    from a caller are checked once, where they enter, by the rule of
+    ``inputs``: the engine checks its start point with ``vector``, and
+    ``g_function`` and the function ``mollify_scalar`` returns check theirs
+    with ``points``.  ``n`` and ``m`` are read as counts.
 
     The engine cuts a block of paths into row slices over its workers, so
     its outputs are byte-identical across worker counts when a row's value
@@ -212,8 +121,8 @@ class VectorFieldSet:
     constant_diffusion: bool = False
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise FieldError("state and noise dimensions must be positive")
+        object.__setattr__(self, "n", read("VectorFieldSet: n", self.n, COUNT))
+        object.__setattr__(self, "m", read("VectorFieldSet: m", self.m, COUNT))
 
     def require_dfield(self):
         if self.DA is None:
@@ -232,7 +141,7 @@ class VectorFieldSet:
 
 
 def _bm(n: int) -> VectorFieldSet:
-    n = _read("bm: n", n, _COUNT)
+    n = read("bm: n", n, COUNT)
     basis = np.eye(n)
 
     def A(l, x):
@@ -246,7 +155,7 @@ def _bm(n: int) -> VectorFieldSet:
 
 
 def _ou(lam: float) -> VectorFieldSet:
-    lam = _read("ou: lam", lam, _POSITIVE)
+    lam = read("ou: lam", lam, POSITIVE)
 
     def A(l, x):
         return -lam * x if l == 0 else np.ones_like(x)
@@ -259,17 +168,17 @@ def _ou(lam: float) -> VectorFieldSet:
 
 def _const_shift(matrix, shift) -> VectorFieldSet:
     try:
-        mat = np.atleast_2d(np.asarray(matrix, dtype=float))
-    except (TypeError, ValueError):
+        shape = np.shape(matrix)
+    except ValueError:                          # a ragged nesting
+        shape = None
+    if shape is None or len(shape) > 2:
         raise FieldError(f"const_shift: matrix must be an (n, m) array of numbers, "
-                         f"got {matrix!r}") from None
-    if mat.ndim != 2:
-        raise FieldError(f"const_shift: matrix must be an (n, m) array of numbers, "
-                         f"got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise FieldError(f"const_shift: matrix = {mat.tolist()} is not finite")
-    n, m = mat.shape
-    b = _vector(shift, "const_shift: shift", n)
+                         f"got {matrix!r}")
+    # a scalar or a flat list is one row, as np.atleast_2d makes it
+    n, m = (1,) * (2 - len(shape)) + shape
+    # each entry is read by the rule of every vector a caller hands in
+    mat = vector(matrix, "const_shift: matrix", n * m).reshape(n, m)
+    b = vector(shift, "const_shift: shift", n)
     if m < n:
         raise FieldError("const_shift: need at least as many noise columns as state dimensions")
     sv = np.linalg.svd(mat, compute_uv=False)
@@ -290,7 +199,7 @@ _SMALLEST_SUBNORMAL = 5e-324
 _HALF_SQRT_PI = math.sqrt(math.pi) / 2.0
 
 
-def _log_antiderivative(x: np.ndarray, beta: float, ws: _Workspace, erfc) -> np.ndarray:
+def _log_antiderivative(x: np.ndarray, beta: float, ws: Workspace, erfc) -> np.ndarray:
     """I(|x|), where I(t) = int_0^min(t, 1) sqrt(beta |log y|) dy for t >= 0,
     in closed form, as a fresh array; the temporaries live in ``ws``.
     ``erfc`` is ``scipy.special.erfc``, imported by the caller.
@@ -318,7 +227,7 @@ def _log_antiderivative(x: np.ndarray, beta: float, ws: _Workspace, erfc) -> np.
 def _log_example(beta: float) -> VectorFieldSet:
     # the diffusion's infimum is 1 - sqrt(beta pi)/2, at x = -1: uniformly
     # elliptic exactly when beta < 4/pi
-    beta = _read("log_example: beta", beta, _NUMBER)
+    beta = read("log_example: beta", beta, NUMBER)
     if not 0.0 < beta < 4.0 / math.pi:
         raise FieldError(f"log_example: beta must lie in (0, 4/pi), where the diffusion "
                          f"stays uniformly elliptic, got beta={beta!r}")
@@ -326,7 +235,7 @@ def _log_example(beta: float) -> VectorFieldSet:
     # process on the other families never loads scipy
     from scipy.special import erfc
 
-    ws = _Workspace()
+    ws = Workspace()
 
     def A(l, x):
         if l == 0:
@@ -387,7 +296,7 @@ def field_from_json(doc: dict) -> VectorFieldSet:
     declared, are counts that must match the constructed field set."""
     if not isinstance(doc, dict) or "name" not in doc:
         raise FieldError(f"a field spec is an object with a 'name', got {doc!r}")
-    _reject_unknown("field spec", doc, ("name", "params", "n", "m"))
+    reject_unknown("field spec", doc, ("name", "params", "n", "m"))
     name = doc["name"]
     if name not in _BUILTINS:
         raise FieldError(
@@ -396,7 +305,7 @@ def field_from_json(doc: dict) -> VectorFieldSet:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise FieldError(f"field 'params' must be an object, got {params!r}")
-    declared = {key: _read(f"field spec key {key!r}", doc[key], _COUNT)
+    declared = {key: read(f"field spec key {key!r}", doc[key], COUNT)
                 for key in ("n", "m") if key in doc}
     fs = builtin_field(name, **params)
     for key, value in declared.items():
@@ -406,62 +315,18 @@ def field_from_json(doc: dict) -> VectorFieldSet:
     return fs
 
 
-# ---------------------------------------------------------------------------
-# regularity checkers
-
-
-def ellipticity_margin(fs: VectorFieldSet, sample_points) -> float:
-    """Smallest eigenvalue of a(x) = A(x) A(x)^T over the (N, n) sample points."""
-    pts = _points(sample_points, fs.n, "ellipticity_margin")
-    if len(pts) == 0:
-        raise FieldError("ellipticity_margin: empty sample set")
-    amat = fs.diffusion_matrix(pts)              # (N, n, m)
-    a = amat @ np.swapaxes(amat, -1, -2)         # (N, n, n)
-    try:
-        eigs = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        bad = pts[~np.all(np.isfinite(a.reshape(len(pts), -1)), axis=1)]
-        where = bad[0] if len(bad) else pts[0]
-        raise FieldError(f"eigen-solve failed near point {where}: {exc}") from exc
-    return float(eigs[:, 0].min())
-
-
-def hoelder_estimate(fs: VectorFieldSet, alpha: float, x, y) -> float:
-    """Empirical lower bound for the Hoelder constant over point pairs.
-
-    Pair i is (x[i], y[i]) of two (N, n) batches.  Returns the max over
-    pairs and field indices of |A_l(x) - A_l(y)| / |x-y|^alpha, or 0.0 when
-    N is 0.
-    """
-    alpha = _read("hoelder_estimate: alpha", alpha, _NUMBER)
-    if not 0.0 < alpha <= 1.0:
-        raise FieldError(f"alpha must lie in (0, 1], got {alpha}")
-    x = _points(x, fs.n, "hoelder_estimate")
-    y = _points(y, fs.n, "hoelder_estimate")
-    if len(x) != len(y):
-        raise FieldError(f"hoelder_estimate: {len(x)} points x against {len(y)} points y")
-    gap = np.linalg.norm(x - y, axis=1)
-    if np.any(gap == 0.0):
-        raise FieldError(f"coincident pair at {x[np.argmin(gap)]}")
-    best = 0.0
-    for l in range(fs.m + 1):
-        diff = np.linalg.norm(fs.A(l, x) - fs.A(l, y), axis=1)
-        best = max(best, float(np.max(diff / gap ** alpha, initial=0.0)))
-    return best
-
-
 def g_function(fs: VectorFieldSet, x) -> np.ndarray:
     """Sum over l of the squared Frobenius norm of the weak derivative at
     each point of the (N, n) batch x: shape (N,).
 
     A declared zero drift is not evaluated; its DA(0) adds nothing."""
     fs.require_dfield()
-    pts = _points(x, fs.n, "g_function")
+    pts = points(x, fs.n, "g_function")
     first = 1 if fs.zero_drift else 0
-    return _g_sum([None] * first + [fs.DA(l, pts) for l in range(first, fs.m + 1)])
+    return g_sum([None] * first + [fs.DA(l, pts) for l in range(first, fs.m + 1)])
 
 
-def _g_sum(das) -> np.ndarray | float:
+def g_sum(das) -> np.ndarray | float:
     """G from the derivatives DA(0..m), each (N, n, n), summed in that order.
 
     A derivative declared identically zero is None: DA(0) of a zero drift,
@@ -502,13 +367,14 @@ def condition_g_estimate(fs: VectorFieldSet, sigma: float, T0: float, x,
     against borderline non-integrable cases, hence the replication.
     ``samples`` below MIN_SAMPLES raises, after the other arguments are read.
     """
-    sigma = _read("condition_g_estimate: sigma", sigma, _POSITIVE)
-    T0 = _read("condition_g_estimate: T0", T0, _POSITIVE)
-    samples = _read("condition_g_estimate: samples", samples, _COUNT)
-    seed = _read("condition_g_estimate: seed", seed, _SEED)
+    sigma = read("condition_g_estimate: sigma", sigma, POSITIVE)
+    T0 = read("condition_g_estimate: T0", T0, POSITIVE)
+    samples = read("condition_g_estimate: samples", samples, COUNT)
+    seed = read("condition_g_estimate: seed", seed, SEED)
+    growth_ratio = read("condition_g_estimate: growth_ratio", growth_ratio, NUMBER)
     fs.require_dfield()
-    x = _vector(x, "start point x0", fs.n)
-    _enough("condition_g_estimate: samples", samples)
+    x = vector(x, "start point x0", fs.n)
+    enough("condition_g_estimate: samples", samples)
     scale = T0 * (2.0 * math.pi) ** (fs.n / 2.0)
 
     def one_batch(rng, k):

@@ -45,8 +45,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .fields import (_COUNT, _POSITIVE, _SEED, FieldError, VectorFieldSet, _g_sum, _read,
-                     _vector, _Workspace)
+from .fields import VectorFieldSet, Workspace, g_sum
+from .inputs import COUNT, NUMBER, POSITIVE, SEED, FieldError, read, vector
 from .mollify import mollify_field
 from .report import EstimatorReport, from_samples
 
@@ -85,8 +85,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        object.__setattr__(self, "T", _read("TimeGrid: horizon T", self.T, _POSITIVE))
-        object.__setattr__(self, "steps", _read("TimeGrid: steps", self.steps, _COUNT))
+        object.__setattr__(self, "T", read("TimeGrid: horizon T", self.T, POSITIVE))
+        object.__setattr__(self, "steps", read("TimeGrid: steps", self.steps, COUNT))
 
     @property
     def dt(self) -> float:
@@ -117,9 +117,9 @@ class BrownianBatch:
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", _read("BrownianBatch: seed", self.seed, _SEED))
-        object.__setattr__(self, "paths", _read("BrownianBatch: paths", self.paths, _COUNT))
-        object.__setattr__(self, "m", _read("BrownianBatch: m", self.m, _COUNT))
+        object.__setattr__(self, "seed", read("BrownianBatch: seed", self.seed, SEED))
+        object.__setattr__(self, "paths", read("BrownianBatch: paths", self.paths, COUNT))
+        object.__setattr__(self, "m", read("BrownianBatch: m", self.m, COUNT))
         rows = min(BLOCK, self.paths)
         if rows * self.grid.steps * self.m * 8 > np.iinfo(np.intp).max:
             raise FieldError(f"BrownianBatch: a block of {rows} paths over {self.grid.steps} "
@@ -191,7 +191,7 @@ def _coefficients(fields, xi, with_jac):
     return A, DA
 
 
-def _mm(a, b):
+def mm(a, b):
     """Stacked a @ b.  With inner dimension 1 the matmul sums one product
     onto +0; `a * b + 0.0` is that bit for bit, -0 included, at ~1/8 the cost."""
     if a.shape[-1] != 1:
@@ -216,11 +216,11 @@ def _euler_step(xi, V, coef, dWk, dt):
     xi_new = xi if A[0] is None else xi + A[0] * dt
     V_new = None
     if V is not None:
-        V_new = V if DA[0] is None else V + _mm(DA[0], V) * dt
+        V_new = V if DA[0] is None else V + mm(DA[0], V) * dt
     for l in range(1, len(A)):
         xi_new = xi_new + A[l] * dWk[:, l - 1: l]
         if V is not None and DA[l] is not None:
-            V_new = V_new + _mm(DA[l], V) * dWk[:, l - 1, None, None]
+            V_new = V_new + mm(DA[l], V) * dWk[:, l - 1, None, None]
     return xi_new, V_new
 
 
@@ -296,7 +296,7 @@ class IntegratedG(Tracker):
     def step(self, k, xis, Vs, dWk, dt, coefs):
         if dWk is None:
             return
-        self.total += _g_sum(coefs[self.run][1]) * dt
+        self.total += g_sum(coefs[self.run][1]) * dt
 
     def finish(self):
         return dict(zip(self.keys(), (self.total,)))
@@ -447,10 +447,10 @@ def _run(runs, noise: BrownianBatch, trackers, with_jac, workers):
                 raise FieldError(f"trackers {writer[key]} and {type(t).__name__} "
                                  f"both write the extra {key!r}")
             writer[key] = type(t).__name__
-    w, nb = _read("workers", workers, _COUNT), noise.n_blocks
+    w, nb = read("workers", workers, COUNT), noise.n_blocks
     # when blocks are the units, each worker draws every block into its own
     # step-major buffer, sized for the largest block and freed with the run
-    ws = _Workspace()
+    ws = Workspace()
     shape = (noise.grid.steps, min(BLOCK, noise.paths), noise.m)
 
     def simulate(dW):
@@ -521,7 +521,7 @@ def _start_point(fields, x0, noise: BrownianBatch, with_jac) -> np.ndarray:
     field set's DA checked when the run carries V, before any draw."""
     if noise.m != fields.m:
         raise FieldError(f"noise dimension {noise.m} != field noise dimension {fields.m}")
-    x0 = _vector(x0, "start point x0", fields.n)
+    x0 = vector(x0, "start point x0", fields.n)
     if with_jac:
         fields.require_dfield()
     return x0
@@ -552,7 +552,11 @@ class CoupledFamilyResult:
         return int(self.flag.sum())
 
     def sup_moment(self, eps: float, p: float, which: str = "state") -> EstimatorReport:
-        """Report of E sup_t |gap|^p between the coarser level eps and the finest."""
+        """Report of E sup_t |gap|^p between the coarser level eps and the
+        finest, of the states (``which`` 'state') or the derivatives ('jac')."""
+        p = read("sup_moment: p", p, NUMBER)
+        if which not in ("state", "jac"):
+            raise FieldError(f"sup_moment: which must be one of ['jac', 'state'], got {which!r}")
         table = self.pair_state_sup if which == "state" else self.pair_jac_sup
         if table is None:
             raise FieldError("the family was run state-only (with_jac=False); "
@@ -598,6 +602,7 @@ def coupled_family(fs: VectorFieldSet, eps_list: Sequence[float], x0,
 
 def moment_sup(ensemble: EnsembleResult, p: float) -> EstimatorReport:
     """Monte Carlo estimate of E sup_{s<=T} |V_s|^p (Frobenius norm)."""
+    p = read("moment_sup: p", p, NUMBER)
     if "sup_jac" not in ensemble.extras:
         raise FieldError("ensemble was run without a JacSupNorm tracker")
     vals = ensemble.extras["sup_jac"][ensemble.ok]
@@ -612,6 +617,7 @@ def exp_g_functional(ensemble: EnsembleResult, q: float) -> EstimatorReport:
     Overflowing paths make the estimate +inf; their count is available on
     the returned report as ``overflowed``.
     """
+    q = read("exp_g_functional: q", q, NUMBER)
     if "int_g" not in ensemble.extras:
         raise FieldError("ensemble was run without an IntegratedG tracker")
     ints = ensemble.extras["int_g"][ensemble.ok]

@@ -20,11 +20,11 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import kernel as kern
-from .fields import (_COUNT, _NUMBER, _POSITIVE, _SEED, FieldError, Kind, _enough, _finite,
-                     _is_number, _read, _reject_unknown, condition_g_estimate,
-                     field_from_json)
+from .fields import condition_g_estimate, field_from_json
 from .flow import (BrownianBatch, IntegratedG, JacSupNorm, TimeGrid,
                    coupled_family, exp_g_functional, moment_sup, run_ensemble)
+from .inputs import (COUNT, DIRECTORY, FLAG, NUMBER, NUMBERS, OBJECT, POINTS, POSITIVE, SEED,
+                     VECTOR, FieldError, Kind, enough, read, reject_unknown)
 from .malliavin import CameronMartinPath, gradient_routes, ibp_check
 from .mollify import mollify_field
 
@@ -37,33 +37,19 @@ __all__ = [
 ]
 
 
-# the kinds of config numbers and study options beyond fields.py's scalars
-_OBJECT = Kind("an object", lambda v, n: isinstance(v, dict), lambda v: v)
-_NUMBERS = Kind("a list of numbers",
-                lambda v, n: isinstance(v, (list, tuple)) and all(map(_is_number, v)), tuple)
-_VECTOR = Kind("a list of n = {n} numbers", lambda v, n: _NUMBERS.accepts(v, n) and len(v) == n,
-               lambda v: np.asarray(v, dtype=float))
-_POINTS = Kind("[lo, hi, count] of finite numbers with an integer count >= 1",
-               lambda v, n: (isinstance(v, (list, tuple)) and len(v) == 3
-                             and _finite(v[0]) and _finite(v[1]) and _COUNT.accepts(v[2], n)),
-               lambda v: np.linspace(float(v[0]), float(v[1]), int(v[2])))
-_FLAG = Kind("true or false", lambda v, n: isinstance(v, bool), bool)
-# an output directory; absent (None) writes no files
-_DIRECTORY = Kind("a string", lambda v, n: v is None or isinstance(v, str), lambda v: v)
-
 # each config key, the field it sets, the kind ExperimentConfig reads that
 # field by, however it is built, and what the key is, which its errors name;
 # an absent key keeps the field's default, which ExperimentConfig states once
-_CONFIG_KEYS = {"field": ("field_spec", _OBJECT, "the field spec"),
-                "eps": ("eps", _NUMBERS, "the smoothing levels"),
-                "grid.T": ("T", _POSITIVE, "the horizon T"),
-                "grid.steps": ("steps", _COUNT, "the step count"),
-                "paths": ("paths", _COUNT, "the path count"),
-                "seed": ("seed", _SEED, "the seed"),
-                "x0": ("x0", _NUMBERS, "the start point"),
-                "workers": ("workers", _COUNT, "the worker count"),
-                "out": ("out", _DIRECTORY, "the output directory"),
-                "options": ("options", _OBJECT, "the study options")}
+_CONFIG_KEYS = {"field": ("field_spec", OBJECT, "the field spec"),
+                "eps": ("eps", NUMBERS, "the smoothing levels"),
+                "grid.T": ("T", POSITIVE, "the horizon T"),
+                "grid.steps": ("steps", COUNT, "the step count"),
+                "paths": ("paths", COUNT, "the path count"),
+                "seed": ("seed", SEED, "the seed"),
+                "x0": ("x0", NUMBERS, "the start point"),
+                "workers": ("workers", COUNT, "the worker count"),
+                "out": ("out", DIRECTORY, "the output directory"),
+                "options": ("options", OBJECT, "the study options")}
 
 
 @dataclass(frozen=True)
@@ -84,7 +70,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for key, (attr, kind, what) in _CONFIG_KEYS.items():
             name = f"{what}: config key {key!r}"
-            object.__setattr__(self, attr, _read(name, getattr(self, attr), kind))
+            object.__setattr__(self, attr, read(name, getattr(self, attr), kind))
 
     def to_dict(self) -> dict:
         return {
@@ -114,7 +100,7 @@ class ExperimentConfig:
     def grid_at(self, t: float) -> TimeGrid:
         """The grid of a study at the option horizon t, on this config's step size."""
         dt = self.grid.dt
-        t = _read("option 't'", t, _POSITIVE)
+        t = read("option 't'", t, POSITIVE)
         steps = t / dt
         if not math.isfinite(steps):
             raise FieldError(f"option 't' = {t} takes more steps of {dt} than a float holds")
@@ -127,10 +113,10 @@ class ExperimentConfig:
         if not isinstance(doc, dict):
             raise FieldError(f"a config document is an object, got {doc!r}")
         doc = {**doc, **{k: v for k, v in overrides.items() if v is not None}}
-        _reject_unknown("config", doc, {key.partition(".")[0] for key in _CONFIG_KEYS})
-        grid = _read("config key 'grid'", doc.get("grid", {}), _OBJECT)
-        _reject_unknown("grid", grid,
-                        {key.partition(".")[2] for key in _CONFIG_KEYS if "." in key})
+        reject_unknown("config", doc, {key.partition(".")[0] for key in _CONFIG_KEYS})
+        grid = read("config key 'grid'", doc.get("grid", {}), OBJECT)
+        reject_unknown("grid", grid,
+                       {key.partition(".")[2] for key in _CONFIG_KEYS if "." in key})
         given = {**doc, **{f"grid.{key}": value for key, value in grid.items()}}
         return ExperimentConfig(**{attr: given[key]
                                    for key, (attr, *_) in _CONFIG_KEYS.items() if key in given})
@@ -304,7 +290,7 @@ def cmd_gradient(cfg: ExperimentConfig, fields, opts: dict) -> CommandResult:
 def cmd_kernel_bound(cfg: ExperimentConfig, fields, opts: dict) -> CommandResult:
     if fields.n != 1:
         raise FieldError("cmd_kernel_bound: query grid construction is 1-d only")
-    _enough("cmd_kernel_bound: paths", cfg.paths)
+    enough("cmd_kernel_bound: paths", cfg.paths)
     qpts = opts["query"][:, None]
     t, bandwidth, c1_target, c1_max = opts["t"], opts["bandwidth"], opts["c1"], opts["c1_max"]
     noise = BrownianBatch(cfg.seed, cfg.paths, cfg.grid_at(t), fields.m)
@@ -443,38 +429,38 @@ STUDIES: dict[str, Study] = {
     "converge-flow": Study(
         partial(_converge, which="state", name="converge_flow"),
         "pathwise sup-distance of the state across the smoothing ladder",
-        {"p": (_NUMBER, 2.0), "plot_data": (_FLAG, False)}),
+        {"p": (NUMBER, 2.0), "plot_data": (FLAG, False)}),
     "converge-derivative": Study(
         partial(_converge, which="jac", name="converge_derivative"),
         "pathwise sup-distance of the derivative matrix across the ladder",
-        {"p": (_NUMBER, 2.0), "plot_data": (_FLAG, False)}),
+        {"p": (NUMBER, 2.0), "plot_data": (FLAG, False)}),
     "gradient": Study(
         cmd_gradient,
         "semigroup gradient by the Bismut, intertwining and finite-difference routes",
-        {"mollify_eps": (_POSITIVE, None), "t": (_POSITIVE, 0.5), "v0": (_VECTOR, _first_axis),
-         "f": (_FUNCTION, "identity"), "bump": (_POSITIVE, 1e-3), "target": (_NUMBER, None),
-         "abs_tol": (_POSITIVE, None)}),
+        {"mollify_eps": (POSITIVE, None), "t": (POSITIVE, 0.5), "v0": (VECTOR, _first_axis),
+         "f": (_FUNCTION, "identity"), "bump": (POSITIVE, 1e-3), "target": (NUMBER, None),
+         "abs_tol": (POSITIVE, None)}),
     "kernel-bound": Study(
         cmd_kernel_bound,
         "Gaussian upper bound of the transition density, fitted to a KDE",
-        {"mollify_eps": (_POSITIVE, None), "t": (_POSITIVE, lambda cfg, n: cfg.T),
-         "query": (_POINTS, [-4.0, 4.0, 21]), "bandwidth": (_POSITIVE, None),
-         "c1": (_POSITIVE, 1.05), "c1_max": (_NUMBER, None), "plot_data": (_FLAG, False)}),
+        {"mollify_eps": (POSITIVE, None), "t": (POSITIVE, lambda cfg, n: cfg.T),
+         "query": (POINTS, [-4.0, 4.0, 21]), "bandwidth": (POSITIVE, None),
+         "c1": (POSITIVE, 1.05), "c1_max": (NUMBER, None), "plot_data": (FLAG, False)}),
     "condition-g": Study(
         cmd_condition_g,
         "condition (G): integrability of exp(sigma G) against the heat kernel",
-        {"sigma": (_POSITIVE, 0.5), "T0": (_POSITIVE, 1.0), "growth_ratio": (_NUMBER, 2.0),
-         "expect_diverging": (_FLAG, None)}),
+        {"sigma": (POSITIVE, 0.5), "T0": (POSITIVE, 1.0), "growth_ratio": (NUMBER, 2.0),
+         "expect_diverging": (FLAG, None)}),
     "ibp": Study(
         cmd_ibp,
         "integration by parts on path space, E dF(V^h) = E F delta(V^h)",
-        {"mollify_eps": (_POSITIVE, None), "t": (_POSITIVE, 0.5),
-         "F": (_SMOOTH_FUNCTION, "sin"), "hdot": (_VECTOR, _first_axis),
-         "target": (_NUMBER, None)}),
+        {"mollify_eps": (POSITIVE, None), "t": (POSITIVE, 0.5),
+         "F": (_SMOOTH_FUNCTION, "sin"), "hdot": (VECTOR, _first_axis),
+         "target": (NUMBER, None)}),
     "moment": Study(
         cmd_moment,
         "moment bound of the derivative flow by the exp(G) functional",
-        {"mollify_eps": (_POSITIVE, None), "p": (_NUMBER, 2.0)}),
+        {"mollify_eps": (POSITIVE, None), "p": (NUMBER, 2.0)}),
 }
 
 
@@ -486,14 +472,14 @@ def run_command(name: str, cfg: ExperimentConfig) -> CommandResult:
         study = STUDIES[name]
     except KeyError:
         raise FieldError(f"unknown subcommand {name!r}; have {sorted(STUDIES)}") from None
-    _reject_unknown(f"{name} option", cfg.options, study.options)
+    reject_unknown(f"{name} option", cfg.options, study.options)
     fields = field_from_json(cfg.field_spec)
     opts = {}
     for key, (kind, default) in study.options.items():
         value = cfg.options.get(key)
         if value is None:
             value = default(cfg, fields.n) if callable(default) else default
-        opts[key] = None if value is None else _read(f"option {key!r}", value, kind, fields.n)
+        opts[key] = None if value is None else read(f"option {key!r}", value, kind, fields.n)
     if (eps := opts.get("mollify_eps")) is not None:
         fields = mollify_field(fields, eps)
     result = study.run(cfg, fields, opts)

@@ -16,7 +16,7 @@ only the kernels that can change the column's running sums are evaluated:
 a kernel under half an ulp of both sums adds nothing to either, and the
 sums only grow, so leaving it out keeps every bit.  Each worker's tiles
 live in a workspace of its own.  The sample floor, MIN_SAMPLES, is the one
-the fields module states for every estimate.
+the input rule states for every estimate.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .fields import (_COUNT, _POSITIVE, FieldError, _enough, _points, _read, _vector,
-                     _Workspace)
+from .fields import Workspace
+from .inputs import COUNT, POSITIVE, FieldError, enough, points, read, vector
 
 __all__ = [
     "DensityQuery",
@@ -118,12 +118,12 @@ class DensityQuery:
     bandwidth: float
 
     def __post_init__(self):
-        q = _points(self.query_points, None, "DensityQuery: query points")
+        q = points(self.query_points, None, "DensityQuery: query points")
         object.__setattr__(self, "query_points", q)
-        object.__setattr__(self, "x", _vector(self.x, "DensityQuery: point x", q.shape[1]))
-        object.__setattr__(self, "t", _read("DensityQuery: time t", self.t, _POSITIVE))
+        object.__setattr__(self, "x", vector(self.x, "DensityQuery: point x", q.shape[1]))
+        object.__setattr__(self, "t", read("DensityQuery: time t", self.t, POSITIVE))
         object.__setattr__(self, "bandwidth",
-                           _read("DensityQuery: bandwidth", self.bandwidth, _POSITIVE))
+                           read("DensityQuery: bandwidth", self.bandwidth, POSITIVE))
         _kernel_scales(self.bandwidth, q.shape[1])
         if not np.all(np.isfinite(q)):
             raise FieldError("DensityQuery: query points must be finite")
@@ -136,7 +136,7 @@ class DensityQuery:
 def silverman_bandwidth(samples: np.ndarray) -> float:
     """Per-axis rule h = 1.06 sigma_hat N^{-1/5}, averaged over axes, for
     a float (N, n) batch of samples."""
-    samples = _points(samples, None, "silverman_bandwidth")
+    samples = points(samples, None, "silverman_bandwidth")
     if samples.shape[0] < 2:
         raise FieldError("bandwidth rule needs at least two samples")
     sig = samples.std(axis=0, ddof=1).mean()
@@ -178,18 +178,18 @@ def density_estimate(samples, query: DensityQuery, *,
     reuses, freed with the call.  The samples are a float (N, n) batch, n
     the query's, of at least MIN_SAMPLES rows, and must be finite.
     """
-    pts = _points(samples, query.n, "density_estimate")
+    pts = points(samples, query.n, "density_estimate")
     N, n = pts.shape
-    _enough("density_estimate: samples", N)
+    enough("density_estimate: samples", N)
     finite = np.isfinite(pts).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
         raise FieldError(f"density_estimate: sample {i} is not finite: {pts[i].tolist()}")
-    w = _read("workers", workers, _COUNT)
+    w = read("workers", workers, COUNT)
     norm, neg_2h2 = _kernel_scales(query.bandwidth, n)
     q = query.query_points
     Q = len(q)
-    ws = _Workspace()
+    ws = Workspace()
 
     def chunk(lo):
         d2 = ws.array("d2", (_TILE,))

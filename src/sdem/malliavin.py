@@ -31,8 +31,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fields import _POSITIVE, FieldError, _read, _vector
-from .flow import BrownianBatch, PathRecorder, Tracker, _mm, run_ensemble, run_multi
+from .flow import BrownianBatch, PathRecorder, Tracker, mm, run_ensemble, run_multi
+from .inputs import POSITIVE, FieldError, read, vector
 from .report import EstimatorReport, from_samples
 
 __all__ = [
@@ -116,8 +116,9 @@ class CameronMartinPath:
 
     @staticmethod
     def constant(vec) -> "CameronMartinPath":
-        """The direction whose rate is vec, as one (1, n) row at every step."""
-        row = np.asarray(vec, dtype=float).reshape(1, -1)
+        """The direction whose rate is vec, as one (1, n) row at every step;
+        its entries are read, as any rate's, by `_check_direction`."""
+        row = np.asarray(vec).reshape(1, -1)
 
         def rate(k, state):
             return row
@@ -128,12 +129,12 @@ class CameronMartinPath:
 def _check_direction(h: CameronMartinPath, fs, x0) -> None:
     """h's rate at step 0 from x0 must be one row of n finite entries; a
     FieldError names ``direction h`` otherwise.  x0 is checked first."""
-    x0 = _vector(x0, "start point x0", fs.n)
-    row = np.asarray(h.rate(0, x0[None]), dtype=float)
+    x0 = vector(x0, "start point x0", fs.n)
+    row = np.asarray(h.rate(0, x0[None]))
     if row.ndim != 2 or len(row) != 1:
         raise FieldError(f"direction h: rate(0, x0) must be one (1, {fs.n}) row, "
                          f"got shape {row.shape}")
-    _vector(row, "direction h", fs.n)
+    vector(row, "direction h", fs.n)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +183,8 @@ class DivergenceWeight(Tracker):
             self.hval = np.zeros((1, xi.shape[1]))
         hdot = np.asarray(self.h.rate(k, xi), dtype=float)
         y = self._right_inverse(*coefs[self.run], xi)
-        vd = _mm(V, hdot[:, :, None])[:, :, 0]
-        proj = _mm(y, vd[:, :, None])[:, :, 0]
+        vd = mm(V, hdot[:, :, None])[:, :, 0]
+        proj = mm(y, vd[:, :, None])[:, :, 0]
         self.w += np.sum(proj * dWk, axis=1)
         self.hval = self.hval + hdot * dt
 
@@ -209,7 +210,7 @@ class _DirectionRecorder(Tracker):
         xi, V = xis[self.run], Vs[self.run]
         if k == 0:
             self.hval = np.zeros((1, xi.shape[1]))
-        self.frames.append(_mm(V, self.hval[:, :, None])[:, :, 0])
+        self.frames.append(mm(V, self.hval[:, :, None])[:, :, 0])
         if dWk is not None:
             self.hval = self.hval + np.asarray(self.h.rate(k, xi), dtype=float) * dt
 
@@ -230,9 +231,9 @@ def gradient_routes(f: Callable, df: Optional[Callable], v0, fs, x0, noise: Brow
     Returns the reports ``bismut`` and ``fd``, and ``intertwine`` when df is
     given.  A path flagged in any of the three runs leaves every route.
     """
-    v0 = _vector(v0, "direction v0", fs.n)
-    x0 = _vector(x0, "start point x0", fs.n)
-    bump = _read("bump", bump, _POSITIVE)
+    v0 = vector(v0, "direction v0", fs.n)
+    x0 = vector(x0, "start point x0", fs.n)
+    bump = read("bump", bump, POSITIVE)
     runs = [(fs, x0), (fs, x0 + bump * v0), (fs, x0 - bump * v0)]
     (res, plus, minus), extras = run_multi(
         runs, noise, trackers=(DivergenceWeight(CameronMartinPath.constant(v0)),),

@@ -46,7 +46,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import _COUNT, _POSITIVE, VectorFieldSet, FieldError, _points, _read, _Workspace
+from .fields import VectorFieldSet, Workspace
+from .inputs import COUNT, POSITIVE, FieldError, points, read
 
 __all__ = [
     "QuadratureError",
@@ -62,7 +63,7 @@ __all__ = [
 # the stacks of every mollified field set at a nesting depth, by depth; an
 # evaluation holds its shifted stack only while its base is evaluated, and
 # the base is one depth lower
-_WORKSPACES: dict[int, _Workspace] = {}
+_WORKSPACES: dict[int, Workspace] = {}
 
 
 class QuadratureError(RuntimeError):
@@ -108,8 +109,8 @@ def eta_grad(x: np.ndarray) -> np.ndarray:
 def _node_rule(eps, nodes) -> tuple[float, int]:
     """eps and nodes as every mollified field and scalar reads them, before
     a node table is looked up: eps finite and positive, nodes a count >= 8."""
-    eps = _read("mollify: eps", eps, _POSITIVE)
-    nodes = _read("mollify: nodes", nodes, _COUNT)
+    eps = read("mollify: eps", eps, POSITIVE)
+    nodes = read("mollify: nodes", nodes, COUNT)
     if nodes < 8:
         raise FieldError(f"mollify: need at least 8 quadrature nodes per axis, got {nodes}")
     return eps, nodes
@@ -163,7 +164,7 @@ def _grad_nodes(n: int, eps: float, nodes: int):
     return offsets, gw[keep], int(np.argmin(np.sum(offsets * offsets, axis=-1)))
 
 
-def _quadrature(evaluate, x: np.ndarray, table, ws: _Workspace) -> np.ndarray:
+def _quadrature(evaluate, x: np.ndarray, table, ws: Workspace) -> np.ndarray:
     """The quadrature over a node table (offsets, w, r) at a float (N, n)
     batch, from one call of ``evaluate`` on the (Q·N, n) stack of x - o_q:
     f_r + sum_q w_q (f_q - f_r) with one weight per node, and
@@ -245,8 +246,8 @@ class MollifiedFieldSet:
         return self.base._depth + 1 if isinstance(self.base, MollifiedFieldSet) else 1
 
     @cached_property
-    def _ws(self) -> _Workspace:
-        return _WORKSPACES.setdefault(self._depth, _Workspace())
+    def _ws(self) -> Workspace:
+        return _WORKSPACES.setdefault(self._depth, Workspace())
 
     def A(self, l: int, x: np.ndarray) -> np.ndarray:
         return _quadrature(partial(self.base.A, l), x,
@@ -275,12 +276,12 @@ def mollify_scalar(f: Callable[[np.ndarray], np.ndarray], eps: float,
 
     The returned function takes an (N, n) batch, which it checks, and
     returns (N,) values."""
-    n = _read("mollify_scalar: n", n, _COUNT)
+    n = read("mollify_scalar: n", n, COUNT)
     table = _kernel_nodes(n, *_node_rule(eps, nodes))
-    ws = _Workspace()
+    ws = Workspace()
 
     def f_eps(x):
         return _quadrature(lambda p: np.asarray(f(p), dtype=float).reshape(len(p)),
-                           _points(x, n, "mollify_scalar"), table, ws)
+                           points(x, n, "mollify_scalar"), table, ws)
 
     return f_eps

@@ -5,6 +5,7 @@ import pytest
 
 from sdem.fields import FieldError, VectorFieldSet
 from sdem.flow import BrownianBatch, TimeGrid, run_ensemble, run_multi
+from sdem.inputs import NUMBER, points, read
 from sdem.kernel import _CHUNK
 from sdem.malliavin import CameronMartinPath, DivergenceWeight, bismut_gradient
 
@@ -49,6 +50,47 @@ def finite_difference_dfield(fs, l, x, step=1e-5):
     x = np.asarray(x, dtype=float)
     e = step * np.eye(len(x))
     return ((fs.A(l, x + e) - fs.A(l, x - e)) / (2.0 * step)).T
+
+
+def ellipticity_margin(fs: VectorFieldSet, sample_points) -> float:
+    """Smallest eigenvalue of a(x) = A(x) A(x)^T over the (N, n) sample points:
+    no family declares its ellipticity floor, so the tests measure it."""
+    pts = points(sample_points, fs.n, "ellipticity_margin")
+    if len(pts) == 0:
+        raise FieldError("ellipticity_margin: empty sample set")
+    amat = fs.diffusion_matrix(pts)              # (N, n, m)
+    a = amat @ np.swapaxes(amat, -1, -2)         # (N, n, n)
+    try:
+        eigs = np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        bad = pts[~np.all(np.isfinite(a.reshape(len(pts), -1)), axis=1)]
+        where = bad[0] if len(bad) else pts[0]
+        raise FieldError(f"eigen-solve failed near point {where}: {exc}") from exc
+    return float(eigs[:, 0].min())
+
+
+def hoelder_estimate(fs: VectorFieldSet, alpha: float, x, y) -> float:
+    """Empirical lower bound for the Hoelder constant over point pairs.
+
+    Pair i is (x[i], y[i]) of two (N, n) batches.  Returns the max over
+    pairs and field indices of |A_l(x) - A_l(y)| / |x-y|^alpha, or 0.0 when
+    N is 0.
+    """
+    alpha = read("hoelder_estimate: alpha", alpha, NUMBER)
+    if not 0.0 < alpha <= 1.0:
+        raise FieldError(f"alpha must lie in (0, 1], got {alpha}")
+    x = points(x, fs.n, "hoelder_estimate")
+    y = points(y, fs.n, "hoelder_estimate")
+    if len(x) != len(y):
+        raise FieldError(f"hoelder_estimate: {len(x)} points x against {len(y)} points y")
+    gap = np.linalg.norm(x - y, axis=1)
+    if np.any(gap == 0.0):
+        raise FieldError(f"coincident pair at {x[np.argmin(gap)]}")
+    best = 0.0
+    for l in range(fs.m + 1):
+        diff = np.linalg.norm(fs.A(l, x) - fs.A(l, y), axis=1)
+        best = max(best, float(np.max(diff / gap ** alpha, initial=0.0)))
+    return best
 
 
 def within(rep, target, k=3.0) -> bool:

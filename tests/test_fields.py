@@ -7,15 +7,15 @@ import pytest
 from scipy import integrate
 
 from sdem.fields import (DerivativeUnavailableError, FieldError, VectorFieldSet,
-                         builtin_field, condition_g_estimate, ellipticity_margin,
-                         field_from_json, g_function,
-                         hoelder_estimate)
-from sdem.flow import BrownianBatch, IntegratedG, TimeGrid, run_ensemble
+                         builtin_field, condition_g_estimate, field_from_json, g_function)
+from sdem.flow import (BrownianBatch, IntegratedG, JacSupNorm, TimeGrid, coupled_family,
+                       exp_g_functional, moment_sup, run_ensemble)
 from sdem.harness import ExperimentConfig
 from sdem.kernel import DensityQuery, density_estimate
-from sdem.malliavin import gradient_routes
+from sdem.malliavin import CameronMartinPath, divergence, gradient_routes
 from sdem.mollify import mollify_field, mollify_scalar
-from conftest import finite_difference_dfield, scalar_drift_field
+from conftest import (ellipticity_margin, finite_difference_dfield, hoelder_estimate,
+                      scalar_drift_field)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +118,10 @@ def test_builtin_field_errors():
     ("ou", {"lam": True}, "lam"),
     ("log_example", {"beta": math.nan}, "beta"),
     ("log_example", {"beta": True}, "beta"),
+    # each matrix and shift entry is read by the number rule
+    ("const_shift", {"matrix": [["1"]], "shift": [0.0]}, "matrix"),
+    ("const_shift", {"matrix": [[True]], "shift": [0.0]}, "matrix"),
+    ("const_shift", {"matrix": [[1.0]], "shift": [True]}, "shift"),
 ])
 def test_builtin_parameters_must_be_finite(name, params, key):
     with pytest.raises(FieldError, match=key):
@@ -128,6 +132,9 @@ _BM = builtin_field("bm", n=1)
 _GRID = TimeGrid(0.25, 10)
 _NOISE = BrownianBatch(seed=1, paths=8, grid=_GRID, m=1)
 _QUERY = DensityQuery(1.0, [0.0], [[0.0]], 0.1)
+_OU_RUN = run_ensemble(builtin_field("ou", lam=1.0), [0.0], _NOISE,
+                       trackers=(JacSupNorm(), IntegratedG()))
+_FAMILY = coupled_family(_BM, [0.2, 0.1], [0.0], _NOISE)
 
 
 @pytest.mark.parametrize("call, key", [
@@ -162,11 +169,33 @@ _QUERY = DensityQuery(1.0, [0.0], [[0.0]], 0.1)
     (lambda: condition_g_estimate(_BM, 0.5, 1.0, [0.0], 9_999, 0), "samples=9999 is below"),
     (lambda: density_estimate(np.zeros((9_999, 1)), _QUERY), "samples=9999 is below"),
     (lambda: ExperimentConfig().grid_at("a"), "'t' must"),
+    # a vector's entries are numbers by the same rule
+    (lambda: run_ensemble(_BM, [True], _NOISE), "x0 must be"),
+    (lambda: run_ensemble(_BM, "0.5", _NOISE), "x0 must be"),
+    (lambda: divergence(CameronMartinPath.constant(["1"]), _BM, [0.0], _NOISE),
+     "direction h must be"),
+    # a field set's dimensions are counts
+    (lambda: VectorFieldSet(2.5, 1, _BM.A), "VectorFieldSet: n must"),
+    (lambda: VectorFieldSet(True, 1, _BM.A), "VectorFieldSet: n must"),
+    (lambda: VectorFieldSet("1", 1, _BM.A), "VectorFieldSet: n must"),
+    (lambda: VectorFieldSet(1, 1.5, _BM.A), "VectorFieldSet: m must"),
+    # the reductions read their exponents, and condition-G its growth ratio
+    (lambda: moment_sup(_OU_RUN, math.nan), "moment_sup: p must"),
+    (lambda: exp_g_functional(_OU_RUN, True), "exp_g_functional: q must"),
+    (lambda: _FAMILY.sup_moment(0.2, math.nan), "sup_moment: p must"),
+    (lambda: _FAMILY.sup_moment(0.2, 2.0, which="jacobian"), "which must"),
+    (lambda: condition_g_estimate(_BM, 0.5, 1.0, [0.0], 10_000, 0, growth_ratio="a"),
+     "growth_ratio must"),
+    (lambda: condition_g_estimate(_BM, 0.5, 1.0, [0.0], 10_000, 0, growth_ratio=math.nan),
+     "growth_ratio must"),
 ], ids=["sigma-nan", "sigma-str", "T0-inf", "samples-10000.5", "seed-1.5", "steps-2.5",
         "steps-True", "T-str", "paths-10.5", "noise-seed-1.5", "m-0", "eps-str", "nodes-16.5",
         "scalar-eps-True", "eps-list", "scalar-eps-list", "nodes-list", "scalar-nodes-list",
         "alpha-str", "t-str", "bandwidth-True", "bump-str", "workers-2.5", "workers-None",
-        "kde-workers-None", "samples-9999", "kde-samples-9999", "grid_at-t-str"])
+        "kde-workers-None", "samples-9999", "kde-samples-9999", "grid_at-t-str",
+        "x0-True", "x0-str", "direction-str", "n-2.5", "n-True", "n-str", "m-1.5",
+        "moment-p-nan", "exp-q-True", "sup-p-nan", "sup-which", "growth-str",
+        "growth-nan"])
 def test_every_library_scalar_is_read_by_one_rule_before_any_noise(monkeypatch, call, key):
     # a count is a whole number, a seed a whole number >= 0, and every other
     # scalar a finite number; a bool is none of them.  A bad one is a

@@ -17,7 +17,7 @@ from sdem.malliavin import (CameronMartinPath, DivergenceWeight, _DirectionRecor
                             divergence, gradient_routes, ibp_check)
 from sdem.mollify import mollify_field
 from sdem.flow import (BLOCK, TILE, BrownianBatch, IntegratedG, JacSupNorm, PathRecorder,
-                       TimeGrid, Tracker, _mm, _PairSup, coupled_family, exp_g_functional,
+                       TimeGrid, Tracker, mm, _PairSup, coupled_family, exp_g_functional,
                        moment_sup, run_ensemble, run_multi)
 from conftest import scalar_drift_field, spatial_derivative_check
 
@@ -138,7 +138,7 @@ def test_scalar_product_is_the_1x1_matmul_bit_for_bit(data, B, q):
     b = b.reshape(B, 1, q)
     for x, y in ((a, b), (b.transpose(0, 2, 1), a)):
         with np.errstate(all="ignore"):
-            got, want = _mm(x, y), x @ y
+            got, want = mm(x, y), x @ y
         assert got.shape == want.shape
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(got), nan)
@@ -149,10 +149,10 @@ def test_scalar_product_is_the_1x1_matmul_bit_for_bit(data, B, q):
 
 def test_matrix_product_keeps_the_matmul_for_n_2(rng):
     a, b = rng.standard_normal((5, 2, 2)), rng.standard_normal((5, 2, 2))
-    assert np.array_equal(_mm(a, b), a @ b)
+    assert np.array_equal(mm(a, b), a @ b)
     row, col = rng.standard_normal((5, 1, 2)), rng.standard_normal((5, 2, 1))
-    assert _mm(row, col).shape == (5, 1, 1)
-    assert np.array_equal(_mm(row, col), row @ col)
+    assert mm(row, col).shape == (5, 1, 1)
+    assert np.array_equal(mm(row, col), row @ col)
 
 
 # ---------------------------------------------------------------------------

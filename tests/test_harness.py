@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdem import harness
+from sdem import harness, inputs
 from sdem.cli import main
 from sdem.fields import FieldError
 from sdem.harness import (STUDIES, ExperimentConfig, run_command)
@@ -602,15 +602,15 @@ def test_study_dimensions_rejected_before_any_noise(monkeypatch):
 
 # values of the wrong kind, for each kind of option in the table
 _BAD_VALUES = {
-    harness._NUMBER: st.sampled_from(["abc", math.nan, math.inf, -math.inf, True, [1.0]]),
-    harness._POSITIVE: st.one_of(st.floats(max_value=0.0),
-                                 st.sampled_from(["abc", math.nan, math.inf, False, [1.0]])),
-    harness._VECTOR: st.sampled_from([[], [1.0, 0.0], ["abc"], [True], "abc", 1.0, {"x": 1.0}]),
+    inputs.NUMBER: st.sampled_from(["abc", math.nan, math.inf, -math.inf, True, [1.0]]),
+    inputs.POSITIVE: st.one_of(st.floats(max_value=0.0),
+                               st.sampled_from(["abc", math.nan, math.inf, False, [1.0]])),
+    inputs.VECTOR: st.sampled_from([[], [1.0, 0.0], ["abc"], [True], "abc", 1.0, {"x": 1.0}]),
     harness._FUNCTION: st.sampled_from([3, ["sin"], "cosh", "Sin", True, {"sin": 1}]),
     harness._SMOOTH_FUNCTION: st.sampled_from([3, ["sin"], "cosh", "indicator", False]),
-    harness._POINTS: st.sampled_from([[-4, 4], [-4, 4, 0], [-4, 4, 3.9], [-4, 4, math.nan],
-                                      [-4, "4", 3], [math.inf, 4, 3], [-4, 4, True], 5, "abc"]),
-    harness._FLAG: st.sampled_from(["false", "true", "no", 0, 1, [True]]),
+    inputs.POINTS: st.sampled_from([[-4, 4], [-4, 4, 0], [-4, 4, 3.9], [-4, 4, math.nan],
+                                    [-4, "4", 3], [math.inf, 4, 3], [-4, 4, True], 5, "abc"]),
+    inputs.FLAG: st.sampled_from(["false", "true", "no", 0, 1, [True]]),
 }
 
 

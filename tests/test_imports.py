@@ -1,6 +1,8 @@
 """What `import sdem` loads: numpy alone, with scipy only for the family
-or the smoothing that uses it."""
+or the smoothing that uses it; and what its modules import of each other:
+public names alone."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -45,3 +47,26 @@ def test_scipy_is_loaded_only_by_the_family_or_smoothing_that_uses_it():
                           env={**os.environ, "PYTHONPATH": path}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+def private_imports(src_dir):
+    """(module, name) for each underscore name a module under src_dir
+    imports from another sdem module, relatively or by absolute name."""
+    found = []
+    for name in sorted(os.listdir(src_dir)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(src_dir, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "sdem"):
+                found += [(name, alias.name) for alias in node.names
+                          if alias.name.startswith("_")]
+    return found
+
+
+def test_no_module_imports_another_modules_private_names():
+    # the names modules share (the input rule, the workspace, G's sum, the
+    # stacked product) are public; an underscore name stays in its module
+    assert private_imports(os.path.dirname(os.path.abspath(sdem.__file__))) == []

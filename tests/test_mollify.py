@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from sdem.fields import (FieldError, VectorFieldSet, builtin_field,
-                         ellipticity_margin, hoelder_estimate)
+from sdem.fields import FieldError, VectorFieldSet, builtin_field
 from sdem.mollify import (MollifiedFieldSet, _grad_nodes, _kernel_nodes,
                           _tensor_nodes, eta, eta_grad, mollifier_constant,
                           mollify_field, mollify_scalar)
-from conftest import scalar_drift_field, sup_error
+from conftest import ellipticity_margin, hoelder_estimate, scalar_drift_field, sup_error
 
 
 # frozen oracles, computed by adaptive quadrature ahead of the build:
