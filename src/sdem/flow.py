@@ -1,7 +1,8 @@
 """Coupled Euler-Maruyama integration of a state SDE and its derivative flow.
 
-The state and the n-by-n derivative matrix advance together on a fixed time
-grid with left-point (Ito) coefficient evaluation.  Brownian increments are
+The state and, in each run whose V a tracker reads, the n-by-n derivative
+matrix V advance together on a fixed time grid with left-point (Ito)
+coefficient evaluation.  Brownian increments are
 generated in fixed-size path blocks from counter-style keyed streams, so the
 increment of path i at step k is a pure function of (seed, i, k) regardless
 of how many paths are requested, how the work is scheduled, or how many
@@ -13,26 +14,18 @@ mollification levels can share one increment stream (common random
 numbers), turning pathwise differences into direct measurements of the
 smoothing error rather than of the noise.
 
-Workers follow one rule: the unit of work is a contiguous range of a
-block's rows.  ``workers`` is a count, 1 unless the caller gives another;
-no environment variable sets it.  With at least as many blocks as workers,
-each block is a unit.  With fewer, each block is cut into
-min(ceil(workers / blocks), rows) slices.  The units go over a pool of
-`workers` threads and their results are joined in row order.  Every evaluation and reduction the engine makes
-is row by row, the quadrature sum of a mollified field included, so
-outputs are byte-identical across worker counts.  So are errors: a run
-that fails raises the error one worker would raise.
+Workers follow one rule (see `_run`): the unit of work is a contiguous
+range of a block's rows, a whole block or a slice of one.  ``workers`` is a
+count, 1 unless the caller gives another; no environment variable sets it.
+The units go over a pool of `workers` threads and their results are joined
+in row order.  Every evaluation and reduction the engine makes is row by
+row, the quadrature sum of a mollified field included, so outputs are
+byte-identical across worker counts.  So are errors: a run that fails
+raises the error one worker would raise.
 
-A block's increments are stored step-major: the (paths, steps, m) array the
-engine indexes is a transposed view of a (steps, paths, m) array, so the
-step-k slice dW[:, k, :] that every Euler step and tracker reads is one
-contiguous run of memory rather than a column with a stride of a whole path.
-The block is drawn a tile of about TILE values at a time into one small
-path-major buffer, and each tile is scaled straight into its step-major
-place, so a block never exists twice.  When blocks are the units, each
-worker draws every block it simulates into one step-major buffer of its
-own.  When blocks are cut, the calling thread draws each block once, and
-its slices share it.
+A block's increments are stored step-major, so the step-k slice dW[:, k, :]
+that every Euler step and tracker reads is one contiguous run of memory
+(see `BrownianBatch.block_increments`).
 """
 
 from __future__ import annotations
@@ -167,8 +160,9 @@ class BrownianBatch:
         return dW.transpose(1, 0, 2)
 
 
-def _coefficients(fields, xi, with_jac):
-    """A(0..m) at xi as (B, n) arrays, and DA(0..m) as (B, n, n) or None.
+def _coefficients(fields, xi, carries_v):
+    """A(0..m) at xi as (B, n) arrays, and DA(0..m) as (B, n, n), or None
+    when the run does not carry V.
 
     A declared zero drift is not evaluated: its A(0) and DA(0) are None.
     A declared constant diffusion is evaluated at the origin alone: each
@@ -182,7 +176,7 @@ def _coefficients(fields, xi, with_jac):
     pts = origin if fields.constant_diffusion else xi
     A = [None if fields.zero_drift else np.asarray(fields.A(0, xi)).reshape(B, n)]
     A += [np.asarray(fields.A(l, pts)).reshape(len(pts), n) for l in range(1, fields.m + 1)]
-    if not with_jac:
+    if not carries_v:
         return A, None
     at = origin if fields.affine_drift else xi
     DA = [None if fields.zero_drift else np.asarray(fields.DA(0, at)).reshape(len(at), n, n)]
@@ -239,11 +233,12 @@ def _euler_step(xi, V, coef, dWk, dt):
 # and never reads its row count.  After the final step comes one more call,
 # `step(steps, xis, Vs, None, dt, None)`; Ito sums return at once when dWk is
 # None.  `finish()` returns the block's extras: arrays with one row per path,
-# under the keys that `keys()` names up front.  A tracker that reads V or DA
-# sets `reads_jac`.  Before any noise is drawn, a state-only run rejects such
-# a tracker, and every run rejects two trackers that name the same key.
-# A tracker's keys follow from its kind and the run or runs it reads, and
-# `finish()` returns its arrays in the order `keys()` names them.
+# under the keys that `keys()` names up front, in that order; the keys follow
+# from the tracker's kind and the runs it reads, which it names as `runs`.  A
+# tracker that reads their V or DA sets `reads_jac`, and a run carries V
+# exactly when such a tracker names it: every other run's Vs[r], DA and
+# `jac_T` are None.  Before any noise is drawn, a run refuses a tracker that
+# names a run it lacks, and two trackers that name the same key.
 
 
 class Tracker:
@@ -256,6 +251,10 @@ class Tracker:
 
     def __init__(self, run: int = 0):
         self.run = run
+
+    @property
+    def runs(self):
+        return (self.run,)
 
     def keys(self):
         prefix = self.prefix if self.run == 0 else f"{self.prefix}_{self.run}"
@@ -333,6 +332,10 @@ class _PairSup(Tracker):
     def __init__(self, i: int, j: int, with_jac: bool):
         self.i, self.j, self.reads_jac = i, j, with_jac
 
+    @property
+    def runs(self):
+        return (self.i, self.j)
+
     def keys(self):
         prefix = f"pair_{self.i}_{self.j}"
         return (f"{prefix}_state",) + ((f"{prefix}_jac",) if self.reads_jac else ())
@@ -356,17 +359,17 @@ class _PairSup(Tracker):
 # block engine
 
 
-def _simulate_block(runs, dt, dW, trackers, with_jac):
+def _simulate_block(runs, dt, dW, trackers):
     """Integrate rows of lockstep runs on their increments dW (B, steps, m),
-    a block or a slice of one, in steps of dt from checked start points.
+    a block or a slice of one, in steps of dt from (fields, x0, carries_v).
 
     Each step evaluates every run's coefficients once, steps the trackers on
     the pre-update states and those coefficients, then takes the Euler
     updates.  A row's arithmetic depends on that row alone, so a slice's
-    result is the same rows of its block's result.  Each V starts as one
-    identity row and is broadcast to B rows before it is returned.
+    result is the same rows of its block's result.  A carried V starts as
+    one identity row and is broadcast to B rows before it is returned.
 
-    A row is flagged when any run's final state or V, or any extra a
+    A row is flagged when any run's final state or carried V, or any extra a
     tracker returns for it, has a non-finite entry.  That is the same as
     checking after every step: each Euler update adds onto the previous
     state and V, and under IEEE rules a sum with a non-finite addend is
@@ -375,14 +378,15 @@ def _simulate_block(runs, dt, dW, trackers, with_jac):
     meets one stays non-finite, and a recorder keeps every step.
     """
     B, steps = dW.shape[:2]
-    xis = [np.tile(x0, (B, 1)) for _, x0 in runs]
-    Vs = [np.eye(len(x0))[None] if with_jac else None for _, x0 in runs]
+    xis = [np.tile(x0, (B, 1)) for _, x0, _ in runs]
+    Vs = [np.eye(len(x0))[None] if carries_v else None for _, x0, carries_v in runs]
     accs = [t.make(B) for t in trackers]
     # errstate is per thread, so each unit sets its own
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             dWk = dW[:, k, :]
-            coefs = [_coefficients(fields, xi, with_jac) for (fields, _), xi in zip(runs, xis)]
+            coefs = [_coefficients(fields, xi, V is not None)
+                     for (fields, _, _), xi, V in zip(runs, xis, Vs)]
             for acc in accs:
                 acc.step(k, xis, Vs, dWk, dt, coefs)
             for r, coef in enumerate(coefs):
@@ -405,8 +409,9 @@ def _simulate_block(runs, dt, dW, trackers, with_jac):
 class EnsembleResult:
     """Endpoint and tracker statistics for one run across all paths.
 
-    ``flag`` marks the paths whose state, V or tracker extras went
-    non-finite; ``ok`` is its complement."""
+    ``jac_T`` is None unless a tracker reads V.  ``flag`` marks the paths
+    whose state, carried V or tracker extras went non-finite; ``ok`` is its
+    complement."""
 
     state_T: np.ndarray                 # (paths, n)
     jac_T: Optional[np.ndarray]         # (paths, n, n)
@@ -422,9 +427,9 @@ class EnsembleResult:
         return ~self.flag
 
 
-def _run(runs, noise: BrownianBatch, trackers, with_jac, workers):
+def _run(runs, noise: BrownianBatch, trackers, workers):
     """Simulate every block of lockstep runs in units of rows, and join the
-    units in row order.
+    units in row order.  Run r carries V when a tracker that reads V names r.
 
     With nb blocks and w workers, a unit is a whole block when
     nb >= w, and its worker draws the block's noise.  When nb < w, the
@@ -435,18 +440,21 @@ def _run(runs, noise: BrownianBatch, trackers, with_jac, workers):
     re-runs its block whole to raise it, so the error is one worker's.
     Returns what `run_multi` does.
     """
-    runs = [(fields, _start_point(fields, x0, noise, with_jac)) for fields, x0 in runs]
-    trackers = tuple(trackers)
-    writer = {}
+    runs, trackers = list(runs), tuple(trackers)
+    writer, carried = {}, set()
     for t in trackers:
-        if t.reads_jac and not with_jac:
-            raise FieldError(f"tracker {type(t).__name__} reads the derivative flow, "
-                             "which a state-only run (with_jac=False) does not integrate")
+        for r in t.runs:
+            if not isinstance(r, int) or r not in range(len(runs)):
+                raise FieldError(f"tracker {type(t).__name__} reads run {r!r}, not one of "
+                                 f"the runs {list(range(len(runs)))}")
+        carried.update(t.runs if t.reads_jac else ())
         for key in t.keys():
             if key in writer:
                 raise FieldError(f"trackers {writer[key]} and {type(t).__name__} "
                                  f"both write the extra {key!r}")
             writer[key] = type(t).__name__
+    runs = [(fields, _start_point(fields, x0, noise, r in carried), r in carried)
+            for r, (fields, x0) in enumerate(runs)]
     w, nb = read("workers", workers, COUNT), noise.n_blocks
     # when blocks are the units, each worker draws every block into its own
     # step-major buffer, sized for the largest block and freed with the run
@@ -454,7 +462,7 @@ def _run(runs, noise: BrownianBatch, trackers, with_jac, workers):
     shape = (noise.grid.steps, min(BLOCK, noise.paths), noise.m)
 
     def simulate(dW):
-        return _simulate_block(runs, noise.grid.dt, dW, trackers, with_jac)
+        return _simulate_block(runs, noise.grid.dt, dW, trackers)
 
     def block(b):
         return simulate(noise.block_increments(b, out=ws.array("dW", shape)))
@@ -486,43 +494,42 @@ def _run(runs, noise: BrownianBatch, trackers, with_jac, workers):
     extras = {key: np.concatenate([p[3][key] for p in parts], axis=0)
               for key in parts[0][3]}
     results = []
-    for r in range(len(runs)):
+    for r, (_, _, carries_v) in enumerate(runs):
         state_T = np.concatenate([p[0][r] for p in parts], axis=0)
-        jac_T = np.concatenate([p[1][r] for p in parts], axis=0) if with_jac else None
+        jac_T = np.concatenate([p[1][r] for p in parts], axis=0) if carries_v else None
         results.append(EnsembleResult(state_T, jac_T, flag, {}))
     return results, extras
 
 
 def run_ensemble(fields, x0, noise: BrownianBatch, *,
-                 trackers: Iterable = (), with_jac: bool = True,
-                 workers: int = 1) -> EnsembleResult:
+                 trackers: Iterable = (), workers: int = 1) -> EnsembleResult:
     """Integrate an ensemble of independent paths for one field set."""
-    (res,), extras = _run([(fields, x0)], noise, trackers, with_jac, workers)
+    (res,), extras = _run([(fields, x0)], noise, trackers, workers)
     res.extras.update(extras)
     return res
 
 
 def run_multi(runs, noise: BrownianBatch, *,
-              trackers: Iterable = (), with_jac: bool = True,
-              workers: int = 1):
+              trackers: Iterable = (), workers: int = 1):
     """Lockstep ensembles for several (fields, start) runs on shared noise.
 
-    Returns (list of EnsembleResult in run order, joint extras dict).
+    Returns (list of EnsembleResult in run order, joint extras dict).  A run
+    carries V exactly when a tracker that reads V names it.
     Flag masks are pooled: a path flagged in any run is flagged in all.
     The paths go over ``workers`` threads in units of rows (see `_run`), so
     even one block of paths uses every worker; the results are those of one
     worker, byte for byte.
     """
-    return _run(runs, noise, trackers, with_jac, workers)
+    return _run(runs, noise, trackers, workers)
 
 
-def _start_point(fields, x0, noise: BrownianBatch, with_jac) -> np.ndarray:
+def _start_point(fields, x0, noise: BrownianBatch, carries_v) -> np.ndarray:
     """x0 as a finite vector of n entries, checked with the noise, and the
     field set's DA checked when the run carries V, before any draw."""
     if noise.m != fields.m:
         raise FieldError(f"noise dimension {noise.m} != field noise dimension {fields.m}")
     x0 = vector(x0, "start point x0", fields.n)
-    if with_jac:
+    if carries_v:
         fields.require_dfield()
     return x0
 
@@ -576,11 +583,11 @@ def coupled_family(fs: VectorFieldSet, eps_list: Sequence[float], x0,
     """Integrate every mollified level on identical Brownian increments.
 
     The gaps tracked are those of each coarser level to the finest one.
-    With ``with_jac`` (the default) each level carries its derivative flow
-    and the result holds derivative gaps beside the state gaps.  With
-    ``with_jac=False`` the levels are state-only: no DA is evaluated,
+    With ``with_jac`` (the default) the gap trackers read V, so every level
+    carries it, and the result holds derivative gaps beside the state gaps.
+    With ``with_jac=False`` no level carries V: no DA is evaluated,
     ``pair_jac_sup`` is None, ``sup_moment(..., which="jac")`` raises, and
-    a path is flagged only when its state is non-finite.
+    a path is flagged only when a state or a state gap is non-finite.
 
     The levels run in lockstep, and the paths go over ``workers`` threads
     in units of rows, block by block or in slices of a block (see `_run`).
@@ -592,8 +599,7 @@ def coupled_family(fs: VectorFieldSet, eps_list: Sequence[float], x0,
         raise FieldError("coupled_family: eps ladder must be strictly decreasing")
     last = len(runs) - 1
     trackers = [_PairSup(i, last, with_jac) for i in range(last)]
-    results, extras = run_multi(runs, noise, trackers=trackers,
-                                with_jac=with_jac, workers=workers)
+    results, extras = run_multi(runs, noise, trackers=trackers, workers=workers)
     pair_state = {eps_list[t.i]: extras[t.keys()[0]] for t in trackers}
     pair_jac = {eps_list[t.i]: extras[t.keys()[1]] for t in trackers} if with_jac else None
     return CoupledFamilyResult(dict(zip(eps_list, results)), pair_state, pair_jac,

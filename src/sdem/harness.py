@@ -294,8 +294,7 @@ def cmd_kernel_bound(cfg: ExperimentConfig, fields, opts: dict) -> CommandResult
     qpts = opts["query"][:, None]
     t, bandwidth, c1_target, c1_max = opts["t"], opts["bandwidth"], opts["c1"], opts["c1_max"]
     noise = BrownianBatch(cfg.seed, cfg.paths, cfg.grid_at(t), fields.m)
-    res = run_ensemble(fields, np.asarray(cfg.x0), noise,
-                       with_jac=False, workers=cfg.workers)
+    res = run_ensemble(fields, np.asarray(cfg.x0), noise, workers=cfg.workers)
     flagged = _flagged_failures("kernel_bound", res.n_flagged, cfg.paths)
     if flagged:
         # flagged paths are missing from the KDE's sample, which can then be

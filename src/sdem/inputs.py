@@ -78,17 +78,18 @@ def points(x, n: Optional[int], where: str) -> np.ndarray:
     return pts
 
 
-def vector(v, key: str, n: int) -> np.ndarray:
-    """A caller's vector as n finite float entries.  Each entry is read by the
-    number rule, so a bool or a string is not one; any other length, or an
-    entry that is not a finite number, raises a FieldError that names ``key``."""
+def vector(v, key: str, n: Optional[int]) -> np.ndarray:
+    """A caller's vector as n finite float entries (with n None, any number
+    of them).  Each entry is read by the number rule, so a bool or a string
+    is not one; any other length, or an entry that is not a finite number,
+    raises a FieldError that names ``key``."""
     try:
         entries = np.asarray(v, dtype=object).reshape(-1)
     except ValueError:
         entries = None
     if entries is None or not all(map(_is_number, entries)):
-        raise FieldError(f"{key} must be {n} numbers, got {v!r}")
-    if len(entries) != n:
+        raise FieldError(f"{key} must be {n or 'n'} numbers, got {v!r}")
+    if n not in (None, len(entries)):
         raise FieldError(f"{key} has dimension {len(entries)}, expected n={n}")
     if not all(map(_finite, entries)):
         raise FieldError(f"{key} = {entries.tolist()} is not finite")

@@ -7,6 +7,11 @@ flow), the intertwining estimator for differentiable f, and a common
 random number finite difference used as a cross-validation oracle.
 ``gradient_routes`` takes all three from one lockstep run, whose arrays
 ``bismut_gradient``, ``intertwine_gradient`` and ``fd_gradient`` reduce.
+The derivative flow V is needed only along the path from x0: the engine
+carries V in exactly the runs a tracker reads it of, so the run from x0,
+which the divergence weight reads, carries it, and the finite-difference
+partners x0 +/- bump v0 are plain state runs, which evaluate no DA and
+can flag a path only through their states.
 
 ``gradient_routes``, ``divergence`` and ``ibp_check`` take their functionals
 or direction, then the engine's inputs ``(fs, x0, noise)`` and keyword
@@ -116,9 +121,10 @@ class CameronMartinPath:
 
     @staticmethod
     def constant(vec) -> "CameronMartinPath":
-        """The direction whose rate is vec, as one (1, n) row at every step;
-        its entries are read, as any rate's, by `_check_direction`."""
-        row = np.asarray(vec).reshape(1, -1)
+        """The direction whose rate is vec, as one (1, n) row at every step.
+        Its entries are read here by the vector rule, so a FieldError names
+        ``direction h``; its width is checked against n by `_check_direction`."""
+        row = vector(vec, "direction h", None).reshape(1, -1)
 
         def rate(k, state):
             return row
@@ -229,7 +235,8 @@ def gradient_routes(f: Callable, df: Optional[Callable], v0, fs, x0, noise: Brow
     noise.grid.T), from one lockstep run of fs from x0 and x0 +/- bump v0.
 
     Returns the reports ``bismut`` and ``fd``, and ``intertwine`` when df is
-    given.  A path flagged in any of the three runs leaves every route.
+    given.  Only the run from x0 carries V.  A path flagged in any of the
+    three runs leaves every route.
     """
     v0 = vector(v0, "direction v0", fs.n)
     x0 = vector(x0, "start point x0", fs.n)

@@ -51,9 +51,6 @@ from .inputs import COUNT, POSITIVE, FieldError, points, read
 
 __all__ = [
     "QuadratureError",
-    "mollifier_constant",
-    "eta",
-    "eta_grad",
     "MollifiedFieldSet",
     "mollify_field",
     "mollify_scalar",
@@ -71,10 +68,9 @@ class QuadratureError(RuntimeError):
 
 
 @lru_cache(maxsize=8)
-def mollifier_constant(n: int) -> float:
-    """Normalizing constant making the bump kernel integrate to one on R^n."""
-    if n < 1:
-        raise ValueError("dimension must be positive")
+def _mollifier_constant(n: int) -> float:
+    """Normalizing constant making the bump kernel integrate to one on R^n,
+    n >= 1 the dimension of a field set."""
     # imported here, its only use, so runs that never mollify do not pay for it
     from scipy import integrate
 
@@ -84,26 +80,16 @@ def mollifier_constant(n: int) -> float:
     return 1.0 / (surface * val)
 
 
-def eta(x: np.ndarray) -> np.ndarray:
-    """The unit-mass bump kernel on R^n at an (N, n) batch, vanishing
-    outside the unit ball: shape (N,)."""
-    c = mollifier_constant(x.shape[1])
-    r2 = np.sum(x * x, axis=-1)
-    inside = r2 < 1.0
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.where(inside, c * np.exp(1.0 / np.where(inside, r2 - 1.0, -1.0)), 0.0)
-
-
-def eta_grad(x: np.ndarray) -> np.ndarray:
-    """Analytic gradient of the bump kernel at an (N, n) batch (zero outside
-    the unit ball): shape (N, n)."""
+def _eta(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unit-mass bump kernel on R^n at an (N, n) batch, shape (N,), and
+    its analytic gradient, shape (N, n); both vanish outside the unit ball."""
+    c = _mollifier_constant(x.shape[1])
     r2 = np.sum(x * x, axis=-1)
     inside = r2 < 1.0
     denom = np.where(inside, r2 - 1.0, -1.0)
     with np.errstate(divide="ignore", over="ignore"):
         base = np.where(inside, np.exp(1.0 / denom), 0.0)
-    c = mollifier_constant(x.shape[1])
-    return (-2.0 * c) * base[:, None] * x / (denom ** 2)[:, None]
+    return c * base, (-2.0 * c) * base[:, None] * x / (denom ** 2)[:, None]
 
 
 def _node_rule(eps, nodes) -> tuple[float, int]:
@@ -132,7 +118,7 @@ def _tensor_nodes(n: int, eps: float, nodes: int):
     wgrid = np.prod(np.array(list(itertools.product(*([w] * n)))), axis=1)
     offsets = eps * grid
     raw = wgrid * eps ** n                                    # volume element
-    kernel_vals = eta(grid) / eps ** n                        # eta_eps(offsets)
+    kernel_vals = _eta(grid)[0] / eps ** n                    # eta_eps(offsets)
     kw = raw * kernel_vals
     total = kw.sum()
     if not (0.9 < total < 1.1):
@@ -157,7 +143,7 @@ def _grad_nodes(n: int, eps: float, nodes: int):
     weights per node and the index of the reference node, the one nearest
     the centre."""
     offsets, _, raw = _tensor_nodes(n, eps, nodes)
-    gw = raw[:, None] * (eta_grad(offsets / eps) / eps ** (n + 1))
+    gw = raw[:, None] * (_eta(offsets / eps)[1] / eps ** (n + 1))
     size = np.sqrt(np.sum(gw * gw, axis=-1))
     keep = size > 2.0 ** -53 * size.max()
     offsets = offsets[keep]

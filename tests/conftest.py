@@ -1,10 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from sdem.fields import FieldError, VectorFieldSet
-from sdem.flow import BrownianBatch, TimeGrid, run_ensemble, run_multi
+from sdem.flow import BrownianBatch, JacSupNorm, TimeGrid, run_ensemble, run_multi
 from sdem.inputs import NUMBER, points, read
 from sdem.kernel import _CHUNK
 from sdem.malliavin import CameronMartinPath, DivergenceWeight, bismut_gradient
@@ -23,6 +24,27 @@ def scalar_drift_field(f, df=None, name="scalar"):
             return v.reshape(-1, 1, 1)
 
     return VectorFieldSet(1, 1, A, DA, name=name)
+
+
+def counting(fs):
+    """fs, with its declarations, as a field set whose A and DA count what
+    they are asked: (fields, calls, rows), the Counters keyed by ("A" or
+    "DA", l) and counting calls and rows.  A field set without DA stays
+    without one."""
+    calls, rows = Counter(), Counter()
+
+    def counted(name, fn):
+        def wrapped(l, x):
+            calls[name, l] += 1
+            rows[name, l] += len(x)
+            return fn(l, x)
+        return wrapped
+
+    fields = VectorFieldSet(fs.n, fs.m, counted("A", fs.A),
+                            None if fs.DA is None else counted("DA", fs.DA), name=fs.name,
+                            zero_drift=fs.zero_drift, affine_drift=fs.affine_drift,
+                            constant_diffusion=fs.constant_diffusion)
+    return fields, calls, rows
 
 
 def engine_inputs(fs, x0, t, paths, seed, dt=1e-3):
@@ -102,12 +124,13 @@ def spatial_derivative_check(fs, x0, v0, h, noise):
     """The derivative flow against a central spatial finite difference.
 
     Three runs share identical increments: starts x0 +/- h v0 (states only)
-    and x0 (with the derivative matrix).  Returns the ensemble means of the
-    finite-difference direction and of V_T v0, and the mean pathwise gap."""
+    and x0, whose derivative matrix a tracker reads, so that run alone
+    carries it.  Returns the ensemble means of the finite-difference
+    direction and of V_T v0, and the mean pathwise gap."""
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     runs = [(fs, x0 + h * v0), (fs, x0 - h * v0), (fs, x0)]
-    results, _ = run_multi(runs, noise)
+    results, _ = run_multi(runs, noise, trackers=(JacSupNorm(2),))
     ok = results[0].ok
     fd_paths = (results[0].state_T[ok] - results[1].state_T[ok]) / (2.0 * h)
     vt_paths = np.einsum("bij,j->bi", results[2].jac_T[ok], v0)

@@ -66,8 +66,7 @@ def test_ac2_constant_coefficient_exactness():
             dev = max(dev, float(np.max(np.abs(xi - exact[-1][:, k + 1]))))
         worst = max(worst, dev)
     # same check on the engine's recorded states, every path and every step
-    res = run_ensemble(fs, [0.5], noise, trackers=(PathRecorder(with_jac=False),),
-                       with_jac=False)
+    res = run_ensemble(fs, [0.5], noise, trackers=(PathRecorder(with_jac=False),))
     states = res.extras["paths_states"][:, :, 0]
     assert states.shape == (1000, grid.steps + 1)
     worst = max(worst, float(np.max(np.abs(states - np.concatenate(exact)))))

@@ -174,6 +174,10 @@ _FAMILY = coupled_family(_BM, [0.2, 0.1], [0.0], _NOISE)
     (lambda: run_ensemble(_BM, "0.5", _NOISE), "x0 must be"),
     (lambda: divergence(CameronMartinPath.constant(["1"]), _BM, [0.0], _NOISE),
      "direction h must be"),
+    # numpy would promote the bool of a mixed list to a float
+    (lambda: divergence(CameronMartinPath.constant([True, 0.0]), builtin_field("bm", n=2),
+                        [0.0, 0.0], BrownianBatch(seed=1, paths=8, grid=_GRID, m=2)),
+     "direction h must be"),
     # a field set's dimensions are counts
     (lambda: VectorFieldSet(2.5, 1, _BM.A), "VectorFieldSet: n must"),
     (lambda: VectorFieldSet(True, 1, _BM.A), "VectorFieldSet: n must"),
@@ -193,7 +197,7 @@ _FAMILY = coupled_family(_BM, [0.2, 0.1], [0.0], _NOISE)
         "scalar-eps-True", "eps-list", "scalar-eps-list", "nodes-list", "scalar-nodes-list",
         "alpha-str", "t-str", "bandwidth-True", "bump-str", "workers-2.5", "workers-None",
         "kde-workers-None", "samples-9999", "kde-samples-9999", "grid_at-t-str",
-        "x0-True", "x0-str", "direction-str", "n-2.5", "n-True", "n-str", "m-1.5",
+        "x0-True", "x0-str", "direction-str", "direction-bool", "n-2.5", "n-True", "n-str", "m-1.5",
         "moment-p-nan", "exp-q-True", "sup-p-nan", "sup-which", "growth-str",
         "growth-nan"])
 def test_every_library_scalar_is_read_by_one_rule_before_any_noise(monkeypatch, call, key):

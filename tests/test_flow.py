@@ -4,7 +4,6 @@ import re
 import sys
 import threading
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from sdem.mollify import mollify_field
 from sdem.flow import (BLOCK, TILE, BrownianBatch, IntegratedG, JacSupNorm, PathRecorder,
                        TimeGrid, Tracker, mm, _PairSup, coupled_family, exp_g_functional,
                        moment_sup, run_ensemble, run_multi)
-from conftest import scalar_drift_field, spatial_derivative_check
+from conftest import counting, scalar_drift_field, spatial_derivative_check
 
 
 def test_time_grid_endpoint_exact():
@@ -197,7 +196,7 @@ def test_ou_derivative_flow_matches_product_and_exponential():
     for steps in (500, 1000):
         gg = TimeGrid(1.0, steps)
         nn = BrownianBatch(seed=5, paths=2, grid=gg, m=1)
-        r = run_ensemble(builtin_field("ou", lam=1.0), [1.0], nn)
+        r = run_ensemble(builtin_field("ou", lam=1.0), [1.0], nn, trackers=(JacSupNorm(),))
         errs.append(abs(r.jac_T[0, 0, 0] - math.exp(-1.0)))
     assert errs[1] == pytest.approx(errs[0] / 2.0, rel=0.05)
     assert errs[1] <= 1.0 * gg.dt
@@ -209,15 +208,6 @@ def test_each_field_is_evaluated_once_per_step():
     # affine drift (const_shift's and ou's) has its derivative evaluated on
     # one row per step, and a declared constant diffusion (all three here) is
     # evaluated on one row per step, with its zero derivative never evaluated
-    calls, rows = Counter(), Counter()
-
-    def counted(name, fn):
-        def wrapped(l, x):
-            calls[name, l] += 1
-            rows[name, l] += len(x)
-            return fn(l, x)
-        return wrapped
-
     g = TimeGrid(0.25, 4)
     shifted = builtin_field("const_shift", matrix=[[1.0, 0.5], [0.0, 2.0]], shift=[0.1, 0.0])
     cases = ((shifted, [0.0, 0.0], [1.0, -1.0]),
@@ -226,7 +216,7 @@ def test_each_field_is_evaluated_once_per_step():
     for base, x0, hdot in cases:
         assert base.constant_diffusion
         noise = BrownianBatch(seed=5, paths=BLOCK + 10, grid=g, m=base.m)
-        fs = dataclasses.replace(base, A=counted("A", base.A), DA=counted("DA", base.DA))
+        fs, calls, rows = counting(base)
         per_step = g.steps * noise.n_blocks
         first = 1 if base.zero_drift else 0
         expect_calls = {("A", l): per_step for l in range(first, base.m + 1)}
@@ -244,6 +234,34 @@ def test_each_field_is_evaluated_once_per_step():
             assert dict(rows) == expect_rows, base.name
 
 
+def test_a_run_carries_v_exactly_when_a_tracker_reads_it():
+    # DA is evaluated, and jac_T kept, only in the runs that a tracker reads
+    # V of.  gradient_routes' bumped runs are states alone, so a mollified
+    # field's DA is evaluated once per step and block, not three times,
+    # while its A still is three times
+    g = TimeGrid(0.25, 4)
+    noise = BrownianBatch(seed=5, paths=BLOCK + 10, grid=g, m=1)
+    per_step, rows_per_step = g.steps * noise.n_blocks, g.steps * noise.paths
+    log = builtin_field("log_example", beta=1.0)
+    fs, calls, rows = counting(mollify_field(log, 0.1))
+    gradient_routes(np.sin, np.cos, [1.0], fs, [0.3], noise, bump=1e-2)
+    assert dict(calls) == {("A", 1): 3 * per_step, ("DA", 1): per_step}
+    assert dict(rows) == {("A", 1): 3 * rows_per_step, ("DA", 1): rows_per_step}
+    # a run that no tracker reads V of evaluates no DA and keeps no V
+    calls.clear()
+    results, _ = run_multi([(fs, [0.3]), (fs, [-0.3])], noise, trackers=(JacSupNorm(1),))
+    assert dict(calls) == {("A", 1): 2 * per_step, ("DA", 1): per_step}
+    assert results[0].jac_T is None and results[1].jac_T.shape == (noise.paths, 1, 1)
+    # nor does a state-only family, whose levels evaluate their base's DA
+    # nowhere; with derivative gaps every level does
+    base, calls, _ = counting(log)
+    for with_jac in (False, True):
+        calls.clear()
+        fam = coupled_family(base, [0.2, 0.1], [0.3], noise, with_jac=with_jac)
+        assert (("DA", 1) in calls) == with_jac
+        assert all((res.jac_T is None) != with_jac for res in fam.levels.values())
+
+
 def test_zero_drift_skip_and_state_only_runs_are_bit_exact():
     # skipping a declared zero drift moves no bit of the states, derivative
     # flows, flags or derivative energy; a state-only run has the same states
@@ -256,7 +274,7 @@ def test_zero_drift_skip_and_state_only_runs_are_bit_exact():
         out = []
         for fs in (wrap(log), wrap(plain)):
             (res,), extras = run_multi([(fs, [0.3])], noise, trackers=(IntegratedG(),))
-            (state,), _ = run_multi([(fs, [0.3])], noise, with_jac=False)
+            (state,), _ = run_multi([(fs, [0.3])], noise)
             out.append([a.tobytes() for a in (res.state_T, res.jac_T, res.flag,
                                                extras["int_g"], state.state_T, state.flag)])
         assert out[0] == out[1]
@@ -357,33 +375,63 @@ def test_flags_at_the_end_match_the_recorded_trajectory(drift, ddrift, x0, state
         assert np.isfinite(states).all() == state_finite
 
 
-def test_state_only_run_rejects_trackers_that_read_v_before_any_noise(monkeypatch):
+def test_a_field_set_without_da_is_refused_only_where_a_tracker_reads_v(monkeypatch):
+    # a run carries V exactly when a tracker that reads V names it, so a
+    # field set without DA is refused, naming it, before any noise on such a
+    # run, and on any other run goes on to draw the noise
     def no_noise(*args, **kwargs):
         raise AssertionError("a state-only run drew noise")
 
     monkeypatch.setattr(BrownianBatch, "block_increments", no_noise)
-    fs = builtin_field("ou", lam=1.0)
+    ou = builtin_field("ou", lam=1.0)
+    bare = scalar_drift_field(lambda x: -x, name="bare")
     g = TimeGrid(0.25, 10)
     noise = BrownianBatch(seed=1, paths=8, grid=g, m=1)
     h = CameronMartinPath.constant([1.0])
-    for tracker in (JacSupNorm(), IntegratedG(), DivergenceWeight(h), _DirectionRecorder(h),
-                    PathRecorder(with_jac=True)):
-        name = type(tracker).__name__
-        with pytest.raises(FieldError, match=name):
-            run_ensemble(fs, [0.0], noise, trackers=(tracker,), with_jac=False)
-        with pytest.raises(FieldError, match=name):
-            run_multi([(fs, [0.0]), (fs, [1.0])], noise, trackers=(tracker,),
-                      with_jac=False)
-    # a recorder of states alone is accepted and goes on to draw the noise
-    with pytest.raises(AssertionError, match="drew noise"):
-        run_ensemble(fs, [0.0], noise, trackers=(PathRecorder(with_jac=False),),
-                     with_jac=False)
+    readers = (JacSupNorm, IntegratedG, PathRecorder,
+               lambda r: DivergenceWeight(h, r), lambda r: _DirectionRecorder(h, r))
+    runs = [(ou, [0.0]), (bare, [1.0])]
+    for reader in readers:
+        with pytest.raises(DerivativeUnavailableError, match="'bare'"):
+            run_ensemble(bare, [0.0], noise, trackers=(reader(0),))
+        with pytest.raises(DerivativeUnavailableError, match="'bare'"):
+            run_multi(runs, noise, trackers=(reader(1),))
+        # the tracker reads V of the other run alone
+        with pytest.raises(AssertionError, match="drew noise"):
+            run_multi(runs, noise, trackers=(reader(0),))
+    with pytest.raises(DerivativeUnavailableError, match="'bare'"):
+        run_multi(runs, noise, trackers=(_PairSup(0, 1, True),))
+    for trackers in ((), (PathRecorder(with_jac=False),), (_PairSup(0, 1, False),)):
+        with pytest.raises(AssertionError, match="drew noise"):
+            run_multi(runs, noise, trackers=trackers)
+
+
+def test_a_tracker_of_a_run_that_does_not_exist_is_refused_before_any_noise(monkeypatch):
+    # the runs a tracker names must be among those given, a state-only
+    # tracker's too; a negative index is not one, nor is a float
+    def no_noise(*args, **kwargs):
+        raise AssertionError("a rejected run drew noise")
+
+    monkeypatch.setattr(BrownianBatch, "block_increments", no_noise)
+    ou = builtin_field("ou", lam=1.0)
+    noise = BrownianBatch(seed=1, paths=8, grid=TimeGrid(0.25, 10), m=1)
+    one, two = [(ou, [0.0])], [(ou, [0.0]), (ou, [1.0])]
+    rows = [(one, JacSupNorm(run=1), r"JacSupNorm reads run 1, not one of the runs \[0\]"),
+            (one, JacSupNorm(run=-1), r"JacSupNorm reads run -1, not one of the runs \[0\]"),
+            (two, JacSupNorm(run=1.0), r"JacSupNorm reads run 1.0, .* \[0, 1\]"),
+            (two, PathRecorder(2, with_jac=False), r"PathRecorder reads run 2, .* \[0, 1\]"),
+            (two, _PairSup(0, 3, False), r"_PairSup reads run 3, .* \[0, 1\]")]
+    for runs, tracker, message in rows:
+        with pytest.raises(FieldError, match=rf"^tracker {message}$"):
+            run_multi(runs, noise, trackers=(tracker,))
+    with pytest.raises(FieldError, match="reads run 1"):
+        run_ensemble(ou, [0.0], noise, trackers=(JacSupNorm(run=1),))
 
 
 def test_bad_start_or_missing_derivative_fails_before_any_noise(monkeypatch):
-    # every run checks its start point, its worker count and, when
-    # it carries V, the field set's DA before it draws a block; the noise
-    # checks its seed when it is built
+    # every run checks its start point, its worker count and, when a
+    # tracker reads its V, the field set's DA before it draws a block; the
+    # noise checks its seed when it is built
     def no_noise(*args, **kwargs):
         raise AssertionError("a rejected run drew noise")
 
@@ -393,12 +441,14 @@ def test_bad_start_or_missing_derivative_fails_before_any_noise(monkeypatch):
     ou = builtin_field("ou", lam=1.0)
     bare = scalar_drift_field(lambda x: x, name="bare")
     rows = [
-        (lambda: run_ensemble(ou, [math.nan], noise), FieldError, "x0"),
-        (lambda: run_ensemble(ou, [-math.inf], noise, with_jac=False), FieldError, "x0"),
+        (lambda: run_ensemble(ou, [math.nan], noise, trackers=(JacSupNorm(),)),
+         FieldError, "x0"),
+        (lambda: run_ensemble(ou, [-math.inf], noise), FieldError, "x0"),
         (lambda: run_multi([(ou, [0.0]), (ou, [math.nan])], noise), FieldError, "x0"),
         (lambda: coupled_family(ou, [0.2, 0.1], [math.inf], noise), FieldError, "x0"),
-        (lambda: run_ensemble(bare, [0.0], noise), DerivativeUnavailableError, "'bare'"),
-        (lambda: run_multi([(ou, [0.0]), (bare, [0.0])], noise),
+        (lambda: run_ensemble(bare, [0.0], noise, trackers=(JacSupNorm(),)),
+         DerivativeUnavailableError, "'bare'"),
+        (lambda: run_multi([(ou, [0.0]), (bare, [0.0])], noise, trackers=(JacSupNorm(1),)),
          DerivativeUnavailableError, "'bare'"),
         (lambda: BrownianBatch(seed=-1, paths=2, grid=g, m=1), FieldError, "seed"),
     ]
@@ -407,9 +457,9 @@ def test_bad_start_or_missing_derivative_fails_before_any_noise(monkeypatch):
     for call, error, name in rows:
         with pytest.raises(error, match=name):
             call()
-    # a state-only run needs no DA and goes on to draw the noise
+    # a run whose V no tracker reads needs no DA and goes on to draw the noise
     with pytest.raises(AssertionError, match="drew noise"):
-        run_ensemble(bare, [0.0], noise, with_jac=False)
+        run_ensemble(bare, [0.0], noise)
 
 
 def test_flagged_explosive_path():
@@ -601,7 +651,7 @@ def test_worker_threads_ignore_overflow_as_the_calling_thread_does():
             warnings.simplefilter("error")
             results, extras = run_multi(runs, noise, workers=w,
                                         trackers=(IntegratedG(1), JacSupNorm(1),
-                                                  _PairSup(0, 1, True)))
+                                                  JacSupNorm(2), _PairSup(0, 1, True)))
         out.append([a.tobytes() for res in results for a in (res.state_T, res.jac_T, res.flag)]
                    + [extras[key].tobytes() for key in sorted(extras)])
     assert 0 < results[0].n_flagged < noise.paths
@@ -682,8 +732,8 @@ def test_a_worker_threads_error_is_the_one_worker_error_and_leaves_no_thread(fai
     ou = builtin_field("ou", lam=1.0)
     g = TimeGrid(0.1, 10)
     noise = BrownianBatch(seed=25, paths=200, grid=g, m=1)
-    states = run_ensemble(ou, [0.0], noise, trackers=(PathRecorder(with_jac=False),),
-                          with_jac=False).extras["paths_states"][:, :g.steps, 0]
+    res = run_ensemble(ou, [0.0], noise, trackers=(PathRecorder(with_jac=False),))
+    states = res.extras["paths_states"][:, :g.steps, 0]
     above = states > 0.5
     crossed = np.where(above.any(axis=1), above.argmax(axis=1), g.steps)
     assert crossed.min() == 4 and np.argmax(crossed == 4) == 193
@@ -804,7 +854,11 @@ class _CoefficientRecorder(Tracker):
     reads_jac = True
 
     def __init__(self, runs):
-        self.runs = runs
+        self.recorded = runs
+
+    @property
+    def runs(self):
+        return self.recorded
 
     def keys(self):
         return tuple(f"{name}_{r}" for r in self.runs for name in ("A", "DA"))

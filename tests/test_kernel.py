@@ -18,7 +18,7 @@ from conftest import density_estimate_oracle
 def _bm_endpoints(paths, t=1.0, seed=21):
     grid = TimeGrid(t, 16)
     noise = BrownianBatch(seed=seed, paths=paths, grid=grid, m=1)
-    res = run_ensemble(builtin_field("bm", n=1), [0.0], noise, with_jac=False)
+    res = run_ensemble(builtin_field("bm", n=1), [0.0], noise)
     return res.state_T
 
 
@@ -329,8 +329,7 @@ def test_bound_constant_stable_across_smoothing_levels():
         for eps in (0.1, 0.05):
             grid = TimeGrid(t, max(1, round(t / 1e-3)))
             noise = BrownianBatch(seed=31, paths=20_000, grid=grid, m=1)
-            res = run_ensemble(mollify_field(log, eps), [0.0], noise,
-                               with_jac=False, workers=2)
+            res = run_ensemble(mollify_field(log, eps), [0.0], noise, workers=2)
             samples = res.state_T[res.ok]
             q = np.linspace(-3, 3, 21)[:, None]
             query = DensityQuery(t, [0.0], q, bandwidth=silverman_bandwidth(samples))

@@ -442,13 +442,14 @@ def test_every_caller_vector_needs_n_finite_entries_before_any_noise(monkeypatch
         gradient_routes(f, df, [1.0, 0.0], fs, [0.0], noise, bump=1e-3)
     for bad in (math.nan, math.inf):
         v0 = [1.0, bad]
-        h = CameronMartinPath.constant(v0)
+        # a constant direction reads its entries where it is made
+        h = lambda: CameronMartinPath.constant(v0)
         rows = [(lambda: gradient_routes(f, df, v0, fs, x0, noise, bump=1e-3),
                  "v0 .* not finite"),
                 (lambda: gradient_routes(f, df, [1.0, 0.0], fs, x0, noise, bump=bad),
                  "bump"),
-                (lambda: ibp_check(F, dF, h, fs, x0, noise), "direction h .* not finite"),
-                (lambda: divergence(h, fs, x0, noise), "direction h .* not finite")]
+                (lambda: ibp_check(F, dF, h(), fs, x0, noise), "direction h .* not finite"),
+                (lambda: divergence(h(), fs, x0, noise), "direction h .* not finite")]
         for call, key in rows:
             with pytest.raises(FieldError, match=key):
                 call()
