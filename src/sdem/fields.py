@@ -12,8 +12,9 @@ fresh one that the caller owns.  The ``log_example`` diffusion is evaluated
 through the closed form of its antiderivative, with no table; its
 temporaries live in per-thread workspaces.  Its infimum is
 1 - sqrt(beta pi)/2, so beta must lie in (0, 4/pi).  The closed form needs
-``erfc``: ``scipy.special`` is imported when a ``log_example`` is built, so
-a process that builds only the other families never loads scipy.  Every
+``erfc``: ``scipy.special`` is imported when a ``log_example`` is built, and
+nothing else in sdem imports scipy, so a process that builds only the other
+families, smoothed or not, never loads it.  Every
 built-in parameter must be given and is read by the input rule: a missing
 one, a value of the wrong kind (a string for a rate, 2.5 for a dimension,
 a bool entry of a shift, a 3-d matrix) and a non-finite or out-of-range

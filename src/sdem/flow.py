@@ -238,7 +238,8 @@ def _euler_step(xi, V, coef, dWk, dt):
 # tracker that reads their V or DA sets `reads_jac`, and a run carries V
 # exactly when such a tracker names it: every other run's Vs[r], DA and
 # `jac_T` are None.  Before any noise is drawn, a run refuses a tracker that
-# names a run it lacks, and two trackers that name the same key.
+# names a run it lacks (a run index is an int, never a bool), and two
+# trackers that name the same key.
 
 
 class Tracker:
@@ -444,7 +445,7 @@ def _run(runs, noise: BrownianBatch, trackers, workers):
     writer, carried = {}, set()
     for t in trackers:
         for r in t.runs:
-            if not isinstance(r, int) or r not in range(len(runs)):
+            if isinstance(r, bool) or not isinstance(r, int) or r not in range(len(runs)):
                 raise FieldError(f"tracker {type(t).__name__} reads run {r!r}, not one of "
                                  f"the runs {list(range(len(runs)))}")
         carried.update(t.runs if t.reads_jac else ())

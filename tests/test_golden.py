@@ -2,11 +2,16 @@
 
 A refactor that claims to keep behaviour must keep these SHA-256 digests.
 A change that moves a number on purpose must say which digest moved and
-why, and record the new value here.
+why, and record the new value here.  From the repository root,
+
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
+
+(or without PYTHONPATH where sdem is installed) prints the current
+digests of the named cases, every case when none is named, in ``GOLDEN``'s
+layout, to paste over the entries that moved.
 """
 
 import hashlib
-import json
 import os
 import subprocess
 import sys
@@ -65,21 +70,21 @@ GOLDEN = {
     },
     "converge-derivative": {
         "converge_derivative.csv":
-            "27820d09ce1d0b3c2429e51807f63f6231e96f45ff418b0b83cafb8b4d67ad60",
+            "f54364bcbf394e62e2574340cfe60da3d5ffce57e5bc42ba1253b8e330ff5e34",
         "converge_derivative.json":
-            "843f0b141be4fae48cf7cda32cd9544924c1739e6518651e918a124c004828c1",
+            "86950d1b144bbc28e1af2307a157ecb5368d252731d85f1843e2829189e8184c",
     },
     "converge-flow": {
         "converge_flow.csv":
-            "fa612e5835fc995282248a8efe458816e78253ca0dd42e5bc66bceffca41d461",
+            "fdd39da5a150e2e7cff95b6e22776492d10f7d2ab1864874c7bf46af2b4e4e1c",
         "converge_flow.dat":
-            "4214c2117f26f0f0c1b42dd8b3038788e7c6f8890e05f9057b0e049a8fb4d3a6",
+            "532b84db1299fb4681667432b494edcc38c424c8197d3419869bac0f192fe345",
         "converge_flow.json":
-            "12e96368f3eae08ec4a2f076f32f86925f26300c459baa9c646715112e2ccca7",
+            "b2819d1b7a5f571a97493b3767642639ad9f6fbbd2bc449863635e947d78c2a0",
     },
     "gradient": {
         "gradient.json":
-            "5b8c76e7898c4149e7acfcf14a061d2a725e47ca78755faf9492316d83cda1f5",
+            "9a85ad0a927eb437acb1769677b1624975df783595e37b5f99bf857b6e2fec93",
     },
     "gradient-bm2": {
         "gradient.json":
@@ -109,7 +114,7 @@ GOLDEN = {
     },
     "moment": {
         "moment.json":
-            "073964023349de3e2a73e9f8807672a7712dea07afda917f1f408b5317a6079f",
+            "173c61f356c15c4efaf22ee93c5908db0d52eaa20cdb128e5af01a9205cac7fc",
     },
 }
 
@@ -118,6 +123,17 @@ def digests(case, **overrides):
     res = run_command(COMMAND_OF.get(case, case), ExperimentConfig(**{**CASES[case], **overrides}))
     return {name: hashlib.sha256(text.encode("utf-8")).hexdigest()
             for name, text in sorted(res.files.items())}
+
+
+def layout(table):
+    """The entries of a {case: {file: digest}} table as ``GOLDEN`` lays them out."""
+    lines = []
+    for case, files in table.items():
+        lines.append(f'    "{case}": {{')
+        for name, digest in files.items():
+            lines += [f'        "{name}":', f'            "{digest}",']
+        lines.append("    },")
+    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -140,10 +156,15 @@ def test_golden_digests_do_not_depend_on_blas_threads(threads):
     # splits them across threads; a fresh process picks up the pin
     here = Path(__file__).resolve().parent
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-           "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
-    commands = sorted(CASES)
-    script = ("import json, sys, test_golden as g; "
-              "print(json.dumps({c: g.digests(c) for c in sys.argv[1:]}))")
-    out = subprocess.run([sys.executable, "-c", script, *commands], env=env, cwd=here,
+           "PYTHONPATH": str(here.parent / "src")}
+    out = subprocess.run([sys.executable, __file__], env=env, cwd=here,
                          capture_output=True, text=True, timeout=120, check=True).stdout
-    assert json.loads(out) == {c: GOLDEN[c] for c in commands}
+    assert out == layout({c: GOLDEN[c] for c in sorted(CASES)})
+
+
+if __name__ == "__main__":
+    cases = sys.argv[1:] or sorted(CASES)
+    unknown = [case for case in cases if case not in CASES]
+    if unknown:
+        sys.exit(f"unknown cases {unknown}; the cases are {sorted(CASES)}")
+    print(layout({case: digests(case) for case in cases}), end="")

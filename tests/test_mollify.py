@@ -14,11 +14,15 @@ from sdem.mollify import (MollifiedFieldSet, _eta, _grad_nodes, _kernel_nodes,
 from conftest import ellipticity_margin, hoelder_estimate, scalar_drift_field, sup_error
 
 
-# frozen oracles, computed by adaptive quadrature ahead of the build:
-#   int_{-1}^{1} exp(1/(x^2-1)) dx        = 0.443993816168450
+# frozen oracles, computed ahead of the build (the raw mass with 45-digit
+# mpmath, the moment by adaptive quadrature):
+#   int_{-1}^{1} exp(1/(x^2-1)) dx        = 0.44399381616807944
 #   int eta(z) |z| dz (unit mass kernel)  = 0.334453997709974
-RAW_MASS_1D = 0.44399381616845
+RAW_MASS_1D = 0.44399381616807944
 ABS_MOMENT_1D = 0.334453997709974
+# the kernel's normalizing constant on R^n, n = 1 to 4, with 45-digit mpmath
+MOLLIFIER_CONSTANT = {1: 2.252283621043581, 2: 2.1435657757922364,
+                      3: 2.2671167396083263, 4: 2.611132508627123}
 
 
 def test_eta_vanishes_outside_unit_ball(rng):
@@ -38,6 +42,12 @@ def test_eta_unit_mass_1d_and_2d():
     assert _mollifier_constant(1) == pytest.approx(1.0 / RAW_MASS_1D, rel=1e-9)
     val, _ = integrate.quad(lambda r: 2 * math.pi * r * math.exp(1.0 / (r * r - 1.0)), 0, 1)
     assert _mollifier_constant(2) == pytest.approx(1.0 / val, rel=1e-8)
+
+
+@pytest.mark.parametrize("n", sorted(MOLLIFIER_CONSTANT))
+def test_the_mollifier_constant_is_within_2_ulp_of_a_45_digit_reference(n):
+    exact = MOLLIFIER_CONSTANT[n]
+    assert abs(_mollifier_constant(n) - exact) <= 2 * math.ulp(exact)
 
 
 def test_eta_is_even(rng):
