@@ -17,11 +17,12 @@ smoothing error rather than of the noise.
 Workers follow one rule (see `_run`): the unit of work is a contiguous
 range of a block's rows, a whole block or a slice of one.  ``workers`` is a
 count, 1 unless the caller gives another; no environment variable sets it.
-The units go over a pool of `workers` threads and their results are joined
-in row order.  Every evaluation and reduction the engine makes is row by
-row, the quadrature sum of a mollified field included, so outputs are
-byte-identical across worker counts.  So are errors: a run that fails
-raises the error one worker would raise.
+The units go over a pool of `workers` threads, and each unit's rows are
+copied into the run's outputs, in row order, as the unit comes back, so a
+run holds one copy of its per-path outputs.  Every evaluation and reduction
+the engine makes is row by row, the quadrature sum of a mollified field
+included, so outputs are byte-identical across worker counts.  So are
+errors: a run that fails raises the error one worker would raise.
 
 A block's increments are stored step-major, so the step-k slice dW[:, k, :]
 that every Euler step and tracker reads is one contiguous run of memory
@@ -33,13 +34,14 @@ from __future__ import annotations
 import copy
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .fields import VectorFieldSet, Workspace, g_sum
-from .inputs import COUNT, NUMBER, POSITIVE, SEED, FieldError, read, vector
+from .inputs import COUNT, INDEX, NUMBER, POSITIVE, SEED, FieldError, read, vector
 from .mollify import mollify_field
 from .report import EstimatorReport, from_samples
 
@@ -53,6 +55,7 @@ __all__ = [
     "coupled_family",
     "moment_sup",
     "exp_g_functional",
+    "unflagged",
     "JacSupNorm",
     "IntegratedG",
     "PathRecorder",
@@ -124,7 +127,8 @@ class BrownianBatch:
         return (self.paths + BLOCK - 1) // BLOCK
 
     def block_slice(self, b: int) -> slice:
-        lo = b * BLOCK
+        """The paths of block b, an index in range(n_blocks)."""
+        lo = read("BrownianBatch: block", b, INDEX, self.n_blocks) * BLOCK
         return slice(lo, min(lo + BLOCK, self.paths))
 
     def block_increments(self, b: int, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -138,8 +142,9 @@ class BrownianBatch:
         (at least one) is drawn into one reused path-major buffer and scaled
         by sqrt(dt) straight into the step-major layout; each value is the
         same product as in a whole-block draw, so the increments are bit for
-        bit the same.
+        bit the same.  A b outside range(n_blocks) is refused before any draw.
         """
+        b = read("BrownianBatch: block", b, INDEX, self.n_blocks)
         sl = self.block_slice(b)
         rows, steps, m = sl.stop - sl.start, self.grid.steps, self.m
         if out is None:
@@ -406,13 +411,23 @@ def _simulate_block(runs, dt, dW, trackers):
     return xis, Vs, flagged, extras
 
 
+def unflagged(a: np.ndarray, flag: np.ndarray) -> np.ndarray:
+    """The rows of a per-path array ``a`` that enter an estimate: those of
+    the paths ``flag`` leaves unmarked.  With no path flagged that is ``a``
+    itself, read in place; a mask that keeps every row would select the
+    same bytes into a copy."""
+    return a[~flag] if flag.any() else a
+
+
 @dataclass
 class EnsembleResult:
     """Endpoint and tracker statistics for one run across all paths.
 
     ``jac_T`` is None unless a tracker reads V.  ``flag`` marks the paths
-    whose state, carried V or tracker extras went non-finite; ``ok`` is its
-    complement."""
+    whose state, carried V or tracker extras went non-finite.  An estimate
+    reads the rows of the unflagged paths alone, ``unflagged(a, flag)`` of
+    each per-path array ``a``: ``a`` itself when no path is flagged, and
+    ``a[~flag]`` otherwise."""
 
     state_T: np.ndarray                 # (paths, n)
     jac_T: Optional[np.ndarray]         # (paths, n, n)
@@ -423,14 +438,10 @@ class EnsembleResult:
     def n_flagged(self) -> int:
         return int(self.flag.sum())
 
-    @property
-    def ok(self) -> np.ndarray:
-        return ~self.flag
-
 
 def _run(runs, noise: BrownianBatch, trackers, workers):
-    """Simulate every block of lockstep runs in units of rows, and join the
-    units in row order.  Run r carries V when a tracker that reads V names r.
+    """Simulate every block of lockstep runs in units of rows.  Run r
+    carries V when a tracker that reads V names r.
 
     With nb blocks and w workers, a unit is a whole block when
     nb >= w, and its worker draws the block's noise.  When nb < w, the
@@ -439,6 +450,12 @@ def _run(runs, noise: BrownianBatch, trackers, workers):
     units go over a pool of w threads; one worker makes no pool.  A failing
     run raises the error of its first failing block, and a failing slice
     re-runs its block whole to raise it, so the error is one worker's.
+
+    Each output, every run's states and carried V, the pooled flag and each
+    extra, is allocated once from the first unit's shapes and dtypes.  The
+    units come back in row order, and each unit's rows are copied into them
+    and the unit dropped, so a run never holds its rows twice; the copy is
+    the one `np.concatenate` of the units would make, byte for byte.
     Returns what `run_multi` does.
     """
     runs, trackers = list(runs), tuple(trackers)
@@ -484,22 +501,29 @@ def _run(runs, noise: BrownianBatch, trackers, workers):
             raise
 
     unit, units = (block, range(nb)) if nb >= w else (cut, slices())
-    if w == 1:
-        parts = [unit(u) for u in units]
-    else:
-        # map submits every unit before it waits, so the calling thread
-        # draws block b + 1 while the slices of block b run
-        with ThreadPoolExecutor(max_workers=w) as ex:
-            parts = list(ex.map(unit, units))
-    flag = np.concatenate([p[2] for p in parts], axis=0)
-    extras = {key: np.concatenate([p[3][key] for p in parts], axis=0)
-              for key in parts[0][3]}
-    results = []
-    for r, (_, _, carries_v) in enumerate(runs):
-        state_T = np.concatenate([p[0][r] for p in parts], axis=0)
-        jac_T = np.concatenate([p[1][r] for p in parts], axis=0) if carries_v else None
-        results.append(EnsembleResult(state_T, jac_T, flag, {}))
-    return results, extras
+
+    def like(a):
+        return np.empty((noise.paths,) + a.shape[1:], a.dtype)
+
+    lo = 0
+    with ThreadPoolExecutor(max_workers=w) if w > 1 else nullcontext() as pool:
+        # the pool's map submits every unit before it waits, so the calling
+        # thread draws block b + 1 while the slices of block b run; both maps
+        # yield the units in row order and keep none they have yielded
+        for xis, Vs, flagged, unit_extras in (pool.map if pool else map)(unit, units):
+            if lo == 0:
+                states = [like(xi) for xi in xis]
+                jacs = [V if V is None else like(V) for V in Vs]
+                flag = like(flagged)
+                extras = {key: like(a) for key, a in unit_extras.items()}
+            hi = lo + len(flagged)
+            for dst, src in zip([*states, *jacs, flag], [*xis, *Vs, flagged]):
+                if dst is not None:
+                    dst[lo:hi] = src
+            for key, dst in extras.items():
+                dst[lo:hi] = unit_extras[key]
+            lo = hi
+    return [EnsembleResult(xi, V, flag, {}) for xi, V in zip(states, jacs)], extras
 
 
 def run_ensemble(fields, x0, noise: BrownianBatch, *,
@@ -573,7 +597,7 @@ class CoupledFamilyResult:
             raise FieldError(f"the family tracks no gap for the level {eps}, only each "
                              f"coarser level against its finest; its levels are "
                              f"{list(self.levels)}")
-        vals = table[eps][~self.flag] ** p
+        vals = unflagged(table[eps], self.flag) ** p
         return from_samples(vals, excluded=self.n_flagged)
 
 
@@ -612,7 +636,7 @@ def moment_sup(ensemble: EnsembleResult, p: float) -> EstimatorReport:
     p = read("moment_sup: p", p, NUMBER)
     if "sup_jac" not in ensemble.extras:
         raise FieldError("ensemble was run without a JacSupNorm tracker")
-    vals = ensemble.extras["sup_jac"][ensemble.ok]
+    vals = unflagged(ensemble.extras["sup_jac"], ensemble.flag)
     if vals.size == 0:
         raise FieldError("moment_sup: no unflagged paths")
     return from_samples(vals ** p, excluded=ensemble.n_flagged)
@@ -627,7 +651,7 @@ def exp_g_functional(ensemble: EnsembleResult, q: float) -> EstimatorReport:
     q = read("exp_g_functional: q", q, NUMBER)
     if "int_g" not in ensemble.extras:
         raise FieldError("ensemble was run without an IntegratedG tracker")
-    ints = ensemble.extras["int_g"][ensemble.ok]
+    ints = unflagged(ensemble.extras["int_g"], ensemble.flag)
     if ints.size == 0:
         raise FieldError("exp_g_functional: no unflagged paths")
     with np.errstate(over="ignore"):

@@ -22,7 +22,7 @@ import numpy as np
 from . import kernel as kern
 from .fields import condition_g_estimate, field_from_json
 from .flow import (BrownianBatch, IntegratedG, JacSupNorm, TimeGrid,
-                   coupled_family, exp_g_functional, moment_sup, run_ensemble)
+                   coupled_family, exp_g_functional, moment_sup, run_ensemble, unflagged)
 from .inputs import (COUNT, DIRECTORY, FLAG, NUMBER, NUMBERS, OBJECT, POINTS, POSITIVE, SEED,
                      VECTOR, FieldError, Kind, enough, read, reject_unknown)
 from .malliavin import CameronMartinPath, gradient_routes, ibp_check
@@ -302,7 +302,7 @@ def cmd_kernel_bound(cfg: ExperimentConfig, fields, opts: dict) -> CommandResult
         payload = {"config_fingerprint": cfg.fingerprint, "t": t, "flagged": res.n_flagged}
         return CommandResult("kernel_bound", False, flagged,
                              payload, {"kernel_bound.json": _json_text(payload)})
-    samples = res.state_T[res.ok]
+    samples = unflagged(res.state_T, res.flag)
     if bandwidth is None:
         bandwidth = kern.silverman_bandwidth(samples)
     query = kern.DensityQuery(t, np.asarray(cfg.x0, dtype=float), qpts, bandwidth)

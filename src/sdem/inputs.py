@@ -24,7 +24,7 @@ import numpy as np
 __all__ = [
     "FieldError", "Kind", "read", "reject_unknown", "vector", "points",
     "MIN_SAMPLES", "enough",
-    "COUNT", "SEED", "NUMBER", "POSITIVE",
+    "COUNT", "SEED", "INDEX", "NUMBER", "POSITIVE",
     "OBJECT", "NUMBERS", "VECTOR", "POINTS", "FLAG", "DIRECTORY",
 ]
 
@@ -99,6 +99,8 @@ def vector(v, key: str, n: Optional[int]) -> np.ndarray:
 # a count is an exact integer: 2.0 is 2, and 2.7 is an error, not 2
 COUNT = Kind("an integer >= 1", lambda v, n: _whole(v) and v >= 1, int)
 SEED = Kind("an integer >= 0", lambda v, n: _whole(v) and v >= 0, int)
+# an index into n things
+INDEX = Kind("an integer in range({n})", lambda v, n: _whole(v) and 0 <= v < n, int)
 NUMBER = Kind("a finite number", lambda v, n: _finite(v))
 POSITIVE = Kind("a finite positive number", lambda v, n: _finite(v) and v > 0)
 

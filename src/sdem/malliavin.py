@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .flow import BrownianBatch, PathRecorder, Tracker, mm, run_ensemble, run_multi
+from .flow import BrownianBatch, PathRecorder, Tracker, mm, run_ensemble, run_multi, unflagged
 from .inputs import POSITIVE, FieldError, read, vector
 from .report import EstimatorReport, from_samples
 
@@ -245,14 +246,14 @@ def gradient_routes(f: Callable, df: Optional[Callable], v0, fs, x0, noise: Brow
     (res, plus, minus), extras = run_multi(
         runs, noise, trackers=(DivergenceWeight(CameronMartinPath.constant(v0)),),
         workers=workers)
-    ok, excluded = res.ok, res.n_flagged
-    states = res.state_T[ok]
+    excluded, kept = res.n_flagged, partial(unflagged, flag=res.flag)
+    states = kept(res.state_T)
     # each route goes through its module name, which bench/tracer.py hooks
-    reports = {"bismut": bismut_gradient(f, states, extras["div_weight"][ok], noise.grid.T,
+    reports = {"bismut": bismut_gradient(f, states, kept(extras["div_weight"]), noise.grid.T,
                                          excluded),
-               "fd": fd_gradient(f, plus.state_T[ok], minus.state_T[ok], bump, excluded)}
+               "fd": fd_gradient(f, kept(plus.state_T), kept(minus.state_T), bump, excluded)}
     if df is not None:
-        direction = np.einsum("bij,j->bi", res.jac_T[ok], v0)
+        direction = np.einsum("bij,j->bi", kept(res.jac_T), v0)
         reports["intertwine"] = intertwine_gradient(df, states, direction, excluded)
     return reports
 
@@ -320,17 +321,17 @@ def ibp_check(F: Callable, dF: Callable, h: CameronMartinPath, fs, x0,
         trackers.append(_DirectionRecorder(h))
         trackers.append(PathRecorder(with_jac=False))
     res = run_ensemble(fs, x0, noise, trackers=trackers, workers=workers)
-    ok = res.ok
-    delta = res.extras["div_weight"][ok]
+    kept = partial(unflagged, flag=res.flag)
+    delta = kept(res.extras["div_weight"])
     if full_path:
         times = noise.grid.times()
-        states = res.extras["paths_states"][ok]
-        direction = res.extras["dir"][ok]
+        states = kept(res.extras["paths_states"])
+        direction = kept(res.extras["dir"])
         lhs_vals = np.asarray(dF(times, states, direction), dtype=float).reshape(-1)
         f_vals = np.asarray(F(times, states), dtype=float).reshape(-1)
     else:
-        xT = res.state_T[ok]
-        vh_T = np.einsum("bij,bj->bi", res.jac_T[ok], res.extras["div_h_T"][ok])
+        xT = kept(res.state_T)
+        vh_T = np.einsum("bij,bj->bi", kept(res.jac_T), kept(res.extras["div_h_T"]))
         lhs_vals = np.asarray(dF(xT, vh_T), dtype=float).reshape(-1)
         f_vals = np.asarray(F(xT), dtype=float).reshape(-1)
     rhs_vals = f_vals * delta

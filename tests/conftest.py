@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from sdem.fields import FieldError, VectorFieldSet
-from sdem.flow import BrownianBatch, JacSupNorm, TimeGrid, run_ensemble, run_multi
+from sdem.flow import BrownianBatch, JacSupNorm, TimeGrid, run_ensemble, run_multi, unflagged
 from sdem.inputs import NUMBER, points, read
 from sdem.kernel import _CHUNK
 from sdem.malliavin import CameronMartinPath, DivergenceWeight, bismut_gradient
@@ -60,8 +61,8 @@ def bismut_report(f, v0, fs, x0, noise):
     the two bumped runs the other routes need."""
     res = run_ensemble(fs, x0, noise,
                        trackers=(DivergenceWeight(CameronMartinPath.constant(v0)),))
-    ok = res.ok
-    return bismut_gradient(f, res.state_T[ok], res.extras["div_weight"][ok], noise.grid.T,
+    return bismut_gradient(f, unflagged(res.state_T, res.flag),
+                           unflagged(res.extras["div_weight"], res.flag), noise.grid.T,
                            res.n_flagged)
 
 
@@ -131,9 +132,9 @@ def spatial_derivative_check(fs, x0, v0, h, noise):
     v0 = np.asarray(v0, dtype=float)
     runs = [(fs, x0 + h * v0), (fs, x0 - h * v0), (fs, x0)]
     results, _ = run_multi(runs, noise, trackers=(JacSupNorm(2),))
-    ok = results[0].ok
-    fd_paths = (results[0].state_T[ok] - results[1].state_T[ok]) / (2.0 * h)
-    vt_paths = np.einsum("bij,j->bi", results[2].jac_T[ok], v0)
+    plus, minus, at, flag = *results, results[0].flag
+    fd_paths = (unflagged(plus.state_T, flag) - unflagged(minus.state_T, flag)) / (2.0 * h)
+    vt_paths = np.einsum("bij,j->bi", unflagged(at.jac_T, flag), v0)
     gap = float(np.mean(np.linalg.norm(fd_paths - vt_paths, axis=1)))
     return fd_paths.mean(axis=0), vt_paths.mean(axis=0), gap
 
@@ -172,6 +173,18 @@ def density_estimate_oracle(pts, query):
     var = np.maximum(total_sq / N - mean ** 2, 0.0)
     se = np.sqrt(var / (N - 1))
     return mean, se
+
+
+def traced_peak(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the peak, in bytes, of the memory traced
+    while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
 
 
 @pytest.fixture(scope="session")

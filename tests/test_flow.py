@@ -18,7 +18,7 @@ from sdem.mollify import mollify_field
 from sdem.flow import (BLOCK, TILE, BrownianBatch, IntegratedG, JacSupNorm, PathRecorder,
                        TimeGrid, Tracker, mm, _PairSup, coupled_family, exp_g_functional,
                        moment_sup, run_ensemble, run_multi)
-from conftest import counting, scalar_drift_field, spatial_derivative_check
+from conftest import counting, scalar_drift_field, spatial_derivative_check, traced_peak
 
 
 def test_time_grid_endpoint_exact():
@@ -108,6 +108,39 @@ def test_noise_block_numpy_cannot_index_is_rejected_before_any_draw():
     # the largest block that does fit is accepted: the check is on one block
     rows_max = np.iinfo(np.intp).max // 8
     BrownianBatch(seed=0, paths=BLOCK * 4, grid=TimeGrid(1.0, rows_max // BLOCK), m=1)
+
+
+def test_a_block_is_read_as_an_index_before_any_draw(monkeypatch):
+    # a bool is not an index, and a block past either end has no rows: each
+    # is a FieldError that names the block, raised before the stream is keyed
+    noise = BrownianBatch(seed=3, paths=BLOCK + 5, grid=TimeGrid(1.0, 2), m=1)
+    assert noise.block_slice(1.0) == noise.block_slice(np.int64(1)) == slice(BLOCK, BLOCK + 5)
+    one = noise.block_increments(1)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a refused block keyed a stream")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    for b in (True, False, 2, -1, 0.5, "0", None):
+        said = rf"block must be an integer in range\(2\), got {re.escape(repr(b))}"
+        for call in (noise.block_slice, noise.block_increments):
+            with pytest.raises(FieldError, match=said):
+                call(b)
+    monkeypatch.undo()
+    assert noise.block_increments(np.int64(1)).tobytes() == one.tobytes()
+
+
+def test_the_engine_holds_one_copy_of_a_run_s_outputs():
+    # each unit's rows are copied into the run's arrays as the unit comes
+    # back, so no run holds every block's rows beside the joined arrays.
+    # One worker, so no unit finishes before the one ahead of it is joined
+    fs = builtin_field("bm", n=1)
+    noise = BrownianBatch(seed=5, paths=8 * BLOCK, grid=TimeGrid(1.0, 2), m=1)
+    # the first run fills the caches the field and numpy keep
+    run_ensemble(fs, [0.0], noise)
+    res, peak = traced_peak(run_ensemble, fs, [0.0], noise)
+    # holding every block beside the joined arrays peaks above 2.2 times them
+    assert peak < 2 * (res.state_T.nbytes + res.flag.nbytes)
 
 
 @settings(max_examples=40, deadline=None)

@@ -146,6 +146,43 @@ def test_kernel_bound_bm(tmp_path):
     assert len(rows) == 23       # comment + header + 21 query points
 
 
+def test_kernel_bound_estimates_from_the_unflagged_states_alone(monkeypatch):
+    # one flagged path of 10,001 stays under the 1e-4 limit, and the estimate
+    # is the one of the other 10,000 states; with no path flagged, the
+    # density estimate reads the run's states in place
+    from sdem import kernel
+
+    real_run, real_kde = harness.run_ensemble, kernel.density_estimate
+    runs, samples = [], []
+
+    def run_flagging(*args, **kwargs):
+        res = real_run(*args, **kwargs)
+        res.flag[:flagged] = True
+        runs.append(res)
+        return res
+
+    def kde(sample, *args, **kwargs):
+        samples.append(sample)
+        return real_kde(sample, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_ensemble", run_flagging)
+    monkeypatch.setattr(kernel, "density_estimate", kde)
+    flagged = 1
+    cfg = _cfg(T=1.0, steps=8, paths=10_001, options={"query": [-2.0, 2.0, 5]})
+    out = run_command("kernel-bound", cfg)
+    states = runs[-1].state_T[1:]
+    h = kernel.silverman_bandwidth(states)
+    query = kernel.DensityQuery(1.0, np.asarray(cfg.x0, dtype=float),
+                                np.linspace(-2.0, 2.0, 5)[:, None], h)
+    dens, se = real_kde(states, query)
+    rows = [line.split(",") for line in out.files["kernel_bound.csv"].splitlines()[2:]]
+    assert out.payload["flagged"] == 1 and out.payload["bandwidth"] == h
+    assert [r[1:3] for r in rows] == [[repr(float(d)), repr(float(e))] for d, e in zip(dens, se)]
+    flagged = 0
+    run_command("kernel-bound", dataclasses.replace(cfg, paths=10_000))
+    assert np.shares_memory(samples[-1], runs[-1].state_T)
+
+
 def test_kernel_bound_takes_an_integral_float_query_count():
     # a count is an integer as grid.steps is: 21.0 is 21 (3.9, which is not 3,
     # is a row of test_study_dimensions_rejected_before_any_noise)

@@ -1,18 +1,17 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from sdem.fields import FieldError, builtin_field
-from sdem.flow import BrownianBatch, TimeGrid, run_ensemble
+from sdem.flow import BrownianBatch, TimeGrid, run_ensemble, unflagged
 from sdem.kernel import (_C1_GRID, _CHUNK, _EXP_FLOOR, _NOOP, _NOOP_ROOT,
                          _SE_MARGIN, _TILE, DensityQuery, _exp_floor, density_estimate,
                          density_floor, gaussian_bound, kernel_bound_fit,
                          silverman_bandwidth)
 from sdem.mollify import mollify_field
 
-from conftest import density_estimate_oracle
+from conftest import density_estimate_oracle, traced_peak
 
 
 def _bm_endpoints(paths, t=1.0, seed=21):
@@ -246,13 +245,8 @@ def test_exp_is_exactly_zero_from_the_floor_down():
 def test_density_estimate_works_in_a_small_workspace():
     pts = np.random.default_rng(6).standard_normal((300_000, 1))
     query = DensityQuery(1.0, [0.0], np.linspace(-4.0, 4.0, 21)[:, None], bandwidth=0.05)
-    tracemalloc.start()
-    try:
-        # two chunks on two workers: one tile workspace each
-        density_estimate(pts, query, workers=2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    # two chunks on two workers: one tile workspace each
+    _, peak = traced_peak(density_estimate, pts, query, workers=2)
     # one (rows, Q) matrix per 262,144-row chunk would peak near 126 MB
     assert peak <= 16 * 2 ** 20
     # the second chunk is a full tile and a short one, and its floor rises
@@ -330,7 +324,7 @@ def test_bound_constant_stable_across_smoothing_levels():
             grid = TimeGrid(t, max(1, round(t / 1e-3)))
             noise = BrownianBatch(seed=31, paths=20_000, grid=grid, m=1)
             res = run_ensemble(mollify_field(log, eps), [0.0], noise, workers=2)
-            samples = res.state_T[res.ok]
+            samples = unflagged(res.state_T, res.flag)
             q = np.linspace(-3, 3, 21)[:, None]
             query = DensityQuery(t, [0.0], q, bandwidth=silverman_bandwidth(samples))
             dens, se = density_estimate(samples, query)

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +10,8 @@ from scipy import integrate
 from sdem.fields import FieldError, VectorFieldSet, builtin_field
 from sdem.mollify import (MollifiedFieldSet, _eta, _grad_nodes, _kernel_nodes,
                           _mollifier_constant, _tensor_nodes, mollify_field, mollify_scalar)
-from conftest import ellipticity_margin, hoelder_estimate, scalar_drift_field, sup_error
+from conftest import (ellipticity_margin, hoelder_estimate, scalar_drift_field, sup_error,
+                      traced_peak)
 
 
 # frozen oracles, computed ahead of the build (the raw mass with 45-digit
@@ -426,12 +426,7 @@ def test_repeated_quadrature_reuses_its_workspaces(which):
     stack = len(_kernel_nodes(1, 0.1, fs.nodes)[0]) * len(x) * 8
     evaluate = getattr(fs, which)
     first = evaluate(1, x)
-    tracemalloc.start()
-    try:
-        again = evaluate(1, x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    again, peak = traced_peak(evaluate, 1, x)
     assert peak <= 2 * stack
     assert again.tobytes() == first.tobytes() and not np.shares_memory(again, first)
 
@@ -445,12 +440,7 @@ def test_the_levels_of_a_ladder_share_their_workspaces(which):
     getattr(mollify_field(raw, 0.1), which)(1, x)
     level = mollify_field(raw, 0.05)
     stack = len(_kernel_nodes(1, 0.05, level.nodes)[0]) * len(x) * 8
-    tracemalloc.start()
-    try:
-        getattr(level, which)(1, x)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(getattr(level, which), 1, x)
     assert peak <= 2 * stack
 
 
