@@ -9,7 +9,7 @@ path-space integration by parts identity.
 
 from .fields import (FieldError, DerivativeUnavailableError, VectorFieldSet, builtin_field,
                      g_function, condition_g_estimate, field_from_json)
-from .mollify import QuadratureError, MollifiedFieldSet, mollify_field, mollify_scalar
+from .mollify import MollifiedFieldSet, mollify_field
 from .flow import (BLOCK, TimeGrid, BrownianBatch, EnsembleResult, run_ensemble,
                    coupled_family, moment_sup, exp_g_functional)
 from .kernel import (DensityQuery, silverman_bandwidth,

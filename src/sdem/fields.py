@@ -80,8 +80,8 @@ class VectorFieldSet:
     reshapes x, so a custom field is written for batches alone.  Points
     from a caller are checked once, where they enter, by the rule of
     ``inputs``: the engine checks its start point with ``vector``, and
-    ``g_function`` and the function ``mollify_scalar`` returns check theirs
-    with ``points``.  ``n`` and ``m`` are read as counts.
+    ``g_function`` its points with ``points``.  ``n`` and ``m`` are read as
+    counts.
 
     The engine cuts a block of paths into row slices over its workers, so
     its outputs are byte-identical across worker counts when a row's value

@@ -18,7 +18,7 @@ Workers follow one rule (see `_run`): the unit of work is a contiguous
 range of a block's rows, a whole block or a slice of one.  ``workers`` is a
 count, 1 unless the caller gives another; no environment variable sets it.
 The units go over a pool of `workers` threads, and each unit's rows are
-copied into the run's outputs, in row order, as the unit comes back, so a
+copied into the run's outputs, in row order, as the unit is joined, so a
 run holds one copy of its per-path outputs.  Every evaluation and reduction
 the engine makes is row by row, the quadrature sum of a mollified field
 included, so outputs are byte-identical across worker counts.  So are
@@ -43,7 +43,7 @@ import numpy as np
 from .fields import VectorFieldSet, Workspace, g_sum
 from .inputs import COUNT, INDEX, NUMBER, POSITIVE, SEED, FieldError, read, vector
 from .mollify import mollify_field
-from .report import EstimatorReport, from_samples
+from .report import EmptySampleError, EstimatorReport, from_samples
 
 __all__ = [
     "BLOCK",
@@ -71,6 +71,9 @@ BLOCK = 16384
 # values in order, so consecutive tiles continue one stream and no increment
 # depends on TILE.
 TILE = 1 << 17
+# Units per worker a run keeps submitted and not yet joined: one running and
+# one queued, so a worker that finishes need not wait on the join.
+AHEAD = 2
 
 
 @dataclass(frozen=True)
@@ -308,7 +311,7 @@ class IntegratedG(Tracker):
 
 
 class PathRecorder(Tracker):
-    """Record full trajectories of a run (memory: paths x steps x (n + n^2))."""
+    """Record a run's trajectories: paths x (steps + 1) x (n, or n + n^2 with V)."""
 
     prefix = "paths"
 
@@ -447,13 +450,14 @@ def _run(runs, noise: BrownianBatch, trackers, workers):
     nb >= w, and its worker draws the block's noise.  When nb < w, the
     calling thread draws each block once and cuts it into
     min(ceil(w / nb), rows) contiguous, non-empty slices, each a unit.  The
-    units go over a pool of w threads; one worker makes no pool.  A failing
-    run raises the error of its first failing block, and a failing slice
-    re-runs its block whole to raise it, so the error is one worker's.
+    units go over a pool of w threads, at most AHEAD * w of them submitted
+    and not yet joined; one worker makes no pool.  A failing run raises the
+    error of its first failing block, and a failing slice re-runs its block
+    whole to raise it, so the error is one worker's.
 
     Each output, every run's states and carried V, the pooled flag and each
     extra, is allocated once from the first unit's shapes and dtypes.  The
-    units come back in row order, and each unit's rows are copied into them
+    units are joined in row order, and each unit's rows are copied into them
     and the unit dropped, so a run never holds its rows twice; the copy is
     the one `np.concatenate` of the units would make, byte for byte.
     Returns what `run_multi` does.
@@ -505,12 +509,19 @@ def _run(runs, noise: BrownianBatch, trackers, workers):
     def like(a):
         return np.empty((noise.paths,) + a.shape[1:], a.dtype)
 
+    def bounded(pool):
+        # take the next unit (and draw block b + 1 while block b's slices run), then join
+        pending = []
+        for item in units:
+            if len(pending) == AHEAD * w:
+                yield pending.pop(0).result()
+            pending.append(pool.submit(unit, item))
+        while pending:
+            yield pending.pop(0).result()
+
     lo = 0
     with ThreadPoolExecutor(max_workers=w) if w > 1 else nullcontext() as pool:
-        # the pool's map submits every unit before it waits, so the calling
-        # thread draws block b + 1 while the slices of block b run; both maps
-        # yield the units in row order and keep none they have yielded
-        for xis, Vs, flagged, unit_extras in (pool.map if pool else map)(unit, units):
+        for xis, Vs, flagged, unit_extras in (bounded(pool) if pool else map(unit, units)):
             if lo == 0:
                 states = [like(xi) for xi in xis]
                 jacs = [V if V is None else like(V) for V in Vs]
@@ -638,7 +649,7 @@ def moment_sup(ensemble: EnsembleResult, p: float) -> EstimatorReport:
         raise FieldError("ensemble was run without a JacSupNorm tracker")
     vals = unflagged(ensemble.extras["sup_jac"], ensemble.flag)
     if vals.size == 0:
-        raise FieldError("moment_sup: no unflagged paths")
+        raise EmptySampleError("moment_sup: no unflagged paths")
     return from_samples(vals ** p, excluded=ensemble.n_flagged)
 
 
@@ -653,7 +664,7 @@ def exp_g_functional(ensemble: EnsembleResult, q: float) -> EstimatorReport:
         raise FieldError("ensemble was run without an IntegratedG tracker")
     ints = unflagged(ensemble.extras["int_g"], ensemble.flag)
     if ints.size == 0:
-        raise FieldError("exp_g_functional: no unflagged paths")
+        raise EmptySampleError("exp_g_functional: no unflagged paths")
     with np.errstate(over="ignore"):
         vals = np.exp(6.0 * q * q * ints)
     return from_samples(vals, excluded=ensemble.n_flagged)

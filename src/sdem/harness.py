@@ -27,6 +27,7 @@ from .inputs import (COUNT, DIRECTORY, FLAG, NUMBER, NUMBERS, OBJECT, POINTS, PO
                      VECTOR, FieldError, Kind, enough, read, reject_unknown)
 from .malliavin import CameronMartinPath, gradient_routes, ibp_check
 from .mollify import mollify_field
+from .report import EmptySampleError
 
 __all__ = [
     "ExperimentConfig",
@@ -481,7 +482,14 @@ def run_command(name: str, cfg: ExperimentConfig) -> CommandResult:
         opts[key] = None if value is None else read(f"option {key!r}", value, kind, fields.n)
     if (eps := opts.get("mollify_eps")) is not None:
         fields = mollify_field(fields, eps)
-    result = study.run(cfg, fields, opts)
+    try:
+        result = study.run(cfg, fields, opts)
+    except EmptySampleError:
+        # an estimate found no unflagged path: every path was flagged
+        label = name.replace("-", "_")
+        payload = {"config_fingerprint": cfg.fingerprint, "flagged": cfg.paths}
+        result = CommandResult(label, False, _flagged_failures(label, cfg.paths, cfg.paths),
+                               payload, {f"{label}.json": _json_text(payload)})
     if cfg.out:
         result.write(cfg.out)
     return result

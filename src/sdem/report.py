@@ -12,6 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .inputs import FieldError
+
+
+class EmptySampleError(FieldError):
+    """An estimate was asked of no samples: every path of its run was flagged."""
+
 
 @dataclass(frozen=True)
 class EstimatorReport:
@@ -51,7 +57,7 @@ def from_samples(values, excluded: int = 0) -> EstimatorReport:
     values = np.asarray(values, dtype=float)
     n = values.size
     if n == 0:
-        raise ValueError("cannot build a report from an empty sample")
+        raise EmptySampleError("cannot build a report from an empty sample")
     est = float(values.mean())
     se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 and math.isfinite(est) else math.inf
     return EstimatorReport(est, se, n, excluded=excluded,

@@ -10,6 +10,7 @@ from sdem.flow import BrownianBatch, JacSupNorm, TimeGrid, run_ensemble, run_mul
 from sdem.inputs import NUMBER, points, read
 from sdem.kernel import _CHUNK
 from sdem.malliavin import CameronMartinPath, DivergenceWeight, bismut_gradient
+from sdem.mollify import mollify_field
 
 
 def scalar_drift_field(f, df=None, name="scalar"):
@@ -25,6 +26,22 @@ def scalar_drift_field(f, df=None, name="scalar"):
             return v.reshape(-1, 1, 1)
 
     return VectorFieldSet(1, 1, A, DA, name=name)
+
+
+def mollified_scalar(f, eps, n=1, nodes=16):
+    """A scalar field on R^n, f mapping an (N, n) batch to (N,) values,
+    smoothed at scale eps: `mollify_field` of a zero-drift field set with
+    one noise, whose A(1) carries f in its first column, read back as (N,)
+    values."""
+
+    def A(l, x):
+        out = np.zeros_like(x)
+        if l == 1:
+            out[:, 0] = f(x)
+        return out
+
+    smoothed = mollify_field(VectorFieldSet(n, 1, A, name="scalar", zero_drift=True), eps, nodes)
+    return lambda x: smoothed.A(1, x)[:, 0]
 
 
 def counting(fs):

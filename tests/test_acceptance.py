@@ -15,8 +15,8 @@ from sdem.flow import BrownianBatch, PathRecorder, TimeGrid, run_ensemble
 from sdem.harness import ExperimentConfig, run_command
 from sdem.malliavin import (CameronMartinPath, gradient_routes, ibp_check,
                             right_inverse)
-from sdem.mollify import mollify_field, mollify_scalar
-from conftest import engine_inputs
+from sdem.mollify import mollify_field
+from conftest import engine_inputs, mollified_scalar
 
 WORKERS = 4
 
@@ -103,7 +103,7 @@ def test_ac4_mollifier_regularity():
     pts = grid.reshape(-1, 1)
     details = []
     for eps in (0.1, 0.01):
-        fe = mollify_scalar(f, eps)
+        fe = mollified_scalar(f, eps)
         vals = fe(pts)
         base = f(pts)
         sup = float(np.max(np.abs(vals - base)))

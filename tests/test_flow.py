@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -15,9 +16,9 @@ from sdem.fields import DerivativeUnavailableError, FieldError, builtin_field
 from sdem.malliavin import (CameronMartinPath, DivergenceWeight, _DirectionRecorder,
                             divergence, gradient_routes, ibp_check)
 from sdem.mollify import mollify_field
-from sdem.flow import (BLOCK, TILE, BrownianBatch, IntegratedG, JacSupNorm, PathRecorder,
-                       TimeGrid, Tracker, mm, _PairSup, coupled_family, exp_g_functional,
-                       moment_sup, run_ensemble, run_multi)
+from sdem.flow import (AHEAD, BLOCK, TILE, BrownianBatch, IntegratedG, JacSupNorm,
+                       PathRecorder, TimeGrid, Tracker, mm, _PairSup, coupled_family,
+                       exp_g_functional, moment_sup, run_ensemble, run_multi)
 from conftest import counting, scalar_drift_field, spatial_derivative_check, traced_peak
 
 
@@ -130,9 +131,19 @@ def test_a_block_is_read_as_an_index_before_any_draw(monkeypatch):
     assert noise.block_increments(np.int64(1)).tobytes() == one.tobytes()
 
 
+class _LateFirstBlock(BrownianBatch):
+    """Noise whose block 0 is drawn late, so every later unit a run lets
+    ahead of its join finishes before the first unit is joined."""
+
+    def block_increments(self, b, out=None):
+        if b == 0:
+            time.sleep(0.1)
+        return super().block_increments(b, out=out)
+
+
 def test_the_engine_holds_one_copy_of_a_run_s_outputs():
-    # each unit's rows are copied into the run's arrays as the unit comes
-    # back, so no run holds every block's rows beside the joined arrays.
+    # each unit's rows are copied into the run's arrays as the unit is
+    # joined, so no run holds every block's rows beside the joined arrays.
     # One worker, so no unit finishes before the one ahead of it is joined
     fs = builtin_field("bm", n=1)
     noise = BrownianBatch(seed=5, paths=8 * BLOCK, grid=TimeGrid(1.0, 2), m=1)
@@ -141,6 +152,19 @@ def test_the_engine_holds_one_copy_of_a_run_s_outputs():
     res, peak = traced_peak(run_ensemble, fs, [0.0], noise)
     # holding every block beside the joined arrays peaks above 2.2 times them
     assert peak < 2 * (res.state_T.nbytes + res.flag.nbytes)
+    # at w workers at most AHEAD * w units are submitted and not joined, and
+    # the loop holds the unit joined last; each holds at most what the one
+    # unit in flight adds at one worker.  Block 0 comes late, so a run that
+    # submits every unit at once holds all 63 others when it joins block 0
+    noise = _LateFirstBlock(seed=5, paths=64 * BLOCK, grid=TimeGrid(1.0, 2), m=1)
+    peaks = {}
+    for workers in (1, 2, 3):
+        run_ensemble(fs, [0.0], noise, workers=workers)
+        res, peaks[workers] = traced_peak(run_ensemble, fs, [0.0], noise, workers=workers)
+    outputs = res.state_T.nbytes + res.flag.nbytes
+    unit = peaks[1] - outputs
+    for workers in (2, 3):
+        assert peaks[workers] < outputs + (AHEAD * workers + 1) * unit, workers
 
 
 @settings(max_examples=40, deadline=None)

@@ -727,6 +727,24 @@ def test_kernel_bound_fails_on_the_flagged_fraction(monkeypatch):
     assert any("flagged fraction 5.00e-04" in f for f in res.failures), res.failures
 
 
+@pytest.mark.parametrize("name", ["converge-flow", "converge-derivative", "gradient",
+                                  "kernel-bound", "ibp", "moment"])
+def test_a_study_whose_every_path_is_flagged_fails(name, tmp_path, capsys):
+    # a rate of 1e300 overflows every path at its first step, so no estimate
+    # has a sample: the study fails on its flagged fraction, exit code 1
+    cfg = _cfg(field_spec={"name": "ou", "params": {"lam": 1e300}}, eps=(0.2, 0.1), T=0.5,
+               paths=10_000)
+    label = name.replace("-", "_")
+    res = run_command(name, cfg)
+    assert not res.ok and res.payload["flagged"] == 10_000
+    assert res.failures == [f"{label}: flagged fraction 1.00e+00 >= 1e-4"]
+    assert list(res.files) == [f"{label}.json"]
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    assert main([name, "--config", str(cfg_path)]) == 1
+    assert f"check failed: {label}: flagged fraction" in capsys.readouterr().err
+
+
 def test_flagged_fraction_counts_every_path_run(monkeypatch):
     # the limit is flagged paths over all paths run, in every study: one
     # flagged path of 10,001 stays below 1e-4, one of 10,000 reaches it

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -9,9 +10,9 @@ from scipy import integrate
 
 from sdem.fields import FieldError, VectorFieldSet, builtin_field
 from sdem.mollify import (MollifiedFieldSet, _eta, _grad_nodes, _kernel_nodes,
-                          _mollifier_constant, _tensor_nodes, mollify_field, mollify_scalar)
-from conftest import (ellipticity_margin, hoelder_estimate, scalar_drift_field, sup_error,
-                      traced_peak)
+                          _mollifier_constant, _tensor_nodes, mollify_field)
+from conftest import (ellipticity_margin, hoelder_estimate, mollified_scalar,
+                      scalar_drift_field, sup_error, traced_peak)
 
 
 # frozen oracles, computed ahead of the build (the raw mass with 45-digit
@@ -87,7 +88,7 @@ def test_constant_field_is_fixed_point():
     scalar = lambda p: np.full(p.shape[:-1], -2.5)
     for eps in (0.3, 0.2, 0.1, 0.05, 0.025):
         mf_shift, mf_ou, mf_no_da = (mollify_field(fs, eps) for fs in (shift, ou, no_da))
-        fe = mollify_scalar(scalar, eps)
+        fe = mollified_scalar(scalar, eps)
         assert mf_shift.A(0, np.array([[1.3]]))[0, 0] == 0.7
         assert mf_shift.A(1, np.array([[-2.0]]))[0, 0] == 2.0
         assert fe(np.array([[0.4]]))[0] == -2.5
@@ -108,10 +109,8 @@ def test_a_row_has_the_same_bytes_alone_and_in_any_batch():
     # row alone, and the engine may cut a batch of paths anywhere
     fs = builtin_field("log_example", beta=1.0)
     weak, grad = mollify_field(fs, 0.1), mollify_field(dataclasses.replace(fs, DA=None), 0.1)
-    scalar = mollify_scalar(lambda p: fs.A(1, p)[:, 0], 0.1)
     xs = np.random.default_rng(11).uniform(-1.5, 1.5, (5000, 1))
-    for name, evaluate in (("A", weak.A), ("weak DA", weak.DA), ("kernel-gradient DA", grad.DA),
-                           ("mollify_scalar", lambda l, x: scalar(x))):
+    for name, evaluate in (("A", weak.A), ("weak DA", weak.DA), ("kernel-gradient DA", grad.DA)):
         whole = evaluate(1, xs)
         for lo in range(0, len(xs), 7):
             lo = min(lo, len(xs) - 7)
@@ -148,6 +147,26 @@ def test_a_node_is_kept_when_its_weight_can_reach_the_sum(n, nodes, value, gradi
     assert kw_kept[r] == kw.max()
     kept, _, r = _grad_nodes(n, eps, nodes)
     assert np.sum(kept[r] ** 2) == np.min(np.sum(offsets ** 2, axis=1))
+
+
+def test_the_node_tables_are_read_only():
+    # the tables are cached, so a write into one would change every later
+    # mollified value in the process; each write puts back the value it
+    # found, so a table that takes it is left as it was
+    for table in (_tensor_nodes(2, 0.1, 16), _kernel_nodes(2, 0.1, 16), _grad_nodes(2, 0.1, 16)):
+        for a in table:
+            if isinstance(a, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    a.flat[0] = a.flat[0]
+
+
+@pytest.mark.parametrize("n, nodes", [*itertools.product((1, 2, 3, 4), (8, 9, 10, 12, 16)),
+                                      (5, 8), (5, 9), (5, 10)])
+def test_the_raw_kernel_mass_is_near_one(n, nodes):
+    # the mass the grid gives the kernel before its normalization, the
+    # range `_tensor_nodes` asserts
+    offsets, _, raw = _tensor_nodes(n, 1.0, nodes)
+    assert 0.997 <= math.fsum(raw * _eta(offsets)[0]) <= 1.007
 
 
 def test_linear_field_is_fixed_point():
@@ -190,21 +209,21 @@ def test_abs_value_at_origin_scales_like_eps():
     f = lambda p: np.abs(p[..., 0])
     for eps in (0.2, 0.05):
         # default GL-16 carries ~0.8% relative error across the kink
-        fe = mollify_scalar(f, eps)
+        fe = mollified_scalar(f, eps)
         assert fe(np.array([[0.0]]))[0] == pytest.approx(ABS_MOMENT_1D * eps, rel=1e-2)
     # the finer rule should approach the oracle
-    fe = mollify_scalar(f, 0.1, nodes=96)
+    fe = mollified_scalar(f, 0.1, nodes=96)
     assert fe(np.array([[0.0]]))[0] == pytest.approx(ABS_MOMENT_1D * 0.1, rel=5e-4)
 
 
 def test_sup_error_cases():
     grid = np.linspace(-1, 1, 501).reshape(-1, 1)
     const = lambda p: np.full(p.shape[:-1], 2.5)
-    assert sup_error(const, mollify_scalar(const, 0.1), grid) < 1e-15
+    assert sup_error(const, mollified_scalar(const, 0.1), grid) < 1e-15
     ident = lambda p: p[..., 0]
-    assert sup_error(ident, mollify_scalar(ident, 0.1), grid) < 1e-13
+    assert sup_error(ident, mollified_scalar(ident, 0.1), grid) < 1e-13
     sq = lambda p: np.sqrt(np.abs(p[..., 0]))
-    assert sup_error(sq, mollify_scalar(sq, 0.01), grid) <= 0.1 + 1e-6
+    assert sup_error(sq, mollified_scalar(sq, 0.01), grid) <= 0.1 + 1e-6
 
 
 def test_sup_error_empty_grid():
@@ -281,7 +300,7 @@ def test_local_l2_convergence_for_sqrt():
     pts = grid.reshape(-1, 1)
     errs = []
     for eps in (0.2, 0.1, 0.05):
-        fe = mollify_scalar(f, eps)
+        fe = mollified_scalar(f, eps)
         diff = (fe(pts) - f(pts)) ** 2
         errs.append(np.trapezoid(diff, grid))
     assert errs[0] > errs[1] > errs[2]
@@ -300,13 +319,13 @@ def test_quadspec_preconditions():
     fs = builtin_field("bm", n=1)
     ident = lambda p: p[..., 0]
     for call, name in ((lambda: mollify_field(fs, -0.1), "eps"),
-                       (lambda: mollify_scalar(ident, -0.1), "eps"),
+                       (lambda: mollified_scalar(ident, -0.1), "eps"),
                        (lambda: mollify_field(fs, math.nan), "eps"),
                        (lambda: mollify_field(fs, math.inf), "eps"),
-                       (lambda: mollify_scalar(ident, math.nan), "eps"),
-                       (lambda: mollify_scalar(ident, math.inf), "eps"),
+                       (lambda: mollified_scalar(ident, math.nan), "eps"),
+                       (lambda: mollified_scalar(ident, math.inf), "eps"),
                        (lambda: mollify_field(fs, 0.1, nodes=4), "nodes"),
-                       (lambda: mollify_scalar(ident, 0.1, nodes=7), "nodes")):
+                       (lambda: mollified_scalar(ident, 0.1, nodes=7), "nodes")):
         with pytest.raises(FieldError, match=name):
             call()
 
