@@ -365,7 +365,9 @@ def condition_g_estimate(fs: VectorFieldSet, sigma: float, T0: float, x,
     replicates draws an independent batch of ``samples`` and one of
     ``2 * samples`` points; the flag is set when any replicate grows by more
     than ``growth_ratio``.  A single doubling has roughly coin-flip power
-    against borderline non-integrable cases, hence the replication.
+    against borderline non-integrable cases, hence the replication.  A
+    replicate whose batch means overflow has no finite ratio; it counts as
+    diverging, and ``growth_ratio`` reports inf.
     ``samples`` below MIN_SAMPLES raises, after the other arguments are read.
     """
     sigma = read("condition_g_estimate: sigma", sigma, POSITIVE)
@@ -391,11 +393,15 @@ def condition_g_estimate(fs: VectorFieldSet, sigma: float, T0: float, x,
         rng = np.random.default_rng(ss)
         small = one_batch(rng, samples)
         big = one_batch(rng, 2 * samples)
-        ratio = float(big.mean() / small.mean())
-        worst = max(worst, ratio)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = float(big.mean() / small.mean())
+        # an overflowed batch makes the ratio inf, or inf / inf = nan, which
+        # max() would pass over: either is a replicate that diverges
+        worst = max(worst, ratio if math.isfinite(ratio) else math.inf)
         all_vals.append(small)
         all_vals.append(big)
     pooled = np.concatenate(all_vals)
-    est = scale * float(pooled.mean())
-    se = scale * float(pooled.std(ddof=1) / math.sqrt(pooled.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = scale * float(pooled.mean())
+        se = scale * float(pooled.std(ddof=1) / math.sqrt(pooled.size))
     return ConditionGResult(est, bool(worst > growth_ratio), worst, se, int(pooled.size))

@@ -15,24 +15,30 @@ numbers), turning pathwise differences into direct measurements of the
 smoothing error rather than of the noise.
 
 Workers follow one rule (see `_run`): the unit of work is a contiguous
-range of a block's rows, a whole block or a slice of one.  ``workers`` is a
-count, 1 unless the caller gives another; no environment variable sets it.
-The units go over a pool of `workers` threads, and each unit's rows are
-copied into the run's outputs, in row order, as the unit is joined, so a
-run holds one copy of its per-path outputs.  Every evaluation and reduction
-the engine makes is row by row, the quadrature sum of a mollified field
-included, so outputs are byte-identical across worker counts.  So are
-errors: a run that fails raises the error one worker would raise.
+range of a block's rows, a whole block or a slice of one, and it holds at
+most UNIT increments.  A longer block runs in row slices, each drawn just
+before it runs and continuing the block's stream, so no increment depends
+on the cut.  ``workers`` is a count, 1 unless the caller gives another; no
+environment variable sets it.  The units go over a pool of `workers`
+threads, and each unit's rows are copied into the run's outputs, in row
+order, as the unit is joined, so a run holds one copy of its per-path
+outputs.  Every evaluation and reduction the engine makes is row by row,
+the quadrature sum of a mollified field included, so outputs are
+byte-identical across worker counts.  So are errors: a run that fails
+raises the error one worker would raise.
 
-A block's increments are stored step-major, so the step-k slice dW[:, k, :]
-that every Euler step and tracker reads is one contiguous run of memory
-(see `BrownianBatch.block_increments`).
+A unit evaluates the coefficient rows that a declaration makes constant
+once, and shares them, read-only, across its steps (see `_coefficients`).
+Its increments are stored step-major, so the step-k slice dW[:, k, :] that
+every Euler step and tracker reads is one contiguous run of memory (see
+`BrownianBatch.block_increments`).
 """
 
 from __future__ import annotations
 
 import copy
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -74,6 +80,14 @@ TILE = 1 << 17
 # Units per worker a run keeps submitted and not yet joined: one running and
 # one queued, so a worker that finishes need not wait on the join.
 AHEAD = 2
+# Increments a unit of work holds at most, 32 MiB: a block of more values is
+# cut into row slices of at most UNIT values each (one row when a row alone
+# has more), and each slice is drawn just before it runs.
+UNIT = 1 << 22
+
+# The stream each thread drew from last, with the block it is keyed by and
+# the values it has given: a draw of the rows that follow continues it.
+_held = threading.local()
 
 
 @dataclass(frozen=True)
@@ -105,9 +119,10 @@ class BrownianBatch:
     path i never depend on the total number of paths requested.
 
     The draw is path-major, in tiles of about TILE values, but a block's
-    increments are stored step-major (see `block_increments`), since the engine reads
-    them one step at a time.  A block must fit in an array that numpy can
-    index; a grid too long for that is rejected here, before any draw.
+    increments are stored step-major (see `block_increments`), since the
+    engine reads them one step at a time; a range of a block's rows can be
+    drawn alone.  A block must fit in an array that numpy can index; a grid
+    too long for that is rejected here, before any draw.
     """
 
     seed: int
@@ -134,60 +149,108 @@ class BrownianBatch:
         lo = read("BrownianBatch: block", b, INDEX, self.n_blocks) * BLOCK
         return slice(lo, min(lo + BLOCK, self.paths))
 
-    def block_increments(self, b: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Increments dW for block b, shape (block_paths, steps, m).
+    def block_increments(self, b: int, rows: Optional[slice] = None,
+                         out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Increments dW for the paths ``rows`` of block b, shape (R, steps, m).
 
-        The result is a transposed view of a C-ordered (steps, block_paths, m)
-        array, so dW[:, k, :] is contiguous.  That array is fresh, or, given
-        ``out``, a float64 (steps, R, m) array with R >= block_paths, the
-        leading block_paths columns of ``out``; the view is then valid until
-        ``out`` is written again.  Each tile of TILE // (steps * m) paths
-        (at least one) is drawn into one reused path-major buffer and scaled
-        by sqrt(dt) straight into the step-major layout; each value is the
-        same product as in a whole-block draw, so the increments are bit for
-        bit the same.  A b outside range(n_blocks) is refused before any draw.
+        ``rows`` is a non-empty slice of range(block_paths), with no step;
+        by default every path of the block.  The result depends on (seed,
+        b, rows) alone: the draw continues the stream this thread drew from
+        last when ``rows`` starts where that draw ended in block b, and
+        otherwise restarts the block's stream and draws and drops the rows
+        before ``rows``.  A block drawn slice after slice in row order is
+        so drawn once.
+
+        The result is a transposed view of a C-ordered (steps, R, m) array,
+        so dW[:, k, :] is contiguous.  That array is fresh, or, given
+        ``out``, a float64 (steps, R', m) array with R' >= R, the leading R
+        columns of ``out``; the view is then valid until ``out`` is written
+        again.  Each tile of TILE // (steps * m) paths (at least one) is
+        drawn into one reused path-major buffer and scaled by sqrt(dt)
+        straight into the step-major layout; each value is the same product
+        as in a whole-block draw, so the increments are bit for bit the
+        same.  A b outside range(n_blocks), or bad ``rows``, is refused
+        before any draw.
         """
         b = read("BrownianBatch: block", b, INDEX, self.n_blocks)
         sl = self.block_slice(b)
-        rows, steps, m = sl.stop - sl.start, self.grid.steps, self.m
+        size = sl.stop - sl.start
+        rows = slice(0, size) if rows is None else rows
+        if not (isinstance(rows, slice) and rows.step is None
+                and all(isinstance(e, (int, np.integer)) for e in (rows.start, rows.stop))
+                and 0 <= rows.start < rows.stop <= size):
+            raise FieldError(f"block_increments: rows must be a non-empty slice of "
+                             f"range({size}) without a step, got {rows!r}")
+        lo, hi = int(rows.start), int(rows.stop)
+        n, steps, m = hi - lo, self.grid.steps, self.m
         if out is None:
-            out = np.empty((steps, rows, m))
+            out = np.empty((steps, n, m))
         elif (out.dtype != np.float64 or out.ndim != 3
-              or out.shape[0] != steps or out.shape[1] < rows or out.shape[2] != m):
-            raise FieldError(f"block_increments: out must be a float64 ({steps}, >= {rows}, {m}) "
+              or out.shape[0] != steps or out.shape[1] < n or out.shape[2] != m):
+            raise FieldError(f"block_increments: out must be a float64 ({steps}, >= {n}, {m}) "
                              f"array, got {out.dtype} {out.shape}")
-        dW = out[:, :rows]
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=self.seed, spawn_key=(b,)))
+        dW = out[:, :n]
         per = max(1, TILE // (steps * m))
-        tile = np.empty((min(per, rows), steps, m))
+        tile = np.empty((min(per, n), steps, m))
+        stream, held = (self.seed, b), getattr(_held, "draw", None)
+        # a draw that stops part way leaves no stream to continue
+        _held.draw = None
+        if held is not None and held[:2] == (stream, lo * steps * m):
+            rng = held[2]
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=self.seed, spawn_key=(b,)))
+            dropped = np.empty((min(per, lo), steps, m))
+            for i in range(0, lo, per):
+                rng.standard_normal(out=dropped[:min(per, lo - i)])
         scale = math.sqrt(self.grid.dt)
-        for lo in range(0, rows, per):
-            z = tile[:min(per, rows - lo)]
+        for i in range(0, n, per):
+            z = tile[:min(per, n - i)]
             rng.standard_normal(out=z)
-            np.multiply(z.transpose(1, 0, 2), scale, out=dW[:, lo:lo + len(z)])
+            np.multiply(z.transpose(1, 0, 2), scale, out=dW[:, i:i + len(z)])
+        _held.draw = (stream, hi * steps * m, rng)
         return dW.transpose(1, 0, 2)
 
 
-def _coefficients(fields, xi, carries_v):
+def _constant_rows(fields, n, carries_v):
+    """The coefficient rows a declaration makes the same at every point,
+    evaluated once at the origin and made read-only: the (1, n) rows
+    A(1..m) of a declared constant diffusion, else None, and the (1, n, n)
+    row DA(0) of a declared affine drift in a run that carries V, else
+    None."""
+    origin = np.zeros((1, n))
+
+    def row(f, l, shape):
+        a = np.asarray(f(l, origin)).reshape(shape)
+        a.flags.writeable = False
+        return a
+
+    A = ([row(fields.A, l, (1, n)) for l in range(1, fields.m + 1)]
+         if fields.constant_diffusion else None)
+    DA0 = (row(fields.DA, 0, (1, n, n))
+           if carries_v and fields.affine_drift and not fields.zero_drift else None)
+    return A, DA0
+
+
+def _coefficients(fields, xi, carries_v, const):
     """A(0..m) at xi as (B, n) arrays, and DA(0..m) as (B, n, n), or None
     when the run does not carry V.
 
-    A declared zero drift is not evaluated: its A(0) and DA(0) are None.
-    A declared constant diffusion is evaluated at the origin alone: each
-    A(l >= 1) is one (1, n) row that broadcasts over the block, and each
-    DA(l >= 1) is None.  A one-path block also has (1, n) rows, so a None
-    DA(l), never a row count, is what marks a constant diffusion.  A
-    declared affine drift has its DA(0) evaluated at the origin alone, as
-    one (1, n, n) row."""
+    ``const`` is the run's `_constant_rows`: a unit evaluates them once and
+    shares them, read-only, across its steps.  A declared zero drift is not
+    evaluated: its A(0) and DA(0) are None.  A declared constant diffusion
+    is not evaluated at xi: each A(l >= 1) is its (1, n) row, which
+    broadcasts over the block, and each DA(l >= 1) is None.  A one-path
+    block also has (1, n) rows, so a None DA(l), never a row count, is what
+    marks a constant diffusion.  A declared affine drift's DA(0) is its
+    (1, n, n) row."""
     B, n = xi.shape
-    origin = np.zeros((1, n))
-    pts = origin if fields.constant_diffusion else xi
+    rows, DA0 = const
     A = [None if fields.zero_drift else np.asarray(fields.A(0, xi)).reshape(B, n)]
-    A += [np.asarray(fields.A(l, pts)).reshape(len(pts), n) for l in range(1, fields.m + 1)]
+    A += rows or [np.asarray(fields.A(l, xi)).reshape(B, n) for l in range(1, fields.m + 1)]
     if not carries_v:
         return A, None
-    at = origin if fields.affine_drift else xi
-    DA = [None if fields.zero_drift else np.asarray(fields.DA(0, at)).reshape(len(at), n, n)]
+    DA = [DA0 if fields.zero_drift or fields.affine_drift
+          else np.asarray(fields.DA(0, xi)).reshape(B, n, n)]
     DA += [None if fields.constant_diffusion else np.asarray(fields.DA(l, xi)).reshape(B, n, n)
            for l in range(1, fields.m + 1)]
     return A, DA
@@ -236,7 +299,9 @@ def _euler_step(xi, V, coef, dWk, dt):
 # xis[r] from _coefficients, which the Euler update then uses too, so no
 # tracker evaluates a field.  A declared constant diffusion arrives as (1, n)
 # rows A(l >= 1) with None DA(l >= 1); a declared zero drift as None A(0) and
-# DA(0); a declared affine drift as a (1, n, n) row DA(0).  Vs[r] is (B, n, n)
+# DA(0); a declared affine drift as a (1, n, n) row DA(0).  Those rows are
+# evaluated once per unit and shared by its steps, so they are read-only: a
+# tracker that writes into one raises ValueError.  Vs[r] is (B, n, n)
 # or, while every path shares it, one (1, n, n) row; a tracker broadcasts it
 # and never reads its row count.  After the final step comes one more call,
 # `step(steps, xis, Vs, None, dt, None)`; Ito sums return at once when dWk is
@@ -372,11 +437,13 @@ def _simulate_block(runs, dt, dW, trackers):
     """Integrate rows of lockstep runs on their increments dW (B, steps, m),
     a block or a slice of one, in steps of dt from (fields, x0, carries_v).
 
-    Each step evaluates every run's coefficients once, steps the trackers on
-    the pre-update states and those coefficients, then takes the Euler
-    updates.  A row's arithmetic depends on that row alone, so a slice's
-    result is the same rows of its block's result.  A carried V starts as
-    one identity row and is broadcast to B rows before it is returned.
+    The rows a declaration makes constant are evaluated once, here, and
+    shared by every step.  Each step evaluates every run's other
+    coefficients once, steps the trackers on the pre-update states and
+    those coefficients, then takes the Euler updates.  A row's arithmetic
+    depends on that row alone, so a slice's result is the same rows of its
+    block's result.  A carried V starts as one identity row and is
+    broadcast to B rows before it is returned.
 
     A row is flagged when any run's final state or carried V, or any extra a
     tracker returns for it, has a non-finite entry.  That is the same as
@@ -389,13 +456,14 @@ def _simulate_block(runs, dt, dW, trackers):
     B, steps = dW.shape[:2]
     xis = [np.tile(x0, (B, 1)) for _, x0, _ in runs]
     Vs = [np.eye(len(x0))[None] if carries_v else None for _, x0, carries_v in runs]
+    consts = [_constant_rows(fields, len(x0), carries_v) for fields, x0, carries_v in runs]
     accs = [t.make(B) for t in trackers]
     # errstate is per thread, so each unit sets its own
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             dWk = dW[:, k, :]
-            coefs = [_coefficients(fields, xi, V is not None)
-                     for (fields, _, _), xi, V in zip(runs, xis, Vs)]
+            coefs = [_coefficients(fields, xi, carries_v, const)
+                     for (fields, _, carries_v), xi, const in zip(runs, xis, consts)]
             for acc in accs:
                 acc.step(k, xis, Vs, dWk, dt, coefs)
             for r, coef in enumerate(coefs):
@@ -446,14 +514,19 @@ def _run(runs, noise: BrownianBatch, trackers, workers):
     """Simulate every block of lockstep runs in units of rows.  Run r
     carries V when a tracker that reads V names r.
 
-    With nb blocks and w workers, a unit is a whole block when
-    nb >= w, and its worker draws the block's noise.  When nb < w, the
-    calling thread draws each block once and cuts it into
-    min(ceil(w / nb), rows) contiguous, non-empty slices, each a unit.  The
-    units go over a pool of w threads, at most AHEAD * w of them submitted
-    and not yet joined; one worker makes no pool.  A failing run raises the
-    error of its first failing block, and a failing slice re-runs its block
-    whole to raise it, so the error is one worker's.
+    With nb blocks and w workers, a block of R rows and more than UNIT
+    values is cut into ceil(R / (UNIT // (steps * m))) equal, contiguous
+    row slices, so that none holds more than UNIT values (or one row, if a
+    row alone has more); when nb < w it is cut into at least ceil(w / nb)
+    slices; never into more than R.  The slices are drawn in row order,
+    each just before it runs, and continue the block's stream.  When
+    nb >= w each block is a task, and its worker draws and runs its slices
+    in turn in one buffer of its own.  When nb < w each slice is a task,
+    which the calling thread draws as it submits it.  The tasks go over a
+    pool of w threads, at most AHEAD * w of them submitted and not yet
+    joined; one worker makes no pool.  A failing run raises the error of
+    its first failing block, and a failing slice re-runs its block whole to
+    raise it, so the error is the same at every worker count.
 
     Each output, every run's states and carried V, the pooled flag and each
     extra, is allocated once from the first unit's shapes and dtypes.  The
@@ -478,39 +551,51 @@ def _run(runs, noise: BrownianBatch, trackers, workers):
     runs = [(fields, _start_point(fields, x0, noise, r in carried), r in carried)
             for r, (fields, x0) in enumerate(runs)]
     w, nb = read("workers", workers, COUNT), noise.n_blocks
-    # when blocks are the units, each worker draws every block into its own
-    # step-major buffer, sized for the largest block and freed with the run
+    steps, m = noise.grid.steps, noise.m
+    # a worker that runs whole blocks draws each slice into its own
+    # step-major buffer, sized for the largest slice and freed with the run
     ws = Workspace()
-    shape = (noise.grid.steps, min(BLOCK, noise.paths), noise.m)
 
-    def simulate(dW):
-        return _simulate_block(runs, noise.grid.dt, dW, trackers)
+    def cut(b):
+        """Block b's row slices: at most UNIT values each, and at least
+        ceil(w / nb) of them, never more than its rows."""
+        sl = noise.block_slice(b)
+        rows = sl.stop - sl.start
+        k = min(rows, max(-(-rows // max(1, UNIT // (steps * m))), -(-w // nb)))
+        edges = [j * (rows // k) + min(j, rows % k) for j in range(k + 1)]
+        return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
-    def block(b):
-        return simulate(noise.block_increments(b, out=ws.array("dW", shape)))
-
-    def slices():
-        for b in range(nb):
-            dW = noise.block_increments(b)
-            yield from ((dW, rows) for rows in np.array_split(dW, min(-(-w // nb), len(dW))))
-
-    def cut(item):
-        dW, rows = item
+    def simulate(b, dW):
         try:
-            return simulate(rows)
+            return _simulate_block(runs, noise.grid.dt, dW, trackers)
         except Exception:
-            # another slice's rows may fail at an earlier step: the block
-            # run whole raises the error that one worker would
-            simulate(dW)
+            sl = noise.block_slice(b)
+            if len(dW) < sl.stop - sl.start:
+                # another slice's rows may fail at an earlier step: the
+                # block run whole raises the error it raises unsliced
+                _simulate_block(runs, noise.grid.dt, noise.block_increments(b), trackers)
             raise
 
-    unit, units = (block, range(nb)) if nb >= w else (cut, slices())
+    def block(b):
+        return [simulate(b, noise.block_increments(
+                    b, rows=rows, out=ws.array("dW", (steps, rows.stop - rows.start, m))))
+                for rows in cut(b)]
+
+    def slices():
+        # the calling thread draws each slice just before it is submitted
+        for b in range(nb):
+            yield from ((b, noise.block_increments(b, rows=rows)) for rows in cut(b))
+
+    def piece(item):
+        return [simulate(*item)]
+
+    unit, units = (block, range(nb)) if nb >= w else (piece, slices())
 
     def like(a):
         return np.empty((noise.paths,) + a.shape[1:], a.dtype)
 
     def bounded(pool):
-        # take the next unit (and draw block b + 1 while block b's slices run), then join
+        # take the next unit (and draw the next slice while others run), then join
         pending = []
         for item in units:
             if len(pending) == AHEAD * w:
@@ -521,7 +606,8 @@ def _run(runs, noise: BrownianBatch, trackers, workers):
 
     lo = 0
     with ThreadPoolExecutor(max_workers=w) if w > 1 else nullcontext() as pool:
-        for xis, Vs, flagged, unit_extras in (bounded(pool) if pool else map(unit, units)):
+        parts = (part for done in (bounded(pool) if pool else map(unit, units)) for part in done)
+        for xis, Vs, flagged, unit_extras in parts:
             if lo == 0:
                 states = [like(xi) for xi in xis]
                 jacs = [V if V is None else like(V) for V in Vs]

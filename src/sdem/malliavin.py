@@ -155,9 +155,9 @@ class DivergenceWeight(Tracker):
     h_k = sum_{j<k} hdot_j dt.
 
     Under a declared constant diffusion (DA(l >= 1) is None) the (1, m, n)
-    right inverse is computed once per block and broadcast.  h starts as one
-    zero row and stays one row while every hdot is: a constant direction's
-    rate is its one (1, n) row.  ``finish`` broadcasts h to every path.
+    right inverse is computed once per unit of work and broadcast.  h starts
+    as one zero row and stays one row while every hdot is: a constant
+    direction's rate is its one (1, n) row.  ``finish`` broadcasts h to every path.
     Each entry is the same product either way.
     """
 
@@ -172,9 +172,10 @@ class DivergenceWeight(Tracker):
 
     def _right_inverse(self, A, DA, xi):
         """Y at xi; a declared constant diffusion (DA(1) is None) is inverted
-        once per block, at the origin, where it was evaluated.  The call goes
-        through the module name with both arguments positional, so a wrapper
-        installed on ``malliavin.right_inverse`` sees every inversion."""
+        once per unit of work, at the origin, where it was evaluated.  The
+        call goes through the module name with both arguments positional, so
+        a wrapper installed on ``malliavin.right_inverse`` sees every
+        inversion."""
         if DA[1] is not None:
             return right_inverse(np.stack(A[1:], axis=-1), xi)
         if self.y is None:
@@ -192,7 +193,10 @@ class DivergenceWeight(Tracker):
         y = self._right_inverse(*coefs[self.run], xi)
         vd = mm(V, hdot[:, :, None])[:, :, 0]
         proj = mm(y, vd[:, :, None])[:, :, 0]
-        self.w += np.sum(proj * dWk, axis=1)
+        # a sum over one noise is +0 plus its one product, and w, which
+        # starts at +0, is never -0, so adding the product alone is the
+        # same bytes
+        self.w += proj[:, 0] * dWk[:, 0] if dWk.shape[1] == 1 else np.sum(proj * dWk, axis=1)
         self.hval = self.hval + hdot * dt
 
     def finish(self):

@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -101,6 +102,34 @@ def test_block_increments_are_the_stream_stored_step_major():
             noise.block_increments(0, out=np.empty((g.steps, BLOCK, m), dtype=np.float32))
 
 
+def test_a_slice_of_a_block_is_those_rows_of_the_whole_draw():
+    # a slice that starts where this thread's last draw in the block ended
+    # continues that stream; any other restarts it and drops the rows
+    # before the slice.  Either way the rows are those of the whole draw,
+    # across tile edges, in any order, between other blocks' draws, and on
+    # threads that draw at once
+    g = TimeGrid(0.5, 20)
+    per = TILE // g.steps
+    noise = BrownianBatch(seed=31, paths=BLOCK + 50, grid=g, m=1)
+    whole = noise.block_increments(0).tobytes()
+    cuts = [0, 7, per + 3, 2 * per + 1, BLOCK]
+    ranges = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+    def in_order():
+        return np.concatenate([noise.block_increments(0, rows=r) for r in ranges]).tobytes()
+
+    assert in_order() == whole
+    row = g.steps * 8
+    for r in reversed(ranges):
+        noise.block_increments(1, rows=slice(10, 20))
+        assert noise.block_increments(0, rows=r).tobytes() == whole[r.start * row:r.stop * row]
+    out = np.full((g.steps, BLOCK, 1), np.nan)
+    into = noise.block_increments(0, rows=ranges[2], out=out)
+    assert np.shares_memory(into, out) and into.shape == (ranges[2].stop - ranges[2].start, 20, 1)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        assert list(pool.map(lambda _: in_order(), range(4))) == [whole] * 4
+
+
 def test_noise_block_numpy_cannot_index_is_rejected_before_any_draw():
     # a finite horizon can still ask for more steps than numpy can index
     grid = TimeGrid(1e300, 10 ** 303)
@@ -127,6 +156,12 @@ def test_a_block_is_read_as_an_index_before_any_draw(monkeypatch):
         for call in (noise.block_slice, noise.block_increments):
             with pytest.raises(FieldError, match=said):
                 call(b)
+    # rows are a non-empty slice of the block's rows, without a step
+    for rows in (slice(0, 0), slice(3, 2), slice(-1, 2), slice(0, 6), slice(0, 4, 1),
+                 slice(None, 4), slice(0.0, 4), range(0, 4), (0, 4)):
+        said = rf"rows must be a non-empty slice of range\(5\) without a step, got "
+        with pytest.raises(FieldError, match=said + re.escape(repr(rows))):
+            noise.block_increments(1, rows=rows)
     monkeypatch.undo()
     assert noise.block_increments(np.int64(1)).tobytes() == one.tobytes()
 
@@ -135,13 +170,13 @@ class _LateFirstBlock(BrownianBatch):
     """Noise whose block 0 is drawn late, so every later unit a run lets
     ahead of its join finishes before the first unit is joined."""
 
-    def block_increments(self, b, out=None):
+    def block_increments(self, b, rows=None, out=None):
         if b == 0:
             time.sleep(0.1)
-        return super().block_increments(b, out=out)
+        return super().block_increments(b, rows=rows, out=out)
 
 
-def test_the_engine_holds_one_copy_of_a_run_s_outputs():
+def test_the_engine_holds_one_copy_of_a_run_s_outputs(monkeypatch):
     # each unit's rows are copied into the run's arrays as the unit is
     # joined, so no run holds every block's rows beside the joined arrays.
     # One worker, so no unit finishes before the one ahead of it is joined
@@ -165,6 +200,54 @@ def test_the_engine_holds_one_copy_of_a_run_s_outputs():
     unit = peaks[1] - outputs
     for workers in (2, 3):
         assert peaks[workers] < outputs + (AHEAD * workers + 1) * unit, workers
+    # a block of more than UNIT values runs in slices of at most UNIT values,
+    # each drawn just before it runs: here 16 slices of 1024 rows.  One worker
+    # draws each into its one buffer; two take slices the calling thread
+    # draws, AHEAD * 2 submitted and one more drawn.  Each draw also fills a
+    # tile of at most UNIT values, and each slice in flight holds its rows'
+    # states, flags and step temporaries, under 32 values a row.  Holding the
+    # whole block, 16 UNITs, breaks the bound at either count
+    monkeypatch.setattr(flow, "UNIT", 1 << 16)
+    noise = BrownianBatch(seed=5, paths=BLOCK, grid=TimeGrid(1.0, 64), m=1)
+    rows = BLOCK // 16
+    for workers, in_flight in ((1, 1), (2, AHEAD * 2 + 1)):
+        run_ensemble(fs, [0.0], noise, workers=workers)
+        res, peak = traced_peak(run_ensemble, fs, [0.0], noise, workers=workers)
+        bound = (res.state_T.nbytes + res.flag.nbytes + (in_flight + 1) * flow.UNIT * 8
+                 + in_flight * 32 * rows * 8)
+        assert peak < bound, workers
+
+
+class _Scribbler(Tracker):
+    """Writes into the constant row ``which`` of the coefficients it is handed."""
+
+    reads_jac = True
+    prefix = "scribble"
+
+    def __init__(self, which):
+        self.run, self.which = 0, which
+
+    def start(self, B):
+        pass
+
+    def step(self, k, xis, Vs, dWk, dt, coefs):
+        if coefs is not None:
+            A, DA = coefs[self.run]
+            (A[1] if self.which == "A" else DA[0])[...] = 0.0
+
+    def finish(self):
+        return {}
+
+
+def test_shared_constant_rows_are_read_only():
+    # a unit evaluates ou's constant diffusion A(1) and affine drift DA(0)
+    # once and shares them across its steps, so a tracker that writes into
+    # one raises instead of changing every later step
+    ou = builtin_field("ou", lam=1.0)
+    noise = BrownianBatch(seed=1, paths=8, grid=TimeGrid(0.25, 10), m=1)
+    for which in ("A", "DA"):
+        with pytest.raises(ValueError, match="read-only"):
+            run_ensemble(ou, [0.0], noise, trackers=(_Scribbler(which),))
 
 
 @settings(max_examples=40, deadline=None)
@@ -259,36 +342,41 @@ def test_ou_derivative_flow_matches_product_and_exponential():
     assert errs[1] <= 1.0 * gg.dt
 
 
-def test_each_field_is_evaluated_once_per_step():
+def test_each_field_is_evaluated_once_per_step(monkeypatch):
     # the Euler update and every tracker share one evaluation of each field;
     # a drift declared identically zero (bm's) is never evaluated, a declared
     # affine drift (const_shift's and ou's) has its derivative evaluated on
-    # one row per step, and a declared constant diffusion (all three here) is
-    # evaluated on one row per step, with its zero derivative never evaluated
+    # one row per unit of work, and a declared constant diffusion (all three
+    # here) on one row per unit, with its zero derivative never evaluated.
+    # A unit is a block, or a row slice of one when UNIT cuts it
     g = TimeGrid(0.25, 4)
     shifted = builtin_field("const_shift", matrix=[[1.0, 0.5], [0.0, 2.0]], shift=[0.1, 0.0])
     cases = ((shifted, [0.0, 0.0], [1.0, -1.0]),
              (builtin_field("bm", n=2), [0.0, 0.0], [1.0, -1.0]),
              (builtin_field("ou", lam=1.0), [0.0], [1.0]))
-    for base, x0, hdot in cases:
-        assert base.constant_diffusion
-        noise = BrownianBatch(seed=5, paths=BLOCK + 10, grid=g, m=base.m)
-        fs, calls, rows = counting(base)
-        per_step = g.steps * noise.n_blocks
-        first = 1 if base.zero_drift else 0
-        expect_calls = {("A", l): per_step for l in range(first, base.m + 1)}
-        expect_rows = {("A", l): per_step if l else g.steps * noise.paths
-                       for l in range(first, base.m + 1)}
-        if first == 0:
-            assert base.affine_drift
-            expect_calls["DA", 0] = expect_rows["DA", 0] = per_step
-        for trackers in ((DivergenceWeight(CameronMartinPath.constant(hdot)),),
-                         (JacSupNorm(), IntegratedG())):
-            calls.clear()
-            rows.clear()
-            run_ensemble(fs, x0, noise, trackers=trackers, workers=1)
-            assert dict(calls) == expect_calls, base.name
-            assert dict(rows) == expect_rows, base.name
+    for unit in (flow.UNIT, 1 << 14):
+        monkeypatch.setattr(flow, "UNIT", unit)
+        for base, x0, hdot in cases:
+            assert base.constant_diffusion
+            noise = BrownianBatch(seed=5, paths=BLOCK + 10, grid=g, m=base.m)
+            # the full block 0 in slices of UNIT values, the 10 rows of block 1 in one
+            units = -(-BLOCK * g.steps * base.m // unit) + 1
+            fs, calls, rows = counting(base)
+            first = 1 if base.zero_drift else 0
+            expect_calls = {("A", l): g.steps * units if l == 0 else units
+                            for l in range(first, base.m + 1)}
+            expect_rows = {("A", l): units if l else g.steps * noise.paths
+                           for l in range(first, base.m + 1)}
+            if first == 0:
+                assert base.affine_drift
+                expect_calls["DA", 0] = expect_rows["DA", 0] = units
+            for trackers in ((DivergenceWeight(CameronMartinPath.constant(hdot)),),
+                             (JacSupNorm(), IntegratedG())):
+                calls.clear()
+                rows.clear()
+                run_ensemble(fs, x0, noise, trackers=trackers, workers=1)
+                assert dict(calls) == expect_calls, (base.name, unit)
+                assert dict(rows) == expect_rows, (base.name, unit)
 
 
 def test_a_run_carries_v_exactly_when_a_tracker_reads_it():
@@ -781,13 +869,15 @@ def _fails_above(fs, level, message):
 
 
 @pytest.mark.parametrize("failing", [(1,), (1, 2)])
-def test_a_worker_threads_error_is_the_one_worker_error_and_leaves_no_thread(failing):
+def test_a_worker_threads_error_is_the_one_worker_error_and_leaves_no_thread(failing,
+                                                                            monkeypatch):
     # every run starts at 0 on one block of 200 paths, and the failing runs'
     # drift is undefined above 0.5.  Row 193, in the last row slice at 2 and
     # at 3 workers, crosses first, at step 4; the first slice's rows cross at
     # step 5.  One worker raises the first failing run's error at row 193's
     # state, and so does every worker count, with threads switching at the
-    # default interval and every microsecond
+    # default interval and every microsecond, and with UNIT cutting the
+    # block into 4 slices of 50 rows at any worker count
     ou = builtin_field("ou", lam=1.0)
     g = TimeGrid(0.1, 10)
     noise = BrownianBatch(seed=25, paths=200, grid=g, m=1)
@@ -803,7 +893,8 @@ def test_a_worker_threads_error_is_the_one_worker_error_and_leaves_no_thread(fai
     before = threading.active_count()
     interval = sys.getswitchinterval()
     try:
-        for switch in (interval, 1e-6):
+        for unit, switch in ((flow.UNIT, interval), (flow.UNIT, 1e-6), (500, interval)):
+            monkeypatch.setattr(flow, "UNIT", unit)
             sys.setswitchinterval(switch)
             for w in (1, 2, 3):
                 with pytest.raises(FieldError, match=message):

@@ -115,12 +115,20 @@ def test_gradient_study_is_one_engine_run_drawing_each_block_once(monkeypatch, p
     run, draw = flow._run, flow.BrownianBatch.block_increments
     monkeypatch.setattr(flow, "_run", lambda *a, **k: runs.append(1) or run(*a, **k))
     monkeypatch.setattr(flow.BrownianBatch, "block_increments",
-                        lambda self, b, **k: drawn.append(b) or draw(self, b, **k))
+                        lambda self, b, rows, **k: drawn.append((b, rows.start, rows.stop))
+                        or draw(self, b, rows=rows, **k))
     cfg = _cfg(field_spec={"name": "ou", "params": {"lam": 1.0}}, eps=(), T=0.5, steps=10,
                paths=paths, workers=workers, options={"t": 0.5, "f": "sin"})
     run_command("gradient", cfg)
     assert len(runs) == 1
-    assert sorted(drawn) == list(range(-(-paths // flow.BLOCK)))
+    # each block's rows are drawn once, in slices that follow one another
+    blocks = -(-paths // flow.BLOCK)
+    assert sorted({b for b, _, _ in drawn}) == list(range(blocks))
+    for b in range(blocks):
+        edges = [(lo, hi) for c, lo, hi in drawn if c == b]
+        size = min(flow.BLOCK, paths - b * flow.BLOCK)
+        assert [lo for lo, _ in edges] == [0] + [hi for _, hi in edges[:-1]]
+        assert edges[-1][1] == size
 
 
 def test_gradient_verdict_names_the_allowance_it_tested(monkeypatch):
@@ -255,6 +263,19 @@ def test_condition_g_flags_unexpected_verdict():
                options={"sigma": 0.5, "T0": 1.0, "expect_diverging": True})
     res = run_command("condition-g", cfg)
     assert not res.ok and res.failures
+
+
+@pytest.mark.filterwarnings("error")
+def test_condition_g_counts_an_overflowed_replicate_as_diverging():
+    # at lam = 1e300 every exp(sigma G) overflows, so each replicate's ratio
+    # of batch means is inf / inf = nan; that is growth, not convergence
+    for expect, ok in ((True, True), (False, False)):
+        cfg = _cfg(field_spec={"name": "ou", "params": {"lam": 1e300}}, T=0.5, steps=50,
+                   paths=10_000, seed=7, options={"expect_diverging": expect})
+        res = run_command("condition-g", cfg)
+        assert res.ok == ok, res.failures
+        assert res.payload["diverging"] and res.payload["growth_ratio"] == math.inf
+        assert res.payload["estimate"] == math.inf
 
 
 def test_ibp_command_bm():
