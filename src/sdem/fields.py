@@ -108,8 +108,8 @@ class VectorFieldSet:
     l >= 1.  The engine then evaluates each ``A(l)`` at the origin alone and
     broadcasts that row over the paths, evaluates no ``DA(l)``, skips the
     zero ``DA(l) V dW`` terms, and inverts the diffusion matrix once per
-    block.  A declaration, of any kind, that is false changes the
-    simulated flow.
+    row slice of paths it runs.  A declaration, of any kind, that is false
+    changes the simulated flow.
     """
 
     n: int

@@ -15,19 +15,20 @@ numbers), turning pathwise differences into direct measurements of the
 smoothing error rather than of the noise.
 
 Workers follow one rule (see `_run`): the unit of work is a contiguous
-range of a block's rows, a whole block or a slice of one, and it holds at
-most UNIT increments.  A longer block runs in row slices, each drawn just
-before it runs and continuing the block's stream, so no increment depends
-on the cut.  ``workers`` is a count, 1 unless the caller gives another; no
-environment variable sets it.  The units go over a pool of `workers`
-threads, and each unit's rows are copied into the run's outputs, in row
-order, as the unit is joined, so a run holds one copy of its per-path
-outputs.  Every evaluation and reduction the engine makes is row by row,
-the quadrature sum of a mollified field included, so outputs are
-byte-identical across worker counts.  So are errors: a run that fails
-raises the error one worker would raise.
+range of a block's rows, which the worker that runs it draws, in row
+slices of at most UNIT increments that continue the block's stream, so no
+increment depends on the cut.  ``workers`` is a count, 1 unless the caller
+gives another; no environment variable sets it.  With two or more, the
+units go over a pool of that many threads, and the calling thread only
+submits and joins them; one worker runs them in the calling thread.  Each
+unit's rows are copied into the run's outputs, in row order, as the unit
+is joined, so a run holds one copy of its per-path outputs.  Every
+evaluation and reduction the engine makes is row by row, the quadrature
+sum of a mollified field included, so outputs are byte-identical across
+worker counts.  So are errors: a run that fails raises the error one
+worker would raise.
 
-A unit evaluates the coefficient rows that a declaration makes constant
+A slice evaluates the coefficient rows that a declaration makes constant
 once, and shares them, read-only, across its steps (see `_coefficients`).
 Its increments are stored step-major, so the step-k slice dW[:, k, :] that
 every Euler step and tracker reads is one contiguous run of memory (see
@@ -80,9 +81,9 @@ TILE = 1 << 17
 # Units per worker a run keeps submitted and not yet joined: one running and
 # one queued, so a worker that finishes need not wait on the join.
 AHEAD = 2
-# Increments a unit of work holds at most, 32 MiB: a block of more values is
-# cut into row slices of at most UNIT values each (one row when a row alone
-# has more), and each slice is drawn just before it runs.
+# Increments a slice holds at most, 32 MiB: a unit of more values runs in
+# row slices of at most UNIT values each (one row when a row alone has
+# more), and each slice is drawn just before it runs.
 UNIT = 1 << 22
 
 # The stream each thread drew from last, with the block it is keyed by and
@@ -133,6 +134,8 @@ class BrownianBatch:
     def __post_init__(self):
         object.__setattr__(self, "seed", read("BrownianBatch: seed", self.seed, SEED))
         object.__setattr__(self, "paths", read("BrownianBatch: paths", self.paths, COUNT))
+        if not isinstance(self.grid, TimeGrid):
+            raise FieldError(f"BrownianBatch: grid must be a TimeGrid, got {self.grid!r}")
         object.__setattr__(self, "m", read("BrownianBatch: m", self.m, COUNT))
         rows = min(BLOCK, self.paths)
         if rows * self.grid.steps * self.m * 8 > np.iinfo(np.intp).max:
@@ -177,7 +180,8 @@ class BrownianBatch:
         size = sl.stop - sl.start
         rows = slice(0, size) if rows is None else rows
         if not (isinstance(rows, slice) and rows.step is None
-                and all(isinstance(e, (int, np.integer)) for e in (rows.start, rows.stop))
+                and all(isinstance(e, (int, np.integer)) and not isinstance(e, bool)
+                        for e in (rows.start, rows.stop))
                 and 0 <= rows.start < rows.stop <= size):
             raise FieldError(f"block_increments: rows must be a non-empty slice of "
                              f"range({size}) without a step, got {rows!r}")
@@ -235,7 +239,7 @@ def _coefficients(fields, xi, carries_v, const):
     """A(0..m) at xi as (B, n) arrays, and DA(0..m) as (B, n, n), or None
     when the run does not carry V.
 
-    ``const`` is the run's `_constant_rows`: a unit evaluates them once and
+    ``const`` is the run's `_constant_rows`: a slice evaluates them once and
     shares them, read-only, across its steps.  A declared zero drift is not
     evaluated: its A(0) and DA(0) are None.  A declared constant diffusion
     is not evaluated at xi: each A(l >= 1) is its (1, n) row, which
@@ -300,7 +304,7 @@ def _euler_step(xi, V, coef, dWk, dt):
 # tracker evaluates a field.  A declared constant diffusion arrives as (1, n)
 # rows A(l >= 1) with None DA(l >= 1); a declared zero drift as None A(0) and
 # DA(0); a declared affine drift as a (1, n, n) row DA(0).  Those rows are
-# evaluated once per unit and shared by its steps, so they are read-only: a
+# evaluated once per slice and shared by its steps, so they are read-only: a
 # tracker that writes into one raises ValueError.  Vs[r] is (B, n, n)
 # or, while every path shares it, one (1, n, n) row; a tracker broadcasts it
 # and never reads its row count.  After the final step comes one more call,
@@ -458,7 +462,7 @@ def _simulate_block(runs, dt, dW, trackers):
     Vs = [np.eye(len(x0))[None] if carries_v else None for _, x0, carries_v in runs]
     consts = [_constant_rows(fields, len(x0), carries_v) for fields, x0, carries_v in runs]
     accs = [t.make(B) for t in trackers]
-    # errstate is per thread, so each unit sets its own
+    # errstate is per thread, so each slice sets its own
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
             dWk = dW[:, k, :]
@@ -514,19 +518,20 @@ def _run(runs, noise: BrownianBatch, trackers, workers):
     """Simulate every block of lockstep runs in units of rows.  Run r
     carries V when a tracker that reads V names r.
 
-    With nb blocks and w workers, a block of R rows and more than UNIT
-    values is cut into ceil(R / (UNIT // (steps * m))) equal, contiguous
-    row slices, so that none holds more than UNIT values (or one row, if a
-    row alone has more); when nb < w it is cut into at least ceil(w / nb)
-    slices; never into more than R.  The slices are drawn in row order,
-    each just before it runs, and continue the block's stream.  When
-    nb >= w each block is a task, and its worker draws and runs its slices
-    in turn in one buffer of its own.  When nb < w each slice is a task,
-    which the calling thread draws as it submits it.  The tasks go over a
-    pool of w threads, at most AHEAD * w of them submitted and not yet
-    joined; one worker makes no pool.  A failing run raises the error of
-    its first failing block, and a failing slice re-runs its block whole to
-    raise it, so the error is the same at every worker count.
+    The unit of work is a contiguous range of one block's rows: each of the
+    nb blocks is one range, or, with fewer than w workers, ceil(w / nb)
+    equal ones, never more than its rows.  The worker that runs a range
+    draws and simulates it in turn in row slices of at most UNIT values
+    (one row, if a row alone has more), each drawn into its own buffer just
+    before it runs, continuing the block's stream.  A range after its
+    block's first restarts the stream and drops the rows before it, that
+    is R (k - 1) / 2 rows for a block of R rows in k ranges: CPU time, not
+    wall time, and not in the traced ``flow.noise.values``.  The calling
+    thread only submits the ranges to a pool of w threads, at most AHEAD * w
+    not yet joined, and joins them; one worker makes no pool.  A failing
+    run raises the error of its first failing block, and a failing slice
+    re-runs its block whole to raise it, so the error is the same at every
+    worker count.  An empty run list is refused before any draw.
 
     Each output, every run's states and carried V, the pooled flag and each
     extra, is allocated once from the first unit's shapes and dtypes.  The
@@ -536,6 +541,8 @@ def _run(runs, noise: BrownianBatch, trackers, workers):
     Returns what `run_multi` does.
     """
     runs, trackers = list(runs), tuple(trackers)
+    if not runs:
+        raise FieldError("runs must hold at least one (fields, x0) run, got none")
     writer, carried = {}, set()
     for t in trackers:
         for r in t.runs:
@@ -552,17 +559,15 @@ def _run(runs, noise: BrownianBatch, trackers, workers):
             for r, (fields, x0) in enumerate(runs)]
     w, nb = read("workers", workers, COUNT), noise.n_blocks
     steps, m = noise.grid.steps, noise.m
-    # a worker that runs whole blocks draws each slice into its own
-    # step-major buffer, sized for the largest slice and freed with the run
+    per = max(1, UNIT // (steps * m))
+    # each worker's step-major buffer for its slices, freed with the run
     ws = Workspace()
 
-    def cut(b):
-        """Block b's row slices: at most UNIT values each, and at least
-        ceil(w / nb) of them, never more than its rows."""
-        sl = noise.block_slice(b)
-        rows = sl.stop - sl.start
-        k = min(rows, max(-(-rows // max(1, UNIT // (steps * m))), -(-w // nb)))
-        edges = [j * (rows // k) + min(j, rows % k) for j in range(k + 1)]
+    def split(rows, k):
+        """``rows`` cut into min(k, its length) equal, contiguous slices."""
+        n = rows.stop - rows.start
+        k = min(k, n)
+        edges = [rows.start + j * (n // k) + min(j, n % k) for j in range(k + 1)]
         return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
     def simulate(b, dW):
@@ -576,26 +581,20 @@ def _run(runs, noise: BrownianBatch, trackers, workers):
                 _simulate_block(runs, noise.grid.dt, noise.block_increments(b), trackers)
             raise
 
-    def block(b):
+    def unit(item):
+        b, rows = item
         return [simulate(b, noise.block_increments(
-                    b, rows=rows, out=ws.array("dW", (steps, rows.stop - rows.start, m))))
-                for rows in cut(b)]
+                    b, rows=part, out=ws.array("dW", (steps, part.stop - part.start, m))))
+                for part in split(rows, -(-(rows.stop - rows.start) // per))]
 
-    def slices():
-        # the calling thread draws each slice just before it is submitted
-        for b in range(nb):
-            yield from ((b, noise.block_increments(b, rows=rows)) for rows in cut(b))
-
-    def piece(item):
-        return [simulate(*item)]
-
-    unit, units = (block, range(nb)) if nb >= w else (piece, slices())
+    # one range per block, or ceil(w / nb) of them when nb < w
+    units = ((b, rows) for b in range(nb)
+             for rows in split(slice(0, min(BLOCK, noise.paths - b * BLOCK)), -(-w // nb)))
 
     def like(a):
         return np.empty((noise.paths,) + a.shape[1:], a.dtype)
 
     def bounded(pool):
-        # take the next unit (and draw the next slice while others run), then join
         pending = []
         for item in units:
             if len(pending) == AHEAD * w:
@@ -712,7 +711,7 @@ def coupled_family(fs: VectorFieldSet, eps_list: Sequence[float], x0,
     a path is flagged only when a state or a state gap is non-finite.
 
     The levels run in lockstep, and the paths go over ``workers`` threads
-    in units of rows, block by block or in slices of a block (see `_run`).
+    in units of rows (see `_run`).
     """
     eps_list = list(eps_list)
     # each level's eps is checked, and named, where it is mollified

@@ -155,7 +155,7 @@ class DivergenceWeight(Tracker):
     h_k = sum_{j<k} hdot_j dt.
 
     Under a declared constant diffusion (DA(l >= 1) is None) the (1, m, n)
-    right inverse is computed once per unit of work and broadcast.  h starts
+    right inverse is computed once per row slice and broadcast.  h starts
     as one zero row and stays one row while every hdot is: a constant
     direction's rate is its one (1, n) row.  ``finish`` broadcasts h to every path.
     Each entry is the same product either way.
@@ -172,7 +172,7 @@ class DivergenceWeight(Tracker):
 
     def _right_inverse(self, A, DA, xi):
         """Y at xi; a declared constant diffusion (DA(1) is None) is inverted
-        once per unit of work, at the origin, where it was evaluated.  The
+        once per row slice, at the origin, where it was evaluated.  The
         call goes through the module name with both arguments positional, so
         a wrapper installed on ``malliavin.right_inverse`` sees every
         inversion."""

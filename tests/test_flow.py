@@ -158,7 +158,8 @@ def test_a_block_is_read_as_an_index_before_any_draw(monkeypatch):
                 call(b)
     # rows are a non-empty slice of the block's rows, without a step
     for rows in (slice(0, 0), slice(3, 2), slice(-1, 2), slice(0, 6), slice(0, 4, 1),
-                 slice(None, 4), slice(0.0, 4), range(0, 4), (0, 4)):
+                 slice(None, 4), slice(0.0, 4), slice(True, 5), slice(0, True),
+                 range(0, 4), (0, 4)):
         said = rf"rows must be a non-empty slice of range\(5\) without a step, got "
         with pytest.raises(FieldError, match=said + re.escape(repr(rows))):
             noise.block_increments(1, rows=rows)
@@ -200,22 +201,47 @@ def test_the_engine_holds_one_copy_of_a_run_s_outputs(monkeypatch):
     unit = peaks[1] - outputs
     for workers in (2, 3):
         assert peaks[workers] < outputs + (AHEAD * workers + 1) * unit, workers
-    # a block of more than UNIT values runs in slices of at most UNIT values,
-    # each drawn just before it runs: here 16 slices of 1024 rows.  One worker
-    # draws each into its one buffer; two take slices the calling thread
-    # draws, AHEAD * 2 submitted and one more drawn.  Each draw also fills a
-    # tile of at most UNIT values, and each slice in flight holds its rows'
-    # states, flags and step temporaries, under 32 values a row.  Holding the
-    # whole block, 16 UNITs, breaks the bound at either count
+    # a block of more than UNIT values runs in slices of at most UNIT values:
+    # here 16 slices of 1024 rows.  At w workers the one block is w ranges,
+    # and the worker of each draws its slices in turn into its one buffer,
+    # each just before it runs, so w slices of UNIT values are drawn at
+    # once; each draw also fills a tile of TILE values, and each slice holds
+    # its rows' states, flags and step temporaries, under 32 values a row.
+    # The drift takes 1 ms a call, so a thread that draws slices for the
+    # workers gets ahead of them and holds more: AHEAD * w + 1 slices, which
+    # break the bound, as does holding the whole block, 16 UNITs
     monkeypatch.setattr(flow, "UNIT", 1 << 16)
+    monkeypatch.setattr(flow, "TILE", 1 << 11)
+
+    def A(l, x):
+        if l == 0:
+            time.sleep(1e-3)
+        return fs.A(l, x)
+
+    slow = dataclasses.replace(fs, A=A, zero_drift=False)
     noise = BrownianBatch(seed=5, paths=BLOCK, grid=TimeGrid(1.0, 64), m=1)
     rows = BLOCK // 16
-    for workers, in_flight in ((1, 1), (2, AHEAD * 2 + 1)):
+    for workers in (1, 2, 3):
         run_ensemble(fs, [0.0], noise, workers=workers)
-        res, peak = traced_peak(run_ensemble, fs, [0.0], noise, workers=workers)
-        bound = (res.state_T.nbytes + res.flag.nbytes + (in_flight + 1) * flow.UNIT * 8
-                 + in_flight * 32 * rows * 8)
+        res, peak = traced_peak(run_ensemble, slow, [0.0], noise, workers=workers)
+        bound = (res.state_T.nbytes + res.flag.nbytes + (workers + 1) * flow.UNIT * 8
+                 + workers * 32 * rows * 8)
         assert peak < bound, workers
+
+
+def test_only_pool_workers_draw_noise(monkeypatch):
+    # the calling thread submits and joins the units; the worker that runs
+    # a unit draws it, whether a block is one unit or is cut over workers
+    threads = set()
+    draw = BrownianBatch.block_increments
+    monkeypatch.setattr(BrownianBatch, "block_increments",
+                        lambda *a, **k: threads.add(threading.get_ident()) or draw(*a, **k))
+    ou = builtin_field("ou", lam=1.0)
+    for paths, w in ((300, 2), (300, 3), (3 * BLOCK, 2), (3 * BLOCK, 3)):
+        threads.clear()
+        run_ensemble(ou, [0.0], BrownianBatch(seed=4, paths=paths, grid=TimeGrid(0.5, 2), m=1),
+                     workers=w)
+        assert threads and threading.get_ident() not in threads, (paths, w)
 
 
 class _Scribbler(Tracker):
@@ -576,9 +602,9 @@ def test_a_tracker_of_a_run_that_does_not_exist_is_refused_before_any_noise(monk
 
 
 def test_bad_start_or_missing_derivative_fails_before_any_noise(monkeypatch):
-    # every run checks its start point, its worker count and, when a
-    # tracker reads its V, the field set's DA before it draws a block; the
-    # noise checks its seed when it is built
+    # every run checks that it has runs, their start points, its worker
+    # count and, when a tracker reads a run's V, the field set's DA before
+    # it draws a block; the noise checks its seed and grid when it is built
     def no_noise(*args, **kwargs):
         raise AssertionError("a rejected run drew noise")
 
@@ -598,6 +624,12 @@ def test_bad_start_or_missing_derivative_fails_before_any_noise(monkeypatch):
         (lambda: run_multi([(ou, [0.0]), (bare, [0.0])], noise, trackers=(JacSupNorm(1),)),
          DerivativeUnavailableError, "'bare'"),
         (lambda: BrownianBatch(seed=-1, paths=2, grid=g, m=1), FieldError, "seed"),
+        (lambda: BrownianBatch(seed=1, paths=2, grid="x", m=1), FieldError,
+         "^BrownianBatch: grid must be a TimeGrid, got 'x'$"),
+        (lambda: BrownianBatch(seed=1, paths=2, grid=(1.0, 10), m=1), FieldError,
+         r"^BrownianBatch: grid must be a TimeGrid, got \(1.0, 10\)$"),
+        (lambda: run_multi([], noise), FieldError, "at least one"),
+        (lambda: coupled_family(ou, [], [0.0], noise), FieldError, "at least one"),
     ]
     rows += [(lambda w=w: run_ensemble(ou, [0.0], noise, workers=w), FieldError, "workers")
              for w in ("two", 0, -3)]

@@ -121,11 +121,14 @@ def test_gradient_study_is_one_engine_run_drawing_each_block_once(monkeypatch, p
                paths=paths, workers=workers, options={"t": 0.5, "f": "sin"})
     run_command("gradient", cfg)
     assert len(runs) == 1
-    # each block's rows are drawn once, in slices that follow one another
+    # each block's rows are requested once, in consecutive slices: sorted,
+    # the slices start at row 0, each starts where the one before it ends,
+    # and the last ends at the block's last row.  Workers that draw ranges
+    # of one block at once may request them in either order
     blocks = -(-paths // flow.BLOCK)
     assert sorted({b for b, _, _ in drawn}) == list(range(blocks))
     for b in range(blocks):
-        edges = [(lo, hi) for c, lo, hi in drawn if c == b]
+        edges = sorted((lo, hi) for c, lo, hi in drawn if c == b)
         size = min(flow.BLOCK, paths - b * flow.BLOCK)
         assert [lo for lo, _ in edges] == [0] + [hi for _, hi in edges[:-1]]
         assert edges[-1][1] == size
