@@ -3,10 +3,8 @@
 A family consists of a drift field (index 0) and m diffusion fields
 (indices 1..m) on R^n, together with an optional chosen version of the
 weak derivative of each field.  Evaluators take one point format, a float
-(N, n) batch, and return one row per point (see ``VectorFieldSet``); they
-do no shape handling of their own.  The built-in and mollified evaluators
-are row-wise exact: a row's value has the same bytes alone and in a batch
-of any size.  A custom field is as exact as its own code.  All evaluators
+(N, n) batch, and return one row per point, row-wise exact for the
+built-ins (see ``VectorFieldSet``).  All evaluators
 are pure and safe for concurrent use, and every array they return is a
 fresh one that the caller owns.  The ``log_example`` diffusion is evaluated
 through the closed form of its antiderivative, with no table; its
@@ -52,7 +50,8 @@ class DerivativeUnavailableError(FieldError):
 
 class Workspace(threading.local):
     """Scratch arrays of one thread, reused from call to call; the engine,
-    the quadrature and the density estimate keep theirs in one too.
+    the quadrature and the density estimate keep theirs in one too.  A
+    workspace is only ever scratch: it changes no byte of any result.
 
     ``array(key, shape)`` is a C-ordered array of that shape over the
     thread's buffer for ``key``, which grows to the largest request and is
@@ -83,11 +82,10 @@ class VectorFieldSet:
     ``g_function`` its points with ``points``.  ``n`` and ``m`` are read as
     counts.
 
-    The engine cuts a block of paths into row slices over its workers, so
-    its outputs are byte-identical across worker counts when a row's value
-    does not depend on N.  The built-in and mollified evaluators are
-    row-wise exact in this sense; a custom field is as exact as its own
-    code.
+    A field is row-wise exact when a row's value has the same bytes alone
+    and in a batch of any size.  The built-in and mollified evaluators are;
+    a custom field is as exact as its own code, and the engine's outputs are
+    byte-identical across worker counts (see `_run`) only for such a field.
 
     Which version of the weak derivative enters is a
     modelling choice supplied by the caller; any two a.e.-equal versions

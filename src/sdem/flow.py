@@ -1,8 +1,8 @@
 """Coupled Euler-Maruyama integration of a state SDE and its derivative flow.
 
-The state and, in each run whose V a tracker reads, the n-by-n derivative
-matrix V advance together on a fixed time grid with left-point (Ito)
-coefficient evaluation.  Brownian increments are
+The state and, in each run that carries it (see the tracker protocol), the
+n-by-n derivative matrix V advance together on a fixed time grid with
+left-point (Ito) coefficient evaluation.  Brownian increments are
 generated in fixed-size path blocks from counter-style keyed streams, so the
 increment of path i at step k is a pure function of (seed, i, k) regardless
 of how many paths are requested, how the work is scheduled, or how many
@@ -14,19 +14,8 @@ mollification levels can share one increment stream (common random
 numbers), turning pathwise differences into direct measurements of the
 smoothing error rather than of the noise.
 
-Workers follow one rule (see `_run`): the unit of work is a contiguous
-range of a block's rows, which the worker that runs it draws, in row
-slices of at most UNIT increments that continue the block's stream, so no
-increment depends on the cut.  ``workers`` is a count, 1 unless the caller
-gives another; no environment variable sets it.  With two or more, the
-units go over a pool of that many threads, and the calling thread only
-submits and joins them; one worker runs them in the calling thread.  Each
-unit's rows are copied into the run's outputs, in row order, as the unit
-is joined, so a run holds one copy of its per-path outputs.  Every
-evaluation and reduction the engine makes is row by row, the quadrature
-sum of a mollified field included, so outputs are byte-identical across
-worker counts.  So are errors: a run that fails raises the error one
-worker would raise.
+The paths go over worker threads by the one rule that `_run` states, and
+the flag rule is `_simulate_block`'s.
 
 A slice evaluates the coefficient rows that a declaration makes constant
 once, and shares them, read-only, across its steps (see `_coefficients`).
@@ -314,15 +303,17 @@ def _euler_step(xi, V, coef, dWk, dt):
 # from the tracker's kind and the runs it reads, which it names as `runs`.  A
 # tracker that reads their V or DA sets `reads_jac`, and a run carries V
 # exactly when such a tracker names it: every other run's Vs[r], DA and
-# `jac_T` are None.  Before any noise is drawn, a run refuses a tracker that
-# names a run it lacks (a run index is an int, never a bool), and two
-# trackers that name the same key.
+# `jac_T` are None, so `run_ensemble` and `run_multi` take no switch for V.
+# Before any noise is drawn, a run refuses a tracker that names a run it
+# lacks (a run index is an int, never a bool), and two trackers that name
+# the same key.
 
 
 class Tracker:
     """Base of the per-block trackers; see the protocol above.  A tracker of
     one run writes its kind's ``prefix`` followed by each of ``suffixes``, with
-    ``_r`` after the prefix for run r > 0: ``sup_jac``, then ``sup_jac_1``."""
+    ``_r`` after the prefix for run r > 0: ``sup_jac``, then ``sup_jac_1``;
+    so only two trackers of one kind on one run can clash."""
 
     reads_jac = False
     suffixes = ("",)
@@ -498,8 +489,8 @@ def unflagged(a: np.ndarray, flag: np.ndarray) -> np.ndarray:
 class EnsembleResult:
     """Endpoint and tracker statistics for one run across all paths.
 
-    ``jac_T`` is None unless a tracker reads V.  ``flag`` marks the paths
-    whose state, carried V or tracker extras went non-finite.  An estimate
+    ``jac_T`` is None in a run that carries no V (see the tracker protocol).
+    ``flag`` marks the paths that `_simulate_block` flags.  An estimate
     reads the rows of the unflagged paths alone, ``unflagged(a, flag)`` of
     each per-path array ``a``: ``a`` itself when no path is flagged, and
     ``a[~flag]`` otherwise."""
@@ -515,10 +506,11 @@ class EnsembleResult:
 
 
 def _run(runs, noise: BrownianBatch, trackers, workers):
-    """Simulate every block of lockstep runs in units of rows.  Run r
-    carries V when a tracker that reads V names r.
+    """Simulate every block of lockstep runs in units of rows.
 
-    The unit of work is a contiguous range of one block's rows: each of the
+    This is the worker rule.  ``workers`` (w) is a count, 1 unless the
+    caller gives another; no environment variable sets it.  The unit of
+    work is a contiguous range of one block's rows: each of the
     nb blocks is one range, or, with fewer than w workers, ceil(w / nb)
     equal ones, never more than its rows.  The worker that runs a range
     draws and simulates it in turn in row slices of at most UNIT values
@@ -528,10 +520,14 @@ def _run(runs, noise: BrownianBatch, trackers, workers):
     is R (k - 1) / 2 rows for a block of R rows in k ranges: CPU time, not
     wall time, and not in the traced ``flow.noise.values``.  The calling
     thread only submits the ranges to a pool of w threads, at most AHEAD * w
-    not yet joined, and joins them; one worker makes no pool.  A failing
+    not yet joined, and joins them; one worker makes no pool.  A row's
+    bytes do not depend on the cut (see `_simulate_block`), so the outputs
+    are those of one worker.  A failing
     run raises the error of its first failing block, and a failing slice
     re-runs its block whole to raise it, so the error is the same at every
-    worker count.  An empty run list is refused before any draw.
+    worker count.  That re-run draws the block at once, so a run that fails
+    can hold one block's full noise; the UNIT bound holds for a run that
+    does not fail.  An empty run list is refused before any draw.
 
     Each output, every run's states and carried V, the pooled flag and each
     extra, is allocated once from the first unit's shapes and dtypes.  The
@@ -634,12 +630,9 @@ def run_multi(runs, noise: BrownianBatch, *,
               trackers: Iterable = (), workers: int = 1):
     """Lockstep ensembles for several (fields, start) runs on shared noise.
 
-    Returns (list of EnsembleResult in run order, joint extras dict).  A run
-    carries V exactly when a tracker that reads V names it.
+    Returns (list of EnsembleResult in run order, joint extras dict).
     Flag masks are pooled: a path flagged in any run is flagged in all.
-    The paths go over ``workers`` threads in units of rows (see `_run`), so
-    even one block of paths uses every worker; the results are those of one
-    worker, byte for byte.
+    ``workers`` follows `_run`.
     """
     return _run(runs, noise, trackers, workers)
 
@@ -707,11 +700,8 @@ def coupled_family(fs: VectorFieldSet, eps_list: Sequence[float], x0,
     With ``with_jac`` (the default) the gap trackers read V, so every level
     carries it, and the result holds derivative gaps beside the state gaps.
     With ``with_jac=False`` no level carries V: no DA is evaluated,
-    ``pair_jac_sup`` is None, ``sup_moment(..., which="jac")`` raises, and
-    a path is flagged only when a state or a state gap is non-finite.
-
-    The levels run in lockstep, and the paths go over ``workers`` threads
-    in units of rows (see `_run`).
+    ``pair_jac_sup`` is None and ``sup_moment(..., which="jac")`` raises.
+    The levels run in lockstep; ``workers`` follows `_run`.
     """
     eps_list = list(eps_list)
     # each level's eps is checked, and named, where it is mollified

@@ -110,7 +110,8 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(doc: dict, **overrides) -> "ExperimentConfig":
         """Parse a config document.  Each override that is not None replaces
-        the document's key of that name first, so it gets the same checks."""
+        the document's key of that name first, so it gets the same checks.
+        A key that ``_CONFIG_KEYS`` does not name is refused, naming it."""
         if not isinstance(doc, dict):
             raise FieldError(f"a config document is an object, got {doc!r}")
         doc = {**doc, **{k: v for k, v in overrides.items() if v is not None}}

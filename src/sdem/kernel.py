@@ -110,7 +110,9 @@ def _exp_floor(p: float, s: float, norm: float) -> float:
 
 @dataclass(frozen=True)
 class DensityQuery:
-    """Where and at which scale to interrogate a transition density."""
+    """Where and at which scale to interrogate a transition density.  Its
+    fields are read on construction: finite (Q, n) query points, a point x
+    of n entries, and a positive t and bandwidth (see `_kernel_scales`)."""
 
     t: float
     x: np.ndarray

@@ -6,12 +6,10 @@ integral of the right inverse of the diffusion applied to the derivative
 flow), the intertwining estimator for differentiable f, and a common
 random number finite difference used as a cross-validation oracle.
 ``gradient_routes`` takes all three from one lockstep run, whose arrays
-``bismut_gradient``, ``intertwine_gradient`` and ``fd_gradient`` reduce.
-The derivative flow V is needed only along the path from x0: the engine
-carries V in exactly the runs a tracker reads it of, so the run from x0,
-which the divergence weight reads, carries it, and the finite-difference
-partners x0 +/- bump v0 are plain state runs, which evaluate no DA and
-can flag a path only through their states.
+``bismut_gradient``, ``intertwine_gradient`` and ``fd_gradient`` reduce;
+they run no engine.  Only the run from x0, whose V the divergence weight
+reads, carries V (see the tracker protocol in ``flow``); the
+finite-difference partners x0 +/- bump v0 are state runs.
 
 ``gradient_routes``, ``divergence`` and ``ibp_check`` take their functionals
 or direction, then the engine's inputs ``(fs, x0, noise)`` and keyword
@@ -240,8 +238,8 @@ def gradient_routes(f: Callable, df: Optional[Callable], v0, fs, x0, noise: Brow
     noise.grid.T), from one lockstep run of fs from x0 and x0 +/- bump v0.
 
     Returns the reports ``bismut`` and ``fd``, and ``intertwine`` when df is
-    given.  Only the run from x0 carries V.  A path flagged in any of the
-    three runs leaves every route.
+    given.  A path flagged in any of the three runs leaves every route and
+    counts in each report's ``excluded``.
     """
     v0 = vector(v0, "direction v0", fs.n)
     x0 = vector(x0, "start point x0", fs.n)
@@ -305,8 +303,8 @@ class IbpResult:
     @property
     def ok(self) -> bool:
         # lhs and rhs come from the same paths, so the paired SE is the
-        # standard error of their difference
-        return self.gap <= 3.0 * self.se_paired + 1e-12
+        # standard error of their difference; a gap that is not finite fails
+        return math.isfinite(self.gap) and self.gap <= 3.0 * self.se_paired + 1e-12
 
 
 def ibp_check(F: Callable, dF: Callable, h: CameronMartinPath, fs, x0,
@@ -343,6 +341,5 @@ def ibp_check(F: Callable, dF: Callable, h: CameronMartinPath, fs, x0,
     rhs = from_samples(rhs_vals, excluded=res.n_flagged)
     gap = abs(lhs.estimate - rhs.estimate)
     se_pooled = math.hypot(lhs.se, rhs.se)
-    diff = lhs_vals - rhs_vals
-    se_paired = float(diff.std(ddof=1) / math.sqrt(diff.size))
+    se_paired = from_samples(lhs_vals - rhs_vals).se
     return IbpResult(lhs, rhs, gap, se_pooled, se_paired)

@@ -26,6 +26,8 @@ a node is kept only if |w| > 2^-53 max |w|, |w| being the row's norm on the
 gradient route.  The kept weights are not renormalized, so each keeps its
 bytes.  The dropped nodes lie outside the ball or in its boundary layer,
 and their mass is at most Q · 2^-53 of the largest weight for Q grid nodes.
+At the default 16 nodes per axis, which every study uses, both routes keep
+14 nodes in 1-d and 136 in 2-d.
 
 One routine, ``_quadrature``, serves both routes.  It adds the nodes one
 after another in a fixed order, in numpy rather than through BLAS, so each

@@ -9,6 +9,11 @@ why, and record the new value here.  From the repository root,
 (or without PYTHONPATH where sdem is installed) prints the current
 digests of the named cases, every case when none is named, in ``GOLDEN``'s
 layout, to paste over the entries that moved.
+
+The digests hold for one numpy build at one CPU dispatch level.  Under
+NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" 17 cases fail:
+converge-flow, kernel-bound and kernel-bound-chunks, each alone and at
+every worker count, and both BLAS-thread cases.
 """
 
 import hashlib

@@ -944,3 +944,15 @@ def test_readme_lists_every_study_option():
         (bullet,) = [b for b in bullets if f"`{name}`" in b.split(":")[0]]
         for key in study.options:
             assert f"`{key}`" in bullet, (name, key)
+
+
+def test_readme_states_each_contract_once():
+    # one Contracts section of four paragraphs, one per contract, and the
+    # fail-fast promise made there alone: a mechanism is left to the
+    # docstring that owns it, so a change to it edits one place
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (section,) = re.findall(r"\n## Contracts\n(.*?)(?=\n## |\Z)", readme, re.S)
+    paragraphs = section.strip().split("\n\n")
+    assert [p.split(".**")[0] for p in paragraphs] == [
+        "**Byte determinism", "**Fail-fast input", "**Flags", "**Workers"]
+    assert readme.count("before any noise") == 1

@@ -397,6 +397,20 @@ def test_ibp_verdict_uses_paired_se():
     rep = EstimatorReport(0.0, 1.0, 100)
     assert IbpResult(rep, rep, gap=3.2, se_pooled=1.0, se_paired=1.1).ok
     assert not IbpResult(rep, rep, gap=3.4, se_pooled=1.2, se_paired=1.1).ok
+    # an overflowed side has an infinite SE, which must not pass its gap
+    assert not IbpResult(rep, rep, gap=math.inf, se_pooled=math.inf, se_paired=math.inf).ok
+
+
+def test_ibp_paired_se_of_one_path_is_infinite_as_every_report_se():
+    # one path has no spread to estimate: the paired SE follows the report
+    # rule, inf with no warning, so the verdict cannot fail on a NaN bound
+    run = engine_inputs(builtin_field("bm", n=1), [0.0], 0.5, paths=1, seed=49, dt=0.05)
+    F, dF = _sin_functionals()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = ibp_check(F, dF, CameronMartinPath.constant([1.0]), *run)
+    assert res.se_paired == res.lhs.se == math.inf
+    assert res.ok
 
 
 def test_direction_of_the_wrong_length_fails_before_any_noise(monkeypatch):
